@@ -202,23 +202,27 @@ counted under their own `op="oversized_line"` metrics label.
 
 ### Admission batching & SLOs
 
-By default the daemon **coalesces concurrent impute traffic across
-connections**: every in-flight `impute`/`impute_batch` gap is submitted
-to a bounded admission queue, and a flusher drains the queue into one
-shared engine batch whenever `--batch-max-gaps` gaps are waiting or the
-oldest has waited `--batch-window-us` microseconds (defaults: 128 gaps,
-1000 µs). One flush makes a single dedup + route-cache pass over every
-connection's gaps — N connections asking for the same uncached route
-cost one A* search instead of N — and the per-gap results scatter back
-to their originating connections **byte-identical** to the direct path
-(pinned by unit tests, a scatter/gather proptest, and a concurrent
+There is **one request path**: every `impute`/`impute_batch` is a
+*submission* of gaps, and a flush answers one or more submissions from a
+single engine batch — one snap + dedup + route-cache pass over all their
+gaps, results scattered back per submission. What varies is only how
+many submissions share a flush. By default the daemon **coalesces
+concurrent traffic across connections**: submissions wait in a bounded
+admission queue and a flusher drains it whenever `--batch-max-gaps` gaps
+are waiting or the oldest has waited `--batch-window-us` microseconds
+(defaults: 128 gaps, 1000 µs), so N connections asking for the same
+uncached route cost one A* search instead of N. With `--no-coalesce`
+(or while the queue drains at shutdown) each request is a flush of its
+own single submission on its connection's thread — the direct path is
+the same code, not a second implementation. Either way answers are
+**byte-identical** (pinned by service-level scatter tests and a proptest
+over both a single blob and a one-shard fleet, and a concurrent
 end-to-end test against the real binary). When the queue is full the
 daemon answers with the typed `overloaded` error instead of blocking
-the accept loop; `--no-coalesce` restores the per-connection direct
-path. The `health` payload reports the admission state — `queue_depth`,
-`queue_capacity`, and per-op `p50_us`/`p95_us`/`p99_us` latency
-quantiles derived from the pinned-bucket histograms — and the metrics
-endpoint exports `habit_admission_queue_depth`, flush/rejection
+the accept loop. The `health` payload reports the admission state —
+`queue_depth`, `queue_capacity`, and per-op `p50_us`/`p95_us`/`p99_us`
+latency quantiles derived from the pinned-bucket histograms — and the
+metrics endpoint exports `habit_admission_queue_depth`, flush/rejection
 counters, and a flush batch-size histogram. The committed `throughput`
 report's concurrent-clients table tracks what coalescing buys at 1–16
 connections, cold and warm.

@@ -21,14 +21,12 @@
 //! `impute`/`impute_batch` gaps from every connection queue into one
 //! admission window (`--batch-window-us`, flushed early at
 //! `--batch-max-gaps`) and are answered from shared engine batches —
-//! byte-identical to the direct path, one dedup + route-cache pass per
-//! flush. A full queue rejects with the typed `overloaded` error.
-//! `--no-coalesce` restores the per-connection direct path.
+//! byte-identical to an unqueued request, one dedup + route-cache pass
+//! per flush. A full queue rejects with the typed `overloaded` error.
+//! `--no-coalesce` answers every request on its own connection's thread.
 
 use crate::args::Args;
-use habit_service::{
-    AdmissionConfig, Request, Response, ServeOptions, Service, ServiceConfig, ServiceError,
-};
+use habit_service::{AdmissionConfig, ServeOptions, Service, ServiceConfig, ServiceError};
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -102,30 +100,25 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         Some(dir) => Service::with_fleet(config, dir, model_path)?,
         None => Service::with_model_file(config, model_path.expect("required above"))?,
     });
+    let health = service.health();
     let desc = match shards_dir {
         Some(dir) => {
-            let Response::Health(h) = service.handle(&Request::Health)? else {
-                unreachable!("Health answers Health");
-            };
-            let hash = h.manifest_hash.as_deref().unwrap_or("?");
+            let hash = health.manifest_hash.as_deref().unwrap_or("?");
             let fallback = match model_path {
                 Some(p) => format!(", fallback {p}"),
                 None => String::new(),
             };
             format!(
                 "fleet {dir}: {} shards, manifest {hash}, {} cells, {} transitions{fallback}",
-                h.shards, h.cells, h.transitions,
+                health.shards, health.cells, health.transitions,
             )
         }
-        None => {
-            let model = service.model().expect("constructed with a model");
-            format!(
-                "{}: {} cells, {} transitions",
-                model_path.expect("required above"),
-                model.node_count(),
-                model.edge_count(),
-            )
-        }
+        None => format!(
+            "{}: {} cells, {} transitions",
+            model_path.expect("required above"),
+            health.cells,
+            health.transitions,
+        ),
     };
     if coalesce {
         service.enable_admission(AdmissionConfig {

@@ -258,59 +258,6 @@ impl BatchImputer {
         stats.failed = stats.queries - stats.ok;
         (results, stats)
     }
-
-    /// Answers several independently submitted query groups
-    /// ("submissions") as **one** coalesced batch: the groups are
-    /// flattened in submission order, run through a single
-    /// [`Self::impute_batch_traced`] pass (one snap dispatch, one
-    /// dedup-and-cache pass, one A* wave across *all* submissions), and
-    /// the results are scattered back — entry `i` of the return value
-    /// holds exactly submission `i`'s results, in its own query order.
-    ///
-    /// Per-query answers are byte-identical to running each submission
-    /// through [`Self::impute_batch_traced`] on its own: dedup and the
-    /// route cache never change an answer (a cached route is the route
-    /// the search would recompute), so how queries are grouped is
-    /// invisible to the results.
-    ///
-    /// Per-submission stats carry that submission's exact `queries` /
-    /// `ok` / `failed`, while the route-level counters
-    /// (`unique_routes`, `cache_hits`, `routes_computed`) describe the
-    /// shared coalesced pass — the work actually done — and are
-    /// therefore the same on every entry. A single-submission call
-    /// degenerates to exactly the direct batch, stats included.
-    pub fn impute_submissions(
-        &self,
-        submissions: &[&[GapQuery]],
-        pool: &ThreadPool,
-        provenance: bool,
-        recorder: Option<&Recorder>,
-        op: &str,
-    ) -> Vec<(Vec<Result<Imputation, BatchFailure>>, BatchStats)> {
-        let flat: Vec<GapQuery> = submissions
-            .iter()
-            .flat_map(|group| group.iter().copied())
-            .collect();
-        let (results, shared) = self.impute_batch_traced(&flat, pool, provenance, recorder, op);
-        let mut remaining = results.into_iter();
-        submissions
-            .iter()
-            .map(|group| {
-                let part: Vec<Result<Imputation, BatchFailure>> =
-                    remaining.by_ref().take(group.len()).collect();
-                let ok = part.iter().filter(|r| r.is_ok()).count();
-                let stats = BatchStats {
-                    queries: group.len(),
-                    ok,
-                    failed: group.len() - ok,
-                    unique_routes: shared.unique_routes,
-                    cache_hits: shared.cache_hits,
-                    routes_computed: shared.routes_computed,
-                };
-                (part, stats)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -481,148 +428,5 @@ mod tests {
         let (results, stats) = imputer.impute_batch(&[], &pool);
         assert!(results.is_empty());
         assert_eq!(stats, BatchStats::default());
-    }
-
-    /// Asserts two result vectors are byte-identical: same ok/err split,
-    /// same cells/cost, and bit-identical point coordinates/timestamps.
-    fn assert_results_identical(
-        a: &[Result<Imputation, BatchFailure>],
-        b: &[Result<Imputation, BatchFailure>],
-    ) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            match (x, y) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.cells, y.cells, "query {i}");
-                    assert_eq!(x.cost, y.cost, "query {i}");
-                    assert_eq!(x.points.len(), y.points.len(), "query {i}");
-                    for (p, q) in x.points.iter().zip(&y.points) {
-                        assert_eq!(p.t, q.t, "query {i}");
-                        assert_eq!(p.pos.lon.to_bits(), q.pos.lon.to_bits(), "query {i}");
-                        assert_eq!(p.pos.lat.to_bits(), q.pos.lat.to_bits(), "query {i}");
-                    }
-                }
-                (Err(x), Err(y)) => assert_eq!(x, y, "query {i}"),
-                _ => panic!("query {i}: ok/err mismatch"),
-            }
-        }
-    }
-
-    #[test]
-    fn coalesced_submissions_match_their_direct_batches() {
-        let model = lane_model();
-        let pool = ThreadPool::new(2);
-        // Three submissions with overlapping routes but distinct
-        // durations, plus one that cannot snap: results and failures
-        // must land with their own submission.
-        let groups: Vec<Vec<GapQuery>> = vec![
-            lane_queries(5),
-            lane_queries(3)
-                .into_iter()
-                .map(|mut q| {
-                    q.end.t += 600;
-                    q
-                })
-                .collect(),
-            vec![GapQuery::new(10.1, 95.0, 0, 10.3, 56.0, 3600)],
-        ];
-        let slices: Vec<&[GapQuery]> = groups.iter().map(Vec::as_slice).collect();
-        let coalesced = BatchImputer::new(Arc::clone(&model), 64)
-            .impute_submissions(&slices, &pool, false, None, "impute");
-        assert_eq!(coalesced.len(), groups.len());
-        for (group, (results, stats)) in groups.iter().zip(&coalesced) {
-            // Direct path: this submission alone, on a cold imputer.
-            let direct = BatchImputer::new(Arc::clone(&model), 64);
-            let (expected, direct_stats) = direct.impute_batch(group, &pool);
-            assert_results_identical(results, &expected);
-            assert_eq!(stats.queries, direct_stats.queries);
-            assert_eq!(stats.ok, direct_stats.ok);
-            assert_eq!(stats.failed, direct_stats.failed);
-        }
-        // The route-level counters describe the one shared pass: the
-        // three lane routes searched once across all submissions.
-        assert_eq!(coalesced[0].1.unique_routes, 3);
-        assert_eq!(coalesced[0].1.routes_computed, 3);
-        assert!(coalesced.iter().all(|(_, s)| s.unique_routes == 3));
-    }
-
-    #[test]
-    fn single_submission_degenerates_to_the_direct_batch() {
-        let model = lane_model();
-        let pool = ThreadPool::new(2);
-        let queries = lane_queries(7);
-        let coalesced = BatchImputer::new(Arc::clone(&model), 64).impute_submissions(
-            &[&queries],
-            &pool,
-            false,
-            None,
-            "impute_batch",
-        );
-        let (expected, expected_stats) =
-            BatchImputer::new(Arc::clone(&model), 64).impute_batch(&queries, &pool);
-        assert_eq!(coalesced.len(), 1);
-        assert_results_identical(&coalesced[0].0, &expected);
-        // Stats included: the degenerate case is indistinguishable from
-        // never having coalesced at all.
-        assert_eq!(coalesced[0].1, expected_stats);
-    }
-
-    mod scatter_gather {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(8))]
-
-            /// Scatter/gather never misroutes: for a random partition of
-            /// a query stream into submissions — every query carrying a
-            /// distinct duration, so any cross-submission or cross-index
-            /// mixup changes the answer — each submission's coalesced
-            /// results are byte-identical to running that submission
-            /// alone on a cold imputer.
-            #[test]
-            fn coalescing_is_invisible_to_every_submission(
-                sizes in proptest::collection::vec(0usize..6, 1..8),
-                threads in 1usize..4,
-            ) {
-                let model = lane_model();
-                let pool = ThreadPool::new(threads);
-                let mut next = 0usize;
-                let groups: Vec<Vec<GapQuery>> = sizes
-                    .iter()
-                    .map(|&n| {
-                        (0..n)
-                            .map(|_| {
-                                let i = next;
-                                next += 1;
-                                let k = i % 3;
-                                // Unique duration per query: misrouting
-                                // would shift every imputed timestamp.
-                                GapQuery::new(
-                                    10.05 + k as f64 * 0.01,
-                                    56.0,
-                                    0,
-                                    10.4 + k as f64 * 0.05,
-                                    56.0,
-                                    3600 + i as i64 * 60,
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let slices: Vec<&[GapQuery]> = groups.iter().map(Vec::as_slice).collect();
-                let coalesced = BatchImputer::new(Arc::clone(&model), 64)
-                    .impute_submissions(&slices, &pool, false, None, "impute");
-                prop_assert_eq!(coalesced.len(), groups.len());
-                for (group, (results, stats)) in groups.iter().zip(&coalesced) {
-                    let (expected, direct) = BatchImputer::new(Arc::clone(&model), 64)
-                        .impute_batch(group, &pool);
-                    assert_results_identical(results, &expected);
-                    prop_assert_eq!(stats.queries, direct.queries);
-                    prop_assert_eq!(stats.ok, direct.ok);
-                    prop_assert_eq!(stats.failed, direct.failed);
-                }
-            }
-        }
     }
 }

@@ -7,6 +7,7 @@
 //! sorted by `(file, line, col, lint)` before output, so the committed
 //! `reports/lint.json` is a pure function of the scanned tree.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One finding: a lint fired at a source position.
@@ -49,6 +50,11 @@ pub struct Report {
     pub suppressions: Vec<Suppression>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Code size per crate: lines of `crates/<crate>/src/**/*.rs` that
+    /// carry code (blank and comment-only lines excluded) before the
+    /// file's first top-level `#[cfg(test)]`. Committed with the report
+    /// so CI's freshness check also drift-checks code size.
+    pub non_test_lines: BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -87,6 +93,16 @@ impl Report {
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(out, "  \"violations\": {},", self.diagnostics.len());
         let _ = writeln!(out, "  \"suppression_count\": {},", self.suppressions.len());
+        out.push_str("  \"non_test_lines\": {");
+        for (i, (krate, lines)) in self.non_test_lines.iter().enumerate() {
+            let sep = if i == 0 { "\n" } else { ",\n" };
+            let _ = write!(out, "{sep}    {}: {lines}", json_str(krate));
+        }
+        if self.non_test_lines.is_empty() {
+            out.push_str("},\n");
+        } else {
+            out.push_str("\n  },\n");
+        }
         out.push_str("  \"diagnostics\": [");
         for (i, d) in self.diagnostics.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
@@ -204,6 +220,7 @@ mod tests {
                 reason: "order-free: feeds a membership set".into(),
             }],
             files_scanned: 3,
+            non_test_lines: [("core".to_string(), 40), ("ais".to_string(), 7)].into(),
         };
         r.canonicalize();
         r
@@ -228,6 +245,7 @@ mod tests {
         assert!(json.contains("\"suppression_count\": 1"));
         assert!(json.contains("\"file\": \"a.rs\""));
         assert!(json.contains("\"reason\": \"order-free: feeds a membership set\""));
+        assert!(json.contains("\"non_test_lines\": {\n    \"ais\": 7,\n    \"core\": 40\n  },\n"));
         // Deterministic.
         assert_eq!(json, sample().render_json());
     }
@@ -235,6 +253,7 @@ mod tests {
     #[test]
     fn empty_report_renders_empty_arrays() {
         let json = Report::default().render_json();
+        assert!(json.contains("\"non_test_lines\": {},"));
         assert!(json.contains("\"diagnostics\": [],"));
         assert!(json.contains("\"suppressions\": []\n"));
         assert!(json.contains("\"violations\": 0"));

@@ -13,7 +13,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::diag::{Diagnostic, Report, Suppression};
-use crate::lexer::{lex, Token};
+use crate::lexer::{lex, Token, TokenKind};
 use crate::lints;
 use crate::registry;
 
@@ -136,6 +136,16 @@ pub fn analyze(ws: &Workspace) -> Report {
         files_scanned: ws.files.len(),
         ..Report::default()
     };
+    for file in &ws.files {
+        let crate_src = file.rel_path.strip_prefix("crates/").and_then(|p| {
+            let (krate, rest) = p.split_once('/')?;
+            rest.starts_with("src/").then_some(krate)
+        });
+        if let Some(krate) = crate_src {
+            *report.non_test_lines.entry(krate.to_string()).or_insert(0) +=
+                non_test_lines(&file.tokens);
+        }
+    }
     let mut used: BTreeMap<(String, u32), bool> = BTreeMap::new();
     for file in &ws.files {
         for allow in &file.allows {
@@ -194,6 +204,27 @@ pub fn analyze(ws: &Workspace) -> Report {
     report.suppressions.dedup();
     report.canonicalize();
     report
+}
+
+/// Lines that carry code — at least one non-comment token, or the
+/// continuation of a multi-line string literal — before the file's
+/// first top-level (column 1) `#[cfg(test)]`.
+fn non_test_lines(tokens: &[Token]) -> usize {
+    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let end = code
+        .windows(CFG_TEST.len())
+        .position(|w| w[0].col == 1 && w.iter().zip(CFG_TEST).all(|(t, s)| t.text == s))
+        .unwrap_or(code.len());
+    let mut lines = std::collections::BTreeSet::new();
+    for t in &code[..end] {
+        let continued = match t.kind {
+            TokenKind::Str => t.text.matches('\n').count() as u32,
+            _ => 0,
+        };
+        lines.extend(t.line..=t.line + continued);
+    }
+    lines.len()
 }
 
 /// Convenience: scan + analyze in one call.
@@ -301,6 +332,29 @@ mod tests {
         assert!(f.bad_allows[1].message.contains("unknown lint"));
         assert!(f.bad_allows[2].message.contains("L005 cannot be silenced"));
         assert!(f.bad_allows[3].message.contains("must be"));
+    }
+
+    #[test]
+    fn non_test_lines_skip_comments_blanks_and_the_test_module() {
+        let src = "//! docs\n\nuse a::b; // trailing comment\n/* block\n comment */\n\
+                   fn f() -> &'static str {\n    \"two\nlines\"\n}\n\
+                   mod inner {\n    #[cfg(test)]\n    fn nested() {}\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        // `use`, the 4-line fn (its string spans two), and the 4-line
+        // `mod inner` (its indented cfg(test) is not top-level).
+        assert_eq!(non_test_lines(&lex(src)), 9);
+
+        let ws = Workspace {
+            files: vec![
+                SourceFile::new("crates/core/src/a.rs".into(), "fn a() {}\n"),
+                SourceFile::new("crates/core/src/sub/b.rs".into(), "fn b() {}\nfn c() {}\n"),
+                SourceFile::new("crates/core/tests/t.rs".into(), "fn t() {}\n"),
+                SourceFile::new("src/lib.rs".into(), "fn root() {}\n"),
+            ],
+            texts: BTreeMap::new(),
+        };
+        let report = analyze(&ws);
+        assert_eq!(report.non_test_lines, [("core".to_string(), 3)].into());
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Cross-connection admission batching: the bounded queue between the
 //! daemon's connection workers and the engine.
 //!
-//! Without this layer every connection runs its own engine batch, so N
-//! concurrent clients asking for overlapping routes each pay a full
-//! snap + dedup + search pass. With it, every in-flight `Impute` /
-//! `ImputeBatch` submits its gaps into one [`AdmissionQueue`]; a single
-//! flusher thread drains the queue on a time-or-size trigger
-//! (`--batch-window-us` / `--batch-max-gaps`) into **one** shared
-//! engine batch per flush, and scatters each submission's results back
-//! through its [`CompletionSlot`]. Coalescing is invisible to answers —
-//! `habit_engine::BatchImputer::impute_submissions` pins byte-identity
-//! to the per-connection path — so the only observable differences are
+//! There is one way a gap gets answered — `Service::answer`, one engine
+//! batch over the submissions it is handed — and this layer only
+//! decides *how many* submissions share that batch. Without it every
+//! request is a flush of its own single submission on its caller's
+//! thread, so N concurrent clients asking for overlapping routes each
+//! pay a full snap + dedup + search pass. With it, every in-flight
+//! `Impute` / `ImputeBatch` submits its gaps into one
+//! [`AdmissionQueue`]; a single flusher thread drains the queue on a
+//! time-or-size trigger (`--batch-window-us` / `--batch-max-gaps`) into
+//! **one** shared engine batch per flush, and each submission's results
+//! come back through its [`CompletionSlot`]. Grouping is invisible to
+//! answers (the service-level scatter tests pin byte-identity to each
+//! submission served alone), so the only observable differences are
 //! throughput, latency, and the typed `overloaded` rejection when the
 //! queue is full.
 //!
@@ -22,14 +25,14 @@
 //! outright (split it or raise `--batch-max-gaps`).
 //!
 //! Shutdown drains instead of dropping: [`AdmissionQueue::close`] stops
-//! new admissions (late submitters fall back to the direct path) while
-//! [`AdmissionQueue::next_flush`] keeps handing out queued submissions
-//! until the queue is empty, so every admitted gap is answered before
-//! the flusher exits.
+//! new admissions (late submitters are answered on their own thread)
+//! while [`AdmissionQueue::next_flush`] keeps handing out queued
+//! submissions until the queue is empty, so every admitted gap is
+//! answered before the flusher exits.
 
 use crate::error::{ErrorCode, ServiceError};
-use habit_core::{GapQuery, Imputation};
-use habit_engine::{BatchFailure, BatchStats};
+use crate::response::BatchOutcome;
+use habit_core::GapQuery;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -63,41 +66,25 @@ impl AdmissionConfig {
     }
 }
 
-/// What one flush hands back to a submission: its own results (query
-/// order preserved), its stats, and the route-cache size after the
-/// flush — everything [`crate::Service`] needs to build the same
-/// `Imputation` / `BatchOutcome` payloads the direct path builds.
-#[derive(Debug)]
-pub(crate) struct FlushAnswer {
-    /// Per-gap results, in the submission's own query order.
-    pub results: Vec<Result<Imputation, BatchFailure>>,
-    /// This submission's exact `queries`/`ok`/`failed` plus the shared
-    /// pass's route-level counters (see
-    /// `BatchImputer::impute_submissions`).
-    pub stats: BatchStats,
-    /// Routes resident in the serving route cache after the flush.
-    pub cached_routes: usize,
-}
-
 /// The slot a connection worker blocks on while the flusher answers its
-/// submission.
+/// submission (the waiting request stamps the outcome's `wall_s`).
 #[derive(Debug, Default)]
 pub(crate) struct CompletionSlot {
-    state: Mutex<Option<Result<FlushAnswer, ServiceError>>>,
+    state: Mutex<Option<Result<BatchOutcome, ServiceError>>>,
     ready: Condvar,
 }
 
 impl CompletionSlot {
     /// Delivers the submission's outcome and wakes the waiter. Called
     /// exactly once per slot.
-    pub fn complete(&self, outcome: Result<FlushAnswer, ServiceError>) {
+    pub fn complete(&self, outcome: Result<BatchOutcome, ServiceError>) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         *state = Some(outcome);
         self.ready.notify_all();
     }
 
     /// Blocks until the flusher delivers the outcome.
-    pub fn wait(&self) -> Result<FlushAnswer, ServiceError> {
+    pub fn wait(&self) -> Result<BatchOutcome, ServiceError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(outcome) = state.take() {
@@ -123,7 +110,8 @@ pub(crate) struct Submission {
 pub(crate) enum Admitted {
     /// Queued: block on the slot for the flushed answer.
     Queued(Arc<CompletionSlot>),
-    /// The queue is closed (daemon draining): run the direct path.
+    /// The queue is closed (daemon draining): answer on the caller's
+    /// thread.
     Bypass,
 }
 
@@ -238,8 +226,8 @@ impl AdmissionQueue {
         Some(std::mem::take(&mut state.entries))
     }
 
-    /// Stops new admissions (submitters bypass to the direct path) and
-    /// wakes the flusher so it drains what is queued and exits.
+    /// Stops new admissions (submitters bypass the queue) and wakes the
+    /// flusher so it drains what is queued and exits.
     pub fn close(&self) {
         self.lock().closed = true;
         self.arrivals.notify_all();

@@ -1,12 +1,19 @@
-//! The service: one struct that owns a loaded model and executes every
-//! operation of the API.
+//! The service: one struct that owns the serving state and executes
+//! every operation of the API.
 //!
 //! [`Service::handle`] is the single entry point all frontends share:
 //! the CLI adapters call it in-process, the TCP daemon calls it per
 //! request line, and tests call it directly — so an imputation answered
 //! over a socket is byte-for-byte the imputation the CLI prints.
+//!
+//! There is one serving state (`Serving`, behind one lock) and one way
+//! a gap gets answered: `Service::answer` runs *one* engine batch over
+//! the submissions it is handed and scatters the results back. The
+//! admission flusher hands it the N submissions of a flush; a request
+//! that is not queued hands it its own — the direct path is a flush of
+//! one on the caller's thread, not a second implementation.
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, Admitted, FlushAnswer, Submission};
+use crate::admission::{AdmissionConfig, AdmissionQueue, Admitted, Submission};
 use crate::error::{ErrorCode, ServiceError};
 use crate::metrics::ServiceMetrics;
 use crate::request::{FitSpec, RefitSpec, Request};
@@ -14,16 +21,18 @@ use crate::response::{
     AdmissionInfo, BatchOutcome, FitStateInfo, FitSummary, HealthInfo, ModelReport, RefitSummary,
     RepairOutcome, RepairedGap, Response,
 };
-use ais::{segment_all, segment_all_from, trips_to_table, TripConfig};
+use crate::serving::Serving;
+use aggdb::Table;
+use ais::{segment_all, segment_all_from, trips_to_table, Trip, TripConfig};
 use habit_core::{GapQuery, HabitConfig, HabitModel};
 use habit_engine::{
-    accumulate_per_shard, fit_sharded_traced, refit_model_traced, BatchImputer, BatchStats,
-    ThreadPool,
+    accumulate_per_shard, fit_sharded_traced, refit_model_traced, BatchStats, ThreadPool,
 };
 use habit_fleet::{fit_fleet, load_fleet, shard_blob_name, FleetError, FleetRouter, MANIFEST_FILE};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Tunables of a [`Service`].
@@ -44,23 +53,38 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The serving state behind one loaded model: the model plus the batch
-/// imputer whose route cache stays warm across requests.
-struct Loaded {
-    model: Arc<HabitModel>,
-    imputer: BatchImputer,
+/// Read access to one of the service's locks, recovering from poison:
+/// a panic under a guard must not turn every later request into a panic
+/// of its own. Sound because no writer leaves a value half-updated —
+/// the serving and admission slots are replaced whole, and a shard
+/// hot-swap mutates the router only after its last fallible step.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The serving state behind a loaded model fleet (`habit serve
-/// --shards`): the scatter/gather router, the directory its blobs and
-/// manifest persist in (per-shard refits rewrite it in place), and the
-/// optional global fallback model — kept here as well as inside the
-/// router because `repair` walks a whole track and needs a model, not a
-/// router.
-struct FleetState {
-    router: FleetRouter,
-    dir: PathBuf,
-    fallback: Option<Arc<HabitModel>>,
+/// Write access, with [`read`]'s poison recovery.
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Reads a refit delta: the AIS CSV at `input` as trips numbered from
+/// `first_id`, and their table. Ids continue above the fitted history's
+/// high-water mark: they must match what one segmentation pass over
+/// history ∪ delta would have assigned (service-fitted histories are
+/// dense, so max == count; every shard state of a fleet carries the
+/// same global provenance) and never alias an existing id — the
+/// per-transition distinct-trip counts would under-count.
+fn read_delta(input: &str, first_id: u64) -> Result<(Vec<Trip>, Table), ServiceError> {
+    let trajectories = crate::csvio::read_ais_csv(Path::new(input))?;
+    let trips = segment_all_from(&trajectories, &TripConfig::default(), first_id);
+    if trips.is_empty() {
+        return Err(ServiceError::new(
+            ErrorCode::BadInput,
+            "delta produced no trips after segmentation — nothing to refit",
+        ));
+    }
+    let table = trips_to_table(&trips);
+    Ok((trips, table))
 }
 
 /// Prefixes a fleet error with the fleet directory it concerns.
@@ -70,35 +94,15 @@ fn fleet_error(dir: &Path, e: FleetError) -> ServiceError {
     err
 }
 
-/// Repairs one track against `model` (the shared tail of the
-/// single-blob and fleet-fallback repair paths).
-fn repair_with(
-    model: &HabitModel,
-    track: &[geo_kernel::TimedPoint],
-    config: &habit_core::RepairConfig,
-    provenance: bool,
-) -> Result<Response, ServiceError> {
-    let (points, report) = if provenance {
-        model.repair_track_with_provenance(track, config)?
-    } else {
-        model.repair_track(track, config)?
-    };
-    let gaps = report
-        .gaps
-        .into_iter()
-        .map(|g| RepairedGap {
-            after_index: g.after_index,
-            duration_s: g.duration_s,
-            points_added: g.points_added,
-            error: g.error.map(ServiceError::from),
-            provenance: g.provenance,
-        })
-        .collect();
-    Ok(Response::Repaired(RepairOutcome {
-        points,
-        gaps,
-        points_added: report.points_added,
-    }))
+fn read_model(path: &str) -> Result<HabitModel, ServiceError> {
+    let bytes = std::fs::read(path)
+        .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{path}: {e}")))?;
+    Ok(HabitModel::from_bytes(&bytes)?)
+}
+
+fn write_file(path: &Path, bytes: &[u8]) -> Result<(), ServiceError> {
+    std::fs::write(path, bytes)
+        .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{}: {e}", path.display())))
 }
 
 /// Executes [`Request`]s against an owned model, thread pool, and route
@@ -107,22 +111,19 @@ fn repair_with(
 pub struct Service {
     pool: ThreadPool,
     cache_capacity: usize,
-    state: RwLock<Option<Loaded>>,
-    /// The fleet serving state, mutually exclusive with `state`:
-    /// installing either clears the other. Lock order where both are
-    /// needed: `fleet` before `state`.
-    fleet: RwLock<Option<FleetState>>,
+    /// What is loaded and serving — a blob, a fleet, or nothing yet.
+    serving: RwLock<Option<Serving>>,
     /// Serializes model-swapping operations (`fit`, `refit`): a refit
     /// snapshots the serving state, accumulates off the read lock, and
     /// installs at the end — two concurrent refits would otherwise
     /// both derive from the same snapshot and the loser's delta would
     /// silently vanish (and both would mint colliding trip-id ranges).
     /// Read-only traffic never takes this lock.
-    mutate: std::sync::Mutex<()>,
-    /// The admission/coalescing layer, opt-in (`None` keeps the direct
-    /// per-request engine path; the daemon enables it unless started
-    /// with `--no-coalesce`). Behind its own lock so enabling never
-    /// contends with serving traffic.
+    mutate: Mutex<()>,
+    /// The admission/coalescing layer, opt-in (`None` answers every
+    /// request on its caller's thread; the daemon enables it unless
+    /// started with `--no-coalesce`). Behind its own lock so enabling
+    /// never contends with serving traffic.
     admission: RwLock<Option<AdmissionState>>,
     stopping: AtomicBool,
     metrics: Arc<ServiceMetrics>,
@@ -131,7 +132,7 @@ pub struct Service {
 /// The enabled admission layer: the queue plus its flusher thread.
 struct AdmissionState {
     queue: Arc<AdmissionQueue>,
-    flusher: Option<std::thread::JoinHandle<()>>,
+    flusher: std::thread::JoinHandle<()>,
 }
 
 impl Service {
@@ -141,9 +142,8 @@ impl Service {
         Self {
             pool: ThreadPool::new(config.threads),
             cache_capacity: config.cache_capacity.max(1),
-            state: RwLock::new(None),
-            fleet: RwLock::new(None),
-            mutate: std::sync::Mutex::new(()),
+            serving: RwLock::new(None),
+            mutate: Mutex::new(()),
             admission: RwLock::new(None),
             stopping: AtomicBool::new(false),
             metrics: Arc::new(ServiceMetrics::new()),
@@ -165,10 +165,7 @@ impl Service {
 
     /// A service serving the model blob at `path`.
     pub fn with_model_file(config: ServiceConfig, path: &str) -> Result<Self, ServiceError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{path}: {e}")))?;
-        let model = HabitModel::from_bytes(&bytes)?;
-        Ok(Self::with_model(config, model))
+        Ok(Self::with_model(config, read_model(path)?))
     }
 
     /// A service serving the model fleet in `dir` (written by `habit
@@ -181,61 +178,44 @@ impl Service {
         fallback_path: Option<&str>,
     ) -> Result<Self, ServiceError> {
         let service = Self::new(config);
-        let dir = PathBuf::from(dir);
-        let fleet = load_fleet(&dir).map_err(|e| fleet_error(&dir, e))?;
-        let fallback = match fallback_path {
-            None => None,
-            Some(path) => {
-                let bytes = std::fs::read(path)
-                    .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{path}: {e}")))?;
-                Some(Arc::new(HabitModel::from_bytes(&bytes)?))
-            }
-        };
-        let router = FleetRouter::new(fleet, fallback.clone(), service.cache_capacity)
-            .map_err(|e| fleet_error(&dir, e))?;
-        service.install_fleet(FleetState {
-            router,
-            dir,
-            fallback,
-        });
+        let fallback = fallback_path.map(read_model).transpose()?.map(Arc::new);
+        service.install(service.load_fleet(PathBuf::from(dir), fallback)?);
         Ok(service)
     }
 
-    /// Installs `model` as the serving model (fresh route cache). A
-    /// previously serving fleet is unloaded — the two states are
-    /// mutually exclusive.
-    pub fn install_model(&self, model: HabitModel) {
-        let model = Arc::new(model);
-        let imputer = BatchImputer::new(Arc::clone(&model), self.cache_capacity);
-        let mut fleet = self.fleet.write().expect("fleet lock");
-        let mut state = self.state.write().expect("state lock");
-        *fleet = None;
-        *state = Some(Loaded { model, imputer });
-        drop(state);
-        drop(fleet);
-        self.metrics.set_shards_loaded(0);
+    /// Loads the fleet in `dir` (hash-verified) behind a fresh router.
+    fn load_fleet(
+        &self,
+        dir: PathBuf,
+        fallback: Option<Arc<HabitModel>>,
+    ) -> Result<Serving, ServiceError> {
+        let fleet = load_fleet(&dir).map_err(|e| fleet_error(&dir, e))?;
+        let router = FleetRouter::new(fleet, fallback.clone(), self.cache_capacity)
+            .map_err(|e| fleet_error(&dir, e))?;
+        Ok(Serving::Fleet {
+            router,
+            dir,
+            fallback,
+        })
     }
 
-    /// Installs a fleet as the serving state, unloading any single
-    /// blob.
-    fn install_fleet(&self, fleet_state: FleetState) {
-        let shards = fleet_state.router.shard_count();
-        let mut fleet = self.fleet.write().expect("fleet lock");
-        let mut state = self.state.write().expect("state lock");
-        *state = None;
-        *fleet = Some(fleet_state);
-        drop(state);
-        drop(fleet);
+    /// Installs `model` as the serving model (fresh route cache),
+    /// replacing whatever served before.
+    pub fn install_model(&self, model: HabitModel) {
+        self.install(Serving::blob(model, self.cache_capacity));
+    }
+
+    fn install(&self, serving: Serving) {
+        let (shards, _) = serving.manifest();
+        *write(&self.serving) = Some(serving);
         self.metrics.set_shards_loaded(shards);
     }
 
-    /// The loaded model, when one is installed.
+    /// The loaded single-blob model, when one is installed.
     pub fn model(&self) -> Option<Arc<HabitModel>> {
-        self.state
-            .read()
-            .expect("state lock")
+        read(&self.serving)
             .as_ref()
-            .map(|l| Arc::clone(&l.model))
+            .and_then(|s| s.whole_model().cloned())
     }
 
     /// Worker threads of the compute pool.
@@ -258,9 +238,9 @@ impl Service {
     /// Turns on cross-connection admission batching: in-flight
     /// `Impute`/`ImputeBatch` gaps queue into one bounded
     /// [`AdmissionQueue`] and a flusher thread answers them in shared
-    /// coalesced engine batches. Answers stay byte-identical to the
-    /// direct path; a full queue rejects with the typed `overloaded`
-    /// code instead of blocking.
+    /// engine batches. Answers stay byte-identical to an unqueued
+    /// request; a full queue rejects with the typed `overloaded` code
+    /// instead of blocking.
     ///
     /// The flusher holds an `Arc` of the service — call
     /// [`Service::shutdown_admission`] to drain the queue and join it
@@ -280,192 +260,142 @@ impl Service {
                 }
             })
             .expect("spawn admission flusher");
-        let mut admission = self.admission.write().expect("admission lock");
-        *admission = Some(AdmissionState {
-            queue,
-            flusher: Some(flusher),
-        });
-        drop(admission);
+        *write(&self.admission) = Some(AdmissionState { queue, flusher });
         self.metrics.set_admission_queue_depth(0);
     }
 
     /// Drains and stops the admission layer: closes the queue (late
-    /// submitters fall back to the direct path), lets the flusher
+    /// submitters are answered on their own thread), lets the flusher
     /// answer everything still queued, and joins it. Idempotent; a
     /// no-op when admission was never enabled.
     pub fn shutdown_admission(&self) {
-        let Some(mut state) = self.admission.write().expect("admission lock").take() else {
+        let Some(state) = write(&self.admission).take() else {
             return;
         };
         state.queue.close();
-        if let Some(flusher) = state.flusher.take() {
-            flusher.join().ok();
-        }
+        state.flusher.join().ok();
         self.metrics.set_admission_queue_depth(0);
     }
 
-    /// Submits `gaps` to the admission queue when coalescing is on.
-    /// `Ok(None)` means "run the direct path" (admission disabled, the
-    /// queue is draining, or the submission is empty); `Err` carries
-    /// either the typed `overloaded` rejection or the flushed
-    /// submission's own failure.
-    ///
-    /// `single_gap` runs the direct `Impute` path's pre-flight (an
-    /// empty single-blob model refuses with `empty_model` before
-    /// snapping), so queueing cannot change which error a request gets.
-    fn submit_coalesced(
+    /// Answers one request's gaps: through the admission queue when one
+    /// is enabled and open (`Err` is then the typed `overloaded`
+    /// rejection or the flush's own failure), otherwise as a flush of
+    /// this one submission on the caller's thread, traced under `op`.
+    fn submit(
         &self,
         gaps: &[GapQuery],
         provenance: bool,
-        single_gap: bool,
-    ) -> Result<Option<FlushAnswer>, ServiceError> {
-        if gaps.is_empty() {
-            return Ok(None);
-        }
-        let queue = {
-            let admission = self.admission.read().expect("admission lock");
-            match admission.as_ref() {
-                Some(state) => Arc::clone(&state.queue),
-                None => return Ok(None),
-            }
-        };
-        if single_gap {
-            let fleet = self.fleet.read().expect("fleet lock");
-            let single_blob = fleet.is_none();
-            drop(fleet);
-            if single_blob {
-                let state = self.state.read().expect("state lock");
-                if let Some(loaded) = state.as_ref() {
-                    if loaded.model.node_count() == 0 {
-                        return Err(habit_core::HabitError::EmptyModel.into());
-                    }
+        op: &str,
+    ) -> Result<BatchOutcome, ServiceError> {
+        let queue = read(&self.admission)
+            .as_ref()
+            .map(|state| Arc::clone(&state.queue));
+        if let Some(queue) = queue.filter(|_| !gaps.is_empty()) {
+            match queue.submit(gaps.to_vec(), provenance) {
+                Ok(Admitted::Queued(slot)) => {
+                    self.metrics.set_admission_queue_depth(queue.depth());
+                    return slot.wait();
                 }
-                // No model at all: the flush mints the same `no_model`
-                // error the direct path would.
+                Ok(Admitted::Bypass) => {}
+                Err(e) => {
+                    self.metrics.observe_admission_reject();
+                    return Err(e);
+                }
             }
         }
-        let slot = match queue.submit(gaps.to_vec(), provenance) {
-            Ok(Admitted::Queued(slot)) => slot,
-            Ok(Admitted::Bypass) => return Ok(None),
-            Err(e) => {
-                self.metrics.observe_admission_reject();
-                return Err(e);
-            }
-        };
-        self.metrics.set_admission_queue_depth(queue.depth());
-        slot.wait().map(Some)
+        let mut answers = self.answer(&[gaps], provenance, op)?;
+        Ok(answers.pop().expect("one answer per submission"))
     }
 
     /// The flusher's unit of work: answer one drained batch of
     /// submissions in at most two shared engine passes (provenance and
     /// plain submissions cannot share a pass — the flag is
-    /// batch-global).
+    /// batch-global), delivering every slot exactly once — on success
+    /// each submission's scattered slice, on failure (no model, or a
+    /// panic in the engine) the same typed error to all of the pass.
     fn flush_admitted(&self, submissions: Vec<Submission>) {
         let gaps: usize = submissions.iter().map(|s| s.gaps.len()).sum();
         self.metrics
             .observe_admission_flush(submissions.len(), gaps);
-        let (plain, with_provenance): (Vec<Submission>, Vec<Submission>) =
-            submissions.into_iter().partition(|s| !s.provenance);
-        for group in [plain, with_provenance] {
-            if !group.is_empty() {
-                self.flush_group(group);
+        for provenance in [false, true] {
+            let group: Vec<&Submission> = submissions
+                .iter()
+                .filter(|s| s.provenance == provenance)
+                .collect();
+            if group.is_empty() {
+                continue;
             }
-        }
-    }
-
-    /// Answers one same-provenance group of submissions from a single
-    /// coalesced engine pass, delivering every slot exactly once — on
-    /// success each submission's scattered slice, on failure (no model,
-    /// or a panic in the engine) the same typed error to all of them.
-    fn flush_group(&self, group: Vec<Submission>) {
-        let provenance = group[0].provenance;
-        let slices: Vec<&[GapQuery]> = group.iter().map(|s| s.gaps.as_slice()).collect();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_coalesced(&slices, provenance)
-        }))
-        .unwrap_or_else(|_| Err(ServiceError::internal("coalesced flush panicked")));
-        match outcome {
-            Ok(answers) => {
-                debug_assert_eq!(answers.len(), group.len());
-                for (submission, answer) in group.iter().zip(answers) {
-                    submission.slot.complete(Ok(answer));
+            let slices: Vec<&[GapQuery]> = group.iter().map(|s| s.gaps.as_slice()).collect();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.answer(&slices, provenance, "coalesced")
+            }))
+            .unwrap_or_else(|_| Err(ServiceError::internal("coalesced flush panicked")));
+            match outcome {
+                Ok(answers) => {
+                    for (submission, answer) in group.iter().zip(answers) {
+                        submission.slot.complete(Ok(answer));
+                    }
                 }
-            }
-            Err(e) => {
-                for submission in &group {
-                    submission.slot.complete(Err(e.clone()));
+                Err(e) => {
+                    for submission in group {
+                        submission.slot.complete(Err(e.clone()));
+                    }
                 }
             }
         }
     }
 
-    /// One shared engine pass over every submission's gaps — the
-    /// coalescing tentpole. Sharded serving flattens through the fleet
-    /// router (which sub-batches per shard), single-blob serving
-    /// through [`BatchImputer::impute_submissions`]; either way one
-    /// dedup + cache pass covers all connections, and results scatter
-    /// back by submission ranges.
-    fn run_coalesced(
+    /// The one way gaps get answered: a single engine batch over every
+    /// submission's gaps, flattened in submission order — one snap
+    /// dispatch, one dedup + route-cache pass, one A* wave however many
+    /// connections contributed — scattered back so entry `i` holds
+    /// exactly submission `i`'s answers in its own query order.
+    ///
+    /// Grouping never changes an answer (a cached route is the route
+    /// the search would recompute). Each entry's stats carry its own
+    /// exact `queries` / `ok` / `failed`; the route-level counters
+    /// describe the shared pass — the work actually done — so they are
+    /// the same on every entry and observed into the metrics once.
+    fn answer(
         &self,
-        slices: &[&[GapQuery]],
+        submissions: &[&[GapQuery]],
         provenance: bool,
-    ) -> Result<Vec<FlushAnswer>, ServiceError> {
-        {
-            let fleet = self.fleet.read().expect("fleet lock");
-            if let Some(f) = fleet.as_ref() {
-                let flat: Vec<GapQuery> = slices.iter().flat_map(|g| g.iter().copied()).collect();
-                let (results, stats, fleet_stats) = f.router.impute_batch(
-                    &flat,
-                    &self.pool,
-                    provenance,
-                    Some(self.metrics.recorder()),
-                    "coalesced",
-                );
-                self.metrics.observe_batch(&stats);
-                self.metrics.observe_fleet(&fleet_stats);
-                let cached_routes = f.router.cached_routes();
-                let mut remaining = results.into_iter();
-                return Ok(slices
-                    .iter()
-                    .map(|group| {
-                        let part: Vec<_> = remaining.by_ref().take(group.len()).collect();
-                        let ok = part.iter().filter(|r| r.is_ok()).count();
-                        FlushAnswer {
-                            stats: BatchStats {
-                                queries: group.len(),
-                                ok,
-                                failed: group.len() - ok,
-                                unique_routes: stats.unique_routes,
-                                cache_hits: stats.cache_hits,
-                                routes_computed: stats.routes_computed,
-                            },
-                            results: part,
-                            cached_routes,
-                        }
-                    })
-                    .collect());
-            }
-        }
-        self.with_loaded(|loaded| {
-            let answered = loaded.imputer.impute_submissions(
-                slices,
+        op: &str,
+    ) -> Result<Vec<BatchOutcome>, ServiceError> {
+        self.with_serving(|serving| {
+            let flat: Cow<'_, [GapQuery]> = match submissions {
+                [only] => Cow::Borrowed(only),
+                many => Cow::Owned(many.concat()),
+            };
+            let (results, shared, fleet_stats) = serving.answer(
+                &flat,
                 &self.pool,
                 provenance,
                 Some(self.metrics.recorder()),
-                "coalesced",
+                op,
             );
-            // The route-level counters are the shared pass's — observe
-            // them once, not once per submission.
-            if let Some((_, shared)) = answered.first() {
-                self.metrics.observe_batch(shared);
+            self.metrics.observe_batch(&shared);
+            if let Some(fleet_stats) = &fleet_stats {
+                self.metrics.observe_fleet(fleet_stats);
             }
-            let cached_routes = loaded.imputer.cached_routes();
-            Ok(answered
-                .into_iter()
-                .map(|(results, stats)| FlushAnswer {
-                    results,
-                    stats,
-                    cached_routes,
+            let cached_routes = serving.cached_routes();
+            let mut remaining = results.into_iter();
+            Ok(submissions
+                .iter()
+                .map(|gaps| {
+                    let results: Vec<_> = remaining.by_ref().take(gaps.len()).collect();
+                    let ok = results.iter().filter(|r| r.is_ok()).count();
+                    BatchOutcome {
+                        stats: BatchStats {
+                            queries: gaps.len(),
+                            ok,
+                            failed: gaps.len() - ok,
+                            ..shared
+                        },
+                        results,
+                        cached_routes,
+                        wall_s: 0.0,
+                    }
                 })
                 .collect())
         })
@@ -512,37 +442,26 @@ impl Service {
         }
     }
 
-    fn health(&self) -> HealthInfo {
-        let fleet = self.fleet.read().expect("fleet lock");
-        let state = self.state.read().expect("state lock");
-        let (mut cells, mut transitions) = state
-            .as_ref()
-            .map_or((0, 0), |l| (l.model.node_count(), l.model.edge_count()));
-        let mut shards = 0;
-        let mut manifest_hash = None;
-        if let Some(f) = fleet.as_ref() {
-            for (_, model) in f.router.models() {
-                cells += model.node_count();
-                transitions += model.edge_count();
-            }
-            shards = f.router.shard_count();
-            manifest_hash = Some(format!("{:#018x}", f.router.manifest_hash()));
+    /// The `Health` payload, without counting a request (the daemon's
+    /// startup banner reads it).
+    pub fn health(&self) -> HealthInfo {
+        let serving = read(&self.serving);
+        let (mut cells, mut transitions) = (0, 0);
+        for model in serving.iter().flat_map(Serving::models) {
+            cells += model.node_count();
+            transitions += model.edge_count();
         }
+        let (shards, manifest_hash) = serving.as_ref().map_or((0, None), Serving::manifest);
         let (route_cache_hits, route_cache_misses) = self.metrics.route_cache_counts();
-        let admission = self
-            .admission
-            .read()
-            .expect("admission lock")
-            .as_ref()
-            .map(|a| AdmissionInfo {
-                queue_depth: a.queue.depth() as u64,
-                queue_capacity: a.queue.capacity() as u64,
-                latency: self.metrics.latency_slos(),
-            });
+        let admission = read(&self.admission).as_ref().map(|a| AdmissionInfo {
+            queue_depth: a.queue.depth() as u64,
+            queue_capacity: a.queue.capacity() as u64,
+            latency: self.metrics.latency_slos(),
+        });
         HealthInfo {
             version: env!("CARGO_PKG_VERSION").to_string(),
             threads: self.pool.threads(),
-            model_loaded: state.is_some() || fleet.is_some(),
+            model_loaded: serving.is_some(),
             cells,
             transitions,
             uptime_ticks: self.metrics.uptime_ticks(),
@@ -555,14 +474,13 @@ impl Service {
         }
     }
 
-    /// Runs `f` with the loaded serving state or fails with `no_model`.
-    fn with_loaded<R>(
+    /// Runs `f` with the serving state or fails with `no_model`.
+    fn with_serving<R>(
         &self,
-        f: impl FnOnce(&Loaded) -> Result<R, ServiceError>,
+        f: impl FnOnce(&Serving) -> Result<R, ServiceError>,
     ) -> Result<R, ServiceError> {
-        let state = self.state.read().expect("state lock");
-        match state.as_ref() {
-            Some(loaded) => f(loaded),
+        match read(&self.serving).as_ref() {
+            Some(serving) => f(serving),
             None => Err(ServiceError::new(
                 ErrorCode::NoModel,
                 "no model loaded — fit one or start the service with --model",
@@ -571,63 +489,44 @@ impl Service {
     }
 
     fn model_info(&self) -> Result<Response, ServiceError> {
-        {
-            let fleet = self.fleet.read().expect("fleet lock");
-            if let Some(f) = fleet.as_ref() {
-                // Aggregate across shards: graph/storage/report numbers
-                // sum, the busiest cell is the fleet-wide max, and the
-                // per-shard fit states stay per-shard (`state: None` —
-                // there is no single whole-fleet state to describe).
-                let mut report = ModelReport {
-                    config: HabitConfig::default(),
-                    cells: 0,
-                    transitions: 0,
-                    reports: 0,
-                    busiest_cell_vessels: 0,
-                    storage_bytes: 0,
-                    blob_version: 2,
-                    state: None,
-                    shards: f.router.shard_count(),
-                    manifest_hash: Some(format!("{:#018x}", f.router.manifest_hash())),
-                };
-                for (_, model) in f.router.models() {
-                    report.config = *model.config();
-                    report.cells += model.node_count();
-                    report.transitions += model.edge_count();
-                    report.storage_bytes += model.storage_bytes();
-                    for (_, stats) in model.graph().nodes() {
-                        report.reports += stats.msg_count;
-                        report.busiest_cell_vessels =
-                            report.busiest_cell_vessels.max(stats.vessels);
-                    }
+        self.with_serving(|serving| {
+            // Aggregate across models: graph/storage/report numbers sum
+            // and the busiest cell is the max. Fleet blobs always embed
+            // their state, but the per-shard fit states stay per-shard
+            // (`state: None` — there is no single whole-fleet state to
+            // describe).
+            let (shards, manifest_hash) = serving.manifest();
+            let mut report = ModelReport {
+                config: HabitConfig::default(),
+                cells: 0,
+                transitions: 0,
+                reports: 0,
+                busiest_cell_vessels: 0,
+                storage_bytes: 0,
+                blob_version: 2,
+                state: serving
+                    .whole_model()
+                    .and_then(|m| m.state())
+                    .map(|s| FitStateInfo {
+                        state_bytes: s.storage_bytes() as u64,
+                        trips: s.provenance().trips,
+                        reports: s.provenance().reports,
+                    }),
+                shards,
+                manifest_hash,
+            };
+            for model in serving.models() {
+                report.config = *model.config();
+                report.blob_version = model.blob_version();
+                report.cells += model.node_count();
+                report.transitions += model.edge_count();
+                report.storage_bytes += model.storage_bytes();
+                for (_, stats) in model.graph().nodes() {
+                    report.reports += stats.msg_count;
+                    report.busiest_cell_vessels = report.busiest_cell_vessels.max(stats.vessels);
                 }
-                return Ok(Response::ModelInfo(report));
             }
-        }
-        self.with_loaded(|loaded| {
-            let model = &loaded.model;
-            let mut reports = 0u64;
-            let mut busiest = 0u64;
-            for (_, stats) in model.graph().nodes() {
-                reports += stats.msg_count;
-                busiest = busiest.max(stats.vessels);
-            }
-            Ok(Response::ModelInfo(ModelReport {
-                config: *model.config(),
-                cells: model.node_count(),
-                transitions: model.edge_count(),
-                reports,
-                busiest_cell_vessels: busiest,
-                storage_bytes: model.storage_bytes(),
-                blob_version: model.blob_version(),
-                state: model.state().map(|s| FitStateInfo {
-                    state_bytes: s.storage_bytes() as u64,
-                    trips: s.provenance().trips,
-                    reports: s.provenance().reports,
-                }),
-                shards: 0,
-                manifest_hash: None,
-            }))
+            Ok(Response::ModelInfo(report))
         })
     }
 
@@ -638,103 +537,30 @@ impl Service {
                 gap.end.t, gap.start.t
             )));
         }
-        if let Some(answer) = self.submit_coalesced(std::slice::from_ref(gap), provenance, true)? {
-            let mut results = answer.results;
-            return match results.pop().expect("one result per query") {
-                Ok(imputation) => Ok(Response::Imputation(imputation)),
-                Err(failure) => Err(failure.into()),
-            };
+        // An empty blob refuses before snapping (and before queueing,
+        // so admission cannot change which error a request gets).
+        let empty_blob = read(&self.serving)
+            .as_ref()
+            .and_then(Serving::whole_model)
+            .is_some_and(|m| m.node_count() == 0);
+        if empty_blob {
+            return Err(habit_core::HabitError::EmptyModel.into());
         }
-        {
-            let fleet = self.fleet.read().expect("fleet lock");
-            if let Some(f) = fleet.as_ref() {
-                // Through the router (batch of one) so single-gap
-                // traffic shares the per-shard route caches.
-                let (mut results, stats, fleet_stats) = f.router.impute_batch(
-                    std::slice::from_ref(gap),
-                    &self.pool,
-                    provenance,
-                    Some(self.metrics.recorder()),
-                    "impute",
-                );
-                self.metrics.observe_batch(&stats);
-                self.metrics.observe_fleet(&fleet_stats);
-                return match results.pop().expect("one result per query") {
-                    Ok(imputation) => Ok(Response::Imputation(imputation)),
-                    Err(failure) => Err(failure.into()),
-                };
-            }
+        // A batch of one, so single-gap traffic shares the warm route
+        // cache(s) with batches; the engine asserts batch ==
+        // single-query results.
+        let mut answer = self.submit(std::slice::from_ref(gap), provenance, "impute")?;
+        match answer.results.pop().expect("one result per query") {
+            Ok(imputation) => Ok(Response::Imputation(imputation)),
+            Err(failure) => Err(failure.into()),
         }
-        self.with_loaded(|loaded| {
-            if loaded.model.node_count() == 0 {
-                return Err(habit_core::HabitError::EmptyModel.into());
-            }
-            // Through the batch imputer (batch of one) so single-gap
-            // traffic shares the warm route cache with batches; the
-            // engine asserts batch == single-query results.
-            let (mut results, stats) = loaded.imputer.impute_batch_traced(
-                std::slice::from_ref(gap),
-                &self.pool,
-                provenance,
-                Some(self.metrics.recorder()),
-                "impute",
-            );
-            self.metrics.observe_batch(&stats);
-            match results.pop().expect("one result per query") {
-                Ok(imputation) => Ok(Response::Imputation(imputation)),
-                Err(failure) => Err(failure.into()),
-            }
-        })
     }
 
     fn impute_batch(&self, gaps: &[GapQuery], provenance: bool) -> Result<Response, ServiceError> {
         let t0 = Instant::now();
-        if let Some(answer) = self.submit_coalesced(gaps, provenance, false)? {
-            return Ok(Response::Batch(BatchOutcome {
-                results: answer.results,
-                stats: answer.stats,
-                cached_routes: answer.cached_routes,
-                wall_s: t0.elapsed().as_secs_f64(),
-            }));
-        }
-        {
-            let fleet = self.fleet.read().expect("fleet lock");
-            if let Some(f) = fleet.as_ref() {
-                let t0 = Instant::now();
-                let (results, stats, fleet_stats) = f.router.impute_batch(
-                    gaps,
-                    &self.pool,
-                    provenance,
-                    Some(self.metrics.recorder()),
-                    "impute_batch",
-                );
-                self.metrics.observe_batch(&stats);
-                self.metrics.observe_fleet(&fleet_stats);
-                return Ok(Response::Batch(BatchOutcome {
-                    results,
-                    stats,
-                    cached_routes: f.router.cached_routes(),
-                    wall_s: t0.elapsed().as_secs_f64(),
-                }));
-            }
-        }
-        self.with_loaded(|loaded| {
-            let t0 = Instant::now();
-            let (results, stats) = loaded.imputer.impute_batch_traced(
-                gaps,
-                &self.pool,
-                provenance,
-                Some(self.metrics.recorder()),
-                "impute_batch",
-            );
-            self.metrics.observe_batch(&stats);
-            Ok(Response::Batch(BatchOutcome {
-                results,
-                stats,
-                cached_routes: loaded.imputer.cached_routes(),
-                wall_s: t0.elapsed().as_secs_f64(),
-            }))
-        })
+        let mut outcome = self.submit(gaps, provenance, "impute_batch")?;
+        outcome.wall_s = t0.elapsed().as_secs_f64();
+        Ok(Response::Batch(outcome))
     }
 
     fn repair(
@@ -765,29 +591,32 @@ impl Service {
                 )));
             }
         }
-        {
-            let fleet = self.fleet.read().expect("fleet lock");
-            if let Some(f) = fleet.as_ref() {
-                // A repair walks one vessel's whole track — there is no
-                // per-gap scatter that preserves repair's semantics, so
-                // sharded serving answers it from the global fallback
-                // blob when one is loaded and refuses honestly when not.
-                let Some(model) = f.fallback.clone() else {
-                    return Err(ServiceError::new(
-                        ErrorCode::NoModel,
-                        "repair needs a global fallback model in sharded serving — \
-                         start the daemon with --shards DIR --model BLOB",
-                    ));
-                };
-                drop(fleet);
-                return repair_with(&model, track, config, provenance);
-            }
-        }
-        self.with_loaded(|loaded| repair_with(&loaded.model, track, config, provenance))
+        let model = self.with_serving(Serving::repair_model)?;
+        let (points, report) = if provenance {
+            model.repair_track_with_provenance(track, config)?
+        } else {
+            model.repair_track(track, config)?
+        };
+        let gaps = report
+            .gaps
+            .into_iter()
+            .map(|g| RepairedGap {
+                after_index: g.after_index,
+                duration_s: g.duration_s,
+                points_added: g.points_added,
+                error: g.error.map(ServiceError::from),
+                provenance: g.provenance,
+            })
+            .collect();
+        Ok(Response::Repaired(RepairOutcome {
+            points,
+            gaps,
+            points_added: report.points_added,
+        }))
     }
 
     fn fit(&self, spec: &FitSpec) -> Result<Response, ServiceError> {
-        let _mutating = self.mutate.lock().expect("mutate lock");
+        let _mutating = self.mutate.lock().unwrap_or_else(PoisonError::into_inner);
         if !(1..=hexgrid::MAX_RESOLUTION).contains(&spec.resolution) {
             return Err(ServiceError::bad_request(format!(
                 "resolution {} out of range (1..={})",
@@ -825,7 +654,7 @@ impl Service {
         // Sharded fit on the pool: byte-identical to the sequential
         // `HabitModel::fit` at every shard/thread count (engine proptest).
         let table = trips_to_table(&trips);
-        if let Some(out) = &spec.shards_out {
+        let (serving, model_bytes, saved_to, shards) = if let Some(out) = &spec.shards_out {
             // Fleet fit: per-shard v2 blobs plus the manifest, then a
             // hash-verified reload so the service serves exactly what
             // the directory now holds.
@@ -838,82 +667,79 @@ impl Service {
                     .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{out}: {e}")))?
                     .len();
             }
-            let fleet = load_fleet(&dir).map_err(|e| fleet_error(&dir, e))?;
-            let router = FleetRouter::new(fleet, None, self.cache_capacity)
-                .map_err(|e| fleet_error(&dir, e))?;
-            let (mut cells, mut transitions) = (0, 0);
-            for (_, model) in router.models() {
-                cells += model.node_count();
-                transitions += model.edge_count();
-            }
-            let summary = FitSummary {
-                trips: trips.len(),
-                reports: trips.iter().map(|t| t.points.len()).sum(),
-                cells,
-                transitions,
-                model_bytes,
-                saved_to: Some(out.clone()),
-                shards: spec.fleet_shards,
-            };
-            self.install_fleet(FleetState {
-                router,
-                dir,
-                fallback: None,
-            });
-            self.metrics.observe_refit();
-            return Ok(Response::Fitted(summary));
-        }
-        let model = fit_sharded_traced(
-            &table,
-            config,
-            self.pool.threads(),
-            &self.pool,
-            Some(self.metrics.recorder()),
-            "fit",
-        )?;
-        // `--save-state` writes the v2 container (graph + fit state), so
-        // the blob on disk can be refitted by a later process; the lean
-        // v1 blob stays the default. The *serving* model keeps its state
-        // in memory either way, so in-daemon refits always work.
-        let bytes = if spec.save_state {
-            model.to_bytes_full()
+            let serving = self.load_fleet(dir, None)?;
+            (serving, model_bytes, Some(out.clone()), spec.fleet_shards)
         } else {
-            model.to_bytes()
+            let model = fit_sharded_traced(
+                &table,
+                config,
+                self.pool.threads(),
+                &self.pool,
+                Some(self.metrics.recorder()),
+                "fit",
+            )?;
+            // `--save-state` writes the v2 container (graph + fit state), so
+            // the blob on disk can be refitted by a later process; the lean
+            // v1 blob stays the default. The *serving* model keeps its state
+            // in memory either way, so in-daemon refits always work.
+            let bytes = if spec.save_state {
+                model.to_bytes_full()
+            } else {
+                model.to_bytes()
+            };
+            if let Some(out) = &spec.save_to {
+                write_file(Path::new(out), &bytes)?;
+            }
+            let serving = Serving::blob(model, self.cache_capacity);
+            (serving, bytes.len(), spec.save_to.clone(), 0)
         };
-        if let Some(out) = &spec.save_to {
-            std::fs::write(out, &bytes)
-                .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{out}: {e}")))?;
-        }
+        let models = serving.models();
         let summary = FitSummary {
             trips: trips.len(),
             reports: trips.iter().map(|t| t.points.len()).sum(),
-            cells: model.node_count(),
-            transitions: model.edge_count(),
-            model_bytes: bytes.len(),
-            saved_to: spec.save_to.clone(),
-            shards: 0,
+            cells: models.iter().map(|m| m.node_count()).sum(),
+            transitions: models.iter().map(|m| m.edge_count()).sum(),
+            model_bytes,
+            saved_to,
+            shards,
         };
-        self.install_model(model);
+        self.install(serving);
         self.metrics.observe_refit();
         Ok(Response::Fitted(summary))
     }
 
     fn refit(&self, spec: &RefitSpec) -> Result<Response, ServiceError> {
-        // One mutating operation at a time (see `Service::mutate`);
-        // imputations keep flowing on the read lock throughout.
-        let _mutating = self.mutate.lock().expect("mutate lock");
-        // Sharded serving refits one shard at a time: snapshot that
-        // shard's fit state under the read lock, accumulate off it, and
-        // hot-swap through the router at the end.
-        {
-            let fleet = self.fleet.read().expect("fleet lock");
-            if let Some(f) = fleet.as_ref() {
-                let Some(shard) = spec.shard else {
-                    return Err(ServiceError::bad_request(
-                        "sharded serving refits one shard at a time — pass --shard N",
-                    ));
-                };
-                let Some(model) = f.router.model(shard) else {
+        let _mutating = self.mutate.lock().unwrap_or_else(PoisonError::into_inner);
+        // Snapshot what the refit derives from under the read lock and
+        // accumulate off it — imputations keep flowing during a refit;
+        // the hot-swap happens at the end. A blob refits as a whole, a
+        // fleet one shard at a time.
+        let serving = read(&self.serving);
+        let summary = match (serving.as_ref(), spec.shard) {
+            (None | Some(Serving::Blob { .. }), Some(shard)) => {
+                return Err(ServiceError::bad_request(format!(
+                    "--shard {shard} applies to sharded serving only — this service \
+                     serves a single blob"
+                )))
+            }
+            (None, None) => {
+                return Err(ServiceError::new(
+                    ErrorCode::NoModel,
+                    "no model loaded — refit needs a serving model with an embedded fit state",
+                ))
+            }
+            (Some(Serving::Blob { model, .. }), None) => {
+                let model = Arc::clone(model);
+                drop(serving);
+                self.refit_blob(spec, &model)?
+            }
+            (Some(Serving::Fleet { .. }), None) => {
+                return Err(ServiceError::bad_request(
+                    "sharded serving refits one shard at a time — pass --shard N",
+                ))
+            }
+            (Some(Serving::Fleet { router, dir, .. }), Some(shard)) => {
+                let Some(model) = router.model(shard) else {
                     return Err(ServiceError::new(
                         ErrorCode::ShardMiss,
                         format!("shard {shard} is not loaded in the serving fleet"),
@@ -923,63 +749,40 @@ impl Service {
                     .state()
                     .cloned()
                     .expect("fleet blobs always embed a fit state");
-                let modulus = f.router.manifest().shards;
-                let dir = f.dir.clone();
-                drop(fleet);
-                return self.refit_shard(spec, shard, history, modulus, &dir);
+                let (modulus, dir) = (router.manifest().shards, dir.clone());
+                drop(serving);
+                self.refit_shard(spec, shard, history, modulus, &dir)?
             }
-        }
-        if let Some(shard) = spec.shard {
-            return Err(ServiceError::bad_request(format!(
-                "--shard {shard} applies to sharded serving only — this service \
-                 serves a single blob"
-            )));
-        }
-        // Snapshot the serving model (Arc) so the read lock is not held
-        // across the accumulate — imputations keep flowing during a
-        // refit; the hot-swap happens at the end.
-        let model = self.model().ok_or_else(|| {
-            ServiceError::new(
-                ErrorCode::NoModel,
-                "no model loaded — refit needs a serving model with an embedded fit state",
-            )
-        })?;
+        };
+        self.metrics.observe_refit();
+        Ok(Response::Refitted(summary))
+    }
+
+    /// The single-blob refit tail: merge the delta into the model's
+    /// embedded fit state and hot-swap the result in.
+    fn refit_blob(
+        &self,
+        spec: &RefitSpec,
+        model: &HabitModel,
+    ) -> Result<RefitSummary, ServiceError> {
         let state = model.state().ok_or_else(|| {
             ServiceError::from(habit_core::HabitError::StateVersion {
                 found: 0,
                 supported: habit_core::FITSTATE_VERSION,
             })
         })?;
-
-        let trajectories = crate::csvio::read_ais_csv(Path::new(&spec.input))?;
-        // Continue trip-id assignment above the fitted history's
-        // high-water mark: ids must match what one segmentation pass
-        // over history ∪ delta would have assigned (service-fitted
-        // histories are dense, so max == count), and must never alias
-        // an existing id even for sparse library-fitted histories —
-        // the per-transition distinct-trip counts would under-count.
-        let first_id = state.provenance().max_trip_id + 1;
-        let trips = segment_all_from(&trajectories, &TripConfig::default(), first_id);
-        if trips.is_empty() {
-            return Err(ServiceError::new(
-                ErrorCode::BadInput,
-                "delta produced no trips after segmentation — nothing to refit",
-            ));
-        }
-        let delta = trips_to_table(&trips);
+        let (_, delta) = read_delta(&spec.input, state.provenance().max_trip_id + 1)?;
         let (refitted, outcome) = refit_model_traced(
-            &model,
+            model,
             &delta,
             self.pool.threads(),
             &self.pool,
             Some(self.metrics.recorder()),
             "refit",
         )?;
-
         let bytes = refitted.to_bytes_full();
         if let Some(out) = &spec.save_to {
-            std::fs::write(out, &bytes)
-                .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{out}: {e}")))?;
+            write_file(Path::new(out), &bytes)?;
         }
         let provenance = *refitted.fit_provenance().expect("refit keeps the state");
         let summary = RefitSummary {
@@ -994,8 +797,7 @@ impl Service {
             shard: None,
         };
         self.install_model(refitted);
-        self.metrics.observe_refit();
-        Ok(Response::Refitted(summary))
+        Ok(summary)
     }
 
     /// The sharded-serving refit tail: merge the delta's contribution
@@ -1010,22 +812,9 @@ impl Service {
         mut history: habit_core::FitState,
         modulus: u32,
         dir: &Path,
-    ) -> Result<Response, ServiceError> {
+    ) -> Result<RefitSummary, ServiceError> {
         let config = *history.config();
-        let trajectories = crate::csvio::read_ais_csv(Path::new(&spec.input))?;
-        // Trip ids continue above the *fleet-wide* high-water mark:
-        // every shard state carries the same global provenance, so a
-        // per-shard refit mints exactly the ids a whole-fleet refit
-        // would have.
-        let first_id = history.provenance().max_trip_id + 1;
-        let trips = segment_all_from(&trajectories, &TripConfig::default(), first_id);
-        if trips.is_empty() {
-            return Err(ServiceError::new(
-                ErrorCode::BadInput,
-                "delta produced no trips after segmentation — nothing to refit",
-            ));
-        }
-        let delta = trips_to_table(&trips);
+        let (trips, delta) = read_delta(&spec.input, history.provenance().max_trip_id + 1)?;
         let states = accumulate_per_shard(&delta, config, modulus as usize, &self.pool)?;
         let Some((_, delta_state)) = states.into_iter().find(|(s, _)| *s == shard) else {
             return Err(ServiceError::new(
@@ -1040,26 +829,17 @@ impl Service {
         let provenance = *history.provenance();
         let model = Arc::new(HabitModel::from_fit_state(history)?);
 
-        let mut fleet = self.fleet.write().expect("fleet lock");
-        let Some(f) = fleet.as_mut() else {
-            return Err(ServiceError::internal("fleet unloaded during refit"));
+        let (bytes, manifest) = match write(&self.serving).as_mut() {
+            Some(Serving::Fleet { router, .. }) => router
+                .replace_shard(shard, Arc::clone(&model))
+                .map_err(|e| fleet_error(dir, e))?,
+            _ => return Err(ServiceError::internal("fleet unloaded during refit")),
         };
-        let (bytes, manifest) = f
-            .router
-            .replace_shard(shard, Arc::clone(&model))
-            .map_err(|e| fleet_error(dir, e))?;
-        drop(fleet);
         let blob_path = dir.join(shard_blob_name(shard));
-        std::fs::write(&blob_path, &bytes).map_err(|e| {
-            ServiceError::new(ErrorCode::Io, format!("{}: {e}", blob_path.display()))
-        })?;
-        let manifest_path = dir.join(MANIFEST_FILE);
-        std::fs::write(&manifest_path, manifest.to_bytes()).map_err(|e| {
-            ServiceError::new(ErrorCode::Io, format!("{}: {e}", manifest_path.display()))
-        })?;
+        write_file(&blob_path, &bytes)?;
+        write_file(&dir.join(MANIFEST_FILE), &manifest.to_bytes())?;
 
-        self.metrics.observe_refit();
-        Ok(Response::Refitted(RefitSummary {
+        Ok(RefitSummary {
             trips_added: trips.len() as u64,
             reports_added: trips.iter().map(|t| t.points.len() as u64).sum(),
             trips_total: provenance.trips,
@@ -1069,7 +849,7 @@ impl Service {
             model_bytes: bytes.len(),
             saved_to: Some(blob_path.display().to_string()),
             shard: Some(shard),
-        }))
+        })
     }
 }
 
@@ -1220,6 +1000,7 @@ mod tests {
         assert_eq!(first.stats.ok, 6);
         assert_eq!(first.stats.unique_routes, 1);
         assert_eq!(first.stats.routes_computed, 1);
+        assert!(first.wall_s.is_finite() && first.wall_s >= 0.0);
 
         // Second request: the same route comes from the cache — and a
         // single `Impute` shares it too.
@@ -2011,6 +1792,9 @@ mod tests {
             panic!("coalesced batch");
         };
         assert_eq!(base.stats, via_queue.stats);
+        for wall_s in [base.wall_s, via_queue.wall_s] {
+            assert!(wall_s.is_finite() && wall_s >= 0.0);
+        }
         assert_eq!(base.results.len(), via_queue.results.len());
         for (a, b) in base.results.iter().zip(&via_queue.results) {
             match (a, b) {
@@ -2126,5 +1910,283 @@ mod tests {
             panic!("post-shutdown impute");
         };
         assert_eq!(after.points, base.points);
+    }
+
+    /// One panic under a lock must not wedge the daemon: every lock of
+    /// the service recovers from poison instead of re-panicking.
+    #[test]
+    fn a_panic_under_the_serving_write_lock_leaves_the_service_answering() {
+        let svc = small_service();
+        let impute = Request::Impute {
+            gap: GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600),
+            provenance: false,
+        };
+        let Response::Imputation(before) = svc.handle(&impute).unwrap() else {
+            panic!("imputation");
+        };
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _serving = svc.serving.write().unwrap();
+                let _admission = svc.admission.write().unwrap();
+                let _mutating = svc.mutate.lock().unwrap();
+                panic!("injected: poison every service lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(svc.serving.is_poisoned() && svc.mutate.is_poisoned());
+
+        let Response::Health(h) = svc.handle(&Request::Health).unwrap() else {
+            panic!("health");
+        };
+        assert!(h.model_loaded && h.cells > 0);
+        let Response::Imputation(after) = svc.handle(&impute).unwrap() else {
+            panic!("imputation");
+        };
+        assert_eq!(before.points, after.points);
+        assert_eq!(before.cells, after.cells);
+        assert_eq!(before.cost.to_bits(), after.cost.to_bits());
+        // The mutating lock recovered too: a fit gets as far as its own
+        // validation instead of panicking on the poisoned mutex.
+        let err = svc
+            .handle(&Request::Fit(FitSpec {
+                resolution: 99,
+                ..FitSpec::default()
+            }))
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadRequest);
+    }
+
+    /// The single-`Impute` pre-flight runs before the queue-or-not
+    /// decision, so admission cannot change which error a request gets.
+    #[test]
+    fn impute_preflight_errors_are_the_same_with_and_without_admission() {
+        // A v1 blob whose graph has no nodes: the lane model's header
+        // and graph magic, then zero node and edge counts.
+        let mut blob = lane_model().to_bytes()[..20].to_vec();
+        blob.extend_from_slice(&[0u8; 16]);
+        let config = ServiceConfig {
+            threads: 1,
+            cache_capacity: 8,
+        };
+        let impute = Request::Impute {
+            gap: GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600),
+            provenance: false,
+        };
+        for (expected, model) in [
+            (ErrorCode::EmptyModel, Some(&blob)),
+            (ErrorCode::NoModel, None),
+        ] {
+            let fresh = || {
+                let svc = Service::new(config);
+                if let Some(blob) = model {
+                    let empty = HabitModel::from_bytes(blob).expect("an empty graph decodes");
+                    assert_eq!(empty.node_count(), 0);
+                    svc.install_model(empty);
+                }
+                Arc::new(svc)
+            };
+            let direct = fresh().handle(&impute).unwrap_err();
+            let queued_svc = fresh();
+            queued_svc.enable_admission(AdmissionConfig::default());
+            let queued = queued_svc.handle(&impute).unwrap_err();
+            queued_svc.shutdown_admission();
+            assert_eq!(direct.code, expected);
+            assert_eq!(direct, queued);
+        }
+    }
+
+    /// Three distinct lane routes cycled `n` times from query index
+    /// `first`, every query with its own duration — so any
+    /// cross-submission or cross-index mixup in the scatter changes an
+    /// answer.
+    fn lane_queries(first: usize, n: usize) -> Vec<GapQuery> {
+        (first..first + n)
+            .map(|i| {
+                let k = (i % 3) as f64;
+                GapQuery::new(
+                    10.05 + k * 0.01,
+                    56.0,
+                    0,
+                    10.3 + k * 0.05,
+                    56.0,
+                    3600 + i as i64 * 60,
+                )
+            })
+            .collect()
+    }
+
+    /// Runs `body` once per serving backend over the same lane history
+    /// — a single blob, then a one-shard fleet — handing it a factory of
+    /// cold services (empty route caches) with `threads` pool workers.
+    fn for_each_backend(tag: &str, threads: usize, body: impl Fn(&dyn Fn() -> Service)) {
+        let csv = write_lane_csv(tag, 100, 3);
+        let input = csv.to_str().unwrap().to_string();
+        let dir = std::env::temp_dir().join(format!("habit-svc-{tag}-{}", std::process::id()));
+        let config = ServiceConfig {
+            threads,
+            cache_capacity: 64,
+        };
+        let fitter = Service::new(config);
+        fitter
+            .handle(&Request::Fit(FitSpec {
+                input: input.clone(),
+                ..FitSpec::default()
+            }))
+            .unwrap();
+        let blob = fitter.model().unwrap().to_bytes();
+        fitter
+            .handle(&Request::Fit(FitSpec {
+                input,
+                shards_out: Some(dir.to_str().unwrap().to_string()),
+                fleet_shards: 1,
+                ..FitSpec::default()
+            }))
+            .unwrap();
+        body(&|| Service::with_model(config, HabitModel::from_bytes(&blob).unwrap()));
+        body(&|| Service::with_fleet(config, dir.to_str().unwrap(), None).unwrap());
+        std::fs::remove_file(&csv).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Asserts two result vectors are byte-identical: same ok/err split,
+    /// same cells/cost, and bit-identical point coordinates/timestamps.
+    fn assert_results_identical(
+        a: &[Result<habit_core::Imputation, habit_engine::BatchFailure>],
+        b: &[Result<habit_core::Imputation, habit_engine::BatchFailure>],
+    ) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            match (x, y) {
+                (Ok(x), Ok(y)) => {
+                    assert_eq!(x.cells, y.cells, "query {i}");
+                    assert_eq!(x.cost.to_bits(), y.cost.to_bits(), "query {i}");
+                    assert_eq!(x.points.len(), y.points.len(), "query {i}");
+                    for (p, q) in x.points.iter().zip(&y.points) {
+                        assert_eq!(p.t, q.t, "query {i}");
+                        assert_eq!(p.pos.lon.to_bits(), q.pos.lon.to_bits(), "query {i}");
+                        assert_eq!(p.pos.lat.to_bits(), q.pos.lat.to_bits(), "query {i}");
+                    }
+                }
+                (Err(x), Err(y)) => assert_eq!(x, y, "query {i}"),
+                _ => panic!("query {i}: ok/err mismatch"),
+            }
+        }
+    }
+
+    /// The scatter oracle: each submission of one shared pass gets
+    /// exactly the answers and `queries`/`ok`/`failed` it gets served
+    /// alone by a cold service, and every entry carries the shared
+    /// pass's route counters.
+    fn assert_scatter_matches_each_submission_alone(
+        fresh: &dyn Fn() -> Service,
+        groups: &[Vec<GapQuery>],
+    ) {
+        let slices: Vec<&[GapQuery]> = groups.iter().map(Vec::as_slice).collect();
+        let coalesced = fresh().answer(&slices, false, "coalesced").unwrap();
+        assert_eq!(coalesced.len(), groups.len());
+        for (group, shared) in groups.iter().zip(&coalesced) {
+            let alone = fresh().answer(&[group], false, "impute_batch").unwrap();
+            assert_results_identical(&shared.results, &alone[0].results);
+            assert_eq!(shared.stats.queries, alone[0].stats.queries);
+            assert_eq!(shared.stats.ok, alone[0].stats.ok);
+            assert_eq!(shared.stats.failed, alone[0].stats.failed);
+            let route_counters =
+                |s: &BatchStats| (s.unique_routes, s.cache_hits, s.routes_computed);
+            assert_eq!(
+                route_counters(&shared.stats),
+                route_counters(&coalesced[0].stats)
+            );
+            assert_eq!(shared.cached_routes, coalesced[0].cached_routes);
+        }
+    }
+
+    #[test]
+    fn coalesced_submissions_match_their_direct_batches() {
+        for_each_backend("scatter", 2, |fresh| {
+            // Three submissions with overlapping routes, one of which
+            // carries a gap that cannot snap: results and failures must
+            // land with their own submission.
+            let mut groups = vec![lane_queries(0, 5), lane_queries(5, 3)];
+            groups.push(vec![GapQuery::new(10.1, 95.0, 0, 10.3, 56.0, 3600)]);
+            assert_scatter_matches_each_submission_alone(fresh, &groups);
+            // The route-level counters describe the one shared pass:
+            // the three lane routes searched once across all
+            // submissions.
+            let slices: Vec<&[GapQuery]> = groups.iter().map(Vec::as_slice).collect();
+            let coalesced = fresh().answer(&slices, false, "coalesced").unwrap();
+            assert_eq!(coalesced[0].stats.unique_routes, 3);
+            assert_eq!(coalesced[0].stats.routes_computed, 3);
+            assert_eq!(coalesced[2].stats.failed, 1);
+        });
+    }
+
+    #[test]
+    fn single_submission_degenerates_to_the_direct_batch() {
+        for_each_backend("scatter1", 2, |fresh| {
+            let queries = lane_queries(0, 7);
+            let mut alone = fresh().answer(&[&queries], false, "impute_batch").unwrap();
+            assert_eq!(alone.len(), 1);
+            let alone = alone.pop().unwrap();
+            // Stats included: a flush of one is indistinguishable from
+            // the request path — with or without the admission queue.
+            assert_eq!(
+                alone.stats,
+                BatchStats {
+                    queries: 7,
+                    ok: 7,
+                    failed: 0,
+                    unique_routes: 3,
+                    cache_hits: 0,
+                    routes_computed: 3,
+                }
+            );
+            let request = Request::ImputeBatch {
+                gaps: queries,
+                provenance: false,
+            };
+            let queued = Arc::new(fresh());
+            queued.enable_admission(AdmissionConfig::default());
+            for svc in [Arc::new(fresh()), Arc::clone(&queued)] {
+                let Response::Batch(served) = svc.handle(&request).unwrap() else {
+                    panic!("batch");
+                };
+                assert_results_identical(&served.results, &alone.results);
+                assert_eq!(served.stats, alone.stats);
+                assert_eq!(served.cached_routes, alone.cached_routes);
+            }
+            queued.shutdown_admission();
+        });
+    }
+
+    mod scatter_gather {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            /// Scatter/gather never misroutes: for a random partition of
+            /// a query stream into submissions, each submission's share
+            /// of the one coalesced pass is byte-identical to that
+            /// submission served alone by a cold service — on both
+            /// serving backends.
+            #[test]
+            fn coalescing_is_invisible_to_every_submission(
+                sizes in proptest::collection::vec(0usize..6, 1..8),
+                threads in 1usize..4,
+            ) {
+                let mut next = 0;
+                let groups: Vec<Vec<GapQuery>> = sizes
+                    .iter()
+                    .map(|&n| {
+                        next += n;
+                        lane_queries(next - n, n)
+                    })
+                    .collect();
+                for_each_backend("scatterprop", threads, |fresh| {
+                    assert_scatter_matches_each_submission_alone(fresh, &groups);
+                });
+            }
+        }
     }
 }
