@@ -1,7 +1,7 @@
 //! Criterion counterpart of the **route_bench** experiment: per-stage
 //! micro-benchmarks of the route-engine hot path (CSR + pooled arena A*,
-//! in-place RDP, end-to-end `impute`) against the retained naive
-//! reference path on the KIEL corridor.
+//! in-place RDP, end-to-end `impute`) against the naive oracle
+//! (`habit_core::reference`) on the KIEL corridor.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use eval::experiments::Bench;
@@ -9,7 +9,7 @@ use geo_kernel::{
     rdp_indices_reference, rdp_timed_in_place, resample_timed_max_spacing, GeoPoint, RdpScratch,
     TimedPoint,
 };
-use habit_core::{HabitConfig, HabitModel};
+use habit_core::{reference::Reference, HabitConfig, HabitModel};
 use std::hint::black_box;
 
 fn bench_route_stages(c: &mut Criterion) {
@@ -21,6 +21,7 @@ fn bench_route_stages(c: &mut Criterion) {
     let config = HabitConfig::with_r_t(9, 100.0);
     let train_table = ais::trips_to_table(&bench.train);
     let model = HabitModel::fit(&train_table, config).expect("fit");
+    let reference = Reference::thaw(&model);
 
     // Snapped endpoint cells: stage benches isolate the search itself.
     let pairs: Vec<_> = cases
@@ -39,7 +40,7 @@ fn bench_route_stages(c: &mut Criterion) {
         b.iter(|| {
             let (s, g) = pairs[i % pairs.len()];
             i += 1;
-            black_box(model.route_between_naive(s, g).ok())
+            black_box(reference.route_between(s, g).ok())
         })
     });
     group.bench_function("csr_arena", |b| {
@@ -95,7 +96,7 @@ fn bench_route_stages(c: &mut Criterion) {
         b.iter(|| {
             let case = &cases[i % cases.len()];
             i += 1;
-            black_box(model.impute_naive(&case.query).ok())
+            black_box(reference.impute(&case.query).ok())
         })
     });
     group.bench_function("hot_path", |b| {

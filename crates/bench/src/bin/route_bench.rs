@@ -1,8 +1,8 @@
 //! Regenerates the **route_bench** experiment — the route-engine hot
 //! path (frozen CSR adjacency, pooled `SearchArena` A*, in-place RDP)
-//! benchmarked stage by stage against the retained naive reference
-//! (`impute_naive` → pointer-graph A* with per-call allocations →
-//! recursive sub-path-cloning RDP) on KIEL.
+//! benchmarked stage by stage against the naive oracle
+//! (`habit_core::reference`: pointer-graph A* with per-call allocations
+//! → recursive sub-path-cloning RDP) on KIEL.
 //!
 //! Shape to verify: every imputation byte-identical across the two
 //! paths at any scale, and a ≥2x end-to-end speedup on the full-scale

@@ -78,7 +78,7 @@ re-exporting a prelude:
 | `crates/mobgraph` | mobility graph: per-cell stats, transition edges, A* search, compact codec |
 | `crates/ais` | AIS data model, cleaning filters, mobility events, trip segmentation |
 | `crates/synth` | seeded synthetic AIS datasets mirroring the paper's DAN / KIEL / SAR feeds |
-| `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, fleet models, persistable `FitState` (v2 model container) |
+| `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, persistable `FitState` (v2 model container) |
 | `crates/engine` (`habit-engine`) | parallel serving: hand-rolled thread pool, tile-sharded fit as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
 | `crates/obs` (`habit-obs`) | dependency-free observability substrate: monotonic span recorder, deterministic metrics registry (counters / gauges / fixed-bucket histograms), plaintext and span-JSON renderers |
 | `crates/fleet` (`habit-fleet`) | sharded serving: per-shard model blobs, the versioned `fleet.hfm` manifest, and the scatter/gather `FleetRouter` — in-shard dispatch, tile-seam stitching, global fallback, per-shard hot-swap |

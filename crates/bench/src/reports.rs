@@ -22,7 +22,8 @@ use geo_kernel::{
     TimedPoint,
 };
 use habit_core::{
-    FleetConfig, FleetModel, GapQuery, HabitConfig, HabitModel, ServedBy, WeightScheme,
+    reference::Reference, GapQuery, HabitConfig, HabitModel, ServedBy, TypeModels,
+    TypeModelsConfig, WeightScheme,
 };
 use habit_engine::{fit_sharded, refit_model, BatchImputer, ThreadPool};
 use habit_fleet::{fit_fleet, load_fleet, Dispatch, FleetRouter};
@@ -854,10 +855,10 @@ pub fn ablation_fleet_report(sar: &Bench, seed: u64) -> Result<ExperimentReport>
     let config = HabitConfig::with_r_t(9, 100.0);
     let global = Imputer::fit_habit(&sar.train, config)
         .map_err(|e| ReportError::experiment("ablation_fleet", format!("global fit: {e}")))?;
-    let fleet = FleetModel::fit(
+    let fleet = TypeModels::fit(
         &sar.train,
         &sar.dataset.vessels,
-        FleetConfig {
+        TypeModelsConfig {
             habit: config,
             min_trips_per_type: 8,
         },
@@ -1488,10 +1489,11 @@ pub fn incremental_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
 /// ISSUE 7 tentpole experiment. The serving path (`impute` →
 /// `route_between` on the frozen [`CsrGraph`] with a pooled
 /// `SearchArena`, tail simplification via `rdp_timed_in_place` with a
-/// pooled scratch) is benchmarked stage by stage against the retained
-/// naive path (`impute_naive` → `route_between_naive` on the pointer
-/// `DiGraph` with per-call `Vec` allocations, recursive sub-path-cloning
-/// `rdp_indices_reference`). Before any timing, every gap case is
+/// pooled scratch) is benchmarked stage by stage against the naive
+/// oracle in [`habit_core::reference`] (per-query A* on a pointer
+/// `DiGraph` thawed from the model's bytes, with per-call `Vec`
+/// allocations; recursive sub-path-cloning `rdp_indices_reference`).
+/// Before any timing, every gap case is
 /// answered by both paths and checked **byte-identical** — cells, cost
 /// bits, expanded count, and every output point — at any scale, so the
 /// CI smoke run exercises the equivalence even when the timings are
@@ -1529,9 +1531,10 @@ pub fn route_bench_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
     // -- Equivalence gate (runs at any scale, including CI smoke): the
     //    hot path must answer every query byte-identically to the naive
     //    reference before its speed means anything.
+    let reference = Reference::thaw(&model);
     let mut imputable = 0usize;
     for case in &cases {
-        match (model.impute(&case.query), model.impute_naive(&case.query)) {
+        match (model.impute(&case.query), reference.impute(&case.query)) {
             (Ok(fast), Ok(naive)) => {
                 let identical = fast.cells == naive.cells
                     && fast.cost.to_bits() == naive.cost.to_bits()
@@ -1617,7 +1620,7 @@ pub fn route_bench_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
         REPEAT,
         || {
             for &(s, g) in &pairs {
-                if let Ok(r) = model.route_between_naive(s, g) {
+                if let Ok(r) = reference.route_between(s, g) {
                     naive_cost += r.cost;
                 }
             }
@@ -1715,8 +1718,8 @@ pub fn route_bench_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
         || {
             for _ in 0..TAIL_INNER {
                 for (gap, route, s, g) in &tail_inputs {
-                    tail_naive_pts += model
-                        .imputation_from_route_naive(gap, route, *s, *g)
+                    tail_naive_pts += reference
+                        .imputation_from_route(gap, route, *s, *g)
                         .points
                         .len();
                 }
@@ -1745,7 +1748,7 @@ pub fn route_bench_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
         REPEAT,
         || {
             for case in &cases {
-                if model.impute_naive(&case.query).is_ok() {
+                if reference.impute(&case.query).is_ok() {
                     naive_ok += 1;
                 }
             }

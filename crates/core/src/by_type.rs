@@ -6,7 +6,7 @@
 //! water lanes and avoid narrow straits, fishing vessels loiter off-lane,
 //! high-speed craft cut corners displacement ferries cannot. A single
 //! global transition graph blurs those behaviours together. A
-//! [`FleetModel`] fits **one HABIT model per vessel type** (for types
+//! [`TypeModels`] fits **one HABIT model per vessel type** (for types
 //! with enough training trips) plus a global fallback model, and routes
 //! each gap query to the graph of the querying vessel's class. Because
 //! each class graph only contains cells that class historically
@@ -21,9 +21,9 @@ use crate::model::HabitModel;
 use aggdb::fxhash::FxHashMap;
 use ais::{trips_to_table, Trip, VesselInfo, VesselType};
 
-/// Configuration of a fleet fit.
+/// Configuration of a per-vessel-type fit.
 #[derive(Debug, Clone, Copy)]
-pub struct FleetConfig {
+pub struct TypeModelsConfig {
     /// Base HABIT configuration used for every sub-model.
     pub habit: HabitConfig,
     /// Minimum training trips a vessel type needs for its own model;
@@ -31,7 +31,7 @@ pub struct FleetConfig {
     pub min_trips_per_type: usize,
 }
 
-impl Default for FleetConfig {
+impl Default for TypeModelsConfig {
     fn default() -> Self {
         Self {
             habit: HabitConfig::default(),
@@ -40,7 +40,7 @@ impl Default for FleetConfig {
     }
 }
 
-/// Which model answered a fleet query.
+/// Which model answered a vessel-type-routed query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedBy {
     /// The vessel type's dedicated model.
@@ -51,20 +51,20 @@ pub enum ServedBy {
 }
 
 /// A per-vessel-type family of HABIT models with a global fallback.
-pub struct FleetModel {
+pub struct TypeModels {
     global: HabitModel,
     per_type: FxHashMap<u8, HabitModel>,
     mmsi_types: FxHashMap<u64, VesselType>,
 }
 
-impl FleetModel {
+impl TypeModels {
     /// Fits the global model and one model per sufficiently represented
     /// vessel type. `vessels` maps MMSIs to static metadata; trips of
     /// unknown MMSIs train only the global model.
     pub fn fit(
         trips: &[Trip],
         vessels: &[VesselInfo],
-        config: FleetConfig,
+        config: TypeModelsConfig,
     ) -> Result<Self, HabitError> {
         let mmsi_types: FxHashMap<u64, VesselType> =
             vessels.iter().map(|v| (v.mmsi, v.vtype)).collect();
@@ -226,14 +226,14 @@ mod tests {
         (trips, vessels)
     }
 
-    fn fleet() -> FleetModel {
+    fn models() -> TypeModels {
         let (trips, vessels) = two_class_world();
-        FleetModel::fit(
+        TypeModels::fit(
             &trips,
             &vessels,
-            FleetConfig {
+            TypeModelsConfig {
                 min_trips_per_type: 3,
-                ..FleetConfig::default()
+                ..TypeModelsConfig::default()
             },
         )
         .expect("fit")
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn fits_one_model_per_represented_type() {
-        let f = fleet();
+        let f = models();
         assert_eq!(
             f.modeled_types(),
             vec![VesselType::Passenger, VesselType::Tanker]
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn queries_route_to_class_models() {
-        let f = fleet();
+        let f = models();
         // A gap on the tanker lane, queried for a tanker MMSI.
         let gap = GapQuery::new(10.05, 56.3, 0, 10.4, 56.3, 3600);
         let (imp, served) = f.impute_for_mmsi(201, &gap).expect("impute");
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn unknown_mmsi_uses_global_model() {
-        let f = fleet();
+        let f = models();
         let gap = GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600);
         let (_, served) = f.impute_for_mmsi(999_999, &gap).expect("impute");
         assert_eq!(served, ServedBy::Global);
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn class_dead_end_falls_back_to_global() {
-        let f = fleet();
+        let f = models();
         // Endpoints on the *passenger* lane queried as a tanker: the
         // tanker graph has no nodes there, so snapping pulls endpoints to
         // the tanker lane — or the global model answers. Either way the
@@ -312,12 +312,12 @@ mod tests {
                 .map(|i| AisPoint::new(900, i * 60, 10.0 + i as f64 * 0.002, 56.15, 6.0, 90.0))
                 .collect(),
         });
-        let f = FleetModel::fit(
+        let f = TypeModels::fit(
             &trips,
             &vessels,
-            FleetConfig {
+            TypeModelsConfig {
                 min_trips_per_type: 3,
-                ..FleetConfig::default()
+                ..TypeModelsConfig::default()
             },
         )
         .expect("fit");
@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn storage_accounts_for_all_submodels() {
-        let f = fleet();
+        let f = models();
         let parts = f.global().storage_bytes()
             + f.type_model(VesselType::Passenger).unwrap().storage_bytes()
             + f.type_model(VesselType::Tanker).unwrap().storage_bytes();

@@ -23,9 +23,6 @@ pub enum HabitError {
     /// A track passed to [`repair_track`](crate::HabitModel::repair_track)
     /// was not sorted by timestamp.
     UnsortedInput,
-    /// Two models with incompatible configurations (resolution,
-    /// projection or weight scheme) cannot be merged.
-    ConfigMismatch,
     /// A serialized fit state carries a version this build does not
     /// speak (or the model blob embeds no state at all where one is
     /// required, e.g. refitting a v1 model).
@@ -57,7 +54,6 @@ impl HabitError {
             HabitError::NoPath { .. } => "no_path",
             HabitError::BadModelBlob => "bad_model_blob",
             HabitError::UnsortedInput => "unsorted_input",
-            HabitError::ConfigMismatch => "config_mismatch",
             HabitError::StateVersion { .. } => "state_version",
             HabitError::ConfigDrift => "config_drift",
         }
@@ -75,9 +71,6 @@ impl fmt::Display for HabitError {
             }
             HabitError::BadModelBlob => write!(f, "invalid serialized model"),
             HabitError::UnsortedInput => write!(f, "track is not sorted by timestamp"),
-            HabitError::ConfigMismatch => {
-                write!(f, "models were fitted with incompatible configurations")
-            }
             HabitError::StateVersion {
                 found: 0,
                 supported,

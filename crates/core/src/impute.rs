@@ -1,28 +1,25 @@
 //! Phases 3–4: gap imputation and simplification (paper §3.3–3.4).
 //!
-//! Two routing paths live here, pinned byte-identical by test:
+//! One way to answer a gap: [`HabitModel::route_between`] runs A* over
+//! the model's frozen [`mobgraph::CsrGraph`] with a thread-local
+//! [`SearchArena`], and the tail (inverse projection, timestamps, RDP)
+//! runs the in-place RDP kernel with a thread-local [`RdpScratch`] —
+//! with or without provenance, which reads the kept indices off that
+//! same RDP run. Steady-state routing on a warm thread (e.g.
+//! `habit-engine`'s long-lived pool workers) allocates only the result.
 //!
-//! * the **hot path** — [`HabitModel::route_between`] /
-//!   [`HabitModel::impute`] run A* over the model's frozen
-//!   [`mobgraph::CsrGraph`] with a thread-local [`SearchArena`], and the
-//!   simplification tail runs the in-place RDP kernel with a
-//!   thread-local [`RdpScratch`]. Steady-state routing on a warm thread
-//!   (e.g. `habit-engine`'s long-lived pool workers) allocates only the
-//!   result;
-//! * the **naive reference** — [`HabitModel::route_between_naive`] /
-//!   [`HabitModel::impute_naive`], the paper's form: fresh per-query A*
-//!   state over the hash-indexed `DiGraph` and the recursive sub-path
-//!   cloning RDP. Retained for the equivalence tests and as the
-//!   `route_bench` speedup baseline.
+//! The paper's naive form (per-query A* over a hash-indexed `DiGraph`,
+//! recursive sub-path-cloning RDP) is kept as the oracle in
+//! [`crate::reference`]; the tests below pin this module byte-identical
+//! to it.
 
 use crate::config::{CellProjection, WeightScheme};
 use crate::error::HabitError;
+use crate::graphgen::EdgeStats;
 use crate::model::HabitModel;
-use geo_kernel::{
-    haversine_m, rdp_indices_reference, rdp_timed_in_place, GeoPoint, RdpScratch, TimedPoint,
-};
+use geo_kernel::{haversine_m, rdp_timed_in_place, GeoPoint, RdpScratch, TimedPoint};
 use hexgrid::{ops, HexCell};
-use mobgraph::{astar, astar_csr_baked, SearchArena};
+use mobgraph::{astar_csr_baked, SearchArena};
 use std::cell::RefCell;
 
 thread_local! {
@@ -161,6 +158,11 @@ pub struct Route {
     pub cost: f64,
     /// Nodes expanded by the search.
     pub expanded: usize,
+    /// Dense graph index of each of `cells`, resolved once when the
+    /// route is built so the per-query tail reads node statistics by
+    /// index instead of searching for every cell of every query (empty
+    /// for a trivial route, which is never projected).
+    pub(crate) nodes: Vec<u32>,
 }
 
 impl Route {
@@ -169,6 +171,16 @@ impl Route {
     pub fn is_trivial(&self) -> bool {
         self.cells.len() <= 1
     }
+
+    /// The route of a gap whose endpoints share `cell`.
+    pub(crate) fn trivial(cell: HexCell) -> Self {
+        Self {
+            cells: vec![cell],
+            cost: 0.0,
+            expanded: 0,
+            nodes: Vec::new(),
+        }
+    }
 }
 
 impl HabitModel {
@@ -176,54 +188,35 @@ impl HabitModel {
     /// transition graph → inverse projection (`p`) → timestamp allocation
     /// → RDP simplification (`t`).
     pub fn impute(&self, gap: &GapQuery) -> Result<Imputation, HabitError> {
-        if self.graph.node_count() == 0 {
-            return Err(HabitError::EmptyModel);
-        }
-        let (start_cell, _) = self.snap(&gap.start.pos)?;
-        let (end_cell, _) = self.snap(&gap.end.pos)?;
-        let route = self.route_between(start_cell, end_cell)?;
-        Ok(self.imputation_from_route(gap, &route, start_cell, end_cell))
+        self.impute_full(gap, false)
     }
 
     /// [`Self::impute`] with per-point [`PointProvenance`] attached.
-    /// The points are byte-identical to the plain path (the provenance
-    /// tail gathers RDP-kept vertices through the reference index set,
-    /// which is pinned equal to the in-place kernel's); only the
-    /// `provenance` field differs.
+    /// Same search, same tail, same RDP run — only the `provenance`
+    /// field differs.
     pub fn impute_with_provenance(&self, gap: &GapQuery) -> Result<Imputation, HabitError> {
-        if self.graph.node_count() == 0 {
+        self.impute_full(gap, true)
+    }
+
+    fn impute_full(&self, gap: &GapQuery, provenance: bool) -> Result<Imputation, HabitError> {
+        if self.csr.node_count() == 0 {
             return Err(HabitError::EmptyModel);
         }
         let (start_cell, _) = self.snap(&gap.start.pos)?;
         let (end_cell, _) = self.snap(&gap.end.pos)?;
         let route = self.route_between(start_cell, end_cell)?;
-        Ok(self.imputation_from_route_full(gap, &route, start_cell, end_cell, false, true))
-    }
-
-    /// [`Self::impute`] on the retained naive machinery end to end:
-    /// per-query A* over the `DiGraph` and the recursive sub-path
-    /// cloning RDP. Byte-identical output to the hot path by
-    /// construction (pinned frontier order; identical RDP kept sets) —
-    /// the equivalence tests assert it, `route_bench` times it.
-    pub fn impute_naive(&self, gap: &GapQuery) -> Result<Imputation, HabitError> {
-        if self.graph.node_count() == 0 {
-            return Err(HabitError::EmptyModel);
-        }
-        let (start_cell, _) = self.snap(&gap.start.pos)?;
-        let (end_cell, _) = self.snap(&gap.end.pos)?;
-        let route = self.route_between_naive(start_cell, end_cell)?;
-        Ok(self.imputation_from_route_full(gap, &route, start_cell, end_cell, true, false))
+        Ok(self.imputation_from_route_full(gap, &route, start_cell, end_cell, provenance))
     }
 
     /// Phase 3's search step in isolation: the A* route between two
     /// snapped cells. Deterministic in `(start_cell, end_cell)`, so the
     /// result can be reused across queries that snap to the same pair.
     ///
-    /// This is the hot path: A* over the frozen CSR graph with a
-    /// thread-local [`SearchArena`]. Byte-identical to
-    /// [`Self::route_between_naive`] — both backends share the pinned
-    /// frontier order, and the weight/heuristic functions depend only on
-    /// edge payloads and external node ids.
+    /// A* over the frozen CSR graph with a thread-local
+    /// [`SearchArena`]. Byte-identical to
+    /// [`crate::reference::Reference::route_between`] — both searches
+    /// share the pinned frontier order, and the weight/heuristic
+    /// functions depend only on edge payloads and external node ids.
     pub fn route_between(
         &self,
         start_cell: HexCell,
@@ -231,20 +224,17 @@ impl HabitModel {
     ) -> Result<Route, HabitError> {
         // Trivial gap: both endpoints in the same cell.
         if start_cell == end_cell {
-            return Ok(Route {
-                cells: vec![start_cell],
-                cost: 0.0,
-                expanded: 0,
-            });
+            return Ok(Route::trivial(start_cell));
         }
 
         let goal_cell = end_cell;
         // Baked heuristic: same integer hex-distance arithmetic as
-        // `route_heuristic`, but reading the pre-decoded axial coords
-        // from the baked edge records instead of unpacking the cell id
-        // per push. Every model node shares `config.resolution`, so the
-        // resolution-mismatch arm of `grid_distance` never fires and
-        // the produced f64s are identical.
+        // `HexGrid::grid_distance` (the reference's), but reading the
+        // pre-decoded axial coords from the baked edge records instead
+        // of unpacking the cell id per push. Every model node shares
+        // `config.resolution`, so the resolution-mismatch arm of
+        // `grid_distance` never fires and the produced f64s are
+        // identical.
         let min_step_cost = self.min_cost_per_grid_step();
         let (gq, gr) = goal_cell.axial();
         let hex_estimate = move |(q, r): (i32, i32)| {
@@ -271,115 +261,74 @@ impl HabitModel {
                 to: goal_cell.raw(),
             })?;
 
-        Ok(route_from_path(result))
+        Ok(self.route_from_path(result))
     }
 
-    /// The paper's naive routing form, retained as the reference
-    /// implementation: per-query A* state over the hash-indexed
-    /// [`DiGraph`](mobgraph::DiGraph). The equivalence tests pin
-    /// [`Self::route_between`] byte-identical to this, and `route_bench`
-    /// reports the hot path's speedup over it.
-    pub fn route_between_naive(
-        &self,
-        start_cell: HexCell,
-        end_cell: HexCell,
-    ) -> Result<Route, HabitError> {
-        if start_cell == end_cell {
-            return Ok(Route {
-                cells: vec![start_cell],
-                cost: 0.0,
-                expanded: 0,
-            });
+    /// Converts a search [`mobgraph::PathResult`] over this model's
+    /// graph into a [`Route`].
+    pub(crate) fn route_from_path(&self, result: mobgraph::PathResult) -> Route {
+        let (cells, nodes) = result
+            .nodes
+            .iter()
+            .map(|&id| {
+                (
+                    HexCell::from_raw(id).expect("valid node id"),
+                    self.csr.node_index(id).expect("path nodes are graph nodes"),
+                )
+            })
+            .unzip();
+        Route {
+            cells,
+            nodes,
+            cost: result.cost,
+            expanded: result.expanded,
         }
-
-        let goal_cell = end_cell;
-        let weight = self.route_weight();
-        let heuristic = self.route_heuristic(goal_cell);
-        let graph = &self.graph;
-        let result = astar(
-            graph,
-            start_cell.raw(),
-            goal_cell.raw(),
-            |f, t, e| weight(f, t, e),
-            |idx| heuristic(graph.node_id(idx)),
-        )
-        .ok_or(HabitError::NoPath {
-            from: start_cell.raw(),
-            to: goal_cell.raw(),
-        })?;
-
-        Ok(route_from_path(result))
     }
 
     /// Bakes the serving kernel's edge table once per model freeze: for
-    /// every CSR edge slot, the exact `f64` cost [`Self::route_weight`]
+    /// every CSR edge slot, the exact `f64` cost [`Self::edge_cost`]
     /// returns plus the target's id and axial coords for the heuristic.
     /// Edge weights never change after fit, so recomputing the divide +
-    /// `ln` and the cell decode per edge visit (as the naive path does)
+    /// `ln` and the cell decode per edge visit (as the reference does)
     /// is pure waste — and because the baked values come from the same
     /// formula on the same inputs, routing stays byte-identical.
-    pub(crate) fn bake_route_kernel(&mut self) {
-        let kernel = {
-            let weight = self.route_weight();
-            let csr = &self.csr;
-            let axial32 = |id: u64| -> (i32, i32) {
-                let (q, r) = HexCell::from_raw(id)
-                    .expect("node ids are valid cells")
-                    .axial();
-                // Axial hex coords at any real resolution are far below
-                // i32 range; the narrowing halves the record size.
-                (
-                    i32::try_from(q).expect("axial q fits i32"),
-                    i32::try_from(r).expect("axial r fits i32"),
-                )
-            };
-            let mut kernel = Vec::with_capacity(csr.edge_count());
-            for idx in 0..csr.node_count() as u32 {
-                for (to, e) in csr.edges_from_index(idx) {
-                    let id = csr.node_id(to);
-                    kernel.push(mobgraph::BakedEdge {
-                        cost: weight(idx, to, e),
-                        id,
-                        to_idx: to,
-                        hkey: axial32(id),
-                    });
-                }
-            }
-            kernel
+    pub(crate) fn baked_route_kernel(&self) -> Vec<mobgraph::BakedEdge<(i32, i32)>> {
+        let csr = &self.csr;
+        let axial32 = |id: u64| -> (i32, i32) {
+            let (q, r) = HexCell::from_raw(id)
+                .expect("node ids are valid cells")
+                .axial();
+            // Axial hex coords at any real resolution are far below
+            // i32 range; the narrowing halves the record size.
+            (
+                i32::try_from(q).expect("axial q fits i32"),
+                i32::try_from(r).expect("axial r fits i32"),
+            )
         };
-        self.route_kernel = kernel;
+        let mut kernel = Vec::with_capacity(csr.edge_count());
+        for idx in 0..csr.node_count() as u32 {
+            for (to, e) in csr.edges_from_index(idx) {
+                let id = csr.node_id(to);
+                kernel.push(mobgraph::BakedEdge {
+                    cost: self.edge_cost(e),
+                    id,
+                    to_idx: to,
+                    hkey: axial32(id),
+                });
+            }
+        }
+        kernel
     }
 
     /// The A* edge weight under the configured scheme. Depends only on
-    /// the edge payload, so the same closure serves both graph backends.
-    fn route_weight(&self) -> impl Fn(u32, u32, &crate::graphgen::EdgeStats) -> f64 {
-        let scheme = self.config.weight_scheme;
-        let max_transitions = self.max_transitions as f64;
-        move |_from: u32, _to: u32, e: &crate::graphgen::EdgeStats| -> f64 {
-            match scheme {
-                WeightScheme::Hops => 1.0,
-                WeightScheme::InverseTransitions => 1.0 / e.transitions as f64,
-                WeightScheme::NegLogFrequency => {
-                    (1.0 + max_transitions / e.transitions as f64).ln()
-                }
-            }
-        }
-    }
-
-    /// The admissible A* heuristic toward `goal_cell`: hex grid distance
-    /// scaled by the smallest possible edge cost per grid step, which
-    /// stays a lower bound even when edges skip cells
-    /// (`grid_distance > 1`). Keyed by **external** node id so both
-    /// backends compute identical estimates regardless of their dense
-    /// index assignment.
-    fn route_heuristic(&self, goal_cell: HexCell) -> impl Fn(u64) -> f64 {
-        let min_step_cost = self.min_cost_per_grid_step();
-        let grid = self.grid;
-        move |id: u64| -> f64 {
-            let cell = HexCell::from_raw(id).expect("valid node id");
-            match grid.grid_distance(cell, goal_cell) {
-                Ok(d) => d as f64 * min_step_cost,
-                Err(_) => 0.0,
+    /// the edge payload, so the kernel and the reference compute
+    /// identical costs.
+    pub(crate) fn edge_cost(&self, e: &EdgeStats) -> f64 {
+        match self.config.weight_scheme {
+            WeightScheme::Hops => 1.0,
+            WeightScheme::InverseTransitions => 1.0 / e.transitions as f64,
+            WeightScheme::NegLogFrequency => {
+                (1.0 + self.max_transitions as f64 / e.transitions as f64).ln()
             }
         }
     }
@@ -394,21 +343,7 @@ impl HabitModel {
         start_cell: HexCell,
         end_cell: HexCell,
     ) -> Imputation {
-        self.imputation_from_route_full(gap, route, start_cell, end_cell, false, false)
-    }
-
-    /// [`Self::imputation_from_route`] on the retained naive tail: the
-    /// recursive sub-path-cloning RDP instead of the in-place kernel.
-    /// Byte-identical output; `route_bench` times the two against each
-    /// other.
-    pub fn imputation_from_route_naive(
-        &self,
-        gap: &GapQuery,
-        route: &Route,
-        start_cell: HexCell,
-        end_cell: HexCell,
-    ) -> Imputation {
-        self.imputation_from_route_full(gap, route, start_cell, end_cell, true, false)
+        self.imputation_from_route_full(gap, route, start_cell, end_cell, false)
     }
 
     /// [`Self::imputation_from_route`] with per-point provenance — the
@@ -421,95 +356,78 @@ impl HabitModel {
         start_cell: HexCell,
         end_cell: HexCell,
     ) -> Imputation {
-        self.imputation_from_route_full(gap, route, start_cell, end_cell, false, true)
+        self.imputation_from_route_full(gap, route, start_cell, end_cell, true)
     }
 
-    /// Shared tail; `naive` selects the retained reference RDP (clone
-    /// positions out of the timed points, recursive kept-index search)
-    /// instead of the in-place kernel with the thread-local scratch;
-    /// `provenance` attaches per-point evidence records. The provenance
-    /// path gathers points through the reference RDP's kept-index set —
-    /// pinned identical to the in-place kernel's by the equivalence
-    /// tests — so the point bytes never depend on the flag.
+    /// The one tail: [`Self::unsimplified`] then the in-place RDP kernel
+    /// with the thread-local scratch. `provenance` attaches per-point
+    /// evidence records for the vertices that same RDP run kept, so the
+    /// point bytes cannot depend on the flag.
     fn imputation_from_route_full(
         &self,
         gap: &GapQuery,
         route: &Route,
         start_cell: HexCell,
         end_cell: HexCell,
-        naive: bool,
         provenance: bool,
     ) -> Imputation {
-        if route.is_trivial() {
-            let prov = provenance.then(|| {
-                vec![
-                    self.observed_provenance(start_cell),
-                    self.observed_provenance(end_cell),
-                ]
+        let mut imp = self.unsimplified(gap, route, start_cell, end_cell);
+        let mut kept: Vec<usize> = Vec::new();
+        if self.config.rdp_tolerance_m > 0.0 {
+            RDP_SCRATCH.with(|scratch| {
+                let scratch = &mut scratch.borrow_mut();
+                rdp_timed_in_place(&mut imp.points, self.config.rdp_tolerance_m, scratch);
+                if provenance {
+                    kept.extend(scratch.kept_indices());
+                }
             });
-            return Imputation {
-                points: vec![gap.start, gap.end],
-                cells: route.cells.clone(),
+        } else if provenance {
+            kept.extend(0..imp.raw_point_count);
+        }
+        if provenance {
+            imp.provenance = Some(self.route_provenance(
+                route,
                 start_cell,
                 end_cell,
-                cost: 0.0,
-                expanded: route.expanded,
-                raw_point_count: 2,
-                provenance: prov,
-            };
+                &kept,
+                imp.raw_point_count,
+            ));
         }
+        imp
+    }
 
-        // Inverse projection: cells → coordinates.
-        let mut positions: Vec<GeoPoint> = Vec::with_capacity(route.cells.len() + 2);
-        positions.push(gap.start.pos);
-        for cell in &route.cells {
-            positions.push(self.project_cell(*cell));
-        }
-        positions.push(gap.end.pos);
-
-        // Timestamp allocation proportional to cumulative distance.
-        let mut points = allocate_timestamps(&positions, gap.start.t, gap.end.t);
-        let raw_point_count = points.len();
-
-        // Phase 4: simplification. The provenance path needs the kept
-        // *indices*, so it always runs the reference index search (kept
-        // sets pinned identical to the in-place kernel).
-        let mut kept: Option<Vec<usize>> = None;
-        if self.config.rdp_tolerance_m > 0.0 {
-            if naive || provenance {
-                // The old wrapper's shape: clone the positions back out,
-                // run the recursive reference, gather kept vertices.
-                let pos_only: Vec<GeoPoint> = points.iter().map(|p| p.pos).collect();
-                let indices = rdp_indices_reference(&pos_only, self.config.rdp_tolerance_m);
-                points = indices.iter().map(|&i| points[i]).collect();
-                kept = Some(indices);
-            } else {
-                RDP_SCRATCH.with(|scratch| {
-                    rdp_timed_in_place(
-                        &mut points,
-                        self.config.rdp_tolerance_m,
-                        &mut scratch.borrow_mut(),
-                    );
-                });
-            }
-        } else if provenance {
-            kept = Some((0..raw_point_count).collect());
-        }
-
-        let prov = provenance.then(|| {
-            let kept = kept.as_deref().unwrap_or(&[]);
-            self.route_provenance(route, start_cell, end_cell, kept, raw_point_count)
-        });
-
+    /// Phase 3's output before simplification: the gap endpoints around
+    /// the route's cells mapped back to coordinates, with timestamps
+    /// allocated (a trivial route is just the two endpoints). Shared by
+    /// the tail above and [`crate::reference`], which differ only in
+    /// the RDP they apply to it.
+    pub(crate) fn unsimplified(
+        &self,
+        gap: &GapQuery,
+        route: &Route,
+        start_cell: HexCell,
+        end_cell: HexCell,
+    ) -> Imputation {
+        let points = if route.is_trivial() {
+            vec![gap.start, gap.end]
+        } else {
+            // Inverse projection: cells → coordinates.
+            let mut positions: Vec<GeoPoint> = Vec::with_capacity(route.cells.len() + 2);
+            positions.push(gap.start.pos);
+            positions.extend(route.nodes.iter().map(|&idx| self.project_node(idx)));
+            positions.push(gap.end.pos);
+            // Timestamp allocation proportional to cumulative distance.
+            allocate_timestamps(&positions, gap.start.t, gap.end.t)
+        };
         Imputation {
+            raw_point_count: points.len(),
             points,
             cells: route.cells.clone(),
             start_cell,
             end_cell,
             cost: route.cost,
             expanded: route.expanded,
-            raw_point_count,
-            provenance: prov,
+            provenance: None,
         }
     }
 
@@ -527,10 +445,11 @@ impl HabitModel {
         }
     }
 
-    /// Evidence records for the RDP-kept vertices of a non-trivial
-    /// route. Raw index `j` maps to: the start endpoint (`j == 0`), the
-    /// end endpoint (`j == n-1`), or route cell `j-1` otherwise; a
-    /// route vertex's traversed in-edge is `cells[k-1] → cells[k]`
+    /// Evidence records for the RDP-kept vertices of a route. Raw
+    /// index `j` of the `n` unsimplified points maps to: the start
+    /// endpoint (`j == 0`), the end endpoint (`j == n-1`), or route
+    /// cell `j-1` otherwise (a trivial route has only the endpoints);
+    /// a route vertex's traversed in-edge is `cells[k-1] → cells[k]`
     /// (the first route vertex — the snapped start cell — has none).
     fn route_provenance(
         &self,
@@ -540,7 +459,6 @@ impl HabitModel {
         kept: &[usize],
         n: usize,
     ) -> Vec<PointProvenance> {
-        let weight = self.route_weight();
         kept.iter()
             .map(|&j| {
                 if j == 0 {
@@ -566,8 +484,8 @@ impl HabitModel {
                     };
                 }
                 let from = route.cells[k - 1];
-                let (transitions, edge_cost) = match self.graph.edge(from.raw(), cell.raw()) {
-                    Some(e) => (e.transitions, weight(0, 0, e)),
+                let (transitions, edge_cost) = match self.csr.edge(from.raw(), cell.raw()) {
+                    Some(e) => (e.transitions, self.edge_cost(e)),
                     None => (0, 0.0),
                 };
                 PointProvenance {
@@ -587,22 +505,20 @@ impl HabitModel {
             .collect()
     }
 
-    /// Maps a path cell to coordinates per the configured projection `p`.
-    fn project_cell(&self, cell: HexCell) -> GeoPoint {
-        match self.config.projection {
-            CellProjection::Center => self.grid.center(cell),
-            CellProjection::Median => match self.graph.node(cell.raw()) {
-                Some(stats) if stats.msg_count > 0 => {
-                    GeoPoint::new(stats.median_lon, stats.median_lat)
-                }
-                _ => self.grid.center(cell),
-            },
+    /// Maps a graph node (by dense index) to coordinates per the
+    /// configured projection `p`.
+    fn project_node(&self, idx: u32) -> GeoPoint {
+        let stats = self.csr.node_by_index(idx);
+        if self.config.projection == CellProjection::Median && stats.msg_count > 0 {
+            return GeoPoint::new(stats.median_lon, stats.median_lat);
         }
+        let cell = HexCell::from_raw(self.csr.node_id(idx)).expect("node ids are valid cells");
+        self.grid.center(cell)
     }
 
     /// Smallest possible A* edge cost per unit grid distance (heuristic
     /// scale factor).
-    fn min_cost_per_grid_step(&self) -> f64 {
+    pub(crate) fn min_cost_per_grid_step(&self) -> f64 {
         let min_edge_cost = match self.config.weight_scheme {
             WeightScheme::Hops => 1.0,
             WeightScheme::InverseTransitions => 1.0 / self.max_transitions as f64,
@@ -617,14 +533,14 @@ impl HabitModel {
     /// back to the global nearest node.
     pub fn snap(&self, p: &GeoPoint) -> Result<(HexCell, f64), HabitError> {
         let cell = self.grid.cell(p, self.config.resolution)?;
-        if self.graph.node_index(cell.raw()).is_some() {
+        if self.csr.node_index(cell.raw()).is_some() {
             return Ok((cell, 0.0));
         }
         for k in 1..=self.config.snap_max_rings {
             let mut best: Option<(HexCell, f64)> = None;
             for candidate in ops::ring(cell, k)? {
-                if self.graph.node_index(candidate.raw()).is_some() {
-                    let d = haversine_m(p, &self.project_cell(candidate));
+                if let Some(idx) = self.csr.node_index(candidate.raw()) {
+                    let d = haversine_m(p, &self.project_node(idx));
                     if best.is_none_or(|(_, bd)| d < bd) {
                         best = Some((candidate, d));
                     }
@@ -636,22 +552,8 @@ impl HabitModel {
         }
         // Global fallback via the spatial index.
         let (idx, d) = self.nn.nearest(p).ok_or(HabitError::EmptyModel)?;
-        let id = self.graph.node_id(idx);
+        let id = self.csr.node_id(idx);
         Ok((HexCell::from_raw(id).expect("valid node id"), d))
-    }
-}
-
-/// Converts a search [`mobgraph::PathResult`] into a [`Route`].
-fn route_from_path(result: mobgraph::PathResult) -> Route {
-    let cells: Vec<HexCell> = result
-        .nodes
-        .iter()
-        .map(|&id| HexCell::from_raw(id).expect("valid node id"))
-        .collect();
-    Route {
-        cells,
-        cost: result.cost,
-        expanded: result.expanded,
     }
 }
 
@@ -681,7 +583,11 @@ fn allocate_timestamps(positions: &[GeoPoint], t_start: i64, t_end: i64) -> Vec<
 mod tests {
     use super::*;
     use crate::config::HabitConfig;
+    use crate::reference::Reference;
     use ais::{trips_to_table, AisPoint, Trip};
+    use geo_kernel::rdp_indices_reference;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     /// An L-shaped lane: east along lat 56.0, then north along lon 10.6 —
     /// so a straight line across the corner is NOT the historical path.
@@ -812,7 +718,7 @@ mod tests {
         let imp = model.impute(&gap).unwrap();
         assert!(imp.points.len() >= 2);
         // Snapped start cell must be a graph node.
-        assert!(model.graph().node(imp.start_cell.raw()).is_some());
+        assert!(model.cell_stats(imp.start_cell).is_some());
     }
 
     #[test]
@@ -850,7 +756,7 @@ mod tests {
         let gap = GapQuery::new(10.05, 56.0, 0, 10.6, 56.35, 10_000);
         let imp = model.impute(&gap).unwrap();
         let d = mobgraph::dijkstra(
-            model.graph(),
+            Reference::thaw(&model).graph(),
             imp.start_cell.raw(),
             imp.end_cell.raw(),
             |_, _, _e| 1.0,
@@ -866,9 +772,9 @@ mod tests {
     }
 
     /// The load-bearing ISSUE 7 equivalence: the CSR/arena/in-place-RDP
-    /// hot path returns **byte-identical** imputations to the retained
-    /// naive reference — every weight scheme, every gap, cost compared
-    /// by f64 bits.
+    /// serving path returns **byte-identical** imputations to the naive
+    /// oracle in [`crate::reference`] — every weight scheme, every gap,
+    /// cost compared by f64 bits.
     #[test]
     fn hot_path_imputes_byte_identical_to_naive() {
         let gaps = [
@@ -889,9 +795,10 @@ mod tests {
                     rdp_tolerance_m: tol,
                     ..HabitConfig::default()
                 });
+                let reference = Reference::thaw(&model);
                 for gap in &gaps {
                     let fast = model.impute(gap);
-                    let naive = model.impute_naive(gap);
+                    let naive = reference.impute(gap);
                     match (fast, naive) {
                         (Ok(fast), Ok(naive)) => {
                             assert_eq!(fast.cells, naive.cells, "{ws:?} tol {tol}");
@@ -916,8 +823,7 @@ mod tests {
     }
 
     /// Provenance is opt-in evidence riding alongside the points: the
-    /// point bytes must be identical with and without it (and across
-    /// both RDP backends), endpoints must read `observed`, and interior
+    /// point bytes must be identical with and without it, endpoints must read `observed`, and interior
     /// vertices must carry the traversed edge's historical support.
     #[test]
     fn provenance_is_attached_without_changing_the_points() {
@@ -993,13 +899,15 @@ mod tests {
         assert_eq!(ProvenanceKind::parse("nope"), None);
     }
 
-    /// `route_between` (CSR + arena) equals `route_between_naive`
-    /// (DiGraph, per-query state) exactly, including the `expanded`
-    /// effort counter — the settle sequences are pinned identical.
+    /// `route_between` (CSR + arena) equals the reference's (DiGraph,
+    /// per-query state) exactly, including the `expanded` effort
+    /// counter — the settle sequences are pinned identical.
     #[test]
     fn route_between_matches_naive_backend() {
         let model = l_model(HabitConfig::default());
-        let cells: Vec<HexCell> = model
+        let reference = Reference::thaw(&model);
+        // Insertion order of the thawed graph, not ascending ids.
+        let cells: Vec<HexCell> = reference
             .graph()
             .nodes()
             .map(|(id, _)| HexCell::from_raw(id).unwrap())
@@ -1008,7 +916,7 @@ mod tests {
         for (i, &a) in cells.iter().step_by(7).enumerate() {
             for &b in cells.iter().skip(i % 3).step_by(11) {
                 let fast = model.route_between(a, b);
-                let naive = model.route_between_naive(a, b);
+                let naive = reference.route_between(a, b);
                 match (fast, naive) {
                     (Ok(fast), Ok(naive)) => {
                         assert_eq!(fast.cells, naive.cells);
@@ -1019,6 +927,71 @@ mod tests {
                     (fast, naive) => {
                         panic!("outcome drift: fast {fast:?} vs naive {naive:?}")
                     }
+                }
+            }
+        }
+    }
+
+    /// [`l_model`] fitted once per RDP tolerance `t ∈ {0, 100, 500}`.
+    fn l_model_at(tol_idx: usize) -> &'static HabitModel {
+        static MODELS: [OnceLock<HabitModel>; 3] =
+            [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        MODELS[tol_idx].get_or_init(|| {
+            l_model(HabitConfig {
+                rdp_tolerance_m: [0.0, 100.0, 500.0][tol_idx],
+                ..HabitConfig::default()
+            })
+        })
+    }
+
+    proptest! {
+        /// One tail: provenance rides the same RDP run as the answer it
+        /// explains. The points are bitwise those of the plain path, and
+        /// record `i` describes unsimplified vertex `kept[i]`, where
+        /// `kept` is what the textbook RDP keeps of the unsimplified
+        /// path.
+        #[test]
+        fn provenance_lines_up_with_the_kept_vertices(
+            tol_idx in 0usize..3,
+            east in 0.05f64..0.95,
+            north in 0.05f64..0.95,
+            reversed in any::<bool>(),
+        ) {
+            let model = l_model_at(tol_idx);
+            let (a, b) = ((10.0 + 0.6 * east, 56.0), (10.6, 56.0 + 0.4 * north));
+            let (from, to) = if reversed { (b, a) } else { (a, b) };
+            let gap = GapQuery::new(from.0, from.1, 0, to.0, to.1, 7_200);
+            let (plain, with) = match (model.impute(&gap), model.impute_with_provenance(&gap)) {
+                (Ok(plain), Ok(with)) => (plain, with),
+                (Err(_), Err(_)) => return Ok(()), // the lane is one-way
+                (plain, with) => panic!("outcome drift: {plain:?} vs {with:?}"),
+            };
+            prop_assert!(plain.provenance.is_none());
+            prop_assert_eq!(plain.points.len(), with.points.len());
+            for (p, q) in plain.points.iter().zip(&with.points) {
+                prop_assert_eq!(p.pos.lon.to_bits(), q.pos.lon.to_bits());
+                prop_assert_eq!(p.pos.lat.to_bits(), q.pos.lat.to_bits());
+                prop_assert_eq!(p.t, q.t);
+            }
+
+            let route = model.route_between(with.start_cell, with.end_cell).expect("routed above");
+            let raw = model.unsimplified(&gap, &route, with.start_cell, with.end_cell);
+            let positions: Vec<GeoPoint> = raw.points.iter().map(|p| p.pos).collect();
+            let kept = rdp_indices_reference(&positions, model.config().rdp_tolerance_m);
+            let prov = with.provenance.as_ref().expect("requested");
+            prop_assert_eq!(prov.len(), kept.len());
+            prop_assert_eq!(with.points.len(), kept.len());
+            let last = raw.points.len() - 1;
+            for ((record, point), &j) in prov.iter().zip(&with.points).zip(&kept) {
+                prop_assert_eq!(point, &raw.points[j]);
+                if j == 0 || j == last {
+                    prop_assert_eq!(record.kind, ProvenanceKind::Observed);
+                    let cell = if j == 0 { with.start_cell } else { with.end_cell };
+                    prop_assert_eq!(record.cell, Some(cell));
+                } else {
+                    prop_assert_eq!(record.kind, ProvenanceKind::Route);
+                    prop_assert_eq!(record.cell, Some(route.cells[j - 1]));
+                    prop_assert_eq!(record.from_cell, (j >= 2).then(|| route.cells[j - 2]));
                 }
             }
         }

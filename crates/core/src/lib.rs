@@ -27,6 +27,12 @@
 //! "framework storage size" of the paper's Table 2 — and answers
 //! imputation queries in sub-millisecond time (Table 4).
 //!
+//! The model keeps one resident graph (a frozen `mobgraph::CsrGraph`)
+//! and there is one way to answer a gap: one A* kernel, one in-place
+//! RDP, with or without provenance. The paper's naive per-query form
+//! survives only as the test oracle in [`reference`] — it is not
+//! re-exported here and no serving crate may use it.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -52,25 +58,24 @@
 //! ```
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod by_type;
 pub mod config;
 pub mod error;
 pub mod fitstate;
-pub mod fleet;
 pub mod graphgen;
 pub mod impute;
-pub mod merge;
 pub mod model;
+pub mod reference;
 pub mod repair;
 
 #[cfg(test)]
 mod proptests;
 
+pub use by_type::{ServedBy, TypeModels, TypeModelsConfig};
 pub use config::{CellProjection, HabitConfig, WeightScheme};
 pub use error::HabitError;
 pub use fitstate::{FitProvenance, FitState, FITSTATE_VERSION};
-pub use fleet::{FleetConfig, FleetModel, ServedBy};
 pub use graphgen::{build_transition_graph, CellStats, EdgeStats};
 pub use impute::{GapQuery, Imputation, PointProvenance, ProvenanceKind, Route};
-pub use merge::merge_graphs;
 pub use model::HabitModel;
 pub use repair::{GapOutcome, RepairConfig, RepairReport};

@@ -24,20 +24,22 @@ const MODEL_VERSION_V2: u8 = 2;
 /// nearest-node index for snapping gap endpoints. Fitting is phase 1–2 of
 /// the paper; [`HabitModel::impute`](crate::impute) is phases 3–4.
 ///
+/// The graph is resident exactly once, as a frozen [`CsrGraph`]: snap,
+/// projection, provenance, routing and the blob writer all read its
+/// arrays. The hash-indexed [`DiGraph`] is the *build-time* form only —
+/// a fit (or a blob decode) assembles one, [`HabitModel::from_graph`]
+/// freezes it, and it is dropped.
+///
 /// A model fitted in this process (or loaded from a v2 blob) also
 /// carries the [`FitState`] it was finalized from, which is what makes
 /// it *refittable*: new trips merge into the state and the graph is
 /// re-finalized, byte-identical to a from-scratch fit over the union.
 pub struct HabitModel {
     pub(crate) config: HabitConfig,
-    pub(crate) graph: DiGraph<CellStats, EdgeStats>,
-    /// Frozen CSR form of `graph`, built once at construction — the
-    /// serving hot path routes over this with a per-thread
-    /// [`mobgraph::SearchArena`]; `graph` stays the mutable/reference
-    /// form (refit, codec, naive search).
+    /// The transition graph — the model's only copy of it.
     pub(crate) csr: CsrGraph<CellStats, EdgeStats>,
     /// Baked routing kernel, one record per CSR edge slot: the exact
-    /// `f64` cost the weight closure would return plus the target's id
+    /// `f64` cost [`HabitModel::edge_cost`] returns plus the target's id
     /// and axial `(q, r)` heuristic key, computed once at freeze time
     /// so the serving inner loop reads one contiguous record instead of
     /// doing a divide + `ln` and a cell decode per edge visit.
@@ -66,53 +68,40 @@ impl HabitModel {
     /// embedded for later refits — the seam both the sequential fit and
     /// `habit-engine`'s sharded/incremental paths converge on.
     pub fn from_fit_state(state: FitState) -> Result<Self, HabitError> {
-        let graph = state.finalize()?;
-        let mut model = Self::from_graph(graph, *state.config());
+        let mut model = Self::from_graph(&state.finalize()?, *state.config());
         model.state = Some(state);
         Ok(model)
     }
 
-    /// Builds a model around an already-assembled transition graph —
-    /// the seam `habit-engine`'s sharded fit uses after merging shard
-    /// aggregates through [`crate::graphgen::assemble_graph`]. The graph
-    /// must be in the canonical order `build_transition_graph` produces
-    /// for the model bytes to be reproducible.
-    pub fn from_transition_graph(
-        graph: DiGraph<CellStats, EdgeStats>,
-        config: HabitConfig,
-    ) -> Self {
-        Self::from_graph(graph, config)
-    }
-
-    pub(crate) fn from_graph(graph: DiGraph<CellStats, EdgeStats>, config: HabitConfig) -> Self {
+    /// Freezes an assembled transition graph into a serving model. The
+    /// result (and its bytes) depends only on the graph's node/edge
+    /// *set*, never on insertion order.
+    pub(crate) fn from_graph(graph: &DiGraph<CellStats, EdgeStats>, config: HabitConfig) -> Self {
+        let csr = CsrGraph::from_digraph(graph);
         let grid = HexGrid::new();
         // Node representative positions for the nearest-node index: the
         // median position when observed, the cell center otherwise.
-        let mut positions = Vec::with_capacity(graph.node_count());
-        for (id, stats) in graph.nodes() {
-            let pos = if stats.msg_count > 0 {
-                GeoPoint::new(stats.median_lon, stats.median_lat)
-            } else {
-                grid.center(HexCell::from_raw(id).expect("node ids are valid cells"))
-            };
-            positions.push(pos);
-        }
-        let bucket_deg = cell_bucket_degrees(&grid, config.resolution);
-        let nn = NearestIndex::build(positions, bucket_deg);
+        let positions = csr
+            .nodes()
+            .map(|(id, stats)| {
+                if stats.msg_count > 0 {
+                    GeoPoint::new(stats.median_lon, stats.median_lat)
+                } else {
+                    grid.center(HexCell::from_raw(id).expect("node ids are valid cells"))
+                }
+            })
+            .collect();
+        let nn = NearestIndex::build(positions, cell_bucket_degrees(&grid, config.resolution));
 
         let mut max_transitions = 1u32;
         let mut max_grid_distance = 1u16;
-        for (id, _) in graph.nodes() {
-            for e in graph.edges_from(id).expect("node exists") {
-                max_transitions = max_transitions.max(e.payload.transitions);
-                max_grid_distance = max_grid_distance.max(e.payload.grid_distance.max(1));
-            }
+        for e in csr.weights() {
+            max_transitions = max_transitions.max(e.transitions);
+            max_grid_distance = max_grid_distance.max(e.grid_distance);
         }
 
-        let csr = CsrGraph::from_digraph(&graph);
         let mut model = Self {
             config,
-            graph,
             csr,
             route_kernel: Vec::new(),
             grid,
@@ -121,7 +110,7 @@ impl HabitModel {
             max_grid_distance,
             state: None,
         };
-        model.bake_route_kernel();
+        model.route_kernel = model.baked_route_kernel();
         model
     }
 
@@ -132,26 +121,21 @@ impl HabitModel {
 
     /// Number of graph nodes (distinct cells with traffic).
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.csr.node_count()
     }
 
     /// Number of graph edges (distinct observed transitions).
     pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
+        self.csr.edge_count()
     }
 
     /// Cell statistics for a cell id, if it is a graph node.
     pub fn cell_stats(&self, cell: HexCell) -> Option<&CellStats> {
-        self.graph.node(cell.raw())
+        self.csr.node(cell.raw())
     }
 
-    /// Direct access to the transition graph (read-only).
-    pub fn graph(&self) -> &DiGraph<CellStats, EdgeStats> {
-        &self.graph
-    }
-
-    /// Direct access to the frozen CSR form of the transition graph —
-    /// what the routing hot path searches over.
+    /// Read-only access to the transition graph: nodes ascending by
+    /// cell id, each node's out-edges ascending by target id.
     pub fn csr(&self) -> &CsrGraph<CellStats, EdgeStats> {
         &self.csr
     }
@@ -195,8 +179,7 @@ impl HabitModel {
         MODEL_MAGIC.encode(&mut out);
         MODEL_VERSION_V1.encode(&mut out);
         self.encode_config(&mut out);
-        let graph_bytes = self.graph.to_bytes();
-        out.extend_from_slice(&graph_bytes);
+        out.extend_from_slice(&self.csr.to_bytes());
         out
     }
 
@@ -213,7 +196,7 @@ impl HabitModel {
         MODEL_MAGIC.encode(&mut out);
         MODEL_VERSION_V2.encode(&mut out);
         self.encode_config(&mut out);
-        let graph_bytes = self.graph.to_bytes();
+        let graph_bytes = self.csr.to_bytes();
         (graph_bytes.len() as u64).encode(&mut out);
         out.extend_from_slice(&graph_bytes);
         let state_bytes = state.to_bytes();
@@ -248,7 +231,7 @@ impl HabitModel {
             MODEL_VERSION_V1 => {
                 let graph = DiGraph::<CellStats, EdgeStats>::from_bytes(buf)
                     .ok_or(HabitError::BadModelBlob)?;
-                Ok(Self::from_graph(graph, config))
+                Ok(Self::from_graph(&graph, config))
             }
             MODEL_VERSION_V2 => {
                 let graph_bytes = take_prefixed(buf).ok_or(HabitError::BadModelBlob)?;
@@ -274,7 +257,7 @@ impl HabitModel {
                 {
                     return Err(HabitError::BadModelBlob);
                 }
-                let mut model = Self::from_graph(graph, state_config);
+                let mut model = Self::from_graph(&graph, state_config);
                 model.state = Some(state);
                 Ok(model)
             }
@@ -389,6 +372,45 @@ mod tests {
         let stripped = model().without_state();
         assert_eq!(stripped.blob_version(), 1);
         assert_eq!(stripped.to_bytes(), lean);
+    }
+
+    /// The model's bytes are a function of the graph's node/edge *set*:
+    /// re-inserting the fitted graph's nodes and edges in a scrambled
+    /// order freezes to a model writing the canonical fit's bytes.
+    #[test]
+    fn shuffled_insertion_freezes_to_the_canonical_bytes() {
+        let m = model();
+        let lean = m.to_bytes();
+        let thawed = crate::reference::Reference::thaw(&m);
+        let mut nodes: Vec<(u64, CellStats)> =
+            thawed.graph().nodes().map(|(id, s)| (id, *s)).collect();
+        let mut edges: Vec<(u64, u64, EdgeStats)> = Vec::new();
+        for &(id, _) in &nodes {
+            for e in thawed.graph().edges_from(id).expect("node exists") {
+                edges.push((id, e.to, *e.payload));
+            }
+        }
+        // Fixed scrambles (no RNG): reverse, then interleave the halves.
+        nodes.reverse();
+        edges.reverse();
+        let half = edges.len() / 2;
+        let scrambled: Vec<_> = (0..half)
+            .flat_map(|i| [edges[i], edges[half + i]])
+            .chain(edges[2 * half..].iter().copied())
+            .collect();
+        let mut graph = DiGraph::new();
+        for (id, stats) in nodes {
+            graph.add_node(id, stats);
+        }
+        for (from, to, stats) in scrambled {
+            assert!(graph.add_edge(from, to, stats));
+        }
+        assert_ne!(
+            graph.to_bytes(),
+            thawed.graph().to_bytes(),
+            "really shuffled"
+        );
+        assert_eq!(HabitModel::from_graph(&graph, *m.config()).to_bytes(), lean);
     }
 
     #[test]

@@ -147,3 +147,27 @@ fn v1_blob_still_loads_and_imputes_byte_identically() {
     // same bytes — the state changes persistence, never answers.
     assert_eq!(render_imputation(&model), fresh_csv);
 }
+
+/// A blob whose edge section repeats a `(from, to)` record declares N
+/// edges but holds N−1 distinct ones: it would decode, then re-encode
+/// to different bytes. It is corruption and must be refused.
+#[test]
+fn duplicate_edge_record_is_rejected() {
+    let mut blob = std::fs::read(golden_dir().join("v1_model.habit")).expect("v1 fixture");
+    // v1 header (magic, version, 3 config bytes, tolerance), then the
+    // graph: magic, node count, edge count, 56-byte node records
+    // (id + CellStats), 24-byte edge records (from, to, EdgeStats).
+    let graph_at = 4 + 1 + 3 + 8;
+    let count = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+    let (nodes, edges) = (count(graph_at + 4), count(graph_at + 12));
+    assert!(edges >= 2);
+    let edges_at = graph_at + 20 + nodes * 56;
+    assert_eq!(blob.len(), edges_at + edges * 24, "layout as documented");
+    assert!(HabitModel::from_bytes(&blob).is_ok());
+    // Overwrite the second edge's endpoints with the first's.
+    blob.copy_within(edges_at..edges_at + 16, edges_at + 24);
+    assert!(matches!(
+        HabitModel::from_bytes(&blob),
+        Err(habit_core::HabitError::BadModelBlob)
+    ));
+}

@@ -71,5 +71,5 @@ pub use pool::ThreadPool;
 pub use refit::{refit_model, refit_model_traced, refit_state, refit_state_traced, RefitOutcome};
 pub use shard::{
     accumulate_per_shard, accumulate_sharded, accumulate_sharded_traced, fit_sharded,
-    fit_sharded_traced, sharded_transition_graph,
+    fit_sharded_traced,
 };

@@ -195,16 +195,6 @@ pub fn accumulate_per_shard(
     Ok(out)
 }
 
-/// The sharded equivalent of `habit_core::build_transition_graph`.
-pub fn sharded_transition_graph(
-    table: &Table,
-    config: &HabitConfig,
-    shards: usize,
-    pool: &ThreadPool,
-) -> Result<habit_core::graphgen::TransitionGraph, HabitError> {
-    accumulate_sharded(table, *config, shards, pool)?.finalize()
-}
-
 /// Splits the lagged table into per-shard tables by the coarse tile of
 /// each row's `cl` cell. Row order within a shard stays ascending, so
 /// per-shard accumulation visits rows in the same relative order as the

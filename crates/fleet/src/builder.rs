@@ -90,7 +90,7 @@ pub fn write_fleet(
         // A shard's graph also holds *foreign* boundary cells — the
         // `lag_cl` side of transitions whose `cl` lands in this shard —
         // so only cells this shard actually owns claim their tile.
-        for (id, _) in model.graph().nodes() {
+        for (id, _) in model.csr().nodes() {
             let cell = HexCell::from_raw(id).map_err(habit_core::HabitError::Grid)?;
             let owner = partitioner
                 .shard_of(cell)

@@ -441,7 +441,7 @@ impl FleetRouter {
         // (the `lag_cl` side of inbound seam transitions) stay in the
         // graph but never claim a tile for this shard.
         let mut new_tiles = Vec::new();
-        for (id, _) in model.graph().nodes() {
+        for (id, _) in model.csr().nodes() {
             let cell = HexCell::from_raw(id).map_err(habit_core::HabitError::Grid)?;
             let owner = self
                 .partitioner

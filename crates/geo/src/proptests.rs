@@ -100,6 +100,9 @@ proptest! {
             rdp_in_place(&mut geo, tol_m, &mut scratch);
             let expect: Vec<GeoPoint> = reference.iter().map(|&i| slice[i]).collect();
             prop_assert_eq!(&geo, &expect);
+            // …and the scratch reports those indices for the call it
+            // just ran (what repair provenance reads).
+            prop_assert_eq!(scratch.kept_indices().collect::<Vec<_>>(), reference.clone());
 
             let timed: Vec<TimedPoint> = slice
                 .iter()

@@ -5,21 +5,22 @@
 //! instead of cell-to-cell zigzags. The tolerance `t` is expressed in
 //! meters, matching the paper's `t ∈ {0, 100, 250, 500, 1000}` sweep.
 //!
-//! Two implementations live here, pinned equal by proptest:
+//! One kernel does the work: an iterative, index-based pass that marks
+//! kept vertices in a reusable [`RdpScratch`] and compacts the input
+//! slice in place ([`rdp_in_place`] / [`rdp_timed_in_place`]) — no
+//! sub-path clones, no per-call allocation once the scratch is warm.
+//! The scratch keeps the kept *indices* of the call it just ran
+//! ([`RdpScratch::kept_indices`]), so a caller that must explain its
+//! answer (repair provenance) reads them off the same run that produced
+//! it. [`rdp`], [`rdp_timed`], and [`rdp_indices`] are thin wrappers.
 //!
-//! * the **hot path** — an iterative, index-based kernel that marks kept
-//!   vertices in a reusable [`RdpScratch`] and compacts the input slice
-//!   in place ([`rdp_in_place`] / [`rdp_timed_in_place`]): no sub-path
-//!   clones, no per-call allocation once the scratch is warm. [`rdp`],
-//!   [`rdp_timed`], and [`rdp_indices`] are thin wrappers over it;
-//! * the **reference** — [`rdp_indices_reference`], the paper's textbook
-//!   recursion that clones a sub-path per recursive call. Retained as
-//!   the naive baseline the equivalence tests and `route_bench` compare
-//!   against.
-//!
-//! Both pick the split vertex as the *first* index attaining the maximum
-//! segment distance (strict `>`), so their kept-index sets are identical
-//! by construction — the property tests in `proptests.rs` enforce it.
+//! [`rdp_indices_reference`] is the oracle, not a second product path:
+//! the paper's textbook recursion that clones a sub-path per recursive
+//! call, kept for the equivalence tests and `route_bench`
+//! (`habit_core::reference`). Both pick the split vertex as the *first*
+//! index attaining the maximum segment distance (strict `>`), so their
+//! kept-index sets are identical by construction — the property tests
+//! in `proptests.rs` enforce it.
 
 use crate::point::{GeoPoint, TimedPoint};
 use crate::polyline::point_segment_distance_m;
@@ -38,6 +39,8 @@ pub struct RdpScratch {
     /// long trajectories stays off the call stack).
     stack: Vec<(u32, u32)>,
     generation: u32,
+    /// Vertex count of the call that last ran.
+    len: usize,
 }
 
 impl RdpScratch {
@@ -54,6 +57,7 @@ impl RdpScratch {
         if self.marks.len() < n {
             self.marks.resize(n, 0);
         }
+        self.len = n;
         self.stack.clear();
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
@@ -73,13 +77,19 @@ impl RdpScratch {
     fn kept(&self, i: usize) -> bool {
         self.marks[i] == self.generation
     }
+
+    /// Indices into the *input* path of the vertices the last call
+    /// through this scratch kept, ascending (empty before any call).
+    pub fn kept_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).filter(|&i| self.kept(i))
+    }
 }
 
 /// The shared marking kernel: runs RDP over vertices `0..n` whose
 /// positions are produced by `pos`, leaving kept-vertex marks in
 /// `scratch`. Index-based and iterative — no sub-path is ever
-/// materialized, which is what lets [`rdp_timed_in_place`] skip the
-/// positions clone the old wrapper paid per call.
+/// materialized, and [`rdp_timed_in_place`] never clones the positions
+/// out of its timed points.
 fn mark_kept(
     n: usize,
     pos: impl Fn(usize) -> GeoPoint,
@@ -146,8 +156,7 @@ pub fn rdp_in_place(path: &mut Vec<GeoPoint>, tolerance_m: f64, scratch: &mut Rd
 
 /// Simplifies a timestamped path in place with RDP at `tolerance_m`
 /// meters, reusing `scratch` across calls; kept vertices retain their
-/// original timestamps. Unlike the old wrapper this never clones the
-/// positions out of the timed points.
+/// original timestamps.
 pub fn rdp_timed_in_place(path: &mut Vec<TimedPoint>, tolerance_m: f64, scratch: &mut RdpScratch) {
     mark_kept(path.len(), |i| path[i].pos, tolerance_m, scratch);
     compact_marked(path, scratch);
@@ -161,7 +170,7 @@ pub fn rdp_timed_in_place(path: &mut Vec<TimedPoint>, tolerance_m: f64, scratch:
 pub fn rdp_indices(path: &[GeoPoint], tolerance_m: f64) -> Vec<usize> {
     let mut scratch = RdpScratch::new();
     mark_kept(path.len(), |i| path[i], tolerance_m, &mut scratch);
-    (0..path.len()).filter(|&i| scratch.kept(i)).collect()
+    scratch.kept_indices().collect()
 }
 
 /// Simplifies `path` with RDP at `tolerance_m` meters.

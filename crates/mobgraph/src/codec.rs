@@ -1,10 +1,19 @@
 //! Compact binary serialization.
 //!
 //! Table 2 of the paper compares framework storage sizes on disk. The
-//! serialized [`DiGraph`] is HABIT's "model file"; this module defines the
+//! serialized graph is HABIT's "model file"; this module defines the
 //! little-endian varint-free encoding used for it (fixed-width fields —
 //! simple, fast, and deterministic across platforms).
+//!
+//! There is one graph blob layout, "HBG1": header, node records
+//! `(id, payload)`, then edge records `(from_id, to_id, payload)`
+//! grouped per source in node-record order. Both graph forms write it
+//! ([`DiGraph::to_bytes`] in insertion order, [`CsrGraph::to_bytes`] in
+//! an order derived from the arrays alone); only [`DiGraph::from_bytes`]
+//! reads it — a serving model decodes to the build-time form and
+//! freezes.
 
+use crate::csr::CsrGraph;
 use crate::graph::{DiGraph, NodeId};
 
 /// Types that can be encoded into / decoded from a byte stream.
@@ -54,51 +63,48 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
     }
 }
 
-impl<T: Codec> Codec for Vec<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        for item in self {
-            item.encode(out);
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let n = u64::decode(buf)? as usize;
-        // Guard against corrupted lengths: cap the preallocation.
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            v.push(T::decode(buf)?);
-        }
-        Some(v)
-    }
-}
-
 /// Magic bytes prefixing a serialized graph ("HBG1").
 const MAGIC: u32 = 0x4847_4231;
 
+/// Writes the HBG1 layout: header, then `nodes`, then `edges` (which
+/// must arrive grouped per source, sources in `nodes` order).
+fn encode_graph<'a, N: Codec + 'a, E: Codec + 'a>(
+    node_count: usize,
+    edge_count: usize,
+    nodes: impl Iterator<Item = (NodeId, &'a N)>,
+    edges: impl Iterator<Item = (NodeId, NodeId, &'a E)>,
+) -> Vec<u8> {
+    // Rough preallocation: 16 B per node, 20 B per edge.
+    let mut out = Vec::with_capacity(16 + node_count * 16 + edge_count * 20);
+    MAGIC.encode(&mut out);
+    (node_count as u64).encode(&mut out);
+    (edge_count as u64).encode(&mut out);
+    for (id, payload) in nodes {
+        id.encode(&mut out);
+        payload.encode(&mut out);
+    }
+    for (from, to, payload) in edges {
+        from.encode(&mut out);
+        to.encode(&mut out);
+        payload.encode(&mut out);
+    }
+    out
+}
+
 impl<N: Codec, E: Codec> DiGraph<N, E> {
     /// Serializes the graph: header, nodes `(id, payload)`, then edges
-    /// `(from_id, to_id, payload)`.
+    /// `(from_id, to_id, payload)`, both in insertion order.
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Rough preallocation: 16 B per node, 20 B per edge.
-        let mut out = Vec::with_capacity(16 + self.node_count() * 16 + self.edge_count() * 20);
-        MAGIC.encode(&mut out);
-        (self.node_count() as u64).encode(&mut out);
-        (self.edge_count() as u64).encode(&mut out);
-        for (id, payload) in self.nodes() {
-            id.encode(&mut out);
-            payload.encode(&mut out);
-        }
-        for (from_id, _) in self.nodes() {
-            for edge in self.edges_from(from_id).expect("node exists") {
-                from_id.encode(&mut out);
-                edge.to.encode(&mut out);
-                edge.payload.encode(&mut out);
-            }
-        }
-        out
+        let edges = (0..self.node_count() as u32).flat_map(|idx| {
+            let from = self.node_id(idx);
+            self.edges_from_index(idx)
+                .map(move |e| (from, e.to, e.payload))
+        });
+        encode_graph(self.node_count(), self.edge_count(), self.nodes(), edges)
     }
 
-    /// Deserializes a graph produced by [`DiGraph::to_bytes`].
+    /// Deserializes a graph produced by [`DiGraph::to_bytes`] or
+    /// [`CsrGraph::to_bytes`].
     pub fn from_bytes(mut buf: &[u8]) -> Option<Self> {
         let buf = &mut buf;
         if u32::decode(buf)? != MAGIC {
@@ -127,7 +133,53 @@ impl<N: Codec, E: Codec> DiGraph<N, E> {
                 return None;
             }
         }
-        Some(g)
+        // `add_node` / `add_edge` upsert, so a repeated id or
+        // `(from, to)` record would silently shrink the graph below the
+        // declared counts and re-encode to different bytes.
+        (g.node_count() == nodes && g.edge_count() == edges).then_some(g)
+    }
+}
+
+impl<N: Codec, E: Codec> CsrGraph<N, E> {
+    /// Serializes the frozen graph in the HBG1 layout, a pure function
+    /// of the node/edge *set*: edges are walked ascending by
+    /// `(from id, to id)` and a node record is written where that walk
+    /// first names the node (nodes no edge names follow, ascending).
+    /// This is the order `habit-core`'s fit inserts into the
+    /// [`DiGraph`] it freezes, so a fitted model's bytes are the same
+    /// whether written from the build-time graph or from these arrays.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let n = self.node_count();
+        let (offsets, targets) = (self.offsets(), self.targets());
+        let run = |idx: u32| offsets[idx as usize] as usize..offsets[idx as usize + 1] as usize;
+        let mut seen = vec![false; n];
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        let mut visit = |idx: u32| {
+            if !std::mem::replace(&mut seen[idx as usize], true) {
+                order.push(idx);
+            }
+        };
+        for from in 0..n as u32 {
+            if !run(from).is_empty() {
+                visit(from);
+                targets[run(from)].iter().for_each(|&to| visit(to));
+            }
+        }
+        (0..n as u32).for_each(&mut visit);
+
+        let nodes = order
+            .iter()
+            .map(|&idx| (self.node_id(idx), self.node_by_index(idx)));
+        let edges = order.iter().flat_map(|&from| {
+            run(from).map(move |slot| {
+                (
+                    self.node_id(from),
+                    self.node_id(targets[slot]),
+                    &self.weights()[slot],
+                )
+            })
+        });
+        encode_graph(n, self.edge_count(), nodes, edges)
     }
 }
 
@@ -141,12 +193,12 @@ mod tests {
         42u64.encode(&mut out);
         (-7i64).encode(&mut out);
         1.5f64.encode(&mut out);
-        vec![1u32, 2, 3].encode(&mut out);
+        (3u32, 4u8).encode(&mut out);
         let mut buf = out.as_slice();
         assert_eq!(u64::decode(&mut buf), Some(42));
         assert_eq!(i64::decode(&mut buf), Some(-7));
         assert_eq!(f64::decode(&mut buf), Some(1.5));
-        assert_eq!(Vec::<u32>::decode(&mut buf), Some(vec![1, 2, 3]));
+        assert_eq!(<(u32, u8)>::decode(&mut buf), Some((3, 4)));
         assert!(buf.is_empty());
         assert_eq!(u64::decode(&mut buf), None, "underflow is None");
     }
@@ -177,6 +229,28 @@ mod tests {
         assert!(DiGraph::<u8, u8>::from_bytes(&bytes).is_none());
         let good = g.to_bytes();
         assert!(DiGraph::<u8, u8>::from_bytes(&good[..good.len() - 1]).is_none());
+    }
+
+    /// A repeated node id or `(from, to)` pair would upsert, decoding
+    /// to fewer records than declared and re-encoding to different
+    /// bytes — both are corruption.
+    #[test]
+    fn duplicate_records_rejected() {
+        let mut g: DiGraph<u8, u8> = DiGraph::new();
+        g.add_node(1, 7);
+        g.add_node(2, 8);
+        g.add_edge(1, 2, 3);
+        g.add_edge(2, 1, 4);
+        let good = g.to_bytes();
+        assert!(DiGraph::<u8, u8>::from_bytes(&good).is_some());
+        // Header 20 B, two 9-byte node records, two 17-byte edge records.
+        let (nodes_at, edges_at) = (20, 20 + 2 * 9);
+        let mut dup_edge = good.clone();
+        dup_edge.copy_within(edges_at..edges_at + 16, edges_at + 17);
+        assert!(DiGraph::<u8, u8>::from_bytes(&dup_edge).is_none());
+        let mut dup_node = good.clone();
+        dup_node.copy_within(nodes_at..nodes_at + 8, nodes_at + 9);
+        assert!(DiGraph::<u8, u8>::from_bytes(&dup_node).is_none());
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! Frozen CSR (compressed sparse row) adjacency.
 //!
-//! [`DiGraph`] is the *mutable* form: hash-indexed ids, per-node edge
-//! `Vec`s, insertion-order dense indices. [`CsrGraph`] is its frozen
-//! serving form — three contiguous arrays (`offsets`/`targets`/`weights`)
-//! built once in **canonical order** (node ids ascending, each node's
-//! adjacency sorted by target id), so the arrays are a pure function of
-//! the node/edge *set*: any edge-insertion order produces byte-identical
-//! bytes, the same discipline `FitState::canonicalize` enforces on the
-//! fit side. Routing over it touches only flat slices — no hash buckets,
-//! no pointer chasing — which is what makes the arena A* kernel in
+//! [`DiGraph`] is the *build-time* form: hash-indexed ids, per-node edge
+//! `Vec`s, insertion-order dense indices. [`CsrGraph`] is the frozen
+//! form a model keeps resident and serves from — three contiguous
+//! arrays (`offsets`/`targets`/`weights`) built once in **canonical
+//! order** (node ids ascending, each node's adjacency sorted by target
+//! id), so the arrays are a pure function of the node/edge *set*: any
+//! insertion order freezes to an equal value (and equal
+//! [`CsrGraph::to_bytes`](crate::codec) output), the same discipline
+//! `FitState::canonicalize` enforces on the fit side. Lookups and
+//! routing touch only flat slices — no hash buckets, no pointer
+//! chasing — which is what makes the arena A* kernel in
 //! [`crate::search`] allocation-free and cache-friendly.
 
-use crate::codec::Codec;
 use crate::graph::{DiGraph, NodeId};
-
-/// Magic bytes prefixing a serialized CSR graph ("HBC1").
-const MAGIC: u32 = 0x4843_4231;
 
 /// A frozen directed graph in CSR form.
 ///
@@ -45,7 +43,7 @@ impl<N: Clone, E: Clone> CsrGraph<N, E> {
     /// Deterministic regardless of the insertion order of nodes or edges:
     /// nodes are ranked by ascending id and each adjacency run is sorted
     /// by target id, so two graphs with equal node/edge sets freeze to
-    /// equal arrays (and equal [`CsrGraph::to_bytes`] output).
+    /// equal arrays.
     pub fn from_digraph(graph: &DiGraph<N, E>) -> Self {
         let n = graph.node_count();
         // Rank insertion-order indices by external id.
@@ -129,6 +127,11 @@ impl<N, E> CsrGraph<N, E> {
         self.node_index(id).map(|i| &self.payloads[i as usize])
     }
 
+    /// Iterates `(id, payload)` over all nodes, ascending by id.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
+        self.ids.iter().copied().zip(self.payloads.iter())
+    }
+
     /// Iterates `(target dense index, payload)` over a node's outgoing
     /// edges, ascending by target id.
     #[inline]
@@ -176,115 +179,9 @@ impl<N, E> CsrGraph<N, E> {
     }
 }
 
-impl<N: Codec, E: Codec> CsrGraph<N, E> {
-    /// Serializes the frozen arrays: header, ids, payloads, offsets,
-    /// targets, weights. Canonical construction makes this a pure
-    /// function of the node/edge set.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.node_count() * 16 + self.edge_count() * 12);
-        MAGIC.encode(&mut out);
-        (self.node_count() as u64).encode(&mut out);
-        (self.edge_count() as u64).encode(&mut out);
-        for id in &self.ids {
-            id.encode(&mut out);
-        }
-        for payload in &self.payloads {
-            payload.encode(&mut out);
-        }
-        for off in &self.offsets {
-            off.encode(&mut out);
-        }
-        for t in &self.targets {
-            t.encode(&mut out);
-        }
-        for w in &self.weights {
-            w.encode(&mut out);
-        }
-        out
-    }
-
-    /// Deserializes a graph produced by [`CsrGraph::to_bytes`],
-    /// validating every structural invariant (ids strictly ascending,
-    /// offsets monotone and spanning, targets in range and sorted per
-    /// run) so a decoded graph is safe to search without bounds checks
-    /// beyond the slice ones.
-    pub fn from_bytes(mut buf: &[u8]) -> Option<Self> {
-        let buf = &mut buf;
-        if u32::decode(buf)? != MAGIC {
-            return None;
-        }
-        let n = u64::decode(buf)? as usize;
-        let m = u64::decode(buf)? as usize;
-        // Reject counts the remaining bytes cannot possibly hold before
-        // they reach an allocator-aborting `with_capacity`.
-        if n > buf.len() / 8 || m > buf.len() / 4 {
-            return None;
-        }
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(NodeId::decode(buf)?);
-        }
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        let mut payloads = Vec::with_capacity(n);
-        for _ in 0..n {
-            payloads.push(N::decode(buf)?);
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        for _ in 0..n + 1 {
-            offsets.push(u32::decode(buf)?);
-        }
-        if offsets.first() != Some(&0)
-            || offsets.last() != Some(&(m as u32))
-            || !offsets.windows(2).all(|w| w[0] <= w[1])
-        {
-            return None;
-        }
-        let mut targets = Vec::with_capacity(m);
-        for _ in 0..m {
-            let t = u32::decode(buf)?;
-            if t as usize >= n {
-                return None;
-            }
-            targets.push(t);
-        }
-        for w in offsets.windows(2) {
-            let run = &targets[w[0] as usize..w[1] as usize];
-            if !run.windows(2).all(|p| p[0] < p[1]) {
-                return None;
-            }
-        }
-        let mut weights = Vec::with_capacity(m);
-        for _ in 0..m {
-            weights.push(E::decode(buf)?);
-        }
-        Some(Self {
-            ids,
-            payloads,
-            offsets,
-            targets,
-            weights,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    trait SwapRanges {
-        fn swap_ranges(&mut self, a: usize, b: usize, len: usize);
-    }
-
-    impl SwapRanges for Vec<u8> {
-        /// Swaps two equal-length non-overlapping byte ranges.
-        fn swap_ranges(&mut self, a: usize, b: usize, len: usize) {
-            for k in 0..len {
-                self.swap(a + k, b + k);
-            }
-        }
-    }
 
     /// A small weighted digraph built with nodes/edges in the given orders.
     fn build(nodes: &[u64], edges: &[(u64, u64, f64)]) -> DiGraph<u64, f64> {
@@ -315,7 +212,7 @@ mod tests {
     }
 
     /// Golden test (ISSUE 7 satellite): shuffled node- and edge-insertion
-    /// orders freeze to byte-identical arrays.
+    /// orders freeze to equal arrays, and so to equal HBG1 bytes.
     #[test]
     fn shuffled_insertion_orders_freeze_identically() {
         let nodes = [5u64, 2, 9, 14, 1];
@@ -342,37 +239,26 @@ mod tests {
                 let shuffled_nodes: Vec<u64> = no.iter().map(|&i| nodes[i]).collect();
                 let shuffled_edges: Vec<(u64, u64, f64)> = eo.iter().map(|&i| edges[i]).collect();
                 let csr = CsrGraph::from_digraph(&build(&shuffled_nodes, &shuffled_edges));
-                assert_eq!(csr.offsets(), reference.offsets());
-                assert_eq!(csr.targets(), reference.targets());
-                assert_eq!(csr.weights(), reference.weights());
+                assert_eq!(csr, reference, "insertion order cannot reach the arrays");
                 assert_eq!(csr.to_bytes(), ref_bytes, "byte-identical freeze");
             }
         }
     }
 
+    /// The frozen graph writes the one graph layout (HBG1): it thaws
+    /// through `DiGraph::from_bytes` back to an equal freeze, and a
+    /// `DiGraph` built in the edge-walk order writes the same bytes.
     #[test]
     fn codec_round_trip() {
-        let g = build(&[5, 2, 9], &[(5, 2, 1.0), (2, 9, 2.0), (5, 9, 3.0)]);
-        let csr = CsrGraph::from_digraph(&g);
+        let edges = [(2, 9, 2.0), (5, 2, 1.0), (5, 9, 3.0)];
+        let csr = CsrGraph::from_digraph(&build(&[5, 2, 9, 7], &edges));
         let bytes = csr.to_bytes();
-        let back: CsrGraph<u64, f64> = CsrGraph::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back, csr);
-        assert_eq!(back.to_bytes(), bytes);
-    }
-
-    #[test]
-    fn corrupted_input_rejected() {
-        let g = build(&[1, 2], &[(1, 2, 1.0)]);
-        let csr = CsrGraph::from_digraph(&g);
-        let good = csr.to_bytes();
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF; // magic
-        assert!(CsrGraph::<u64, f64>::from_bytes(&bad).is_none());
-        assert!(CsrGraph::<u64, f64>::from_bytes(&good[..good.len() - 1]).is_none());
-        // Descending ids: flip the two id fields.
-        let mut swapped = good.clone();
-        swapped.swap_ranges(20, 28, 8);
-        assert!(CsrGraph::<u64, f64>::from_bytes(&swapped).is_none());
+        let thawed: DiGraph<u64, f64> = DiGraph::from_bytes(&bytes).expect("HBG1 decodes");
+        assert_eq!(CsrGraph::from_digraph(&thawed), csr);
+        assert_eq!(thawed.to_bytes(), bytes, "re-encode is stable");
+        // Edges ascending by (from, to) name 2, 9, 5 in that order; the
+        // edgeless node 7 follows.
+        assert_eq!(build(&[2, 9, 5, 7], &edges).to_bytes(), bytes);
     }
 
     #[test]
@@ -382,7 +268,6 @@ mod tests {
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.edge_count(), 0);
         assert_eq!(csr.offsets(), &[0]);
-        let back: CsrGraph<u64, f64> = CsrGraph::from_bytes(&csr.to_bytes()).expect("round trip");
-        assert_eq!(back, csr);
+        assert_eq!(csr.to_bytes(), g.to_bytes());
     }
 }

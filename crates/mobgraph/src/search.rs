@@ -1,25 +1,23 @@
-//! Shortest-path search: Dijkstra, A*, reachability.
+//! Shortest-path search: A* (and Dijkstra as its zero-heuristic case).
 //!
-//! Two interchangeable backends share one pinned frontier order:
+//! One search loop per graph form, sharing one pinned frontier order:
 //!
-//! * [`astar`] / [`dijkstra`] — the paper's naive form over [`DiGraph`],
-//!   allocating fresh per-query state. Retained as the **reference
-//!   implementation** the equivalence test suite pins the fast path to.
-//! * [`astar_csr`] / [`dijkstra_csr`] / [`astar_csr_baked`] — the
-//!   serving hot path over a frozen [`CsrGraph`], with all mutable
-//!   search state living in a reusable [`SearchArena`]
-//!   (generation-counter reset, retained open-set heap), so
-//!   steady-state routing allocates nothing but the result path. The
-//!   `_baked` form reads fully pre-computed per-slot edge records
-//!   ([`BakedEdge`]) instead of calling weight and id-lookup code per
-//!   edge visit.
+//! * [`astar_csr_baked`] — the serving kernel over a frozen
+//!   [`CsrGraph`]: all mutable search state lives in a reusable
+//!   [`SearchArena`] (generation-counter reset, retained open-set
+//!   heap) and every edge visit reads one pre-computed [`BakedEdge`]
+//!   record, so steady-state routing allocates nothing but the result
+//!   path;
+//! * [`astar`] / [`dijkstra`] — the paper's form over the build-time
+//!   [`DiGraph`], allocating fresh per-query state. The baselines and
+//!   the synthetic world route with it, and it is the **reference** the
+//!   equivalence suites pin the kernel to (`habit_core::reference`).
 //!
-//! Both backends order their frontier by the strict total order
+//! Both order their frontier by the strict total order
 //! `(estimate, descending path cost, external node id)`, so the settle
-//! sequence —
-//! and therefore the returned path, cost, and `expanded` count — is a
-//! pure function of the graph, never of heap internals, dense-index
-//! assignment, or adjacency iteration order.
+//! sequence — and therefore the returned path, cost, and `expanded`
+//! count — is a pure function of the graph, never of heap internals,
+//! dense-index assignment, or adjacency iteration order.
 
 use crate::csr::CsrGraph;
 use crate::graph::{DiGraph, NodeId};
@@ -62,17 +60,16 @@ impl Ord for Frontier {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse for a min-heap. The order is [`frontier_order`] — a
         // strict total order, so the pop sequence is unique and every
-        // heap implementation (std's here, the hand-rolled arena heap in
-        // [`crate::search::SearchArena`]) settles nodes in exactly the
-        // same sequence. That is the load-bearing property behind the
-        // byte-identical CSR ⇔ naive routing equivalence.
+        // search loop settles nodes in exactly the same sequence. That
+        // is the load-bearing property behind the byte-identical
+        // kernel ⇔ reference routing equivalence.
         frontier_order(
             other.est, other.cost, other.id, self.est, self.cost, self.id,
         )
     }
 }
 
-/// The pinned frontier order shared by every search backend: estimate
+/// The pinned frontier order shared by both search loops: estimate
 /// first, then **descending** path cost (on an estimate tie, the entry
 /// with more accumulated cost is closer to the goal under an admissible
 /// heuristic — the classic high-g tie-break that keeps A* from
@@ -195,8 +192,8 @@ pub fn dijkstra<N, E>(
 ///
 /// `H` is the caller's per-target heuristic key (HABIT bakes the
 /// target cell's axial hex coordinates); the heuristic closure maps it
-/// to the same `f64` estimate the naive backend computes from the node
-/// id, which is what keeps the two backends byte-identical.
+/// to the same `f64` estimate the reference computes from the node id,
+/// which is what keeps the two byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BakedEdge<H> {
     /// Edge cost — the exact `f64` the weight function returns for this
@@ -236,22 +233,22 @@ impl Default for NodeState {
     }
 }
 
-/// Reusable mutable state for [`astar_csr`] / [`dijkstra_csr`]: the
-/// same duplicate-push `BinaryHeap<Frontier>` the naive backend uses —
-/// retained across queries so its buffer stops being reallocated — plus
-/// fused per-node g-score/predecessor/settled state.
+/// Reusable mutable state for [`astar_csr_baked`]: the same
+/// duplicate-push `BinaryHeap<Frontier>` [`astar`] uses — retained
+/// across queries so its buffer stops being reallocated — plus fused
+/// per-node g-score/predecessor/settled state.
 ///
 /// Clearing between queries is O(1): `BinaryHeap::clear` keeps the
 /// allocation, and node states are validated against a per-query
-/// **generation counter** instead of being rewritten (the naive backend
+/// **generation counter** instead of being rewritten ([`astar`]
 /// re-allocates and re-initializes ~160 KB of per-node arrays per query
 /// on the Kiel graph), so a long-lived arena (one per serving thread)
 /// makes steady-state routing allocation-free — the only allocation
 /// left is the returned path.
 ///
-/// Keeping the *same* heap discipline as the naive backend (push a
-/// fresh entry per relax, skip already-settled pops) makes the
-/// byte-identity argument trivial: both backends execute the same
+/// Keeping the *same* heap discipline as [`astar`] (push a fresh entry
+/// per relax, skip already-settled pops) makes the byte-identity
+/// argument trivial: both loops execute the same
 /// abstract sequence of heap operations on the same keys, and
 /// [`frontier_order`] is a strict total order, so the settle sequence,
 /// `expanded` count, and dist/prev trajectories are identical. (An
@@ -333,38 +330,11 @@ impl SearchArena {
 
     /// Pops the next frontier entry — possibly a stale duplicate of an
     /// already-settled node; the search loop skips those, exactly like
-    /// the naive backend.
+    /// [`astar`].
     #[inline]
     fn pop(&mut self) -> Option<(f64, u32)> {
         self.heap.pop().map(|f| (f.cost, f.idx))
     }
-}
-
-/// A* over a frozen [`CsrGraph`] with all scratch state in `arena`.
-///
-/// Same contract as [`astar`] — and, by the shared frontier order,
-/// the **same result byte for byte** for the same node/edge set and
-/// equal-valued weight and heuristic functions (`weight`/`heuristic`
-/// receive *CSR* dense indices; id-equivalent functions must return
-/// identical `f64`s on both backends for the equivalence to hold,
-/// which holds trivially for payload- and id-derived functions).
-pub fn astar_csr<N, E>(
-    graph: &CsrGraph<N, E>,
-    arena: &mut SearchArena,
-    start: NodeId,
-    goal: NodeId,
-    mut weight: impl FnMut(u32, u32, &E) -> f64,
-    heuristic: impl FnMut(u32) -> f64,
-) -> Option<PathResult> {
-    let payloads = graph.weights();
-    astar_csr_impl(
-        graph,
-        arena,
-        start,
-        goal,
-        |slot, from, to| weight(from, to, &payloads[slot]),
-        heuristic,
-    )
 }
 
 /// A* over a frozen [`CsrGraph`] with a **fully baked edge table**:
@@ -372,16 +342,17 @@ pub fn astar_csr<N, E>(
 /// [`CsrGraph::targets`], carrying the pre-computed cost, target id,
 /// and target heuristic key inline.
 ///
-/// Exactly equivalent to [`astar_csr`] with a weight function returning
+/// Same contract as [`astar`] — and, by the shared frontier order, the
+/// **same result byte for byte** as [`astar`] over a [`DiGraph`] with
+/// the same node/edge set, a weight function returning
 /// `edges[slot].cost` and a heuristic returning `heuristic(hkey)` — but
 /// the serving inner loop reads one contiguous record where the closure
-/// form recomputes per visit and gathers the target's id from a
-/// separate array (the habit model bakes its log-frequency weights and
-/// axial cell coordinates once at freeze time, since neither changes
-/// after fit). `start_est` must equal the heuristic estimate of
-/// `start` — the baked table only covers edge *targets*, so the start
-/// node's estimate is the caller's (it is on screen anyway: the same
-/// formula the caller baked the keys with).
+/// form recomputes per visit (the habit model bakes its log-frequency
+/// weights and axial cell coordinates once at freeze time, since
+/// neither changes after fit). `start_est` must equal the heuristic
+/// estimate of `start` — the baked table only covers edge *targets*,
+/// so the start node's estimate is the caller's (it is on screen
+/// anyway: the same formula the caller baked the keys with).
 pub fn astar_csr_baked<N, E, H: Copy>(
     graph: &CsrGraph<N, E>,
     arena: &mut SearchArena,
@@ -454,137 +425,6 @@ fn reconstruct(
     }
     nodes.reverse();
     nodes
-}
-
-/// Shared CSR search core: `edge_cost(slot, from_idx, to_idx)` returns
-/// the weight of the edge stored at CSR slot `slot`.
-#[inline]
-fn astar_csr_impl<N, E>(
-    graph: &CsrGraph<N, E>,
-    arena: &mut SearchArena,
-    start: NodeId,
-    goal: NodeId,
-    mut edge_cost: impl FnMut(usize, u32, u32) -> f64,
-    mut heuristic: impl FnMut(u32) -> f64,
-) -> Option<PathResult> {
-    let start_idx = graph.node_index(start)?;
-    let goal_idx = graph.node_index(goal)?;
-    let offsets = graph.offsets();
-    let targets = graph.targets();
-    let ids = graph.ids();
-
-    arena.begin(graph.node_count());
-    let mut expanded = 0usize;
-    arena.relax(start_idx, 0.0, u32::MAX, heuristic(start_idx), start);
-
-    while let Some((cost, idx)) = arena.pop() {
-        if arena.is_settled(idx) {
-            continue;
-        }
-        arena.settle(idx);
-        expanded += 1;
-
-        if idx == goal_idx {
-            return Some(PathResult {
-                cost,
-                nodes: reconstruct(ids, start_idx, goal_idx, |cur| arena.prev(cur)),
-                expanded,
-            });
-        }
-
-        let (lo, hi) = (
-            offsets[idx as usize] as usize,
-            offsets[idx as usize + 1] as usize,
-        );
-        for (slot, &to_idx) in (lo..hi).zip(&targets[lo..hi]) {
-            if arena.is_settled(to_idx) {
-                continue;
-            }
-            let w = edge_cost(slot, idx, to_idx);
-            debug_assert!(w >= 0.0, "negative edge weight breaks Dijkstra/A*");
-            let next = cost + w;
-            if next < arena.dist(to_idx) {
-                arena.relax(
-                    to_idx,
-                    next,
-                    idx,
-                    next + heuristic(to_idx),
-                    ids[to_idx as usize],
-                );
-            }
-        }
-    }
-    None
-}
-
-/// Dijkstra over a frozen [`CsrGraph`] ([`astar_csr`] with a zero
-/// heuristic).
-pub fn dijkstra_csr<N, E>(
-    graph: &CsrGraph<N, E>,
-    arena: &mut SearchArena,
-    start: NodeId,
-    goal: NodeId,
-    weight: impl FnMut(u32, u32, &E) -> f64,
-) -> Option<PathResult> {
-    astar_csr(graph, arena, start, goal, weight, |_| 0.0)
-}
-
-/// Returns the dense indices reachable from `start` (BFS over out-edges),
-/// including `start` itself.
-pub fn reachable_from<N, E>(graph: &DiGraph<N, E>, start: NodeId) -> Vec<u32> {
-    let Some(start_idx) = graph.node_index(start) else {
-        return Vec::new();
-    };
-    let mut visited = vec![false; graph.node_count()];
-    let mut queue = std::collections::VecDeque::new();
-    let mut out = Vec::new();
-    visited[start_idx as usize] = true;
-    queue.push_back(start_idx);
-    while let Some(idx) = queue.pop_front() {
-        out.push(idx);
-        for e in graph.edges_from_index(idx) {
-            if !visited[e.to_idx as usize] {
-                visited[e.to_idx as usize] = true;
-                queue.push_back(e.to_idx);
-            }
-        }
-    }
-    out
-}
-
-/// Assigns every node a component root via undirected reachability (edges
-/// traversed both ways) and returns `roots[idx] = root_idx`.
-///
-/// Used as a graph-quality diagnostic: a healthy traffic graph has one
-/// dominant weakly-connected component.
-pub fn strongly_connected_roots<N, E>(graph: &DiGraph<N, E>) -> Vec<u32> {
-    let n = graph.node_count();
-    // Build undirected adjacency once.
-    let mut undirected: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for idx in 0..n as u32 {
-        for e in graph.edges_from_index(idx) {
-            undirected[idx as usize].push(e.to_idx);
-            undirected[e.to_idx as usize].push(idx);
-        }
-    }
-    let mut roots = vec![u32::MAX; n];
-    let mut stack = Vec::new();
-    for seed in 0..n as u32 {
-        if roots[seed as usize] != u32::MAX {
-            continue;
-        }
-        stack.push(seed);
-        roots[seed as usize] = seed;
-        while let Some(idx) = stack.pop() {
-            for &t in &undirected[idx as usize] {
-                if roots[t as usize] == u32::MAX {
-                    roots[t as usize] = seed;
-                    stack.push(t);
-                }
-            }
-        }
-    }
-    roots
 }
 
 #[cfg(test)]
@@ -674,28 +514,6 @@ mod tests {
             d.expanded
         );
     }
-
-    #[test]
-    fn reachability() {
-        let g = chain();
-        let r = reachable_from(&g, 2);
-        assert_eq!(r.len(), 3, "2, 3, 4");
-        assert!(reachable_from(&g, 1000).is_empty());
-    }
-
-    #[test]
-    fn components() {
-        let mut g = chain();
-        g.add_node(50, ());
-        g.add_node(51, ());
-        g.add_edge(50, 51, 1.0);
-        let roots = strongly_connected_roots(&g);
-        // Nodes 1-4 share a root; 50-51 share a different one.
-        let r14: std::collections::HashSet<u32> = (0..4).map(|i| roots[i as usize]).collect();
-        assert_eq!(r14.len(), 1);
-        assert_eq!(roots[4], roots[5]);
-        assert_ne!(roots[0], roots[4]);
-    }
 }
 
 #[cfg(test)]
@@ -703,8 +521,9 @@ mod csr_tests {
     use super::*;
     use crate::csr::CsrGraph;
 
-    /// The 10x10 unit grid from the naive tests, ids shuffled through a
-    /// bijection so DiGraph insertion order != CSR canonical order.
+    /// The 10x10 unit grid from the reference tests, nodes inserted in
+    /// descending id order so DiGraph insertion order != CSR canonical
+    /// order.
     fn grid() -> DiGraph<(), f64> {
         let mut g = DiGraph::new();
         for id in (0..100u64).rev() {
@@ -731,10 +550,39 @@ mod csr_tests {
         ((9 - x) + (9 - y)) as f64
     }
 
+    /// One baked record per CSR edge slot: the payload as cost, the
+    /// target id as heuristic key.
+    pub(super) fn bake<N>(csr: &CsrGraph<N, f64>) -> Vec<BakedEdge<NodeId>> {
+        let mut edges = Vec::with_capacity(csr.edge_count());
+        for idx in 0..csr.node_count() as u32 {
+            for (to, w) in csr.edges_from_index(idx) {
+                edges.push(BakedEdge {
+                    cost: *w,
+                    id: csr.node_id(to),
+                    to_idx: to,
+                    hkey: csr.node_id(to),
+                });
+            }
+        }
+        edges
+    }
+
+    /// Dijkstra on the kernel: the zero heuristic.
+    pub(super) fn dijkstra_baked<N>(
+        csr: &CsrGraph<N, f64>,
+        arena: &mut SearchArena,
+        edges: &[BakedEdge<NodeId>],
+        start: NodeId,
+        goal: NodeId,
+    ) -> Option<PathResult> {
+        astar_csr_baked(csr, arena, start, goal, edges, 0.0, |_| 0.0)
+    }
+
     #[test]
     fn csr_astar_matches_naive_byte_for_byte() {
         let g = grid();
         let csr = CsrGraph::from_digraph(&g);
+        let edges = bake(&csr);
         let mut arena = SearchArena::new();
         for (start, goal) in [(0u64, 99u64), (99, 0), (5, 95), (42, 42), (7, 70)] {
             let naive = astar(
@@ -744,13 +592,14 @@ mod csr_tests {
                 |_, _, w| *w,
                 |idx| manhattan_to_99(g.node_id(idx)),
             );
-            let fast = astar_csr(
+            let fast = astar_csr_baked(
                 &csr,
                 &mut arena,
                 start,
                 goal,
-                |_, _, w| *w,
-                |idx| manhattan_to_99(csr.node_id(idx)),
+                &edges,
+                manhattan_to_99(start),
+                manhattan_to_99,
             );
             let (naive, fast) = (naive.unwrap(), fast.unwrap());
             assert_eq!(naive.nodes, fast.nodes);
@@ -767,53 +616,45 @@ mod csr_tests {
         g.add_node(9, ());
         g.add_edge(1, 2, 1.0);
         let csr = CsrGraph::from_digraph(&g);
+        let edges = bake(&csr);
         let mut arena = SearchArena::new();
-        assert!(dijkstra_csr(&csr, &mut arena, 1, 9, |_, _, w| *w).is_none());
-        assert!(dijkstra_csr(&csr, &mut arena, 1, 1000, |_, _, w| *w).is_none());
+        assert!(dijkstra_baked(&csr, &mut arena, &edges, 1, 9).is_none());
+        assert!(dijkstra_baked(&csr, &mut arena, &edges, 1, 1000).is_none());
         assert!(
-            dijkstra_csr(&csr, &mut arena, 2, 1, |_, _, w| *w).is_none(),
+            dijkstra_baked(&csr, &mut arena, &edges, 2, 1).is_none(),
             "directed"
         );
-        let ok = dijkstra_csr(&csr, &mut arena, 1, 2, |_, _, w| *w).unwrap();
+        let ok = dijkstra_baked(&csr, &mut arena, &edges, 1, 2).unwrap();
         assert_eq!(ok.nodes, vec![1, 2]);
     }
 
+    /// The baked table stands in for *any* weight closure: bake the
+    /// closure's value per slot and the kernel answers as [`astar`]
+    /// does calling the closure per visit (non-uniform weights, so the
+    /// cost sums are order-sensitive).
     #[test]
     fn baked_edges_match_closure_weights_byte_for_byte() {
         let g = grid();
         let csr = CsrGraph::from_digraph(&g);
-        // Bake cost, target id, and heuristic key (the id itself here)
-        // for every CSR edge slot.
-        let mut edges = Vec::with_capacity(csr.edge_count());
+        let weight = |from: NodeId, to: NodeId| 0.1 + ((from * 7 + to * 3) % 11) as f64 * 0.3;
+        let mut edges = bake(&csr);
+        let mut slot = 0;
         for idx in 0..csr.node_count() as u32 {
-            for (to, w) in csr.edges_from_index(idx) {
-                edges.push(BakedEdge {
-                    cost: *w,
-                    id: csr.node_id(to),
-                    to_idx: to,
-                    hkey: csr.node_id(to),
-                });
+            for (to, _) in csr.edges_from_index(idx) {
+                edges[slot].cost = weight(csr.node_id(idx), csr.node_id(to));
+                slot += 1;
             }
         }
         let mut arena = SearchArena::new();
         for (start, goal) in [(0u64, 99u64), (99, 0), (5, 95), (42, 42), (7, 70)] {
-            let closure = astar_csr(
-                &csr,
-                &mut arena,
+            let closure = astar(
+                &g,
                 start,
                 goal,
-                |_, _, w| *w,
-                |idx| manhattan_to_99(csr.node_id(idx)),
+                |f, t, _| weight(g.node_id(f), g.node_id(t)),
+                |_| 0.0,
             );
-            let baked = astar_csr_baked(
-                &csr,
-                &mut arena,
-                start,
-                goal,
-                &edges,
-                manhattan_to_99(start),
-                manhattan_to_99,
-            );
+            let baked = astar_csr_baked(&csr, &mut arena, start, goal, &edges, 0.0, |_| 0.0);
             assert_eq!(closure, baked);
         }
     }
@@ -837,11 +678,12 @@ mod csr_tests {
     fn arena_generation_wrap_stays_correct() {
         let g = grid();
         let csr = CsrGraph::from_digraph(&g);
+        let edges = bake(&csr);
         let mut arena = SearchArena::new();
-        let before = dijkstra_csr(&csr, &mut arena, 0, 99, |_, _, w| *w).unwrap();
+        let before = dijkstra_baked(&csr, &mut arena, &edges, 0, 99).unwrap();
         // Force the wrap path: the next begin() bumps to 0 and re-zeroes.
         arena.generation = u32::MAX;
-        let after = dijkstra_csr(&csr, &mut arena, 0, 99, |_, _, w| *w).unwrap();
+        let after = dijkstra_baked(&csr, &mut arena, &edges, 0, 99).unwrap();
         assert_eq!(before, after);
         assert_eq!(arena.generation, 1);
     }
@@ -849,6 +691,7 @@ mod csr_tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::csr_tests::{bake, dijkstra_baked};
     use super::*;
     use crate::csr::CsrGraph;
     use proptest::prelude::*;
@@ -898,10 +741,10 @@ mod proptests {
 
     proptest! {
         /// ISSUE 7 satellite: the old hand-built `astar_equals_dijkstra_cost`
-        /// unit check, promoted to arbitrary graphs and both backends.
+        /// unit check, promoted to arbitrary graphs and both search loops.
         /// A* under an admissible heuristic (min edge weight unless at the
         /// goal) returns the same cost as Dijkstra; both paths are valid;
-        /// both backends agree byte for byte.
+        /// the baked kernel agrees with the reference byte for byte.
         #[test]
         fn astar_equals_dijkstra_on_both_backends((g, s, t) in arb_case()) {
             let n = g.node_count();
@@ -927,11 +770,11 @@ mod proptests {
             }
 
             let csr = CsrGraph::from_digraph(&g);
+            let edges = bake(&csr);
             let mut arena = SearchArena::new();
-            let dc = dijkstra_csr(&csr, &mut arena, start, goal, |_, _, w| *w);
-            let ac = astar_csr(&csr, &mut arena, start, goal, |_, _, w| *w,
-                |idx| h(csr.node_id(idx)));
-            // Byte-identical across backends: same nodes, same cost bits,
+            let dc = dijkstra_baked(&csr, &mut arena, &edges, start, goal);
+            let ac = astar_csr_baked(&csr, &mut arena, start, goal, &edges, h(start), h);
+            // Byte-identical across loops: same nodes, same cost bits,
             // same expansion count.
             prop_assert_eq!(&d, &dc);
             if let Some(d) = &d {
@@ -942,13 +785,13 @@ mod proptests {
             // Determinism across runs and across arena reuse.
             let d2 = dijkstra(&g, start, goal, |_, _, w| *w);
             prop_assert_eq!(&d, &d2);
-            let dc2 = dijkstra_csr(&csr, &mut arena, start, goal, |_, _, w| *w);
+            let dc2 = dijkstra_baked(&csr, &mut arena, &edges, start, goal);
             prop_assert_eq!(&dc, &dc2);
         }
 
         /// The byte-identity holds for *any* heuristic, admissible or not:
-        /// both backends see the same `(est, cost, id)` keys, so the
-        /// settle sequence is the same even when the heuristic is junk.
+        /// both loops see the same `(est, cost, id)` keys, so the settle
+        /// sequence is the same even when the heuristic is junk.
         #[test]
         fn backends_agree_under_arbitrary_heuristic((g, s, t) in arb_case(), quirk in 0u64..100) {
             let n = g.node_count();
@@ -957,33 +800,16 @@ mod proptests {
             let naive = astar(&g, start, goal, |_, _, w| *w, |idx| h(g.node_id(idx)));
             let csr = CsrGraph::from_digraph(&g);
             let mut arena = SearchArena::new();
-            let fast = astar_csr(&csr, &mut arena, start, goal, |_, _, w| *w,
-                |idx| h(csr.node_id(idx)));
-            prop_assert_eq!(&naive, &fast);
-            if let (Some(naive), Some(fast)) = (&naive, &fast) {
-                prop_assert_eq!(naive.cost.to_bits(), fast.cost.to_bits());
-                prop_assert_eq!(naive.expanded, fast.expanded);
-            }
-
-            // The baked-edge form (what the model serves with) agrees too:
-            // bake cost, target id, and heuristic key per CSR edge slot.
-            let mut edges = Vec::with_capacity(csr.edge_count());
-            for idx in 0..csr.node_count() as u32 {
-                for (to, w) in csr.edges_from_index(idx) {
-                    edges.push(BakedEdge {
-                        cost: *w,
-                        id: csr.node_id(to),
-                        to_idx: to,
-                        hkey: csr.node_id(to),
-                    });
-                }
-            }
-            let baked = astar_csr_baked(&csr, &mut arena, start, goal, &edges, h(start), h);
+            let baked = astar_csr_baked(&csr, &mut arena, start, goal, &bake(&csr), h(start), h);
             prop_assert_eq!(&naive, &baked);
+            if let (Some(naive), Some(baked)) = (&naive, &baked) {
+                prop_assert_eq!(naive.cost.to_bits(), baked.cost.to_bits());
+                prop_assert_eq!(naive.expanded, baked.expanded);
+            }
         }
 
         /// CSR freeze is canonical on random graphs too: re-inserting the
-        /// same node/edge set in reverse order freezes byte-identically.
+        /// same node/edge set in reverse order freezes to an equal value.
         #[test]
         fn csr_freeze_order_insensitive(g in arb_graph()) {
             let mut nodes: Vec<(NodeId, u64)> = g.nodes().map(|(id, p)| (id, *p)).collect();
@@ -1002,21 +828,20 @@ mod proptests {
             for &(a, b, w) in &edges {
                 g2.add_edge(a, b, w);
             }
-            let (c1, c2) = (CsrGraph::from_digraph(&g), CsrGraph::from_digraph(&g2));
-            prop_assert_eq!(c1.to_bytes(), c2.to_bytes());
+            prop_assert_eq!(CsrGraph::from_digraph(&g), CsrGraph::from_digraph(&g2));
         }
 
-        /// Arbitrary bytes never panic the CSR decoder; valid bytes
-        /// round-trip exactly.
+        /// The frozen graph's bytes thaw through the one graph decoder
+        /// back to an equal freeze and re-encode exactly; a truncated
+        /// blob is rejected.
         #[test]
-        fn csr_codec_robust(g in arb_graph(), noise in proptest::collection::vec(any::<u8>(), 0..512)) {
+        fn csr_codec_robust(g in arb_graph(), cut in 1usize..17) {
             let csr = CsrGraph::from_digraph(&g);
             let bytes = csr.to_bytes();
-            let back: CsrGraph<u64, f64> = CsrGraph::from_bytes(&bytes).expect("round trip");
-            prop_assert_eq!(back.to_bytes(), bytes.clone());
-            let _ = CsrGraph::<u64, f64>::from_bytes(&noise);
-            let cut = bytes.len().saturating_sub(1 + noise.len() % 16);
-            prop_assert!(CsrGraph::<u64, f64>::from_bytes(&bytes[..cut]).is_none());
+            let thawed: DiGraph<u64, f64> = DiGraph::from_bytes(&bytes).expect("round trip");
+            prop_assert_eq!(thawed.to_bytes(), bytes.clone());
+            prop_assert_eq!(CsrGraph::from_digraph(&thawed), csr);
+            prop_assert!(DiGraph::<u64, f64>::from_bytes(&bytes[..bytes.len() - cut]).is_none());
         }
     }
 }

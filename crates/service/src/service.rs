@@ -521,7 +521,7 @@ impl Service {
                 report.cells += model.node_count();
                 report.transitions += model.edge_count();
                 report.storage_bytes += model.storage_bytes();
-                for (_, stats) in model.graph().nodes() {
+                for (_, stats) in model.csr().nodes() {
                     report.reports += stats.msg_count;
                     report.busiest_cell_vessels = report.busiest_cell_vessels.max(stats.vessels);
                 }

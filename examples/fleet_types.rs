@@ -6,12 +6,12 @@
 //! cargo run --release --example fleet_types
 //! ```
 //!
-//! Fits a [`FleetModel`] on the SAR scenario (all vessel types), then
+//! Fits a [`TypeModels`] on the SAR scenario (all vessel types), then
 //! compares per-class models against the single global model on the same
 //! held-out gaps: class models answer queries on their own historical
 //! network, which keeps e.g. tanker imputations on deep-water lanes.
 
-use habit::core::{FleetConfig, FleetModel, ServedBy};
+use habit::core::{ServedBy, TypeModels, TypeModelsConfig};
 use habit::eval::report::{fmt_m, mean, median, MarkdownTable};
 use habit::prelude::*;
 use habit::synth::{datasets, DatasetSpec};
@@ -35,10 +35,10 @@ fn main() {
         dataset.vessels.len()
     );
 
-    let fleet = FleetModel::fit(
+    let fleet = TypeModels::fit(
         &train,
         &dataset.vessels,
-        FleetConfig {
+        TypeModelsConfig {
             habit: HabitConfig::with_r_t(9, 100.0),
             min_trips_per_type: 8,
         },

@@ -124,15 +124,16 @@ fn main() {
         model.edge_count()
     );
     let mut corridors: Vec<(u32, u64, u64)> = Vec::new();
-    for (id, _) in model.graph().nodes() {
+    let graph = model.csr();
+    for (idx, &id) in graph.ids().iter().enumerate() {
         let Ok(cell) = HexCell::from_raw(id) else {
             continue;
         };
         if habit::geo::haversine_m(&grid.center(cell), &piraeus) > 8_000.0 {
             continue;
         }
-        for e in model.graph().edges_from(id).expect("node exists") {
-            corridors.push((e.payload.transitions, id, e.to));
+        for (to, e) in graph.edges_from_index(idx as u32) {
+            corridors.push((e.transitions, id, graph.node_id(to)));
         }
     }
     corridors.sort_by_key(|&(w, _, _)| std::cmp::Reverse(w));
