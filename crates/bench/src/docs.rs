@@ -206,15 +206,28 @@ There is **one request path**: every `impute`/`impute_batch` is a
 *submission* of gaps, and a flush answers one or more submissions from a
 single engine batch — one snap + dedup + route-cache pass over all their
 gaps, results scattered back per submission. What varies is only how
-many submissions share a flush. By default the daemon **coalesces
-concurrent traffic across connections**: submissions wait in a bounded
-admission queue and a flusher drains it whenever `--batch-max-gaps` gaps
-are waiting or the oldest has waited `--batch-window-us` microseconds
-(defaults: 128 gaps, 1000 µs), so N connections asking for the same
-uncached route cost one A* search instead of N. With `--no-coalesce`
-(or while the queue drains at shutdown) each request is a flush of its
-own single submission on its connection's thread — the direct path is
-the same code, not a second implementation. Either way answers are
+many submissions share a flush, and on which thread it runs. By default
+the daemon **coalesces concurrent traffic across connections, and only
+concurrent traffic**: at most one engine pass runs at a time; a request
+that finds none running is answered at once on its own connection's
+thread (a flush of one — a lone request pays no timer and no hand-off),
+and the submissions that arrive while a pass runs wait in a bounded
+admission queue, where a flusher holds the first one up to
+`--batch-window-us` microseconds for more to join, cut short when
+`--batch-max-gaps` gaps are waiting (defaults: 1000 µs, 128 gaps), and
+answers all of them from one shared batch — so N connections asking for
+the same uncached route at the same time cost one A* search instead of
+N. A window that caught more than one submission shows that lingering
+pays, so from then on *every* request queues for the window, until one
+expires on a lone submission and requests are answered at once again:
+clients that really are concurrent keep coalescing, a sparse or
+sequential one never waits. `--batch-window-us 0` never lingers —
+whatever queued behind a pass is flushed the moment it ends. With
+`--no-coalesce` (or while the queue drains at shutdown) there is no
+queue and no one-pass-at-a-time rule: each request is a flush of its own
+single submission on its connection's thread, passes in parallel — the
+direct path is the same code, not a second implementation. Either way
+answers are
 **byte-identical** (pinned by service-level scatter tests and a proptest
 over both a single blob and a one-shard fleet, and a concurrent
 end-to-end test against the real binary). When the queue is full the
@@ -223,7 +236,11 @@ the accept loop. The `health` payload reports the admission state —
 `queue_depth`, `queue_capacity`, and per-op `p50_us`/`p95_us`/`p99_us`
 latency quantiles derived from the pinned-bucket histograms — and the
 metrics endpoint exports `habit_admission_queue_depth`, flush/rejection
-counters, and a flush batch-size histogram. The committed `throughput`
+counters, a flush batch-size histogram, and
+`habit_admission_flush_cause_total{{cause=…}}` — each pass under why it
+ran when it did (`idle` passed through, `size` / `window` the two
+triggers, `queued` behind the pass before it with a zero window, `drain`
+at shutdown). The committed `throughput`
 report's concurrent-clients table tracks what coalescing buys at 1–16
 connections, cold and warm.
 

@@ -157,10 +157,15 @@ COMMANDS
            same host — GET / for counters, GET /spans for recent
            stage spans as line JSON; concurrent impute traffic is
            coalesced into shared engine batches — byte-identical
-           answers, collected for up to --batch-window-us (1000) or
-           until --batch-max-gaps (128) queue, a full queue rejects
-           with the typed `overloaded` error; --no-coalesce restores
-           the per-connection direct path; request lines longer than
+           answers: a request that finds no engine pass running is
+           answered at once on its connection's thread, those that
+           arrive during a pass wait up to --batch-window-us (1000)
+           for company, cut short when --batch-max-gaps (128) queue,
+           and share one pass — as does every request while windows
+           keep catching company; 0 never lingers; a full queue
+           rejects with the typed `overloaded` error; --no-coalesce
+           drops the queue (every request on its connection's thread,
+           passes in parallel); request lines longer than
            --max-line-bytes (16 MiB) are rejected)
            --shards DIR  [--model FILE]  [...same flags]
            (sharded serving: route each gap to the shard owning its

@@ -17,13 +17,21 @@
 //! stage spans as line-delimited JSON) — scrapeable with `curl`, no
 //! wire protocol needed.
 //!
-//! The daemon coalesces concurrent impute traffic by default: in-flight
-//! `impute`/`impute_batch` gaps from every connection queue into one
-//! admission window (`--batch-window-us`, flushed early at
-//! `--batch-max-gaps`) and are answered from shared engine batches —
-//! byte-identical to an unqueued request, one dedup + route-cache pass
-//! per flush. A full queue rejects with the typed `overloaded` error.
-//! `--no-coalesce` answers every request on its own connection's thread.
+//! The daemon coalesces concurrent impute traffic by default, and only
+//! concurrent traffic: one engine pass runs at a time; an
+//! `impute`/`impute_batch` that finds none running is answered at once
+//! on its own connection's thread, and the gaps that arrive from every
+//! connection while a pass runs queue up, are given `--batch-window-us`
+//! (flushed early at `--batch-max-gaps`) for more to join, and are
+//! answered together from one shared engine batch — byte-identical to
+//! an unqueued request, one dedup + route-cache pass per flush. While
+//! windows keep catching more than one request every request queues
+//! for the window; the first window that expires on a lone request
+//! puts the daemon back to answering at once. `--batch-window-us 0`
+//! never lingers (whatever queued behind a pass is flushed the moment
+//! it ends). A full queue rejects with the typed `overloaded` error.
+//! `--no-coalesce` drops the queue: every request is answered on its
+//! own connection's thread, passes in parallel.
 
 use crate::args::Args;
 use habit_service::{AdmissionConfig, ServeOptions, Service, ServiceConfig, ServiceError};
@@ -137,8 +145,13 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         "habit serve: protocol habit-wire/v1 — one JSON request per line; '{{\"v\":1,\"op\":\"shutdown\"}}' stops the daemon"
     );
     if coalesce {
+        let policy = if batch_window_us == 0 {
+            format!("no window — a lone request passes through on its connection thread, arrivals during a pass share the next one; size trigger {batch_max_gaps} gaps")
+        } else {
+            format!("a lone request passes through on its connection thread, concurrent ones share a window of {batch_window_us} µs, flush at {batch_max_gaps} gaps")
+        };
         println!(
-            "habit serve: coalescing impute traffic (window {batch_window_us} µs, flush at {batch_max_gaps} gaps, queue capacity {} gaps)",
+            "habit serve: coalescing impute traffic ({policy}, queue capacity {} gaps)",
             AdmissionConfig {
                 batch_window_us,
                 batch_max_gaps,

@@ -1,12 +1,11 @@
 //! Phases 3–4: gap imputation and simplification (paper §3.3–3.4).
 //!
 //! One way to answer a gap: [`HabitModel::route_between`] runs A* over
-//! the model's frozen [`mobgraph::CsrGraph`] with a thread-local
+//! the model's frozen [`mobgraph::CsrGraph`] with a pooled
 //! [`SearchArena`], and the tail (inverse projection, timestamps, RDP)
 //! runs the in-place RDP kernel with a thread-local [`RdpScratch`] —
 //! with or without provenance, which reads the kept indices off that
-//! same RDP run. Steady-state routing on a warm thread (e.g.
-//! `habit-engine`'s long-lived pool workers) allocates only the result.
+//! same RDP run. Steady-state routing allocates only the result.
 //!
 //! The paper's naive form (per-query A* over a hash-indexed `DiGraph`,
 //! recursive sub-path-cloning RDP) is kept as the oracle in
@@ -21,12 +20,38 @@ use geo_kernel::{haversine_m, rdp_timed_in_place, GeoPoint, RdpScratch, TimedPoi
 use hexgrid::{ops, HexCell};
 use mobgraph::{astar_csr_baked, SearchArena};
 use std::cell::RefCell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Process-wide checkout stack of warm search arenas. A search pops one
+/// (or starts a fresh one) and pushes it back when done, so the arenas
+/// resident — half a megabyte each on a 30 k-cell graph — number the
+/// peak *concurrent* searches, not the threads that ever searched: a
+/// daemon searches on its connection threads, its admission flusher and
+/// its engine workers, but rarely on more than two of them at once. The
+/// two uncontended lock operations are noise against a search.
+static ARENA_POOL: Mutex<Vec<SearchArena>> = Mutex::new(Vec::new());
+
+/// The pool, poison recovered: the `Vec` is valid at every step.
+fn arena_pool() -> MutexGuard<'static, Vec<SearchArena>> {
+    ARENA_POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `search` with an arena checked out of [`ARENA_POOL`]. A search
+/// that panics simply forfeits its arena.
+fn with_pooled_arena<R>(search: impl FnOnce(&mut SearchArena) -> R) -> R {
+    let mut arena = arena_pool().pop().unwrap_or_default();
+    let result = search(&mut arena);
+    arena_pool().push(arena);
+    result
+}
+
+/// Arenas currently checked in — the pin `tests/arena_pool.rs` reads.
+#[doc(hidden)]
+pub fn pooled_search_arenas() -> usize {
+    arena_pool().len()
+}
 
 thread_local! {
-    /// Per-thread search arena: `habit-engine`'s pool workers are
-    /// long-lived, so each worker's arena (and RDP scratch below) warms
-    /// once and is reused for every subsequent route on that thread.
-    static SEARCH_ARENA: RefCell<SearchArena> = RefCell::new(SearchArena::new());
     /// Per-thread RDP scratch for the in-place simplification tail.
     static RDP_SCRATCH: RefCell<RdpScratch> = RefCell::new(RdpScratch::new());
 }
@@ -212,8 +237,8 @@ impl HabitModel {
     /// snapped cells. Deterministic in `(start_cell, end_cell)`, so the
     /// result can be reused across queries that snap to the same pair.
     ///
-    /// A* over the frozen CSR graph with a thread-local
-    /// [`SearchArena`]. Byte-identical to
+    /// A* over the frozen CSR graph with a pooled [`SearchArena`]
+    /// (whichever thread calls). Byte-identical to
     /// [`crate::reference::Reference::route_between`] — both searches
     /// share the pinned frontier order, and the weight/heuristic
     /// functions depend only on edge payloads and external node ids.
@@ -244,22 +269,21 @@ impl HabitModel {
         };
         let (sq, sr) = start_cell.axial();
         let start_est = hex_estimate((sq as i32, sr as i32));
-        let result = SEARCH_ARENA
-            .with(|arena| {
-                astar_csr_baked(
-                    &self.csr,
-                    &mut arena.borrow_mut(),
-                    start_cell.raw(),
-                    goal_cell.raw(),
-                    &self.route_kernel,
-                    start_est,
-                    hex_estimate,
-                )
-            })
-            .ok_or(HabitError::NoPath {
-                from: start_cell.raw(),
-                to: goal_cell.raw(),
-            })?;
+        let result = with_pooled_arena(|arena| {
+            astar_csr_baked(
+                &self.csr,
+                arena,
+                start_cell.raw(),
+                goal_cell.raw(),
+                &self.route_kernel,
+                start_est,
+                hex_estimate,
+            )
+        })
+        .ok_or(HabitError::NoPath {
+            from: start_cell.raw(),
+            to: goal_cell.raw(),
+        })?;
 
         Ok(self.route_from_path(result))
     }

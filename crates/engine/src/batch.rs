@@ -152,7 +152,7 @@ impl BatchImputer {
         pool: &ThreadPool,
         provenance: bool,
         recorder: Option<&Recorder>,
-        op: &str,
+        op: &'static str,
     ) -> (Vec<Result<Imputation, BatchFailure>>, BatchStats) {
         let mut stats = BatchStats {
             queries: queries.len(),

@@ -54,7 +54,7 @@ pub fn refit_state_traced(
     shards: usize,
     pool: &ThreadPool,
     recorder: Option<&Recorder>,
-    op: &str,
+    op: &'static str,
 ) -> Result<RefitOutcome, HabitError> {
     if delta.num_rows() == 0 {
         return Ok(RefitOutcome::default());
@@ -95,7 +95,7 @@ pub fn refit_model_traced(
     shards: usize,
     pool: &ThreadPool,
     recorder: Option<&Recorder>,
-    op: &str,
+    op: &'static str,
 ) -> Result<(HabitModel, RefitOutcome), HabitError> {
     let mut state = model.state().cloned().ok_or(HabitError::StateVersion {
         found: 0,

@@ -60,7 +60,7 @@ pub fn fit_sharded_traced(
     shards: usize,
     pool: &ThreadPool,
     recorder: Option<&Recorder>,
-    op: &str,
+    op: &'static str,
 ) -> Result<HabitModel, HabitError> {
     let state = accumulate_sharded_traced(table, config, shards, pool, recorder, op)?;
     let span = recorder.map(|r| r.span("fit.finalize", op));
@@ -93,7 +93,7 @@ pub fn accumulate_sharded_traced(
     shards: usize,
     pool: &ThreadPool,
     recorder: Option<&Recorder>,
-    op: &str,
+    op: &'static str,
 ) -> Result<FitState, HabitError> {
     let shards = shards.max(1);
     let prepare_span = recorder.map(|r| r.span("fit.prepare", op));

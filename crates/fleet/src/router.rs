@@ -222,7 +222,7 @@ impl FleetRouter {
         pool: &ThreadPool,
         provenance: bool,
         recorder: Option<&Recorder>,
-        op: &str,
+        op: &'static str,
     ) -> (
         Vec<Result<Imputation, BatchFailure>>,
         BatchStats,
@@ -330,7 +330,7 @@ impl FleetRouter {
         pool: &ThreadPool,
         provenance: bool,
         recorder: Option<&Recorder>,
-        op: &str,
+        op: &'static str,
         stats: &mut BatchStats,
     ) -> Result<Imputation, BatchFailure> {
         let a = &self.shards[&start_shard];
@@ -477,7 +477,7 @@ fn run_leg(
     pool: &ThreadPool,
     provenance: bool,
     recorder: Option<&Recorder>,
-    op: &str,
+    op: &'static str,
     stats: &mut BatchStats,
 ) -> Result<Imputation, BatchFailure> {
     let (mut results, leg_stats) =

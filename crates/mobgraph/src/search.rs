@@ -207,19 +207,21 @@ pub struct BakedEdge<H> {
     pub hkey: H,
 }
 
-/// Per-node mutable search state, fused into one struct so a relax (or
-/// settle check) touches a single cache line per node instead of
-/// gathering `dist`/`prev`/generation marks from parallel arrays.
+/// Per-node mutable search state, fused into one 16-byte struct so a
+/// relax (or settle check) touches a single cache line per node — four
+/// nodes a line — instead of gathering `dist`/`prev`/generation marks
+/// from parallel arrays.
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
-    /// Best known cost; valid when `touched == generation`.
+    /// Best known cost; valid when this generation touched the node.
     dist: f64,
-    /// Predecessor dense index; valid when `touched == generation`.
+    /// Predecessor dense index; valid when this generation touched the
+    /// node.
     prev: u32,
-    /// Generation that last wrote this state.
-    touched: u32,
-    /// Generation that settled this node.
-    settled: u32,
+    /// What the arena's generation `g` last did here: `2g` touched
+    /// (relaxed, still open), `2g + 1` settled. Anything else — 0, or a
+    /// mark of an earlier generation — is untouched.
+    mark: u32,
 }
 
 impl Default for NodeState {
@@ -227,8 +229,7 @@ impl Default for NodeState {
         Self {
             dist: f64::INFINITY,
             prev: u32::MAX,
-            touched: 0,
-            settled: 0,
+            mark: 0,
         }
     }
 }
@@ -242,9 +243,9 @@ impl Default for NodeState {
 /// allocation, and node states are validated against a per-query
 /// **generation counter** instead of being rewritten ([`astar`]
 /// re-allocates and re-initializes ~160 KB of per-node arrays per query
-/// on the Kiel graph), so a long-lived arena (one per serving thread)
-/// makes steady-state routing allocation-free — the only allocation
-/// left is the returned path.
+/// on the Kiel graph), so a long-lived arena (`habit-core` pools one
+/// per concurrent search) makes steady-state routing allocation-free —
+/// the only allocation left is the returned path.
 ///
 /// Keeping the *same* heap discipline as [`astar`] (push a fresh entry
 /// per relax, skip already-settled pops) makes the byte-identity
@@ -265,6 +266,9 @@ pub struct SearchArena {
     generation: u32,
 }
 
+/// The last generation whose settled mark `2g + 1` still fits a `u32`.
+const MAX_GENERATION: u32 = u32::MAX / 2;
+
 impl SearchArena {
     /// Creates an empty arena; arrays grow to the graph size on first use.
     pub fn new() -> Self {
@@ -279,13 +283,13 @@ impl SearchArena {
             self.nodes.resize(n, NodeState::default());
         }
         self.heap.clear();
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Generation wrapped: old marks could alias. Re-zero once
-            // every 2^32 queries and restart at generation 1.
+        self.generation += 1;
+        if self.generation > MAX_GENERATION {
+            // `2g + 1` would overflow the mark and old marks could
+            // alias. Re-zero once every 2^31 queries and restart at
+            // generation 1.
             for s in &mut self.nodes {
-                s.touched = 0;
-                s.settled = 0;
+                s.mark = 0;
             }
             self.generation = 1;
         }
@@ -294,7 +298,7 @@ impl SearchArena {
     #[inline]
     fn dist(&self, idx: u32) -> f64 {
         let s = &self.nodes[idx as usize];
-        if s.touched == self.generation {
+        if s.mark >> 1 == self.generation {
             s.dist
         } else {
             f64::INFINITY
@@ -303,12 +307,12 @@ impl SearchArena {
 
     #[inline]
     fn is_settled(&self, idx: u32) -> bool {
-        self.nodes[idx as usize].settled == self.generation
+        self.nodes[idx as usize].mark == 2 * self.generation + 1
     }
 
     #[inline]
     fn settle(&mut self, idx: u32) {
-        self.nodes[idx as usize].settled = self.generation;
+        self.nodes[idx as usize].mark = 2 * self.generation + 1;
     }
 
     #[inline]
@@ -324,7 +328,7 @@ impl SearchArena {
         let s = &mut self.nodes[idx as usize];
         s.dist = cost;
         s.prev = prev;
-        s.touched = self.generation;
+        s.mark = 2 * self.generation;
         self.heap.push(Frontier { est, cost, idx, id });
     }
 
@@ -681,11 +685,26 @@ mod csr_tests {
         let edges = bake(&csr);
         let mut arena = SearchArena::new();
         let before = dijkstra_baked(&csr, &mut arena, &edges, 0, 99).unwrap();
-        // Force the wrap path: the next begin() bumps to 0 and re-zeroes.
-        arena.generation = u32::MAX;
+        // The last generation before the wrap still searches correctly
+        // (its settled mark is exactly `u32::MAX`) …
+        arena.generation = MAX_GENERATION - 1;
+        let last = dijkstra_baked(&csr, &mut arena, &edges, 0, 99).unwrap();
+        assert_eq!(before, last);
+        assert_eq!(arena.generation, MAX_GENERATION);
+        assert!(arena.nodes.iter().any(|s| s.mark == u32::MAX));
+        // … and the next begin() re-zeroes and restarts at 1, so none
+        // of those marks aliases a fresh generation.
         let after = dijkstra_baked(&csr, &mut arena, &edges, 0, 99).unwrap();
         assert_eq!(before, after);
         assert_eq!(arena.generation, 1);
+    }
+
+    /// The arena's resident size is `nodes × size_of::<NodeState>()`;
+    /// 16 bytes (not the 24 three separate `u32` marks padded to) is
+    /// what the serving RSS budget assumes.
+    #[test]
+    fn node_state_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<NodeState>(), 16);
     }
 }
 

@@ -8,6 +8,7 @@
 //! ([`Recorder::record`], which deterministic tests use), and the ring
 //! keeps the most recent `capacity` records.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -20,8 +21,10 @@ pub struct SpanRecord {
     /// for the name.
     pub name: &'static str,
     /// Operation label — usually the wire op token (`"impute"`,
-    /// `"refit"`, …) or `"unknown"` for unparseable requests.
-    pub op: String,
+    /// `"refit"`, …) or `"unknown"` for unparseable requests. Those are
+    /// all literals, so the label borrows; only a caller with a
+    /// computed label pays for an owned one.
+    pub op: Cow<'static, str>,
     /// Start, in µs ticks since the recorder's epoch.
     pub start_ticks: u64,
     /// Duration in µs ticks.
@@ -58,7 +61,7 @@ impl Recorder {
 
     /// Starts a span; the guard records on [`SpanGuard::finish`] or
     /// drop.
-    pub fn span(&self, name: &'static str, op: impl Into<String>) -> SpanGuard<'_> {
+    pub fn span(&self, name: &'static str, op: impl Into<Cow<'static, str>>) -> SpanGuard<'_> {
         SpanGuard {
             recorder: self,
             name,
@@ -110,7 +113,7 @@ impl Recorder {
 pub struct SpanGuard<'a> {
     recorder: &'a Recorder,
     name: &'static str,
-    op: String,
+    op: Cow<'static, str>,
     start_ticks: u64,
     ok: bool,
     armed: bool,
@@ -189,7 +192,7 @@ mod tests {
         for i in 0..5u64 {
             r.record(SpanRecord {
                 name: "s",
-                op: format!("op{i}"),
+                op: format!("op{i}").into(),
                 start_ticks: i,
                 duration_ticks: 1,
                 ok: true,

@@ -47,14 +47,14 @@ mod tests {
         let spans = vec![
             SpanRecord {
                 name: "parse",
-                op: "impute".to_string(),
+                op: "impute".into(),
                 start_ticks: 10,
                 duration_ticks: 3,
                 ok: true,
             },
             SpanRecord {
                 name: "handle",
-                op: "unknown".to_string(),
+                op: "unknown".into(),
                 start_ticks: 13,
                 duration_ticks: 40,
                 ok: false,
@@ -71,7 +71,7 @@ mod tests {
     fn op_labels_are_escaped() {
         let spans = vec![SpanRecord {
             name: "s",
-            op: "a\"b\\c\nd\u{1}".to_string(),
+            op: "a\"b\\c\nd\u{1}".into(),
             start_ticks: 0,
             duration_ticks: 0,
             ok: true,

@@ -3,19 +3,43 @@
 //!
 //! There is one way a gap gets answered — `Service::answer`, one engine
 //! batch over the submissions it is handed — and this layer only
-//! decides *how many* submissions share that batch. Without it every
-//! request is a flush of its own single submission on its caller's
-//! thread, so N concurrent clients asking for overlapping routes each
-//! pay a full snap + dedup + search pass. With it, every in-flight
-//! `Impute` / `ImputeBatch` submits its gaps into one
-//! [`AdmissionQueue`]; a single flusher thread drains the queue on a
-//! time-or-size trigger (`--batch-window-us` / `--batch-max-gaps`) into
-//! **one** shared engine batch per flush, and each submission's results
-//! come back through its [`CompletionSlot`]. Grouping is invisible to
-//! answers (the service-level scatter tests pin byte-identity to each
-//! submission served alone), so the only observable differences are
-//! throughput, latency, and the typed `overloaded` rejection when the
-//! queue is full.
+//! decides *how many* submissions share that batch, and on which
+//! thread. It lets **at most one engine pass run at a time** (the
+//! *gate*) and lingers for company only while lingering has been seen
+//! to pay:
+//!
+//! * **Idle pass-through** — a submission that finds the queue empty,
+//!   the gate open and the queue not *lingering* takes the gate and is
+//!   answered right there on its connection thread
+//!   ([`Admitted::PassThrough`]): a lone request has no company to wait
+//!   for, so it pays no hand-off, no timer and no wake-up.
+//! * **Queued** — a submission that arrives while a pass is running
+//!   has company. It queues; the single flusher thread gives the first
+//!   queued gap one batch window (`--batch-window-us`, cut short when
+//!   `--batch-max-gaps` gaps are waiting) for more to join it, waits
+//!   for the gate, takes *everything* queued and answers it as **one**
+//!   shared engine batch, each submission's results coming back through
+//!   its [`CompletionSlot`].
+//! * **Lingering** — a flush that carried two or more submissions shows
+//!   the window caught company, so until a flush carries only one
+//!   again every submission queues for the window, exactly as before
+//!   there was a pass-through: concurrent clients keep coalescing (and
+//!   keep their timer-paced, steady service rate), and the first window
+//!   that expires on a lone submission puts the queue back to passing
+//!   through. The mode follows what the queue observed, never a clock
+//!   reading or a client's identity.
+//!
+//! `--batch-window-us 0` asks for no linger at all: nothing ever
+//! lingers, an idle queue always passes through and the flusher takes
+//! whatever piled up behind a pass the moment the gate opens
+//! (flush-on-idle, group commit).
+//!
+//! The gate is a scheduling policy, never a safety property —
+//! `Service::answer` is concurrent-safe (it is all `--no-coalesce`
+//! runs). Grouping is invisible to answers (the service-level scatter
+//! tests pin byte-identity to each submission served alone), so the
+//! only observable differences are throughput, latency, and the typed
+//! `overloaded` rejection when the queue is full.
 //!
 //! Backpressure is a bound on *gaps*, not submissions: a submission is
 //! admitted only when its gaps fit into the remaining capacity,
@@ -40,11 +64,14 @@ use std::time::{Duration, Instant};
 /// `--batch-max-gaps` flags).
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
-    /// How long the flusher waits after the first queued gap for more
-    /// traffic to coalesce with, µs. Longer windows batch more but add
-    /// up to this much latency to a lone request.
+    /// How long the flusher lingers after the first queued gap for more
+    /// traffic to coalesce with, µs. Only requests with company pay it:
+    /// one that finds the queue idle (and the last window not to have
+    /// caught company) is answered on its caller's thread at once. 0
+    /// never lingers: a busy queue flushes whatever piled up behind the
+    /// running pass the moment it ends.
     pub batch_window_us: u64,
-    /// Queued gaps that trigger an immediate flush, no window wait.
+    /// Queued gaps that cut a non-zero window short.
     pub batch_max_gaps: usize,
 }
 
@@ -105,20 +132,103 @@ pub(crate) struct Submission {
     pub slot: Arc<CompletionSlot>,
 }
 
+/// Why an engine pass ran when it did — the `cause` label of
+/// `habit_admission_flush_cause_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushCause {
+    /// An idle queue passed the request through on its caller's thread.
+    Idle,
+    /// A zero-window flusher took what queued up behind the pass
+    /// before it, the moment the gate opened.
+    Queued,
+    /// `batch_max_gaps` gaps were waiting.
+    Size,
+    /// A non-zero batch window ran out.
+    Window,
+    /// The queue was closed: the shutdown drain.
+    Drain,
+}
+
+impl FlushCause {
+    /// Every cause, in declaration order (`cause as usize` indexes it).
+    pub const ALL: [FlushCause; 5] = [
+        FlushCause::Idle,
+        FlushCause::Queued,
+        FlushCause::Size,
+        FlushCause::Window,
+        FlushCause::Drain,
+    ];
+
+    /// The stable metric label.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FlushCause::Idle => "idle",
+            FlushCause::Queued => "queued",
+            FlushCause::Size => "size",
+            FlushCause::Window => "window",
+            FlushCause::Drain => "drain",
+        }
+    }
+}
+
+/// Holds the queue's gate — the right to run the one engine pass in
+/// flight. Dropping it (also on unwind) opens the gate and wakes the
+/// flusher if work queued up meanwhile.
+pub(crate) struct Gate<'q>(&'q AdmissionQueue);
+
+impl std::fmt::Debug for Gate<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Gate")
+    }
+}
+
+impl Drop for Gate<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.busy = false;
+        let flusher_has_work = !state.entries.is_empty();
+        drop(state);
+        if flusher_has_work {
+            self.0.arrivals.notify_all();
+        }
+    }
+}
+
 /// What [`AdmissionQueue::submit`] decided.
 #[derive(Debug)]
-pub(crate) enum Admitted {
-    /// Queued: block on the slot for the flushed answer.
-    Queued(Arc<CompletionSlot>),
+pub(crate) enum Admitted<'q> {
+    /// Queued behind a running pass (or on a lingering queue): block
+    /// on the slot for the flushed answer. `depth` is the gaps queued
+    /// once this submission joined.
+    Queued {
+        slot: Arc<CompletionSlot>,
+        depth: usize,
+    },
+    /// The queue was idle and not lingering: answer on the caller's
+    /// thread, holding the gate for as long as that pass runs.
+    PassThrough(Gate<'q>),
     /// The queue is closed (daemon draining): answer on the caller's
     /// thread.
     Bypass,
+}
+
+/// One batch handed to the flusher: every queued submission, why the
+/// pass runs now, and the gate it runs under (released on drop).
+pub(crate) struct Flush<'q> {
+    pub submissions: Vec<Submission>,
+    pub cause: FlushCause,
+    _gate: Gate<'q>,
 }
 
 struct QueueState {
     entries: Vec<Submission>,
     queued_gaps: usize,
     closed: bool,
+    /// An engine pass is in flight (a pass-through or a flush).
+    busy: bool,
+    /// The last flush carried more than one submission: the window is
+    /// catching company, so nothing passes through until one does not.
+    lingering: bool,
 }
 
 /// The bounded cross-connection queue plus its flush triggers. One per
@@ -126,7 +236,8 @@ struct QueueState {
 /// thread loops on `next_flush`.
 pub(crate) struct AdmissionQueue {
     state: Mutex<QueueState>,
-    /// Signaled on arrivals and on close; the flusher waits here.
+    /// Signaled on arrivals, on close, and when the gate opens onto
+    /// queued work; the flusher waits here.
     arrivals: Condvar,
     window: Duration,
     max_gaps: usize,
@@ -140,6 +251,8 @@ impl AdmissionQueue {
                 entries: Vec::new(),
                 queued_gaps: 0,
                 closed: false,
+                busy: false,
+                lingering: false,
             }),
             arrivals: Condvar::new(),
             window: Duration::from_micros(config.batch_window_us),
@@ -162,9 +275,15 @@ impl AdmissionQueue {
         self.lock().queued_gaps
     }
 
-    /// Admits `gaps` as one submission, or rejects with `overloaded`
-    /// when they do not fit the remaining capacity. Never blocks.
-    pub fn submit(&self, gaps: Vec<GapQuery>, provenance: bool) -> Result<Admitted, ServiceError> {
+    /// Admits `gaps` as one submission — passed through when the queue
+    /// is idle and not lingering, queued (copied) otherwise — or rejects
+    /// with `overloaded` when they do not fit the remaining capacity.
+    /// Never blocks.
+    pub fn submit(
+        &self,
+        gaps: &[GapQuery],
+        provenance: bool,
+    ) -> Result<Admitted<'_>, ServiceError> {
         let mut state = self.lock();
         if state.closed {
             return Ok(Admitted::Bypass);
@@ -181,25 +300,31 @@ impl AdmissionQueue {
                 ),
             ));
         }
+        if !state.lingering && !state.busy && state.entries.is_empty() {
+            state.busy = true;
+            return Ok(Admitted::PassThrough(Gate(self)));
+        }
         let slot = Arc::new(CompletionSlot::default());
         state.queued_gaps += gaps.len();
+        let depth = state.queued_gaps;
         state.entries.push(Submission {
-            gaps,
+            gaps: gaps.to_vec(),
             provenance,
             slot: Arc::clone(&slot),
         });
         drop(state);
         self.arrivals.notify_all();
-        Ok(Admitted::Queued(slot))
+        Ok(Admitted::Queued { slot, depth })
     }
 
-    /// Blocks until there is a batch to flush: waits for a first
-    /// submission, then up to the batch window for more (cut short when
-    /// the queued gaps reach the size trigger or the queue closes), and
-    /// takes everything. Returns `None` only when the queue is closed
-    /// *and* empty — the drain contract: every admitted submission is
-    /// handed out before the flusher stops.
-    pub fn next_flush(&self) -> Option<Vec<Submission>> {
+    /// Blocks until there is a batch to flush and the gate is open:
+    /// waits for a first submission, then up to the batch window for
+    /// more (cut short when the queued gaps reach the size trigger or
+    /// the queue closes), then for a pass-through in flight to finish,
+    /// and takes everything along with the gate. Returns `None` only
+    /// when the queue is closed *and* empty — the drain contract: every
+    /// admitted submission is handed out before the flusher stops.
+    pub fn next_flush(&self) -> Option<Flush<'_>> {
         let mut state = self.lock();
         while state.entries.is_empty() {
             if state.closed {
@@ -222,8 +347,29 @@ impl AdmissionQueue {
                 .unwrap_or_else(|e| e.into_inner());
             state = next;
         }
+        // Only a pass-through can hold the gate here (this thread's own
+        // last pass released it), and its drop signals `arrivals`.
+        while state.busy {
+            state = self.arrivals.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        let cause = if state.closed {
+            FlushCause::Drain
+        } else if state.queued_gaps >= self.max_gaps {
+            FlushCause::Size
+        } else if self.window.is_zero() {
+            FlushCause::Queued
+        } else {
+            FlushCause::Window
+        };
+        state.busy = true;
         state.queued_gaps = 0;
-        Some(std::mem::take(&mut state.entries))
+        // Lingering pays for as long as a window catches company.
+        state.lingering = !self.window.is_zero() && !state.closed && state.entries.len() > 1;
+        Some(Flush {
+            submissions: std::mem::take(&mut state.entries),
+            cause,
+            _gate: Gate(self),
+        })
     }
 
     /// Stops new admissions (submitters bypass the queue) and wakes the
@@ -243,17 +389,29 @@ mod tests {
         GapQuery::new(10.0, 56.0, 0, 10.3, 56.0, 3600 + i)
     }
 
+    /// Takes the idle queue's gate, as a pass-through in flight does:
+    /// whatever is submitted while the result is held queues.
+    fn pass_in_flight(queue: &AdmissionQueue) -> Admitted<'_> {
+        let admitted = queue.submit(&[gap(-1)], false).unwrap();
+        assert!(matches!(admitted, Admitted::PassThrough(_)), "idle queue");
+        admitted
+    }
+
     #[test]
     fn size_trigger_flushes_without_waiting_for_the_window() {
         let queue = AdmissionQueue::new(AdmissionConfig {
             batch_window_us: 60_000_000, // would hang the test if waited on
             batch_max_gaps: 3,
         });
-        queue.submit(vec![gap(0), gap(1)], false).unwrap();
-        queue.submit(vec![gap(2)], false).unwrap();
+        let in_flight = pass_in_flight(&queue);
+        queue.submit(&[gap(0), gap(1)], false).unwrap();
+        queue.submit(&[gap(2)], false).unwrap();
+        drop(in_flight);
         let t0 = Instant::now();
         let batch = queue.next_flush().expect("open queue");
         assert!(t0.elapsed() < Duration::from_secs(10));
+        assert_eq!(batch.cause, FlushCause::Size);
+        let batch = batch.submissions;
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.iter().map(|s| s.gaps.len()).sum::<usize>(), 3);
         assert_eq!(queue.depth(), 0);
@@ -266,8 +424,9 @@ mod tests {
             batch_max_gaps: 2, // capacity 16
         });
         assert_eq!(queue.capacity(), 16);
-        queue.submit(vec![gap(0); 16], false).unwrap();
-        let err = match queue.submit(vec![gap(1)], false) {
+        let _in_flight = pass_in_flight(&queue);
+        queue.submit(&[gap(0); 16], false).unwrap();
+        let err = match queue.submit(&[gap(1)], false) {
             Err(e) => e,
             Ok(_) => panic!("17th gap must overflow"),
         };
@@ -280,7 +439,7 @@ mod tests {
             batch_max_gaps: 2,
         });
         assert_eq!(
-            fresh.submit(vec![gap(0); 17], false).unwrap_err().code,
+            fresh.submit(&[gap(0); 17], false).unwrap_err().code,
             ErrorCode::Overloaded
         );
     }
@@ -291,16 +450,19 @@ mod tests {
             batch_window_us: 1_000,
             batch_max_gaps: 64,
         });
-        queue.submit(vec![gap(0)], false).unwrap();
-        queue.submit(vec![gap(1)], true).unwrap();
+        let in_flight = pass_in_flight(&queue);
+        queue.submit(&[gap(0)], false).unwrap();
+        queue.submit(&[gap(1)], true).unwrap();
+        drop(in_flight);
         queue.close();
         // Late submitters bypass instead of erroring or hanging.
         assert!(matches!(
-            queue.submit(vec![gap(2)], false).unwrap(),
+            queue.submit(&[gap(2)], false).unwrap(),
             Admitted::Bypass
         ));
         let batch = queue.next_flush().expect("drain the admitted work");
-        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.submissions.len(), 2);
+        assert_eq!(batch.cause, FlushCause::Drain);
         assert!(queue.next_flush().is_none(), "closed and empty");
     }
 
@@ -316,7 +478,7 @@ mod tests {
             let answered = Arc::clone(&answered);
             std::thread::spawn(move || {
                 while let Some(batch) = queue.next_flush() {
-                    for submission in batch {
+                    for submission in &batch.submissions {
                         answered.fetch_add(submission.gaps.len(), Ordering::SeqCst);
                         submission
                             .slot
@@ -325,18 +487,221 @@ mod tests {
                 }
             })
         };
+        let in_flight = pass_in_flight(&queue);
         let mut slots = Vec::new();
         for i in 0..5 {
-            match queue.submit(vec![gap(i)], false).unwrap() {
-                Admitted::Queued(slot) => slots.push(slot),
-                Admitted::Bypass => panic!("queue is open"),
+            match queue.submit(&[gap(i)], false).unwrap() {
+                Admitted::Queued { slot, .. } => slots.push(slot),
+                other => panic!("a pass is in flight: {other:?}"),
             }
         }
+        drop(in_flight);
         for slot in slots {
             assert!(slot.wait().is_err(), "test flusher answers with an error");
         }
         queue.close();
         flusher.join().unwrap();
         assert_eq!(answered.load(Ordering::SeqCst), 5);
+    }
+
+    fn zero_window() -> Arc<AdmissionQueue> {
+        AdmissionQueue::new(AdmissionConfig {
+            batch_window_us: 0,
+            batch_max_gaps: 4,
+        })
+    }
+
+    /// Runs `next_flush` on a thread of its own (started by the time
+    /// this returns) and reports each flush (submission count, cause) —
+    /// then `None` — over a channel, so a test can order "no flush yet"
+    /// against "released" without sleeping.
+    fn spawn_flusher(
+        queue: &Arc<AdmissionQueue>,
+    ) -> (
+        std::sync::mpsc::Receiver<Option<(usize, FlushCause)>>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let queue = Arc::clone(queue);
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let running = Arc::clone(&started);
+        let handle = std::thread::spawn(move || {
+            running.wait();
+            loop {
+                let flush = queue.next_flush();
+                let report = flush.as_ref().map(|f| (f.submissions.len(), f.cause));
+                for submission in flush.iter().flat_map(|f| &f.submissions) {
+                    submission
+                        .slot
+                        .complete(Err(ServiceError::internal("test")));
+                }
+                drop(flush); // a report means the pass is over
+                tx.send(report).unwrap();
+                if report.is_none() {
+                    return;
+                }
+            }
+        });
+        started.wait();
+        (rx, handle)
+    }
+
+    #[test]
+    fn an_idle_zero_window_queue_passes_through_and_queues_behind_the_gate() {
+        let queue = zero_window();
+        let Admitted::PassThrough(gate) = queue.submit(&[gap(0)], false).unwrap() else {
+            panic!("idle + zero window passes through");
+        };
+        assert_eq!(queue.depth(), 0, "a pass-through queues nothing");
+
+        // While the gate is held the next submissions queue …
+        let mut slots = Vec::new();
+        for i in 1..=2 {
+            match queue.submit(&[gap(i)], i == 2).unwrap() {
+                Admitted::Queued { slot, depth } => {
+                    assert_eq!(depth, i as usize);
+                    slots.push(slot);
+                }
+                other => panic!("a pass is in flight: {other:?}"),
+            }
+        }
+        // … and the flusher does not get them until it is released:
+        // dropping the gate is the only thing that can produce a flush.
+        let (flushes, flusher) = spawn_flusher(&queue);
+        assert!(flushes.try_recv().is_err(), "gate held, nothing flushed");
+        drop(gate);
+        assert_eq!(flushes.recv().unwrap(), Some((2, FlushCause::Queued)));
+        for slot in slots {
+            assert!(slot.wait().is_err(), "test flusher answers with an error");
+        }
+
+        // Idle again: the next lone request passes through again.
+        assert!(matches!(
+            queue.submit(&[gap(3)], false).unwrap(),
+            Admitted::PassThrough(_)
+        ));
+        queue.close();
+        assert_eq!(flushes.recv().unwrap(), None);
+        flusher.join().unwrap();
+    }
+
+    #[test]
+    fn queued_work_past_the_size_trigger_reports_size_not_queued() {
+        let queue = zero_window();
+        let gate = queue.submit(&[gap(0)], false).unwrap();
+        queue.submit(&[gap(1); 4], false).unwrap(); // = batch_max_gaps
+        drop(gate);
+        let flush = queue.next_flush().expect("open queue");
+        assert_eq!(flush.cause, FlushCause::Size);
+        // The flusher's own pass holds the gate too: no pass-through
+        // while it runs, one again once it is over.
+        assert!(matches!(
+            queue.submit(&[gap(2)], false).unwrap(),
+            Admitted::Queued { depth: 1, .. }
+        ));
+        drop(flush);
+        assert_eq!(queue.next_flush().unwrap().cause, FlushCause::Queued);
+        assert!(matches!(
+            queue.submit(&[gap(3)], false).unwrap(),
+            Admitted::PassThrough(_)
+        ));
+    }
+
+    #[test]
+    fn a_window_lingers_only_while_it_catches_company() {
+        let queue = AdmissionQueue::new(AdmissionConfig {
+            batch_window_us: 1,
+            batch_max_gaps: 4,
+        });
+        // Idle, and no window has caught company yet: pass through.
+        let in_flight = pass_in_flight(&queue);
+        // Two submissions behind the pass share one window …
+        for i in 0..2 {
+            assert!(matches!(
+                queue.submit(&[gap(i)], false).unwrap(),
+                Admitted::Queued { .. }
+            ));
+        }
+        drop(in_flight);
+        let flush = queue.next_flush().expect("open queue");
+        assert_eq!(flush.cause, FlushCause::Window);
+        assert_eq!(flush.submissions.len(), 2);
+        drop(flush);
+        // … so the queue lingers: idle or not, the next one queues …
+        assert!(matches!(
+            queue.submit(&[gap(2)], false).unwrap(),
+            Admitted::Queued { depth: 1, .. }
+        ));
+        // … until a window expires on a lone submission.
+        let flush = queue.next_flush().expect("open queue");
+        assert_eq!(flush.cause, FlushCause::Window);
+        assert_eq!(flush.submissions.len(), 1);
+        drop(flush);
+        drop(pass_in_flight(&queue));
+        // A lone submission behind a pass does not start a linger.
+        let in_flight = pass_in_flight(&queue);
+        queue.submit(&[gap(3)], false).unwrap();
+        drop(in_flight);
+        assert_eq!(queue.next_flush().unwrap().submissions.len(), 1);
+        drop(pass_in_flight(&queue));
+    }
+
+    #[test]
+    fn a_zero_window_never_lingers() {
+        let queue = zero_window();
+        let in_flight = pass_in_flight(&queue);
+        queue.submit(&[gap(0)], false).unwrap();
+        queue.submit(&[gap(1)], false).unwrap();
+        drop(in_flight);
+        let flush = queue.next_flush().expect("open queue");
+        assert_eq!(flush.cause, FlushCause::Queued);
+        assert_eq!(flush.submissions.len(), 2);
+        drop(flush);
+        drop(pass_in_flight(&queue));
+    }
+
+    #[test]
+    fn close_with_a_pass_in_flight_still_drains_then_stops() {
+        let queue = zero_window();
+        let gate = queue.submit(&[gap(0)], false).unwrap();
+        let Admitted::Queued { slot, .. } = queue.submit(&[gap(1)], false).unwrap() else {
+            panic!("a pass is in flight");
+        };
+        queue.close();
+        assert!(matches!(
+            queue.submit(&[gap(2)], false).unwrap(),
+            Admitted::Bypass
+        ));
+        // The drain waits its turn behind the pass like any flush …
+        let (flushes, flusher) = spawn_flusher(&queue);
+        assert!(flushes.try_recv().is_err(), "gate held, nothing flushed");
+        drop(gate);
+        // … answers what was admitted, and only then stops.
+        assert_eq!(flushes.recv().unwrap(), Some((1, FlushCause::Drain)));
+        assert!(slot.wait().is_err(), "test flusher answers with an error");
+        assert_eq!(flushes.recv().unwrap(), None);
+        flusher.join().unwrap();
+    }
+
+    #[test]
+    fn a_closed_empty_queue_stops_the_flusher_even_with_a_pass_in_flight() {
+        let queue = zero_window();
+        let _gate = queue.submit(&[gap(0)], false).unwrap();
+        queue.close();
+        assert!(queue.next_flush().is_none());
+    }
+
+    #[test]
+    fn an_unwinding_pass_through_opens_the_gate() {
+        let queue = zero_window();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _gate = queue.submit(&[gap(0)], false).unwrap();
+            panic!("injected: the pass-through answer panics");
+        }));
+        assert!(unwound.is_err());
+        assert!(matches!(
+            queue.submit(&[gap(1)], false).unwrap(),
+            Admitted::PassThrough(_)
+        ));
     }
 }

@@ -28,21 +28,28 @@
 //! * `habit_admission_queue_depth` — gaps waiting in the daemon's
 //!   cross-connection admission queue (gauge, 0 without coalescing);
 //! * `habit_admission_flushes_total` / `habit_admission_submissions_total`
-//!   — coalesced engine flushes, and the connection submissions they
+//!   — engine passes admitted through the queue (idle pass-throughs
+//!   and coalesced flushes alike), and the connection submissions they
 //!   answered;
-//! * `habit_admission_batch_size` — gaps per coalesced flush
+//! * `habit_admission_flush_cause_total{cause=…}` — the same passes by
+//!   why they ran when they did: `idle` (passed through on the caller's
+//!   thread), `size`, `window` (the two `--batch-*` triggers),
+//!   `queued` (piled up behind the pass before, zero window), `drain`
+//!   (shutdown);
+//! * `habit_admission_batch_size` — gaps per admitted pass
 //!   (fixed-bucket histogram);
 //! * `habit_admission_rejects_total` — submissions bounced with
 //!   `overloaded` because the queue was full.
 
+use crate::admission::FlushCause;
 use crate::error::ErrorCode;
 use crate::response::OpLatency;
 use habit_engine::BatchStats;
 use habit_fleet::FleetBatchStats;
-use habit_obs::{Counter, Histogram, Recorder, Registry, Snapshot, LATENCY_BUCKETS_US};
+use habit_obs::{Counter, Gauge, Histogram, Recorder, Registry, Snapshot, LATENCY_BUCKETS_US};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// How many finished spans the recorder retains for `GET /spans`.
 const SPAN_CAPACITY: usize = 1024;
@@ -53,6 +60,16 @@ pub const ADMISSION_BATCH_BUCKETS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
 /// One memoized per-op entry: op name, request counter, latency histogram.
 type HotOpEntry = (String, Arc<Counter>, Arc<Histogram>);
+
+/// The per-pass admission series, resolved once (see `hot_ops` for why).
+#[derive(Debug)]
+struct AdmissionSeries {
+    flushes: Arc<Counter>,
+    submissions: Arc<Counter>,
+    batch_size: Arc<Histogram>,
+    /// Indexed by `FlushCause as usize`.
+    causes: [Arc<Counter>; FlushCause::ALL.len()],
+}
 
 /// Metrics + span recorder of one service instance.
 #[derive(Debug)]
@@ -67,6 +84,11 @@ pub struct ServiceMetrics {
     /// serving rates. The handful of wire ops land here after their
     /// first registration and are found by a lock-free-read scan.
     hot_ops: RwLock<Vec<HotOpEntry>>,
+    /// Minted by the first admitted pass, so a service without an
+    /// admission queue never shows the families.
+    admission: OnceLock<AdmissionSeries>,
+    /// Set by every queued submission and every flush.
+    admission_queue_depth: OnceLock<Arc<Gauge>>,
 }
 
 impl Default for ServiceMetrics {
@@ -84,6 +106,8 @@ impl ServiceMetrics {
             recorder: Recorder::new(SPAN_CAPACITY),
             requests_total: AtomicU64::new(0),
             hot_ops: RwLock::new(Vec::new()),
+            admission: OnceLock::new(),
+            admission_queue_depth: OnceLock::new(),
         }
     }
 
@@ -215,23 +239,36 @@ impl ServiceMetrics {
     /// Sets the admission-queue depth gauge: gaps currently waiting for
     /// a coalesced flush.
     pub fn set_admission_queue_depth(&self, depth: usize) {
-        self.registry
-            .gauge("habit_admission_queue_depth", &[])
+        self.admission_queue_depth
+            .get_or_init(|| self.registry.gauge("habit_admission_queue_depth", &[]))
             .set(depth as i64);
     }
 
-    /// Records one coalesced flush: how many connection submissions it
-    /// answered and how many gaps the shared engine batch carried.
-    pub fn observe_admission_flush(&self, submissions: usize, gaps: usize) {
-        self.registry
-            .counter("habit_admission_flushes_total", &[])
-            .inc();
-        self.registry
-            .counter("habit_admission_submissions_total", &[])
-            .add(submissions as u64);
-        self.registry
-            .histogram("habit_admission_batch_size", &[], &ADMISSION_BATCH_BUCKETS)
-            .observe(gaps as u64);
+    /// Records one admitted engine pass — an idle pass-through or a
+    /// coalesced flush: how many connection submissions it answered,
+    /// how many gaps the engine batch carried, and why it ran now.
+    pub fn observe_admission_flush(&self, submissions: usize, gaps: usize, cause: FlushCause) {
+        let series = self.admission.get_or_init(|| AdmissionSeries {
+            flushes: self.registry.counter("habit_admission_flushes_total", &[]),
+            submissions: self
+                .registry
+                .counter("habit_admission_submissions_total", &[]),
+            batch_size: self.registry.histogram(
+                "habit_admission_batch_size",
+                &[],
+                &ADMISSION_BATCH_BUCKETS,
+            ),
+            causes: FlushCause::ALL.map(|cause| {
+                self.registry.counter(
+                    "habit_admission_flush_cause_total",
+                    &[("cause", cause.as_str())],
+                )
+            }),
+        });
+        series.flushes.inc();
+        series.submissions.add(submissions as u64);
+        series.batch_size.observe(gaps as u64);
+        series.causes[cause as usize].inc();
     }
 
     /// Counts one submission rejected with `overloaded` (queue full).
@@ -372,8 +409,8 @@ mod tests {
     fn admission_counters_and_slos_render() {
         let m = ServiceMetrics::new();
         m.set_admission_queue_depth(5);
-        m.observe_admission_flush(3, 7);
-        m.observe_admission_flush(1, 1);
+        m.observe_admission_flush(3, 7, FlushCause::Size);
+        m.observe_admission_flush(1, 1, FlushCause::Idle);
         m.observe_admission_reject();
         let text = habit_obs::text::render(&m.snapshot());
         assert!(text.contains("habit_admission_queue_depth 5\n"), "{text}");
@@ -381,6 +418,18 @@ mod tests {
         assert!(text.contains("habit_admission_submissions_total 4\n"));
         assert!(text.contains("habit_admission_rejects_total 1\n"));
         assert!(text.contains("habit_admission_batch_size_count 2\n"));
+        // One increment per pass, under its cause; the other causes
+        // read 0 rather than being absent.
+        for (cause, n) in [
+            ("idle", 1),
+            ("queued", 0),
+            ("size", 1),
+            ("window", 0),
+            ("drain", 0),
+        ] {
+            let row = format!("habit_admission_flush_cause_total{{cause=\"{cause}\"}} {n}\n");
+            assert!(text.contains(&row), "{row} missing from {text}");
+        }
 
         // SLOs derive from the per-op latency histograms: one op with
         // known observations lands its quantiles inside the right

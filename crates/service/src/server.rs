@@ -251,7 +251,7 @@ fn handle_connection_inner(
         let op = decoded.as_ref().map_or("unknown", |r| r.op());
         recorder.record(SpanRecord {
             name: "parse",
-            op: op.to_string(),
+            op: op.into(),
             start_ticks: parse_start,
             duration_ticks: parse_ticks,
             ok: decoded.is_ok(),
@@ -831,12 +831,19 @@ mod tests {
             },
             lane_model(),
         ));
-        // A very long batch window parks every admission until the
-        // shutdown drain — the only way the racer gets its answer.
+        // A very long batch window parks whatever queues until the
+        // shutdown drain — the only way the racer gets its answer — and
+        // the racer queues because it arrives behind a pass in flight.
         service.enable_admission(crate::AdmissionConfig {
             batch_window_us: 30_000_000,
             batch_max_gaps: 128,
         });
+        let queue = service.admission_queue();
+        let in_flight = queue.submit(&[GapQuery::new(0.0, 0.0, 0, 0.0, 0.0, 1)], false);
+        assert!(matches!(
+            in_flight,
+            Ok(crate::admission::Admitted::PassThrough(_))
+        ));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let svc = Arc::clone(&service);
@@ -884,6 +891,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        drop(in_flight);
         let stopper = TcpStream::connect(addr).unwrap();
         let mut stop_reader = BufReader::new(stopper.try_clone().unwrap());
         {

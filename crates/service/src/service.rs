@@ -10,10 +10,11 @@
 //! a gap gets answered: `Service::answer` runs *one* engine batch over
 //! the submissions it is handed and scatters the results back. The
 //! admission flusher hands it the N submissions of a flush; a request
-//! that is not queued hands it its own — the direct path is a flush of
-//! one on the caller's thread, not a second implementation.
+//! that is not queued — no admission layer, an idle queue passing it
+//! through, a closed one — hands it its own: the direct path is a
+//! flush of one on the caller's thread, not a second implementation.
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, Admitted, Submission};
+use crate::admission::{AdmissionConfig, AdmissionQueue, Admitted, FlushCause, Submission};
 use crate::error::{ErrorCode, ServiceError};
 use crate::metrics::ServiceMetrics;
 use crate::request::{FitSpec, RefitSpec, Request};
@@ -113,6 +114,10 @@ pub struct Service {
     cache_capacity: usize,
     /// What is loaded and serving — a blob, a fleet, or nothing yet.
     serving: RwLock<Option<Serving>>,
+    /// Whether `serving` is a single blob with no cells — what
+    /// `Impute`'s pre-flight refuses — kept beside the lock so the
+    /// per-request check does not take it.
+    empty_blob: AtomicBool,
     /// Serializes model-swapping operations (`fit`, `refit`): a refit
     /// snapshots the serving state, accumulates off the read lock, and
     /// installs at the end — two concurrent refits would otherwise
@@ -143,6 +148,7 @@ impl Service {
             pool: ThreadPool::new(config.threads),
             cache_capacity: config.cache_capacity.max(1),
             serving: RwLock::new(None),
+            empty_blob: AtomicBool::new(false),
             mutate: Mutex::new(()),
             admission: RwLock::new(None),
             stopping: AtomicBool::new(false),
@@ -207,7 +213,11 @@ impl Service {
 
     fn install(&self, serving: Serving) {
         let (shards, _) = serving.manifest();
-        *write(&self.serving) = Some(serving);
+        let empty_blob = serving.whole_model().is_some_and(|m| m.node_count() == 0);
+        let mut slot = write(&self.serving);
+        self.empty_blob.store(empty_blob, Ordering::SeqCst);
+        *slot = Some(serving);
+        drop(slot);
         self.metrics.set_shards_loaded(shards);
     }
 
@@ -235,12 +245,16 @@ impl Service {
         self.stopping.store(true, Ordering::SeqCst);
     }
 
-    /// Turns on cross-connection admission batching: in-flight
-    /// `Impute`/`ImputeBatch` gaps queue into one bounded
-    /// [`AdmissionQueue`] and a flusher thread answers them in shared
-    /// engine batches. Answers stay byte-identical to an unqueued
-    /// request; a full queue rejects with the typed `overloaded` code
-    /// instead of blocking.
+    /// Turns on cross-connection admission batching: at most one engine
+    /// pass runs at a time. An `Impute`/`ImputeBatch` that finds the
+    /// layer idle is answered on its own thread; those that arrive
+    /// while a pass runs queue into one bounded [`AdmissionQueue`] and
+    /// a flusher thread answers them in one shared engine batch once
+    /// it has ended and `batch_window_us` has passed (as it does every
+    /// request for as long as windows keep catching more than one).
+    /// Answers stay byte-identical to an unqueued request; a full
+    /// queue rejects with the typed `overloaded` code instead of
+    /// blocking.
     ///
     /// The flusher holds an `Arc` of the service — call
     /// [`Service::shutdown_admission`] to drain the queue and join it
@@ -252,11 +266,10 @@ impl Service {
         let flusher = std::thread::Builder::new()
             .name("habit-admission".into())
             .spawn(move || {
-                while let Some(batch) = flusher_queue.next_flush() {
-                    service.flush_admitted(batch);
-                    service
-                        .metrics
-                        .set_admission_queue_depth(flusher_queue.depth());
+                while let Some(flush) = flusher_queue.next_flush() {
+                    // The flush took everything that was queued.
+                    service.metrics.set_admission_queue_depth(0);
+                    service.flush_admitted(&flush.submissions, flush.cause);
                 }
             })
             .expect("spawn admission flusher");
@@ -277,24 +290,42 @@ impl Service {
         self.metrics.set_admission_queue_depth(0);
     }
 
-    /// Answers one request's gaps: through the admission queue when one
-    /// is enabled and open (`Err` is then the typed `overloaded`
-    /// rejection or the flush's own failure), otherwise as a flush of
-    /// this one submission on the caller's thread, traced under `op`.
+    /// The admission queue: tests take its gate to stand in for a pass
+    /// in flight, so that what they send next queues for the flusher.
+    #[cfg(test)]
+    pub(crate) fn admission_queue(&self) -> Arc<AdmissionQueue> {
+        Arc::clone(&read(&self.admission).as_ref().expect("admission on").queue)
+    }
+
+    /// Answers one request's gaps. With an admission queue enabled the
+    /// queue decides: queued behind a running pass (the answer comes
+    /// from the flusher; `Err` is then the flush's own failure), passed
+    /// through because nothing is running, or rejected with the typed
+    /// `overloaded`. Whatever is not queued — no queue, a pass-through,
+    /// a closed queue — is a flush of this one submission on the
+    /// caller's thread, traced under `op`.
     fn submit(
         &self,
         gaps: &[GapQuery],
         provenance: bool,
-        op: &str,
+        op: &'static str,
     ) -> Result<BatchOutcome, ServiceError> {
         let queue = read(&self.admission)
             .as_ref()
             .map(|state| Arc::clone(&state.queue));
-        if let Some(queue) = queue.filter(|_| !gaps.is_empty()) {
-            match queue.submit(gaps.to_vec(), provenance) {
-                Ok(Admitted::Queued(slot)) => {
-                    self.metrics.set_admission_queue_depth(queue.depth());
+        // Held (when passing through) until this request is answered,
+        // or unwinds.
+        let mut _gate = None;
+        if let Some(queue) = queue.as_ref().filter(|_| !gaps.is_empty()) {
+            match queue.submit(gaps, provenance) {
+                Ok(Admitted::Queued { slot, depth }) => {
+                    self.metrics.set_admission_queue_depth(depth);
                     return slot.wait();
+                }
+                Ok(Admitted::PassThrough(gate)) => {
+                    self.metrics
+                        .observe_admission_flush(1, gaps.len(), FlushCause::Idle);
+                    _gate = Some(gate);
                 }
                 Ok(Admitted::Bypass) => {}
                 Err(e) => {
@@ -313,10 +344,10 @@ impl Service {
     /// batch-global), delivering every slot exactly once — on success
     /// each submission's scattered slice, on failure (no model, or a
     /// panic in the engine) the same typed error to all of the pass.
-    fn flush_admitted(&self, submissions: Vec<Submission>) {
+    fn flush_admitted(&self, submissions: &[Submission], cause: FlushCause) {
         let gaps: usize = submissions.iter().map(|s| s.gaps.len()).sum();
         self.metrics
-            .observe_admission_flush(submissions.len(), gaps);
+            .observe_admission_flush(submissions.len(), gaps, cause);
         for provenance in [false, true] {
             let group: Vec<&Submission> = submissions
                 .iter()
@@ -360,7 +391,7 @@ impl Service {
         &self,
         submissions: &[&[GapQuery]],
         provenance: bool,
-        op: &str,
+        op: &'static str,
     ) -> Result<Vec<BatchOutcome>, ServiceError> {
         self.with_serving(|serving| {
             let flat: Cow<'_, [GapQuery]> = match submissions {
@@ -539,11 +570,7 @@ impl Service {
         }
         // An empty blob refuses before snapping (and before queueing,
         // so admission cannot change which error a request gets).
-        let empty_blob = read(&self.serving)
-            .as_ref()
-            .and_then(Serving::whole_model)
-            .is_some_and(|m| m.node_count() == 0);
-        if empty_blob {
+        if self.empty_blob.load(Ordering::SeqCst) {
             return Err(habit_core::HabitError::EmptyModel.into());
         }
         // A batch of one, so single-gap traffic shares the warm route
@@ -1736,6 +1763,75 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Flush-on-idle: no linger for whatever queued behind a pass.
+    const NO_WINDOW: AdmissionConfig = AdmissionConfig {
+        batch_window_us: 0,
+        batch_max_gaps: 128,
+    };
+
+    /// The non-zero `habit_admission_flush_cause_total` rows.
+    fn flush_causes(svc: &Service) -> Vec<(&'static str, u64)> {
+        FlushCause::ALL
+            .iter()
+            .map(|cause| {
+                let passes = svc
+                    .metrics()
+                    .registry()
+                    .counter(
+                        "habit_admission_flush_cause_total",
+                        &[("cause", cause.as_str())],
+                    )
+                    .get();
+                (cause.as_str(), passes)
+            })
+            .filter(|(_, passes)| *passes > 0)
+            .collect()
+    }
+
+    /// Spins until `svc` reports `depth` gaps queued.
+    fn wait_for_queue_depth(svc: &Service, depth: u64) {
+        while svc
+            .health()
+            .admission
+            .is_none_or(|a| a.queue_depth != depth)
+        {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Takes the idle queue's gate, as a pass-through in flight does:
+    /// requests made while the result is held queue for the flusher.
+    fn pass_in_flight(queue: &AdmissionQueue) -> Admitted<'_> {
+        let admitted = queue
+            .submit(&[GapQuery::new(0.0, 0.0, 0, 0.0, 0.0, 1)], false)
+            .unwrap();
+        assert!(matches!(admitted, Admitted::PassThrough(_)), "idle queue");
+        admitted
+    }
+
+    /// `svc.handle(request)` answered by the flusher, not passed
+    /// through: the request arrives behind a pass in flight, which ends
+    /// once the request's `gaps` are queued (or it failed its
+    /// pre-flight and never got that far).
+    fn handle_queued(
+        svc: &Service,
+        request: &Request,
+        gaps: u64,
+    ) -> Result<Response, ServiceError> {
+        let queue = svc.admission_queue();
+        let in_flight = pass_in_flight(&queue);
+        std::thread::scope(|scope| {
+            let behind = scope.spawn(|| svc.handle(request));
+            while !behind.is_finished()
+                && svc.health().admission.is_none_or(|a| a.queue_depth != gaps)
+            {
+                std::thread::yield_now();
+            }
+            drop(in_flight);
+            behind.join().unwrap()
+        })
+    }
+
     /// Coalesced answers must be byte-identical to the direct path:
     /// same imputed points (bitwise), same per-submission stats, same
     /// typed errors.
@@ -1743,6 +1839,9 @@ mod tests {
     fn coalesced_answers_match_the_direct_path_byte_for_byte() {
         let direct = small_service();
         let coalesced = Arc::new(small_service());
+        // Both requests go in behind a pass in flight, so the flusher
+        // answers them (an idle queue would pass them through and this
+        // would compare the direct path with itself).
         coalesced.enable_admission(AdmissionConfig::default());
 
         let gap = GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600);
@@ -1755,13 +1854,11 @@ mod tests {
         else {
             panic!("direct impute");
         };
-        let Response::Imputation(via_queue) = coalesced
-            .handle(&Request::Impute {
-                gap,
-                provenance: false,
-            })
-            .unwrap()
-        else {
+        let impute = Request::Impute {
+            gap,
+            provenance: false,
+        };
+        let Response::Imputation(via_queue) = handle_queued(&coalesced, &impute, 1).unwrap() else {
             panic!("coalesced impute");
         };
         assert_eq!(base.points, via_queue.points);
@@ -1782,13 +1879,11 @@ mod tests {
         else {
             panic!("direct batch");
         };
-        let Response::Batch(via_queue) = coalesced
-            .handle(&Request::ImputeBatch {
-                gaps,
-                provenance: true,
-            })
-            .unwrap()
-        else {
+        let batch = Request::ImputeBatch {
+            gaps,
+            provenance: true,
+        };
+        let Response::Batch(via_queue) = handle_queued(&coalesced, &batch, 3).unwrap() else {
             panic!("coalesced batch");
         };
         assert_eq!(base.stats, via_queue.stats);
@@ -1820,6 +1915,7 @@ mod tests {
         };
         assert!(h.admission.is_none());
 
+        assert_eq!(flush_causes(&coalesced), [("window", 2)]);
         coalesced.shutdown_admission();
     }
 
@@ -1877,6 +1973,9 @@ mod tests {
             panic!("direct impute");
         };
 
+        // The racer arrives behind a pass in flight, so it queues.
+        let queue = svc.admission_queue();
+        let in_flight = pass_in_flight(&queue);
         let racer = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || {
@@ -1887,12 +1986,8 @@ mod tests {
             })
         };
         // Let the racer reach the queue, then shut down around it.
-        while svc.handle(&Request::Health).map_or(true, |r| {
-            !matches!(&r, Response::Health(h)
-                if h.admission.as_ref().is_some_and(|a| a.queue_depth > 0))
-        }) {
-            std::thread::yield_now();
-        }
+        wait_for_queue_depth(&svc, 1);
+        drop(in_flight);
         svc.shutdown_admission();
         let Ok(Response::Imputation(answered)) = racer.join().unwrap() else {
             panic!("queued request must be answered on shutdown");
@@ -1910,6 +2005,102 @@ mod tests {
             panic!("post-shutdown impute");
         };
         assert_eq!(after.points, base.points);
+    }
+
+    /// A lone request on an idle queue is answered on its own thread
+    /// and still counts as one admitted pass of its gaps.
+    #[test]
+    fn an_idle_pass_through_is_observed_as_one_flush() {
+        let svc = Arc::new(small_service());
+        svc.enable_admission(AdmissionConfig::default());
+        let gap = GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600);
+        let Response::Batch(out) = svc
+            .handle(&Request::ImputeBatch {
+                gaps: vec![gap; 3],
+                provenance: false,
+            })
+            .unwrap()
+        else {
+            panic!("batch");
+        };
+        assert_eq!(out.stats.ok, 3);
+        let text = habit_obs::text::render(&svc.metrics().snapshot());
+        for row in [
+            "habit_admission_flushes_total 1\n",
+            "habit_admission_submissions_total 1\n",
+            "habit_admission_batch_size_count 1\n",
+            "habit_admission_batch_size_sum 3\n",
+            "habit_admission_queue_depth 0\n",
+        ] {
+            assert!(text.contains(row), "{row} missing from {text}");
+        }
+        assert_eq!(flush_causes(&svc), [("idle", 1)]);
+
+        // Sequential traffic never finds a pass in flight.
+        svc.handle(&Request::Impute {
+            gap,
+            provenance: false,
+        })
+        .unwrap();
+        assert_eq!(flush_causes(&svc), [("idle", 2)]);
+        svc.shutdown_admission();
+    }
+
+    /// A request that arrives while a pass is in flight waits for it,
+    /// then rides the flusher — with no window, the moment it ends —
+    /// byte-identical to the direct path.
+    #[test]
+    fn a_request_behind_a_pass_in_flight_is_flushed_when_it_ends() {
+        let svc = Arc::new(small_service());
+        svc.enable_admission(NO_WINDOW);
+        let impute = Request::Impute {
+            gap: GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600),
+            provenance: false,
+        };
+        let Response::Imputation(base) = small_service().handle(&impute).unwrap() else {
+            panic!("direct impute");
+        };
+
+        let queue = svc.admission_queue();
+        let in_flight = pass_in_flight(&queue);
+        std::thread::scope(|scope| {
+            let behind = scope.spawn(|| svc.handle(&impute));
+            wait_for_queue_depth(&svc, 1);
+            assert_eq!(flush_causes(&svc), [], "nothing runs under a held gate");
+            drop(in_flight);
+            let Ok(Response::Imputation(answered)) = behind.join().unwrap() else {
+                panic!("the queued request is answered");
+            };
+            assert_eq!(answered.points, base.points);
+            assert_eq!(answered.cost.to_bits(), base.cost.to_bits());
+        });
+        assert_eq!(flush_causes(&svc), [("queued", 1)]);
+        svc.shutdown_admission();
+    }
+
+    /// A pass-through that panics must not leave the gate shut: the
+    /// guard opens it on unwind and the next request is served.
+    #[test]
+    fn a_panic_under_the_admission_gate_leaves_the_service_answering() {
+        let svc = Arc::new(small_service());
+        svc.enable_admission(AdmissionConfig::default());
+        let queue = svc.admission_queue();
+        std::thread::scope(|scope| {
+            let panicker = scope.spawn(|| {
+                let _gate = queue.submit(&[GapQuery::new(0.0, 0.0, 0, 0.0, 0.0, 1)], false);
+                panic!("injected: a pass-through answer panics");
+            });
+            assert!(panicker.join().is_err());
+        });
+        let impute = Request::Impute {
+            gap: GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600),
+            provenance: false,
+        };
+        assert!(matches!(svc.handle(&impute), Ok(Response::Imputation(_))));
+        // … and it was served by passing through, not by a flusher
+        // that found the gate open again by luck.
+        assert_eq!(flush_causes(&svc), [("idle", 1)]);
+        svc.shutdown_admission();
     }
 
     /// One panic under a lock must not wedge the daemon: every lock of
@@ -1986,12 +2177,13 @@ mod tests {
                 Arc::new(svc)
             };
             let direct = fresh().handle(&impute).unwrap_err();
-            let queued_svc = fresh();
-            queued_svc.enable_admission(AdmissionConfig::default());
-            let queued = queued_svc.handle(&impute).unwrap_err();
-            queued_svc.shutdown_admission();
             assert_eq!(direct.code, expected);
-            assert_eq!(direct, queued);
+            // Passed through an idle queue, and behind a pass in flight.
+            let admitted = fresh();
+            admitted.enable_admission(AdmissionConfig::default());
+            assert_eq!(direct, admitted.handle(&impute).unwrap_err());
+            assert_eq!(direct, handle_queued(&admitted, &impute, 1).unwrap_err());
+            admitted.shutdown_admission();
         }
     }
 
@@ -2144,17 +2336,29 @@ mod tests {
                 gaps: queries,
                 provenance: false,
             };
+            let passed_through = Arc::new(fresh());
+            passed_through.enable_admission(AdmissionConfig::default());
             let queued = Arc::new(fresh());
             queued.enable_admission(AdmissionConfig::default());
-            for svc in [Arc::new(fresh()), Arc::clone(&queued)] {
-                let Response::Batch(served) = svc.handle(&request).unwrap() else {
+            for (svc, cause) in [
+                (Arc::new(fresh()), None),
+                (passed_through, Some("idle")),
+                (queued, Some("window")),
+            ] {
+                let response = match cause {
+                    Some("window") => handle_queued(&svc, &request, 7),
+                    _ => svc.handle(&request),
+                };
+                let Response::Batch(served) = response.unwrap() else {
                     panic!("batch");
                 };
                 assert_results_identical(&served.results, &alone.results);
                 assert_eq!(served.stats, alone.stats);
                 assert_eq!(served.cached_routes, alone.cached_routes);
+                let causes: Vec<_> = cause.map(|c| (c, 1)).into_iter().collect();
+                assert_eq!(flush_causes(&svc), causes);
+                svc.shutdown_admission();
             }
-            queued.shutdown_admission();
         });
     }
 

@@ -53,7 +53,7 @@ impl Serving {
         pool: &ThreadPool,
         provenance: bool,
         recorder: Option<&Recorder>,
-        op: &str,
+        op: &'static str,
     ) -> (
         Vec<Result<Imputation, BatchFailure>>,
         BatchStats,
