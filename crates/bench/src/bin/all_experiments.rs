@@ -1,6 +1,6 @@
-//! Runs every experiment (Tables 1–4, Figures 3–7, four ablations) and
-//! emits the consolidated report — the generator behind the committed
-//! `EXPERIMENTS.md` and `reports/*.json` baselines.
+//! Runs every experiment (Tables 1–4, Figures 3–7, four ablations,
+//! `fleet_scale`) and emits the consolidated report — the generator
+//! behind the committed `EXPERIMENTS.md` and `reports/*.json` baselines.
 //!
 //! ```text
 //! # Re-run everything; write reports/<id>.json + EXPERIMENTS.md:
@@ -18,7 +18,6 @@
 
 use eval::report::{render_experiments_md, ExperimentReport};
 use habit_bench::{reports, BinArgs};
-use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -35,7 +34,7 @@ fn main() -> ExitCode {
             eprintln!("error: --render-only needs --out-dir pointing at existing JSON reports");
             return ExitCode::from(2);
         };
-        match load_reports(dir) {
+        match habit_bench::load_reports(dir) {
             Ok(reports) => reports,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -84,16 +83,4 @@ fn main() -> ExitCode {
         None => print!("{md}"),
     }
     ExitCode::SUCCESS
-}
-
-/// Loads every canonical report from `<dir>/<id>.json`.
-fn load_reports(dir: &Path) -> Result<Vec<ExperimentReport>, String> {
-    let mut out = Vec::new();
-    for id in reports::EXPERIMENT_ORDER {
-        let path = dir.join(format!("{id}.json"));
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("could not read {}: {e}", path.display()))?;
-        out.push(ExperimentReport::from_json(&text).map_err(|e| e.to_string())?);
-    }
-    Ok(out)
 }

@@ -29,8 +29,8 @@ frequent path between the gap endpoints, then projecting cells back to
 coordinates with a data-driven median projection and RDP simplification.
 
 The workspace builds fully offline — external dependencies (`rand`,
-`proptest`, `criterion`) are vendored as API-compatible stubs under
-`vendor/`, and report/GeoJSON serialization is hand-rolled (no serde).
+`proptest`) are vendored as API-compatible stubs under `vendor/`, and
+report/GeoJSON serialization is hand-rolled (no serde).
 
 ## Architecture
 
@@ -41,7 +41,7 @@ re-exporting a prelude:
              ┌──────────────────────────────────────────────────┐
              │          habit — umbrella crate + prelude        │
              └──────────────────────────────────────────────────┘
- apps        habit-cli (`habit` binary)   habit-bench (19 experiment bins)
+ apps        habit-cli (`habit` binary)   habit-bench (15 experiment bins)
              habit-lint (workspace static analysis — see LINTS.md)
              ────────────────────────────────────────────────────
  facade      habit-service (typed request/response API, unified
@@ -87,7 +87,7 @@ re-exporting a prelude:
 | `crates/density` | traffic density maps and exports built on the same substrate |
 | `crates/eval` | experiment harness: DTW accuracy, gap cases, experiment runners, `ExperimentReport` |
 | `crates/cli` (`habit-cli`) | the `habit` command-line tool — thin adapters over `habit-service` |
-| `crates/bench` (`habit-bench`) | experiment binaries, criterion benches, report/README generators |
+| `crates/bench` (`habit-bench`) | experiment binaries, report/README generators |
 | `crates/lint` (`habit-lint`) | hand-rolled static analysis (lexer + scanner, no `syn`): the pinned L001–L005 registry enforcing determinism, unsafe-audit, and wire-taxonomy invariants |
 
 ## Quickstart
@@ -128,9 +128,7 @@ trip and vessel streams must not straddle the boundary). Lean v1 blobs
 (`fit` without `--save-state`) stay the default — smaller, read-only —
 and still load everywhere. The running daemon accepts the same
 operation over the wire (`{{"v":1,"op":"refit","input":"day2.csv"}}`)
-and hot-swaps the refitted model without dropping connections; the
-`incremental` experiment below reports refit-vs-full-fit wall clocks
-plus the byte-identity check.
+and hot-swaps the refitted model without dropping connections.
 
 ## The `habit` CLI
 
@@ -240,9 +238,7 @@ counters, a flush batch-size histogram, and
 `habit_admission_flush_cause_total{{cause=…}}` — each pass under why it
 ran when it did (`idle` passed through, `size` / `window` the two
 triggers, `queued` behind the pass before it with a zero window, `drain`
-at shutdown). The committed `throughput`
-report's concurrent-clients table tracks what coalescing buys at 1–16
-connections, cold and warm.
+at shutdown).
 
 ## Sharded serving — `habit-fleet`
 
@@ -344,20 +340,8 @@ cargo run -p habit-bench --release --bin all_experiments -- --out-dir reports/
 # Re-render EXPERIMENTS.md from the committed JSON without re-running:
 cargo run -p habit-bench --release --bin all_experiments -- --render-only --out-dir reports/
 
-# One experiment, e.g. Figure 5, the batched-serving throughput, or
-# the incremental-refit comparison (report id `incremental`):
+# One experiment, e.g. Figure 5:
 cargo run -p habit-bench --release --bin fig5
-cargo run -p habit-bench --release --bin throughput
-cargo run -p habit-bench --release --bin incremental_refit
-
-# CI perf tracking: fresh smoke-scale wall clocks vs the committed
-# baseline (reports/smoke/), failing on >2x regressions:
-cargo run -p habit-bench --release --bin perf_check -- \
-    --baseline reports/smoke --fresh /tmp/smoke-reports
-
-# Criterion micro-benchmarks (set CRITERION_SUMMARY_FILE=out.tsv for a
-# machine-readable name/min/med/mean-ns line per benchmark):
-cargo bench
 ```
 
 Each `reports/<id>.json` is a versioned `habit-experiment-report/v1`
@@ -371,6 +355,29 @@ for quick smoke runs, e.g. `HABIT_EVAL_SCALE=0.05`. Datasets are seeded
 synthetic analogues of the paper's real AIS feeds, so absolute numbers
 differ from the paper while the comparative shapes it argues from are
 preserved (see the paper-vs-reproduction table in `EXPERIMENTS.md`).
+
+## Performance
+
+Serving and fitting performance has one source:
+[`benchmark/`](benchmark/README.md), declared in
+[`BENCHMARK.json`](BENCHMARK.json). It drives the release `habit`
+binary as child processes and over real TCP, byte-checks every served
+line against an in-process reference, and reports end-to-end metrics
+with regression bounds plus per-layer probes. Four workloads:
+`serve_cold` (every request pays snap + A* + tail), `serve_hot`
+(cache-resident routes: wire, admission, tail, sockets), `batch_mixed`
+(256-gap `impute_batch`, half hot, half cold) and `fit_refit` (`habit
+fit --save-state`, then `habit refit` of a delta). One command per
+workload; the last stdout line is the result JSON:
+
+```sh
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload serve_hot --seed 7 --seconds 12 --trace 0
+```
+
+`EXPERIMENTS.md` makes no serving or fitting speed claim: only Tables 2
+and 4 there — the paper's own storage and latency comparison against
+GTI/SLI — are size or speed figures.
 
 ## Static analysis — `habit-lint`
 
@@ -485,6 +492,11 @@ mod tests {
             "t,lon,lat,kind,cell,from_cell,cell_msgs,edge_transitions,cost_share,confidence"
         ));
         assert!(md.contains("habit impute --model kiel.habit --provenance"));
+        // Performance points at the one instrument and nowhere else.
+        assert!(md.contains("## Performance"));
+        assert!(md.contains("benchmark/README.md"));
+        assert!(md.contains("BENCHMARK.json"));
+        assert!(!md.contains("cargo bench"));
         // All 17 crates appear in the table.
         for krate in [
             "geo-kernel",

@@ -1,4 +1,4 @@
-//! # habit-bench — the benchmark harness
+//! # habit-bench — the experiment harness
 //!
 //! One runnable binary per table/figure of the paper's evaluation
 //! (`cargo run -p habit-bench --release --bin <target>`):
@@ -18,12 +18,9 @@
 //! | `ablation_medians` | DESIGN.md §5 — exact vs P² medians, HLL precision |
 //! | `ablation_palmto`  | the paper's dropped competitor, reproduced |
 //! | `ablation_fleet`   | vessel-type conditioning (paper future work) |
-//! | `throughput`       | batched imputation serving via `habit-engine` (beyond the paper) |
-//! | `incremental`      | incremental refit vs from-scratch fit via the persistable `FitState` (beyond the paper) |
-//! | `route_bench`      | route-engine hot path: CSR + arena A* + in-place RDP vs the naive reference (beyond the paper) |
 //! | `fleet_scale`      | sharded serving via `habit-fleet`: per-shard blobs + seam-stitched routing vs single-blob (beyond the paper) |
 //! | `all_experiments`  | everything above; writes `reports/*.json` + `EXPERIMENTS.md` |
-//! | `perf_check`       | CI perf gate: fresh vs committed wall clocks (`--baseline`/`--fresh`) |
+//! | `gen_readme`       | regenerates `README.md` from [`docs`] (`--check` fails when stale) |
 //!
 //! Every binary builds a structured [`eval::ExperimentReport`] via
 //! [`reports`], prints its markdown, and with `--out-dir DIR` persists
@@ -32,7 +29,9 @@
 //! the checked-in JSON without re-running anything (the CI freshness
 //! check). [`docs`] generates `README.md` the same way (`gen_readme`).
 //!
-//! Criterion micro-benchmarks live in `benches/` (`cargo bench`).
+//! Serving and fitting *performance* is not measured here: the repo's
+//! benchmark (`benchmark/` + `BENCHMARK.json`) drives the real `habit`
+//! binary over TCP.
 //!
 //! Set `HABIT_EVAL_SCALE` (default 1.0) to shrink datasets for quick
 //! runs; seeds are fixed so outputs are reproducible.
@@ -106,6 +105,21 @@ pub fn write_report_json(report: &ExperimentReport, out_dir: &Path) -> std::io::
     let path = out_dir.join(format!("{}.json", report.id));
     std::fs::write(&path, report.to_json())?;
     Ok(path)
+}
+
+/// Loads every canonical report, `<dir>/<id>.json` for each id of
+/// [`reports::EXPERIMENT_ORDER`], in that order — the one reader behind
+/// `all_experiments --render-only` and the golden tests.
+pub fn load_reports(dir: &Path) -> Result<Vec<ExperimentReport>, String> {
+    reports::EXPERIMENT_ORDER
+        .iter()
+        .map(|id| {
+            let path = dir.join(format!("{id}.json"));
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("could not read {}: {e}", path.display()))?;
+            ExperimentReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+        })
+        .collect()
 }
 
 /// Shared `main` for single-experiment binaries: builds the report,

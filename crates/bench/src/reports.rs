@@ -17,21 +17,15 @@ use eval::report::{
     Provenance, ReportError, ReportSection,
 };
 use eval::Imputer;
-use geo_kernel::{
-    rdp_indices_reference, rdp_timed_in_place, resample_timed_max_spacing, GeoPoint, RdpScratch,
-    TimedPoint,
-};
-use habit_core::{
-    reference::Reference, GapQuery, HabitConfig, HabitModel, ServedBy, TypeModels,
-    TypeModelsConfig, WeightScheme,
-};
-use habit_engine::{fit_sharded, refit_model, BatchImputer, ThreadPool};
+use geo_kernel::GeoPoint;
+use habit_core::{GapQuery, HabitConfig, ServedBy, TypeModels, TypeModelsConfig, WeightScheme};
+use habit_engine::{fit_sharded, BatchImputer, ThreadPool};
 use habit_fleet::{fit_fleet, load_fleet, Dispatch, FleetRouter};
 use std::time::{Duration, Instant};
 
 /// Canonical experiment order: `reports/<id>.json` file stems and the
 /// section order of the generated `EXPERIMENTS.md`.
-pub const EXPERIMENT_ORDER: [&str; 17] = [
+pub const EXPERIMENT_ORDER: [&str; 14] = [
     "table1",
     "table2",
     "table3",
@@ -45,9 +39,6 @@ pub const EXPERIMENT_ORDER: [&str; 17] = [
     "ablation_medians",
     "ablation_palmto",
     "ablation_fleet",
-    "throughput",
-    "incremental",
-    "route_bench",
     "fleet_scale",
 ];
 
@@ -951,964 +942,6 @@ pub fn ablation_fleet_report(sar: &Bench, seed: u64) -> Result<ExperimentReport>
     })
 }
 
-/// Throughput — `habit-engine` batched imputation serving (KIEL).
-///
-/// Models a serving tick: every eligible KIEL test gap queried
-/// repeatedly (recurring corridor traffic), answered three ways — a
-/// sequential one-query-at-a-time loop (the pre-engine baseline), and
-/// `BatchImputer` batches at 1/2/4 threads with route dedup and a
-/// bounded LRU route cache. Also times and verifies the sharded fit.
-pub fn throughput_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
-    let t0 = Instant::now();
-    const REPEAT: usize = 40;
-    const CACHE: usize = 4096;
-    const TICKS: usize = 3;
-    const SHARDS: usize = 4;
-    let config = HabitConfig::with_r_t(9, 100.0);
-    let id = "throughput";
-
-    // -- Fit: sequential vs sharded (must be byte-identical).
-    let train_table = ais::trips_to_table(&kiel.train);
-    let fit_t0 = Instant::now();
-    let model = HabitModel::fit(&train_table, config)
-        .map_err(|e| ReportError::experiment(id, format!("sequential fit: {e}")))?;
-    let fit_seq_s = fit_t0.elapsed().as_secs_f64();
-    let pool4 = ThreadPool::new(4);
-    let fit_t1 = Instant::now();
-    let sharded = fit_sharded(&train_table, config, SHARDS, &pool4)
-        .map_err(|e| ReportError::experiment(id, format!("sharded fit: {e}")))?;
-    let fit_shard_s = fit_t1.elapsed().as_secs_f64();
-    let identical = sharded.to_bytes() == model.to_bytes();
-    if !identical {
-        return Err(ReportError::experiment(
-            id,
-            "sharded fit produced different model bytes than the sequential fit",
-        ));
-    }
-
-    // -- The serving stream: each gap case repeated REPEAT times with
-    //    shifted timestamps (routes recur; absolute time does not matter
-    //    to the search).
-    let cases = kiel.gap_cases(3600, seed);
-    if cases.is_empty() {
-        return Err(ReportError::experiment(id, "no gap cases on KIEL"));
-    }
-    let mut queries: Vec<GapQuery> = Vec::with_capacity(cases.len() * REPEAT);
-    for r in 0..REPEAT {
-        for case in &cases {
-            let mut q = case.query;
-            q.start.t += r as i64;
-            q.end.t += r as i64;
-            queries.push(q);
-        }
-    }
-
-    // -- Baseline: the pre-engine path, one query at a time.
-    let seq_t0 = Instant::now();
-    let mut seq_ok = 0usize;
-    for q in &queries {
-        if model.impute(q).is_ok() {
-            seq_ok += 1;
-        }
-    }
-    let seq_s = seq_t0.elapsed().as_secs_f64();
-    let seq_qps = queries.len() as f64 / seq_s.max(1e-9);
-    let model = std::sync::Arc::new(model);
-
-    // -- Batched serving at 1 / 2 / 4 threads (cold cache per run).
-    let mut table = MarkdownTable::new(vec![
-        "Mode",
-        "Threads",
-        "Queries",
-        "Imputed",
-        "Wall (s)",
-        "Queries/s",
-        "Speedup",
-    ])
-    .with_context(id);
-    table.row(vec![
-        "sequential impute()".to_string(),
-        "1".to_string(),
-        queries.len().to_string(),
-        seq_ok.to_string(),
-        fmt_s(seq_s),
-        format!("{seq_qps:.1}"),
-        "1.00x".to_string(),
-    ])?;
-    let mut speedup_at_4 = 0.0f64;
-    for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        let imputer = BatchImputer::new(std::sync::Arc::clone(&model), CACHE);
-        let b_t0 = Instant::now();
-        let (_, stats) = imputer.impute_batch(&queries, &pool);
-        let b_s = b_t0.elapsed().as_secs_f64();
-        let qps = queries.len() as f64 / b_s.max(1e-9);
-        let speedup = qps / seq_qps;
-        if threads == 4 {
-            speedup_at_4 = speedup;
-        }
-        table.row(vec![
-            "batch (dedup + cache)".to_string(),
-            threads.to_string(),
-            stats.queries.to_string(),
-            stats.ok.to_string(),
-            fmt_s(b_s),
-            format!("{qps:.1}"),
-            format!("{speedup:.2}x"),
-        ])?;
-    }
-
-    // -- Route cache across serving ticks: the same traffic arriving
-    //    again is answered from the LRU without any search.
-    let mut ticks = MarkdownTable::new(vec![
-        "Tick",
-        "Unique routes",
-        "Searched",
-        "Cache hits",
-        "Hit rate",
-        "Queries/s",
-    ])
-    .with_context(id);
-    let imputer = BatchImputer::new(std::sync::Arc::clone(&model), CACHE);
-    let mut warm_hit_rate = 0.0f64;
-    for tick in 1..=TICKS {
-        let tick_t0 = Instant::now();
-        let (_, stats) = imputer.impute_batch(&queries, &pool4);
-        let tick_s = tick_t0.elapsed().as_secs_f64();
-        let hit_rate = if stats.unique_routes > 0 {
-            stats.cache_hits as f64 / stats.unique_routes as f64 * 100.0
-        } else {
-            0.0
-        };
-        if tick == TICKS {
-            warm_hit_rate = hit_rate;
-        }
-        ticks.row(vec![
-            tick.to_string(),
-            stats.unique_routes.to_string(),
-            stats.routes_computed.to_string(),
-            stats.cache_hits.to_string(),
-            format!("{hit_rate:.1}%"),
-            format!("{:.1}", queries.len() as f64 / tick_s.max(1e-9)),
-        ])?;
-    }
-
-    // -- Concurrent clients: N client threads over one `Service` (the
-    //    exact facade the daemon serves), each issuing single-gap
-    //    `Impute` requests over the shared route set — the admission
-    //    layer coalescing them into shared engine flushes vs the
-    //    per-request direct path. Cold = first wave on a fresh service,
-    //    warm = second wave over the now-resident route cache.
-    let model_bytes = model.to_bytes();
-    // Every client sweeps the same corridor (overlapping routes — the
-    // recurring-traffic shape the daemon sees): the cold wave is one
-    // sweep per client over an empty cache, so concurrent connections
-    // ask for the same uncached routes at the same time; the warm waves
-    // repeat the sweep against the now-resident cache.
-    let cold_set: Vec<GapQuery> = queries[..cases.len() * 2.min(REPEAT)].to_vec();
-    let warm_set: Vec<GapQuery> = queries.clone();
-    let mut concurrent = MarkdownTable::new(vec![
-        "Clients",
-        "Direct cold q/s",
-        "Coalesced cold q/s",
-        "Cold speedup",
-        "Direct warm q/s",
-        "Coalesced warm q/s",
-        "Warm speedup",
-        "Warm vs 1-conn direct",
-    ])
-    .with_context(id);
-    let run_wave = |service: &std::sync::Arc<habit_service::Service>,
-                    clients: usize,
-                    per_client: &[GapQuery]|
-     -> f64 {
-        let barrier = std::sync::Barrier::new(clients);
-        let wall_s = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        barrier.wait();
-                        let t0 = Instant::now();
-                        for q in per_client {
-                            service
-                                .handle(&habit_service::Request::Impute {
-                                    gap: *q,
-                                    provenance: false,
-                                })
-                                .expect("serving impute");
-                        }
-                        t0.elapsed().as_secs_f64()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .fold(0.0f64, f64::max)
-        });
-        (per_client.len() * clients) as f64 / wall_s.max(1e-9)
-    };
-    let serve_cell = |clients: usize, coalesce: bool| -> Result<(f64, f64)> {
-        let svc = std::sync::Arc::new(habit_service::Service::with_model(
-            habit_service::ServiceConfig {
-                threads: 4,
-                cache_capacity: CACHE,
-            },
-            HabitModel::from_bytes(&model_bytes)
-                .map_err(|e| ReportError::experiment(id, format!("model round trip: {e}")))?,
-        ));
-        if coalesce {
-            // Flush at three quarters of the in-flight population so a
-            // flush never idles waiting for the last straggler to be
-            // rescheduled; the window is only the backstop.
-            svc.enable_admission(habit_service::AdmissionConfig {
-                batch_window_us: 100,
-                batch_max_gaps: (clients * 3 / 4).max(1),
-            });
-        }
-        let cold = run_wave(&svc, clients, &cold_set);
-        let warm = run_wave(&svc, clients, &warm_set);
-        svc.shutdown_admission();
-        Ok((cold, warm))
-    };
-    // Interleaved best-of-N rounds (the same discipline as
-    // `route_bench`): every cell is measured once per round, so
-    // machine-wide drift between cells cancels instead of landing on
-    // whichever cell ran last.
-    const CONCURRENT_ROUNDS: usize = 3;
-    let client_counts = [1usize, 2, 4, 8, 16, 32];
-    let mut cold_best = [[0.0f64; 2]; 6];
-    let mut warm_best = [[0.0f64; 2]; 6];
-    for _round in 0..CONCURRENT_ROUNDS {
-        for (ci, &clients) in client_counts.iter().enumerate() {
-            for (mi, coalesce) in [false, true].into_iter().enumerate() {
-                let (cold, warm) = serve_cell(clients, coalesce)?;
-                cold_best[ci][mi] = cold_best[ci][mi].max(cold);
-                warm_best[ci][mi] = warm_best[ci][mi].max(warm);
-            }
-        }
-    }
-    let direct_warm_1conn = warm_best[0][0];
-    let mut best_cold_speedup = (0usize, 0.0f64);
-    let mut best_warm_vs_1conn = (0usize, 0.0f64);
-    for (ci, &clients) in client_counts.iter().enumerate() {
-        let (direct_cold, coalesced_cold) = (cold_best[ci][0], cold_best[ci][1]);
-        let (direct_warm, coalesced_warm) = (warm_best[ci][0], warm_best[ci][1]);
-        let cold_speedup = coalesced_cold / direct_cold.max(1e-9);
-        let warm_speedup = coalesced_warm / direct_warm.max(1e-9);
-        // The headline ratio the issue asks for: coalesced concurrent
-        // throughput against the one-connection-at-a-time direct path.
-        let warm_vs_1conn = coalesced_warm / direct_warm_1conn.max(1e-9);
-        if clients >= 4 && cold_speedup > best_cold_speedup.1 {
-            best_cold_speedup = (clients, cold_speedup);
-        }
-        if clients >= 4 && warm_vs_1conn > best_warm_vs_1conn.1 {
-            best_warm_vs_1conn = (clients, warm_vs_1conn);
-        }
-        concurrent.row(vec![
-            clients.to_string(),
-            format!("{direct_cold:.1}"),
-            format!("{coalesced_cold:.1}"),
-            format!("{cold_speedup:.2}x"),
-            format!("{direct_warm:.1}"),
-            format!("{coalesced_warm:.1}"),
-            format!("{warm_speedup:.2}x"),
-            format!("{warm_vs_1conn:.2}x"),
-        ])?;
-    }
-
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut concurrent_section = ReportSection::titled(
-        "Concurrent clients — admission coalescing vs per-request direct path",
-        concurrent,
-    );
-    concurrent_section.notes.push(format!(
-        "Each client thread drives single-gap `Impute` requests through one shared \
-         `habit_service::Service` — the same facade `habit serve` answers from — and every \
-         client sweeps the same route set (recurring corridor traffic). Coalesced cells enable \
-         the daemon's admission layer (window 100 µs, flush at 3N/4 gaps so a flush never \
-         idles on the last straggler), so concurrent \
-         requests share one dedup + route-cache engine pass per flush; direct cells pay one \
-         engine pass per request. Answers are byte-identical either way (pinned by the \
-         service/engine suites and the serve e2e). Every cell is the best of \
-         {CONCURRENT_ROUNDS} interleaved rounds on a fresh service (cold = first sweep, \
-         warm = a full repeat sweep over the resident cache)."
-    ));
-    concurrent_section.notes.push(format!(
-        "The cold column is where coalescing earns its keep: concurrent connections asking for \
-         the same not-yet-cached route are deduplicated into a single A* search per flush, \
-         while the direct path lets every connection that misses race its own search. On a warm \
-         cache every request is an LRU hit either way, so what coalescing amortizes is the \
-         per-pass engine overhead — the last column compares against the issue's baseline, \
-         the one-connection-at-a-time direct path, and grows with concurrency as flushes get \
-         fuller. Same-concurrency warm ratios carry the coalesced path's two extra context \
-         switches per request (queue + wake) undiluted; this host exposes {cores} core(s), and \
-         with more cores the shared flush also parallelizes across the engine pool, which the \
-         direct single-gap path cannot."
-    ));
-    let mut fit_section = ReportSection::titled("Sharded fit", {
-        let mut fit_table = MarkdownTable::new(vec![
-            "Fit path",
-            "Shards",
-            "Wall (s)",
-            "Model bytes identical",
-        ])
-        .with_context(id);
-        fit_table.row(vec![
-            "sequential".to_string(),
-            "1".to_string(),
-            fmt_s(fit_seq_s),
-            "-".to_string(),
-        ])?;
-        fit_table.row(vec![
-            "sharded (4 threads)".to_string(),
-            SHARDS.to_string(),
-            fmt_s(fit_shard_s),
-            "yes".to_string(),
-        ])?;
-        fit_table
-    });
-    fit_section.notes.push(format!(
-        "Host exposes {cores} core(s); on a single-core host the batch speedup comes from \
-         route dedup and caching, and thread scaling is expected to be flat. The byte-identical \
-         check means sharding is a pure execution detail: same model, any parallelism."
-    ));
-
-    Ok(ExperimentReport {
-        id: id.into(),
-        title: "Throughput — batched imputation serving [KIEL]".into(),
-        paper_ref: "Table 4 scaled out (beyond the paper)".into(),
-        paper_expected: "The paper reports sub-millisecond single-query latency; a serving layer \
-                         should multiply that into batch throughput: deduplicating identical \
-                         cell-pair searches and caching routes must beat the one-query-at-a-time \
-                         loop by ≥2x on recurring traffic, without changing any answer."
-            .into(),
-        reproduction: format!(
-            "Batch at 4 threads reached {speedup_at_4:.2}x the sequential throughput \
-             ({} queries over {} routes); warm-cache ticks hit {warm_hit_rate:.0}% of routes in \
-             the LRU; admission coalescing at {} concurrent connections served {:.2}x the \
-             single-connection per-request throughput on a warm cache and {:.2}x the \
-             same-concurrency direct path on a cold cache at {} connections \
-             (cross-connection dedup); sharded fit byte-identical: {identical}.",
-            queries.len(),
-            cases.len(),
-            best_warm_vs_1conn.0,
-            best_warm_vs_1conn.1,
-            best_cold_speedup.1,
-            best_cold_speedup.0,
-        ),
-        params: vec![
-            param("repeat", REPEAT),
-            param("ticks", TICKS),
-            param("threads", "1|2|4"),
-            param("clients", "1|2|4|8|16|32"),
-            param("concurrent_rounds", CONCURRENT_ROUNDS),
-            param("batch_window_us", 100),
-            param("cache_entries", CACHE),
-            param("shards", SHARDS),
-            param("gap_s", 3600),
-            param("seed", seed),
-        ],
-        sections: vec![
-            ReportSection::titled("Serving throughput (cold cache per run)", table),
-            ReportSection::titled("Route cache across serving ticks (4 threads)", ticks),
-            concurrent_section,
-            fit_section,
-        ],
-        provenance: provenance(seed, t0),
-    })
-}
-
-/// Incremental refit — persistable `FitState` vs from-scratch fit (KIEL).
-///
-/// Models the production "absorb a new day of trips" loop the daemon's
-/// `refit` operation serves: the KIEL training trips are split into a
-/// fitted history and a delta of the newest trips (by trip id, so the
-/// split respects whole-trip boundaries), the history's fit state is
-/// what a `fit --save-state` blob embeds, and the delta merges in
-/// through `habit_engine::refit_model`. For each delta fraction the
-/// refit wall-clock is compared against a from-scratch sharded fit over
-/// history ∪ delta, and the refitted model's full (state-embedding)
-/// serialization is checked **byte-identical** to the from-scratch one
-/// — the same contract the engine's property tests pin at small scale.
-pub fn incremental_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
-    let t0 = Instant::now();
-    let id = "incremental";
-    const SHARDS: usize = 4;
-    let config = HabitConfig::with_r_t(9, 100.0);
-    let pool = ThreadPool::new(4);
-
-    let mut trips = kiel.train.clone();
-    if trips.len() < 2 {
-        return Err(ReportError::experiment(
-            id,
-            "need at least 2 KIEL trips to split into history and delta",
-        ));
-    }
-    // Newest trips (highest ids) form the delta — "the new day".
-    trips.sort_by_key(|t| t.trip_id);
-    let union_table = ais::trips_to_table(&trips);
-
-    let fit_err = |e: habit_core::HabitError| ReportError::experiment(id, format!("fit: {e}"));
-    // Reference: one from-scratch sharded fit over everything.
-    let full_t0 = Instant::now();
-    let full = fit_sharded(&union_table, config, SHARDS, &pool).map_err(fit_err)?;
-    let full_s = full_t0.elapsed().as_secs_f64();
-    let full_bytes = full.to_bytes_full();
-    let state_bytes = full.state().map_or(0, |s| s.storage_bytes());
-
-    let mut table = MarkdownTable::new(vec![
-        "Delta",
-        "Delta trips",
-        "Delta reports",
-        "Fit history (s)",
-        "Refit delta (s)",
-        "Full fit (s)",
-        "Refit speedup",
-        "Byte-identical",
-    ])
-    .with_context(id);
-
-    let mut speedup_at_10 = 0.0f64;
-    let mut refit_s_at_10 = 0.0f64;
-    let mut all_identical = true;
-    for delta_frac in [0.05f64, 0.10, 0.20] {
-        let delta_n =
-            ((trips.len() as f64 * delta_frac).round() as usize).clamp(1, trips.len() - 1);
-        let split = trips.len() - delta_n;
-        let history_table = ais::trips_to_table(&trips[..split]);
-        let delta_table = ais::trips_to_table(&trips[split..]);
-        let delta_reports = delta_table.num_rows();
-
-        // Setup: the saved state a production system would already hold.
-        let hist_t0 = Instant::now();
-        let history_model = fit_sharded(&history_table, config, SHARDS, &pool).map_err(fit_err)?;
-        let hist_s = hist_t0.elapsed().as_secs_f64();
-
-        // The measured operation: absorb the delta and re-finalize.
-        let refit_t0 = Instant::now();
-        let (refitted, outcome) =
-            refit_model(&history_model, &delta_table, SHARDS, &pool).map_err(fit_err)?;
-        let refit_s = refit_t0.elapsed().as_secs_f64();
-
-        let identical = refitted.to_bytes_full() == full_bytes;
-        all_identical &= identical;
-        let speedup = full_s / refit_s.max(1e-9);
-        if (delta_frac - 0.10).abs() < 1e-9 {
-            speedup_at_10 = speedup;
-            refit_s_at_10 = refit_s;
-        }
-        table.row(vec![
-            format!("{:.0}%", delta_frac * 100.0),
-            outcome.trips_added.to_string(),
-            delta_reports.to_string(),
-            fmt_s(hist_s),
-            fmt_s(refit_s),
-            fmt_s(full_s),
-            format!("{speedup:.2}x"),
-            if identical { "yes" } else { "NO" }.to_string(),
-        ])?;
-    }
-    if !all_identical {
-        return Err(ReportError::experiment(
-            id,
-            "a refitted model diverged byte-wise from the from-scratch fit",
-        ));
-    }
-    // The headline contract: refitting a small delta must beat the
-    // from-scratch fit. Only enforced above a noise floor — at smoke
-    // scale (HABIT_EVAL_SCALE ≈ 0.05) both sides are sub-millisecond
-    // and pure scheduler jitter would decide the comparison.
-    if refit_s_at_10 >= full_s && full_s > 0.05 {
-        return Err(ReportError::experiment(
-            id,
-            format!(
-                "refit of the 10% delta ({refit_s_at_10:.3}s) was not faster than the full fit \
-                 ({full_s:.3}s) — the incremental seam regressed"
-            ),
-        ));
-    }
-
-    let mut storage = MarkdownTable::new(vec!["Artifact", "Bytes"]).with_context(id);
-    storage.row(vec![
-        "model blob (lean v1: graph only)".to_string(),
-        full.to_bytes().len().to_string(),
-    ])?;
-    storage.row(vec![
-        "embedded fit state (HFS1)".to_string(),
-        state_bytes.to_string(),
-    ])?;
-    storage.row(vec![
-        "refittable blob (v2 container)".to_string(),
-        full_bytes.len().to_string(),
-    ])?;
-    let mut storage_section = ReportSection::titled("Fit-state storage cost", storage);
-    storage_section.notes.push(
-        "The fit state keeps every accumulator (median buffers, HLL registers) and so \
-         dwarfs the finalized graph — the price of absorbing deltas without re-scanning \
-         history. `fit` writes the lean v1 blob by default; `fit --save-state` opts into \
-         the v2 container."
-            .to_string(),
-    );
-
-    Ok(ExperimentReport {
-        id: id.into(),
-        title: "Incremental refit — persistable fit state vs full refit [KIEL]".into(),
-        paper_ref: "§3.2 graph generation, operationalized (beyond the paper)".into(),
-        paper_expected: "The paper rebuilds the habit graph from the full AIS history; a \
-                         production daemon must absorb each new day of trips without \
-                         re-scanning months of data, and the shortcut must not change the \
-                         model by a single byte."
-            .into(),
-        reproduction: format!(
-            "Refitting a 10% delta took {} vs {} for the from-scratch fit ({speedup_at_10:.1}x \
-             faster); every refitted model was byte-identical to the full fit, state included.",
-            fmt_s(refit_s_at_10),
-            fmt_s(full_s),
-        ),
-        params: vec![
-            param("r", 9),
-            param("t_m", 100),
-            param("delta_frac", "5%|10%|20%"),
-            param("shards", SHARDS),
-            param("threads", 4),
-            param("seed", seed),
-        ],
-        sections: vec![
-            ReportSection::titled("Refit vs full fit (wall clock)", table),
-            storage_section,
-        ],
-        provenance: provenance(seed, t0),
-    })
-}
-
-/// Route-engine hot path — CSR + arena A* + in-place RDP vs the
-/// retained naive reference (KIEL).
-///
-/// ISSUE 7 tentpole experiment. The serving path (`impute` →
-/// `route_between` on the frozen [`CsrGraph`] with a pooled
-/// `SearchArena`, tail simplification via `rdp_timed_in_place` with a
-/// pooled scratch) is benchmarked stage by stage against the naive
-/// oracle in [`habit_core::reference`] (per-query A* on a pointer
-/// `DiGraph` thawed from the model's bytes, with per-call `Vec`
-/// allocations; recursive sub-path-cloning `rdp_indices_reference`).
-/// Before any timing, every gap case is
-/// answered by both paths and checked **byte-identical** — cells, cost
-/// bits, expanded count, and every output point — at any scale, so the
-/// CI smoke run exercises the equivalence even when the timings are
-/// noise.
-///
-/// The speed contract is shaped by that byte-identity pin: both search
-/// backends are forced to settle nodes in exactly the same sequence, so
-/// the route-search stage can only win per-visit constants over a naive
-/// reference that already runs dense-array A* on a std binary heap. The
-/// structural win lands on the impute *tail* (projection + timestamps +
-/// RDP, the part the engine replays per query over cached routes),
-/// where the in-place kernel replaces recursive sub-path cloning. The
-/// full-scale committed run therefore enforces a ≥2x tail speedup plus
-/// a no-regression floor on full end-to-end impute, above noise floors;
-/// all timings are min-of-N sweeps.
-///
-/// [`CsrGraph`]: mobgraph::CsrGraph
-pub fn route_bench_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
-    let t0 = Instant::now();
-    let id = "route_bench";
-    const REPEAT: usize = 30;
-    const RDP_REPEAT: usize = 30;
-    const RDP_SPACING_M: f64 = 25.0;
-    let config = HabitConfig::with_r_t(9, 100.0);
-    let tol_m = config.rdp_tolerance_m;
-
-    let train_table = ais::trips_to_table(&kiel.train);
-    let model = HabitModel::fit(&train_table, config)
-        .map_err(|e| ReportError::experiment(id, format!("fit: {e}")))?;
-    let cases = kiel.gap_cases(3600, seed);
-    if cases.is_empty() {
-        return Err(ReportError::experiment(id, "no gap cases on KIEL"));
-    }
-
-    // -- Equivalence gate (runs at any scale, including CI smoke): the
-    //    hot path must answer every query byte-identically to the naive
-    //    reference before its speed means anything.
-    let reference = Reference::thaw(&model);
-    let mut imputable = 0usize;
-    for case in &cases {
-        match (model.impute(&case.query), reference.impute(&case.query)) {
-            (Ok(fast), Ok(naive)) => {
-                let identical = fast.cells == naive.cells
-                    && fast.cost.to_bits() == naive.cost.to_bits()
-                    && fast.expanded == naive.expanded
-                    && fast.raw_point_count == naive.raw_point_count
-                    && fast.points.len() == naive.points.len()
-                    && fast.points.iter().zip(&naive.points).all(|(a, b)| {
-                        a.pos.lon.to_bits() == b.pos.lon.to_bits()
-                            && a.pos.lat.to_bits() == b.pos.lat.to_bits()
-                            && a.t == b.t
-                    });
-                if !identical {
-                    return Err(ReportError::experiment(
-                        id,
-                        format!(
-                            "hot path diverged byte-wise from the naive reference on trip {}",
-                            case.trip_id
-                        ),
-                    ));
-                }
-                imputable += 1;
-            }
-            (Err(_), Err(_)) => {}
-            (fast, naive) => {
-                return Err(ReportError::experiment(
-                    id,
-                    format!(
-                        "outcome drift on trip {}: hot path ok={} vs naive ok={}",
-                        case.trip_id,
-                        fast.is_ok(),
-                        naive.is_ok()
-                    ),
-                ));
-            }
-        }
-    }
-    if imputable == 0 {
-        return Err(ReportError::experiment(
-            id,
-            "no imputable gap cases to compare",
-        ));
-    }
-
-    // Interleaved min-of-N sweep timer: each round times one naive
-    // sweep then one hot sweep over the full case set, and each side
-    // keeps its best round. Taking minima defeats scheduler and
-    // frequency jitter (round-to-round wall clock swings ±30% on a
-    // shared box); interleaving defeats the slower systematic drift —
-    // if the machine speeds up halfway through, both sides see it
-    // instead of whichever happened to be timed second.
-    fn best_pair(rounds: usize, mut naive: impl FnMut(), mut hot: impl FnMut()) -> (f64, f64) {
-        let (mut best_naive, mut best_hot) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..rounds {
-            let t = Instant::now();
-            naive();
-            best_naive = best_naive.min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            hot();
-            best_hot = best_hot.min(t.elapsed().as_secs_f64());
-        }
-        (best_naive, best_hot)
-    }
-
-    // -- Stage 1: route search. Endpoints snapped once up front so the
-    //    timings isolate A* (CSR + pooled arena + baked edge records vs
-    //    pointer graph with three O(n) Vec allocations per call).
-    let mut pairs = Vec::new();
-    for case in &cases {
-        if let (Ok((s, _)), Ok((g, _))) = (
-            model.snap(&case.query.start.pos),
-            model.snap(&case.query.end.pos),
-        ) {
-            pairs.push((s, g));
-        }
-    }
-    if pairs.is_empty() {
-        return Err(ReportError::experiment(id, "no snappable cell pairs"));
-    }
-    let mut naive_cost = 0.0f64;
-    let mut fast_cost = 0.0f64;
-    let mut fast_expanded = 0usize;
-    let (search_naive_s, search_fast_s) = best_pair(
-        REPEAT,
-        || {
-            for &(s, g) in &pairs {
-                if let Ok(r) = reference.route_between(s, g) {
-                    naive_cost += r.cost;
-                }
-            }
-        },
-        || {
-            for &(s, g) in &pairs {
-                if let Ok(r) = model.route_between(s, g) {
-                    fast_cost += r.cost;
-                    fast_expanded += r.expanded;
-                }
-            }
-        },
-    );
-    if naive_cost.to_bits() != fast_cost.to_bits() {
-        return Err(ReportError::experiment(
-            id,
-            "accumulated route costs differ between backends",
-        ));
-    }
-
-    // -- Stage 2: trajectory simplification on dense vessel polylines
-    //    (ground-truth gap interiors resampled to 25 m spacing, the
-    //    density regime where RDP does real pruning work against the
-    //    100 m tolerance). Both sides pay one buffer copy per path —
-    //    the reference clones positions out of the timed points exactly
-    //    as the old tail did; the kernel clones the timed points to
-    //    simplify them in place.
-    let dense: Vec<Vec<TimedPoint>> = cases
-        .iter()
-        .map(|c| resample_timed_max_spacing(&c.truth, RDP_SPACING_M))
-        .filter(|p| p.len() >= 3)
-        .collect();
-    if dense.is_empty() {
-        return Err(ReportError::experiment(
-            id,
-            "no dense polylines for the RDP stage",
-        ));
-    }
-    let mut ref_kept = 0usize;
-    let mut fast_kept = 0usize;
-    let mut scratch = RdpScratch::new();
-    let (rdp_naive_s, rdp_fast_s) = best_pair(
-        RDP_REPEAT,
-        || {
-            for path in &dense {
-                let positions: Vec<GeoPoint> = path.iter().map(|p| p.pos).collect();
-                ref_kept += rdp_indices_reference(&positions, tol_m).len();
-            }
-        },
-        || {
-            for path in &dense {
-                let mut pts = path.clone();
-                rdp_timed_in_place(&mut pts, tol_m, &mut scratch);
-                fast_kept += pts.len();
-            }
-        },
-    );
-    if ref_kept != fast_kept {
-        return Err(ReportError::experiment(
-            id,
-            "RDP kept-vertex totals differ between the kernel and the reference",
-        ));
-    }
-
-    // -- Stage 3: the impute tail end to end — projection, timestamp
-    //    allocation, and RDP exactly as the engine replays a cached
-    //    route for each query. Routes are resolved once up front; the
-    //    two sides then run the retained naive tail (recursive
-    //    sub-path-cloning RDP) vs the in-place kernel over them.
-    let mut tail_inputs = Vec::new();
-    for case in &cases {
-        if let (Ok((s, _)), Ok((g, _))) = (
-            model.snap(&case.query.start.pos),
-            model.snap(&case.query.end.pos),
-        ) {
-            if let Ok(route) = model.route_between(s, g) {
-                tail_inputs.push((&case.query, route, s, g));
-            }
-        }
-    }
-    if tail_inputs.is_empty() {
-        return Err(ReportError::experiment(
-            id,
-            "no resolved routes for the tail stage",
-        ));
-    }
-    // The tail is microseconds per call, so each sweep replays the case
-    // set TAIL_INNER times to push the sweep into a robustly timeable
-    // range (a couple of ms) before min-of-N picks the best sweep.
-    const TAIL_INNER: usize = 20;
-    let mut tail_naive_pts = 0usize;
-    let mut tail_fast_pts = 0usize;
-    let (tail_naive_s, tail_fast_s) = best_pair(
-        REPEAT,
-        || {
-            for _ in 0..TAIL_INNER {
-                for (gap, route, s, g) in &tail_inputs {
-                    tail_naive_pts += reference
-                        .imputation_from_route(gap, route, *s, *g)
-                        .points
-                        .len();
-                }
-            }
-        },
-        || {
-            for _ in 0..TAIL_INNER {
-                for (gap, route, s, g) in &tail_inputs {
-                    tail_fast_pts += model.imputation_from_route(gap, route, *s, *g).points.len();
-                }
-            }
-        },
-    );
-    if tail_naive_pts != tail_fast_pts {
-        return Err(ReportError::experiment(
-            id,
-            "imputed point totals differ between the tail backends",
-        ));
-    }
-
-    // -- Stage 4: end-to-end imputation, the serving hot path as the
-    //    engine and daemon call it.
-    let mut naive_ok = 0usize;
-    let mut fast_ok = 0usize;
-    let (e2e_naive_s, e2e_fast_s) = best_pair(
-        REPEAT,
-        || {
-            for case in &cases {
-                if reference.impute(&case.query).is_ok() {
-                    naive_ok += 1;
-                }
-            }
-        },
-        || {
-            for case in &cases {
-                if model.impute(&case.query).is_ok() {
-                    fast_ok += 1;
-                }
-            }
-        },
-    );
-    if naive_ok != fast_ok {
-        return Err(ReportError::experiment(
-            id,
-            "imputation success counts differ between backends",
-        ));
-    }
-
-    let speedup = |naive: f64, fast: f64| naive / fast.max(1e-9);
-    let tail_speedup = speedup(tail_naive_s, tail_fast_s);
-    let e2e_speedup = speedup(e2e_naive_s, e2e_fast_s);
-    // The headline contract, enforced only on the full-scale committed
-    // run and above noise floors (at smoke scale both sides finish in
-    // microseconds and jitter would decide it): the reworked impute
-    // tail must beat the retained naive tail by ≥2x end to end, and the
-    // full impute must not regress. Route search is deliberately NOT
-    // gated at 2x: byte-identity pins both backends to the same settle
-    // sequence, so against a reference that already runs dense-array A*
-    // on a std binary heap only constant-factor per-visit wins exist
-    // there.
-    if experiments::eval_scale() >= 1.0 {
-        if tail_naive_s > 5e-4 && tail_speedup < 2.0 {
-            return Err(ReportError::experiment(
-                id,
-                format!(
-                    "impute-tail speedup {tail_speedup:.2}x fell below the 2x contract \
-                     (naive {tail_naive_s:.5}s vs hot {tail_fast_s:.5}s per sweep)"
-                ),
-            ));
-        }
-        if e2e_naive_s > 0.001 && e2e_speedup < 0.9 {
-            return Err(ReportError::experiment(
-                id,
-                format!(
-                    "end-to-end impute regressed: {e2e_speedup:.2}x \
-                     (naive {e2e_naive_s:.4}s vs hot {e2e_fast_s:.4}s per sweep)"
-                ),
-            ));
-        }
-    }
-
-    let mut table = MarkdownTable::new(vec![
-        "Stage",
-        "Naive path",
-        "Hot path",
-        "Calls/sweep",
-        "Naive (s)",
-        "Hot (s)",
-        "Speedup",
-    ])
-    .with_context(id);
-    table.row(vec![
-        "route search".to_string(),
-        "DiGraph A*, per-call Vecs".to_string(),
-        "CSR A*, arena + baked edges".to_string(),
-        pairs.len().to_string(),
-        fmt_s(search_naive_s),
-        fmt_s(search_fast_s),
-        format!("{:.2}x", speedup(search_naive_s, search_fast_s)),
-    ])?;
-    table.row(vec![
-        "RDP simplification".to_string(),
-        "recursive, clones sub-paths".to_string(),
-        "iterative, in-place".to_string(),
-        dense.len().to_string(),
-        fmt_s(rdp_naive_s),
-        fmt_s(rdp_fast_s),
-        format!("{:.2}x", speedup(rdp_naive_s, rdp_fast_s)),
-    ])?;
-    table.row(vec![
-        "impute tail".to_string(),
-        "project + naive RDP".to_string(),
-        "project + in-place RDP".to_string(),
-        (tail_inputs.len() * TAIL_INNER).to_string(),
-        fmt_s(tail_naive_s),
-        fmt_s(tail_fast_s),
-        format!("{tail_speedup:.2}x"),
-    ])?;
-    table.row(vec![
-        "end-to-end impute".to_string(),
-        "impute_naive()".to_string(),
-        "impute()".to_string(),
-        cases.len().to_string(),
-        fmt_s(e2e_naive_s),
-        fmt_s(e2e_fast_s),
-        format!("{e2e_speedup:.2}x"),
-    ])?;
-    let mut stage_section = ReportSection::titled("Stage-by-stage wall clock", table);
-    stage_section.notes.push(format!(
-        "Before timing, all {} gap cases ({imputable} imputable) were answered by both paths \
-         and checked byte-identical: cells, cost bits, A* expansion counts, and every output \
-         point. The speedup is a pure execution-plan change — the frontier order (estimate, \
-         descending path cost, external node id) is a strict total order, so both backends \
-         settle nodes in exactly the same sequence.",
-        cases.len(),
-    ));
-    stage_section.notes.push(
-        "That pin is also why route search sits near parity: the naive reference already \
-         runs dense-array A* over a std binary heap, so with identical expansions the \
-         CSR/arena/baked-edge kernel can only save per-visit constants (hash lookup, cell \
-         decode, ln, allocation), not search work. The structural win is in the tail, \
-         where the in-place RDP kernel replaces recursion that clones a sub-path per level."
-            .to_string(),
-    );
-    stage_section.notes.push(format!(
-        "Each timing is the best of {REPEAT} sweep rounds over the full case set, with \
-         naive and hot sweeps interleaved within each round (min-of-N per side): minima \
-         defeat scheduler/frequency jitter, interleaving defeats drift between the two \
-         timed blocks. Workload: graph of {} nodes / {} edges; the route stage settled {} nodes per \
-         search on average (identical on both backends by construction).",
-        model.csr().node_count(),
-        model.csr().edge_count(),
-        fast_expanded / (pairs.len() * REPEAT).max(1),
-    ));
-
-    Ok(ExperimentReport {
-        id: id.into(),
-        title: "Route engine — CSR + arena A* + in-place RDP vs naive path [KIEL]".into(),
-        paper_ref: "§3.3 routing + §3.4 simplification, engineered (beyond the paper)".into(),
-        paper_expected: "The paper's imputation tail — A* over the habit graph, then \
-                         projection and RDP simplification — is specified in textbook form. \
-                         Reworking it (frozen CSR with baked per-edge costs, pooled search \
-                         arena, iterative in-place RDP) must not change a single output byte; \
-                         under that pin the search stage can only win constants, so the \
-                         contract is a ≥2x speedup on the impute tail with no end-to-end \
-                         regression."
-            .into(),
-        reproduction: format!(
-            "The reworked impute tail ran {tail_speedup:.2}x faster than the retained naive \
-             tail (RDP kernel alone {:.2}x, route search {:.2}x, full impute {e2e_speedup:.2}x \
-             per sweep), with every answer byte-identical across {imputable} imputable gap \
-             cases.",
-            speedup(rdp_naive_s, rdp_fast_s),
-            speedup(search_naive_s, search_fast_s),
-        ),
-        params: vec![
-            param("r", 9),
-            param("t_m", tol_m),
-            param("repeat", REPEAT),
-            param("rdp_repeat", RDP_REPEAT),
-            param("rdp_spacing_m", RDP_SPACING_M),
-            param("gap_s", 3600),
-            param("seed", seed),
-        ],
-        sections: vec![stage_section],
-        provenance: provenance(seed, t0),
-    })
-}
-
 /// Fleet scale — sharded serving via `habit-fleet` (KIEL).
 ///
 /// Fits the KIEL model as a fleet of per-shard blobs at 1/2/4/8 shards
@@ -2207,12 +1240,6 @@ pub fn all_reports(seed: u64) -> Result<Vec<ExperimentReport>> {
     log("ablation_palmto", &t0);
     out.push(ablation_fleet_report(&sar, seed)?);
     log("ablation_fleet", &t0);
-    out.push(throughput_report(&kiel, seed)?);
-    log("throughput", &t0);
-    out.push(incremental_report(&kiel, seed)?);
-    log("incremental", &t0);
-    out.push(route_bench_report(&kiel, seed)?);
-    log("route_bench", &t0);
     out.push(fleet_scale_report(&kiel, seed)?);
     log("fleet_scale", &t0);
 

@@ -20,17 +20,8 @@ fn repo_root() -> PathBuf {
 }
 
 fn committed_reports() -> Vec<ExperimentReport> {
-    let dir = repo_root().join("reports");
-    EXPERIMENT_ORDER
-        .iter()
-        .map(|id| {
-            let path = dir.join(format!("{id}.json"));
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing baseline {}: {e}", path.display()));
-            ExperimentReport::from_json(&text)
-                .unwrap_or_else(|e| panic!("unparsable baseline {id}: {e}"))
-        })
-        .collect()
+    habit_bench::load_reports(&repo_root().join("reports"))
+        .unwrap_or_else(|e| panic!("committed baseline: {e}"))
 }
 
 #[test]
@@ -48,6 +39,30 @@ fn committed_baselines_cover_every_experiment() {
             "{id}: wall clock provenance"
         );
     }
+    // The directory holds exactly the registry plus the lint report:
+    // `--render-only` reads by id, so an orphaned file or directory
+    // would otherwise sit there unnoticed.
+    let mut expected: Vec<String> = EXPERIMENT_ORDER
+        .iter()
+        .map(|id| format!("{id}.json"))
+        .chain(["lint.json".to_string()])
+        .collect();
+    expected.sort();
+    let mut found: Vec<String> = std::fs::read_dir(repo_root().join("reports"))
+        .expect("reports/ lists")
+        .map(|entry| {
+            let entry = entry.expect("reports/ entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            // A directory can never equal an expected file name.
+            if entry.path().is_dir() {
+                name + "/"
+            } else {
+                name
+            }
+        })
+        .collect();
+    found.sort();
+    assert_eq!(found, expected, "reports/ must hold exactly the registry");
 }
 
 #[test]

@@ -9,10 +9,10 @@
 //! exactly what a saved blob would hold, through none of the frozen
 //! arrays, baked edge records, arenas or scratch the product uses.
 //!
-//! Consumers are the equivalence tests, `route_bench` and the
-//! `route_stages` criterion bench. Nothing under `habit-cli`,
-//! `habit-service`, `habit-engine` or `habit-fleet` may reach for it
-//! (CI greps), and it is in no prelude.
+//! Consumers are the equivalence tests and nothing else. Nothing under
+//! `habit-cli`, `habit-service`, `habit-engine`, `habit-fleet`,
+//! `habit-bench` or `eval` may reach for it (CI greps), and it is in no
+//! prelude.
 
 use crate::error::HabitError;
 use crate::graphgen::{CellStats, EdgeStats};

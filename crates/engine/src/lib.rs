@@ -25,8 +25,8 @@
 //!   per-query tail on the pool. Per-query failures are data
 //!   ([`batch::BatchFailure`]), not batch aborts.
 //!
-//! The `habit batch` CLI subcommand and the `throughput` experiment of
-//! `habit-bench` are thin clients of this crate.
+//! The `habit batch` CLI subcommand and the `habit serve` daemon are
+//! thin clients of this crate.
 //!
 //! ```
 //! use habit_engine::{BatchImputer, ThreadPool, fit_sharded};

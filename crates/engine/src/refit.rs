@@ -12,9 +12,9 @@
 //!
 //! Cost model: a refit accumulates only the delta's rows and re-pays
 //! the merge + finalize (proportional to the number of *distinct*
-//! cells and transitions, not to history rows) — the `incremental`
-//! bench experiment reports the resulting refit-vs-full-fit wall-clock
-//! gap.
+//! cells and transitions, not to history rows) — the `fit_refit`
+//! workload of `benchmark/` measures the resulting refit-vs-full-fit
+//! wall clocks (`engine.refit_ms`, `core.finalize_ms`).
 
 use crate::pool::ThreadPool;
 use crate::shard::accumulate_sharded_traced;

@@ -580,7 +580,9 @@ pub fn render_experiments_md(reports: &[&ExperimentReport]) -> String {
             "Datasets are the seeded synthetic analogues of the paper's AIS feeds \
              (see PAPER.md); absolute numbers differ from the paper's real-data \
              tables, the *shapes* the paper argues from are what each experiment \
-             verifies.\n\n",
+             verifies. Serving and fitting performance is measured by `benchmark/` \
+             (see `benchmark/README.md`, `BENCHMARK.json`) over the real binary, not \
+             here: only Tables 2 and 4 below are speed or size claims.\n\n",
         );
     }
 

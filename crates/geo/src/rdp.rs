@@ -16,11 +16,11 @@
 //!
 //! [`rdp_indices_reference`] is the oracle, not a second product path:
 //! the paper's textbook recursion that clones a sub-path per recursive
-//! call, kept for the equivalence tests and `route_bench`
-//! (`habit_core::reference`). Both pick the split vertex as the *first*
-//! index attaining the maximum segment distance (strict `>`), so their
-//! kept-index sets are identical by construction — the property tests
-//! in `proptests.rs` enforce it.
+//! call, kept for the equivalence tests (`habit_core::reference`).
+//! Both pick the split vertex as the *first* index attaining the
+//! maximum segment distance (strict `>`), so their kept-index sets are
+//! identical by construction — the property tests in `proptests.rs`
+//! enforce it.
 
 use crate::point::{GeoPoint, TimedPoint};
 use crate::polyline::point_segment_distance_m;

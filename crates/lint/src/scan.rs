@@ -136,12 +136,18 @@ pub fn analyze(ws: &Workspace) -> Report {
         files_scanned: ws.files.len(),
         ..Report::default()
     };
+    let test_only = test_only_modules(ws);
     for file in &ws.files {
         let crate_src = file.rel_path.strip_prefix("crates/").and_then(|p| {
             let (krate, rest) = p.split_once('/')?;
             rest.starts_with("src/").then_some(krate)
         });
-        if let Some(krate) = crate_src {
+        let in_test_module = test_only.iter().any(|m| {
+            file.rel_path
+                .strip_prefix(m.as_str())
+                .is_some_and(|rest| rest == ".rs" || rest.starts_with('/'))
+        });
+        if let Some(krate) = crate_src.filter(|_| !in_test_module) {
             *report.non_test_lines.entry(krate.to_string()).or_insert(0) +=
                 non_test_lines(&file.tokens);
         }
@@ -206,15 +212,39 @@ pub fn analyze(ws: &Workspace) -> Report {
     report
 }
 
+const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+
+/// Whether `w` opens with a top-level (column 1) `#[cfg(test)]`.
+fn opens_with_cfg_test(w: &[&Token]) -> bool {
+    w[0].col == 1 && w.iter().zip(CFG_TEST).all(|(t, s)| t.text == s)
+}
+
+/// Modules that are test code because their *parent* says so: for every
+/// top-level `#[cfg(test)] mod <name>;` in a file of `<dir>`, the path
+/// stem `<dir>/<name>` (covering `<name>.rs` and `<name>/**`).
+fn test_only_modules(ws: &Workspace) -> Vec<String> {
+    let mut stems = Vec::new();
+    for file in &ws.files {
+        let dir = file.rel_path.rsplit_once('/').map_or("", |(dir, _)| dir);
+        let code: Vec<&Token> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
+        for w in code.windows(CFG_TEST.len() + 3) {
+            let decl = &w[CFG_TEST.len()..];
+            if opens_with_cfg_test(w) && decl[0].text == "mod" && decl[2].text == ";" {
+                stems.push(format!("{dir}/{}", decl[1].text));
+            }
+        }
+    }
+    stems
+}
+
 /// Lines that carry code — at least one non-comment token, or the
 /// continuation of a multi-line string literal — before the file's
 /// first top-level (column 1) `#[cfg(test)]`.
 fn non_test_lines(tokens: &[Token]) -> usize {
-    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
     let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
     let end = code
         .windows(CFG_TEST.len())
-        .position(|w| w[0].col == 1 && w.iter().zip(CFG_TEST).all(|(t, s)| t.text == s))
+        .position(opens_with_cfg_test)
         .unwrap_or(code.len());
     let mut lines = std::collections::BTreeSet::new();
     for t in &code[..end] {
@@ -355,6 +385,29 @@ mod tests {
         };
         let report = analyze(&ws);
         assert_eq!(report.non_test_lines, [("core".to_string(), 3)].into());
+
+        // A module is also test code when only its parent says so:
+        // `props.rs` and everything under `props/` stop counting, the
+        // sibling crate's file of the same name does not.
+        let ws = Workspace {
+            files: vec![
+                SourceFile::new(
+                    "crates/core/src/lib.rs".into(),
+                    "mod a;\n#[cfg(test)]\nmod props;\n",
+                ),
+                SourceFile::new("crates/core/src/props.rs".into(), "fn p() {}\nfn q() {}\n"),
+                SourceFile::new("crates/core/src/props/deep.rs".into(), "fn d() {}\n"),
+                SourceFile::new("crates/core/src/props_too.rs".into(), "fn kept() {}\n"),
+                SourceFile::new("crates/geo/src/props.rs".into(), "fn kept() {}\n"),
+            ],
+            texts: BTreeMap::new(),
+        };
+        let report = analyze(&ws);
+        assert_eq!(
+            report.non_test_lines,
+            [("core".to_string(), 2), ("geo".to_string(), 1)].into()
+        );
+        assert_eq!(report.files_scanned, 5, "skipped for size, still linted");
     }
 
     #[test]

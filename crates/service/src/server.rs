@@ -38,12 +38,14 @@
 //! logged and retried — one bad accept never kills the daemon.
 //!
 //! When the service's admission layer is on (`habit serve` without
-//! `--no-coalesce`), shutdown drains it last: the accept loop exits,
-//! connection workers finish their in-flight requests (queued
-//! admissions are still being answered by the flusher while they wait),
-//! and only then is the admission queue closed, flushed one final time,
-//! and its flusher joined — a request racing shutdown is answered, not
-//! dropped.
+//! `--no-coalesce`), shutdown drains it first: the accept loop exits,
+//! the admission queue is closed — which cuts a pending batch window
+//! short, so the flusher answers everything still queued at once
+//! (`cause="drain"`) and is joined — and only then do the connection
+//! workers join. A request that reaches the service after the close is
+//! answered on its own connection's thread, so a request racing
+//! shutdown is answered, not dropped, and never holds the daemon for a
+//! long `--batch-window-us`.
 
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
@@ -173,11 +175,12 @@ pub fn serve_with_metrics(
             }
         }
     }
-    drop(pool); // joins workers: queued + in-flight connections drain
-                // The workers are gone, so no new admissions can arrive: close the
-                // coalescing queue, answer what is still in it, join the flusher.
-                // No-op when admission was never enabled.
+    // Close the coalescing queue before joining the workers: a worker
+    // parked behind a long batch window is answered by the drain now,
+    // not when its window expires, and whatever a worker still submits
+    // is answered on its own thread. No-op when admission is off.
     service.shutdown_admission();
+    drop(pool); // joins workers: queued + in-flight connections drain
     Ok(served)
 }
 
@@ -820,8 +823,9 @@ mod tests {
     }
 
     /// A request racing shutdown through the admission queue is
-    /// answered before the daemon exits: the serve loop drains the
-    /// connection workers first and closes the coalescing queue last.
+    /// answered before the daemon exits, and without waiting out its
+    /// batch window: the serve loop closes the coalescing queue first
+    /// (the drain answers it) and joins the connection workers last.
     #[test]
     fn shutdown_answers_admissions_queued_behind_the_window() {
         let service = Arc::new(Service::with_model(
@@ -832,8 +836,9 @@ mod tests {
             lane_model(),
         ));
         // A very long batch window parks whatever queues until the
-        // shutdown drain — the only way the racer gets its answer — and
-        // the racer queues because it arrives behind a pass in flight.
+        // shutdown drain — the only way the racer gets its answer in
+        // time — and the racer queues because it arrives behind a pass
+        // in flight.
         service.enable_admission(crate::AdmissionConfig {
             batch_window_us: 30_000_000,
             batch_max_gaps: 128,
@@ -864,6 +869,7 @@ mod tests {
         racer
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
+        let parked = std::time::Instant::now();
         let mut racer_reader = BufReader::new(racer.try_clone().unwrap());
         {
             let mut s = &racer;
@@ -915,9 +921,19 @@ mod tests {
         let Ok(Response::Imputation(answered)) = wire::decode_response(&reply).unwrap() else {
             panic!("queued impute must be answered on shutdown: {reply}");
         };
+        assert!(
+            parked.elapsed() < Duration::from_secs(15),
+            "the drain must not wait out the 30 s window: {:?}",
+            parked.elapsed()
+        );
         let direct = service.model().unwrap().impute(&gap).unwrap();
         assert_eq!(answered.points, direct.points);
         server.join().expect("server thread");
+        let text = habit_obs::text::render(&service.metrics().snapshot());
+        assert!(
+            text.contains("habit_admission_flush_cause_total{cause=\"drain\"} 1\n"),
+            "{text}"
+        );
     }
 
     /// A request split across many tiny writes still parses — the line

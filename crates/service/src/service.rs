@@ -258,7 +258,7 @@ impl Service {
     ///
     /// The flusher holds an `Arc` of the service — call
     /// [`Service::shutdown_admission`] to drain the queue and join it
-    /// (the daemon does so after its connection workers exit).
+    /// (the daemon does so before it joins its connection workers).
     pub fn enable_admission(self: &Arc<Self>, config: AdmissionConfig) {
         let queue = AdmissionQueue::new(config);
         let service = Arc::clone(self);
@@ -277,10 +277,11 @@ impl Service {
         self.metrics.set_admission_queue_depth(0);
     }
 
-    /// Drains and stops the admission layer: closes the queue (late
-    /// submitters are answered on their own thread), lets the flusher
-    /// answer everything still queued, and joins it. Idempotent; a
-    /// no-op when admission was never enabled.
+    /// Drains and stops the admission layer: closes the queue (which
+    /// cuts a pending batch window short; late submitters are answered
+    /// on their own thread), lets the flusher answer everything still
+    /// queued, and joins it. Safe while requests are still arriving.
+    /// Idempotent; a no-op when admission was never enabled.
     pub fn shutdown_admission(&self) {
         let Some(state) = write(&self.admission).take() else {
             return;

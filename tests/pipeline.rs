@@ -2,6 +2,8 @@
 //! segmentation → HABIT fit → imputation → accuracy, across crate
 //! boundaries (the full paper pipeline).
 
+use habit::core::reference::Reference;
+use habit::engine::{fit_sharded, refit_model};
 use habit::prelude::*;
 use habit::synth::{datasets, DatasetSpec};
 use rand::rngs::StdRng;
@@ -26,6 +28,9 @@ fn full_pipeline_imputes_held_out_gaps() {
     assert!(model.node_count() > 50, "nodes {}", model.node_count());
     assert!(model.edge_count() > 50, "edges {}", model.edge_count());
 
+    // The naive oracle (per-query A* on the thawed pointer graph,
+    // recursive RDP) must answer every gap exactly as the serving path.
+    let reference = Reference::thaw(&model);
     let mut rng = StdRng::seed_from_u64(2);
     let mut attempted = 0usize;
     let mut succeeded = 0usize;
@@ -35,9 +40,27 @@ fn full_pipeline_imputes_held_out_gaps() {
             continue;
         };
         attempted += 1;
+        let naive = reference.impute(&case.query);
         let Ok(imp) = model.impute(&case.query) else {
+            assert!(
+                naive.is_err(),
+                "trip {}: only the oracle answered",
+                trip.trip_id
+            );
             continue;
         };
+        let naive =
+            naive.unwrap_or_else(|e| panic!("trip {}: only the oracle failed: {e}", trip.trip_id));
+        assert_eq!(imp.cells, naive.cells, "trip {}", trip.trip_id);
+        assert_eq!(imp.cost.to_bits(), naive.cost.to_bits());
+        assert_eq!(imp.expanded, naive.expanded);
+        assert_eq!(imp.raw_point_count, naive.raw_point_count);
+        assert_eq!(imp.points.len(), naive.points.len());
+        for (a, b) in imp.points.iter().zip(&naive.points) {
+            assert_eq!(a.pos.lon.to_bits(), b.pos.lon.to_bits());
+            assert_eq!(a.pos.lat.to_bits(), b.pos.lat.to_bits());
+            assert_eq!(a.t, b.t);
+        }
         succeeded += 1;
         // Paths must start/end exactly at the query endpoints with
         // monotone timestamps.
@@ -78,11 +101,36 @@ fn full_pipeline_imputes_held_out_gaps() {
 
 #[test]
 fn model_survives_serialization_at_dataset_scale() {
-    let (train, test) = kiel_bench();
+    let (mut train, test) = kiel_bench();
+    // Oldest trips first, so the tail of `train` is "the new day".
+    train.sort_by_key(|t| t.trip_id);
     let table = habit::ais::trips_to_table(&train);
-    let model = HabitModel::fit(&table, HabitConfig::with_r_t(9, 100.0)).expect("fit");
+    let config = HabitConfig::with_r_t(9, 100.0);
+    let model = HabitModel::fit(&table, config).expect("fit");
 
+    // Sharding is an execution detail: same bytes at any parallelism.
+    let pool = ThreadPool::new(4);
+    let sharded = fit_sharded(&table, config, 4, &pool).expect("sharded fit");
     let bytes = model.to_bytes();
+    assert!(sharded.to_bytes() == bytes, "sharded fit ≡ sequential fit");
+
+    // Absorbing the newest 10 % of trips (whole trips) into a fit of the
+    // rest yields the from-scratch model, embedded fit state included.
+    let split = train.len() - (train.len() / 10).max(1);
+    let history = fit_sharded(
+        &habit::ais::trips_to_table(&train[..split]),
+        config,
+        4,
+        &pool,
+    )
+    .expect("history fit");
+    let delta = habit::ais::trips_to_table(&train[split..]);
+    let (refitted, _) = refit_model(&history, &delta, 4, &pool).expect("refit");
+    assert!(
+        refitted.to_bytes_full() == sharded.to_bytes_full(),
+        "refit of the delta ≡ from-scratch fit over history ∪ delta"
+    );
+
     let restored = HabitModel::from_bytes(&bytes).expect("round trip");
     assert_eq!(restored.node_count(), model.node_count());
     assert_eq!(restored.edge_count(), model.edge_count());
