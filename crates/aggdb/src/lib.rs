@@ -18,9 +18,7 @@
 //! * [`partial::PartialGroupBy`] — mergeable partial aggregates
 //!   (count / distinct / median / …) so sharded group-bys can run in
 //!   parallel and merge deterministically (`habit-engine`'s fit seam);
-//! * [`csv`] — buffered CSV import/export with type inference;
-//! * [`query::Query`] — a small fluent pipeline (filter → sort → group)
-//!   mirroring how the paper's CTE is phrased.
+//! * [`csv`] — buffered CSV import/export with type inference.
 //!
 //! Hot paths follow the Rust perf-book guidance: integer-keyed hash maps
 //! use a bundled [FxHash](fxhash::FxHashMap) implementation, accumulators
@@ -36,7 +34,6 @@ pub mod fxhash;
 pub mod hll;
 pub mod partial;
 pub mod quantile;
-pub mod query;
 pub mod table;
 pub mod value;
 pub mod window;

@@ -197,24 +197,6 @@ impl Table {
         self.take(&indices)
     }
 
-    /// Returns row indices sorted by the given column (nulls last).
-    pub fn sort_indices_by(&self, name: &str) -> Result<Vec<usize>, AggError> {
-        let col = self.column_by_name(name)?;
-        let mut idx: Vec<usize> = (0..self.nrows).collect();
-        // Sort on the dynamic values; stable so ties keep input order.
-        idx.sort_by(|&a, &b| {
-            let va = col.value(a);
-            let vb = col.value(b);
-            compare_values(&va, &vb)
-        });
-        Ok(idx)
-    }
-
-    /// Sorts the whole table by a column (stable, nulls last).
-    pub fn sort_by(&self, name: &str) -> Result<Table, AggError> {
-        Ok(self.take(&self.sort_indices_by(name)?))
-    }
-
     /// Sorts the table lexicographically by several columns (stable,
     /// nulls last within each column). Integer columns compare exactly —
     /// u64 cell ids above 2^53 do not collapse through an f64 round trip —
@@ -417,7 +399,7 @@ mod tests {
     #[test]
     fn sort_by_column() {
         let t = sample();
-        let sorted = t.sort_by("ts").unwrap();
+        let sorted = t.sort_by_columns(&["ts"]).unwrap();
         let ts = sorted
             .column_by_name("ts")
             .unwrap()

@@ -1,6 +1,6 @@
-//! Runs every experiment (Tables 1–4, Figures 3–7, four ablations,
-//! `fleet_scale`) and emits the consolidated report — the generator
-//! behind the committed `EXPERIMENTS.md` and `reports/*.json` baselines.
+//! Runs every experiment (Tables 1–4, Figures 3–7, four ablations) and
+//! emits the consolidated report — the generator behind the committed
+//! `EXPERIMENTS.md` and `reports/*.json` baselines.
 //!
 //! ```text
 //! # Re-run everything; write reports/<id>.json + EXPERIMENTS.md:

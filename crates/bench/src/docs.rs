@@ -34,14 +34,14 @@ report/GeoJSON serialization is hand-rolled (no serde).
 
 ## Architecture
 
-Seventeen crates in eight layers, plus the `habit` umbrella crate
+Sixteen crates in eight layers, plus the `habit` umbrella crate
 re-exporting a prelude:
 
 ```text
              ┌──────────────────────────────────────────────────┐
              │          habit — umbrella crate + prelude        │
              └──────────────────────────────────────────────────┘
- apps        habit-cli (`habit` binary)   habit-bench (15 experiment bins)
+ apps        habit-cli (`habit` binary)   habit-bench (14 experiment bins)
              habit-lint (workspace static analysis — see LINTS.md)
              ────────────────────────────────────────────────────
  facade      habit-service (typed request/response API, unified
@@ -51,8 +51,6 @@ re-exporting a prelude:
              sharded + incremental fit    metrics registry, plaintext
              over FitState, batched       + span-JSON renderers)
              imputation with LRU cache)
-             habit-fleet (per-shard model blobs, versioned shard
-             manifest, scatter/gather routing front)
              ────────────────────────────────────────────────────
  evaluation  eval (DTW, gap injection,    density (traffic density
              splits, experiment reports)  maps & rendering)
@@ -81,7 +79,6 @@ re-exporting a prelude:
 | `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, persistable `FitState` (v2 model container) |
 | `crates/engine` (`habit-engine`) | parallel serving: hand-rolled thread pool, tile-sharded fit as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
 | `crates/obs` (`habit-obs`) | dependency-free observability substrate: monotonic span recorder, deterministic metrics registry (counters / gauges / fixed-bucket histograms), plaintext and span-JSON renderers |
-| `crates/fleet` (`habit-fleet`) | sharded serving: per-shard model blobs, the versioned `fleet.hfm` manifest, and the scatter/gather `FleetRouter` — in-shard dispatch, tile-seam stitching, global fallback, per-shard hot-swap |
 | `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, `ServiceError` taxonomy with stable codes, shared CSV converters, line-JSON wire codec + TCP server |
 | `crates/baselines` | competitors: SLI straight-line, GTI point-graph, PaLMTO N-gram |
 | `crates/density` | traffic density maps and exports built on the same substrate |
@@ -178,10 +175,8 @@ the same taxonomy (`bad_request` exits 2, every other code exits 1):
 | `snap_failed` | 1 | a gap endpoint could not be snapped onto the model |
 | `bad_model_blob` | 1 | a serialized model file is corrupt or incompatible |
 | `unsorted_input` | 1 | a track was not sorted by timestamp |
-| `config_mismatch` | 1 | models with incompatible configurations |
 | `state_version` | 1 | fit-state version unsupported, or the model embeds no state (refit needs one) |
 | `config_drift` | 1 | refit delta accumulated under a different fit configuration |
-| `shard_miss` | 1 | a gap endpoint's owning shard has no blob loaded in the serving fleet |
 | `overloaded` | 1 | the admission queue is full — back off and retry |
 | `internal` | 1 | unexpected internal failure |
 
@@ -225,10 +220,9 @@ whatever queued behind a pass is flushed the moment it ends. With
 queue and no one-pass-at-a-time rule: each request is a flush of its own
 single submission on its connection's thread, passes in parallel — the
 direct path is the same code, not a second implementation. Either way
-answers are
-**byte-identical** (pinned by service-level scatter tests and a proptest
-over both a single blob and a one-shard fleet, and a concurrent
-end-to-end test against the real binary). When the queue is full the
+answers are **byte-identical** (pinned by service-level scatter tests, a
+scatter proptest, and a concurrent end-to-end test against the real
+binary). When the queue is full the
 daemon answers with the typed `overloaded` error instead of blocking
 the accept loop. The `health` payload reports the admission state —
 `queue_depth`, `queue_capacity`, and per-op `p50_us`/`p95_us`/`p99_us`
@@ -239,44 +233,6 @@ counters, a flush batch-size histogram, and
 ran when it did (`idle` passed through, `size` / `window` the two
 triggers, `queued` behind the pass before it with a zero window, `drain`
 at shutdown).
-
-## Sharded serving — `habit-fleet`
-
-One refittable model blob per tile shard instead of one global blob:
-`fit --shards-out` partitions the fit by tile ownership (`cell → tile →
-hash(tile) % shards`, the engine's own sharded-fit partitioner) and
-writes each shard's v2 blob next to a versioned manifest; `serve
---shards` puts the scatter/gather `FleetRouter` in front of the same
-service facade, so the wire protocol, error taxonomy, and metrics are
-unchanged:
-
-```sh
-habit fit   --input kiel.csv --shards-out fleet/ --fleet-shards 4
-habit serve --shards fleet/ --model kiel.habit --port 4740 &
-habit refit --shards fleet/ --shard 2 --input day2.csv   # one shard, in place
-```
-
-**The manifest** (`fleet/fleet.hfm`, magic `HFM1`) pins what the fleet
-serves: the fit-config fingerprint, grid resolution and tile level, the
-shard modulus, the tile→shard ownership map, and one `{{path, fnv1a64}}`
-record per shard blob. Loading re-verifies every blob hash against it —
-a fleet never silently serves mixed tunings or stale bytes — and
-`health`/`model_info` report the shard count plus the manifest hash,
-which moves on every per-shard hot-swap (`refit --shard N`).
-
-**Routing.** Each gap is classified by its endpoint tiles: an in-shard
-gap runs the exact single-blob code path on its owning shard (answers
-are byte-identical — property-tested, and re-checked per release by the
-`fleet_scale` experiment); a cross-shard gap is stitched from two
-per-shard legs joined at a seam cell on the shard boundary; an endpoint
-owned by a shard with no blob is a typed `shard_miss`, never a silent
-reroute. Ownership is a tile hash, so shards interleave geographically:
-a stitch only succeeds when both legs stay inside one shard's tiles
-plus the one-cell boundary halo — every other cross-shard gap (and
-`repair`, which needs the whole graph) is served by the global fallback
-blob passed via `--model`. The committed `fleet_scale` experiment gates
-both paths: overall mean DTW ≤1.5x the single blob, stitched seam
-routes ≤3x.
 
 ## Observability
 
@@ -453,7 +409,6 @@ mod tests {
         assert!(md.contains("| `no_path` | 1 |"));
         assert!(md.contains("| `state_version` | 1 |"));
         assert!(md.contains("| `config_drift` | 1 |"));
-        assert!(md.contains("| `shard_miss` | 1 |"));
         assert!(md.contains("| `overloaded` | 1 |"));
         // The admission-batching section documents the coalescing
         // flags, the backpressure error, and the SLO health fields.
@@ -464,13 +419,6 @@ mod tests {
         assert!(md.contains("--max-line-bytes"));
         assert!(md.contains("habit_admission_queue_depth"));
         assert!(md.contains("oversized_line"));
-        // The sharded-serving section documents the manifest, the
-        // routing semantics, and the worked fleet command sequence.
-        assert!(md.contains("## Sharded serving — `habit-fleet`"));
-        assert!(md.contains("fleet/fleet.hfm"));
-        assert!(md.contains("HFM1"));
-        assert!(md.contains("--shards-out fleet/"));
-        assert!(md.contains("habit refit --shards fleet/ --shard 2"));
         // The incremental-refit workflow is documented with a worked
         // command sequence and the wire op.
         assert!(md.contains("### Incremental refit"));
@@ -497,7 +445,7 @@ mod tests {
         assert!(md.contains("benchmark/README.md"));
         assert!(md.contains("BENCHMARK.json"));
         assert!(!md.contains("cargo bench"));
-        // All 17 crates appear in the table.
+        // All 16 crates appear in the table.
         for krate in [
             "geo-kernel",
             "hexgrid",
@@ -508,7 +456,6 @@ mod tests {
             "habit-core",
             "habit-engine",
             "habit-obs",
-            "habit-fleet",
             "habit-service",
             "baselines",
             "density",

@@ -18,7 +18,6 @@
 //! | `ablation_medians` | DESIGN.md §5 — exact vs P² medians, HLL precision |
 //! | `ablation_palmto`  | the paper's dropped competitor, reproduced |
 //! | `ablation_fleet`   | vessel-type conditioning (paper future work) |
-//! | `fleet_scale`      | sharded serving via `habit-fleet`: per-shard blobs + seam-stitched routing vs single-blob (beyond the paper) |
 //! | `all_experiments`  | everything above; writes `reports/*.json` + `EXPERIMENTS.md` |
 //! | `gen_readme`       | regenerates `README.md` from [`docs`] (`--check` fails when stale) |
 //!

@@ -17,15 +17,12 @@ use eval::report::{
     Provenance, ReportError, ReportSection,
 };
 use eval::Imputer;
-use geo_kernel::GeoPoint;
 use habit_core::{GapQuery, HabitConfig, ServedBy, TypeModels, TypeModelsConfig, WeightScheme};
-use habit_engine::{fit_sharded, BatchImputer, ThreadPool};
-use habit_fleet::{fit_fleet, load_fleet, Dispatch, FleetRouter};
 use std::time::{Duration, Instant};
 
 /// Canonical experiment order: `reports/<id>.json` file stems and the
 /// section order of the generated `EXPERIMENTS.md`.
-pub const EXPERIMENT_ORDER: [&str; 14] = [
+pub const EXPERIMENT_ORDER: [&str; 13] = [
     "table1",
     "table2",
     "table3",
@@ -39,7 +36,6 @@ pub const EXPERIMENT_ORDER: [&str; 14] = [
     "ablation_medians",
     "ablation_palmto",
     "ablation_fleet",
-    "fleet_scale",
 ];
 
 type Result<T> = std::result::Result<T, eval::ReportError>;
@@ -942,267 +938,6 @@ pub fn ablation_fleet_report(sar: &Bench, seed: u64) -> Result<ExperimentReport>
     })
 }
 
-/// Fleet scale — sharded serving via `habit-fleet` (KIEL).
-///
-/// Fits the KIEL model as a fleet of per-shard blobs at 1/2/4/8 shards
-/// (`habit fit --shards-out`), answers the same gap cases through the
-/// scatter/gather [`FleetRouter`] each time, and compares quality and
-/// throughput against the single-blob `BatchImputer` baseline. Two
-/// contracts are enforced, not just reported: a **one-shard fleet is
-/// byte-identical** to single-blob serving on every answer, and the
-/// **seam-stitched cross-shard routes** (each leg only sees its shard's
-/// subgraph, so the stitch is approximate) must stay within 1.5x of the
-/// single-blob mean DTW — the quality gate the router's stitch
-/// documentation points at.
-pub fn fleet_scale_report(kiel: &Bench, seed: u64) -> Result<ExperimentReport> {
-    let t0 = Instant::now();
-    let id = "fleet_scale";
-    const CACHE: usize = 4096;
-    const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
-    let config = HabitConfig::with_r_t(9, 100.0);
-    let pool = ThreadPool::new(4);
-    let train_table = ais::trips_to_table(&kiel.train);
-
-    let cases = kiel.gap_cases(3600, seed);
-    if cases.is_empty() {
-        return Err(ReportError::experiment(id, "no gap cases on KIEL"));
-    }
-    let queries: Vec<GapQuery> = cases.iter().map(|c| c.query).collect();
-    let dtw_of = |i: usize, imp: &habit_core::Imputation| -> Option<f64> {
-        let pts: Vec<GeoPoint> = imp.points.iter().map(|p| p.pos).collect();
-        let truth: Vec<GeoPoint> = cases[i].truth.iter().map(|p| p.pos).collect();
-        eval::resampled_dtw_m(&pts, &truth)
-    };
-
-    // -- Baseline: the single-blob batch imputer over the whole graph.
-    let model = std::sync::Arc::new(
-        fit_sharded(&train_table, config, 4, &pool)
-            .map_err(|e| ReportError::experiment(id, format!("single fit: {e}")))?,
-    );
-    let imputer = BatchImputer::new(std::sync::Arc::clone(&model), CACHE);
-    let s_t0 = Instant::now();
-    let (single_results, _) = imputer.impute_batch(&queries, &pool);
-    let single_s = s_t0.elapsed().as_secs_f64();
-    let single_qps = queries.len() as f64 / single_s.max(1e-9);
-    let single_errors: Vec<f64> = single_results
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().ok().and_then(|imp| dtw_of(i, imp)))
-        .collect();
-    let single_ok = single_results.iter().filter(|r| r.is_ok()).count();
-    let single_mean = mean(&single_errors);
-
-    let mut table = MarkdownTable::new(vec![
-        "Shards",
-        "In-shard",
-        "Cross",
-        "Stitched",
-        "Rescued",
-        "Imputed",
-        "Mean DTW (m)",
-        "Seam DTW (m)",
-        "Storage (MB)",
-        "Queries/s",
-    ])
-    .with_context(id);
-    table.row(vec![
-        "1 blob (baseline)".to_string(),
-        queries.len().to_string(),
-        "0".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        format!("{single_ok}/{}", queries.len()),
-        fmt_m(single_mean),
-        "-".to_string(),
-        fmt_mb(model.storage_bytes()),
-        format!("{single_qps:.1}"),
-    ])?;
-
-    let root = std::env::temp_dir().join(format!("habit-fleet-scale-{}", std::process::id()));
-    let mut one_shard_identical = true;
-    let mut worst_ratio = 0.0f64;
-    let mut stitched_total = 0u64;
-    let mut all_seam_errors: Vec<f64> = Vec::new();
-    for shards in SHARD_COUNTS {
-        let dir = root.join(format!("s{shards}"));
-        let fleet_err = |stage: &'static str| {
-            move |e: habit_fleet::FleetError| {
-                ReportError::experiment(id, format!("{stage} at {shards} shards: {e}"))
-            }
-        };
-        let manifest =
-            fit_fleet(&train_table, config, shards, &pool, &dir).map_err(fleet_err("fit"))?;
-        let mut storage = manifest.to_bytes().len() as u64;
-        for blob in manifest.blobs.values() {
-            storage += std::fs::metadata(dir.join(&blob.path))
-                .map(|m| m.len())
-                .unwrap_or(0);
-        }
-        // Production topology: the fleet with the global blob as
-        // fallback (`serve --shards DIR --model BLOB`). A second,
-        // fallback-less router isolates what the shards alone answer —
-        // the seam-stitch coverage and quality.
-        let fleet_only =
-            FleetRouter::new(load_fleet(&dir).map_err(fleet_err("load"))?, None, CACHE)
-                .map_err(fleet_err("route"))?;
-        let router = FleetRouter::new(
-            load_fleet(&dir).map_err(fleet_err("load"))?,
-            Some(std::sync::Arc::clone(&model)),
-            CACHE,
-        )
-        .map_err(fleet_err("route"))?;
-
-        let mut in_shard = 0usize;
-        let mut cross: Vec<usize> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            match fleet_only.classify(q) {
-                Ok(Dispatch::InShard(_)) => in_shard += 1,
-                Ok(Dispatch::CrossShard { .. }) => cross.push(i),
-                _ => {}
-            }
-        }
-        let (nf_results, _, nf_stats) = fleet_only.impute_batch(&queries, &pool, false, None, id);
-        let seam_errors: Vec<f64> = cross
-            .iter()
-            .filter_map(|&i| nf_results[i].as_ref().ok().and_then(|imp| dtw_of(i, imp)))
-            .collect();
-        stitched_total += nf_stats.seam_routes;
-        all_seam_errors.extend(&seam_errors);
-
-        let f_t0 = Instant::now();
-        let (results, _, fleet_stats) = router.impute_batch(&queries, &pool, false, None, id);
-        let wall_s = f_t0.elapsed().as_secs_f64();
-        let qps = queries.len() as f64 / wall_s.max(1e-9);
-
-        if shards == 1 {
-            // The headline contract: one shard, same bytes.
-            for (a, b) in results.iter().zip(&single_results) {
-                let same = match (a, b) {
-                    (Ok(x), Ok(y)) => {
-                        x.points == y.points && x.cells == y.cells && x.cost == y.cost
-                    }
-                    (Err(_), Err(_)) => true,
-                    _ => false,
-                };
-                if !same {
-                    one_shard_identical = false;
-                }
-            }
-            if !one_shard_identical {
-                return Err(ReportError::experiment(
-                    id,
-                    "one-shard fleet answers differ from single-blob serving",
-                ));
-            }
-        }
-
-        let errors: Vec<f64> = results
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().ok().and_then(|imp| dtw_of(i, imp)))
-            .collect();
-        let ok = results.iter().filter(|r| r.is_ok()).count();
-        let fleet_mean = mean(&errors);
-        if single_mean > 0.0 {
-            worst_ratio = worst_ratio.max(fleet_mean / single_mean);
-        }
-        table.row(vec![
-            format!("{shards} shard fleet"),
-            in_shard.to_string(),
-            cross.len().to_string(),
-            if cross.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{}/{}", nf_stats.seam_routes, cross.len())
-            },
-            fleet_stats.fallbacks.to_string(),
-            format!("{ok}/{}", queries.len()),
-            fmt_m(fleet_mean),
-            if seam_errors.is_empty() {
-                "-".to_string()
-            } else {
-                fmt_m(mean(&seam_errors))
-            },
-            fmt_mb(storage as usize),
-            format!("{qps:.1}"),
-        ])?;
-    }
-    std::fs::remove_dir_all(&root).ok();
-
-    // The quality gates: approximate routes are acceptable, silent
-    // degradation is not. Enforced only at full scale — smoke runs
-    // have too few cross-shard cases for stable means.
-    if experiments::eval_scale() >= 1.0 && worst_ratio > 1.5 {
-        return Err(ReportError::experiment(
-            id,
-            format!(
-                "fleet mean DTW degraded to {worst_ratio:.2}x the single-blob mean \
-                 (gate: 1.5x) — the fallback rescue is losing too much quality"
-            ),
-        ));
-    }
-    if experiments::eval_scale() >= 1.0 && all_seam_errors.len() >= 5 && single_mean > 0.0 {
-        let seam_ratio = mean(&all_seam_errors) / single_mean;
-        if seam_ratio > 3.0 {
-            return Err(ReportError::experiment(
-                id,
-                format!(
-                    "seam-stitched routes degraded to {seam_ratio:.2}x the single-blob \
-                     mean DTW (gate: 3.0x) — the two-leg stitch is drifting"
-                ),
-            ));
-        }
-    }
-
-    let mut section = ReportSection::titled("Quality and throughput vs shard count", table);
-    section.notes.push(format!(
-        "One-shard fleet answers were checked byte-identical (points, cells, cost bits) to \
-         single-blob serving across all {} gap cases — the router is a pure dispatch layer \
-         when there is nothing to scatter. Tile→shard ownership is a hash, so a fleet's \
-         shards interleave geographically rather than tile contiguously: the two-leg seam \
-         stitch only answers cross-shard gaps whose legs stay inside one shard's tiles plus \
-         the one-cell boundary halo, and `Stitched` counts exactly those (their DTW is gated \
-         ≤3x the single-blob mean at full scale, not byte-pinned). Every other cross-shard \
-         gap is rescued by the global fallback blob — the production topology of `habit \
-         serve --shards DIR --model BLOB` — keeping the overall mean DTW within 1.5x of the \
-         single blob (worst observed here: {worst_ratio:.2}x).",
-        queries.len(),
-    ));
-    Ok(ExperimentReport {
-        id: id.into(),
-        title: "Fleet scale — sharded serving with seam-stitched routing [KIEL]".into(),
-        paper_ref: "Serving architecture beyond the paper (habit-fleet)".into(),
-        paper_expected: "Partitioning the habit graph into per-shard model blobs should leave \
-                         in-shard answers bit-exact (each shard holds its tiles' full subgraph) \
-                         while cross-shard gaps pay a bounded quality cost — a tile-seam \
-                         stitch when both legs stay shard-local, the global fallback blob \
-                         otherwise; storage and routing overhead should grow mildly with the \
-                         shard count."
-            .into(),
-        reproduction: format!(
-            "One-shard fleet byte-identical to single-blob serving: {one_shard_identical}; \
-             with the global blob as fallback, worst fleet/single mean-DTW ratio \
-             {worst_ratio:.2}x across {SHARD_COUNTS:?} shards; the shards alone stitched \
-             {stitched_total} cross-shard routes (mean seam DTW {}).",
-            if all_seam_errors.is_empty() {
-                "n/a".to_string()
-            } else {
-                fmt_m(mean(&all_seam_errors))
-            },
-        ),
-        params: vec![
-            param("r", 9),
-            param("t_m", 100),
-            param("shard_counts", "1|2|4|8"),
-            param("cache_entries", CACHE),
-            param("gap_s", 3600),
-            param("seed", seed),
-        ],
-        sections: vec![section],
-        provenance: provenance(seed, t0),
-    })
-}
-
 /// Runs every experiment in canonical order, sharing one prepared bench
 /// per dataset; logs progress to stderr.
 pub fn all_reports(seed: u64) -> Result<Vec<ExperimentReport>> {
@@ -1240,8 +975,6 @@ pub fn all_reports(seed: u64) -> Result<Vec<ExperimentReport>> {
     log("ablation_palmto", &t0);
     out.push(ablation_fleet_report(&sar, seed)?);
     log("ablation_fleet", &t0);
-    out.push(fleet_scale_report(&kiel, seed)?);
-    log("fleet_scale", &t0);
 
     debug_assert_eq!(out.len(), EXPERIMENT_ORDER.len());
     for (report, id) in out.iter().zip(EXPERIMENT_ORDER) {

@@ -99,16 +99,19 @@ mod tests {
         let gaps = dir.join(format!("habit-batch-{}-gaps.csv", std::process::id()));
         let out = dir.join(format!("habit-batch-{}-out.csv", std::process::id()));
         write_model(&model);
-        // Repeated routes exercise the dedup/cache path; the last row's
-        // unsnappable endpoint (latitude 95) fails per-query without
-        // failing the run — a batch server keeps serving.
+        // Repeated routes exercise the dedup/cache path; the last rows —
+        // an unsnappable endpoint (latitude 95), an end before its
+        // start, an end at its start — fail per-query without failing
+        // the run: a batch server keeps serving.
         std::fs::write(
             &gaps,
             "lon1,lat1,t1,lon2,lat2,t2\n\
              10.05,56.0,0,10.35,56.0,3600\n\
              10.05,56.0,100,10.35,56.0,3700\n\
              10.10,56.0,0,10.40,56.0,3600\n\
-             10.05,95.0,0,10.35,56.0,3600\n",
+             10.05,95.0,0,10.35,56.0,3600\n\
+             10.05,56.0,3600,10.35,56.0,0\n\
+             10.10,56.0,600,10.40,56.0,600\n",
         )
         .unwrap();
         run_args(&[
@@ -131,7 +134,7 @@ mod tests {
         std::fs::remove_file(&out).ok();
         assert!(text.starts_with("gap,t,lon,lat"));
         assert!(text.lines().count() > 3, "{text}");
-        // The three good gaps appear; the failed one contributes no
+        // The three good gaps appear; the failed ones contribute no
         // rows (and did not fail the run).
         for id in ["0", "1", "2"] {
             assert!(
@@ -141,13 +144,15 @@ mod tests {
                 "gap {id} missing from output"
             );
         }
-        assert!(
-            !text
-                .lines()
-                .skip(1)
-                .any(|l| l.split(',').next() == Some("3")),
-            "failed gap must contribute no rows: {text}"
-        );
+        for id in ["3", "4", "5"] {
+            assert!(
+                !text
+                    .lines()
+                    .skip(1)
+                    .any(|l| l.split(',').next() == Some(id)),
+                "failed gap {id} must contribute no rows: {text}"
+            );
+        }
     }
 
     #[test]

@@ -14,23 +14,13 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         "tolerance",
         "projection",
         "save-state",
-        "shards-out",
-        "fleet-shards",
     ])?;
     let input = args.require("input")?;
-    let shards_out = args.get("shards-out").map(str::to_string);
-    // `--out` stays mandatory for single-blob fits; a fleet fit names a
-    // directory instead. Passing both flows through to the service,
-    // which rejects the combination with one canonical message.
-    let out = match (&shards_out, args.get("out")) {
-        (Some(_), maybe) => maybe.map(str::to_string),
-        (None, _) => Some(args.require("out")?.to_string()),
-    };
+    let out = args.require("out")?;
     let resolution: u8 = args.get_or("resolution", 9)?;
     let tolerance: f64 = args.get_or("tolerance", 100.0)?;
     let projection = parse_projection(args.get("projection").unwrap_or("median"))?;
     let save_state = args.switch("save-state");
-    let fleet_shards: u32 = args.get_or("fleet-shards", FitSpec::default().fleet_shards)?;
 
     // A model-less service: Fit creates (and would serve) the model.
     let service = Service::new(ServiceConfig::default());
@@ -39,36 +29,21 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         resolution,
         tolerance_m: tolerance,
         projection,
-        save_to: out,
+        save_to: Some(out.to_string()),
         save_state,
-        shards_out,
-        fleet_shards,
     };
     let Response::Fitted(summary) = service.handle(&Request::Fit(spec))? else {
         unreachable!("Fit answers Fitted");
     };
-    let dest = summary.saved_to.clone().unwrap_or_default();
-    if summary.shards > 0 {
-        println!(
-            "fitted r={resolution} t={tolerance} on {} trips ({} reports) into {} shards: {} cells, {} transitions, {} bytes (+fit state, +manifest) -> {dest}",
-            summary.trips,
-            summary.reports,
-            summary.shards,
-            summary.cells,
-            summary.transitions,
-            summary.model_bytes,
-        );
-    } else {
-        let state_note = if save_state { " (+fit state)" } else { "" };
-        println!(
-            "fitted r={resolution} t={tolerance} on {} trips ({} reports): {} cells, {} transitions, {} bytes{state_note} -> {dest}",
-            summary.trips,
-            summary.reports,
-            summary.cells,
-            summary.transitions,
-            summary.model_bytes,
-        );
-    }
+    let state_note = if save_state { " (+fit state)" } else { "" };
+    println!(
+        "fitted r={resolution} t={tolerance} on {} trips ({} reports): {} cells, {} transitions, {} bytes{state_note} -> {out}",
+        summary.trips,
+        summary.reports,
+        summary.cells,
+        summary.transitions,
+        summary.model_bytes,
+    );
     Ok(())
 }
 
@@ -118,60 +93,6 @@ mod tests {
         assert!(model.node_count() > 10);
         std::fs::remove_file(&csv).ok();
         std::fs::remove_file(&model_path).ok();
-    }
-
-    #[test]
-    fn fleet_fit_writes_shard_blobs_and_a_manifest() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let csv = dir.join(format!("habit-fit-fleet-{pid}.csv"));
-        let fleet_dir = dir.join(format!("habit-fit-fleet-{pid}"));
-        let dataset = build_dataset("kiel", 7, 0.05).unwrap();
-        write_ais_csv(&dataset.trajectories, &csv).unwrap();
-
-        let args = Args::parse(
-            [
-                "fit",
-                "--input",
-                csv.to_str().unwrap(),
-                "--shards-out",
-                fleet_dir.to_str().unwrap(),
-                "--fleet-shards",
-                "2",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        run(&args).expect("fleet fit");
-
-        let manifest = std::fs::read(fleet_dir.join("fleet.hfm")).expect("manifest written");
-        assert_eq!(&manifest[..4], b"HFM1");
-        for shard in 0..2u32 {
-            let blob =
-                std::fs::read(fleet_dir.join(format!("shard-{shard:04}.habit"))).expect("blob");
-            let model = HabitModel::from_bytes(&blob).expect("shard blob loads");
-            assert!(model.fit_provenance().is_some(), "shard blobs embed state");
-        }
-
-        // --out and --shards-out are mutually exclusive.
-        let args = Args::parse(
-            [
-                "fit",
-                "--input",
-                csv.to_str().unwrap(),
-                "--shards-out",
-                fleet_dir.to_str().unwrap(),
-                "--out",
-                "/tmp/x.habit",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        let err = run(&args).unwrap_err();
-        assert_eq!(err.code, habit_service::ErrorCode::BadRequest);
-
-        std::fs::remove_file(&csv).ok();
-        std::fs::remove_dir_all(&fleet_dir).ok();
     }
 
     #[test]

@@ -36,13 +36,6 @@ pub fn describe(report: &ModelReport) -> String {
         report.cells, report.transitions
     ));
     out.push_str(&format!("  indexed reports   : {}\n", report.reports));
-    if report.shards > 0 {
-        out.push_str(&format!(
-            "  serving fleet     : {} shards, manifest {}\n",
-            report.shards,
-            report.manifest_hash.as_deref().unwrap_or("?")
-        ));
-    }
     out.push_str(&format!(
         "  busiest cell      : {} distinct vessels\n",
         report.busiest_cell_vessels
@@ -137,8 +130,6 @@ mod tests {
             storage_bytes: 1024,
             blob_version: 1,
             state: None,
-            shards: 0,
-            manifest_hash: None,
         };
         let text = describe(&report);
         assert!(text.contains("blob version      : v1"), "{text}");

@@ -116,17 +116,11 @@ COMMANDS
            --input FILE  --out FILE  [--resolution 6..10] [--tolerance M]
            [--projection center|median] [--save-state]
            (--save-state embeds the fit state: bigger blob, refittable)
-           --input FILE  --shards-out DIR  [--fleet-shards N]
-           (fleet fit: per-shard refittable blobs + fleet.hfm manifest
-           into DIR, served by `serve --shards`; default 4 shards)
   refit    merge a delta AIS CSV of NEW trips into a fitted model
            --model FILE  --input FILE  [--out FILE] [--threads N]
            (model must embed fit state — `fit --save-state`; without
            --out the refitted blob overwrites --model; byte-identical
            to a from-scratch fit over history + delta)
-           --shards DIR  --shard N  --input FILE  [--threads N]
-           (fleet refit: merge the delta's contribution to shard N and
-           rewrite its blob + the manifest in DIR in place)
   impute   impute one gap (--from/--to) or a gap CSV (--input FILE|-)
            --model FILE  --from LON,LAT,T  --to LON,LAT,T  [--out FILE]
            --model FILE  --input FILE|-  [--out FILE]
@@ -167,11 +161,6 @@ COMMANDS
            drops the queue (every request on its connection's thread,
            passes in parallel); request lines longer than
            --max-line-bytes (16 MiB) are rejected)
-           --shards DIR  [--model FILE]  [...same flags]
-           (sharded serving: route each gap to the shard owning its
-           endpoint tiles, seam-stitch cross-shard gaps; --model then
-           loads a global fallback blob that rescues shard misses and
-           answers `repair`)
   help     this text
   version  print the habit version (also --version / -V)
 
@@ -219,12 +208,6 @@ EXAMPLES
   habit serve --model kiel.habit --port 4740 --metrics-port 9464 &
   curl -s 127.0.0.1:9464/
 
-  # Sharded serving: fit a 4-shard fleet, serve it with a global
-  # fallback blob, refit one shard in place:
-  habit fit --input kiel.csv --shards-out fleet/ --fleet-shards 4
-  habit serve --shards fleet/ --model kiel.habit --port 4740 &
-  habit refit --shards fleet/ --shard 2 --input day2.csv
-
 EXIT CODES (shell-friendly, stable)
   0  success
   1  runtime failure (bad input file, no path found, I/O error)
@@ -232,8 +215,8 @@ EXIT CODES (shell-friendly, stable)
   Codes derive from the service error taxonomy: `bad_request` exits 2,
   every other error code exits 1. Daemon responses carry the same codes
   (bad_request, io, csv, bad_input, grid, no_model, empty_model,
-  no_path, snap_failed, bad_model_blob, unsorted_input, config_mismatch,
-  state_version, config_drift, shard_miss, overloaded, internal) in
+  no_path, snap_failed, bad_model_blob, unsorted_input, state_version,
+  config_drift, overloaded, internal) in
   {\"ok\":false,\"error\":{\"code\":...,\"message\":...}}.
 
 Formats: AIS CSV = mmsi,t,lon,lat[,sog,cog,heading]; track CSV = t,lon,lat;

@@ -9,68 +9,16 @@
 
 use crate::args::Args;
 use crate::commands::open_service;
-use habit_service::{RefitSpec, Request, Response, Service, ServiceConfig, ServiceError};
+use habit_service::{RefitSpec, Request, Response, ServiceError};
 
 /// Entry point for `habit refit`.
 pub fn run(args: &Args) -> Result<(), ServiceError> {
-    args.check_flags(&["model", "input", "out", "threads", "shards", "shard"])?;
+    args.check_flags(&["model", "input", "out", "threads"])?;
     let input = args.require("input")?;
     let threads: usize = args.get_or(
         "threads",
         std::thread::available_parallelism().map_or(1, usize::from),
     )?;
-
-    if let Some(dir) = args.get("shards") {
-        // Fleet refit: load the fleet from its directory, merge the
-        // delta's contribution to one shard, and rewrite that shard's
-        // blob + the manifest in place.
-        if args.get("model").is_some() {
-            return Err(ServiceError::bad_request(
-                "--model applies to single-blob refit — a fleet refit loads --shards DIR",
-            ));
-        }
-        if args.get("out").is_some() {
-            return Err(ServiceError::bad_request(
-                "--out applies to single-blob refit — a fleet refit rewrites the shard blob and manifest in --shards DIR",
-            ));
-        }
-        let raw = args.require("shard")?;
-        let shard: u32 = raw
-            .parse()
-            .map_err(|_| ServiceError::bad_request(format!("bad --shard `{raw}`")))?;
-        let service = Service::with_fleet(
-            ServiceConfig {
-                threads,
-                cache_capacity: 1,
-            },
-            dir,
-            None,
-        )?;
-        let Response::Refitted(summary) = service.handle(&Request::Refit(RefitSpec {
-            input: input.to_string(),
-            save_to: None,
-            shard: Some(shard),
-        }))?
-        else {
-            unreachable!("Refit answers Refitted");
-        };
-        println!(
-            "refitted shard {shard} +{} trips (+{} reports) onto {} trips total: {} cells, {} transitions, {} bytes -> {}",
-            summary.trips_added,
-            summary.reports_added,
-            summary.trips_total,
-            summary.cells,
-            summary.transitions,
-            summary.model_bytes,
-            summary.saved_to.as_deref().unwrap_or(dir),
-        );
-        return Ok(());
-    }
-    if let Some(shard) = args.get("shard") {
-        return Err(ServiceError::bad_request(format!(
-            "--shard {shard} applies to sharded refit — pass --shards DIR too"
-        )));
-    }
 
     let model = args.require("model")?;
     let out = args.get("out").unwrap_or(model).to_string();
@@ -78,7 +26,6 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
     let Response::Refitted(summary) = service.handle(&Request::Refit(RefitSpec {
         input: input.to_string(),
         save_to: Some(out.clone()),
-        shard: None,
     }))?
     else {
         unreachable!("Refit answers Refitted");
@@ -167,98 +114,6 @@ mod tests {
         for p in [&history, &delta, &blob] {
             std::fs::remove_file(p).ok();
         }
-    }
-
-    #[test]
-    fn fleet_refit_rewrites_one_shard_in_place() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let history = write_lane_csv("fleet-hist", 100, 3);
-        let delta = write_lane_csv("fleet-delta", 500, 2);
-        let fleet = dir.join(format!("habit-cli-refit-fleet-{pid}"));
-
-        let fit = Args::parse(
-            [
-                "fit",
-                "--input",
-                history.to_str().unwrap(),
-                "--shards-out",
-                fleet.to_str().unwrap(),
-                "--fleet-shards",
-                "2",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        crate::commands::fit::run(&fit).expect("fleet fit");
-        let manifest_before = std::fs::read(fleet.join("fleet.hfm")).unwrap();
-
-        // --shard is mandatory in fleet mode, and --shard without
-        // --shards is a usage error.
-        let err = run(&Args::parse(
-            [
-                "refit",
-                "--shards",
-                fleet.to_str().unwrap(),
-                "--input",
-                delta.to_str().unwrap(),
-            ]
-            .map(String::from),
-        )
-        .unwrap())
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        let err = run(&Args::parse(
-            [
-                "refit", "--model", "x.habit", "--input", "y.csv", "--shard", "1",
-            ]
-            .map(String::from),
-        )
-        .unwrap())
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("--shards"), "{err}");
-
-        // The delta lane's cells hash to a fixed shard; find it.
-        let mut refitted = None;
-        for shard in 0..2u32 {
-            let shard_s = shard.to_string();
-            let args = Args::parse(
-                [
-                    "refit",
-                    "--shards",
-                    fleet.to_str().unwrap(),
-                    "--shard",
-                    shard_s.as_str(),
-                    "--input",
-                    delta.to_str().unwrap(),
-                ]
-                .map(String::from),
-            )
-            .unwrap();
-            match run(&args) {
-                Ok(()) => {
-                    refitted = Some(shard);
-                    break;
-                }
-                Err(e) => assert_eq!(e.code, habit_service::ErrorCode::BadInput, "{e}"),
-            }
-        }
-        let shard = refitted.expect("the delta lane lands in some shard");
-        let manifest_after = std::fs::read(fleet.join("fleet.hfm")).unwrap();
-        assert_ne!(manifest_after, manifest_before, "manifest rewritten");
-        let blob = std::fs::read(fleet.join(format!("shard-{shard:04}.habit"))).unwrap();
-        let model = HabitModel::from_bytes(&blob).expect("refitted shard blob loads");
-        assert_eq!(
-            model.fit_provenance().expect("refittable").trips,
-            5,
-            "shard provenance tracks the global trip count"
-        );
-
-        for p in [&history, &delta] {
-            std::fs::remove_file(p).ok();
-        }
-        std::fs::remove_dir_all(&fleet).ok();
     }
 
     #[test]

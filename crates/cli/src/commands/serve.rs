@@ -47,7 +47,6 @@ const DEFAULT_PORT: u16 = 4740;
 pub fn run(args: &Args) -> Result<(), ServiceError> {
     args.check_flags(&[
         "model",
-        "shards",
         "host",
         "port",
         "threads",
@@ -60,13 +59,7 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         "no-coalesce",
         "max-line-bytes",
     ])?;
-    let shards_dir = args.get("shards");
-    // Single-blob serving requires --model; sharded serving makes it an
-    // optional global fallback (rescues shard misses, answers repair).
-    let model_path = match shards_dir {
-        Some(_) => args.get("model"),
-        None => Some(args.require("model")?),
-    };
+    let model_path = args.require("model")?;
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port: u16 = args.get_or("port", DEFAULT_PORT)?;
     let threads: usize = args.get_or(
@@ -100,34 +93,14 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         ));
     }
 
-    let config = ServiceConfig {
-        threads,
-        cache_capacity: cache,
-    };
-    let service = Arc::new(match shards_dir {
-        Some(dir) => Service::with_fleet(config, dir, model_path)?,
-        None => Service::with_model_file(config, model_path.expect("required above"))?,
-    });
+    let service = Arc::new(Service::with_model_file(
+        ServiceConfig {
+            threads,
+            cache_capacity: cache,
+        },
+        model_path,
+    )?);
     let health = service.health();
-    let desc = match shards_dir {
-        Some(dir) => {
-            let hash = health.manifest_hash.as_deref().unwrap_or("?");
-            let fallback = match model_path {
-                Some(p) => format!(", fallback {p}"),
-                None => String::new(),
-            };
-            format!(
-                "fleet {dir}: {} shards, manifest {hash}, {} cells, {} transitions{fallback}",
-                health.shards, health.cells, health.transitions,
-            )
-        }
-        None => format!(
-            "{}: {} cells, {} transitions",
-            model_path.expect("required above"),
-            health.cells,
-            health.transitions,
-        ),
-    };
     if coalesce {
         service.enable_admission(AdmissionConfig {
             batch_window_us,
@@ -139,7 +112,8 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
     })?;
     let local = listener.local_addr()?;
     println!(
-        "habit serve: listening on {local} ({desc}; {threads} compute threads, {conn_threads} connection workers)"
+        "habit serve: listening on {local} ({model_path}: {} cells, {} transitions; {threads} compute threads, {conn_threads} connection workers)",
+        health.cells, health.transitions,
     );
     println!(
         "habit serve: protocol habit-wire/v1 — one JSON request per line; '{{\"v\":1,\"op\":\"shutdown\"}}' stops the daemon"
@@ -202,18 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_requires_a_model_unless_sharded() {
-        // Without --shards, --model is mandatory.
+    fn serve_requires_the_model_flag() {
         let err = run(&Args::parse(["serve"].map(String::from)).unwrap()).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("--model"), "{err}");
-
-        // With --shards the directory must hold a fleet manifest.
-        let args =
-            Args::parse(["serve", "--shards", "/nonexistent-fleet"].map(String::from)).unwrap();
-        let err = run(&args).unwrap_err();
-        assert_eq!(err.code, habit_service::ErrorCode::Io);
-        assert!(err.to_string().contains("/nonexistent-fleet"), "{err}");
     }
 
     #[test]

@@ -305,7 +305,6 @@ fn daemon_round_trip_matches_the_cli_byte_for_byte() {
         &Request::Refit(habit_service::RefitSpec {
             input: delta.to_str().unwrap().to_string(),
             save_to: None,
-            shard: None,
         }),
     );
     let Ok(Response::Refitted(refit)) = wire::decode_response(&reply).unwrap() else {

@@ -10,9 +10,8 @@
 //! arrays, baked edge records, arenas or scratch the product uses.
 //!
 //! Consumers are the equivalence tests and nothing else. Nothing under
-//! `habit-cli`, `habit-service`, `habit-engine`, `habit-fleet`,
-//! `habit-bench` or `eval` may reach for it (CI greps), and it is in no
-//! prelude.
+//! `habit-cli`, `habit-service`, `habit-engine`, `habit-bench` or
+//! `eval` may reach for it (CI greps), and it is in no prelude.
 
 use crate::error::HabitError;
 use crate::graphgen::{CellStats, EdgeStats};

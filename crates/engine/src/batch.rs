@@ -45,15 +45,10 @@ pub enum BatchFailure {
     /// An endpoint could not be snapped onto the model (invalid
     /// coordinate or empty model); the message is the underlying error.
     Snap(String),
-    /// An endpoint's tile is owned by a shard the serving fleet does
-    /// not carry. Never produced by [`BatchImputer`] itself — minted by
-    /// the fleet router in front of it when a query cannot be
-    /// dispatched to any loaded shard (and no global fallback model is
-    /// configured).
-    ShardMiss {
-        /// The owning shard id (`hash(tile) % shards`).
-        shard: u32,
-    },
+    /// The gap itself is malformed — its end is not later than its
+    /// start, so there is no time to spread imputed points over;
+    /// refused before snapping. The message says which timestamps.
+    InvalidGap(String),
 }
 
 impl fmt::Display for BatchFailure {
@@ -63,12 +58,7 @@ impl fmt::Display for BatchFailure {
                 write!(f, "no path between cells {from:#x} and {to:#x}")
             }
             BatchFailure::Snap(message) => write!(f, "snap failed: {message}"),
-            BatchFailure::ShardMiss { shard } => {
-                write!(
-                    f,
-                    "endpoint tile owned by shard {shard}, which is not loaded"
-                )
-            }
+            BatchFailure::InvalidGap(message) => write!(f, "invalid gap: {message}"),
         }
     }
 }
@@ -89,7 +79,7 @@ pub struct BatchStats {
     pub queries: usize,
     /// Queries answered with an imputation.
     pub ok: usize,
-    /// Queries that failed (snap or no-path).
+    /// Queries that failed (end not after start, snap or no-path).
     pub failed: usize,
     /// Distinct `(start cell, end cell)` pairs after snapping.
     pub unique_routes: usize,
@@ -121,7 +111,7 @@ impl BatchImputer {
     }
 
     /// The wrapped model.
-    pub fn model(&self) -> &HabitModel {
+    pub fn model(&self) -> &Arc<HabitModel> {
         &self.model
     }
 
@@ -162,11 +152,19 @@ impl BatchImputer {
             return (Vec::new(), stats);
         }
 
-        // -- 1. Snap every query's endpoints (parallel, query order).
+        // -- 1. Snap every query's endpoints (parallel, query order). A
+        //       gap that does not move forward in time fails here, so it
+        //       never reaches dedup or the route cache.
         let route_span = recorder.map(|r| r.span("route", op));
         let model = self.model.as_ref();
         let snapped: Vec<Result<(HexCell, HexCell), BatchFailure>> =
             pool.map_items(queries, |gap| {
+                if gap.duration_s() <= 0 {
+                    return Err(BatchFailure::InvalidGap(format!(
+                        "end (t={}) must be later than start (t={})",
+                        gap.end.t, gap.start.t
+                    )));
+                }
                 let start = model
                     .snap(&gap.start.pos)
                     .map_err(|e| BatchFailure::Snap(e.to_string()))?;
@@ -378,12 +376,23 @@ mod tests {
         let imputer = BatchImputer::new(Arc::clone(&model), 8);
         let pool = ThreadPool::new(2);
         let mut queries = lane_queries(3);
-        // An endpoint with an invalid latitude cannot snap.
+        // An endpoint with an invalid latitude cannot snap, and a gap
+        // that ends before it starts is refused before snapping.
         queries.push(GapQuery::new(10.1, 95.0, 0, 10.3, 56.0, 3600));
+        queries.push(GapQuery::new(10.1, 56.0, 3600, 10.3, 56.0, 0));
         let (results, stats) = imputer.impute_batch(&queries, &pool);
         assert_eq!(stats.ok, 3);
-        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.failed, 2);
+        assert_eq!(stats.unique_routes, 3);
         assert!(matches!(results[3], Err(BatchFailure::Snap(_))));
+        assert_eq!(
+            results[4]
+                .as_ref()
+                .err()
+                .map(ToString::to_string)
+                .as_deref(),
+            Some("invalid gap: end (t=0) must be later than start (t=3600)")
+        );
         assert!(results[..3].iter().all(Result::is_ok));
     }
 

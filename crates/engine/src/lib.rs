@@ -22,8 +22,9 @@
 //! * [`batch::BatchImputer`] — batched imputation: snap all queries,
 //!   A*-search each *distinct* cell pair once, reuse routes across
 //!   batches through a bounded LRU ([`lru::LruCache`]), and run the
-//!   per-query tail on the pool. Per-query failures are data
-//!   ([`batch::BatchFailure`]), not batch aborts.
+//!   per-query tail on the pool. Per-query failures — a gap whose end
+//!   is not after its start, an endpoint that cannot snap, no path —
+//!   are data ([`batch::BatchFailure`]), not batch aborts.
 //!
 //! The `habit batch` CLI subcommand and the `habit serve` daemon are
 //! thin clients of this crate.
@@ -69,7 +70,4 @@ pub use batch::{BatchFailure, BatchImputer, BatchStats};
 pub use lru::LruCache;
 pub use pool::ThreadPool;
 pub use refit::{refit_model, refit_model_traced, refit_state, refit_state_traced, RefitOutcome};
-pub use shard::{
-    accumulate_per_shard, accumulate_sharded, accumulate_sharded_traced, fit_sharded,
-    fit_sharded_traced,
-};
+pub use shard::{accumulate_sharded, accumulate_sharded_traced, fit_sharded, fit_sharded_traced};

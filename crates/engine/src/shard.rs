@@ -141,60 +141,6 @@ pub fn accumulate_sharded_traced(
     )
 }
 
-/// Per-shard accumulation for a model *fleet*: the same prepare and
-/// accumulate stages as [`accumulate_sharded`], but instead of merging
-/// the shard partials into one state, each **non-empty** shard finishes
-/// into its own [`FitState`], returned keyed by shard id in ascending
-/// order. This is the persistence seam behind `habit fit --shards-out`:
-/// each state finalizes into one per-tile-group model blob.
-///
-/// Every returned state carries the **whole input's** provenance, not
-/// per-shard row counts: `max_trip_id` must be the global high-water
-/// mark for a later per-shard refit to respect the disjoint-trips
-/// contract against *any* shard, and recording the fit run's
-/// trips/reports keeps the one-shard fleet state byte-identical to the
-/// single-blob [`accumulate_sharded`] state (the degenerate case the
-/// fleet's property tests pin).
-pub fn accumulate_per_shard(
-    table: &Table,
-    config: HabitConfig,
-    shards: usize,
-    pool: &ThreadPool,
-) -> Result<Vec<(u32, FitState)>, HabitError> {
-    let shards = shards.max(1);
-    let provenance = FitProvenance::of_table(table)?;
-    let lagged = lagged_trip_table(table, &config)?;
-    let shard_tables = partition_by_tile(&lagged, config.resolution, shards)?;
-    let row_counts: Vec<usize> = shard_tables.iter().map(Table::num_rows).collect();
-
-    let partials: Vec<Result<(PartialGroupBy, PartialGroupBy), HabitError>> =
-        pool.map_chunks(&shard_tables, 1, |_, chunk| {
-            let shard = &chunk[0];
-            let cells = shard.group_by_partial(&["cl"], &cell_agg_specs())?;
-            let transitions = transition_rows(shard)?
-                .group_by_partial(&["lag_cl", "cl"], &transition_agg_specs())?;
-            Ok((cells, transitions))
-        });
-
-    let mut out = Vec::new();
-    for (shard, shard_result) in partials.into_iter().enumerate() {
-        let (cells, transitions) = shard_result?;
-        if row_counts[shard] == 0 {
-            continue;
-        }
-        out.push((
-            shard as u32,
-            FitState::from_partials(config, cells, transitions, provenance)?,
-        ));
-    }
-    if out.is_empty() {
-        // Everything was filtered (sea drift): fail like the sequential
-        // path would on finalize, rather than writing an empty fleet.
-        return Err(HabitError::EmptyModel);
-    }
-    Ok(out)
-}
-
 /// Splits the lagged table into per-shard tables by the coarse tile of
 /// each row's `cl` cell. Row order within a shard stays ascending, so
 /// per-shard accumulation visits rows in the same relative order as the
@@ -331,60 +277,6 @@ mod tests {
             ["fit.prepare", "fit.accumulate", "fit.merge", "fit.finalize"]
         );
         assert!(recorder.recent().iter().all(|s| s.op == "fit" && s.ok));
-    }
-
-    #[test]
-    fn per_shard_states_merge_back_to_the_global_state() {
-        let table = corridor_table();
-        let config = HabitConfig::default();
-        let pool = ThreadPool::new(2);
-        let global = accumulate_sharded(&table, config, 4, &pool).expect("global state");
-
-        // One shard: the single state IS the global state, byte for byte.
-        let one = accumulate_per_shard(&table, config, 1, &pool).expect("one shard");
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].0, 0);
-        assert_eq!(one[0].1.to_bytes(), global.to_bytes());
-
-        // Several shards: ids ascend, every state carries the global
-        // provenance, and merging them reproduces the global partials.
-        let many = accumulate_per_shard(&table, config, 8, &pool).expect("per shard");
-        assert!(many.len() >= 2, "two corridors must split");
-        assert!(many.windows(2).all(|w| w[0].0 < w[1].0));
-        for (_, state) in &many {
-            assert_eq!(state.provenance(), global.provenance());
-        }
-        let mut iter = many.into_iter();
-        let (_, mut merged) = iter.next().expect("non-empty");
-        for (_, state) in iter {
-            // Provenance over-counts under merge (each state carries the
-            // whole input's counters) — only the partials are compared.
-            merged.merge(state).expect("merge");
-        }
-        assert_eq!(merged.cell_groups(), global.cell_groups());
-        assert_eq!(merged.transition_groups(), global.transition_groups());
-        let graph = merged.finalize().expect("graph");
-        assert_eq!(
-            graph.to_bytes(),
-            global.finalize().expect("graph").to_bytes()
-        );
-    }
-
-    #[test]
-    fn per_shard_states_propagate_empty_model() {
-        let drift = Trip {
-            trip_id: 1,
-            mmsi: 7,
-            points: (0..40)
-                .map(|i| AisPoint::new(7, i * 60, 11.0 + (i % 2) as f64 * 1e-4, 56.5, 0.4, 0.0))
-                .collect(),
-        };
-        let table = trips_to_table(&[drift]);
-        let pool = ThreadPool::new(2);
-        assert!(matches!(
-            accumulate_per_shard(&table, HabitConfig::default(), 4, &pool),
-            Err(HabitError::EmptyModel)
-        ));
     }
 
     #[test]

@@ -24,10 +24,8 @@ use std::fmt;
 /// | `snap_failed` | 1 | a gap endpoint could not be snapped onto the model |
 /// | `bad_model_blob` | 1 | a serialized model file is corrupt or incompatible |
 /// | `unsorted_input` | 1 | a track was not sorted by timestamp |
-/// | `config_mismatch` | 1 | models with incompatible configurations |
 /// | `state_version` | 1 | fit-state version unsupported, or the model embeds no state (refit needs one) |
 /// | `config_drift` | 1 | refit delta accumulated under a different fit configuration |
-/// | `shard_miss` | 1 | a gap endpoint's tile is owned by a shard the serving fleet does not carry |
 /// | `overloaded` | 1 | the daemon's admission queue is full — back off and retry |
 /// | `internal` | 1 | unexpected internal failure |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,17 +53,12 @@ pub enum ErrorCode {
     BadModelBlob,
     /// A track passed to repair was not sorted by timestamp.
     UnsortedInput,
-    /// Two models with incompatible configurations cannot combine.
-    ConfigMismatch,
     /// A serialized fit state has an unsupported version — or the model
     /// embeds no state at all where an operation (refit) requires one.
     StateVersion,
     /// A refit delta was accumulated under a different fit
     /// configuration than the saved state.
     ConfigDrift,
-    /// A gap endpoint's tile is owned by a shard the serving fleet does
-    /// not carry (and no global fallback blob is loaded).
-    ShardMiss,
     /// The daemon's bounded admission queue is full: the request was
     /// rejected instead of queued. Transient — back off and retry.
     Overloaded,
@@ -75,7 +68,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Every code, in documentation order (the wire error-code table).
-    pub const ALL: [ErrorCode; 17] = [
+    pub const ALL: [ErrorCode; 15] = [
         ErrorCode::BadRequest,
         ErrorCode::Io,
         ErrorCode::Csv,
@@ -87,10 +80,8 @@ impl ErrorCode {
         ErrorCode::SnapFailed,
         ErrorCode::BadModelBlob,
         ErrorCode::UnsortedInput,
-        ErrorCode::ConfigMismatch,
         ErrorCode::StateVersion,
         ErrorCode::ConfigDrift,
-        ErrorCode::ShardMiss,
         ErrorCode::Overloaded,
         ErrorCode::Internal,
     ];
@@ -109,10 +100,8 @@ impl ErrorCode {
             ErrorCode::SnapFailed => "snap_failed",
             ErrorCode::BadModelBlob => "bad_model_blob",
             ErrorCode::UnsortedInput => "unsorted_input",
-            ErrorCode::ConfigMismatch => "config_mismatch",
             ErrorCode::StateVersion => "state_version",
             ErrorCode::ConfigDrift => "config_drift",
-            ErrorCode::ShardMiss => "shard_miss",
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::Internal => "internal",
         }
@@ -196,22 +185,7 @@ impl From<habit_engine::BatchFailure> for ServiceError {
         let code = match &e {
             habit_engine::BatchFailure::NoPath { .. } => ErrorCode::NoPath,
             habit_engine::BatchFailure::Snap(_) => ErrorCode::SnapFailed,
-            habit_engine::BatchFailure::ShardMiss { .. } => ErrorCode::ShardMiss,
-        };
-        Self::new(code, e.to_string())
-    }
-}
-
-impl From<habit_fleet::FleetError> for ServiceError {
-    fn from(e: habit_fleet::FleetError) -> Self {
-        let code = match e {
-            // An underlying model error keeps its own taxonomy mapping.
-            habit_fleet::FleetError::Habit(inner) => return ServiceError::from(inner),
-            habit_fleet::FleetError::Io(_) => ErrorCode::Io,
-            habit_fleet::FleetError::BadManifest(_)
-            | habit_fleet::FleetError::HashMismatch { .. } => ErrorCode::BadModelBlob,
-            habit_fleet::FleetError::ConfigMismatch => ErrorCode::ConfigMismatch,
-            habit_fleet::FleetError::ShardMiss { .. } => ErrorCode::ShardMiss,
+            habit_engine::BatchFailure::InvalidGap(_) => ErrorCode::BadRequest,
         };
         Self::new(code, e.to_string())
     }
@@ -281,10 +255,8 @@ mod tests {
                 ("snap_failed", 1),
                 ("bad_model_blob", 1),
                 ("unsorted_input", 1),
-                ("config_mismatch", 1),
                 ("state_version", 1),
                 ("config_drift", 1),
-                ("shard_miss", 1),
                 ("overloaded", 1),
                 ("internal", 1),
             ]

@@ -11,11 +11,10 @@
 //!   every failure anywhere in the stack maps to a stable
 //!   machine-readable code, and each code implies exactly one CLI exit
 //!   code (`bad_request` → 2, everything else → 1);
-//! * [`Service`] — owns the serving state (a single blob's
-//!   [`habit_engine::BatchImputer`], or a fleet's router; either way
-//!   route caches stay warm across requests) and the compute
-//!   [`habit_engine::ThreadPool`]; [`Service::handle`] executes any
-//!   request;
+//! * [`Service`] — owns the serving model blob and its
+//!   [`habit_engine::BatchImputer`] (whose route cache stays warm
+//!   across requests) and the compute [`habit_engine::ThreadPool`];
+//!   [`Service::handle`] executes any request;
 //! * [`ServiceMetrics`] — the observability surface: per-op request /
 //!   error / latency metrics (a [`habit_obs::Registry`]) plus stage
 //!   spans (a [`habit_obs::Recorder`]), fed by every `handle` call and
@@ -63,7 +62,6 @@ pub mod request;
 pub mod response;
 pub mod server;
 pub mod service;
-mod serving;
 pub mod wire;
 
 pub use admission::AdmissionConfig;

@@ -19,12 +19,6 @@
 //!   — the batch imputer's route cache, accumulated across requests;
 //! * `habit_refits_total` — successful fit/refit model swaps;
 //! * `habit_connections_open` — live daemon connections (gauge);
-//! * `habit_shards_loaded` — shards of the serving fleet (gauge, 0 for
-//!   single-blob serving);
-//! * `habit_shard_requests_total{shard=…}` — gaps (and stitched legs)
-//!   dispatched to each shard's imputer;
-//! * `habit_shard_seam_routes_total` — cross-shard gaps answered by a
-//!   seam-stitched two-leg route;
 //! * `habit_admission_queue_depth` — gaps waiting in the daemon's
 //!   cross-connection admission queue (gauge, 0 without coalescing);
 //! * `habit_admission_flushes_total` / `habit_admission_submissions_total`
@@ -45,7 +39,6 @@ use crate::admission::FlushCause;
 use crate::error::ErrorCode;
 use crate::response::OpLatency;
 use habit_engine::BatchStats;
-use habit_fleet::FleetBatchStats;
 use habit_obs::{Counter, Gauge, Histogram, Recorder, Registry, Snapshot, LATENCY_BUCKETS_US};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,30 +195,6 @@ impl ServiceMetrics {
         self.registry.counter("habit_refits_total", &[]).inc();
     }
 
-    /// Sets the fleet-shards gauge: how many shards the serving fleet
-    /// carries (0 when a single blob — or nothing — is serving).
-    pub fn set_shards_loaded(&self, shards: usize) {
-        self.registry
-            .gauge("habit_shards_loaded", &[])
-            .set(shards as i64);
-    }
-
-    /// Accumulates one fleet batch's scatter/gather counters: per-shard
-    /// dispatch totals and seam-stitched cross-shard routes.
-    pub fn observe_fleet(&self, stats: &FleetBatchStats) {
-        for (&shard, &requests) in &stats.shard_requests {
-            let label = shard.to_string();
-            self.registry
-                .counter("habit_shard_requests_total", &[("shard", &label)])
-                .add(requests);
-        }
-        if stats.seam_routes > 0 {
-            self.registry
-                .counter("habit_shard_seam_routes_total", &[])
-                .add(stats.seam_routes);
-        }
-    }
-
     /// Tracks the daemon's live-connection gauge.
     pub fn connection_opened(&self) {
         self.registry.gauge("habit_connections_open", &[]).add(1);
@@ -372,37 +341,6 @@ mod tests {
         // Zero-valued batches never mint the counter families early.
         assert!(text.contains("habit_route_cache_hits_total 5\n"));
         assert!(text.contains("habit_route_cache_misses_total 2\n"));
-    }
-
-    #[test]
-    fn fleet_counters_render_in_the_text_sink() {
-        let m = ServiceMetrics::new();
-        m.set_shards_loaded(4);
-        let mut stats = FleetBatchStats::default();
-        stats.shard_requests.insert(0, 3);
-        stats.shard_requests.insert(2, 5);
-        stats.seam_routes = 2;
-        m.observe_fleet(&stats);
-        m.observe_fleet(&FleetBatchStats {
-            shard_requests: [(2u32, 1u64)].into_iter().collect(),
-            ..FleetBatchStats::default()
-        });
-        let text = habit_obs::text::render(&m.snapshot());
-        assert!(text.contains("habit_shards_loaded 4\n"), "{text}");
-        assert!(
-            text.contains("habit_shard_requests_total{shard=\"0\"} 3\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("habit_shard_requests_total{shard=\"2\"} 6\n"),
-            "{text}"
-        );
-        assert!(text.contains("habit_shard_seam_routes_total 2\n"), "{text}");
-        // A fleetless service swapping back to a single blob zeroes the
-        // gauge rather than deleting it.
-        m.set_shards_loaded(0);
-        let text = habit_obs::text::render(&m.snapshot());
-        assert!(text.contains("habit_shards_loaded 0\n"), "{text}");
     }
 
     #[test]

@@ -33,14 +33,6 @@ pub struct FitSpec {
     /// disk, but the saved model can be incrementally refitted later.
     /// The in-memory serving model keeps its state either way.
     pub save_state: bool,
-    /// When set, fit a model *fleet* instead of one blob: per-shard v2
-    /// blobs plus an `HFM1` manifest written into this directory, and
-    /// the fleet installed as the serving state (`habit fit
-    /// --shards-out DIR`). Mutually exclusive with `save_to`.
-    pub shards_out: Option<String>,
-    /// Partition modulus of a fleet fit (`shard = hash(tile) %
-    /// fleet_shards`); ignored unless `shards_out` is set.
-    pub fleet_shards: u32,
 }
 
 impl Default for FitSpec {
@@ -52,8 +44,6 @@ impl Default for FitSpec {
             projection: CellProjection::Median,
             save_to: None,
             save_state: false,
-            shards_out: None,
-            fleet_shards: habit_fleet::DEFAULT_FLEET_SHARDS,
         }
     }
 }
@@ -66,14 +56,7 @@ pub struct RefitSpec {
     /// history/delta boundary), resolved on the service's machine.
     pub input: String,
     /// When set, the refitted v2 model blob is also written here.
-    /// Ignored in sharded serving (the fleet directory's blob and
-    /// manifest are always rewritten in place).
     pub save_to: Option<String>,
-    /// Sharded serving only: refit exactly this shard's model with the
-    /// delta's contribution to it, hot-swap it in the router, and
-    /// persist the new blob + manifest. Required when a fleet is
-    /// serving; rejected when a single blob is.
-    pub shard: Option<u32>,
 }
 
 /// One operation against the service, transport-agnostic.
@@ -181,7 +164,6 @@ mod tests {
             Request::Refit(RefitSpec {
                 input: "delta.csv".into(),
                 save_to: None,
-                shard: None,
             })
             .op(),
             "refit"

@@ -61,11 +61,6 @@ pub struct HealthInfo {
     pub route_cache_hits: u64,
     /// Route-cache misses (A* searches run) accumulated.
     pub route_cache_misses: u64,
-    /// Shards loaded when a model fleet is serving (0 for single-blob).
-    pub shards: usize,
-    /// FNV-1a 64 of the serving fleet's canonical manifest bytes, as a
-    /// hex string (`None` for single-blob serving).
-    pub manifest_hash: Option<String>,
     /// Admission-layer vitals (`None` when the daemon is not
     /// coalescing — the field then stays off the wire entirely).
     pub admission: Option<AdmissionInfo>,
@@ -105,12 +100,6 @@ pub struct ModelReport {
     /// Embedded-state presence, size, and fit provenance (`None` for
     /// v1 / stateless models — they serve but cannot be refitted).
     pub state: Option<FitStateInfo>,
-    /// Shards loaded when a model fleet is serving (0 for single-blob;
-    /// graph/storage numbers are then summed across shards).
-    pub shards: usize,
-    /// FNV-1a 64 of the serving fleet's canonical manifest bytes, as a
-    /// hex string (`None` for single-blob serving).
-    pub manifest_hash: Option<String>,
 }
 
 /// Result of a batched imputation.
@@ -177,14 +166,10 @@ pub struct FitSummary {
     pub cells: usize,
     /// Transition-graph edges of the fitted model.
     pub transitions: usize,
-    /// Serialized model blob size in bytes (for a fleet fit: all shard
-    /// blobs plus the manifest).
+    /// Serialized model blob size in bytes.
     pub model_bytes: usize,
-    /// Where the blob (or fleet directory) was written, when requested.
+    /// Where the blob was written, when requested.
     pub saved_to: Option<String>,
-    /// Partition modulus of a fleet fit (`--shards-out`); 0 for a
-    /// single-blob fit.
-    pub shards: u32,
 }
 
 /// Result of an incremental refit: what the delta added and the new
@@ -207,9 +192,6 @@ pub struct RefitSummary {
     pub model_bytes: usize,
     /// Where the refitted blob was written, when requested.
     pub saved_to: Option<String>,
-    /// The shard refitted, when the refit targeted one shard of a
-    /// serving fleet (`None` for whole-model refits).
-    pub shard: Option<u32>,
 }
 
 /// The success payload of one service operation.

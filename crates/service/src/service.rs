@@ -6,8 +6,9 @@
 //! request line, and tests call it directly — so an imputation answered
 //! over a socket is byte-for-byte the imputation the CLI prints.
 //!
-//! There is one serving state (`Serving`, behind one lock) and one way
-//! a gap gets answered: `Service::answer` runs *one* engine batch over
+//! There is one serving state (the model blob's [`BatchImputer`],
+//! behind one lock) and one way a gap gets answered:
+//! `Service::answer` runs *one* engine batch over
 //! the submissions it is handed and scatters the results back. The
 //! admission flusher hands it the N submissions of a flush; a request
 //! that is not queued — no admission layer, an idle queue passing it
@@ -22,16 +23,12 @@ use crate::response::{
     AdmissionInfo, BatchOutcome, FitStateInfo, FitSummary, HealthInfo, ModelReport, RefitSummary,
     RepairOutcome, RepairedGap, Response,
 };
-use crate::serving::Serving;
 use aggdb::Table;
-use ais::{segment_all, segment_all_from, trips_to_table, Trip, TripConfig};
+use ais::{segment_all, segment_all_from, trips_to_table, TripConfig};
 use habit_core::{GapQuery, HabitConfig, HabitModel};
-use habit_engine::{
-    accumulate_per_shard, fit_sharded_traced, refit_model_traced, BatchStats, ThreadPool,
-};
-use habit_fleet::{fit_fleet, load_fleet, shard_blob_name, FleetError, FleetRouter, MANIFEST_FILE};
+use habit_engine::{fit_sharded_traced, refit_model_traced, BatchImputer, BatchStats, ThreadPool};
 use std::borrow::Cow;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -57,8 +54,7 @@ impl Default for ServiceConfig {
 /// Read access to one of the service's locks, recovering from poison:
 /// a panic under a guard must not turn every later request into a panic
 /// of its own. Sound because no writer leaves a value half-updated —
-/// the serving and admission slots are replaced whole, and a shard
-/// hot-swap mutates the router only after its last fallible step.
+/// the serving and admission slots are replaced whole.
 fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
 }
@@ -68,14 +64,13 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Reads a refit delta: the AIS CSV at `input` as trips numbered from
-/// `first_id`, and their table. Ids continue above the fitted history's
-/// high-water mark: they must match what one segmentation pass over
-/// history ∪ delta would have assigned (service-fitted histories are
-/// dense, so max == count; every shard state of a fleet carries the
-/// same global provenance) and never alias an existing id — the
-/// per-transition distinct-trip counts would under-count.
-fn read_delta(input: &str, first_id: u64) -> Result<(Vec<Trip>, Table), ServiceError> {
+/// Reads a refit delta: the AIS CSV at `input` as the table of its
+/// trips numbered from `first_id`. Ids continue above the fitted
+/// history's high-water mark: they must match what one segmentation
+/// pass over history ∪ delta would have assigned (service-fitted
+/// histories are dense, so max == count) and never alias an existing
+/// id — the per-transition distinct-trip counts would under-count.
+fn read_delta(input: &str, first_id: u64) -> Result<Table, ServiceError> {
     let trajectories = crate::csvio::read_ais_csv(Path::new(input))?;
     let trips = segment_all_from(&trajectories, &TripConfig::default(), first_id);
     if trips.is_empty() {
@@ -84,15 +79,7 @@ fn read_delta(input: &str, first_id: u64) -> Result<(Vec<Trip>, Table), ServiceE
             "delta produced no trips after segmentation — nothing to refit",
         ));
     }
-    let table = trips_to_table(&trips);
-    Ok((trips, table))
-}
-
-/// Prefixes a fleet error with the fleet directory it concerns.
-fn fleet_error(dir: &Path, e: FleetError) -> ServiceError {
-    let mut err = ServiceError::from(e);
-    err.message = format!("{}: {}", dir.display(), err.message);
-    err
+    Ok(trips_to_table(&trips))
 }
 
 fn read_model(path: &str) -> Result<HabitModel, ServiceError> {
@@ -112,11 +99,12 @@ fn write_file(path: &Path, bytes: &[u8]) -> Result<(), ServiceError> {
 pub struct Service {
     pool: ThreadPool,
     cache_capacity: usize,
-    /// What is loaded and serving — a blob, a fleet, or nothing yet.
-    serving: RwLock<Option<Serving>>,
-    /// Whether `serving` is a single blob with no cells — what
-    /// `Impute`'s pre-flight refuses — kept beside the lock so the
-    /// per-request check does not take it.
+    /// The serving model's imputer — the model and its warm route
+    /// cache, replaced as one value — or nothing yet.
+    serving: RwLock<Option<BatchImputer>>,
+    /// Whether the serving model has no cells — what `Impute`'s
+    /// pre-flight refuses — kept beside the lock so the per-request
+    /// check does not take it.
     empty_blob: AtomicBool,
     /// Serializes model-swapping operations (`fit`, `refit`): a refit
     /// snapshots the serving state, accumulates off the read lock, and
@@ -174,58 +162,19 @@ impl Service {
         Ok(Self::with_model(config, read_model(path)?))
     }
 
-    /// A service serving the model fleet in `dir` (written by `habit
-    /// fit --shards-out`), with an optional single-blob fallback model
-    /// that rescues shard-miss gaps. Every blob is hash-verified
-    /// against the manifest before anything serves.
-    pub fn with_fleet(
-        config: ServiceConfig,
-        dir: &str,
-        fallback_path: Option<&str>,
-    ) -> Result<Self, ServiceError> {
-        let service = Self::new(config);
-        let fallback = fallback_path.map(read_model).transpose()?.map(Arc::new);
-        service.install(service.load_fleet(PathBuf::from(dir), fallback)?);
-        Ok(service)
-    }
-
-    /// Loads the fleet in `dir` (hash-verified) behind a fresh router.
-    fn load_fleet(
-        &self,
-        dir: PathBuf,
-        fallback: Option<Arc<HabitModel>>,
-    ) -> Result<Serving, ServiceError> {
-        let fleet = load_fleet(&dir).map_err(|e| fleet_error(&dir, e))?;
-        let router = FleetRouter::new(fleet, fallback.clone(), self.cache_capacity)
-            .map_err(|e| fleet_error(&dir, e))?;
-        Ok(Serving::Fleet {
-            router,
-            dir,
-            fallback,
-        })
-    }
-
     /// Installs `model` as the serving model (fresh route cache),
     /// replacing whatever served before.
     pub fn install_model(&self, model: HabitModel) {
-        self.install(Serving::blob(model, self.cache_capacity));
-    }
-
-    fn install(&self, serving: Serving) {
-        let (shards, _) = serving.manifest();
-        let empty_blob = serving.whole_model().is_some_and(|m| m.node_count() == 0);
+        let empty_blob = model.node_count() == 0;
+        let imputer = BatchImputer::new(Arc::new(model), self.cache_capacity);
         let mut slot = write(&self.serving);
         self.empty_blob.store(empty_blob, Ordering::SeqCst);
-        *slot = Some(serving);
-        drop(slot);
-        self.metrics.set_shards_loaded(shards);
+        *slot = Some(imputer);
     }
 
-    /// The loaded single-blob model, when one is installed.
+    /// The loaded model, when one is installed.
     pub fn model(&self) -> Option<Arc<HabitModel>> {
-        read(&self.serving)
-            .as_ref()
-            .and_then(|s| s.whole_model().cloned())
+        read(&self.serving).as_ref().map(|s| Arc::clone(s.model()))
     }
 
     /// Worker threads of the compute pool.
@@ -399,7 +348,7 @@ impl Service {
                 [only] => Cow::Borrowed(only),
                 many => Cow::Owned(many.concat()),
             };
-            let (results, shared, fleet_stats) = serving.answer(
+            let (results, shared) = serving.impute_batch_traced(
                 &flat,
                 &self.pool,
                 provenance,
@@ -407,9 +356,6 @@ impl Service {
                 op,
             );
             self.metrics.observe_batch(&shared);
-            if let Some(fleet_stats) = &fleet_stats {
-                self.metrics.observe_fleet(fleet_stats);
-            }
             let cached_routes = serving.cached_routes();
             let mut remaining = results.into_iter();
             Ok(submissions
@@ -478,12 +424,9 @@ impl Service {
     /// startup banner reads it).
     pub fn health(&self) -> HealthInfo {
         let serving = read(&self.serving);
-        let (mut cells, mut transitions) = (0, 0);
-        for model in serving.iter().flat_map(Serving::models) {
-            cells += model.node_count();
-            transitions += model.edge_count();
-        }
-        let (shards, manifest_hash) = serving.as_ref().map_or((0, None), Serving::manifest);
+        let (cells, transitions) = serving
+            .as_ref()
+            .map_or((0, 0), |s| (s.model().node_count(), s.model().edge_count()));
         let (route_cache_hits, route_cache_misses) = self.metrics.route_cache_counts();
         let admission = read(&self.admission).as_ref().map(|a| AdmissionInfo {
             queue_depth: a.queue.depth() as u64,
@@ -500,8 +443,6 @@ impl Service {
             requests_total: self.metrics.requests_total(),
             route_cache_hits,
             route_cache_misses,
-            shards,
-            manifest_hash,
             admission,
         }
     }
@@ -509,7 +450,7 @@ impl Service {
     /// Runs `f` with the serving state or fails with `no_model`.
     fn with_serving<R>(
         &self,
-        f: impl FnOnce(&Serving) -> Result<R, ServiceError>,
+        f: impl FnOnce(&BatchImputer) -> Result<R, ServiceError>,
     ) -> Result<R, ServiceError> {
         match read(&self.serving).as_ref() {
             Some(serving) => f(serving),
@@ -522,61 +463,39 @@ impl Service {
 
     fn model_info(&self) -> Result<Response, ServiceError> {
         self.with_serving(|serving| {
-            // Aggregate across models: graph/storage/report numbers sum
-            // and the busiest cell is the max. Fleet blobs always embed
-            // their state, but the per-shard fit states stay per-shard
-            // (`state: None` — there is no single whole-fleet state to
-            // describe).
-            let (shards, manifest_hash) = serving.manifest();
-            let mut report = ModelReport {
-                config: HabitConfig::default(),
-                cells: 0,
-                transitions: 0,
-                reports: 0,
-                busiest_cell_vessels: 0,
-                storage_bytes: 0,
-                blob_version: 2,
-                state: serving
-                    .whole_model()
-                    .and_then(|m| m.state())
-                    .map(|s| FitStateInfo {
-                        state_bytes: s.storage_bytes() as u64,
-                        trips: s.provenance().trips,
-                        reports: s.provenance().reports,
-                    }),
-                shards,
-                manifest_hash,
-            };
-            for model in serving.models() {
-                report.config = *model.config();
-                report.blob_version = model.blob_version();
-                report.cells += model.node_count();
-                report.transitions += model.edge_count();
-                report.storage_bytes += model.storage_bytes();
-                for (_, stats) in model.csr().nodes() {
-                    report.reports += stats.msg_count;
-                    report.busiest_cell_vessels = report.busiest_cell_vessels.max(stats.vessels);
-                }
+            let model = serving.model();
+            let (mut reports, mut busiest_cell_vessels) = (0, 0);
+            for (_, stats) in model.csr().nodes() {
+                reports += stats.msg_count;
+                busiest_cell_vessels = busiest_cell_vessels.max(stats.vessels);
             }
-            Ok(Response::ModelInfo(report))
+            Ok(Response::ModelInfo(ModelReport {
+                config: *model.config(),
+                cells: model.node_count(),
+                transitions: model.edge_count(),
+                reports,
+                busiest_cell_vessels,
+                storage_bytes: model.storage_bytes(),
+                blob_version: model.blob_version(),
+                state: model.state().map(|s| FitStateInfo {
+                    state_bytes: s.storage_bytes() as u64,
+                    trips: s.provenance().trips,
+                    reports: s.provenance().reports,
+                }),
+            }))
         })
     }
 
     fn impute(&self, gap: &GapQuery, provenance: bool) -> Result<Response, ServiceError> {
-        if gap.duration_s() <= 0 {
-            return Err(ServiceError::bad_request(format!(
-                "invalid gap: end (t={}) must be later than start (t={})",
-                gap.end.t, gap.start.t
-            )));
-        }
         // An empty blob refuses before snapping (and before queueing,
         // so admission cannot change which error a request gets).
         if self.empty_blob.load(Ordering::SeqCst) {
             return Err(habit_core::HabitError::EmptyModel.into());
         }
         // A batch of one, so single-gap traffic shares the warm route
-        // cache(s) with batches; the engine asserts batch ==
-        // single-query results.
+        // cache with batches (and the engine's per-query checks, such
+        // as end after start); the engine asserts batch == single-query
+        // results.
         let mut answer = self.submit(std::slice::from_ref(gap), provenance, "impute")?;
         match answer.results.pop().expect("one result per query") {
             Ok(imputation) => Ok(Response::Imputation(imputation)),
@@ -619,7 +538,7 @@ impl Service {
                 )));
             }
         }
-        let model = self.with_serving(Serving::repair_model)?;
+        let model = self.with_serving(|s| Ok(Arc::clone(s.model())))?;
         let (points, report) = if provenance {
             model.repair_track_with_provenance(track, config)?
         } else {
@@ -652,19 +571,6 @@ impl Service {
                 hexgrid::MAX_RESOLUTION
             )));
         }
-        if spec.shards_out.is_some() {
-            if spec.save_to.is_some() {
-                return Err(ServiceError::bad_request(
-                    "--shards-out and --out are mutually exclusive — a fleet fit \
-                     writes per-shard blobs plus the manifest into its directory",
-                ));
-            }
-            if spec.fleet_shards == 0 {
-                return Err(ServiceError::bad_request(
-                    "--fleet-shards must be at least 1",
-                ));
-            }
-        }
         let trajectories = crate::csvio::read_ais_csv(Path::new(&spec.input))?;
         let trips = segment_all(&trajectories, &TripConfig::default());
         if trips.is_empty() {
@@ -681,127 +587,62 @@ impl Service {
         };
         // Sharded fit on the pool: byte-identical to the sequential
         // `HabitModel::fit` at every shard/thread count (engine proptest).
-        let table = trips_to_table(&trips);
-        let (serving, model_bytes, saved_to, shards) = if let Some(out) = &spec.shards_out {
-            // Fleet fit: per-shard v2 blobs plus the manifest, then a
-            // hash-verified reload so the service serves exactly what
-            // the directory now holds.
-            let dir = PathBuf::from(out);
-            let manifest = fit_fleet(&table, config, spec.fleet_shards, &self.pool, &dir)
-                .map_err(|e| fleet_error(&dir, e))?;
-            let mut model_bytes = manifest.to_bytes().len();
-            for blob in manifest.blobs.values() {
-                model_bytes += std::fs::read(dir.join(&blob.path))
-                    .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{out}: {e}")))?
-                    .len();
-            }
-            let serving = self.load_fleet(dir, None)?;
-            (serving, model_bytes, Some(out.clone()), spec.fleet_shards)
+        let model = fit_sharded_traced(
+            &trips_to_table(&trips),
+            config,
+            self.pool.threads(),
+            &self.pool,
+            Some(self.metrics.recorder()),
+            "fit",
+        )?;
+        // `--save-state` writes the v2 container (graph + fit state), so
+        // the blob on disk can be refitted by a later process; the lean
+        // v1 blob stays the default. The *serving* model keeps its state
+        // in memory either way, so in-daemon refits always work.
+        let bytes = if spec.save_state {
+            model.to_bytes_full()
         } else {
-            let model = fit_sharded_traced(
-                &table,
-                config,
-                self.pool.threads(),
-                &self.pool,
-                Some(self.metrics.recorder()),
-                "fit",
-            )?;
-            // `--save-state` writes the v2 container (graph + fit state), so
-            // the blob on disk can be refitted by a later process; the lean
-            // v1 blob stays the default. The *serving* model keeps its state
-            // in memory either way, so in-daemon refits always work.
-            let bytes = if spec.save_state {
-                model.to_bytes_full()
-            } else {
-                model.to_bytes()
-            };
-            if let Some(out) = &spec.save_to {
-                write_file(Path::new(out), &bytes)?;
-            }
-            let serving = Serving::blob(model, self.cache_capacity);
-            (serving, bytes.len(), spec.save_to.clone(), 0)
+            model.to_bytes()
         };
-        let models = serving.models();
+        if let Some(out) = &spec.save_to {
+            write_file(Path::new(out), &bytes)?;
+        }
         let summary = FitSummary {
             trips: trips.len(),
             reports: trips.iter().map(|t| t.points.len()).sum(),
-            cells: models.iter().map(|m| m.node_count()).sum(),
-            transitions: models.iter().map(|m| m.edge_count()).sum(),
-            model_bytes,
-            saved_to,
-            shards,
+            cells: model.node_count(),
+            transitions: model.edge_count(),
+            model_bytes: bytes.len(),
+            saved_to: spec.save_to.clone(),
         };
-        self.install(serving);
+        self.install_model(model);
         self.metrics.observe_refit();
         Ok(Response::Fitted(summary))
     }
 
     fn refit(&self, spec: &RefitSpec) -> Result<Response, ServiceError> {
         let _mutating = self.mutate.lock().unwrap_or_else(PoisonError::into_inner);
-        // Snapshot what the refit derives from under the read lock and
-        // accumulate off it — imputations keep flowing during a refit;
-        // the hot-swap happens at the end. A blob refits as a whole, a
-        // fleet one shard at a time.
-        let serving = read(&self.serving);
-        let summary = match (serving.as_ref(), spec.shard) {
-            (None | Some(Serving::Blob { .. }), Some(shard)) => {
-                return Err(ServiceError::bad_request(format!(
-                    "--shard {shard} applies to sharded serving only — this service \
-                     serves a single blob"
-                )))
-            }
-            (None, None) => {
-                return Err(ServiceError::new(
+        // Snapshot the serving model under the read lock and accumulate
+        // off it — imputations keep flowing during a refit; the hot-swap
+        // happens at the end.
+        let model = read(&self.serving)
+            .as_ref()
+            .map(|s| Arc::clone(s.model()))
+            .ok_or_else(|| {
+                ServiceError::new(
                     ErrorCode::NoModel,
                     "no model loaded — refit needs a serving model with an embedded fit state",
-                ))
-            }
-            (Some(Serving::Blob { model, .. }), None) => {
-                let model = Arc::clone(model);
-                drop(serving);
-                self.refit_blob(spec, &model)?
-            }
-            (Some(Serving::Fleet { .. }), None) => {
-                return Err(ServiceError::bad_request(
-                    "sharded serving refits one shard at a time — pass --shard N",
-                ))
-            }
-            (Some(Serving::Fleet { router, dir, .. }), Some(shard)) => {
-                let Some(model) = router.model(shard) else {
-                    return Err(ServiceError::new(
-                        ErrorCode::ShardMiss,
-                        format!("shard {shard} is not loaded in the serving fleet"),
-                    ));
-                };
-                let history = model
-                    .state()
-                    .cloned()
-                    .expect("fleet blobs always embed a fit state");
-                let (modulus, dir) = (router.manifest().shards, dir.clone());
-                drop(serving);
-                self.refit_shard(spec, shard, history, modulus, &dir)?
-            }
-        };
-        self.metrics.observe_refit();
-        Ok(Response::Refitted(summary))
-    }
-
-    /// The single-blob refit tail: merge the delta into the model's
-    /// embedded fit state and hot-swap the result in.
-    fn refit_blob(
-        &self,
-        spec: &RefitSpec,
-        model: &HabitModel,
-    ) -> Result<RefitSummary, ServiceError> {
+                )
+            })?;
         let state = model.state().ok_or_else(|| {
             ServiceError::from(habit_core::HabitError::StateVersion {
                 found: 0,
                 supported: habit_core::FITSTATE_VERSION,
             })
         })?;
-        let (_, delta) = read_delta(&spec.input, state.provenance().max_trip_id + 1)?;
+        let delta = read_delta(&spec.input, state.provenance().max_trip_id + 1)?;
         let (refitted, outcome) = refit_model_traced(
-            model,
+            &model,
             &delta,
             self.pool.threads(),
             &self.pool,
@@ -822,62 +663,10 @@ impl Service {
             transitions: refitted.edge_count(),
             model_bytes: bytes.len(),
             saved_to: spec.save_to.clone(),
-            shard: None,
         };
         self.install_model(refitted);
-        Ok(summary)
-    }
-
-    /// The sharded-serving refit tail: merge the delta's contribution
-    /// to `shard` into that shard's snapshot `history`, hot-swap the
-    /// shard through the router, and persist the new blob and manifest
-    /// into the fleet directory (blob first, so a torn write cannot
-    /// leave the manifest pointing at stale bytes it no longer hashes).
-    fn refit_shard(
-        &self,
-        spec: &RefitSpec,
-        shard: u32,
-        mut history: habit_core::FitState,
-        modulus: u32,
-        dir: &Path,
-    ) -> Result<RefitSummary, ServiceError> {
-        let config = *history.config();
-        let (trips, delta) = read_delta(&spec.input, history.provenance().max_trip_id + 1)?;
-        let states = accumulate_per_shard(&delta, config, modulus as usize, &self.pool)?;
-        let Some((_, delta_state)) = states.into_iter().find(|(s, _)| *s == shard) else {
-            return Err(ServiceError::new(
-                ErrorCode::BadInput,
-                format!(
-                    "delta contributes nothing to shard {shard} — every cell of its \
-                     trips hashes to another shard"
-                ),
-            ));
-        };
-        history.merge(delta_state)?;
-        let provenance = *history.provenance();
-        let model = Arc::new(HabitModel::from_fit_state(history)?);
-
-        let (bytes, manifest) = match write(&self.serving).as_mut() {
-            Some(Serving::Fleet { router, .. }) => router
-                .replace_shard(shard, Arc::clone(&model))
-                .map_err(|e| fleet_error(dir, e))?,
-            _ => return Err(ServiceError::internal("fleet unloaded during refit")),
-        };
-        let blob_path = dir.join(shard_blob_name(shard));
-        write_file(&blob_path, &bytes)?;
-        write_file(&dir.join(MANIFEST_FILE), &manifest.to_bytes())?;
-
-        Ok(RefitSummary {
-            trips_added: trips.len() as u64,
-            reports_added: trips.iter().map(|t| t.points.len() as u64).sum(),
-            trips_total: provenance.trips,
-            reports_total: provenance.reports,
-            cells: model.node_count(),
-            transitions: model.edge_count(),
-            model_bytes: bytes.len(),
-            saved_to: Some(blob_path.display().to_string()),
-            shard: Some(shard),
-        })
+        self.metrics.observe_refit();
+        Ok(Response::Refitted(summary))
     }
 }
 
@@ -1249,7 +1038,6 @@ mod tests {
             .handle(&Request::Refit(RefitSpec {
                 input: delta.to_str().unwrap().to_string(),
                 save_to: None,
-                shard: None,
             }))
             .unwrap()
         else {
@@ -1303,7 +1091,6 @@ mod tests {
             .handle(&Request::Refit(RefitSpec {
                 input: "/nonexistent.csv".into(),
                 save_to: None,
-                shard: None,
             }))
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::NoModel);
@@ -1318,7 +1105,6 @@ mod tests {
             .handle(&Request::Refit(RefitSpec {
                 input: "/nonexistent.csv".into(),
                 save_to: None,
-                shard: None,
             }))
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::StateVersion);
@@ -1332,7 +1118,6 @@ mod tests {
             .handle(&Request::Refit(RefitSpec {
                 input: "/nonexistent.csv".into(),
                 save_to: None,
-                shard: None,
             }))
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::Io);
@@ -1342,7 +1127,6 @@ mod tests {
             .handle(&Request::Refit(RefitSpec {
                 input: csv.to_str().unwrap().to_string(),
                 save_to: None,
-                shard: None,
             }))
             .unwrap_err();
         std::fs::remove_file(&csv).ok();
@@ -1502,266 +1286,6 @@ mod tests {
         assert_eq!(out.gaps_imputed(), 1);
         let gap_prov = out.gaps[0].provenance.as_ref().expect("repair provenance");
         assert_eq!(gap_prov.len(), out.gaps[0].points_added);
-    }
-
-    #[test]
-    fn one_shard_fleet_serves_byte_identically_to_a_single_blob() {
-        let csv = write_lane_csv("fleet1", 100, 3);
-        let dir = std::env::temp_dir().join(format!("habit-svc-fleet1-{}", std::process::id()));
-        let config = ServiceConfig {
-            threads: 2,
-            cache_capacity: 16,
-        };
-
-        let fleet_svc = Service::new(config);
-        let Response::Fitted(summary) = fleet_svc
-            .handle(&Request::Fit(FitSpec {
-                input: csv.to_str().unwrap().to_string(),
-                shards_out: Some(dir.to_str().unwrap().to_string()),
-                fleet_shards: 1,
-                ..FitSpec::default()
-            }))
-            .unwrap()
-        else {
-            panic!("fleet fit");
-        };
-        assert_eq!(summary.shards, 1);
-        assert_eq!(summary.saved_to.as_deref(), dir.to_str());
-
-        let single_svc = Service::new(config);
-        single_svc
-            .handle(&Request::Fit(FitSpec {
-                input: csv.to_str().unwrap().to_string(),
-                ..FitSpec::default()
-            }))
-            .unwrap();
-
-        let gap = GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600);
-        let Response::Imputation(fleet_answer) = fleet_svc
-            .handle(&Request::Impute {
-                gap,
-                provenance: false,
-            })
-            .unwrap()
-        else {
-            panic!("fleet imputation");
-        };
-        let Response::Imputation(single_answer) = single_svc
-            .handle(&Request::Impute {
-                gap,
-                provenance: false,
-            })
-            .unwrap()
-        else {
-            panic!("single imputation");
-        };
-        assert_eq!(fleet_answer.cells, single_answer.cells);
-        assert_eq!(fleet_answer.cost, single_answer.cost);
-        assert_eq!(fleet_answer.points, single_answer.points);
-
-        // Health and model_info carry the fleet identity.
-        let Response::Health(h) = fleet_svc.handle(&Request::Health).unwrap() else {
-            panic!("health");
-        };
-        assert!(h.model_loaded);
-        assert_eq!(h.shards, 1);
-        let hash = h
-            .manifest_hash
-            .expect("fleet health carries the manifest hash");
-        assert!(hash.starts_with("0x") && hash.len() == 18, "{hash}");
-        let Response::ModelInfo(info) = fleet_svc.handle(&Request::ModelInfo).unwrap() else {
-            panic!("model info");
-        };
-        assert_eq!(info.shards, 1);
-        assert_eq!(info.manifest_hash.as_deref(), Some(hash.as_str()));
-        assert_eq!(info.blob_version, 2, "fleet blobs embed their state");
-
-        // The metric surface saw the fleet: gauge + per-shard counter.
-        let Response::Metrics(snapshot) = fleet_svc.handle(&Request::Metrics).unwrap() else {
-            panic!("metrics");
-        };
-        let text = habit_obs::text::render(&snapshot);
-        assert!(text.contains("habit_shards_loaded 1\n"), "{text}");
-        assert!(
-            text.contains("habit_shard_requests_total{shard=\"0\"} 1\n"),
-            "{text}"
-        );
-
-        // Reloading the directory from scratch serves the same answer.
-        let reloaded = Service::with_fleet(config, dir.to_str().unwrap(), None).unwrap();
-        let Response::Imputation(again) = reloaded
-            .handle(&Request::Impute {
-                gap,
-                provenance: false,
-            })
-            .unwrap()
-        else {
-            panic!("reloaded imputation");
-        };
-        assert_eq!(again.points, fleet_answer.points);
-
-        std::fs::remove_file(&csv).ok();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fleet_refit_taxonomy_and_exclusivity() {
-        let csv = write_lane_csv("fleettax", 100, 3);
-        let dir = std::env::temp_dir().join(format!("habit-svc-fleettax-{}", std::process::id()));
-        let config = ServiceConfig {
-            threads: 2,
-            cache_capacity: 16,
-        };
-        let svc = Service::new(config);
-        svc.handle(&Request::Fit(FitSpec {
-            input: csv.to_str().unwrap().to_string(),
-            shards_out: Some(dir.to_str().unwrap().to_string()),
-            fleet_shards: 2,
-            ..FitSpec::default()
-        }))
-        .unwrap();
-
-        // Fleet mode: --shard is mandatory, and it must name a shard the
-        // fleet carries.
-        let err = svc
-            .handle(&Request::Refit(RefitSpec {
-                input: csv.to_str().unwrap().to_string(),
-                save_to: None,
-                shard: None,
-            }))
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::BadRequest);
-        assert!(err.message.contains("--shard"), "{err}");
-        let err = svc
-            .handle(&Request::Refit(RefitSpec {
-                input: csv.to_str().unwrap().to_string(),
-                save_to: None,
-                shard: Some(7),
-            }))
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::ShardMiss);
-
-        // --shards-out and --out stay mutually exclusive on fit.
-        let err = svc
-            .handle(&Request::Fit(FitSpec {
-                input: csv.to_str().unwrap().to_string(),
-                shards_out: Some(dir.to_str().unwrap().to_string()),
-                save_to: Some("/tmp/x.habit".into()),
-                ..FitSpec::default()
-            }))
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::BadRequest);
-        let err = svc
-            .handle(&Request::Fit(FitSpec {
-                input: csv.to_str().unwrap().to_string(),
-                shards_out: Some(dir.to_str().unwrap().to_string()),
-                fleet_shards: 0,
-                ..FitSpec::default()
-            }))
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::BadRequest);
-
-        // A single-blob service rejects --shard.
-        let single = Service::with_model(config, lane_model());
-        let err = single
-            .handle(&Request::Refit(RefitSpec {
-                input: csv.to_str().unwrap().to_string(),
-                save_to: None,
-                shard: Some(0),
-            }))
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::BadRequest);
-        assert!(err.message.contains("single blob"), "{err}");
-
-        std::fs::remove_file(&csv).ok();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fleet_repair_uses_the_fallback_or_says_why_not() {
-        let csv = write_lane_csv("fleetrepair", 100, 3);
-        let pid = std::process::id();
-        let dir = std::env::temp_dir().join(format!("habit-svc-fleetrepair-{pid}"));
-        let blob = std::env::temp_dir().join(format!("habit-svc-fleetrepair-{pid}.habit"));
-        let config = ServiceConfig {
-            threads: 2,
-            cache_capacity: 16,
-        };
-        let svc = Service::new(config);
-        svc.handle(&Request::Fit(FitSpec {
-            input: csv.to_str().unwrap().to_string(),
-            save_to: Some(blob.to_str().unwrap().to_string()),
-            ..FitSpec::default()
-        }))
-        .unwrap();
-        svc.handle(&Request::Fit(FitSpec {
-            input: csv.to_str().unwrap().to_string(),
-            shards_out: Some(dir.to_str().unwrap().to_string()),
-            fleet_shards: 2,
-            ..FitSpec::default()
-        }))
-        .unwrap();
-
-        let mut track: Vec<geo_kernel::TimedPoint> = Vec::new();
-        for i in 0..200i64 {
-            if (60..100).contains(&i) {
-                continue;
-            }
-            track.push(geo_kernel::TimedPoint::new(
-                10.0 + i as f64 * 0.003,
-                56.0,
-                i * 60,
-            ));
-        }
-        let repair_config = habit_core::RepairConfig {
-            gap_threshold_s: 1800,
-            densify_max_spacing_m: Some(250.0),
-        };
-
-        // A fleet without a fallback cannot repair — the error says how
-        // to get one.
-        let err = svc
-            .handle(&Request::Repair {
-                track: track.clone(),
-                config: repair_config,
-                provenance: false,
-            })
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::NoModel);
-        assert!(err.message.contains("--shards DIR --model BLOB"), "{err}");
-
-        // With the global blob as fallback, repair answers exactly like
-        // single-blob serving.
-        let with_fallback =
-            Service::with_fleet(config, dir.to_str().unwrap(), Some(blob.to_str().unwrap()))
-                .unwrap();
-        let Response::Repaired(out) = with_fallback
-            .handle(&Request::Repair {
-                track: track.clone(),
-                config: repair_config,
-                provenance: false,
-            })
-            .unwrap()
-        else {
-            panic!("fleet repair");
-        };
-        let single = Service::with_model_file(config, blob.to_str().unwrap()).unwrap();
-        let Response::Repaired(base) = single
-            .handle(&Request::Repair {
-                track,
-                config: repair_config,
-                provenance: false,
-            })
-            .unwrap()
-        else {
-            panic!("single repair");
-        };
-        assert_eq!(out.gaps_imputed(), 1);
-        assert_eq!(out.points, base.points);
-
-        std::fs::remove_file(&csv).ok();
-        std::fs::remove_file(&blob).ok();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Flush-on-idle: no linger for whatever queued behind a pass.
@@ -2208,37 +1732,19 @@ mod tests {
             .collect()
     }
 
-    /// Runs `body` once per serving backend over the same lane history
-    /// — a single blob, then a one-shard fleet — handing it a factory of
-    /// cold services (empty route caches) with `threads` pool workers.
-    fn for_each_backend(tag: &str, threads: usize, body: impl Fn(&dyn Fn() -> Service)) {
-        let csv = write_lane_csv(tag, 100, 3);
-        let input = csv.to_str().unwrap().to_string();
-        let dir = std::env::temp_dir().join(format!("habit-svc-{tag}-{}", std::process::id()));
-        let config = ServiceConfig {
-            threads,
-            cache_capacity: 64,
-        };
-        let fitter = Service::new(config);
-        fitter
-            .handle(&Request::Fit(FitSpec {
-                input: input.clone(),
-                ..FitSpec::default()
-            }))
-            .unwrap();
-        let blob = fitter.model().unwrap().to_bytes();
-        fitter
-            .handle(&Request::Fit(FitSpec {
-                input,
-                shards_out: Some(dir.to_str().unwrap().to_string()),
-                fleet_shards: 1,
-                ..FitSpec::default()
-            }))
-            .unwrap();
-        body(&|| Service::with_model(config, HabitModel::from_bytes(&blob).unwrap()));
-        body(&|| Service::with_fleet(config, dir.to_str().unwrap(), None).unwrap());
-        std::fs::remove_file(&csv).ok();
-        std::fs::remove_dir_all(&dir).ok();
+    /// A factory of cold lane-model services (empty route caches) with
+    /// `threads` pool workers.
+    fn cold_services(threads: usize) -> impl Fn() -> Service {
+        let blob = lane_model().to_bytes();
+        move || {
+            Service::with_model(
+                ServiceConfig {
+                    threads,
+                    cache_capacity: 64,
+                },
+                HabitModel::from_bytes(&blob).unwrap(),
+            )
+        }
     }
 
     /// Asserts two result vectors are byte-identical: same ok/err split,
@@ -2295,72 +1801,112 @@ mod tests {
 
     #[test]
     fn coalesced_submissions_match_their_direct_batches() {
-        for_each_backend("scatter", 2, |fresh| {
-            // Three submissions with overlapping routes, one of which
-            // carries a gap that cannot snap: results and failures must
-            // land with their own submission.
-            let mut groups = vec![lane_queries(0, 5), lane_queries(5, 3)];
-            groups.push(vec![GapQuery::new(10.1, 95.0, 0, 10.3, 56.0, 3600)]);
-            assert_scatter_matches_each_submission_alone(fresh, &groups);
-            // The route-level counters describe the one shared pass:
-            // the three lane routes searched once across all
-            // submissions.
-            let slices: Vec<&[GapQuery]> = groups.iter().map(Vec::as_slice).collect();
-            let coalesced = fresh().answer(&slices, false, "coalesced").unwrap();
-            assert_eq!(coalesced[0].stats.unique_routes, 3);
-            assert_eq!(coalesced[0].stats.routes_computed, 3);
-            assert_eq!(coalesced[2].stats.failed, 1);
-        });
+        let fresh = cold_services(2);
+        // Three submissions with overlapping routes, one of which
+        // carries a gap that cannot snap: results and failures must
+        // land with their own submission.
+        let mut groups = vec![lane_queries(0, 5), lane_queries(5, 3)];
+        groups.push(vec![GapQuery::new(10.1, 95.0, 0, 10.3, 56.0, 3600)]);
+        assert_scatter_matches_each_submission_alone(&fresh, &groups);
+        // The route-level counters describe the one shared pass: the
+        // three lane routes searched once across all submissions.
+        let slices: Vec<&[GapQuery]> = groups.iter().map(Vec::as_slice).collect();
+        let coalesced = fresh().answer(&slices, false, "coalesced").unwrap();
+        assert_eq!(coalesced[0].stats.unique_routes, 3);
+        assert_eq!(coalesced[0].stats.routes_computed, 3);
+        assert_eq!(coalesced[2].stats.failed, 1);
     }
 
     #[test]
     fn single_submission_degenerates_to_the_direct_batch() {
-        for_each_backend("scatter1", 2, |fresh| {
-            let queries = lane_queries(0, 7);
-            let mut alone = fresh().answer(&[&queries], false, "impute_batch").unwrap();
-            assert_eq!(alone.len(), 1);
-            let alone = alone.pop().unwrap();
-            // Stats included: a flush of one is indistinguishable from
-            // the request path — with or without the admission queue.
-            assert_eq!(
-                alone.stats,
-                BatchStats {
-                    queries: 7,
-                    ok: 7,
-                    failed: 0,
-                    unique_routes: 3,
-                    cache_hits: 0,
-                    routes_computed: 3,
-                }
-            );
+        let fresh = cold_services(2);
+        let queries = lane_queries(0, 7);
+        let mut alone = fresh().answer(&[&queries], false, "impute_batch").unwrap();
+        assert_eq!(alone.len(), 1);
+        let alone = alone.pop().unwrap();
+        // Stats included: a flush of one is indistinguishable from the
+        // request path — with or without the admission queue.
+        assert_eq!(
+            alone.stats,
+            BatchStats {
+                queries: 7,
+                ok: 7,
+                failed: 0,
+                unique_routes: 3,
+                cache_hits: 0,
+                routes_computed: 3,
+            }
+        );
+        let request = Request::ImputeBatch {
+            gaps: queries,
+            provenance: false,
+        };
+        let passed_through = Arc::new(fresh());
+        passed_through.enable_admission(AdmissionConfig::default());
+        let queued = Arc::new(fresh());
+        queued.enable_admission(AdmissionConfig::default());
+        for (svc, cause) in [
+            (Arc::new(fresh()), None),
+            (passed_through, Some("idle")),
+            (queued, Some("window")),
+        ] {
+            let response = match cause {
+                Some("window") => handle_queued(&svc, &request, 7),
+                _ => svc.handle(&request),
+            };
+            let Response::Batch(served) = response.unwrap() else {
+                panic!("batch");
+            };
+            assert_results_identical(&served.results, &alone.results);
+            assert_eq!(served.stats, alone.stats);
+            assert_eq!(served.cached_routes, alone.cached_routes);
+            let causes: Vec<_> = cause.map(|c| (c, 1)).into_iter().collect();
+            assert_eq!(flush_causes(&svc), causes);
+            svc.shutdown_admission();
+        }
+    }
+
+    /// A gap whose end is not after its start fails alone in its batch
+    /// with `bad_request`, before it reaches dedup or the route cache:
+    /// every other slot answers bit-identically to the batch without it.
+    #[test]
+    fn a_gap_that_does_not_move_forward_fails_alone_in_its_batch() {
+        let fresh = cold_services(2);
+        let valid = lane_queries(0, 4);
+        let mut mixed = valid.clone();
+        // Inverted, then zero-length, each between cells no valid gap
+        // of the batch uses.
+        mixed.insert(1, GapQuery::new(10.2, 56.0, 3600, 10.45, 56.0, 0));
+        mixed.insert(3, GapQuery::new(10.2, 56.0, 600, 10.45, 56.0, 600));
+        let batch = |gaps: Vec<GapQuery>| {
             let request = Request::ImputeBatch {
-                gaps: queries,
+                gaps,
                 provenance: false,
             };
-            let passed_through = Arc::new(fresh());
-            passed_through.enable_admission(AdmissionConfig::default());
-            let queued = Arc::new(fresh());
-            queued.enable_admission(AdmissionConfig::default());
-            for (svc, cause) in [
-                (Arc::new(fresh()), None),
-                (passed_through, Some("idle")),
-                (queued, Some("window")),
-            ] {
-                let response = match cause {
-                    Some("window") => handle_queued(&svc, &request, 7),
-                    _ => svc.handle(&request),
-                };
-                let Response::Batch(served) = response.unwrap() else {
-                    panic!("batch");
-                };
-                assert_results_identical(&served.results, &alone.results);
-                assert_eq!(served.stats, alone.stats);
-                assert_eq!(served.cached_routes, alone.cached_routes);
-                let causes: Vec<_> = cause.map(|c| (c, 1)).into_iter().collect();
-                assert_eq!(flush_causes(&svc), causes);
-                svc.shutdown_admission();
+            let Response::Batch(outcome) = fresh().handle(&request).unwrap() else {
+                panic!("batch");
+            };
+            outcome
+        };
+        let base = batch(valid);
+        let mut outcome = batch(mixed);
+        for (slot, end) in [(3, "end (t=600)"), (1, "end (t=0)")] {
+            let err = ServiceError::from(outcome.results.remove(slot).unwrap_err());
+            assert_eq!(err.code, ErrorCode::BadRequest);
+            assert!(
+                err.message.contains("later") && err.message.contains(end),
+                "{err}"
+            );
+        }
+        assert_results_identical(&outcome.results, &base.results);
+        assert_eq!(
+            outcome.stats,
+            BatchStats {
+                queries: 6,
+                failed: 2,
+                ..base.stats
             }
-        });
+        );
     }
 
     mod scatter_gather {
@@ -2373,8 +1919,7 @@ mod tests {
             /// Scatter/gather never misroutes: for a random partition of
             /// a query stream into submissions, each submission's share
             /// of the one coalesced pass is byte-identical to that
-            /// submission served alone by a cold service — on both
-            /// serving backends.
+            /// submission served alone by a cold service.
             #[test]
             fn coalescing_is_invisible_to_every_submission(
                 sizes in proptest::collection::vec(0usize..6, 1..8),
@@ -2388,9 +1933,7 @@ mod tests {
                         lane_queries(next - n, n)
                     })
                     .collect();
-                for_each_backend("scatterprop", threads, |fresh| {
-                    assert_scatter_matches_each_submission_alone(fresh, &groups);
-                });
+                assert_scatter_matches_each_submission_alone(&cold_services(threads), &groups);
             }
         }
     }

@@ -339,15 +339,6 @@ pub fn encode_request(request: &Request) -> String {
                     .map_or(Json::Null, |s| Json::Str(s.clone())),
             ));
             fields.push(("save_state".into(), Json::Bool(spec.save_state)));
-            // Fleet fields ride the wire only when a fleet fit was
-            // asked for, so pre-fleet request bytes are unchanged.
-            if let Some(dir) = &spec.shards_out {
-                fields.push(("shards_out".into(), Json::Str(dir.clone())));
-                fields.push((
-                    "fleet_shards".into(),
-                    Json::from(u64::from(spec.fleet_shards)),
-                ));
-            }
         }
         Request::Refit(spec) => {
             fields.push(("input".into(), Json::Str(spec.input.clone())));
@@ -357,9 +348,6 @@ pub fn encode_request(request: &Request) -> String {
                     .as_ref()
                     .map_or(Json::Null, |s| Json::Str(s.clone())),
             ));
-            if let Some(shard) = spec.shard {
-                fields.push(("shard".into(), Json::from(u64::from(shard))));
-            }
         }
     }
     Json::Obj(fields).render_compact()
@@ -452,22 +440,6 @@ pub fn decode_request(line: &str) -> Result<Request, ServiceError> {
                 Some(Json::Bool(b)) => *b,
                 Some(_) => return Err(bad("field `save_state` must be a boolean")),
             };
-            let shards_out = match doc.get("shards_out") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .ok_or_else(|| bad("field `shards_out` must be a string or null"))?
-                        .to_string(),
-                ),
-            };
-            let fleet_shards = match doc.get("fleet_shards") {
-                None => defaults.fleet_shards,
-                Some(v) => u32::try_from(
-                    v.as_u64()
-                        .ok_or_else(|| bad("field `fleet_shards` must be an integer"))?,
-                )
-                .map_err(|_| bad("field `fleet_shards` out of range"))?,
-            };
             Ok(Request::Fit(FitSpec {
                 input: str_field(&doc, "input")?.to_string(),
                 resolution,
@@ -475,8 +447,6 @@ pub fn decode_request(line: &str) -> Result<Request, ServiceError> {
                 projection,
                 save_to,
                 save_state,
-                shards_out,
-                fleet_shards,
             }))
         }
         "refit" => {
@@ -488,20 +458,9 @@ pub fn decode_request(line: &str) -> Result<Request, ServiceError> {
                         .to_string(),
                 ),
             };
-            let shard = match doc.get("shard") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    u32::try_from(
-                        v.as_u64()
-                            .ok_or_else(|| bad("field `shard` must be an integer"))?,
-                    )
-                    .map_err(|_| bad("field `shard` out of range"))?,
-                ),
-            };
             Ok(Request::Refit(RefitSpec {
                 input: str_field(&doc, "input")?.to_string(),
                 save_to,
-                shard,
             }))
         }
         other => Err(bad(format!("unknown op `{other}`"))),
@@ -562,14 +521,13 @@ fn batch_failure_json(f: &BatchFailure) -> Json {
             ),
             ("message".into(), Json::Str(message.clone())),
         ]),
-        BatchFailure::ShardMiss { shard } => Json::Obj(vec![
+        BatchFailure::InvalidGap(message) => Json::Obj(vec![
             ("ok".into(), Json::Bool(false)),
             (
                 "code".into(),
-                Json::Str(ErrorCode::ShardMiss.as_str().into()),
+                Json::Str(ErrorCode::BadRequest.as_str().into()),
             ),
-            ("shard".into(), Json::from(u64::from(*shard))),
-            ("message".into(), Json::Str(f.to_string())),
+            ("message".into(), Json::Str(message.clone())),
         ]),
     }
 }
@@ -594,10 +552,9 @@ fn batch_result_from(v: &Json) -> Result<Result<Imputation, BatchFailure>, Servi
         Some(ErrorCode::SnapFailed) => Ok(Err(BatchFailure::Snap(
             str_field(v, "message")?.to_string(),
         ))),
-        Some(ErrorCode::ShardMiss) => Ok(Err(BatchFailure::ShardMiss {
-            shard: u32::try_from(u64_field(v, "shard")?)
-                .map_err(|_| bad("field `shard` out of range"))?,
-        })),
+        Some(ErrorCode::BadRequest) => Ok(Err(BatchFailure::InvalidGap(
+            str_field(v, "message")?.to_string(),
+        ))),
         _ => Err(bad(format!("unknown batch failure code `{code}`"))),
     }
 }
@@ -627,18 +584,6 @@ fn stats_from(v: &Json) -> Result<BatchStats, ServiceError> {
     })
 }
 
-/// Fleet shard count on `health`/`model_info`/`fit` payloads; absent
-/// means single-blob serving (0), so pre-fleet responses still decode.
-fn opt_shards(v: &Json) -> Result<usize, ServiceError> {
-    match v.get("shards") {
-        None | Some(Json::Null) => Ok(0),
-        Some(s) => {
-            Ok(s.as_u64()
-                .ok_or_else(|| bad("field `shards` must be an integer"))? as usize)
-        }
-    }
-}
-
 /// Admission-layer vitals on `health` payloads; absent means the daemon
 /// is not coalescing (pre-admission responses still decode).
 fn opt_admission(v: &Json) -> Result<Option<AdmissionInfo>, ServiceError> {
@@ -663,19 +608,6 @@ fn opt_admission(v: &Json) -> Result<Option<AdmissionInfo>, ServiceError> {
     }))
 }
 
-/// Fleet manifest hash (hex string) on `health`/`model_info` payloads;
-/// absent means single-blob serving.
-fn opt_manifest_hash(v: &Json) -> Result<Option<String>, ServiceError> {
-    match v.get("manifest_hash") {
-        None | Some(Json::Null) => Ok(None),
-        Some(s) => Ok(Some(
-            s.as_str()
-                .ok_or_else(|| bad("field `manifest_hash` must be a string"))?
-                .to_string(),
-        )),
-    }
-}
-
 fn response_data(response: &Response) -> Json {
     match response {
         Response::Health(h) => {
@@ -694,17 +626,9 @@ fn response_data(response: &Response) -> Json {
                     Json::from(h.route_cache_misses),
                 ),
             ];
-            // Fleet fields appear only in sharded serving, keeping
-            // single-blob response bytes pre-fleet identical.
-            if h.shards > 0 {
-                fields.push(("shards".into(), Json::from(h.shards as u64)));
-            }
-            if let Some(hash) = &h.manifest_hash {
-                fields.push(("manifest_hash".into(), Json::Str(hash.clone())));
-            }
-            // Likewise the admission object appears only when the
-            // daemon coalesces — a direct-path daemon's health bytes
-            // stay pre-admission identical.
+            // The admission object appears only when the daemon
+            // coalesces — a direct-path daemon's health bytes stay
+            // pre-admission identical.
             if let Some(a) = &h.admission {
                 fields.push((
                     "admission".into(),
@@ -761,49 +685,40 @@ fn response_data(response: &Response) -> Json {
                     .collect(),
             ),
         )]),
-        Response::ModelInfo(m) => {
-            let mut fields = vec![
-                (
-                    "resolution".into(),
-                    Json::from(u64::from(m.config.resolution)),
-                ),
-                (
-                    "projection".into(),
-                    Json::Str(projection_token(m.config.projection).into()),
-                ),
-                ("tolerance_m".into(), Json::Num(m.config.rdp_tolerance_m)),
-                (
-                    "weight_scheme".into(),
-                    Json::Str(weight_token(m.config.weight_scheme).into()),
-                ),
-                ("cells".into(), Json::from(m.cells as u64)),
-                ("transitions".into(), Json::from(m.transitions as u64)),
-                ("reports".into(), Json::from(m.reports)),
-                (
-                    "busiest_cell_vessels".into(),
-                    Json::from(m.busiest_cell_vessels),
-                ),
-                ("storage_bytes".into(), Json::from(m.storage_bytes as u64)),
-                ("blob_version".into(), Json::from(u64::from(m.blob_version))),
-                (
-                    "state".into(),
-                    m.state.as_ref().map_or(Json::Null, |s| {
-                        Json::Obj(vec![
-                            ("state_bytes".into(), Json::from(s.state_bytes)),
-                            ("trips".into(), Json::from(s.trips)),
-                            ("reports".into(), Json::from(s.reports)),
-                        ])
-                    }),
-                ),
-            ];
-            if m.shards > 0 {
-                fields.push(("shards".into(), Json::from(m.shards as u64)));
-            }
-            if let Some(hash) = &m.manifest_hash {
-                fields.push(("manifest_hash".into(), Json::Str(hash.clone())));
-            }
-            Json::Obj(fields)
-        }
+        Response::ModelInfo(m) => Json::Obj(vec![
+            (
+                "resolution".into(),
+                Json::from(u64::from(m.config.resolution)),
+            ),
+            (
+                "projection".into(),
+                Json::Str(projection_token(m.config.projection).into()),
+            ),
+            ("tolerance_m".into(), Json::Num(m.config.rdp_tolerance_m)),
+            (
+                "weight_scheme".into(),
+                Json::Str(weight_token(m.config.weight_scheme).into()),
+            ),
+            ("cells".into(), Json::from(m.cells as u64)),
+            ("transitions".into(), Json::from(m.transitions as u64)),
+            ("reports".into(), Json::from(m.reports)),
+            (
+                "busiest_cell_vessels".into(),
+                Json::from(m.busiest_cell_vessels),
+            ),
+            ("storage_bytes".into(), Json::from(m.storage_bytes as u64)),
+            ("blob_version".into(), Json::from(u64::from(m.blob_version))),
+            (
+                "state".into(),
+                m.state.as_ref().map_or(Json::Null, |s| {
+                    Json::Obj(vec![
+                        ("state_bytes".into(), Json::from(s.state_bytes)),
+                        ("trips".into(), Json::from(s.trips)),
+                        ("reports".into(), Json::from(s.reports)),
+                    ])
+                }),
+            ),
+        ]),
         Response::Imputation(imp) => imputation_json(imp),
         Response::Batch(b) => Json::Obj(vec![
             (
@@ -855,46 +770,34 @@ fn response_data(response: &Response) -> Json {
                 ),
             ),
         ]),
-        Response::Fitted(f) => {
-            let mut fields = vec![
-                ("trips".into(), Json::from(f.trips as u64)),
-                ("reports".into(), Json::from(f.reports as u64)),
-                ("cells".into(), Json::from(f.cells as u64)),
-                ("transitions".into(), Json::from(f.transitions as u64)),
-                ("model_bytes".into(), Json::from(f.model_bytes as u64)),
-                (
-                    "saved_to".into(),
-                    f.saved_to
-                        .as_ref()
-                        .map_or(Json::Null, |s| Json::Str(s.clone())),
-                ),
-            ];
-            if f.shards > 0 {
-                fields.push(("shards".into(), Json::from(u64::from(f.shards))));
-            }
-            Json::Obj(fields)
-        }
-        Response::Refitted(r) => {
-            let mut fields = vec![
-                ("trips_added".into(), Json::from(r.trips_added)),
-                ("reports_added".into(), Json::from(r.reports_added)),
-                ("trips_total".into(), Json::from(r.trips_total)),
-                ("reports_total".into(), Json::from(r.reports_total)),
-                ("cells".into(), Json::from(r.cells as u64)),
-                ("transitions".into(), Json::from(r.transitions as u64)),
-                ("model_bytes".into(), Json::from(r.model_bytes as u64)),
-                (
-                    "saved_to".into(),
-                    r.saved_to
-                        .as_ref()
-                        .map_or(Json::Null, |s| Json::Str(s.clone())),
-                ),
-            ];
-            if let Some(shard) = r.shard {
-                fields.push(("shard".into(), Json::from(u64::from(shard))));
-            }
-            Json::Obj(fields)
-        }
+        Response::Fitted(f) => Json::Obj(vec![
+            ("trips".into(), Json::from(f.trips as u64)),
+            ("reports".into(), Json::from(f.reports as u64)),
+            ("cells".into(), Json::from(f.cells as u64)),
+            ("transitions".into(), Json::from(f.transitions as u64)),
+            ("model_bytes".into(), Json::from(f.model_bytes as u64)),
+            (
+                "saved_to".into(),
+                f.saved_to
+                    .as_ref()
+                    .map_or(Json::Null, |s| Json::Str(s.clone())),
+            ),
+        ]),
+        Response::Refitted(r) => Json::Obj(vec![
+            ("trips_added".into(), Json::from(r.trips_added)),
+            ("reports_added".into(), Json::from(r.reports_added)),
+            ("trips_total".into(), Json::from(r.trips_total)),
+            ("reports_total".into(), Json::from(r.reports_total)),
+            ("cells".into(), Json::from(r.cells as u64)),
+            ("transitions".into(), Json::from(r.transitions as u64)),
+            ("model_bytes".into(), Json::from(r.model_bytes as u64)),
+            (
+                "saved_to".into(),
+                r.saved_to
+                    .as_ref()
+                    .map_or(Json::Null, |s| Json::Str(s.clone())),
+            ),
+        ]),
         Response::ShuttingDown => Json::Obj(vec![("stopping".into(), Json::Bool(true))]),
     }
 }
@@ -959,8 +862,6 @@ pub fn decode_response(line: &str) -> Result<Result<Response, ServiceError>, Ser
             requests_total: u64_field(data, "requests_total")?,
             route_cache_hits: u64_field(data, "route_cache_hits")?,
             route_cache_misses: u64_field(data, "route_cache_misses")?,
-            shards: opt_shards(data)?,
-            manifest_hash: opt_manifest_hash(data)?,
             admission: opt_admission(data)?,
         }),
         "metrics" => Response::Metrics(Snapshot {
@@ -1014,8 +915,6 @@ pub fn decode_response(line: &str) -> Result<Result<Response, ServiceError>, Ser
                     reports: u64_field(s, "reports")?,
                 }),
             },
-            shards: opt_shards(data)?,
-            manifest_hash: opt_manifest_hash(data)?,
         }),
         "impute" => Response::Imputation(imputation_from(data)?),
         "impute_batch" => Response::Batch(BatchOutcome {
@@ -1060,7 +959,6 @@ pub fn decode_response(line: &str) -> Result<Result<Response, ServiceError>, Ser
                         .to_string(),
                 ),
             },
-            shards: u32::try_from(opt_shards(data)?).map_err(|_| bad("shards out of range"))?,
         }),
         "refit" => Response::Refitted(RefitSummary {
             trips_added: u64_field(data, "trips_added")?,
@@ -1076,16 +974,6 @@ pub fn decode_response(line: &str) -> Result<Result<Response, ServiceError>, Ser
                     v.as_str()
                         .ok_or_else(|| bad("saved_to must be a string or null"))?
                         .to_string(),
-                ),
-            },
-            shard: match data.get("shard") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    u32::try_from(
-                        v.as_u64()
-                            .ok_or_else(|| bad("field `shard` must be an integer"))?,
-                    )
-                    .map_err(|_| bad("field `shard` out of range"))?,
                 ),
             },
         }),
@@ -1149,43 +1037,15 @@ mod tests {
             projection: habit_core::CellProjection::Center,
             save_to: Some("kiel.habit".into()),
             save_state: true,
-            shards_out: None,
-            fleet_shards: habit_fleet::DEFAULT_FLEET_SHARDS,
         }));
         round_trip_request(Request::Refit(RefitSpec {
             input: "delta.csv".into(),
             save_to: Some("kiel.habit".into()),
-            shard: None,
         }));
         round_trip_request(Request::Refit(RefitSpec {
             input: "delta.csv".into(),
             save_to: None,
-            shard: None,
         }));
-        // Fleet requests round-trip; single-blob requests keep their
-        // pre-fleet bytes (no `shards_out`/`fleet_shards`/`shard`).
-        round_trip_request(Request::Fit(FitSpec {
-            input: "kiel.csv".into(),
-            shards_out: Some("fleet/".into()),
-            fleet_shards: 8,
-            ..FitSpec::default()
-        }));
-        round_trip_request(Request::Refit(RefitSpec {
-            input: "delta.csv".into(),
-            save_to: None,
-            shard: Some(3),
-        }));
-        let line = encode_request(&Request::Fit(FitSpec {
-            input: "kiel.csv".into(),
-            ..FitSpec::default()
-        }));
-        assert!(!line.contains("shards"), "{line}");
-        let line = encode_request(&Request::Refit(RefitSpec {
-            input: "delta.csv".into(),
-            save_to: None,
-            shard: None,
-        }));
-        assert!(!line.contains("shard"), "{line}");
     }
 
     #[test]
@@ -1259,8 +1119,6 @@ mod tests {
                 requests_total: 42,
                 route_cache_hits: 7,
                 route_cache_misses: 3,
-                shards: 0,
-                manifest_hash: None,
                 admission: None,
             })),
             Ok(Response::Health(HealthInfo {
@@ -1273,8 +1131,6 @@ mod tests {
                 requests_total: 42,
                 route_cache_hits: 7,
                 route_cache_misses: 3,
-                shards: 4,
-                manifest_hash: Some("0xdeadbeefcafef00d".into()),
                 admission: Some(AdmissionInfo {
                     queue_depth: 5,
                     queue_capacity: 1024,
@@ -1303,7 +1159,9 @@ mod tests {
                         to: 0xdef,
                     }),
                     Err(BatchFailure::Snap("grid error: bad latitude".into())),
-                    Err(BatchFailure::ShardMiss { shard: 2 }),
+                    Err(BatchFailure::InvalidGap(
+                        "end (t=0) must be later than start (t=3600)".into(),
+                    )),
                 ],
                 stats: BatchStats {
                     queries: 4,
@@ -1343,16 +1201,6 @@ mod tests {
                 transitions: 240,
                 model_bytes: 40960,
                 saved_to: None,
-                shards: 0,
-            })),
-            Ok(Response::Fitted(FitSummary {
-                trips: 12,
-                reports: 1800,
-                cells: 120,
-                transitions: 240,
-                model_bytes: 40960,
-                saved_to: Some("fleet/".into()),
-                shards: 4,
             })),
             Ok(Response::Refitted(RefitSummary {
                 trips_added: 3,
@@ -1363,22 +1211,12 @@ mod tests {
                 transitions: 260,
                 model_bytes: 81920,
                 saved_to: Some("kiel.habit".into()),
-                shard: None,
-            })),
-            Ok(Response::Refitted(RefitSummary {
-                trips_added: 3,
-                reports_added: 450,
-                trips_total: 15,
-                reports_total: 2250,
-                cells: 130,
-                transitions: 260,
-                model_bytes: 81920,
-                saved_to: Some("fleet/shard-0002.habit".into()),
-                shard: Some(2),
             })),
             Ok(Response::ShuttingDown),
             Err(ServiceError::new(ErrorCode::NoModel, "no model loaded")),
         ];
+        // A direct-path daemon's health line carries no admission object.
+        assert!(!encode_response(&cases[0]).contains("admission"));
         for case in cases {
             let line = encode_response(&case);
             assert!(!line.contains('\n'), "one line per response");
@@ -1409,51 +1247,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_fields_stay_off_the_single_blob_wire() {
-        // Single-blob health/model_info/fit/refit payloads are encoded
-        // byte-for-byte as pre-fleet builds emitted them.
-        let line = encode_response(&Ok(Response::Health(HealthInfo {
-            version: "0.1.0".into(),
-            threads: 4,
-            model_loaded: true,
-            cells: 120,
-            transitions: 240,
-            uptime_ticks: 1_500_000,
-            requests_total: 42,
-            route_cache_hits: 7,
-            route_cache_misses: 3,
-            shards: 0,
-            manifest_hash: None,
-            admission: None,
-        })));
-        assert!(!line.contains("shards"), "{line}");
-        assert!(!line.contains("manifest_hash"), "{line}");
-        assert!(!line.contains("admission"), "{line}");
-        let line = encode_response(&Ok(Response::Fitted(FitSummary {
-            trips: 12,
-            reports: 1800,
-            cells: 120,
-            transitions: 240,
-            model_bytes: 40960,
-            saved_to: None,
-            shards: 0,
-        })));
-        assert!(!line.contains("shards"), "{line}");
-        let line = encode_response(&Ok(Response::Refitted(RefitSummary {
-            trips_added: 3,
-            reports_added: 450,
-            trips_total: 15,
-            reports_total: 2250,
-            cells: 130,
-            transitions: 260,
-            model_bytes: 81920,
-            saved_to: None,
-            shard: None,
-        })));
-        assert!(!line.contains("shard"), "{line}");
-    }
-
-    #[test]
     fn model_info_round_trips_config_tokens() {
         let report = ModelReport {
             config: HabitConfig::with_r_t(8, 250.0),
@@ -1468,8 +1261,6 @@ mod tests {
                 trips: 12,
                 reports: 300,
             }),
-            shards: 0,
-            manifest_hash: None,
         };
         let line = encode_response(&Ok(Response::ModelInfo(report.clone())));
         let Ok(Response::ModelInfo(back)) = decode_response(&line).unwrap() else {
