@@ -77,7 +77,7 @@ re-exporting a prelude:
 | `crates/ais` | AIS data model, cleaning filters, mobility events, trip segmentation |
 | `crates/synth` | seeded synthetic AIS datasets mirroring the paper's DAN / KIEL / SAR feeds |
 | `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, persistable `FitState` (v2 model container) |
-| `crates/engine` (`habit-engine`) | parallel serving: hand-rolled thread pool, tile-sharded fit as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
+| `crates/engine` (`habit-engine`) | parallel serving: scoped-thread chunk map, tile-sharded fit as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
 | `crates/obs` (`habit-obs`) | dependency-free observability substrate: monotonic span recorder, deterministic metrics registry (counters / gauges / fixed-bucket histograms), plaintext and span-JSON renderers |
 | `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, `ServiceError` taxonomy with stable codes, shared CSV converters, line-JSON wire codec + TCP server |
 | `crates/baselines` | competitors: SLI straight-line, GTI point-graph, PaLMTO N-gram |
@@ -85,7 +85,7 @@ re-exporting a prelude:
 | `crates/eval` | experiment harness: DTW accuracy, gap cases, experiment runners, `ExperimentReport` |
 | `crates/cli` (`habit-cli`) | the `habit` command-line tool — thin adapters over `habit-service` |
 | `crates/bench` (`habit-bench`) | experiment binaries, report/README generators |
-| `crates/lint` (`habit-lint`) | hand-rolled static analysis (lexer + scanner, no `syn`): the pinned L001–L005 registry enforcing determinism, unsafe-audit, and wire-taxonomy invariants |
+| `crates/lint` (`habit-lint`) | hand-rolled static analysis (lexer + scanner, no `syn`): the pinned L001/L003/L005 registry enforcing determinism and float-ordering invariants and auditing its own suppressions |
 
 ## Quickstart
 
@@ -338,8 +338,8 @@ GTI/SLI — are size or speed figures.
 ## Static analysis — `habit-lint`
 
 A hand-rolled lint pass (comment/string-aware lexer + token scanner, no
-`syn`) enforcing the invariants the test suite can only probe
-dynamically. The registry is pinned and documented in
+`syn`) for what neither the compiler (`unsafe_code = "forbid"`) nor a
+test can check. The registry is pinned and documented in
 [`LINTS.md`](LINTS.md) (generated — CI fails when stale):
 
 | id | name | enforces |

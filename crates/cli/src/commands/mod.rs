@@ -146,21 +146,21 @@ COMMANDS
            [--metrics-port N] [--batch-window-us N] [--batch-max-gaps N]
            [--no-coalesce] [--max-line-bytes N]
            (defaults: 127.0.0.1:4740; --port 0 picks a free port;
-           --watch-stdin shuts down cleanly when stdin closes;
-           --metrics-port serves plaintext metrics over HTTP on the
-           same host — GET / for counters, GET /spans for recent
-           stage spans as line JSON; concurrent impute traffic is
-           coalesced into shared engine batches — byte-identical
-           answers: a request that finds no engine pass running is
-           answered at once on its connection's thread, those that
-           arrive during a pass wait up to --batch-window-us (1000)
-           for company, cut short when --batch-max-gaps (128) queue,
-           and share one pass — as does every request while windows
-           keep catching company; 0 never lingers; a full queue
-           rejects with the typed `overloaded` error; --no-coalesce
-           drops the queue (every request on its connection's thread,
-           passes in parallel); request lines longer than
-           --max-line-bytes (16 MiB) are rejected)
+           --threads (all cores) bounds each engine pass, not the daemon:
+           overlapping passes (a refit, --no-coalesce) each get that many;
+           --watch-stdin shuts down cleanly when stdin closes; --metrics-port
+           serves plaintext metrics over HTTP on the same host — GET / for
+           counters, GET /spans for recent stage spans as line JSON;
+           concurrent impute traffic is coalesced into shared engine batches
+           — byte-identical answers: a request that finds no engine pass
+           running is answered at once on its connection's thread, those that
+           arrive during a pass wait up to --batch-window-us (1000) for
+           company, cut short when --batch-max-gaps (128) queue, and share one
+           pass — as does every request while windows keep catching company;
+           0 never lingers; a full queue rejects with the typed `overloaded`
+           error; --no-coalesce drops the queue (every request on its
+           connection's thread, passes in parallel); request lines longer
+           than --max-line-bytes (16 MiB) are rejected)
   help     this text
   version  print the habit version (also --version / -V)
 

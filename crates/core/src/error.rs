@@ -39,27 +39,6 @@ pub enum HabitError {
     ConfigDrift,
 }
 
-impl HabitError {
-    /// Stable machine-readable error code, one per variant.
-    ///
-    /// This is the taxonomy seam the service layer (`habit-service`)
-    /// builds its wire-level error codes on: the strings are part of the
-    /// public API and must never change meaning once released. Codes are
-    /// lowercase `snake_case` tokens safe to match on in clients.
-    pub fn code(&self) -> &'static str {
-        match self {
-            HabitError::BadInput(_) => "bad_input",
-            HabitError::Grid(_) => "grid",
-            HabitError::EmptyModel => "empty_model",
-            HabitError::NoPath { .. } => "no_path",
-            HabitError::BadModelBlob => "bad_model_blob",
-            HabitError::UnsortedInput => "unsorted_input",
-            HabitError::StateVersion { .. } => "state_version",
-            HabitError::ConfigDrift => "config_drift",
-        }
-    }
-}
-
 impl fmt::Display for HabitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -27,8 +27,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// resident — half a megabyte each on a 30 k-cell graph — number the
 /// peak *concurrent* searches, not the threads that ever searched: a
 /// daemon searches on its connection threads, its admission flusher and
-/// its engine workers, but rarely on more than two of them at once. The
-/// two uncontended lock operations are noise against a search.
+/// the helper threads of its engine calls, but rarely on more than two
+/// of them at once. The two uncontended lock operations are noise
+/// against a search.
 static ARENA_POOL: Mutex<Vec<SearchArena>> = Mutex::new(Vec::new());
 
 /// The pool, poison recovered: the `Vec` is valid at every step.

@@ -4,9 +4,10 @@
 //! time. This crate is the scale-out layer the ROADMAP's north star asks
 //! for, in three pieces:
 //!
-//! * [`pool::ThreadPool`] — a hand-rolled fixed pool (the offline
-//!   workspace has no `rayon`) with a scoped, order-preserving
-//!   [`ThreadPool::map_chunks`] primitive;
+//! * [`pool::ThreadPool`] — a per-call bound on parallelism (the
+//!   offline workspace has no `rayon`) whose order-preserving
+//!   [`ThreadPool::map_chunks`] runs on `std::thread::scope`: no thread
+//!   outlives the call that spawned it;
 //! * [`shard::fit_sharded`] — the fit as explicit `accumulate → merge
 //!   → finalize` stages over `habit_core::FitState`: the two group-bys
 //!   partitioned by spatial tile ([`hexgrid::TilePartitioner`]) and

@@ -1,89 +1,53 @@
-//! A small hand-rolled thread pool with a scoped `map_chunks` primitive.
+//! A bound on parallelism with a scoped, order-preserving `map_chunks`.
 //!
 //! The offline workspace has no `rayon`; this module provides the one
 //! parallel shape the engine needs — *split a slice into chunks, run a
-//! pure function over every chunk on a fixed set of worker threads, and
-//! collect the results in chunk order* — in ~150 lines of std.
+//! pure function over every chunk on up to N threads, and collect the
+//! results in chunk order* — on `std::thread::scope`. No thread outlives
+//! the call that spawned it, so there is no queue, no worker to wake and
+//! no borrow to smuggle past the compiler.
+//!
+//! The type keeps the name `ThreadPool` because the benchmark workspace
+//! (`benchmark/src/trace.rs`) constructs it and passes it to the engine.
 //!
 //! Results are returned **in chunk order regardless of completion
 //! order**, so every caller is deterministic by construction as long as
-//! the mapped function is. Worker panics are caught, the scope still
-//! joins, and the panic is re-raised on the calling thread. Work that
-//! is a single chunk never leaves the calling thread.
+//! the mapped function is. A panic in any chunk is re-raised on the
+//! calling thread with its own payload, once every other started chunk
+//! has returned. Work that is a single chunk never leaves the calling
+//! thread.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-size pool of worker threads fed from one shared queue.
+/// How many threads one engine call may run at once. Holds no threads
+/// of its own: each [`map_chunks`](Self::map_chunks) runs the calling
+/// thread plus scoped helpers, all joined before it returns.
 pub struct ThreadPool {
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: usize,
 }
 
 impl ThreadPool {
-    /// Spawns `threads.max(1)` workers.
+    /// A bound of `threads.max(1)` threads per call.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (tx, rx) = channel::<Job>();
-        let rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(rx));
-        let workers = (0..threads)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("habit-engine-{i}"))
-                    .spawn(move || loop {
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => break,
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => break, // channel closed: pool dropped
-                        }
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
         Self {
-            tx: Some(tx),
-            workers,
+            threads: threads.max(1),
         }
     }
 
-    /// Number of worker threads.
+    /// The per-call thread bound.
     pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Submits one fire-and-forget job to the pool.
-    ///
-    /// Unlike [`map_chunks`](Self::map_chunks) this does not block: the
-    /// job runs whenever a worker frees up, and dropping the pool joins
-    /// it (the queue is drained before the workers exit). This is the
-    /// shape a blocking accept loop needs — hand each connection to a
-    /// worker and keep accepting.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.tx
-            .as_ref()
-            .expect("pool sender alive")
-            .send(Box::new(job))
-            .expect("pool workers alive");
+        self.threads
     }
 
     /// Splits `items` into chunks of `chunk_size` and maps `f(chunk_index,
-    /// chunk)` over them on the pool, blocking until every chunk is done.
-    /// Results come back in chunk order. The calling thread only waits —
-    /// with one worker this still makes progress, just without overlap.
+    /// chunk)` over them, blocking until every chunk is done. Results
+    /// come back in chunk order.
     ///
-    /// A **single** chunk runs on the calling thread instead: one thread
-    /// will do the work either way, so the boxed job, the channel send
-    /// and the worker wake-up buy nothing (a one-gap request is three
-    /// such calls).
+    /// The calling thread works too: it and `min(threads, chunks) − 1`
+    /// scoped helpers pull chunk indices from one shared counter, so a
+    /// **single** chunk runs on the calling thread and spawns nothing (a
+    /// one-gap request is three such calls).
     pub fn map_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
     where
         T: Sync,
@@ -95,60 +59,50 @@ impl ThreadPool {
         }
         let chunk_size = chunk_size.max(1);
         let n_chunks = items.len().div_ceil(chunk_size);
-        let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        let latch = Latch::new(n_chunks);
-        let panicked = AtomicBool::new(false);
-
-        for (c, slot) in slots.iter().enumerate() {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            let chunk = &items[lo..hi];
-            let latch_ref = &latch;
-            let panicked_ref = &panicked;
-            let f_ref = &f;
-            let job = move || {
-                // Count down even if `f` panics, so `wait` always returns.
-                let _done = CountDownOnDrop(latch_ref);
-                match catch_unwind(AssertUnwindSafe(|| f_ref(c, chunk))) {
-                    Ok(r) => *slot.lock().expect("slot lock") = Some(r),
-                    Err(_) => panicked_ref.store(true, Ordering::SeqCst),
+        // Relaxed: the counter only hands out indices; the chunks' results
+        // are published to the caller by `join`.
+        let next = AtomicUsize::new(0);
+        // `f` keeps this one call site whatever thread runs it: a second,
+        // direct `f(0, items)` cost `habit fit` 5 % — its accumulate
+        // closure was no longer inlined whole.
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= n_chunks {
+                    return done;
                 }
-            };
-            if n_chunks == 1 {
-                // The same job, run here. `f` keeps its one call site:
-                // a second, direct `f(0, items)` cost `habit fit` 5 % —
-                // its accumulate closure was no longer inlined whole.
-                job();
-                continue;
+                let lo = c * chunk_size;
+                let hi = (lo + chunk_size).min(items.len());
+                done.push((c, f(c, &items[lo..hi])));
             }
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
-            // SAFETY: the job borrows `items`, `slots`, `latch`, `panicked`
-            // and `f` from this stack frame. `latch.wait()` below blocks
-            // until every submitted job has finished running (the count-down
-            // guard fires even on panic), so no borrow outlives this frame.
-            let job: Job = unsafe { std::mem::transmute(job) };
-            self.tx
-                .as_ref()
-                .expect("pool sender alive")
-                .send(job)
-                .expect("pool workers alive");
-        }
-        latch.wait();
-
-        if panicked.load(Ordering::SeqCst) {
-            panic!("habit-engine: a pooled task panicked");
-        }
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every chunk produced a result")
-            })
-            .collect()
+        };
+        let mut done = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..self.threads.min(n_chunks))
+                .map(|_| s.spawn(work))
+                .collect();
+            // A panic here unwinds through `scope`, which joins the
+            // helpers before re-raising it.
+            let mut done = work();
+            let mut panic = None;
+            for helper in helpers {
+                match helper.join() {
+                    Ok(part) => done.extend(part),
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
+                    }
+                }
+            }
+            if let Some(payload) = panic {
+                resume_unwind(payload);
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(c, _)| c);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Maps `f` over every item, chunking so each worker gets a few
+    /// Maps `f` over every item, chunking so each thread gets a few
     /// chunks (load-balancing against uneven item costs). Results are in
     /// item order.
     pub fn map_items<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
@@ -167,56 +121,11 @@ impl ThreadPool {
     }
 }
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // close the queue; workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// A count-down latch: `wait` blocks until `count_down` ran `n` times.
-struct Latch {
-    remaining: Mutex<usize>,
-    all_done: Condvar,
-}
-
-impl Latch {
-    fn new(n: usize) -> Self {
-        Self {
-            remaining: Mutex::new(n),
-            all_done: Condvar::new(),
-        }
-    }
-
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock().expect("latch lock");
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.all_done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock().expect("latch lock");
-        while *remaining > 0 {
-            remaining = self.all_done.wait(remaining).expect("latch wait");
-        }
-    }
-}
-
-struct CountDownOnDrop<'a>(&'a Latch);
-
-impl Drop for CountDownOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.count_down();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn map_chunks_preserves_order() {
@@ -252,11 +161,11 @@ mod tests {
             pool.map_chunks(&one, 1000, |_, c| c.to_vec()),
             vec![vec![42]]
         );
-        assert_eq!(ThreadPool::new(0).threads(), 1, "clamped to one worker");
+        assert_eq!(ThreadPool::new(0).threads(), 1, "clamped to one thread");
     }
 
-    /// A single chunk is the caller's own work; two or more go to the
-    /// pool. Results and chunk order are the same either way.
+    /// A single chunk is the caller's own work. Results and chunk order
+    /// are the same however many chunks there are.
     #[test]
     fn a_single_chunk_runs_on_the_calling_thread() {
         let pool = ThreadPool::new(2);
@@ -275,7 +184,6 @@ mod tests {
         let two = pool.map_chunks(&[1, 2, 3], 2, here);
         let chunks: Vec<&[u32]> = two.iter().map(|(_, chunk)| chunk.as_slice()).collect();
         assert_eq!(chunks, [&[1, 2][..], &[3]]);
-        assert!(two.iter().all(|(thread, _)| *thread != caller));
     }
 
     #[test]
@@ -288,6 +196,33 @@ mod tests {
         assert_eq!(pool.map_items(&[1u32, 2, 3], |x| x * 10), vec![10, 20, 30]);
     }
 
+    /// The caller sees the failing chunk's own payload, and not before
+    /// every other chunk has run to completion — no chunk is still
+    /// borrowing the caller's data when the panic reaches it.
+    #[test]
+    fn a_panicking_chunk_reports_its_own_panic_after_the_others_finish() {
+        let pool = ThreadPool::new(3);
+        let items: Vec<usize> = (0..10).collect();
+        let finished: Vec<AtomicBool> = items.iter().map(|_| AtomicBool::new(false)).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.map_chunks(&items, 1, |c, _| {
+                if c == 7 {
+                    panic!("boom-7");
+                }
+                let spin = std::time::Instant::now();
+                while spin.elapsed() < std::time::Duration::from_millis(2) {
+                    std::hint::spin_loop();
+                }
+                finished[c].store(true, Ordering::SeqCst);
+            })
+        }));
+        let payload = result.expect_err("the chunk's panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom-7"));
+        for (c, flag) in finished.iter().enumerate() {
+            assert_eq!(flag.load(Ordering::SeqCst), c != 7, "chunk {c}");
+        }
+    }
+
     #[test]
     fn pool_survives_many_rounds() {
         let pool = ThreadPool::new(3);
@@ -296,21 +231,6 @@ mod tests {
             let out = pool.map_items(&items, |x| x + round);
             assert_eq!(out.len(), items.len());
         }
-    }
-
-    #[test]
-    fn execute_runs_detached_jobs_and_drop_drains_them() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = Arc::new(AtomicUsize::new(0));
-        let pool = ThreadPool::new(2);
-        for _ in 0..16 {
-            let counter = Arc::clone(&counter);
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool); // joins workers after the queue drains
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
     }
 
     #[test]
@@ -326,7 +246,7 @@ mod tests {
             })
         }));
         assert!(result.is_err(), "panic must surface on the caller");
-        // The pool joined the failed scope; later rounds still work.
+        // Nothing outlived the failed call; later rounds still work.
         assert_eq!(pool.map_items(&items, |x| x * 10), vec![10, 20, 30]);
     }
 }

@@ -4,8 +4,8 @@
 //! property every lint depends on is that *comments and string literals
 //! are real tokens*, never mistaken for code: a `HashMap` mentioned in
 //! a doc comment or an error message must not trip the determinism
-//! lints, and a `// SAFETY:` comment must be visible to the
-//! unsafe-audit lint. This module produces exactly that stream:
+//! lints, and a `// habit-lint: allow(…)` comment must be visible to
+//! the suppression audit. This module produces exactly that stream:
 //! identifiers, numbers, punctuation, string/char literals, lifetimes,
 //! and comments, each carrying its 1-based line and column.
 //!

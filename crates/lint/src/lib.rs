@@ -1,21 +1,22 @@
 //! `habit-lint` — the workspace's hand-rolled static-analysis pass.
 //!
 //! The repo's headline guarantee — models and `FitState` blobs
-//! byte-identical at any shard/thread count — and its API contracts
-//! (an auditable `unsafe` surface, a drift-free wire error taxonomy)
-//! are enforced dynamically by proptests and golden files. This crate
-//! makes them *statically inspectable*: a comment- and string-aware
-//! lexer ([`lexer`]) plus a lightweight token scanner (no `syn`,
-//! consistent with the workspace's no-registry, hand-rolled style)
-//! drive a pinned registry of lints ([`registry::ALL`]):
+//! byte-identical at any shard/thread count — is enforced dynamically
+//! by proptests and golden files. This crate makes it *statically
+//! inspectable* where neither the compiler nor a test can: a comment-
+//! and string-aware lexer ([`lexer`]) plus a lightweight token scanner
+//! (no `syn`, consistent with the workspace's no-registry, hand-rolled
+//! style) drive a pinned registry of lints ([`registry::ALL`]):
 //!
 //! | ID | name |
 //! |----|------|
 //! | L001 | unordered-iteration-to-sink |
-//! | L002 | unsafe-without-safety |
 //! | L003 | float-ordering-hazard |
-//! | L004 | error-taxonomy-drift |
 //! | L005 | lint-suppression-audit |
+//!
+//! L002 and L004 are retired, never reused: the compiler now forbids
+//! `unsafe_code` workspace-wide, and the wire error taxonomy is one
+//! table checked by exhaustive matches and tier-1 tests.
 //!
 //! The `habit-lint` binary runs them over the whole workspace
 //! (`--check` for CI, `--json` for the committed machine-readable

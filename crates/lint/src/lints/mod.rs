@@ -1,14 +1,13 @@
-//! The lint implementations, one module per registered lint ID.
+//! The per-file lint implementations, one module per registered lint
+//! ID. (L005, the suppression audit, lives in [`crate::scan`], where
+//! `allow` directives are parsed and applied.)
 //!
-//! Each per-file lint works over a [`CodeView`]: the token stream with
-//! comments filtered out, so code-pattern scans can never match inside
-//! a comment or string while the raw stream (with comments) stays
-//! available for the lints that need it (L002's `// SAFETY:` audit).
+//! Each lint works over a [`CodeView`]: the token stream with comments
+//! filtered out, so code-pattern scans can never match inside a comment
+//! or string.
 
 pub mod l001;
-pub mod l002;
 pub mod l003;
-pub mod l004;
 
 use crate::lexer::{Token, TokenKind};
 
@@ -44,11 +43,6 @@ impl<'a> CodeView<'a> {
     /// The `i`-th code token.
     pub fn get(&self, i: usize) -> Option<&Token> {
         self.code.get(i).map(|&ri| &self.tokens[ri])
-    }
-
-    /// The raw-stream index of the `i`-th code token.
-    pub fn raw_index(&self, i: usize) -> Option<usize> {
-        self.code.get(i).copied()
     }
 
     /// The text of the `i`-th code token, or "" past the end.
@@ -99,21 +93,5 @@ impl<'a> CodeView<'a> {
             }
         }
         None
-    }
-
-    /// Skips an attribute (`#[…]`) starting at `i`; returns the index
-    /// just past it, or `i` unchanged when there is none.
-    pub fn skip_attr(&self, i: usize) -> usize {
-        if self.is_punct(i, "#") && (self.is_punct(i + 1, "[") || self.is_punct(i + 1, "!")) {
-            let open = if self.is_punct(i + 1, "[") {
-                i + 1
-            } else {
-                i + 2
-            };
-            if let Some(close) = self.matching_close(open) {
-                return close + 1;
-            }
-        }
-        i
     }
 }

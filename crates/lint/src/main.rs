@@ -26,7 +26,7 @@ struct Args {
 fn usage() -> &'static str {
     "USAGE: habit-lint [--root DIR] [--check] [--json [FILE]] [--gen-docs [FILE]] [--check-docs]\n\
      \n\
-     Runs the pinned lint registry (L001..L005, see LINTS.md) over every .rs file\n\
+     Runs the pinned lint registry (L001, L003, L005; see LINTS.md) over every .rs file\n\
      under the root (vendor/, target/, and test fixtures excluded).\n\
      \n\
        --root DIR        scan DIR instead of the current directory\n\

@@ -28,7 +28,13 @@ pub struct Lint {
 
 /// Every lint, in ID order. Pinned by `registry_is_pinned` in the
 /// crate tests; golden fixture tests pin each lint's diagnostics.
-pub const ALL: [Lint; 5] = [
+///
+/// L002 (the `// SAFETY:` comment audit) and L004
+/// (`error-taxonomy-drift`) are retired: the workspace forbids
+/// `unsafe_code`, and the error taxonomy is one `macro_rules!` table
+/// checked by exhaustive matches and tier-1 tests. Their IDs are never
+/// reused, so an `allow(L002)` is an unknown lint to L005.
+pub const ALL: [Lint; 3] = [
     Lint {
         id: "L001",
         name: "unordered-iteration-to-sink",
@@ -48,21 +54,6 @@ pub const ALL: [Lint; 5] = [
               `// habit-lint: allow(L001) -- <why the order cannot matter>`.",
     },
     Lint {
-        id: "L002",
-        name: "unsafe-without-safety",
-        summary: "an `unsafe` block, fn, or impl without a `// SAFETY:` comment",
-        rationale: "The workspace is hand-rolled std-only Rust with exactly one audited unsafe \
-                    surface (the scoped-lifetime transmute in `engine/src/pool.rs`). Every \
-                    `unsafe` must state the proof obligation it discharges next to the code, \
-                    so the audit surface stays greppable and reviewable; an unjustified \
-                    `unsafe` is either unsound or undocumented, and both block review.",
-        example: "let job: Job = unsafe { std::mem::transmute(job) }; // no SAFETY comment",
-        fix: "Write a `// SAFETY:` comment within the 12 lines above the `unsafe` keyword \
-              naming the invariant that makes it sound (what bounds the borrow, who \
-              synchronizes, why the cast holds). There is no legitimate silencing: if the \
-              justification cannot be written down, the unsafe should not be merged.",
-    },
-    Lint {
         id: "L003",
         name: "float-ordering-hazard",
         summary: "`partial_cmp(…).unwrap()` / `.expect(…)` instead of a total order on floats",
@@ -77,24 +68,6 @@ pub const ALL: [Lint; 5] = [
               comparisons keep `partial_cmp` but handle `None` explicitly \
               (`unwrap_or(Ordering::Equal)` is a shim the lint accepts). Silence only with \
               `// habit-lint: allow(L003) -- <why NaN is impossible and order is pinned>`.",
-    },
-    Lint {
-        id: "L004",
-        name: "error-taxonomy-drift",
-        summary: "the wire error-code taxonomy drifted between its pinned surfaces",
-        rationale: "`ErrorCode` is part of the wire protocol and the CLI exit-code contract: \
-                    clients match on the snake_case tokens and the README documents them. The \
-                    taxonomy lives in four places that must agree — the `ErrorCode` enum + \
-                    `ALL` array + `as_str` table in `service/src/error.rs`, the generic \
-                    encode/decode in `service/src/wire.rs`, the `HabitError::code()` seam in \
-                    `core/src/error.rs`, and the README error table. A variant missing from \
-                    any of them is an error a client cannot decode or an exit code nobody \
-                    documented.",
-        example: "pub enum ErrorCode { …, Overloaded } // absent from ALL / as_str / README",
-        fix: "Add the new code to `ErrorCode::ALL`, the `as_str` match, the doc-comment table \
-              in `service/src/error.rs`, and regenerate the README \
-              (`cargo run -p habit-bench --bin gen_readme`); map new `HabitError` variants in \
-              `HabitError::code()`. Do not silence — the taxonomy has no legitimate drift.",
     },
     Lint {
         id: "L005",
@@ -128,9 +101,9 @@ pub fn render_lints_md() -> String {
          CI runs `habit-lint --check-docs` and fails when this file is stale. -->\n\n\
          `habit-lint` is the repo's hand-rolled static-analysis pass: a comment- and\n\
          string-aware lexer plus a lightweight scanner (no `syn`) that enforces the\n\
-         invariants the test suite can only probe dynamically — byte-identical\n\
-         serialization, an auditable `unsafe` surface, and a drift-free wire error\n\
-         taxonomy. It runs over the whole workspace in CI:\n\n\
+         invariants neither the compiler nor the test suite can — byte-identical\n\
+         serialization and a total order on floats — and audits its own suppressions.\n\
+         It runs over the whole workspace in CI:\n\n\
          ```sh\n\
          cargo run -p habit-lint --release -- --check          # fail on any violation\n\
          cargo run -p habit-lint --release -- --json reports/lint.json\n\
@@ -138,7 +111,10 @@ pub fn render_lints_md() -> String {
          Silencing: `// habit-lint: allow(Lxxx) -- reason` on the flagged line or the\n\
          line directly above it. The reason is mandatory, audited by L005, and every\n\
          suppression appears in the committed `reports/lint.json`, which CI diffs —\n\
-         so the suppression count can never grow without showing up in review.\n\n",
+         so the suppression count can never grow without showing up in review.\n\n\
+         IDs are never reused. L002 and L004 are retired: the workspace sets\n\
+         `unsafe_code = \"forbid\"`, and the wire error taxonomy is declared once in\n\
+         `crates/service/src/error.rs` and checked by exhaustive matches and tier-1 tests.\n\n",
     );
     for lint in &ALL {
         out.push_str(&format!("## {} `{}`\n\n", lint.id, lint.name));
@@ -159,15 +135,13 @@ mod tests {
     #[test]
     fn registry_is_pinned() {
         let ids: Vec<&str> = ALL.iter().map(|l| l.id).collect();
-        assert_eq!(ids, ["L001", "L002", "L003", "L004", "L005"]);
+        assert_eq!(ids, ["L001", "L003", "L005"]);
         let names: Vec<&str> = ALL.iter().map(|l| l.name).collect();
         assert_eq!(
             names,
             [
                 "unordered-iteration-to-sink",
-                "unsafe-without-safety",
                 "float-ordering-hazard",
-                "error-taxonomy-drift",
                 "lint-suppression-audit",
             ]
         );
@@ -175,7 +149,9 @@ mod tests {
 
     #[test]
     fn lookup_by_id() {
-        assert_eq!(by_id("L002").map(|l| l.name), Some("unsafe-without-safety"));
+        assert_eq!(by_id("L003").map(|l| l.name), Some("float-ordering-hazard"));
+        assert!(by_id("L002").is_none(), "retired");
+        assert!(by_id("L004").is_none(), "retired");
         assert!(by_id("L999").is_none());
     }
 

@@ -3,9 +3,8 @@
 //!
 //! The walker collects every `.rs` file under the root except
 //! `target/`, `vendor/` (external API stubs, not our code), `.git/`,
-//! and `fixtures/` directories (seeded-violation test inputs), plus
-//! the root `README.md` (the error-taxonomy lint checks its table).
-//! Paths are sorted, so a scan is deterministic.
+//! and `fixtures/` directories (seeded-violation test inputs). Paths
+//! are sorted, so a scan is deterministic.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -58,21 +57,11 @@ impl SourceFile {
     }
 }
 
-/// Everything a scan collected: lexed sources plus auxiliary texts
-/// (currently the root `README.md`) the project-level lints read.
+/// Everything a scan collected: the lexed sources.
 #[derive(Debug)]
 pub struct Workspace {
     /// Lexed `.rs` files, sorted by path.
     pub files: Vec<SourceFile>,
-    /// Raw auxiliary texts keyed by relative path.
-    pub texts: BTreeMap<String, String>,
-}
-
-impl Workspace {
-    /// The first file whose relative path ends with `suffix`.
-    pub fn file_by_suffix(&self, suffix: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel_path.ends_with(suffix))
-    }
 }
 
 /// Walks `root` and lexes every eligible file.
@@ -85,12 +74,7 @@ pub fn scan_root(root: &Path) -> io::Result<Workspace> {
         let src = fs::read_to_string(p)?;
         files.push(SourceFile::new(rel(root, p), &src));
     }
-    let mut texts = BTreeMap::new();
-    let readme = root.join("README.md");
-    if readme.is_file() {
-        texts.insert("README.md".to_string(), fs::read_to_string(&readme)?);
-    }
-    Ok(Workspace { files, texts })
+    Ok(Workspace { files })
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -124,10 +108,8 @@ pub fn analyze(ws: &Workspace) -> Report {
     let mut raw: Vec<Diagnostic> = Vec::new();
     for file in &ws.files {
         raw.extend(lints::l001::run(file));
-        raw.extend(lints::l002::run(file));
         raw.extend(lints::l003::run(file));
     }
-    raw.extend(lints::l004::run(ws));
 
     // Apply suppressions: an allow silences diagnostics of its lint on
     // its own line or the line directly below it. L005 findings are
@@ -354,14 +336,18 @@ mod tests {
         let f = SourceFile::new(
             "x.rs".into(),
             "// habit-lint: allow(L001)\n// habit-lint: allow(L999) -- nope\n\
-             // habit-lint: allow(L005) -- meta\n// habit-lint: disallow(L001)\n",
+             // habit-lint: allow(L005) -- meta\n// habit-lint: disallow(L001)\n\
+             // habit-lint: allow(L002) -- retired\n// habit-lint: allow(L004) -- retired\n",
         );
         assert!(f.allows.is_empty());
-        assert_eq!(f.bad_allows.len(), 4);
+        assert_eq!(f.bad_allows.len(), 6);
         assert!(f.bad_allows[0].message.contains("bare allow"));
         assert!(f.bad_allows[1].message.contains("unknown lint"));
         assert!(f.bad_allows[2].message.contains("L005 cannot be silenced"));
         assert!(f.bad_allows[3].message.contains("must be"));
+        // Retired IDs are unknown, never silently accepted.
+        assert!(f.bad_allows[4].message.contains("unknown lint `L002`"));
+        assert!(f.bad_allows[5].message.contains("unknown lint `L004`"));
     }
 
     #[test]
@@ -381,7 +367,6 @@ mod tests {
                 SourceFile::new("crates/core/tests/t.rs".into(), "fn t() {}\n"),
                 SourceFile::new("src/lib.rs".into(), "fn root() {}\n"),
             ],
-            texts: BTreeMap::new(),
         };
         let report = analyze(&ws);
         assert_eq!(report.non_test_lines, [("core".to_string(), 3)].into());
@@ -400,7 +385,6 @@ mod tests {
                 SourceFile::new("crates/core/src/props_too.rs".into(), "fn kept() {}\n"),
                 SourceFile::new("crates/geo/src/props.rs".into(), "fn kept() {}\n"),
             ],
-            texts: BTreeMap::new(),
         };
         let report = analyze(&ws);
         assert_eq!(
@@ -417,7 +401,6 @@ mod tests {
                 "x.rs".into(),
                 "// habit-lint: allow(L003) -- stale\nfn f() {}\n",
             )],
-            texts: BTreeMap::new(),
         };
         let report = analyze(&ws);
         assert_eq!(report.diagnostics.len(), 1);

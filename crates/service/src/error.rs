@@ -9,117 +9,71 @@
 
 use std::fmt;
 
-/// Stable machine-readable error codes, one per failure class.
-///
-/// | code | exit | meaning |
-/// |------|------|---------|
-/// | `bad_request` | 2 | malformed request: unknown op/flag, bad value, wrong protocol version |
-/// | `io` | 1 | file or socket I/O failure |
-/// | `csv` | 1 | CSV input could not be parsed |
-/// | `bad_input` | 1 | input rows/columns have the wrong shape or type |
-/// | `grid` | 1 | invalid coordinate or grid resolution during an operation |
-/// | `no_model` | 1 | the operation needs a model but none is loaded |
-/// | `empty_model` | 1 | fit produced (or the model has) no transition graph |
-/// | `no_path` | 1 | no historical path between the snapped gap endpoints |
-/// | `snap_failed` | 1 | a gap endpoint could not be snapped onto the model |
-/// | `bad_model_blob` | 1 | a serialized model file is corrupt or incompatible |
-/// | `unsorted_input` | 1 | a track was not sorted by timestamp |
-/// | `state_version` | 1 | fit-state version unsupported, or the model embeds no state (refit needs one) |
-/// | `config_drift` | 1 | refit delta accumulated under a different fit configuration |
-/// | `overloaded` | 1 | the daemon's admission queue is full — back off and retry |
-/// | `internal` | 1 | unexpected internal failure |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrorCode {
-    /// Malformed request (usage error): unknown operation or flag,
-    /// missing/unparsable value, unsupported protocol version.
-    BadRequest,
-    /// File or socket I/O failure.
-    Io,
-    /// CSV input could not be parsed.
-    Csv,
-    /// Input rows/columns have the wrong shape or type.
-    BadInput,
-    /// Invalid coordinate or grid resolution during an operation.
-    Grid,
-    /// The operation needs a loaded model but the service has none.
-    NoModel,
-    /// The model has (or fitting produced) no transition-graph nodes.
-    EmptyModel,
-    /// No path exists between the snapped gap endpoints.
-    NoPath,
-    /// A gap endpoint could not be snapped onto the model.
-    SnapFailed,
-    /// A serialized model blob is corrupt or incompatible.
-    BadModelBlob,
-    /// A track passed to repair was not sorted by timestamp.
-    UnsortedInput,
-    /// A serialized fit state has an unsupported version — or the model
-    /// embeds no state at all where an operation (refit) requires one.
-    StateVersion,
-    /// A refit delta was accumulated under a different fit
-    /// configuration than the saved state.
-    ConfigDrift,
-    /// The daemon's bounded admission queue is full: the request was
-    /// rejected instead of queued. Transient — back off and retry.
-    Overloaded,
-    /// Unexpected internal failure.
-    Internal,
+/// Declares [`ErrorCode`] from one table — variant, wire token, exit
+/// code and meaning per row — so that `ALL`, `as_str`, `exit_code` and
+/// the documented table cannot disagree about which codes exist.
+macro_rules! error_codes {
+    ($($variant:ident => $token:literal, $exit:literal, $meaning:literal;)+) => {
+        /// Stable machine-readable error codes, one per failure class.
+        ///
+        /// | code | exit | meaning |
+        /// |------|------|---------|
+        $(#[doc = concat!("| `", $token, "` | ", $exit, " | ", $meaning, " |")])+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum ErrorCode {
+            $(#[doc = $meaning] $variant,)+
+        }
+
+        impl ErrorCode {
+            /// Every code, in documentation order (the wire error-code table).
+            pub const ALL: [ErrorCode; [$(ErrorCode::$variant),+].len()] =
+                [$(ErrorCode::$variant),+];
+
+            /// The wire token of the code (`snake_case`, stable).
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$variant => $token,)+
+                }
+            }
+
+            /// The process exit code the CLI derives from this error class:
+            /// `2` for usage errors, `1` for every runtime failure. (`0` is
+            /// success and never appears here.)
+            pub fn exit_code(self) -> u8 {
+                match self {
+                    $(ErrorCode::$variant => $exit,)+
+                }
+            }
+        }
+    };
+}
+
+error_codes! {
+    BadRequest => "bad_request", 2,
+        "malformed request: unknown op/flag, bad value, wrong protocol version";
+    Io => "io", 1, "file or socket I/O failure";
+    Csv => "csv", 1, "CSV input could not be parsed";
+    BadInput => "bad_input", 1, "input rows/columns have the wrong shape or type";
+    Grid => "grid", 1, "invalid coordinate or grid resolution during an operation";
+    NoModel => "no_model", 1, "the operation needs a model but none is loaded";
+    EmptyModel => "empty_model", 1, "fit produced (or the model has) no transition graph";
+    NoPath => "no_path", 1, "no historical path between the snapped gap endpoints";
+    SnapFailed => "snap_failed", 1, "a gap endpoint could not be snapped onto the model";
+    BadModelBlob => "bad_model_blob", 1, "a serialized model file is corrupt or incompatible";
+    UnsortedInput => "unsorted_input", 1, "a track was not sorted by timestamp";
+    StateVersion => "state_version", 1,
+        "fit-state version unsupported, or the model embeds no state (refit needs one)";
+    ConfigDrift => "config_drift", 1,
+        "refit delta accumulated under a different fit configuration";
+    Overloaded => "overloaded", 1,
+        "the daemon's admission queue is full — back off and retry";
+    Internal => "internal", 1, "unexpected internal failure";
 }
 
 impl ErrorCode {
-    /// Every code, in documentation order (the wire error-code table).
-    pub const ALL: [ErrorCode; 15] = [
-        ErrorCode::BadRequest,
-        ErrorCode::Io,
-        ErrorCode::Csv,
-        ErrorCode::BadInput,
-        ErrorCode::Grid,
-        ErrorCode::NoModel,
-        ErrorCode::EmptyModel,
-        ErrorCode::NoPath,
-        ErrorCode::SnapFailed,
-        ErrorCode::BadModelBlob,
-        ErrorCode::UnsortedInput,
-        ErrorCode::StateVersion,
-        ErrorCode::ConfigDrift,
-        ErrorCode::Overloaded,
-        ErrorCode::Internal,
-    ];
-
-    /// The wire token of the code (`snake_case`, stable).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::Io => "io",
-            ErrorCode::Csv => "csv",
-            ErrorCode::BadInput => "bad_input",
-            ErrorCode::Grid => "grid",
-            ErrorCode::NoModel => "no_model",
-            ErrorCode::EmptyModel => "empty_model",
-            ErrorCode::NoPath => "no_path",
-            ErrorCode::SnapFailed => "snap_failed",
-            ErrorCode::BadModelBlob => "bad_model_blob",
-            ErrorCode::UnsortedInput => "unsorted_input",
-            ErrorCode::StateVersion => "state_version",
-            ErrorCode::ConfigDrift => "config_drift",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::Internal => "internal",
-        }
-    }
-
     /// Parses a wire token back into a code.
     pub fn parse(token: &str) -> Option<ErrorCode> {
         ErrorCode::ALL.into_iter().find(|c| c.as_str() == token)
-    }
-
-    /// The process exit code the CLI derives from this error class:
-    /// `2` for usage errors, `1` for every runtime failure. (`0` is
-    /// success and never appears here.)
-    pub fn exit_code(self) -> u8 {
-        match self {
-            ErrorCode::BadRequest => 2,
-            _ => 1,
-        }
     }
 }
 
@@ -174,8 +128,25 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 impl From<habit_core::HabitError> for ServiceError {
+    // One arm per variant, no wildcard: a new `HabitError` variant must
+    // not compile until it is given its wire code here.
+    #[deny(
+        unreachable_patterns,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn from(e: habit_core::HabitError) -> Self {
-        let code = ErrorCode::parse(e.code()).unwrap_or(ErrorCode::Internal);
+        use habit_core::HabitError;
+        let code = match &e {
+            HabitError::BadInput(_) => ErrorCode::BadInput,
+            HabitError::Grid(_) => ErrorCode::Grid,
+            HabitError::EmptyModel => ErrorCode::EmptyModel,
+            HabitError::NoPath { .. } => ErrorCode::NoPath,
+            HabitError::BadModelBlob => ErrorCode::BadModelBlob,
+            HabitError::UnsortedInput => ErrorCode::UnsortedInput,
+            HabitError::StateVersion { .. } => ErrorCode::StateVersion,
+            HabitError::ConfigDrift => ErrorCode::ConfigDrift,
+        };
         Self::new(code, e.to_string())
     }
 }
@@ -261,6 +232,33 @@ mod tests {
                 ("internal", 1),
             ]
         );
+    }
+
+    /// The README's error table (generated from `habit-bench`'s
+    /// `docs.rs`) documents exactly the taxonomy: one
+    /// `` | `token` | exit | `` row per code, and no other rows.
+    #[test]
+    fn readme_error_table_matches_the_taxonomy() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(path).expect("workspace README.md");
+        let mut documented: Vec<&str> = readme
+            .lines()
+            .skip_while(|line| !line.starts_with("| code | exit |"))
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .map(|row| {
+                row.match_indices('|')
+                    .nth(2)
+                    .map_or(row, |(i, _)| &row[..=i])
+            })
+            .collect();
+        documented.sort_unstable();
+        let mut expected: Vec<String> = ErrorCode::ALL
+            .into_iter()
+            .map(|c| format!("| `{}` | {} |", c.as_str(), c.exit_code()))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(documented, expected, "README error table vs ErrorCode::ALL");
     }
 
     #[test]

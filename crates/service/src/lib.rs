@@ -13,7 +13,8 @@
 //!   code (`bad_request` → 2, everything else → 1);
 //! * [`Service`] — owns the serving model blob and its
 //!   [`habit_engine::BatchImputer`] (whose route cache stays warm
-//!   across requests) and the compute [`habit_engine::ThreadPool`];
+//!   across requests) and the per-call compute-thread bound
+//!   ([`habit_engine::ThreadPool`]);
 //!   [`Service::handle`] executes any request;
 //! * [`ServiceMetrics`] — the observability surface: per-op request /
 //!   error / latency metrics (a [`habit_obs::Registry`]) plus stage

@@ -45,7 +45,7 @@ pub struct AdmissionInfo {
 pub struct HealthInfo {
     /// Crate version of the service.
     pub version: String,
-    /// Worker threads in the service's compute pool.
+    /// Compute threads each of the service's engine calls may use.
     pub threads: usize,
     /// Whether a model is loaded (imputation-ready).
     pub model_loaded: bool,

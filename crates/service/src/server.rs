@@ -3,8 +3,9 @@
 //! Hand-rolled on `std::net` — the offline workspace has no tokio or
 //! hyper, and the protocol does not need them: each connection is a
 //! stream of request lines answered in order ([`crate::wire`]), handled
-//! by a worker of a bounded connection pool (the engine's
-//! [`ThreadPool`], reused via its `execute` primitive).
+//! by one of a fixed set of connection workers: scoped threads that
+//! drain a channel of accepted streams and are joined before
+//! [`serve`] returns.
 //!
 //! ## Shutdown
 //!
@@ -24,7 +25,7 @@
 //!
 //! ## Robustness bounds
 //!
-//! The connection pool is bounded ([`ServeOptions::connection_threads`]),
+//! The connection workers are bounded ([`ServeOptions::connection_threads`]),
 //! so two abuse shapes are bounded too: a connection that stays silent
 //! is closed after [`ServeOptions::idle_timeout`] (freeing its worker —
 //! a queued request, including `shutdown`, therefore waits at most one
@@ -52,24 +53,24 @@ use crate::metrics::ServiceMetrics;
 use crate::response::Response;
 use crate::service::Service;
 use crate::wire;
-use habit_engine::ThreadPool;
 use habit_obs::SpanRecord;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// How a running server behaves.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Workers in the connection pool (concurrent connections served;
-    /// further connections queue).
+    /// Connection workers (concurrent connections served; further
+    /// connections queue).
     pub connection_threads: usize,
     /// When set, a background thread reads stdin to EOF and then
     /// requests shutdown — close the pipe to stop the daemon.
     pub watch_stdin: bool,
     /// Connections that deliver no bytes for this long are closed,
-    /// freeing their pool worker for queued connections.
+    /// freeing their worker for queued connections.
     pub idle_timeout: Duration,
     /// Hard cap on one buffered request line (bytes without a newline);
     /// beyond it the client gets a `bad_request` and the connection
@@ -142,46 +143,62 @@ pub fn serve_with_metrics(
             })?;
     }
 
-    let pool = ThreadPool::new(options.connection_threads);
-    let mut served = 0usize;
-    while !service.shutdown_requested() {
-        if let Some(ml) = &metrics_listener {
-            poll_metrics_listener(ml, service);
+    let (connections, accepted) = mpsc::channel::<TcpStream>();
+    let accepted = Mutex::new(accepted);
+    std::thread::scope(|s| {
+        for _ in 0..options.connection_threads.max(1) {
+            s.spawn(|| loop {
+                // The guard is released as soon as `recv` hands this
+                // worker a stream; `Err` means the sender is gone and the
+                // queue is drained.
+                let next = accepted
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .recv();
+                let Ok(stream) = next else { break };
+                // Isolate panics per connection: a bug reached by one
+                // request must cost that connection, not a worker (and
+                // eventually the whole daemon).
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    handle_connection(stream, service, options)
+                }));
+                if caught.is_err() {
+                    eprintln!("habit serve: connection handler panicked (connection dropped)");
+                }
+            });
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                served += 1;
-                let svc = Arc::clone(service);
-                pool.execute(move || {
-                    // Isolate panics per connection: a bug reached by one
-                    // request must cost that connection, not a pool
-                    // worker (and eventually the whole daemon).
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        handle_connection(stream, &svc, options)
-                    }));
-                    if caught.is_err() {
-                        eprintln!("habit serve: connection handler panicked (connection dropped)");
-                    }
-                });
+        let mut served = 0usize;
+        while !service.shutdown_requested() {
+            if let Some(ml) = &metrics_listener {
+                poll_metrics_listener(ml, service);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                // Transient accept failures (aborted handshakes, fd
-                // exhaustion) must not kill a long-lived daemon: log,
-                // back off one poll interval, keep accepting.
-                eprintln!("habit serve: accept error (retrying): {e}");
-                std::thread::sleep(POLL);
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    served += 1;
+                    // Cannot fail: the receiver outlives the scope.
+                    let _ = connections.send(stream);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    // Transient accept failures (aborted handshakes, fd
+                    // exhaustion) must not kill a long-lived daemon: log,
+                    // back off one poll interval, keep accepting.
+                    eprintln!("habit serve: accept error (retrying): {e}");
+                    std::thread::sleep(POLL);
+                }
             }
         }
-    }
-    // Close the coalescing queue before joining the workers: a worker
-    // parked behind a long batch window is answered by the drain now,
-    // not when its window expires, and whatever a worker still submits
-    // is answered on its own thread. No-op when admission is off.
-    service.shutdown_admission();
-    drop(pool); // joins workers: queued + in-flight connections drain
-    Ok(served)
+        // Close the coalescing queue before joining the workers: a worker
+        // parked behind a long batch window is answered by the drain now,
+        // not when its window expires, and whatever a worker still submits
+        // is answered on its own thread. No-op when admission is off.
+        service.shutdown_admission();
+        // Then close the connection queue: the workers drain it and exit,
+        // and the scope joins them.
+        drop(connections);
+        Ok(served)
+    })
 }
 
 /// Serves one connection: reads request lines, writes one response line
@@ -621,7 +638,7 @@ mod tests {
     }
 
     /// An idle connection is closed after `idle_timeout`, freeing its
-    /// pool worker — so a queued `shutdown` request can never be starved
+    /// worker — so a queued `shutdown` request can never be starved
     /// forever by silent peers holding every worker.
     #[test]
     fn idle_connections_are_reaped() {

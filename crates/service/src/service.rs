@@ -36,7 +36,10 @@ use std::time::Instant;
 /// Tunables of a [`Service`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Worker threads of the compute pool (fit shards, batch queries).
+    /// Compute threads one engine call (a fit's shards, one flush's
+    /// queries) may use. A bound per call, not a process-wide cap:
+    /// passes that overlap — a refit during a flush, or parallel passes
+    /// under `--no-coalesce` — may each use this many.
     pub threads: usize,
     /// Route-cache capacity of the batch imputer, entries.
     pub cache_capacity: usize,
@@ -93,8 +96,8 @@ fn write_file(path: &Path, bytes: &[u8]) -> Result<(), ServiceError> {
         .map_err(|e| ServiceError::new(ErrorCode::Io, format!("{}: {e}", path.display())))
 }
 
-/// Executes [`Request`]s against an owned model, thread pool, and route
-/// cache. Transport-agnostic: frontends construct requests, call
+/// Executes [`Request`]s against an owned model, compute-thread bound,
+/// and route cache. Transport-agnostic: frontends construct requests, call
 /// [`Service::handle`], and render the typed [`Response`].
 pub struct Service {
     pool: ThreadPool,
@@ -177,7 +180,7 @@ impl Service {
         read(&self.serving).as_ref().map(|s| Arc::clone(s.model()))
     }
 
-    /// Worker threads of the compute pool.
+    /// Compute threads each engine call may use.
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }
@@ -1733,7 +1736,7 @@ mod tests {
     }
 
     /// A factory of cold lane-model services (empty route caches) with
-    /// `threads` pool workers.
+    /// `threads` compute threads per engine call.
     fn cold_services(threads: usize) -> impl Fn() -> Service {
         let blob = lane_model().to_bytes();
         move || {

@@ -1108,7 +1108,7 @@ mod tests {
             raw_point_count: 9,
             provenance: None,
         };
-        let cases: Vec<Result<Response, ServiceError>> = vec![
+        let mut cases: Vec<Result<Response, ServiceError>> = vec![
             Ok(Response::Health(HealthInfo {
                 version: "0.1.0".into(),
                 threads: 4,
@@ -1213,8 +1213,11 @@ mod tests {
                 saved_to: Some("kiel.habit".into()),
             })),
             Ok(Response::ShuttingDown),
-            Err(ServiceError::new(ErrorCode::NoModel, "no model loaded")),
         ];
+        // Every code in the taxonomy crosses the wire and decodes back.
+        cases.extend(
+            ErrorCode::ALL.map(|code| Err(ServiceError::new(code, format!("{code} \"failed\"")))),
+        );
         // A direct-path daemon's health line carries no admission object.
         assert!(!encode_response(&cases[0]).contains("admission"));
         for case in cases {
