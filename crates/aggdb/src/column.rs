@@ -230,8 +230,8 @@ impl Column {
     ///
     /// Column-major: one match on the storage type, then a typed gather
     /// — no per-row `Value` boxing or dynamic dispatch. `take` backs
-    /// `Table::sort_by_columns` / `filter` on the fit path, where the
-    /// per-row version showed up in profiles.
+    /// `Table::filter` on the fit path, where the per-row version showed
+    /// up in profiles.
     pub fn take(&self, indices: &[usize]) -> Column {
         let data = match &self.data {
             ColumnData::I64(v) => ColumnData::I64(indices.iter().map(|&i| v[i]).collect()),

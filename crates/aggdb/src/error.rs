@@ -25,9 +25,6 @@ pub enum AggError {
     },
     /// Columns of a table must all have equal length.
     LengthMismatch,
-    /// Two partial aggregations built with different group keys or
-    /// aggregate specs cannot merge.
-    PartialSchemaMismatch,
     /// CSV parse failure with row context.
     Csv {
         /// 1-based line number.
@@ -52,9 +49,6 @@ impl fmt::Display for AggError {
                 write!(f, "row has {actual} values, schema has {expected} fields")
             }
             AggError::LengthMismatch => write!(f, "columns have differing lengths"),
-            AggError::PartialSchemaMismatch => {
-                write!(f, "partial aggregations have different keys or aggregates")
-            }
             AggError::Csv { line, message } => write!(f, "csv line {line}: {message}"),
             AggError::Io(e) => write!(f, "io error: {e}"),
         }

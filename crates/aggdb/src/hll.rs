@@ -7,7 +7,6 @@
 //! is ≈ `1.04 / sqrt(2^precision)` (~1.6% at the default precision 12).
 
 use crate::fxhash::{hash_bytes, hash_u64};
-use crate::value::Value;
 
 /// Default precision: 2^12 = 4096 registers, ~1.6% standard error.
 pub const DEFAULT_PRECISION: u8 = 12;
@@ -63,17 +62,6 @@ impl HyperLogLog {
     #[inline]
     pub fn insert_bytes(&mut self, v: &[u8]) {
         self.insert_hash(hash_bytes(v));
-    }
-
-    /// Inserts a dynamic [`Value`] (nulls are ignored, as in SQL).
-    pub fn insert_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => {}
-            Value::Int(x) => self.insert_u64(*x as u64),
-            Value::UInt(x) => self.insert_u64(*x),
-            Value::Float(x) => self.insert_u64(x.to_bits()),
-            Value::Str(s) => self.insert_bytes(s.as_bytes()),
-        }
     }
 
     /// Merges another sketch of the same precision into this one.
@@ -149,6 +137,87 @@ impl HyperLogLog {
             registers,
         })
     }
+
+    /// Appends the sketch's serialized record: a representation byte,
+    /// the precision, then either sparse `(index u32, rank u8)` pairs of
+    /// the non-zero registers (most per-group sketches see a few values)
+    /// or the dense register array — whichever is smaller, by a fixed
+    /// rule, so the bytes are a pure function of the registers.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let nnz = self.registers.iter().filter(|&&r| r != 0).count();
+        if sparse_is_smaller(nnz, self.registers.len()) {
+            out.push(SPARSE);
+            out.push(self.precision);
+            out.extend_from_slice(&(nnz as u32).to_le_bytes());
+            for (i, &r) in self.registers.iter().enumerate() {
+                if r != 0 {
+                    out.extend_from_slice(&(i as u32).to_le_bytes());
+                    out.push(r);
+                }
+            }
+        } else {
+            out.push(DENSE);
+            out.push(self.precision);
+            out.extend_from_slice(&self.registers);
+        }
+    }
+
+    /// Decodes a record written by [`HyperLogLog::encode_into`],
+    /// advancing `buf`. Only [`DEFAULT_PRECISION`] sketches are accepted,
+    /// checked before any register is allocated, and only in the
+    /// representation `encode_into` itself picks (sparse indices strictly
+    /// ascending with non-zero ranks), so an accepted record re-encodes
+    /// to the same bytes. `None` on anything else.
+    pub fn decode_from(buf: &mut &[u8]) -> Option<Self> {
+        const M: usize = 1 << DEFAULT_PRECISION;
+        let [repr, precision] = take::<2>(buf)?;
+        if precision != DEFAULT_PRECISION {
+            return None;
+        }
+        let (registers, nnz) = match repr {
+            DENSE => {
+                let registers = take::<M>(buf)?.to_vec();
+                let nnz = registers.iter().filter(|&&r| r != 0).count();
+                (registers, nnz)
+            }
+            SPARSE => {
+                let nnz = u32::from_le_bytes(take::<4>(buf)?) as usize;
+                let mut registers = vec![0u8; M];
+                let mut next_free = 0;
+                for _ in 0..nnz {
+                    let idx = u32::from_le_bytes(take::<4>(buf)?) as usize;
+                    let [rank] = take::<1>(buf)?;
+                    if idx < next_free || idx >= M || rank == 0 {
+                        return None;
+                    }
+                    registers[idx] = rank;
+                    next_free = idx + 1;
+                }
+                (registers, nnz)
+            }
+            _ => return None,
+        };
+        if (repr == SPARSE) != sparse_is_smaller(nnz, M) {
+            return None;
+        }
+        Self::from_registers(precision, registers)
+    }
+}
+
+/// Representation tags of a serialized sketch.
+const DENSE: u8 = 0;
+const SPARSE: u8 = 1;
+
+/// The encoder's fixed choice: sparse when its `4 + 5·nnz` bytes beat
+/// the `m`-byte register array.
+fn sparse_is_smaller(nnz: usize, m: usize) -> bool {
+    4 + nnz * 5 < m
+}
+
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
 }
 
 #[cfg(test)]
@@ -247,13 +316,58 @@ mod tests {
         );
     }
 
+    fn encoded(h: &HyperLogLog) -> Vec<u8> {
+        let mut out = Vec::new();
+        h.encode_into(&mut out);
+        out
+    }
+
     #[test]
-    fn string_and_value_inserts() {
+    fn codec_round_trips_both_representations() {
+        for n in [0u64, 3, 2_000] {
+            let mut h = HyperLogLog::default_precision();
+            (0..n).for_each(|v| h.insert_u64(v));
+            let mut bytes = encoded(&h);
+            assert_eq!(bytes[0], if n < 800 { SPARSE } else { DENSE }, "n={n}");
+            bytes.extend_from_slice(b"tail");
+            let mut buf = bytes.as_slice();
+            let back = HyperLogLog::decode_from(&mut buf).expect("decodes");
+            assert_eq!(buf, b"tail", "self-delimiting");
+            assert_eq!(back.registers(), h.registers());
+        }
+    }
+
+    /// Only the record `encode_into` would write decodes: the default
+    /// precision, sparse entries strictly ascending with non-zero ranks,
+    /// and the representation the size rule picks.
+    #[test]
+    fn decoder_accepts_only_canonical_records() {
         let mut h = HyperLogLog::default_precision();
-        h.insert_value(&Value::from("vessel-a"));
-        h.insert_value(&Value::from("vessel-b"));
-        h.insert_value(&Value::from("vessel-a"));
-        h.insert_value(&Value::Null); // ignored
-        assert_eq!(h.count(), 2);
+        (0..3u64).for_each(|v| h.insert_u64(v));
+        let good = encoded(&h);
+        let decodes = |bytes: &[u8]| HyperLogLog::decode_from(&mut &bytes[..]).is_some();
+        assert!(decodes(&good));
+
+        // A precision-18 sparse record is 7 bytes; it must not decode
+        // into a 256 KB register array.
+        assert!(!decodes(&[SPARSE, 18, 0, 0, 0, 0]));
+        let mut other_precision = HyperLogLog::new(10);
+        other_precision.insert_u64(1);
+        assert!(!decodes(&encoded(&other_precision)));
+
+        let entry = |i: usize| 6 + 5 * i;
+        let mut swapped = good.clone();
+        let (a, b) = (entry(0), entry(1));
+        let first: Vec<u8> = swapped[a..b].to_vec();
+        swapped.copy_within(b..b + 5, a);
+        swapped[b..b + 5].copy_from_slice(&first);
+        assert!(!decodes(&swapped), "sparse indices out of order");
+        let mut zero_rank = good.clone();
+        zero_rank[entry(0) + 4] = 0;
+        assert!(!decodes(&zero_rank), "sparse entry with rank 0");
+
+        let mut dense = vec![DENSE, DEFAULT_PRECISION];
+        dense.extend_from_slice(h.registers());
+        assert!(!decodes(&dense), "dense record where sparse is smaller");
     }
 }

@@ -1,38 +1,34 @@
-//! # aggdb — an in-memory columnar aggregation engine
+//! # aggdb — the columnar substrate under HABIT's graph generation
 //!
 //! The paper computes HABIT's cell statistics with DuckDB: a CTE assigns
 //! each AIS message to an H3 cell, a window `lag` adds the previous cell
 //! along the trip, and two `GROUP BY`s aggregate per-cell and
 //! per-transition statistics with `count(*)`, `approx_count_distinct`
-//! and `median`. This crate is a from-scratch substitute that implements
-//! exactly that analytical core:
+//! and `median`. This crate is the from-scratch substitute for the parts
+//! of that CTE that are not the two group-bys themselves (those are
+//! typed accumulators in `habit-core`'s fit state):
 //!
 //! * [`Table`] — schema + typed columns ([`Column`]) with null validity
 //!   bitmaps ([`Bitmap`]);
-//! * [`Table::group_by`] — hash aggregation with the DuckDB functions the
-//!   paper uses: `count`, `approx_count_distinct` (a real
-//!   [`hll::HyperLogLog`]), exact `median`, plus
-//!   `min`/`max`/`sum`/`mean`/`first`/`last`;
 //! * [`window::lag_over`] — the windowed `lag(...) OVER (PARTITION BY trip
 //!   ORDER BY ts)` step;
-//! * [`partial::PartialGroupBy`] — mergeable partial aggregates
-//!   (count / distinct / median / …) so sharded group-bys can run in
-//!   parallel and merge deterministically (`habit-engine`'s fit seam);
+//! * [`hll::HyperLogLog`] — the sketch behind `approx_count_distinct`,
+//!   with its serialized record;
+//! * [`quantile`] — the exact `median`, also over an already sorted
+//!   buffer;
 //! * [`csv`] — buffered CSV import/export with type inference.
 //!
 //! Hot paths follow the Rust perf-book guidance: integer-keyed hash maps
-//! use a bundled [FxHash](fxhash::FxHashMap) implementation, accumulators
-//! preallocate, and CSV I/O is buffered.
+//! use a bundled [FxHash](fxhash::FxHashMap) implementation, and CSV I/O
+//! is buffered.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod agg;
 pub mod bitmap;
 pub mod column;
 pub mod csv;
 pub mod error;
 pub mod fxhash;
 pub mod hll;
-pub mod partial;
 pub mod quantile;
 pub mod table;
 pub mod value;
@@ -41,11 +37,9 @@ pub mod window;
 #[cfg(test)]
 mod proptests;
 
-pub use agg::{Agg, AggSpec};
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnData};
 pub use error::AggError;
 pub use hll::HyperLogLog;
-pub use partial::PartialGroupBy;
 pub use table::{Field, Schema, Table};
 pub use value::{DataType, Value};

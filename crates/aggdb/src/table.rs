@@ -59,10 +59,10 @@ impl Schema {
 
 /// An in-memory columnar table.
 ///
-/// This is the engine's unit of data exchange: the AIS preprocessing
-/// pipeline materializes trips into a `Table`, and HABIT's graph
-/// generation runs two [`Table::group_by`] passes over it, mirroring the
-/// paper's DuckDB CTE.
+/// This is the unit of data exchange: the AIS preprocessing pipeline
+/// materializes trips into a `Table`, HABIT's graph generation adds the
+/// cell and lag columns to it, and its two group-bys read the typed
+/// columns back out.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
@@ -197,118 +197,39 @@ impl Table {
         self.take(&indices)
     }
 
-    /// Sorts the table lexicographically by several columns (stable,
-    /// nulls last within each column). Integer columns compare exactly —
-    /// u64 cell ids above 2^53 do not collapse through an f64 round trip —
-    /// which makes this the canonical group-key ordering sharded
-    /// aggregation relies on.
-    pub fn sort_by_columns(&self, names: &[&str]) -> Result<Table, AggError> {
-        let cols: Vec<&Column> = names
-            .iter()
-            .map(|n| self.column_by_name(n))
-            .collect::<Result<_, _>>()?;
-        let mut idx: Vec<usize> = (0..self.nrows).collect();
-        idx.sort_by(|&a, &b| {
-            for col in &cols {
-                let ord = compare_values(&col.value(a), &col.value(b));
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        Ok(self.take(&idx))
-    }
-
     /// Approximate in-memory size of the table in bytes.
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
-    /// Groups rows by the distinct combinations of `key` column values and
-    /// returns `(group keys table, row indices per group)`.
-    ///
-    /// Group order is first-appearance order, making results deterministic.
-    pub fn group_rows(&self, keys: &[&str]) -> Result<(Table, Vec<Vec<usize>>), AggError> {
-        let key_cols: Vec<&Column> = keys
-            .iter()
-            .map(|k| self.column_by_name(k))
-            .collect::<Result<_, _>>()?;
-
-        let key_fields: Vec<Field> = keys
-            .iter()
-            .zip(&key_cols)
-            .map(|(name, col)| Field::new(*name, col.dtype()))
-            .collect();
-        let mut key_table = Table::empty(Schema::new(key_fields));
-
-        // Fast paths for one or two u64 key columns — the shape of both
-        // HABIT group-bys (`cl` and `(lag_cl, cl)`). Hashing a packed
-        // integer key per row avoids allocating and re-hashing a
-        // `Vec<Value>` for every row of the trip table (a profiled
-        // `HabitModel::fit` hot spot). Null is encoded out-of-band in a
-        // validity flag so `Some(0)` and `Null` stay distinct groups.
-        if let [col] = key_cols[..] {
-            if let Some(vals) = col.u64_values() {
-                let mut groups: FxHashMap<(u64, bool), usize> = FxHashMap::default();
-                groups.reserve(self.nrows / 4 + 1);
-                let mut group_rows: Vec<Vec<usize>> = Vec::new();
-                for (row, &val) in vals.iter().enumerate() {
-                    let valid = col.is_valid(row);
-                    let key = (if valid { val } else { 0 }, valid);
-                    match groups.get(&key) {
-                        Some(&g) => group_rows[g].push(row),
-                        None => {
-                            groups.insert(key, group_rows.len());
-                            group_rows.push(vec![row]);
-                            key_table.push_row(vec![col.value(row)])?;
-                        }
-                    }
-                }
-                return Ok((key_table, group_rows));
-            }
-        }
-        if let [a, b] = key_cols[..] {
-            if let (Some(av), Some(bv)) = (a.u64_values(), b.u64_values()) {
-                let mut groups: FxHashMap<(u64, u64, u8), usize> = FxHashMap::default();
-                groups.reserve(self.nrows / 4 + 1);
-                let mut group_rows: Vec<Vec<usize>> = Vec::new();
-                for row in 0..self.nrows {
-                    let (va, vb) = (a.is_valid(row), b.is_valid(row));
-                    let key = (
-                        if va { av[row] } else { 0 },
-                        if vb { bv[row] } else { 0 },
-                        (va as u8) | ((vb as u8) << 1),
-                    );
-                    match groups.get(&key) {
-                        Some(&g) => group_rows[g].push(row),
-                        None => {
-                            groups.insert(key, group_rows.len());
-                            group_rows.push(vec![row]);
-                            key_table.push_row(vec![a.value(row), b.value(row)])?;
-                        }
-                    }
-                }
-                return Ok((key_table, group_rows));
-            }
-        }
-
-        let mut groups: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
+    /// Partitions the rows by the value of the `UInt64` column `key` and
+    /// returns the row indices per group, in first-appearance order (so
+    /// the result is deterministic). Null is its own group, distinct
+    /// from `0`.
+    pub fn group_rows(&self, key: &str) -> Result<Vec<Vec<usize>>, AggError> {
+        let col = self.column_by_name(key)?;
+        let vals = col.u64_values().ok_or_else(|| AggError::TypeMismatch {
+            column: key.to_string(),
+            expected: "UInt64",
+            actual: col.dtype().name(),
+        })?;
+        // Hash a packed integer key per row; null goes out-of-band in a
+        // validity flag.
+        let mut groups: FxHashMap<(u64, bool), usize> = FxHashMap::default();
+        groups.reserve(self.nrows / 4 + 1);
         let mut group_rows: Vec<Vec<usize>> = Vec::new();
-
-        for row in 0..self.nrows {
-            let key: Vec<Value> = key_cols.iter().map(|c| c.value(row)).collect();
+        for (row, &val) in vals.iter().enumerate() {
+            let valid = col.is_valid(row);
+            let key = (if valid { val } else { 0 }, valid);
             match groups.get(&key) {
                 Some(&g) => group_rows[g].push(row),
                 None => {
-                    let g = group_rows.len();
+                    groups.insert(key, group_rows.len());
                     group_rows.push(vec![row]);
-                    key_table.push_row(key.clone())?;
-                    groups.insert(key, g);
                 }
             }
         }
-        Ok((key_table, group_rows))
+        Ok(group_rows)
     }
 }
 
@@ -397,42 +318,23 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_column() {
-        let t = sample();
-        let sorted = t.sort_by_columns(&["ts"]).unwrap();
-        let ts = sorted
-            .column_by_name("ts")
-            .unwrap()
-            .i64_values()
-            .unwrap()
-            .to_vec();
-        assert_eq!(ts, vec![5, 10, 15, 20, 25]);
-    }
-
-    #[test]
     fn group_rows_by_single_key() {
         let t = sample();
-        let (keys, groups) = t.group_rows(&["trip"]).unwrap();
-        assert_eq!(keys.num_rows(), 2);
-        assert_eq!(groups[0], vec![0, 1]);
-        assert_eq!(groups[1], vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn group_rows_composite_key_with_nulls() {
-        let t = Table::from_columns(vec![
-            (
-                "a",
-                Column::from_u64_opt(vec![Some(1), None, Some(1), None]),
-            ),
-            ("b", Column::from_u64(vec![7, 7, 7, 8])),
-        ])
+        let groups = t.group_rows("trip").unwrap();
+        assert_eq!(groups, vec![vec![0, 1], vec![2, 3, 4]]);
+        // Null is a group of its own, distinct from 0.
+        let nullable = Table::from_columns(vec![(
+            "a",
+            Column::from_u64_opt(vec![Some(0), None, Some(0), None]),
+        )])
         .unwrap();
-        let (keys, groups) = t.group_rows(&["a", "b"]).unwrap();
-        assert_eq!(keys.num_rows(), 3, "(1,7), (null,7), (null,8)");
-        assert_eq!(groups[0], vec![0, 2]);
-        assert_eq!(groups[1], vec![1]);
-        assert_eq!(groups[2], vec![3]);
+        assert_eq!(
+            nullable.group_rows("a").unwrap(),
+            vec![vec![0, 2], vec![1, 3]]
+        );
+        // Only UInt64 keys partition.
+        assert!(t.group_rows("ts").is_err());
+        assert!(t.group_rows("nope").is_err());
     }
 
     #[test]

@@ -30,11 +30,11 @@ pub struct PartitionedOrder {
 }
 
 impl PartitionedOrder {
-    /// Builds the shared sort for `PARTITION BY partition_cols ORDER BY
-    /// order_col` over `table`.
-    pub fn new(table: &Table, partition_cols: &[&str], order_col: &str) -> Result<Self, AggError> {
+    /// Builds the shared sort for `PARTITION BY partition_col ORDER BY
+    /// order_col` over `table`; the partition column must be `UInt64`.
+    pub fn new(table: &Table, partition_col: &str, order_col: &str) -> Result<Self, AggError> {
         let order = table.column_by_name(order_col)?;
-        let (_, groups) = table.group_rows(partition_cols)?;
+        let groups = table.group_rows(partition_col)?;
         let mut partition = vec![0usize; table.num_rows()];
         for (g, rows) in groups.iter().enumerate() {
             for &row in rows {
@@ -80,40 +80,40 @@ impl PartitionedOrder {
     }
 }
 
-/// Computes `lag(value_col, 1) OVER (PARTITION BY partition_cols ORDER BY
+/// Computes `lag(value_col, 1) OVER (PARTITION BY partition_col ORDER BY
 /// order_col)` and returns it as a new column aligned with the input rows.
 ///
 /// The first row of each partition gets `Null`. Row order of the table is
 /// untouched; only the lag semantics follow the partition/order clause.
 pub fn lag_over(
     table: &Table,
-    partition_cols: &[&str],
+    partition_col: &str,
     order_col: &str,
     value_col: &str,
 ) -> Result<Column, AggError> {
-    PartitionedOrder::new(table, partition_cols, order_col)?.lag(table, value_col)
+    PartitionedOrder::new(table, partition_col, order_col)?.lag(table, value_col)
 }
 
 /// Convenience: appends the lag column to the table under `alias`.
 pub fn with_lag(
     table: Table,
-    partition_cols: &[&str],
+    partition_col: &str,
     order_col: &str,
     value_col: &str,
     alias: &str,
 ) -> Result<Table, AggError> {
-    with_lags(table, partition_cols, order_col, &[(value_col, alias)])
+    with_lags(table, partition_col, order_col, &[(value_col, alias)])
 }
 
 /// Appends one lag column per `(value_col, alias)` pair, all derived
 /// from a **single** stable sort of the partition/order clause.
 pub fn with_lags(
     table: Table,
-    partition_cols: &[&str],
+    partition_col: &str,
     order_col: &str,
     cols: &[(&str, &str)],
 ) -> Result<Table, AggError> {
-    let order = PartitionedOrder::new(&table, partition_cols, order_col)?;
+    let order = PartitionedOrder::new(&table, partition_col, order_col)?;
     let mut out = table;
     for (value_col, alias) in cols {
         let col = order.lag(&out, value_col)?;
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn lag_follows_partition_and_order() {
         let t = trips();
-        let lag = lag_over(&t, &["trip"], "ts", "cl").unwrap();
+        let lag = lag_over(&t, "trip", "ts", "cl").unwrap();
         // trip 1 ordered by ts: rows 0(ts10,cl7) -> 4(ts20,cl8) -> 2(ts30,cl9)
         assert_eq!(lag.value(0), Value::Null);
         assert_eq!(lag.value(4), Value::UInt(7));
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn with_lag_appends_column() {
-        let t = with_lag(trips(), &["trip"], "ts", "cl", "lag_cl").unwrap();
+        let t = with_lag(trips(), "trip", "ts", "cl", "lag_cl").unwrap();
         assert_eq!(t.num_columns(), 4);
         assert_eq!(t.column_by_name("lag_cl").unwrap().null_count(), 2);
     }
@@ -165,24 +165,18 @@ mod tests {
             ("cl", Column::from_u64(vec![5, 6, 7])),
         ])
         .unwrap();
-        let lag = lag_over(&t, &["trip"], "ts", "cl").unwrap();
+        let lag = lag_over(&t, "trip", "ts", "cl").unwrap();
         assert_eq!(lag.null_count(), 3);
     }
 
     #[test]
     fn with_lags_shares_one_sort_across_columns() {
-        let t = with_lags(
-            trips(),
-            &["trip"],
-            "ts",
-            &[("cl", "lag_cl"), ("ts", "lag_ts")],
-        )
-        .unwrap();
+        let t = with_lags(trips(), "trip", "ts", &[("cl", "lag_cl"), ("ts", "lag_ts")]).unwrap();
         assert_eq!(t.num_columns(), 5);
         // Same semantics as two independent lag_over calls.
         let base = trips();
-        let lag_cl = lag_over(&base, &["trip"], "ts", "cl").unwrap();
-        let lag_ts = lag_over(&base, &["trip"], "ts", "ts").unwrap();
+        let lag_cl = lag_over(&base, "trip", "ts", "cl").unwrap();
+        let lag_ts = lag_over(&base, "trip", "ts", "ts").unwrap();
         for row in 0..base.num_rows() {
             assert_eq!(
                 t.column_by_name("lag_cl").unwrap().value(row),
@@ -205,7 +199,7 @@ mod tests {
             ("cl", Column::from_u64(vec![7, 6, 9])),
         ])
         .unwrap();
-        let lag = lag_over(&t, &["trip"], "ts", "cl").unwrap();
+        let lag = lag_over(&t, "trip", "ts", "cl").unwrap();
         assert_eq!(lag.value(1), Value::Null);
         assert_eq!(lag.value(0), Value::UInt(6));
         assert_eq!(lag.value(2), Value::UInt(7));
@@ -219,7 +213,7 @@ mod tests {
             ("cl", Column::from_u64(vec![30, 10, 20])),
         ])
         .unwrap();
-        let lag = lag_over(&t, &["trip"], "ts", "cl").unwrap();
+        let lag = lag_over(&t, "trip", "ts", "cl").unwrap();
         assert_eq!(lag.value(1), Value::Null);
         assert_eq!(lag.value(2), Value::UInt(10));
         assert_eq!(lag.value(0), Value::UInt(20));
@@ -228,8 +222,8 @@ mod tests {
     #[test]
     fn unknown_columns_error() {
         let t = trips();
-        assert!(lag_over(&t, &["trip"], "ts", "nope").is_err());
-        assert!(lag_over(&t, &["nope"], "ts", "cl").is_err());
-        assert!(lag_over(&t, &["trip"], "nope", "cl").is_err());
+        assert!(lag_over(&t, "trip", "ts", "nope").is_err());
+        assert!(lag_over(&t, "nope", "ts", "cl").is_err());
+        assert!(lag_over(&t, "trip", "nope", "cl").is_err());
     }
 }

@@ -58,8 +58,8 @@ re-exporting a prelude:
  methods     habit-core (HABIT model:     baselines (SLI, GTI,
              fit / impute / repair)       PaLMTO competitors)
              ────────────────────────────────────────────────────
- substrate   aggdb (columnar group-by,    mobgraph (cell transition
-             HLL, P² quantiles)           graph + A* search)
+ substrate   aggdb (columnar tables,      mobgraph (cell transition
+             lag window, HLL, medians)    graph + A* search)
              ────────────────────────────────────────────────────
  kernel      geo-kernel (geodesy, DTW,    hexgrid (H3-style hexagonal
              RDP, GeoJSON)                indexing)
@@ -72,11 +72,11 @@ re-exporting a prelude:
 |-------|------|
 | `crates/geo` (`geo-kernel`) | geodesic primitives: haversine, bearings, RDP simplification, polylines, GeoJSON writers |
 | `crates/hexgrid` | H3-style hexagonal grid: cell ids, lat/lon↔cell, neighbors, polygon cover |
-| `crates/aggdb` | columnar aggregation substrate: tables, group-by, HyperLogLog, P² quantiles |
+| `crates/aggdb` | columnar substrate under graph generation: typed tables, the window `lag`, HyperLogLog (with its serialized record), exact medians, CSV |
 | `crates/mobgraph` | mobility graph: per-cell stats, transition edges, A* search, compact codec |
 | `crates/ais` | AIS data model, cleaning filters, mobility events, trip segmentation |
 | `crates/synth` | seeded synthetic AIS datasets mirroring the paper's DAN / KIEL / SAR feeds |
-| `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, persistable `FitState` (v2 model container) |
+| `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, persistable `FitState` — the paper's two group-bys as typed, mergeable accumulators (v2 model container) |
 | `crates/engine` (`habit-engine`) | parallel serving: scoped-thread chunk map, tile-sharded fit as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
 | `crates/obs` (`habit-obs`) | dependency-free observability substrate: monotonic span recorder, deterministic metrics registry (counters / gauges / fixed-bucket histograms), plaintext and span-JSON renderers |
 | `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, `ServiceError` taxonomy with stable codes, shared CSV converters, line-JSON wire codec + TCP server |
@@ -84,7 +84,7 @@ re-exporting a prelude:
 | `crates/density` | traffic density maps and exports built on the same substrate |
 | `crates/eval` | experiment harness: DTW accuracy, gap cases, experiment runners, `ExperimentReport` |
 | `crates/cli` (`habit-cli`) | the `habit` command-line tool — thin adapters over `habit-service` |
-| `crates/bench` (`habit-bench`) | experiment binaries, report/README generators |
+| `crates/bench` (`habit-bench`) | experiment binaries, report/README generators, the P² median estimator the medians ablation measures |
 | `crates/lint` (`habit-lint`) | hand-rolled static analysis (lexer + scanner, no `syn`): the pinned L001/L003/L005 registry enforcing determinism and float-ordering invariants and auditing its own suppressions |
 
 ## Quickstart

@@ -41,6 +41,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 pub mod docs;
+pub mod p2;
 pub mod reports;
 
 /// Common seed for all experiment binaries.

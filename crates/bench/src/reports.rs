@@ -8,7 +8,8 @@
 //! they call a builder, print the markdown, and optionally persist the
 //! JSON (`--out-dir`).
 
-use aggdb::quantile::{median_exact, P2Quantile};
+use crate::p2::P2Quantile;
+use aggdb::quantile::median_exact;
 use aggdb::HyperLogLog;
 use baselines::{PalmtoConfig, PalmtoError, PalmtoModel};
 use eval::experiments::{self, accuracy_dtw, latency, Bench, Fig6Case};

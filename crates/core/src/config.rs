@@ -104,12 +104,17 @@ impl HabitConfig {
         out.extend_from_slice(&self.snap_max_rings.to_le_bytes());
     }
 
-    /// Inverse of [`HabitConfig::encode_full`], advancing `buf`.
+    /// Inverse of [`HabitConfig::encode_full`], advancing `buf`. Unknown
+    /// projection or weight codes are refused rather than defaulted, so
+    /// an accepted config re-encodes to the bytes it was read from.
     pub(crate) fn decode_full(buf: &mut &[u8]) -> Option<Self> {
         if buf.len() < 3 + 8 + 8 + 4 {
             return None;
         }
         let (resolution, projection, weight) = (buf[0], buf[1], buf[2]);
+        if projection > 1 || weight > 2 {
+            return None;
+        }
         let rdp = f64::from_le_bytes(buf[3..11].try_into().ok()?);
         let span = u64::from_le_bytes(buf[11..19].try_into().ok()?);
         let rings = u32::from_le_bytes(buf[19..23].try_into().ok()?);

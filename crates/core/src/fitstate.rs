@@ -1,30 +1,33 @@
-//! The persistable fit state — partial aggregates as a first-class,
-//! mergeable, serializable artifact.
+//! The persistable fit state — the paper's two `GROUP BY`s as typed,
+//! mergeable, serializable partial aggregates.
 //!
-//! A HABIT fit is two group-bys over the lagged trip table
-//! ([`crate::graphgen`]). This module reifies their *un-finished*
-//! accumulators ([`aggdb::PartialGroupBy`]) plus the fit configuration
-//! and provenance into a [`FitState`] that can be
+//! A HABIT fit groups the lagged trip table ([`crate::graphgen`]) twice
+//! (paper §3.2): by `cl` for `count(*)`, `approx_count_distinct(vessel_id)`
+//! and the medians of lon / lat / sog / cog, and by `(lag_cl, cl)` for
+//! `approx_count_distinct(trip_id)`. A [`FitState`] holds their
+//! *un-finished* accumulators — groups sorted strictly ascending by key,
+//! one HyperLogLog per group, `total_cmp`-sorted median buffers — plus
+//! the fit configuration and provenance. It can be
 //!
-//! * **accumulated** from a trip table ([`FitState::accumulate`]),
+//! * **accumulated** straight from the typed trip-table columns
+//!   ([`FitState::accumulate`]),
 //! * **merged** with the state of another table — a shard, or a later
-//!   day's delta ([`FitState::merge`]), and
+//!   day's delta ([`FitState::merge`]) — as a linear merge of two sorted
+//!   group runs, and
 //! * **finalized** into the [`TransitionGraph`] at any point
-//!   ([`FitState::finalize`]) without losing the ability to keep
-//!   merging,
+//!   ([`FitState::finalize`]) without cloning an accumulator or losing
+//!   the ability to keep merging,
 //!
-//! and that serializes to a **versioned binary blob** embedded in v2
+//! and it serializes to the **versioned `HFS1` blob** embedded in v2
 //! model containers ([`crate::HabitModel::to_bytes_full`]). This is the
 //! seam incremental refit rides on: `fit(history ∪ delta)` ≡
-//! `finalize(merge(state(history), state(delta)))`, **byte-identically**
-//! for the aggregates the fit uses (count / HLL distinct / median),
+//! `finalize(merge(state(history), state(delta)))`, **byte-identically**,
 //! provided the two inputs hold *whole, disjoint trips* (trip and
 //! vessel ids must not straddle the boundary — the window lag and the
 //! drift filter need whole-trip context, and distinct counts would
-//! alias). [`FitState::accumulate`] canonicalizes the partials (groups
-//! key-sorted, median buffers value-sorted), so the state is a pure
-//! function of the input *set* of rows — independent of row order,
-//! sharding, and merge order.
+//! alias). Because groups and median buffers are kept sorted, the state
+//! is a pure function of the input *set* of rows — independent of row
+//! order, sharding, and merge order.
 //!
 //! Provenance is deliberately restricted to merge-exact fields
 //! (`trips`, `reports`, `max_trip_id`): anything order- or
@@ -35,11 +38,13 @@
 use crate::config::HabitConfig;
 use crate::error::HabitError;
 use crate::graphgen::{
-    assemble_graph, cell_agg_specs, lagged_trip_table, transition_agg_specs, transition_rows,
-    TransitionGraph,
+    assemble_graph, f64_column, lagged_trip_table, u64_column, CellStats, TransitionGraph,
 };
 use aggdb::fxhash::FxHashSet;
-use aggdb::{PartialGroupBy, Table};
+use aggdb::quantile::median_sorted;
+use aggdb::{AggError, HyperLogLog, Table};
+use mobgraph::Codec;
+use std::cmp::Ordering;
 
 /// Magic bytes prefixing a serialized fit state ("HFS1").
 const FITSTATE_MAGIC: u32 = 0x3153_4648;
@@ -70,15 +75,7 @@ impl FitProvenance {
     /// Counts a trip table: distinct `trip_id`s, rows, and the highest
     /// trip id.
     pub fn of_table(table: &Table) -> Result<Self, HabitError> {
-        let trip_col = table.column_by_name("trip_id")?;
-        let ids =
-            trip_col
-                .u64_values()
-                .ok_or(HabitError::BadInput(aggdb::AggError::TypeMismatch {
-                    column: "trip_id".into(),
-                    expected: "UInt64",
-                    actual: trip_col.dtype().name(),
-                }))?;
+        let ids = u64_column(table, "trip_id")?;
         let mut distinct: FxHashSet<u64> = FxHashSet::default();
         let mut max_trip_id = 0u64;
         for &id in ids {
@@ -102,50 +99,92 @@ impl FitProvenance {
     }
 }
 
+/// Groups sorted strictly ascending by key, one accumulator each — the
+/// invariant merge, finalize and the codec all rely on.
+type Groups<K, A> = Vec<(K, A)>;
+
+/// The median columns, in [`CellAcc::medians`] order.
+const MEDIAN_COLUMNS: [&str; 4] = ["lon", "lat", "sog", "cog"];
+
+/// The accumulators of one `GROUP BY cl` group.
+#[derive(Clone)]
+struct CellAcc {
+    /// `count(*)`.
+    count: u64,
+    /// `approx_count_distinct(vessel_id)`.
+    vessels: HyperLogLog,
+    /// Every value of each [`MEDIAN_COLUMNS`] column, `total_cmp`-sorted.
+    medians: [Vec<f64>; 4],
+}
+
+impl CellAcc {
+    fn merge(&mut self, other: CellAcc) {
+        self.count += other.count;
+        self.vessels.merge(&other.vessels);
+        for (mine, theirs) in self.medians.iter_mut().zip(other.medians) {
+            // Two sorted runs: the stable sort merges them in linear time.
+            mine.extend(theirs);
+            mine.sort_by(f64::total_cmp);
+        }
+    }
+
+    fn stats(&self) -> CellStats {
+        let [lon, lat, sog, cog] = self
+            .medians
+            .each_ref()
+            .map(|values| median_sorted(values).unwrap_or(0.0));
+        CellStats {
+            median_lon: lon,
+            median_lat: lat,
+            msg_count: self.count,
+            vessels: self.vessels.count(),
+            median_sog: sog,
+            median_cog: cog,
+        }
+    }
+}
+
 /// The partial-aggregate state of a HABIT fit: configuration, the two
 /// un-finished group-bys of graph generation, and provenance.
 #[derive(Clone)]
 pub struct FitState {
     config: HabitConfig,
-    /// Per-cell statistics partial (`GROUP BY cl`).
-    cells: PartialGroupBy,
-    /// Per-transition statistics partial (`GROUP BY lag_cl, cl`).
-    transitions: PartialGroupBy,
+    /// `GROUP BY cl`.
+    cells: Groups<u64, CellAcc>,
+    /// `GROUP BY lag_cl, cl` over the transition rows, with the trip
+    /// sketch of `approx_count_distinct(trip_id)`.
+    transitions: Groups<(u64, u64), HyperLogLog>,
     provenance: FitProvenance,
 }
 
 impl FitState {
     /// Runs the accumulation half of a fit over `table` (columns per
     /// [`ais::COLS`]): cell assignment, drift filter, window lag, and
-    /// both partial group-bys — everything **except** finishing the
+    /// both group-bys — everything **except** finishing the
     /// accumulators into a graph. A table whose trips are all filtered
     /// (sea drift) yields a state with zero groups; it is
     /// [`FitState::finalize`] that rejects an empty model.
     pub fn accumulate(table: &Table, config: HabitConfig) -> Result<Self, HabitError> {
         let provenance = FitProvenance::of_table(table)?;
         let lagged = lagged_trip_table(table, &config)?;
-        let cells = lagged.group_by_partial(&["cl"], &cell_agg_specs())?;
-        let transitions = transition_rows(&lagged)?
-            .group_by_partial(&["lag_cl", "cl"], &transition_agg_specs())?;
-        Self::from_partials(config, cells, transitions, provenance)
+        Self::accumulate_lagged(&lagged, config, provenance)
     }
 
-    /// Assembles a state from already-computed partials — the seam
-    /// `habit-engine` uses after merging per-shard partial group-bys.
-    /// Canonicalizes both partials, so states built from any sharding of
-    /// the same rows are structurally (and byte-) identical.
-    pub fn from_partials(
+    /// The group-by half of [`FitState::accumulate`], over a table
+    /// [`lagged_trip_table`] produced — or any row subset of one: the
+    /// states of disjoint subsets merge into the state of their union,
+    /// which is how `habit-engine` runs it per spatial shard.
+    /// `provenance` is stored as given, because a shard cannot count the
+    /// whole table's trips.
+    pub fn accumulate_lagged(
+        lagged: &Table,
         config: HabitConfig,
-        mut cells: PartialGroupBy,
-        mut transitions: PartialGroupBy,
         provenance: FitProvenance,
     ) -> Result<Self, HabitError> {
-        cells.canonicalize();
-        transitions.canonicalize();
         Ok(Self {
             config,
-            cells,
-            transitions,
+            cells: accumulate_cells(lagged)?,
+            transitions: accumulate_transitions(lagged)?,
             provenance,
         })
     }
@@ -162,28 +201,30 @@ impl FitState {
 
     /// Distinct cells with accumulated statistics.
     pub fn cell_groups(&self) -> usize {
-        self.cells.num_groups()
+        self.cells.len()
     }
 
     /// Distinct cell transitions accumulated.
     pub fn transition_groups(&self) -> usize {
-        self.transitions.num_groups()
+        self.transitions.len()
     }
 
     /// Absorbs another state accumulated under the **same**
     /// configuration — a delta day of trips, or another shard. Fails
     /// with [`HabitError::ConfigDrift`] when the configurations differ
-    /// (the partials would not be comparable). Re-canonicalizes, so the
-    /// merged state's bytes equal a from-scratch accumulation over the
-    /// union (disjoint-trips contract).
+    /// (the accumulators would not be comparable). The merged state's
+    /// bytes equal a from-scratch accumulation over the union
+    /// (disjoint-trips contract).
     pub fn merge(&mut self, other: FitState) -> Result<(), HabitError> {
         if self.config != other.config {
             return Err(HabitError::ConfigDrift);
         }
-        self.cells.merge(other.cells)?;
-        self.transitions.merge(other.transitions)?;
-        self.cells.canonicalize();
-        self.transitions.canonicalize();
+        let cells = std::mem::take(&mut self.cells);
+        self.cells = merge_groups(cells, other.cells, CellAcc::merge);
+        let transitions = std::mem::take(&mut self.transitions);
+        self.transitions = merge_groups(transitions, other.transitions, |trips, more| {
+            trips.merge(&more)
+        });
         self.provenance.merge(&other.provenance);
         Ok(())
     }
@@ -192,11 +233,16 @@ impl FitState {
     /// **without consuming the state** — it remains mergeable, which is
     /// exactly what lets a daemon refit and re-finalize day after day.
     pub fn finalize(&self) -> Result<TransitionGraph, HabitError> {
-        // Canonicalized partials finish in key-sorted order — the
-        // canonical table order `assemble_graph` requires.
-        let cell_stats = self.cells.finish_to_table()?;
-        let transitions_tbl = self.transitions.finish_to_table()?;
-        assemble_graph(&cell_stats, &transitions_tbl)
+        let cells = &self.cells;
+        assemble_graph(
+            self.transitions
+                .iter()
+                .map(|&((from, to), ref trips)| (from, to, trips.count())),
+            |cell| {
+                let i = cells.binary_search_by_key(&cell, |(cl, _)| *cl).ok()?;
+                Some(cells[i].1.stats())
+            },
+        )
     }
 
     /// Serializes the state as a standalone versioned blob.
@@ -208,48 +254,108 @@ impl FitState {
 
     /// Appends the serialized state (self-delimiting) to `out`.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&FITSTATE_MAGIC.to_le_bytes());
-        out.push(FITSTATE_VERSION);
+        FITSTATE_MAGIC.encode(out);
+        FITSTATE_VERSION.encode(out);
         self.config.encode_full(out);
-        out.extend_from_slice(&self.provenance.trips.to_le_bytes());
-        out.extend_from_slice(&self.provenance.reports.to_le_bytes());
-        out.extend_from_slice(&self.provenance.max_trip_id.to_le_bytes());
-        self.cells.encode_into(out);
-        self.transitions.encode_into(out);
+        self.provenance.trips.encode(out);
+        self.provenance.reports.encode(out);
+        self.provenance.max_trip_id.encode(out);
+        encode_groups(
+            out,
+            &CELL_SPECS,
+            &CELL_KEYS,
+            &self.cells,
+            |out, &cl, acc| {
+                put_key(out, cl);
+                out.push(COUNT_TAG);
+                acc.count.encode(out);
+                out.push(HLL_TAG);
+                acc.vessels.encode_into(out);
+                for values in &acc.medians {
+                    out.push(MEDIAN_TAG);
+                    (values.len() as u64).encode(out);
+                    values.iter().for_each(|v| v.encode(out));
+                }
+            },
+        );
+        encode_groups(
+            out,
+            &TRANSITION_SPECS,
+            &TRANSITION_KEYS,
+            &self.transitions,
+            |out, &(from, to), trips| {
+                put_key(out, from);
+                put_key(out, to);
+                out.push(HLL_TAG);
+                trips.encode_into(out);
+            },
+        );
     }
 
     /// Decodes a state from the front of `buf`, advancing it.
     ///
     /// Distinguishes *unsupported version* ([`HabitError::StateVersion`],
     /// so callers can say "re-fit with this build") from *corruption*
-    /// ([`HabitError::BadModelBlob`]).
+    /// ([`HabitError::BadModelBlob`]). Every invariant merge and finalize
+    /// rely on is checked here — keys strictly ascending, median buffers
+    /// sorted, sketches at the accumulation precision — so a state this
+    /// accepts re-encodes to the bytes it was read from.
     pub(crate) fn decode_from(buf: &mut &[u8]) -> Result<Self, HabitError> {
-        let magic = take_u32(buf).ok_or(HabitError::BadModelBlob)?;
-        if magic != FITSTATE_MAGIC {
+        if u32::decode(buf) != Some(FITSTATE_MAGIC) {
             return Err(HabitError::BadModelBlob);
         }
-        let version = take_u8(buf).ok_or(HabitError::BadModelBlob)?;
+        let version = u8::decode(buf).ok_or(HabitError::BadModelBlob)?;
         if version != FITSTATE_VERSION {
             return Err(HabitError::StateVersion {
                 found: version,
                 supported: FITSTATE_VERSION,
             });
         }
-        let config = HabitConfig::decode_full(buf).ok_or(HabitError::BadModelBlob)?;
-        let trips = take_u64(buf).ok_or(HabitError::BadModelBlob)?;
-        let reports = take_u64(buf).ok_or(HabitError::BadModelBlob)?;
-        let max_trip_id = take_u64(buf).ok_or(HabitError::BadModelBlob)?;
-        let cells = PartialGroupBy::decode_from(buf).ok_or(HabitError::BadModelBlob)?;
-        let transitions = PartialGroupBy::decode_from(buf).ok_or(HabitError::BadModelBlob)?;
-        Ok(Self {
+        Self::decode_body(buf).ok_or(HabitError::BadModelBlob)
+    }
+
+    fn decode_body(buf: &mut &[u8]) -> Option<Self> {
+        let config = HabitConfig::decode_full(buf)?;
+        let provenance = FitProvenance {
+            trips: u64::decode(buf)?,
+            reports: u64::decode(buf)?,
+            max_trip_id: u64::decode(buf)?,
+        };
+        let cells = decode_groups(buf, &CELL_SPECS, &CELL_KEYS, MIN_CELL_GROUP_BYTES, |buf| {
+            let cl = get_key(buf)?;
+            expect_tag(buf, COUNT_TAG)?;
+            let count = u64::decode(buf)?;
+            expect_tag(buf, HLL_TAG)?;
+            let vessels = HyperLogLog::decode_from(buf)?;
+            let mut medians: [Vec<f64>; 4] = Default::default();
+            for values in &mut medians {
+                *values = get_median_values(buf)?;
+            }
+            Some((
+                cl,
+                CellAcc {
+                    count,
+                    vessels,
+                    medians,
+                },
+            ))
+        })?;
+        let transitions = decode_groups(
+            buf,
+            &TRANSITION_SPECS,
+            &TRANSITION_KEYS,
+            MIN_TRANSITION_GROUP_BYTES,
+            |buf| {
+                let key = (get_key(buf)?, get_key(buf)?);
+                expect_tag(buf, HLL_TAG)?;
+                Some((key, HyperLogLog::decode_from(buf)?))
+            },
+        )?;
+        Some(Self {
             config,
             cells,
             transitions,
-            provenance: FitProvenance {
-                trips,
-                reports,
-                max_trip_id,
-            },
+            provenance,
         })
     }
 
@@ -270,34 +376,211 @@ impl FitState {
     }
 }
 
-fn take_u8(buf: &mut &[u8]) -> Option<u8> {
-    let (&b, rest) = buf.split_first()?;
-    *buf = rest;
-    Some(b)
+/// `GROUP BY cl` over the lagged table's typed columns.
+fn accumulate_cells(lagged: &Table) -> Result<Groups<u64, CellAcc>, HabitError> {
+    let cl = u64_column(lagged, "cl")?;
+    let vessels = u64_column(lagged, "vessel_id")?;
+    let [lon, lat, sog, cog] = MEDIAN_COLUMNS.map(|name| f64_column(lagged, name));
+    let columns = [lon?, lat?, sog?, cog?];
+    let mut rows: Vec<(u64, usize)> = cl.iter().copied().zip(0..).collect();
+    rows.sort_unstable();
+    let groups = rows.chunk_by(|a, b| a.0 == b.0).map(|run| {
+        let mut acc = CellAcc {
+            count: run.len() as u64,
+            vessels: HyperLogLog::default_precision(),
+            medians: std::array::from_fn(|_| Vec::with_capacity(run.len())),
+        };
+        for &(_, row) in run {
+            acc.vessels.insert_u64(vessels[row]);
+            for (values, column) in acc.medians.iter_mut().zip(&columns) {
+                values.push(column[row]);
+            }
+        }
+        for values in &mut acc.medians {
+            values.sort_by(f64::total_cmp);
+        }
+        (run[0].0, acc)
+    });
+    Ok(groups.collect())
 }
 
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let (head, rest) = buf.split_at(4);
-    *buf = rest;
-    Some(u32::from_le_bytes(head.try_into().ok()?))
+/// `GROUP BY lag_cl, cl` over the transition rows: `lag_cl` non-null and
+/// different from `cl`.
+fn accumulate_transitions(lagged: &Table) -> Result<Groups<(u64, u64), HyperLogLog>, HabitError> {
+    let cl = u64_column(lagged, "cl")?;
+    let trips = u64_column(lagged, "trip_id")?;
+    let lag = lagged.column_by_name("lag_cl")?;
+    let lag_cl = lag.u64_values().ok_or_else(|| AggError::TypeMismatch {
+        column: "lag_cl".into(),
+        expected: "UInt64",
+        actual: lag.dtype().name(),
+    })?;
+    let mut rows: Vec<((u64, u64), usize)> = (0..cl.len())
+        .filter(|&row| lag.is_valid(row) && lag_cl[row] != cl[row])
+        .map(|row| ((lag_cl[row], cl[row]), row))
+        .collect();
+    rows.sort_unstable();
+    let groups = rows.chunk_by(|a, b| a.0 == b.0).map(|run| {
+        let mut sketch = HyperLogLog::default_precision();
+        run.iter()
+            .for_each(|&(_, row)| sketch.insert_u64(trips[row]));
+        (run[0].0, sketch)
+    });
+    Ok(groups.collect())
 }
 
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
-    if buf.len() < 8 {
+/// Merges two key-sorted group runs into one; groups present in both
+/// combine their accumulators.
+fn merge_groups<K: Ord, A>(
+    a: Groups<K, A>,
+    b: Groups<K, A>,
+    combine: impl Fn(&mut A, A),
+) -> Groups<K, A> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some((ka, _)), Some((kb, _))) = (a.peek(), b.peek()) {
+        match ka.cmp(kb) {
+            Ordering::Less => out.extend(a.next()),
+            Ordering::Greater => out.extend(b.next()),
+            Ordering::Equal => {
+                let (key, mut acc) = a.next().expect("peeked");
+                let (_, other) = b.next().expect("peeked");
+                combine(&mut acc, other);
+                out.push((key, acc));
+            }
+        }
+    }
+    out.extend(a);
+    out.extend(b);
+    out
+}
+
+// ------------------------------------------------------------------ codec
+//
+// Each group-by is one self-delimiting `HFS1` section: a fixed header
+// naming the aggregates and key columns, the group count, then per group
+// its tagged key values and accumulators, all fixed-width little-endian.
+// The header strings, function codes (0 `count(*)`, 2
+// `approx_count_distinct`, 4 `median`), the key dtype code and the value
+// tags are those of the generic group-by engine that first wrote these
+// sections; they are kept byte for byte, so every blob written since
+// still loads and every state still encodes to the same bytes.
+
+/// `(input column, function code, output alias)` per aggregate.
+type Specs = [(&'static str, u8, &'static str)];
+
+const CELL_SPECS: [(&str, u8, &str); 6] = [
+    ("", 0, "cnt"),
+    ("vessel_id", 2, "vessels"),
+    ("lon", 4, "median_lon"),
+    ("lat", 4, "median_lat"),
+    ("sog", 4, "median_sog"),
+    ("cog", 4, "median_cog"),
+];
+const TRANSITION_SPECS: [(&str, u8, &str); 1] = [("trip_id", 2, "transitions")];
+const CELL_KEYS: [&str; 1] = ["cl"];
+const TRANSITION_KEYS: [&str; 2] = ["lag_cl", "cl"];
+/// Dtype code of every key column (`UInt64`).
+const KEY_DTYPE: u8 = 1;
+const KEY_TAG: u8 = 2;
+const COUNT_TAG: u8 = 0;
+const HLL_TAG: u8 = 1;
+const MEDIAN_TAG: u8 = 3;
+/// Encoded size of the smallest possible group (empty sparse sketches,
+/// empty median buffers): a buffer cannot claim more groups than its
+/// length allows, so a corrupt count never over-allocates.
+const MIN_CELL_GROUP_BYTES: usize = 9 + 9 + 7 + 4 * 9;
+const MIN_TRANSITION_GROUP_BYTES: usize = 9 + 9 + 7;
+
+fn section_header(specs: &Specs, keys: &[&str]) -> Vec<u8> {
+    let mut out = Vec::new();
+    (specs.len() as u32).encode(&mut out);
+    for &(column, func, alias) in specs {
+        put_str(&mut out, column);
+        out.push(func);
+        put_str(&mut out, alias);
+    }
+    (keys.len() as u32).encode(&mut out);
+    for key in keys {
+        put_str(&mut out, key);
+        out.push(KEY_DTYPE);
+    }
+    out
+}
+
+fn encode_groups<K, A>(
+    out: &mut Vec<u8>,
+    specs: &Specs,
+    keys: &[&str],
+    groups: &Groups<K, A>,
+    mut group: impl FnMut(&mut Vec<u8>, &K, &A),
+) {
+    out.extend_from_slice(&section_header(specs, keys));
+    (groups.len() as u64).encode(out);
+    for (key, acc) in groups {
+        group(out, key, acc);
+    }
+}
+
+fn decode_groups<K: Ord, A>(
+    buf: &mut &[u8],
+    specs: &Specs,
+    keys: &[&str],
+    min_group_bytes: usize,
+    mut group: impl FnMut(&mut &[u8]) -> Option<(K, A)>,
+) -> Option<Groups<K, A>> {
+    *buf = buf.strip_prefix(section_header(specs, keys).as_slice())?;
+    let n = usize::try_from(u64::decode(buf)?).ok()?;
+    if n > buf.len() / min_group_bytes {
         return None;
     }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    Some(u64::from_le_bytes(head.try_into().ok()?))
+    let mut groups: Groups<K, A> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (key, acc) = group(buf)?;
+        if groups.last().is_some_and(|(prev, _)| *prev >= key) {
+            return None;
+        }
+        groups.push((key, acc));
+    }
+    Some(groups)
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    (s.len() as u32).encode(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_key(out: &mut Vec<u8>, key: u64) {
+    out.push(KEY_TAG);
+    key.encode(out);
+}
+
+fn expect_tag(buf: &mut &[u8], tag: u8) -> Option<()> {
+    (u8::decode(buf)? == tag).then_some(())
+}
+
+fn get_key(buf: &mut &[u8]) -> Option<u64> {
+    expect_tag(buf, KEY_TAG)?;
+    u64::decode(buf)
+}
+
+fn get_median_values(buf: &mut &[u8]) -> Option<Vec<f64>> {
+    expect_tag(buf, MEDIAN_TAG)?;
+    let n = usize::try_from(u64::decode(buf)?).ok()?;
+    if n > buf.len() / 8 {
+        return None;
+    }
+    let values: Vec<f64> = (0..n).map(|_| f64::decode(buf)).collect::<Option<_>>()?;
+    let sorted = values.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le());
+    sorted.then_some(values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ais::{trips_to_table, AisPoint, Trip};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn lane_trip(trip_id: u64, mmsi: u64, lat: f64, n: usize) -> Trip {
         Trip {
@@ -450,5 +733,186 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(FitState::from_bytes(&trailing).is_err());
+    }
+
+    fn lane_state() -> FitState {
+        let lanes: Vec<Trip> = (0..3)
+            .map(|k| lane_trip(k + 1, 100 + k, 56.0, 120))
+            .collect();
+        FitState::accumulate(&trips_to_table(&lanes), HabitConfig::default()).unwrap()
+    }
+
+    /// The state encodes (the encoder checks nothing) but must not load.
+    fn refused(state: &FitState) -> bool {
+        matches!(
+            FitState::from_bytes(&state.to_bytes()),
+            Err(HabitError::BadModelBlob)
+        )
+    }
+
+    /// A null reading has no value to count or take the median of: the
+    /// typed accumulate refuses the column instead of reading the
+    /// placeholder behind it.
+    #[test]
+    fn accumulate_refuses_columns_with_nulls() {
+        let table = trips_to_table(&[lane_trip(1, 100, 56.0, 120)]);
+        let rows = table.num_rows() as u64;
+        let vessels =
+            aggdb::Column::from_u64_opt((0..rows).map(|i| (i != 5).then_some(100)).collect());
+        let columns = ais::COLS.map(|name| {
+            let column = table.column_by_name(name).unwrap().clone();
+            (
+                name,
+                if name == "vessel_id" {
+                    vessels.clone()
+                } else {
+                    column
+                },
+            )
+        });
+        let with_null = Table::from_columns(columns.to_vec()).unwrap();
+        let err = FitState::accumulate(&with_null, HabitConfig::default()).err();
+        assert!(
+            matches!(&err, Some(HabitError::BadInput(AggError::TypeMismatch { column, .. })) if column == "vessel_id"),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn decoder_rejects_sketch_precision_other_than_default() {
+        let mut state = lane_state();
+        assert!(FitState::from_bytes(&state.to_bytes()).is_ok());
+        let mut wide = HyperLogLog::new(18);
+        wide.insert_u64(7);
+        state.transitions[0].1 = wide;
+        assert!(refused(&state));
+    }
+
+    #[test]
+    fn decoder_rejects_keys_not_strictly_ascending() {
+        let mut swapped = lane_state();
+        swapped.cells.swap(0, 1);
+        assert!(refused(&swapped));
+        let mut duplicated = lane_state();
+        duplicated.transitions[1].0 = duplicated.transitions[0].0;
+        assert!(refused(&duplicated));
+    }
+
+    #[test]
+    fn decoder_rejects_unsorted_median_values() {
+        let mut state = lane_state();
+        state.cells[0].1.medians[0].insert(0, f64::MAX);
+        assert!(refused(&state));
+    }
+
+    /// Random trips over a small patch of sea: each a random walk on a
+    /// lattice finer than a cell (so cells repeat across trips and
+    /// skipped cells happen), with readings that often tie.
+    fn random_trips() -> impl Strategy<Value = Vec<Trip>> {
+        let step = (0i32..5, 0i32..5, 0u8..30, 0u16..360);
+        proptest::collection::vec(proptest::collection::vec(step, 2..40), 1..7).prop_map(|walks| {
+            let trip = |(k, steps): (usize, Vec<(i32, i32, u8, u16)>)| {
+                let (mmsi, mut x, mut y) = (100 + k as u64 % 3, 0i32, 0i32);
+                let points = steps
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (dx, dy, sog, cog))| {
+                        (x, y) = (x + dx - 2, y + dy - 2);
+                        let (lon, lat) =
+                            (10.0 + f64::from(x) * 0.002, 56.0 + f64::from(y) * 0.0015);
+                        AisPoint::new(
+                            mmsi,
+                            i as i64 * 60,
+                            lon,
+                            lat,
+                            f64::from(sog) * 0.5,
+                            cog.into(),
+                        )
+                    });
+                Trip {
+                    trip_id: k as u64 + 1,
+                    mmsi,
+                    points: points.collect(),
+                }
+            };
+            walks.into_iter().enumerate().map(trip).collect()
+        })
+    }
+
+    fn naive_median(values: &mut [f64]) -> f64 {
+        values.sort_by(f64::total_cmp);
+        let n = values.len();
+        if n % 2 == 1 {
+            values[n / 2]
+        } else {
+            (values[n / 2 - 1] + values[n / 2]) / 2.0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The typed `GROUP BY cl` and `GROUP BY lag_cl, cl` against
+        /// naive per-group references over the lagged table's rows.
+        #[test]
+        #[allow(clippy::needless_range_loop)] // parallel column access by row index
+        fn accumulate_matches_naive_reference(trips in random_trips()) {
+            let config = HabitConfig::default();
+            let table = trips_to_table(&trips);
+            let state = FitState::accumulate(&table, config).unwrap();
+            let lagged = lagged_trip_table(&table, &config).unwrap();
+            let col = |name| u64_column(&lagged, name).unwrap();
+            let (cl, vessels, trip_ids) = (col("cl"), col("vessel_id"), col("trip_id"));
+            let values = MEDIAN_COLUMNS.map(|name| f64_column(&lagged, name).unwrap());
+            let lag = lagged.column_by_name("lag_cl").unwrap();
+            let mut cells: BTreeMap<u64, (u64, HyperLogLog, [Vec<f64>; 4])> = BTreeMap::new();
+            let mut transitions: BTreeMap<(u64, u64), HyperLogLog> = BTreeMap::new();
+            for row in 0..lagged.num_rows() {
+                let (count, sketch, medians) = cells
+                    .entry(cl[row])
+                    .or_insert_with(|| (0, HyperLogLog::default_precision(), Default::default()));
+                *count += 1;
+                sketch.insert_u64(vessels[row]);
+                for (m, column) in medians.iter_mut().zip(&values) {
+                    m.push(column[row]);
+                }
+                if let Some(prev) = lag.value(row).as_u64().filter(|&prev| prev != cl[row]) {
+                    transitions
+                        .entry((prev, cl[row]))
+                        .or_insert_with(HyperLogLog::default_precision)
+                        .insert_u64(trip_ids[row]);
+                }
+            }
+
+            prop_assert_eq!(state.cells.len(), cells.len());
+            for ((key, acc), (naive_key, (count, sketch, medians))) in state.cells.iter().zip(&mut cells) {
+                prop_assert_eq!(key, naive_key);
+                let stats = acc.stats();
+                prop_assert_eq!(stats.msg_count, *count);
+                prop_assert_eq!(stats.vessels, sketch.count());
+                let got = [stats.median_lon, stats.median_lat, stats.median_sog, stats.median_cog];
+                for (g, m) in got.into_iter().zip(medians.iter_mut()) {
+                    prop_assert!((g - naive_median(m)).abs() < 1e-9, "{} vs {:?}", g, m);
+                }
+            }
+            prop_assert_eq!(state.transitions.len(), transitions.len());
+            for ((key, trips), (naive_key, sketch)) in state.transitions.iter().zip(&transitions) {
+                prop_assert_eq!(key, naive_key);
+                prop_assert_eq!(trips.registers(), sketch.registers());
+            }
+        }
+
+        /// Accumulating two disjoint trip subsets and merging equals
+        /// accumulating their union, byte for byte.
+        #[test]
+        fn merged_disjoint_subsets_equal_the_union(trips in random_trips(), mask in any::<u8>()) {
+            let config = HabitConfig::default();
+            let (left, right): (Vec<Trip>, Vec<Trip>) =
+                trips.iter().cloned().partition(|t| mask >> (t.trip_id % 8) & 1 == 1);
+            let mut merged = FitState::accumulate(&trips_to_table(&left), config).unwrap();
+            merged.merge(FitState::accumulate(&trips_to_table(&right), config).unwrap()).unwrap();
+            let union = FitState::accumulate(&trips_to_table(&trips), config).unwrap();
+            prop_assert_eq!(merged.to_bytes(), union.to_bytes());
+        }
     }
 }

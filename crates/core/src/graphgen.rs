@@ -1,19 +1,20 @@
 //! Phase 2: graph generation (paper §3.2).
 //!
-//! Mirrors the paper's DuckDB CTE step by step on top of `aggdb`:
+//! Mirrors the paper's DuckDB CTE step by step:
 //!
 //! 1. read the trip table and assign each message its H3 cell `cl` at the
 //!    configured resolution;
 //! 2. drop trips confined to ≤ `min_cell_span` adjacent cells (sea drift);
-//! 3. window-lag the cell over each trip (`lag_cl`);
+//! 3. window-lag the cell over each trip (`lag_cl`, on `aggdb`'s window);
 //! 4. group by `cl` → per-cell statistics; group by `(lag_cl, cl)` →
-//!    transition statistics;
-//! 5. assemble the weighted directed graph.
+//!    transition statistics — the typed, mergeable accumulators of
+//!    [`crate::FitState`];
+//! 5. assemble the weighted directed graph from the finished groups.
 
 use crate::config::HabitConfig;
 use crate::error::HabitError;
 use aggdb::fxhash::{FxHashMap, FxHashSet};
-use aggdb::{Agg, AggSpec, Column, Table};
+use aggdb::{AggError, Column, Table};
 use geo_kernel::GeoPoint;
 use hexgrid::{HexCell, HexGrid};
 use mobgraph::{Codec, DiGraph};
@@ -79,7 +80,7 @@ impl Codec for EdgeStats {
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         Some(Self {
             transitions: u32::decode(buf)?,
-            grid_distance: u32::decode(buf)? as u16,
+            grid_distance: u16::try_from(u32::decode(buf)?).ok()?,
         })
     }
 }
@@ -105,31 +106,17 @@ pub fn build_transition_graph(
 }
 
 /// Stages 1–3 of graph generation: cell assignment, the cell-span drift
-/// filter, and the window lag. Returns the lagged trip table whose two
-/// group-bys ([`cell_agg_specs`] over `cl`, [`transition_agg_specs`]
-/// over `(lag_cl, cl)` of [`transition_rows`]) produce the graph inputs.
-/// Exposed so `habit-engine` can shard the group-bys spatially.
+/// filter, and the window lag. Returns the lagged trip table (the input
+/// columns plus `cl` and `lag_cl`) that the two group-bys of
+/// [`crate::FitState`] accumulate. Exposed so `habit-engine` can shard
+/// the group-bys spatially.
 pub fn lagged_trip_table(table: &Table, config: &HabitConfig) -> Result<Table, HabitError> {
     let grid = HexGrid::new();
     let res = config.resolution;
 
     // -- 1. Assign each message its H3 cell.
-    let lon = table.column_by_name("lon")?;
-    let lat = table.column_by_name("lat")?;
-    let lons = lon
-        .f64_values()
-        .ok_or(HabitError::BadInput(aggdb::AggError::TypeMismatch {
-            column: "lon".into(),
-            expected: "Float64",
-            actual: lon.dtype().name(),
-        }))?;
-    let lats = lat
-        .f64_values()
-        .ok_or(HabitError::BadInput(aggdb::AggError::TypeMismatch {
-            column: "lat".into(),
-            expected: "Float64",
-            actual: lat.dtype().name(),
-        }))?;
+    let lons = f64_column(table, "lon")?;
+    let lats = f64_column(table, "lat")?;
     let mut cells = Vec::with_capacity(table.num_rows());
     for i in 0..table.num_rows() {
         let cell = grid.cell(&GeoPoint::new(lons[i], lats[i]), res)?;
@@ -139,15 +126,7 @@ pub fn lagged_trip_table(table: &Table, config: &HabitConfig) -> Result<Table, H
     // -- 2. Cell-span filter: drop trips confined to ≤ min_cell_span
     //       mutually adjacent cells (paper: "minor, non-essential local
     //       displacements, e.g. sea drift").
-    let trip_col = table.column_by_name("trip_id")?;
-    let trip_ids =
-        trip_col
-            .u64_values()
-            .ok_or(HabitError::BadInput(aggdb::AggError::TypeMismatch {
-                column: "trip_id".into(),
-                expected: "UInt64",
-                actual: trip_col.dtype().name(),
-            }))?;
+    let trip_ids = u64_column(table, "trip_id")?;
     // Trips are contiguous runs in a trip table, so counting run
     // boundaries pre-sizes the per-trip cell sets in one cheap pass.
     let approx_trips = trip_ids.windows(2).filter(|w| w[0] != w[1]).count() + 1;
@@ -171,129 +150,54 @@ pub fn lagged_trip_table(table: &Table, config: &HabitConfig) -> Result<Table, H
     let filtered = if small_trips.is_empty() {
         with_cells
     } else {
-        let keep_trip = |i: usize| !small_trips.contains(&trip_ids_at(&with_cells, i));
-        with_cells.filter(keep_trip)
+        with_cells.filter(|i| !small_trips.contains(&trip_ids[i]))
     };
     // An all-drift table lags to zero rows — legal here: accumulation
-    // over it is an empty (still mergeable) partial, and it is
+    // over it is an empty (still mergeable) fit state, and it is
     // `assemble_graph` that rejects an empty *model*.
 
     // -- 3. lag(cl) OVER (PARTITION BY trip_id ORDER BY ts).
     Ok(aggdb::window::with_lag(
-        filtered,
-        &["trip_id"],
-        "ts",
-        "cl",
-        "lag_cl",
+        filtered, "trip_id", "ts", "cl", "lag_cl",
     )?)
 }
 
-/// The per-cell aggregate specs of the paper's first group-by (§3.2).
-pub fn cell_agg_specs() -> Vec<AggSpec> {
-    vec![
-        AggSpec::new("", Agg::Count, "cnt"),
-        AggSpec::new("vessel_id", Agg::CountDistinctApprox, "vessels"),
-        AggSpec::new("lon", Agg::Median, "median_lon"),
-        AggSpec::new("lat", Agg::Median, "median_lat"),
-        AggSpec::new("sog", Agg::Median, "median_sog"),
-        AggSpec::new("cog", Agg::Median, "median_cog"),
-    ]
-}
-
-/// The per-transition aggregate specs of the paper's second group-by.
-pub fn transition_agg_specs() -> Vec<AggSpec> {
-    vec![AggSpec::new(
-        "trip_id",
-        Agg::CountDistinctApprox,
-        "transitions",
-    )]
-}
-
-/// Filters the lagged table down to transition rows: `lag_cl` non-null
-/// and different from `cl`.
-pub fn transition_rows(lagged: &Table) -> Result<Table, HabitError> {
-    let lag_col = lagged.column_by_name("lag_cl")?.clone();
-    let cl_col = lagged.column_by_name("cl")?.clone();
-    Ok(lagged
-        .filter(|i| lag_col.is_valid(i) && lag_col.value(i).as_u64() != cl_col.value(i).as_u64()))
-}
-
 /// Phase-2 step 5: assembles the weighted directed graph from the two
-/// aggregate tables. Nodes are the cells present in the edge list
-/// (paper: "nodes … identified by the corresponding H3 cells present in
-/// the edge list"), attributed from the cell stats. Node and edge
-/// insertion follow the row order of `transitions_tbl`, so callers must
-/// pass canonically sorted tables for a canonical graph.
-pub fn assemble_graph(
-    cell_stats: &Table,
-    transitions_tbl: &Table,
-) -> Result<DiGraph<CellStats, EdgeStats>, HabitError> {
+/// finished group-bys. `transitions` yields `(lag_cl, cl, distinct
+/// trips)` and `cell_stats` looks a cell's statistics up. Nodes are the
+/// cells present in the edge list (paper: "nodes … identified by the
+/// corresponding H3 cells present in the edge list"), attributed from
+/// the cell statistics. Node and edge insertion follow the order of
+/// `transitions`, so callers pass it key-sorted for a canonical graph.
+pub(crate) fn assemble_graph(
+    transitions: impl IntoIterator<Item = (u64, u64, u64)>,
+    cell_stats: impl Fn(u64) -> Option<CellStats>,
+) -> Result<TransitionGraph, HabitError> {
     let grid = HexGrid::new();
-    let mut stats_by_cell: FxHashMap<u64, CellStats> = FxHashMap::default();
-    stats_by_cell.reserve(cell_stats.num_rows());
-    {
-        let cl = cell_stats.column_by_name("cl")?;
-        let cnt = cell_stats.column_by_name("cnt")?;
-        let ves = cell_stats.column_by_name("vessels")?;
-        let mlon = cell_stats.column_by_name("median_lon")?;
-        let mlat = cell_stats.column_by_name("median_lat")?;
-        let msog = cell_stats.column_by_name("median_sog")?;
-        let mcog = cell_stats.column_by_name("median_cog")?;
-        for i in 0..cell_stats.num_rows() {
-            let cell = cl.value(i).as_u64().expect("cl is u64");
-            stats_by_cell.insert(
-                cell,
-                CellStats {
-                    median_lon: mlon.value(i).as_f64().unwrap_or(0.0),
-                    median_lat: mlat.value(i).as_f64().unwrap_or(0.0),
-                    msg_count: cnt.value(i).as_u64().unwrap_or(0),
-                    vessels: ves.value(i).as_u64().unwrap_or(0),
-                    median_sog: msog.value(i).as_f64().unwrap_or(0.0),
-                    median_cog: mcog.value(i).as_f64().unwrap_or(0.0),
-                },
-            );
-        }
-    }
-
-    let mut graph: DiGraph<CellStats, EdgeStats> = DiGraph::new();
-    let from_col = transitions_tbl.column_by_name("lag_cl")?;
-    let to_col = transitions_tbl.column_by_name("cl")?;
-    let w_col = transitions_tbl.column_by_name("transitions")?;
-    for i in 0..transitions_tbl.num_rows() {
-        let from = from_col
-            .value(i)
-            .as_u64()
-            .expect("lag_cl filtered non-null");
-        let to = to_col.value(i).as_u64().expect("cl is u64");
-        let transitions = w_col.value(i).as_u64().unwrap_or(0) as u32;
-        let from_cell = HexCell::from_raw(from).map_err(HabitError::Grid)?;
-        let to_cell = HexCell::from_raw(to).map_err(HabitError::Grid)?;
-        let gd = grid.grid_distance(from_cell, to_cell)? as u16;
-
-        for cell in [from, to] {
-            if graph.node_index(cell).is_none() {
-                let stats = stats_by_cell.get(&cell).copied().unwrap_or(CellStats {
-                    median_lon: grid.center(HexCell::from_raw(cell)?).lon,
-                    median_lat: grid.center(HexCell::from_raw(cell)?).lat,
-                    msg_count: 0,
-                    vessels: 0,
-                    median_sog: 0.0,
-                    median_cog: 0.0,
+    let mut graph = TransitionGraph::new();
+    for (from, to, trips) in transitions {
+        let (from_cell, to_cell) = (HexCell::from_raw(from)?, HexCell::from_raw(to)?);
+        for (id, cell) in [(from, from_cell), (to, to_cell)] {
+            if graph.node_index(id).is_none() {
+                let stats = cell_stats(id).unwrap_or_else(|| {
+                    let center = grid.center(cell);
+                    CellStats {
+                        median_lon: center.lon,
+                        median_lat: center.lat,
+                        msg_count: 0,
+                        vessels: 0,
+                        median_sog: 0.0,
+                        median_cog: 0.0,
+                    }
                 });
-                graph.add_node(cell, stats);
+                graph.add_node(id, stats);
             }
         }
-        graph.merge_edge(
-            from,
-            to,
-            EdgeStats {
-                transitions: transitions.max(1),
-                grid_distance: gd,
-            },
-            |e, new| {
-                e.transitions += new.transitions;
-            },
-        );
+        let edge = EdgeStats {
+            transitions: (trips as u32).max(1),
+            grid_distance: grid.grid_distance(from_cell, to_cell)? as u16,
+        };
+        graph.add_edge(from, to, edge);
     }
 
     if graph.node_count() == 0 {
@@ -302,13 +206,36 @@ pub fn assemble_graph(
     Ok(graph)
 }
 
-fn trip_ids_at(table: &Table, row: usize) -> u64 {
-    table
-        .column_by_name("trip_id")
-        .expect("validated")
-        .value(row)
-        .as_u64()
-        .expect("trip_id is u64")
+/// The values of the `UInt64` column `name`, which must hold no nulls
+/// (a null slot holds a placeholder, not a value).
+pub fn u64_column<'a>(table: &'a Table, name: &str) -> Result<&'a [u64], HabitError> {
+    typed_column(table, name, "UInt64", Column::u64_values)
+}
+
+/// The values of the `Float64` column `name`, which must hold no nulls.
+pub fn f64_column<'a>(table: &'a Table, name: &str) -> Result<&'a [f64], HabitError> {
+    typed_column(table, name, "Float64", Column::f64_values)
+}
+
+fn typed_column<'a, T>(
+    table: &'a Table,
+    name: &str,
+    expected: &'static str,
+    view: fn(&Column) -> Option<&[T]>,
+) -> Result<&'a [T], HabitError> {
+    let col = table.column_by_name(name)?;
+    match view(col) {
+        Some(values) if col.null_count() == 0 => Ok(values),
+        typed => Err(HabitError::BadInput(AggError::TypeMismatch {
+            column: name.into(),
+            expected,
+            actual: if typed.is_some() {
+                "nulls"
+            } else {
+                col.dtype().name()
+            },
+        })),
+    }
 }
 
 /// `true` when every pair of cells in the set is within grid distance 1
@@ -455,6 +382,23 @@ mod tests {
             "r8 {} vs r10 {}",
             g8.node_count(),
             g10.node_count()
+        );
+    }
+
+    /// HBG1 stores `grid_distance` in a u32 slot; a value that does not
+    /// fit the u16 field is corruption, not a distance to truncate.
+    #[test]
+    fn edge_stats_decode_rejects_grid_distance_above_u16() {
+        let mut buf = Vec::new();
+        7u32.encode(&mut buf);
+        70_000u32.encode(&mut buf);
+        assert_eq!(EdgeStats::decode(&mut buf.as_slice()), None);
+        let mut max = Vec::new();
+        7u32.encode(&mut max);
+        u32::from(u16::MAX).encode(&mut max);
+        assert_eq!(
+            EdgeStats::decode(&mut max.as_slice()).map(|e| e.grid_distance),
+            Some(u16::MAX)
         );
     }
 

@@ -2,10 +2,12 @@
 //! imputation invariants, and configuration round trips.
 
 use crate::config::{CellProjection, HabitConfig, WeightScheme};
+use crate::fitstate::FitState;
 use crate::impute::GapQuery;
 use crate::model::HabitModel;
 use ais::{trips_to_table, AisPoint, Trip};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn lane_model(resolution: u8) -> HabitModel {
     let trips: Vec<Trip> = (0..3)
@@ -33,7 +35,67 @@ fn lane_model(resolution: u8) -> HabitModel {
     .expect("fit")
 }
 
+/// A real (small) `HFS1` blob to truncate and corrupt, built once.
+fn state_blob() -> &'static [u8] {
+    static BLOB: OnceLock<Vec<u8>> = OnceLock::new();
+    BLOB.get_or_init(|| {
+        let lane = |k: u64| Trip {
+            trip_id: k,
+            mmsi: 100 + k,
+            points: (0..12)
+                .map(|i| AisPoint::new(100 + k, i * 60, 10.0 + i as f64 * 0.01, 56.0, 12.0, 90.0))
+                .collect(),
+        };
+        let table = trips_to_table(&[lane(1), lane(2)]);
+        let state = FitState::accumulate(&table, HabitConfig::with_r_t(8, 100.0));
+        state.expect("accumulate").to_bytes()
+    })
+}
+
+/// The fit-state decoder's contract on hostile input: never panic, and
+/// accept only what re-encodes to the very same bytes.
+fn check_state_decode(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(state) = FitState::from_bytes(bytes) {
+        prop_assert_eq!(state.to_bytes(), bytes.to_vec(), "accepted blob re-encodes");
+        let _ = state.finalize(); // must not panic either
+    }
+    Ok(())
+}
+
+#[test]
+fn fit_state_rejects_every_truncation() {
+    let blob = state_blob();
+    for cut in 0..blob.len() {
+        assert!(FitState::from_bytes(&blob[..cut]).is_err(), "cut at {cut}");
+    }
+}
+
 proptest! {
+    /// Arbitrary bytes — alone, or behind a real blob's first bytes so
+    /// they reach the group sections — never panic the fit-state
+    /// decoder, and anything it accepts re-encodes identically.
+    #[test]
+    fn fit_state_from_bytes_never_panics(
+        keep in 0usize..2_048,
+        tail in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        check_state_decode(&tail)?;
+        let blob = state_blob();
+        let mut bytes = blob[..keep.min(blob.len())].to_vec();
+        bytes.extend_from_slice(&tail);
+        check_state_decode(&bytes)?;
+    }
+
+    /// Single-bit flips of a real blob are rejected, or accepted only
+    /// when the flipped blob re-encodes to itself.
+    #[test]
+    fn fit_state_bit_flips_are_rejected_or_stable(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
+        let mut bytes = state_blob().to_vec();
+        let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
+        bytes[pos] ^= 1 << bit;
+        check_state_decode(&bytes)?;
+    }
+
     /// Arbitrary bytes never panic the deserializer: they either decode
     /// to a valid model or return an error.
     #[test]

@@ -11,8 +11,8 @@
 //! * [`shard::fit_sharded`] — the fit as explicit `accumulate → merge
 //!   → finalize` stages over `habit_core::FitState`: the two group-bys
 //!   partitioned by spatial tile ([`hexgrid::TilePartitioner`]) and
-//!   executed per shard on the pool, merged through `aggdb`'s mergeable
-//!   partial aggregates in deterministic shard order. The resulting
+//!   executed per shard on the pool, the shard states merged with
+//!   `FitState::merge` in deterministic shard order. The resulting
 //!   model — and its embedded, persistable fit state — serializes
 //!   **byte-identically** to the sequential `HabitModel::fit` at every
 //!   shard and thread count (property-tested);

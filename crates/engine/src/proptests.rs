@@ -94,8 +94,8 @@ proptest! {
                             shards,
                             threads
                         );
-                        // The embedded fit state canonicalizes too: the
-                        // full v2 container is sharding-invariant.
+                        // The embedded fit state is sorted too: the full
+                        // v2 container is sharding-invariant.
                         prop_assert_eq!(
                             a.to_bytes_full(),
                             b.to_bytes_full(),

@@ -4,9 +4,10 @@
 //! `refit_state(state, delta)` is, by construction, byte-identical to a
 //! from-scratch fit over `history ∪ delta` (the engine's property tests
 //! assert it at every shard/thread count): the delta accumulates
-//! through the exact same sharded partial-aggregate pipeline as a fit
-//! ([`crate::shard::accumulate_sharded`]) and merges into the state,
-//! which re-canonicalizes. The only contract is the fit-state one —
+//! through the exact same sharded pipeline as a fit
+//! ([`crate::shard::accumulate_sharded`]) and merges into the state —
+//! a linear merge of sorted groups, so the result is the state a fit
+//! over the union accumulates. The only contract is the fit-state one —
 //! the delta must hold *whole* trips whose trip ids (and vessel ids)
 //! are disjoint from the history's, i.e. "a day's new trips".
 //!

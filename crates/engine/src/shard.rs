@@ -8,18 +8,17 @@
 //!    whole-trip context and are cheap); every row is assigned to a
 //!    shard by the coarse tile of its cell (`hexgrid::TilePartitioner`),
 //!    so both group-by keys — `cl` and `(lag_cl, cl)`, keyed by the
-//!    destination cell — never straddle shards, and each shard computes
-//!    mergeable partial aggregates (`aggdb::PartialGroupBy`) on a pool
-//!    worker;
-//! 2. **merge** — shard partials merge **in ascending shard order**
-//!    (not completion order) and the result canonicalizes into a
-//!    [`FitState`] whose bytes are independent of the sharding;
+//!    destination cell — never straddle shards, and each shard runs the
+//!    same core accumulate as [`HabitModel::fit`]
+//!    ([`FitState::accumulate_lagged`]) on a pool worker;
+//! 2. **merge** — shard states combine with [`FitState::merge`] **in
+//!    ascending shard order** (not completion order);
 //! 3. **finalize** ([`fit_sharded`], via
-//!    [`HabitModel::from_fit_state`]) — the state finishes into
-//!    canonically sorted tables and assembles the transition graph.
+//!    [`HabitModel::from_fit_state`]) — the state finishes straight into
+//!    cell and edge statistics and assembles the transition graph.
 //!
-//! Because the merge is bit-exact for count / distinct / median and the
-//! state canonicalizes, both the fitted model **and its embedded fit
+//! Because a fit state keeps its groups and median buffers sorted and
+//! its merge is bit-exact, both the fitted model **and its embedded fit
 //! state** serialize to byte-identical blobs for any shard count and
 //! any thread count — equal to the sequential [`HabitModel::fit`] —
 //! which the engine's property tests assert. The same seam powers
@@ -27,11 +26,9 @@
 //! merges into a saved state.
 
 use crate::pool::ThreadPool;
-use aggdb::{PartialGroupBy, Table};
+use aggdb::Table;
 use habit_core::fitstate::FitProvenance;
-use habit_core::graphgen::{
-    cell_agg_specs, lagged_trip_table, transition_agg_specs, transition_rows,
-};
+use habit_core::graphgen::{lagged_trip_table, u64_column};
 use habit_core::{FitState, HabitConfig, HabitError, HabitModel};
 use habit_obs::Recorder;
 use hexgrid::tiling::DEFAULT_TILE_LEVELS_UP;
@@ -71,8 +68,8 @@ pub fn fit_sharded_traced(
     model
 }
 
-/// The accumulate + merge stages: runs the partial group-bys per
-/// spatial shard on `pool` and merges them into one canonical
+/// The accumulate + merge stages: runs [`FitState::accumulate_lagged`]
+/// per spatial shard on `pool` and merges the shard states into one
 /// [`FitState`] — everything of a fit except finalizing the graph.
 /// This is the stage [`crate::refit`] reuses verbatim for delta tables.
 pub fn accumulate_sharded(
@@ -86,7 +83,7 @@ pub fn accumulate_sharded(
 
 /// [`accumulate_sharded`] with phase spans under `op`: `fit.prepare`
 /// (provenance, lag, tile partition), `fit.accumulate` (per-shard
-/// partial group-bys), `fit.merge` (ordered merge + canonicalize).
+/// group-bys), `fit.merge` (ordered merge of the shard states).
 pub fn accumulate_sharded_traced(
     table: &Table,
     config: HabitConfig,
@@ -102,43 +99,32 @@ pub fn accumulate_sharded_traced(
     let shard_tables = partition_by_tile(&lagged, config.resolution, shards)?;
     drop(prepare_span);
 
-    // One pool task per shard: both partial group-bys over that shard's
-    // rows. Chunk size 1 keeps shards independently schedulable.
+    // One pool task per shard: the core accumulate over that shard's
+    // rows. Chunk size 1 keeps shards independently schedulable. The
+    // provenance counts the whole table once, so shard 0 carries it and
+    // the others add zero.
     let accumulate_span = recorder.map(|r| r.span("fit.accumulate", op));
-    let partials: Vec<Result<(PartialGroupBy, PartialGroupBy), HabitError>> =
-        pool.map_chunks(&shard_tables, 1, |_, chunk| {
-            let shard = &chunk[0];
-            let cells = shard.group_by_partial(&["cl"], &cell_agg_specs())?;
-            let transitions = transition_rows(shard)?
-                .group_by_partial(&["lag_cl", "cl"], &transition_agg_specs())?;
-            Ok((cells, transitions))
+    let states: Vec<Result<FitState, HabitError>> =
+        pool.map_chunks(&shard_tables, 1, |shard, chunk| {
+            let provenance = if shard == 0 {
+                provenance
+            } else {
+                FitProvenance::default()
+            };
+            FitState::accumulate_lagged(&chunk[0], config, provenance)
         });
     drop(accumulate_span);
 
-    // Merge in ascending shard order — deterministic regardless of which
-    // worker finished first. (`FitState::from_partials` then erases even
-    // that order by canonicalizing.)
-    // Held (not dropped) so the span covers the canonicalize below.
+    // The merged state keeps its groups sorted, so its bytes do not
+    // depend on how the rows were sharded.
+    // Held (not dropped) so the span covers the whole merge.
     let _merge_span = recorder.map(|r| r.span("fit.merge", op));
-    let mut cell_merged: Option<PartialGroupBy> = None;
-    let mut trans_merged: Option<PartialGroupBy> = None;
-    for shard_result in partials {
-        let (cells, transitions) = shard_result?;
-        match &mut cell_merged {
-            None => cell_merged = Some(cells),
-            Some(m) => m.merge(cells)?,
-        }
-        match &mut trans_merged {
-            None => trans_merged = Some(transitions),
-            Some(m) => m.merge(transitions)?,
-        }
+    let mut states = states.into_iter();
+    let mut merged = states.next().expect("at least one shard")?;
+    for state in states {
+        merged.merge(state?)?;
     }
-    FitState::from_partials(
-        config,
-        cell_merged.expect("at least one shard"),
-        trans_merged.expect("at least one shard"),
-        provenance,
-    )
+    Ok(merged)
 }
 
 /// Splits the lagged table into per-shard tables by the coarse tile of
@@ -150,14 +136,7 @@ fn partition_by_tile(
     resolution: u8,
     shards: usize,
 ) -> Result<Vec<Table>, HabitError> {
-    let cl = lagged.column_by_name("cl")?;
-    let cells = cl
-        .u64_values()
-        .ok_or(HabitError::BadInput(aggdb::AggError::TypeMismatch {
-            column: "cl".into(),
-            expected: "UInt64",
-            actual: cl.dtype().name(),
-        }))?;
+    let cells = u64_column(lagged, "cl")?;
 
     let partitioner = TilePartitioner::new(resolution, DEFAULT_TILE_LEVELS_UP, shards);
     // Memoize cell → shard: rows revisit the same cells constantly and

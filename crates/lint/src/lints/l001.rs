@@ -34,8 +34,7 @@ use crate::scan::SourceFile;
 
 /// The pinned sink modules: every path producing serialized bytes,
 /// wire/JSON/CSV output, or committed report rows.
-pub const SINK_SUFFIXES: [&str; 21] = [
-    "crates/aggdb/src/partial.rs",
+pub const SINK_SUFFIXES: [&str; 20] = [
     "crates/aggdb/src/hll.rs",
     "crates/aggdb/src/csv.rs",
     "crates/core/src/fitstate.rs",
@@ -72,7 +71,7 @@ const ITER_METHODS: [&str; 7] = [
 
 /// Calls that pin an order (or are insensitive to it) within the
 /// lookahead window after an iteration.
-const SANCTIONERS: [&str; 21] = [
+const SANCTIONERS: [&str; 20] = [
     "sort",
     "sort_by",
     "sort_unstable",
@@ -80,7 +79,6 @@ const SANCTIONERS: [&str; 21] = [
     "sort_unstable_by",
     "sort_unstable_by_key",
     "sort_by_cached_key",
-    "sort_by_columns",
     "canonicalize",
     "BTreeMap",
     "BTreeSet",

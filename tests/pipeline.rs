@@ -191,49 +191,26 @@ fn imputed_paths_stay_in_region_and_respect_tolerance() {
 }
 
 #[test]
-#[allow(clippy::needless_range_loop)] // parallel column access by row index
 fn vessel_histories_produce_cell_statistics_consistent_with_aggdb() {
-    use habit::aggdb::{Agg, AggSpec};
-
     let (train, _) = kiel_bench();
     let table = habit::ais::trips_to_table(&train);
     let model = HabitModel::fit(&table, HabitConfig::with_r_t(8, 100.0)).expect("fit");
 
-    // Recompute message counts per cell directly with aggdb and compare
-    // with the statistics stored on the graph nodes.
+    // Count messages per cell directly and compare with the statistics
+    // stored on the graph nodes.
     let grid = HexGrid::new();
     let lon = table.column_by_name("lon").unwrap().f64_values().unwrap();
     let lat = table.column_by_name("lat").unwrap().f64_values().unwrap();
-    let cells: Vec<u64> = lon
-        .iter()
-        .zip(lat)
-        .map(|(&x, &y)| {
-            grid.cell(&GeoPoint::new(x, y), 8)
-                .map(|c| c.raw())
-                .unwrap_or(0)
-        })
-        .collect();
-    let with_cells = table
-        .clone()
-        .with_column("cell", habit::aggdb::Column::from_u64(cells))
-        .unwrap();
-    let stats = with_cells
-        .group_by(&["cell"], &[AggSpec::new("", Agg::Count, "msgs")])
-        .unwrap();
+    let mut msgs_per_cell: std::collections::BTreeMap<u64, u64> = Default::default();
+    for (&x, &y) in lon.iter().zip(lat) {
+        let cell = grid.cell(&GeoPoint::new(x, y), 8).expect("cell");
+        *msgs_per_cell.entry(cell.raw()).or_default() += 1;
+    }
 
-    let cell_col = stats.column_by_name("cell").unwrap().u64_values().unwrap();
     let mut checked = 0usize;
-    for i in 0..stats.num_rows() {
-        let Ok(cell) = HexCell::from_raw(cell_col[i]) else {
-            continue;
-        };
+    for (&raw, &msgs) in &msgs_per_cell {
+        let cell = HexCell::from_raw(raw).expect("valid cell");
         if let Some(node) = model.cell_stats(cell) {
-            let msgs = stats
-                .column_by_name("msgs")
-                .unwrap()
-                .value(i)
-                .as_u64()
-                .unwrap();
             // Cell-span filtering may drop a few short trips from the
             // model, so the graph count never exceeds the raw count.
             assert!(

@@ -2,7 +2,10 @@
 //! crates (hexgrid ↔ geo, aggdb ↔ ais, mobgraph ↔ habit-core), plus
 //! property-based checks at the crate boundaries.
 
-use habit::aggdb::{Agg, AggSpec, Column, Table};
+use habit::aggdb::fxhash::FxHashSet;
+use habit::aggdb::HyperLogLog;
+use habit::ais::{trips_to_table, AisPoint, Trip};
+use habit::core::{HabitConfig, HabitModel};
 use habit::geo::{haversine_m, GeoPoint};
 use habit::hexgrid::{ops, HexCell, HexGrid};
 use habit::mobgraph::{astar, dijkstra, DiGraph};
@@ -85,61 +88,49 @@ proptest! {
 }
 
 // ------------------------------------------------------------------
-// aggdb ↔ ais
+// aggdb ↔ ais ↔ habit-core
 
+/// The fit's `GROUP BY cl` against a hand computation: three trips
+/// shuttling between two cells with known counts, vessels and medians.
 #[test]
-#[allow(clippy::needless_range_loop)] // parallel column access by row index
 fn groupby_matches_hand_computation_on_ais_shaped_table() {
-    // Three trips over two cells with known medians.
-    let table = Table::from_columns(vec![
-        ("trip", Column::from_u64(vec![1, 1, 1, 2, 2, 3, 3, 3, 3])),
-        ("cell", Column::from_u64(vec![7, 7, 8, 7, 8, 8, 8, 8, 7])),
-        (
-            "sog",
-            Column::from_f64(vec![10.0, 12.0, 14.0, 9.0, 15.0, 13.0, 11.0, 12.0, 8.0]),
+    let grid = HexGrid::new();
+    let (a, b) = (GeoPoint::new(10.0, 56.0), GeoPoint::new(10.1, 56.0));
+    // (in cell b?, sog) per report, ten minutes apart.
+    let trip = |id: u64, vessel: u64, reports: &[(bool, f64)]| Trip {
+        trip_id: id,
+        mmsi: vessel,
+        points: reports
+            .iter()
+            .enumerate()
+            .map(|(i, &(in_b, sog))| {
+                let p = if in_b { b } else { a };
+                AisPoint::new(vessel, i as i64 * 600, p.lon, p.lat, sog, 90.0)
+            })
+            .collect(),
+    };
+    let trips = [
+        trip(1, 100, &[(false, 10.0), (false, 12.0), (true, 14.0)]),
+        trip(2, 101, &[(false, 9.0), (true, 15.0)]),
+        trip(
+            3,
+            102,
+            &[(true, 13.0), (true, 11.0), (true, 12.0), (false, 8.0)],
         ),
-    ])
-    .expect("table");
-    let out = table
-        .group_by(
-            &["cell"],
-            &[
-                AggSpec::new("", Agg::Count, "n"),
-                AggSpec::new("trip", Agg::CountDistinctExact, "trips"),
-                AggSpec::new("sog", Agg::Median, "med"),
-            ],
-        )
-        .expect("group");
-    assert_eq!(out.num_rows(), 2);
-    let cell = out.column_by_name("cell").unwrap().u64_values().unwrap();
-    for i in 0..2 {
-        let n = out.column_by_name("n").unwrap().value(i).as_u64().unwrap();
-        let trips = out
-            .column_by_name("trips")
-            .unwrap()
-            .value(i)
-            .as_u64()
-            .unwrap();
-        let med = out
-            .column_by_name("med")
-            .unwrap()
-            .value(i)
-            .as_f64()
-            .unwrap();
-        match cell[i] {
-            7 => {
-                assert_eq!(n, 4);
-                assert_eq!(trips, 3);
-                assert_eq!(med, 9.5); // {8,9,10,12}
-            }
-            8 => {
-                assert_eq!(n, 5);
-                assert_eq!(trips, 3);
-                assert_eq!(med, 13.0); // {11,12,13,14,15}
-            }
-            other => panic!("unexpected cell {other}"),
-        }
-    }
+    ];
+    let model = HabitModel::fit(&trips_to_table(&trips), HabitConfig::default()).expect("fit");
+    let stats = |p: &GeoPoint| {
+        let cell = grid.cell(p, 9).expect("cell");
+        *model.cell_stats(cell).expect("cell is a graph node")
+    };
+    let (in_a, in_b) = (stats(&a), stats(&b));
+    // Cell a: sog {8, 9, 10, 12}; cell b: sog {11, 12, 13, 14, 15}.
+    assert_eq!((in_a.msg_count, in_a.vessels, in_a.median_sog), (4, 3, 9.5));
+    assert_eq!(
+        (in_b.msg_count, in_b.vessels, in_b.median_sog),
+        (5, 3, 13.0)
+    );
+    assert_eq!((in_a.median_lon, in_a.median_lat), (a.lon, a.lat));
 }
 
 proptest! {
@@ -147,17 +138,10 @@ proptest! {
     /// AIS-scale cardinalities.
     #[test]
     fn approx_distinct_tracks_exact(ids in proptest::collection::vec(0u64..5_000, 200..3_000)) {
-        let n = ids.len();
-        let table = Table::from_columns(vec![
-            ("k", Column::from_u64(vec![1; n])),
-            ("id", Column::from_u64(ids.clone())),
-        ]).unwrap();
-        let out = table.group_by(&["k"], &[
-            AggSpec::new("id", Agg::CountDistinctApprox, "approx"),
-            AggSpec::new("id", Agg::CountDistinctExact, "exact"),
-        ]).unwrap();
-        let approx = out.column_by_name("approx").unwrap().value(0).as_u64().unwrap() as f64;
-        let exact = out.column_by_name("exact").unwrap().value(0).as_u64().unwrap() as f64;
+        let mut sketch = HyperLogLog::default_precision();
+        ids.iter().for_each(|&id| sketch.insert_u64(id));
+        let exact = ids.iter().collect::<FxHashSet<_>>().len() as f64;
+        let approx = sketch.count() as f64;
         prop_assert!(exact > 0.0);
         prop_assert!((approx - exact).abs() / exact < 0.10,
             "approx {approx} vs exact {exact}");
