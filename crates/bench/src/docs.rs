@@ -200,22 +200,17 @@ There is **one request path**: every `impute`/`impute_batch` is a
 single engine batch — one snap + dedup + route-cache pass over all their
 gaps, results scattered back per submission. What varies is only how
 many submissions share a flush, and on which thread it runs. By default
-the daemon **coalesces concurrent traffic across connections, and only
-concurrent traffic**: at most one engine pass runs at a time; a request
-that finds none running is answered at once on its own connection's
-thread (a flush of one — a lone request pays no timer and no hand-off),
+the daemon **group-commits concurrent traffic across connections, and
+only concurrent traffic**: at most one engine pass runs at a time; a
+request that finds none running is answered at once on its own
+connection's thread (a flush of one — a lone request pays no hand-off),
 and the submissions that arrive while a pass runs wait in a bounded
-admission queue, where a flusher holds the first one up to
-`--batch-window-us` microseconds for more to join, cut short when
-`--batch-max-gaps` gaps are waiting (defaults: 1000 µs, 128 gaps), and
-answers all of them from one shared batch — so N connections asking for
-the same uncached route at the same time cost one A* search instead of
-N. A window that caught more than one submission shows that lingering
-pays, so from then on *every* request queues for the window, until one
-expires on a lone submission and requests are answered at once again:
-clients that really are concurrent keep coalescing, a sparse or
-sequential one never waits. `--batch-window-us 0` never lingers —
-whatever queued behind a pass is flushed the moment it ends. With
+admission queue, which a flusher empties into one shared batch the
+moment that pass ends — so N connections asking for the same uncached
+route at the same time cost one A* search instead of N. No timer is
+involved: a queued request waits only for the pass ahead of it, and a
+busy daemon is bound by CPU, not by a sleep. `--batch-max-gaps`
+(default 128) sizes the queue at eight times that many gaps. With
 `--no-coalesce` (or while the queue drains at shutdown) there is no
 queue and no one-pass-at-a-time rule: each request is a flush of its own
 single submission on its connection's thread, passes in parallel — the
@@ -228,11 +223,12 @@ the accept loop. The `health` payload reports the admission state —
 `queue_depth`, `queue_capacity`, and per-op `p50_us`/`p95_us`/`p99_us`
 latency quantiles derived from the pinned-bucket histograms — and the
 metrics endpoint exports `habit_admission_queue_depth`, flush/rejection
-counters, a flush batch-size histogram, and
-`habit_admission_flush_cause_total{{cause=…}}` — each pass under why it
-ran when it did (`idle` passed through, `size` / `window` the two
-triggers, `queued` behind the pass before it with a zero window, `drain`
-at shutdown).
+counters, a flush batch-size histogram, `habit_admission_wait_us` (per
+queued submission, from its arrival to the start of the flush that
+answers it), and `habit_admission_flush_cause_total{{cause=…}}` — each
+pass under why it ran when it did (`idle` passed through, `queued`
+behind the pass before it, `size` the same with at least
+`--batch-max-gaps` gaps, `drain` at shutdown).
 
 ## Observability
 
@@ -257,6 +253,10 @@ habit serve --model kiel.habit --port 4740 --metrics-port 9464 &
 curl -s 127.0.0.1:9464/        # habit_requests_total{{op="impute"}} 2 ...
 curl -s 127.0.0.1:9464/spans   # recent spans, one JSON object per line
 ```
+
+`/spans` shows the most recent 1 024 spans; `habit_spans_dropped_total`
+counts the older ones the ring has let go, so a gap in the history is
+visible rather than silent.
 
 Failed requests are spanned too — a malformed line shows up under
 `habit_errors_total{{code="bad_request",op="unknown"}}`, so error rates
@@ -413,8 +413,8 @@ mod tests {
         // The admission-batching section documents the coalescing
         // flags, the backpressure error, and the SLO health fields.
         assert!(md.contains("### Admission batching & SLOs"));
-        assert!(md.contains("--batch-window-us"));
         assert!(md.contains("--batch-max-gaps"));
+        assert!(md.contains("habit_admission_wait_us"));
         assert!(md.contains("--no-coalesce"));
         assert!(md.contains("--max-line-bytes"));
         assert!(md.contains("habit_admission_queue_depth"));

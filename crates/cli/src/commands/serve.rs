@@ -18,20 +18,17 @@
 //! wire protocol needed.
 //!
 //! The daemon coalesces concurrent impute traffic by default, and only
-//! concurrent traffic: one engine pass runs at a time; an
-//! `impute`/`impute_batch` that finds none running is answered at once
-//! on its own connection's thread, and the gaps that arrive from every
-//! connection while a pass runs queue up, are given `--batch-window-us`
-//! (flushed early at `--batch-max-gaps`) for more to join, and are
-//! answered together from one shared engine batch — byte-identical to
-//! an unqueued request, one dedup + route-cache pass per flush. While
-//! windows keep catching more than one request every request queues
-//! for the window; the first window that expires on a lone request
-//! puts the daemon back to answering at once. `--batch-window-us 0`
-//! never lingers (whatever queued behind a pass is flushed the moment
-//! it ends). A full queue rejects with the typed `overloaded` error.
-//! `--no-coalesce` drops the queue: every request is answered on its
-//! own connection's thread, passes in parallel.
+//! concurrent traffic, as group commit: one engine pass runs at a time;
+//! an `impute`/`impute_batch` that finds none running is answered at
+//! once on its own connection's thread, and the gaps that arrive from
+//! every connection while a pass runs queue up and are answered
+//! together from one shared engine batch the moment it ends —
+//! byte-identical to an unqueued request, one dedup + route-cache pass
+//! per flush. No timer is involved: a queued request waits only for
+//! the pass ahead of it. `--batch-max-gaps` sizes the queue (eight
+//! times it, in gaps); a full queue rejects with the typed `overloaded`
+//! error. `--no-coalesce` drops the queue: every request is answered on
+//! its own connection's thread, passes in parallel.
 
 use crate::args::Args;
 use habit_service::{AdmissionConfig, ServeOptions, Service, ServiceConfig, ServiceError};
@@ -54,7 +51,6 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         "conn-threads",
         "watch-stdin",
         "metrics-port",
-        "batch-window-us",
         "batch-max-gaps",
         "no-coalesce",
         "max-line-bytes",
@@ -75,10 +71,8 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         ),
         None => None,
     };
-    let admission_defaults = AdmissionConfig::default();
-    let batch_window_us: u64 =
-        args.get_or("batch-window-us", admission_defaults.batch_window_us)?;
-    let batch_max_gaps: usize = args.get_or("batch-max-gaps", admission_defaults.batch_max_gaps)?;
+    let batch_max_gaps: usize =
+        args.get_or("batch-max-gaps", AdmissionConfig::default().batch_max_gaps)?;
     if batch_max_gaps == 0 {
         return Err(ServiceError::bad_request(
             "--batch-max-gaps must be at least 1",
@@ -101,11 +95,9 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         model_path,
     )?);
     let health = service.health();
+    let admission = AdmissionConfig { batch_max_gaps };
     if coalesce {
-        service.enable_admission(AdmissionConfig {
-            batch_window_us,
-            batch_max_gaps,
-        });
+        service.enable_admission(admission);
     }
     let listener = TcpListener::bind((host, port)).map_err(|e| {
         ServiceError::new(habit_service::ErrorCode::Io, format!("{host}:{port}: {e}"))
@@ -119,18 +111,9 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         "habit serve: protocol habit-wire/v1 — one JSON request per line; '{{\"v\":1,\"op\":\"shutdown\"}}' stops the daemon"
     );
     if coalesce {
-        let policy = if batch_window_us == 0 {
-            format!("no window — a lone request passes through on its connection thread, arrivals during a pass share the next one; size trigger {batch_max_gaps} gaps")
-        } else {
-            format!("a lone request passes through on its connection thread, concurrent ones share a window of {batch_window_us} µs, flush at {batch_max_gaps} gaps")
-        };
         println!(
-            "habit serve: coalescing impute traffic ({policy}, queue capacity {} gaps)",
-            AdmissionConfig {
-                batch_window_us,
-                batch_max_gaps,
-            }
-            .queue_capacity()
+            "habit serve: coalescing impute traffic (group commit — a lone request passes through on its connection thread, arrivals during a pass share the next one; size trigger {batch_max_gaps} gaps, queue capacity {} gaps)",
+            admission.queue_capacity()
         );
     }
     let metrics_listener = match metrics_port {
@@ -205,7 +188,7 @@ mod tests {
         for bad in [
             ["serve", "--model", "x", "--batch-max-gaps", "0"],
             ["serve", "--model", "x", "--max-line-bytes", "0"],
-            ["serve", "--model", "x", "--batch-window-us", "soon"],
+            ["serve", "--model", "x", "--batch-max-gaps", "many"],
         ] {
             let err = run(&Args::parse(bad.map(String::from)).unwrap()).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}");

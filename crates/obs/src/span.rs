@@ -6,11 +6,13 @@
 //! the wire's exact-integer domain for centuries of uptime. Spans are
 //! recorded on drop ([`SpanGuard`]) or injected directly
 //! ([`Recorder::record`], which deterministic tests use), and the ring
-//! keeps the most recent `capacity` records.
+//! keeps the most recent `capacity` records, counting every record it
+//! drops.
 
+use crate::metrics::Counter;
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One finished span: a named stage of one operation.
@@ -40,16 +42,24 @@ pub struct Recorder {
     epoch: Instant,
     capacity: usize,
     ring: Mutex<VecDeque<SpanRecord>>,
+    dropped: Arc<Counter>,
 }
 
 impl Recorder {
     /// A recorder keeping at most `capacity` records (oldest evicted
     /// first). Capacity 0 keeps nothing but still hands out ticks.
     pub fn new(capacity: usize) -> Self {
+        Self::with_drop_counter(capacity, Arc::default())
+    }
+
+    /// As [`Recorder::new`], counting dropped records into `dropped` —
+    /// typically a registry counter, so the drops are exported.
+    pub fn with_drop_counter(capacity: usize, dropped: Arc<Counter>) -> Self {
         Recorder {
             epoch: Instant::now(),
             capacity,
             ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+            dropped,
         }
     }
 
@@ -76,13 +86,22 @@ impl Recorder {
     /// tests use, and what [`SpanGuard`] calls.
     pub fn record(&self, record: SpanRecord) {
         if self.capacity == 0 {
+            self.dropped.inc();
             return;
         }
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == self.capacity {
             ring.pop_front();
+            self.dropped.inc();
         }
         ring.push_back(record);
+    }
+
+    /// Records dropped so far: evicted from the full ring, or never
+    /// kept at capacity 0. Every record ever recorded is either
+    /// retained or counted here.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.get()
     }
 
     /// Snapshot of the ring, oldest first.
@@ -203,6 +222,24 @@ mod tests {
         assert_eq!(spans[0].op, "op2");
         assert_eq!(spans[2].op, "op4");
         assert_eq!(r.capacity(), 3);
+        assert_eq!(r.dropped(), 2, "two evictions, counted");
+    }
+
+    #[test]
+    fn evictions_are_counted() {
+        let dropped = Arc::new(Counter::default());
+        let r = Recorder::with_drop_counter(3, Arc::clone(&dropped));
+        for i in 0..3 {
+            r.span("s", format!("op{i}")).finish();
+        }
+        assert_eq!(r.dropped(), 0, "filling the ring drops nothing");
+        for i in 3..8 {
+            r.span("s", format!("op{i}")).finish();
+        }
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.dropped(), 5, "one per eviction");
+        assert_eq!(dropped.get(), 5, "the shared counter sees them too");
+        assert_eq!(Recorder::new(3).dropped(), 0);
     }
 
     #[test]
@@ -210,6 +247,7 @@ mod tests {
         let r = Recorder::new(0);
         r.span("s", "op").finish();
         assert!(r.is_empty());
+        assert_eq!(r.dropped(), 1);
         assert!(r.ticks() < u64::MAX);
     }
 

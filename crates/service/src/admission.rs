@@ -4,35 +4,19 @@
 //! There is one way a gap gets answered — `Service::answer`, one engine
 //! batch over the submissions it is handed — and this layer only
 //! decides *how many* submissions share that batch, and on which
-//! thread. It lets **at most one engine pass run at a time** (the
-//! *gate*) and lingers for company only while lingering has been seen
-//! to pay:
+//! thread. It is plain group commit behind a one-pass *gate*: at most
+//! one engine pass runs at a time, and nothing ever waits on a timer.
 //!
-//! * **Idle pass-through** — a submission that finds the queue empty,
-//!   the gate open and the queue not *lingering* takes the gate and is
-//!   answered right there on its connection thread
-//!   ([`Admitted::PassThrough`]): a lone request has no company to wait
-//!   for, so it pays no hand-off, no timer and no wake-up.
-//! * **Queued** — a submission that arrives while a pass is running
-//!   has company. It queues; the single flusher thread gives the first
-//!   queued gap one batch window (`--batch-window-us`, cut short when
-//!   `--batch-max-gaps` gaps are waiting) for more to join it, waits
-//!   for the gate, takes *everything* queued and answers it as **one**
-//!   shared engine batch, each submission's results coming back through
-//!   its [`CompletionSlot`].
-//! * **Lingering** — a flush that carried two or more submissions shows
-//!   the window caught company, so until a flush carries only one
-//!   again every submission queues for the window, exactly as before
-//!   there was a pass-through: concurrent clients keep coalescing (and
-//!   keep their timer-paced, steady service rate), and the first window
-//!   that expires on a lone submission puts the queue back to passing
-//!   through. The mode follows what the queue observed, never a clock
-//!   reading or a client's identity.
-//!
-//! `--batch-window-us 0` asks for no linger at all: nothing ever
-//! lingers, an idle queue always passes through and the flusher takes
-//! whatever piled up behind a pass the moment the gate opens
-//! (flush-on-idle, group commit).
+//! * **Idle pass-through** — a submission that finds the queue empty
+//!   and the gate open takes the gate and is answered right there on
+//!   its connection thread ([`Admitted::PassThrough`]): a lone request
+//!   has no company to wait for, so it pays no hand-off and no wake-up.
+//! * **Queued** — a submission that arrives while a pass runs has
+//!   company. It queues; the moment the gate opens the single flusher
+//!   thread takes *everything* queued and answers it as **one** shared
+//!   engine batch, each submission's results coming back through its
+//!   [`CompletionSlot`]. A request therefore waits at most for the pass
+//!   ahead of it, and the next batch is whatever arrived meanwhile.
 //!
 //! The gate is a scheduling policy, never a safety property —
 //! `Service::answer` is concurrent-safe (it is all `--no-coalesce`
@@ -58,27 +42,20 @@ use crate::error::{ErrorCode, ServiceError};
 use crate::response::BatchOutcome;
 use habit_core::GapQuery;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Tunables of the admission layer (the daemon's `--batch-window-us` /
-/// `--batch-max-gaps` flags).
+/// Tunables of the admission layer (the daemon's `--batch-max-gaps`
+/// flag).
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
-    /// How long the flusher lingers after the first queued gap for more
-    /// traffic to coalesce with, µs. Only requests with company pay it:
-    /// one that finds the queue idle (and the last window not to have
-    /// caught company) is answered on its caller's thread at once. 0
-    /// never lingers: a busy queue flushes whatever piled up behind the
-    /// running pass the moment it ends.
-    pub batch_window_us: u64,
-    /// Queued gaps that cut a non-zero window short.
+    /// A flush that carries at least this many gaps is counted under
+    /// the `size` cause; eight times it is the queue's capacity.
     pub batch_max_gaps: usize,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         Self {
-            batch_window_us: 1_000,
             batch_max_gaps: 128,
         }
     }
@@ -86,8 +63,7 @@ impl Default for AdmissionConfig {
 
 impl AdmissionConfig {
     /// Queue capacity in gaps: submissions past it reject with
-    /// `overloaded`. Eight flushes' worth of headroom over the flush
-    /// trigger.
+    /// `overloaded`. Eight full flushes' worth of headroom.
     pub fn queue_capacity(&self) -> usize {
         self.batch_max_gaps.max(1) * 8
     }
@@ -130,6 +106,8 @@ pub(crate) struct Submission {
     pub provenance: bool,
     /// Where the flusher delivers this submission's answer.
     pub slot: Arc<CompletionSlot>,
+    /// When it was queued (the start of `habit_admission_wait_us`).
+    pub queued_at: Instant,
 }
 
 /// Why an engine pass ran when it did — the `cause` label of
@@ -138,24 +116,21 @@ pub(crate) struct Submission {
 pub enum FlushCause {
     /// An idle queue passed the request through on its caller's thread.
     Idle,
-    /// A zero-window flusher took what queued up behind the pass
-    /// before it, the moment the gate opened.
+    /// The flusher took what queued up behind the pass before it, the
+    /// moment the gate opened.
     Queued,
-    /// `batch_max_gaps` gaps were waiting.
+    /// As `Queued`, but at least `batch_max_gaps` gaps were waiting.
     Size,
-    /// A non-zero batch window ran out.
-    Window,
     /// The queue was closed: the shutdown drain.
     Drain,
 }
 
 impl FlushCause {
     /// Every cause, in declaration order (`cause as usize` indexes it).
-    pub const ALL: [FlushCause; 5] = [
+    pub const ALL: [FlushCause; 4] = [
         FlushCause::Idle,
         FlushCause::Queued,
         FlushCause::Size,
-        FlushCause::Window,
         FlushCause::Drain,
     ];
 
@@ -165,7 +140,6 @@ impl FlushCause {
             FlushCause::Idle => "idle",
             FlushCause::Queued => "queued",
             FlushCause::Size => "size",
-            FlushCause::Window => "window",
             FlushCause::Drain => "drain",
         }
     }
@@ -189,7 +163,7 @@ impl Drop for Gate<'_> {
         let flusher_has_work = !state.entries.is_empty();
         drop(state);
         if flusher_has_work {
-            self.0.arrivals.notify_all();
+            self.0.gate_opened.notify_all();
         }
     }
 }
@@ -197,15 +171,14 @@ impl Drop for Gate<'_> {
 /// What [`AdmissionQueue::submit`] decided.
 #[derive(Debug)]
 pub(crate) enum Admitted<'q> {
-    /// Queued behind a running pass (or on a lingering queue): block
-    /// on the slot for the flushed answer. `depth` is the gaps queued
-    /// once this submission joined.
+    /// Queued behind a running pass: block on the slot for the flushed
+    /// answer. `depth` is the gaps queued once this submission joined.
     Queued {
         slot: Arc<CompletionSlot>,
         depth: usize,
     },
-    /// The queue was idle and not lingering: answer on the caller's
-    /// thread, holding the gate for as long as that pass runs.
+    /// The queue was idle: answer on the caller's thread, holding the
+    /// gate for as long as that pass runs.
     PassThrough(Gate<'q>),
     /// The queue is closed (daemon draining): answer on the caller's
     /// thread.
@@ -226,20 +199,18 @@ struct QueueState {
     closed: bool,
     /// An engine pass is in flight (a pass-through or a flush).
     busy: bool,
-    /// The last flush carried more than one submission: the window is
-    /// catching company, so nothing passes through until one does not.
-    lingering: bool,
 }
 
-/// The bounded cross-connection queue plus its flush triggers. One per
-/// serving daemon; connection workers `submit`, the single flusher
+/// The bounded cross-connection queue behind the one-pass gate. One
+/// per serving daemon; connection workers `submit`, the single flusher
 /// thread loops on `next_flush`.
 pub(crate) struct AdmissionQueue {
     state: Mutex<QueueState>,
-    /// Signaled on arrivals, on close, and when the gate opens onto
-    /// queued work; the flusher waits here.
-    arrivals: Condvar,
-    window: Duration,
+    /// Signaled on close and when the gate opens onto queued work —
+    /// the only two events the flusher can act on. An arrival never
+    /// signals it: whatever queues does so behind a pass in flight,
+    /// whose gate signals on release.
+    gate_opened: Condvar,
     max_gaps: usize,
     capacity: usize,
 }
@@ -252,10 +223,8 @@ impl AdmissionQueue {
                 queued_gaps: 0,
                 closed: false,
                 busy: false,
-                lingering: false,
             }),
-            arrivals: Condvar::new(),
-            window: Duration::from_micros(config.batch_window_us),
+            gate_opened: Condvar::new(),
             max_gaps: config.batch_max_gaps.max(1),
             capacity: config.queue_capacity(),
         })
@@ -276,9 +245,9 @@ impl AdmissionQueue {
     }
 
     /// Admits `gaps` as one submission — passed through when the queue
-    /// is idle and not lingering, queued (copied) otherwise — or rejects
-    /// with `overloaded` when they do not fit the remaining capacity.
-    /// Never blocks.
+    /// is idle, queued (copied) behind the pass in flight otherwise — or
+    /// rejects with `overloaded` when they do not fit the remaining
+    /// capacity. Never blocks.
     pub fn submit(
         &self,
         gaps: &[GapQuery],
@@ -300,7 +269,7 @@ impl AdmissionQueue {
                 ),
             ));
         }
-        if !state.lingering && !state.busy && state.entries.is_empty() {
+        if !state.busy && state.entries.is_empty() {
             state.busy = true;
             return Ok(Admitted::PassThrough(Gate(self)));
         }
@@ -311,60 +280,35 @@ impl AdmissionQueue {
             gaps: gaps.to_vec(),
             provenance,
             slot: Arc::clone(&slot),
+            queued_at: Instant::now(),
         });
-        drop(state);
-        self.arrivals.notify_all();
         Ok(Admitted::Queued { slot, depth })
     }
 
-    /// Blocks until there is a batch to flush and the gate is open:
-    /// waits for a first submission, then up to the batch window for
-    /// more (cut short when the queued gaps reach the size trigger or
-    /// the queue closes), then for a pass-through in flight to finish,
-    /// and takes everything along with the gate. Returns `None` only
+    /// Blocks until something is queued and the gate is open, then
+    /// takes everything queued along with the gate. Returns `None` only
     /// when the queue is closed *and* empty — the drain contract: every
     /// admitted submission is handed out before the flusher stops.
     pub fn next_flush(&self) -> Option<Flush<'_>> {
         let mut state = self.lock();
-        while state.entries.is_empty() {
-            if state.closed {
+        while state.entries.is_empty() || state.busy {
+            if state.closed && state.entries.is_empty() {
                 return None;
             }
-            state = self.arrivals.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-        // Something is queued: give concurrent traffic one window to
-        // coalesce. Only this thread removes entries, so the queue can
-        // only grow while we wait.
-        let deadline = Instant::now() + self.window;
-        while !state.closed && state.queued_gaps < self.max_gaps {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (next, _) = self
-                .arrivals
-                .wait_timeout(state, deadline - now)
+            state = self
+                .gate_opened
+                .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
-            state = next;
-        }
-        // Only a pass-through can hold the gate here (this thread's own
-        // last pass released it), and its drop signals `arrivals`.
-        while state.busy {
-            state = self.arrivals.wait(state).unwrap_or_else(|e| e.into_inner());
         }
         let cause = if state.closed {
             FlushCause::Drain
         } else if state.queued_gaps >= self.max_gaps {
             FlushCause::Size
-        } else if self.window.is_zero() {
-            FlushCause::Queued
         } else {
-            FlushCause::Window
+            FlushCause::Queued
         };
         state.busy = true;
         state.queued_gaps = 0;
-        // Lingering pays for as long as a window catches company.
-        state.lingering = !self.window.is_zero() && !state.closed && state.entries.len() > 1;
         Some(Flush {
             submissions: std::mem::take(&mut state.entries),
             cause,
@@ -376,7 +320,13 @@ impl AdmissionQueue {
     /// flusher so it drains what is queued and exits.
     pub fn close(&self) {
         self.lock().closed = true;
-        self.arrivals.notify_all();
+        self.gate_opened.notify_all();
+    }
+
+    /// Whether [`Self::close`] has run.
+    #[cfg(test)]
+    pub fn is_closed(&self) -> bool {
+        self.lock().closed
     }
 }
 
@@ -397,19 +347,16 @@ mod tests {
         admitted
     }
 
+    /// A flush carrying `batch_max_gaps` gaps counts as `size`; it is
+    /// handed out as soon as the pass ahead of it ends, like any other.
     #[test]
     fn size_trigger_flushes_without_waiting_for_the_window() {
-        let queue = AdmissionQueue::new(AdmissionConfig {
-            batch_window_us: 60_000_000, // would hang the test if waited on
-            batch_max_gaps: 3,
-        });
+        let queue = AdmissionQueue::new(AdmissionConfig { batch_max_gaps: 3 });
         let in_flight = pass_in_flight(&queue);
         queue.submit(&[gap(0), gap(1)], false).unwrap();
         queue.submit(&[gap(2)], false).unwrap();
         drop(in_flight);
-        let t0 = Instant::now();
         let batch = queue.next_flush().expect("open queue");
-        assert!(t0.elapsed() < Duration::from_secs(10));
         assert_eq!(batch.cause, FlushCause::Size);
         let batch = batch.submissions;
         assert_eq!(batch.len(), 2);
@@ -420,7 +367,6 @@ mod tests {
     #[test]
     fn overload_rejects_typed_and_never_blocks() {
         let queue = AdmissionQueue::new(AdmissionConfig {
-            batch_window_us: 1_000,
             batch_max_gaps: 2, // capacity 16
         });
         assert_eq!(queue.capacity(), 16);
@@ -434,10 +380,7 @@ mod tests {
         assert!(err.message.contains("admission queue full"), "{err}");
         // A single submission larger than the whole capacity is refused
         // outright, even on an empty queue.
-        let fresh = AdmissionQueue::new(AdmissionConfig {
-            batch_window_us: 1_000,
-            batch_max_gaps: 2,
-        });
+        let fresh = AdmissionQueue::new(AdmissionConfig { batch_max_gaps: 2 });
         assert_eq!(
             fresh.submit(&[gap(0); 17], false).unwrap_err().code,
             ErrorCode::Overloaded
@@ -446,10 +389,7 @@ mod tests {
 
     #[test]
     fn close_drains_queued_work_then_stops() {
-        let queue = AdmissionQueue::new(AdmissionConfig {
-            batch_window_us: 1_000,
-            batch_max_gaps: 64,
-        });
+        let queue = AdmissionQueue::new(AdmissionConfig { batch_max_gaps: 64 });
         let in_flight = pass_in_flight(&queue);
         queue.submit(&[gap(0)], false).unwrap();
         queue.submit(&[gap(1)], true).unwrap();
@@ -466,12 +406,11 @@ mod tests {
         assert!(queue.next_flush().is_none(), "closed and empty");
     }
 
+    /// A flusher on another thread is woken by the gate opening onto
+    /// the queue — arrivals alone never signal it — and answers it all.
     #[test]
     fn flusher_wakes_on_arrival_across_threads() {
-        let queue = AdmissionQueue::new(AdmissionConfig {
-            batch_window_us: 100,
-            batch_max_gaps: 8,
-        });
+        let queue = AdmissionQueue::new(AdmissionConfig { batch_max_gaps: 8 });
         let answered = Arc::new(AtomicUsize::new(0));
         let flusher = {
             let queue = Arc::clone(&queue);
@@ -504,11 +443,8 @@ mod tests {
         assert_eq!(answered.load(Ordering::SeqCst), 5);
     }
 
-    fn zero_window() -> Arc<AdmissionQueue> {
-        AdmissionQueue::new(AdmissionConfig {
-            batch_window_us: 0,
-            batch_max_gaps: 4,
-        })
+    fn small_queue() -> Arc<AdmissionQueue> {
+        AdmissionQueue::new(AdmissionConfig { batch_max_gaps: 4 })
     }
 
     /// Runs `next_flush` on a thread of its own (started by the time
@@ -547,10 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn an_idle_zero_window_queue_passes_through_and_queues_behind_the_gate() {
-        let queue = zero_window();
+    fn an_idle_queue_passes_through_and_queues_behind_the_gate() {
+        let queue = small_queue();
         let Admitted::PassThrough(gate) = queue.submit(&[gap(0)], false).unwrap() else {
-            panic!("idle + zero window passes through");
+            panic!("an idle queue passes through");
         };
         assert_eq!(queue.depth(), 0, "a pass-through queues nothing");
 
@@ -587,7 +523,7 @@ mod tests {
 
     #[test]
     fn queued_work_past_the_size_trigger_reports_size_not_queued() {
-        let queue = zero_window();
+        let queue = small_queue();
         let gate = queue.submit(&[gap(0)], false).unwrap();
         queue.submit(&[gap(1); 4], false).unwrap(); // = batch_max_gaps
         drop(gate);
@@ -607,48 +543,12 @@ mod tests {
         ));
     }
 
+    /// Group commit keeps no memory of past company: after a flush that
+    /// carried two submissions, the next lone one on the now idle queue
+    /// passes through instead of queueing for a flush of its own.
     #[test]
-    fn a_window_lingers_only_while_it_catches_company() {
-        let queue = AdmissionQueue::new(AdmissionConfig {
-            batch_window_us: 1,
-            batch_max_gaps: 4,
-        });
-        // Idle, and no window has caught company yet: pass through.
-        let in_flight = pass_in_flight(&queue);
-        // Two submissions behind the pass share one window …
-        for i in 0..2 {
-            assert!(matches!(
-                queue.submit(&[gap(i)], false).unwrap(),
-                Admitted::Queued { .. }
-            ));
-        }
-        drop(in_flight);
-        let flush = queue.next_flush().expect("open queue");
-        assert_eq!(flush.cause, FlushCause::Window);
-        assert_eq!(flush.submissions.len(), 2);
-        drop(flush);
-        // … so the queue lingers: idle or not, the next one queues …
-        assert!(matches!(
-            queue.submit(&[gap(2)], false).unwrap(),
-            Admitted::Queued { depth: 1, .. }
-        ));
-        // … until a window expires on a lone submission.
-        let flush = queue.next_flush().expect("open queue");
-        assert_eq!(flush.cause, FlushCause::Window);
-        assert_eq!(flush.submissions.len(), 1);
-        drop(flush);
-        drop(pass_in_flight(&queue));
-        // A lone submission behind a pass does not start a linger.
-        let in_flight = pass_in_flight(&queue);
-        queue.submit(&[gap(3)], false).unwrap();
-        drop(in_flight);
-        assert_eq!(queue.next_flush().unwrap().submissions.len(), 1);
-        drop(pass_in_flight(&queue));
-    }
-
-    #[test]
-    fn a_zero_window_never_lingers() {
-        let queue = zero_window();
+    fn a_shared_flush_leaves_the_next_lone_submission_passing_through() {
+        let queue = AdmissionQueue::new(AdmissionConfig::default());
         let in_flight = pass_in_flight(&queue);
         queue.submit(&[gap(0)], false).unwrap();
         queue.submit(&[gap(1)], false).unwrap();
@@ -657,12 +557,16 @@ mod tests {
         assert_eq!(flush.cause, FlushCause::Queued);
         assert_eq!(flush.submissions.len(), 2);
         drop(flush);
-        drop(pass_in_flight(&queue));
+        assert!(matches!(
+            queue.submit(&[gap(2)], false).unwrap(),
+            Admitted::PassThrough(_)
+        ));
+        assert_eq!(queue.depth(), 0);
     }
 
     #[test]
     fn close_with_a_pass_in_flight_still_drains_then_stops() {
-        let queue = zero_window();
+        let queue = small_queue();
         let gate = queue.submit(&[gap(0)], false).unwrap();
         let Admitted::Queued { slot, .. } = queue.submit(&[gap(1)], false).unwrap() else {
             panic!("a pass is in flight");
@@ -685,7 +589,7 @@ mod tests {
 
     #[test]
     fn a_closed_empty_queue_stops_the_flusher_even_with_a_pass_in_flight() {
-        let queue = zero_window();
+        let queue = small_queue();
         let _gate = queue.submit(&[gap(0)], false).unwrap();
         queue.close();
         assert!(queue.next_flush().is_none());
@@ -693,7 +597,7 @@ mod tests {
 
     #[test]
     fn an_unwinding_pass_through_opens_the_gate() {
-        let queue = zero_window();
+        let queue = small_queue();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _gate = queue.submit(&[gap(0)], false).unwrap();
             panic!("injected: the pass-through answer panics");

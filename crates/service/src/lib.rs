@@ -65,6 +65,9 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
+#[cfg(test)]
+mod proptests;
+
 pub use admission::AdmissionConfig;
 pub use error::{ErrorCode, ServiceError};
 pub use metrics::ServiceMetrics;

@@ -27,13 +27,19 @@
 //!   answered;
 //! * `habit_admission_flush_cause_total{cause=…}` — the same passes by
 //!   why they ran when they did: `idle` (passed through on the caller's
-//!   thread), `size`, `window` (the two `--batch-*` triggers),
-//!   `queued` (piled up behind the pass before, zero window), `drain`
-//!   (shutdown);
+//!   thread), `queued` (piled up behind the pass before and flushed the
+//!   moment it ended), `size` (the same, with at least
+//!   `--batch-max-gaps` gaps), `drain` (shutdown);
 //! * `habit_admission_batch_size` — gaps per admitted pass
 //!   (fixed-bucket histogram);
+//! * `habit_admission_wait_us` — per queued submission, µs from its
+//!   `submit` to the start of the flush that answers it: about one
+//!   engine pass under group commit (fixed-bucket histogram);
 //! * `habit_admission_rejects_total` — submissions bounced with
-//!   `overloaded` because the queue was full.
+//!   `overloaded` because the queue was full;
+//! * `habit_spans_dropped_total` — spans the bounded recorder ring did
+//!   not keep (evicted to make room, or never kept at capacity 0), so
+//!   `GET /spans` says how much history it no longer shows.
 
 use crate::admission::FlushCause;
 use crate::error::ErrorCode;
@@ -43,6 +49,7 @@ use habit_obs::{Counter, Gauge, Histogram, Recorder, Registry, Snapshot, LATENCY
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
+use std::time::Duration;
 
 /// How many finished spans the recorder retains for `GET /spans`.
 const SPAN_CAPACITY: usize = 1024;
@@ -60,6 +67,7 @@ struct AdmissionSeries {
     flushes: Arc<Counter>,
     submissions: Arc<Counter>,
     batch_size: Arc<Histogram>,
+    wait: Arc<Histogram>,
     /// Indexed by `FlushCause as usize`.
     causes: [Arc<Counter>; FlushCause::ALL.len()],
 }
@@ -94,9 +102,11 @@ impl ServiceMetrics {
     /// A fresh metric surface; the recorder's epoch (and therefore
     /// `uptime_ticks`) starts now.
     pub fn new() -> Self {
+        let registry = Registry::new();
+        let spans_dropped = registry.counter("habit_spans_dropped_total", &[]);
         Self {
-            registry: Registry::new(),
-            recorder: Recorder::new(SPAN_CAPACITY),
+            recorder: Recorder::with_drop_counter(SPAN_CAPACITY, spans_dropped),
+            registry,
             requests_total: AtomicU64::new(0),
             hot_ops: RwLock::new(Vec::new()),
             admission: OnceLock::new(),
@@ -217,7 +227,21 @@ impl ServiceMetrics {
     /// coalesced flush: how many connection submissions it answered,
     /// how many gaps the engine batch carried, and why it ran now.
     pub fn observe_admission_flush(&self, submissions: usize, gaps: usize, cause: FlushCause) {
-        let series = self.admission.get_or_init(|| AdmissionSeries {
+        let series = self.admission_series();
+        series.flushes.inc();
+        series.submissions.add(submissions as u64);
+        series.batch_size.observe(gaps as u64);
+        series.causes[cause as usize].inc();
+    }
+
+    /// Records how long one queued submission waited for its flush.
+    pub fn observe_admission_wait(&self, wait: Duration) {
+        let us = u64::try_from(wait.as_micros()).unwrap_or(u64::MAX);
+        self.admission_series().wait.observe(us);
+    }
+
+    fn admission_series(&self) -> &AdmissionSeries {
+        self.admission.get_or_init(|| AdmissionSeries {
             flushes: self.registry.counter("habit_admission_flushes_total", &[]),
             submissions: self
                 .registry
@@ -227,17 +251,16 @@ impl ServiceMetrics {
                 &[],
                 &ADMISSION_BATCH_BUCKETS,
             ),
+            wait: self
+                .registry
+                .histogram("habit_admission_wait_us", &[], &LATENCY_BUCKETS_US),
             causes: FlushCause::ALL.map(|cause| {
                 self.registry.counter(
                     "habit_admission_flush_cause_total",
                     &[("cause", cause.as_str())],
                 )
             }),
-        });
-        series.flushes.inc();
-        series.submissions.add(submissions as u64);
-        series.batch_size.observe(gaps as u64);
-        series.causes[cause as usize].inc();
+        })
     }
 
     /// Counts one submission rejected with `overloaded` (queue full).
@@ -350,21 +373,20 @@ mod tests {
         m.observe_admission_flush(3, 7, FlushCause::Size);
         m.observe_admission_flush(1, 1, FlushCause::Idle);
         m.observe_admission_reject();
+        m.observe_admission_wait(Duration::from_micros(40));
+        m.observe_admission_wait(Duration::from_micros(300));
         let text = habit_obs::text::render(&m.snapshot());
         assert!(text.contains("habit_admission_queue_depth 5\n"), "{text}");
         assert!(text.contains("habit_admission_flushes_total 2\n"));
         assert!(text.contains("habit_admission_submissions_total 4\n"));
         assert!(text.contains("habit_admission_rejects_total 1\n"));
         assert!(text.contains("habit_admission_batch_size_count 2\n"));
+        assert!(text.contains("habit_admission_wait_us_bucket{le=\"50\"} 1\n"));
+        assert!(text.contains("habit_admission_wait_us_count 2\n"));
+        assert!(text.contains("habit_admission_wait_us_sum 340\n"));
         // One increment per pass, under its cause; the other causes
         // read 0 rather than being absent.
-        for (cause, n) in [
-            ("idle", 1),
-            ("queued", 0),
-            ("size", 1),
-            ("window", 0),
-            ("drain", 0),
-        ] {
+        for (cause, n) in [("idle", 1), ("queued", 0), ("size", 1), ("drain", 0)] {
             let row = format!("habit_admission_flush_cause_total{{cause=\"{cause}\"}} {n}\n");
             assert!(text.contains(&row), "{row} missing from {text}");
         }
@@ -389,6 +411,19 @@ mod tests {
             slos[1].p99_us > 5_000.0 && slos[1].p99_us <= 10_000.0,
             "{slos:?}"
         );
+    }
+
+    #[test]
+    fn spans_the_ring_drops_are_counted() {
+        let m = ServiceMetrics::new();
+        let text = habit_obs::text::render(&m.snapshot());
+        assert!(text.contains("habit_spans_dropped_total 0\n"), "{text}");
+        for _ in 0..SPAN_CAPACITY + 2 {
+            m.recorder().span("stage", "impute").finish();
+        }
+        assert_eq!(m.recorder().len(), SPAN_CAPACITY);
+        let text = habit_obs::text::render(&m.snapshot());
+        assert!(text.contains("habit_spans_dropped_total 2\n"), "{text}");
     }
 
     #[test]

@@ -40,13 +40,12 @@
 //!
 //! When the service's admission layer is on (`habit serve` without
 //! `--no-coalesce`), shutdown drains it first: the accept loop exits,
-//! the admission queue is closed — which cuts a pending batch window
-//! short, so the flusher answers everything still queued at once
-//! (`cause="drain"`) and is joined — and only then do the connection
-//! workers join. A request that reaches the service after the close is
-//! answered on its own connection's thread, so a request racing
-//! shutdown is answered, not dropped, and never holds the daemon for a
-//! long `--batch-window-us`.
+//! the admission queue is closed — the flusher answers everything still
+//! queued once the pass in flight ends (`cause="drain"`) and is joined
+//! — and only then do the connection workers join. A request that
+//! reaches the service after the close is answered on its own
+//! connection's thread, so a request racing shutdown is answered, not
+//! dropped.
 
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
@@ -190,9 +189,9 @@ pub fn serve_with_metrics(
             }
         }
         // Close the coalescing queue before joining the workers: a worker
-        // parked behind a long batch window is answered by the drain now,
-        // not when its window expires, and whatever a worker still submits
-        // is answered on its own thread. No-op when admission is off.
+        // whose submission is still queued is answered by the drain, and
+        // whatever a worker still submits is answered on its own thread.
+        // No-op when admission is off.
         service.shutdown_admission();
         // Then close the connection queue: the workers drain it and exit,
         // and the scope joins them.
@@ -840,9 +839,9 @@ mod tests {
     }
 
     /// A request racing shutdown through the admission queue is
-    /// answered before the daemon exits, and without waiting out its
-    /// batch window: the serve loop closes the coalescing queue first
-    /// (the drain answers it) and joins the connection workers last.
+    /// answered before the daemon exits: the serve loop closes the
+    /// coalescing queue first (the drain answers it) and joins the
+    /// connection workers last.
     #[test]
     fn shutdown_answers_admissions_queued_behind_the_window() {
         let service = Arc::new(Service::with_model(
@@ -852,14 +851,10 @@ mod tests {
             },
             lane_model(),
         ));
-        // A very long batch window parks whatever queues until the
-        // shutdown drain — the only way the racer gets its answer in
-        // time — and the racer queues because it arrives behind a pass
-        // in flight.
-        service.enable_admission(crate::AdmissionConfig {
-            batch_window_us: 30_000_000,
-            batch_max_gaps: 128,
-        });
+        // The racer queues because it arrives behind a pass in flight,
+        // and that pass holds the gate until the shutdown has closed
+        // the queue — so what answers the racer is the drain.
+        service.enable_admission(crate::AdmissionConfig::default());
         let queue = service.admission_queue();
         let in_flight = queue.submit(&[GapQuery::new(0.0, 0.0, 0, 0.0, 0.0, 1)], false);
         assert!(matches!(
@@ -886,7 +881,6 @@ mod tests {
         racer
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
-        let parked = std::time::Instant::now();
         let mut racer_reader = BufReader::new(racer.try_clone().unwrap());
         {
             let mut s = &racer;
@@ -914,7 +908,6 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        drop(in_flight);
         let stopper = TcpStream::connect(addr).unwrap();
         let mut stop_reader = BufReader::new(stopper.try_clone().unwrap());
         {
@@ -930,6 +923,17 @@ mod tests {
             wire::decode_response(&reply).unwrap(),
             Ok(Response::ShuttingDown)
         ));
+        // The serve loop closes the queue, then waits for the drain,
+        // which waits for the pass in flight: end it once closed.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !queue.is_closed() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shutdown never closed the admission queue"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(in_flight);
 
         // The queued impute is answered — identically to the direct
         // model path — and only then does serve() return.
@@ -938,11 +942,6 @@ mod tests {
         let Ok(Response::Imputation(answered)) = wire::decode_response(&reply).unwrap() else {
             panic!("queued impute must be answered on shutdown: {reply}");
         };
-        assert!(
-            parked.elapsed() < Duration::from_secs(15),
-            "the drain must not wait out the 30 s window: {:?}",
-            parked.elapsed()
-        );
         let direct = service.model().unwrap().impute(&gap).unwrap();
         assert_eq!(answered.points, direct.points);
         server.join().expect("server thread");

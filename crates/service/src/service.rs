@@ -201,12 +201,10 @@ impl Service {
     /// pass runs at a time. An `Impute`/`ImputeBatch` that finds the
     /// layer idle is answered on its own thread; those that arrive
     /// while a pass runs queue into one bounded [`AdmissionQueue`] and
-    /// a flusher thread answers them in one shared engine batch once
-    /// it has ended and `batch_window_us` has passed (as it does every
-    /// request for as long as windows keep catching more than one).
-    /// Answers stay byte-identical to an unqueued request; a full
-    /// queue rejects with the typed `overloaded` code instead of
-    /// blocking.
+    /// a flusher thread answers them in one shared engine batch the
+    /// moment it ends (group commit; no timer). Answers stay
+    /// byte-identical to an unqueued request; a full queue rejects with
+    /// the typed `overloaded` code instead of blocking.
     ///
     /// The flusher holds an `Arc` of the service — call
     /// [`Service::shutdown_admission`] to drain the queue and join it
@@ -229,11 +227,11 @@ impl Service {
         self.metrics.set_admission_queue_depth(0);
     }
 
-    /// Drains and stops the admission layer: closes the queue (which
-    /// cuts a pending batch window short; late submitters are answered
-    /// on their own thread), lets the flusher answer everything still
-    /// queued, and joins it. Safe while requests are still arriving.
-    /// Idempotent; a no-op when admission was never enabled.
+    /// Drains and stops the admission layer: closes the queue (late
+    /// submitters are answered on their own thread), lets the flusher
+    /// answer everything still queued, and joins it. Safe while
+    /// requests are still arriving. Idempotent; a no-op when admission
+    /// was never enabled.
     pub fn shutdown_admission(&self) {
         let Some(state) = write(&self.admission).take() else {
             return;
@@ -298,9 +296,14 @@ impl Service {
     /// each submission's scattered slice, on failure (no model, or a
     /// panic in the engine) the same typed error to all of the pass.
     fn flush_admitted(&self, submissions: &[Submission], cause: FlushCause) {
+        let started = Instant::now();
         let gaps: usize = submissions.iter().map(|s| s.gaps.len()).sum();
         self.metrics
             .observe_admission_flush(submissions.len(), gaps, cause);
+        for submission in submissions {
+            self.metrics
+                .observe_admission_wait(started.saturating_duration_since(submission.queued_at));
+        }
         for provenance in [false, true] {
             let group: Vec<&Submission> = submissions
                 .iter()
@@ -1291,12 +1294,6 @@ mod tests {
         assert_eq!(gap_prov.len(), out.gaps[0].points_added);
     }
 
-    /// Flush-on-idle: no linger for whatever queued behind a pass.
-    const NO_WINDOW: AdmissionConfig = AdmissionConfig {
-        batch_window_us: 0,
-        batch_max_gaps: 128,
-    };
-
     /// The non-zero `habit_admission_flush_cause_total` rows.
     fn flush_causes(svc: &Service) -> Vec<(&'static str, u64)> {
         FlushCause::ALL
@@ -1443,7 +1440,7 @@ mod tests {
         };
         assert!(h.admission.is_none());
 
-        assert_eq!(flush_causes(&coalesced), [("window", 2)]);
+        assert_eq!(flush_causes(&coalesced), [("queued", 2)]);
         coalesced.shutdown_admission();
     }
 
@@ -1454,7 +1451,6 @@ mod tests {
     fn oversized_submissions_get_the_typed_overloaded_error() {
         let svc = Arc::new(small_service());
         svc.enable_admission(AdmissionConfig {
-            batch_window_us: 1_000,
             batch_max_gaps: 2, // capacity 16 gaps
         });
         let gap = GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600);
@@ -1481,15 +1477,12 @@ mod tests {
         svc.shutdown_admission();
     }
 
-    /// Work queued behind a long flush window is still answered when
-    /// the admission layer shuts down: close → final drain → join.
+    /// Work still queued behind a pass in flight when the queue closes
+    /// is answered by the shutdown drain: close → final drain → join.
     #[test]
     fn shutdown_drains_queued_admissions_before_stopping() {
         let svc = Arc::new(small_service());
-        svc.enable_admission(AdmissionConfig {
-            batch_window_us: 30_000_000, // park the flusher in its window
-            batch_max_gaps: 128,
-        });
+        svc.enable_admission(AdmissionConfig::default());
         let gap = GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600);
         let Response::Imputation(base) = small_service()
             .handle(&Request::Impute {
@@ -1513,14 +1506,17 @@ mod tests {
                 })
             })
         };
-        // Let the racer reach the queue, then shut down around it.
+        // Let the racer reach the queue and close it while the pass
+        // still holds the gate, so what answers the racer is the drain.
         wait_for_queue_depth(&svc, 1);
+        queue.close();
         drop(in_flight);
         svc.shutdown_admission();
         let Ok(Response::Imputation(answered)) = racer.join().unwrap() else {
             panic!("queued request must be answered on shutdown");
         };
         assert_eq!(answered.points, base.points);
+        assert_eq!(flush_causes(&svc), [("drain", 1)]);
 
         // After the drain, requests fall back to the direct path.
         let Response::Imputation(after) = svc
@@ -1559,6 +1555,8 @@ mod tests {
             "habit_admission_batch_size_count 1\n",
             "habit_admission_batch_size_sum 3\n",
             "habit_admission_queue_depth 0\n",
+            // A pass-through never queued, so it never waited.
+            "habit_admission_wait_us_count 0\n",
         ] {
             assert!(text.contains(row), "{row} missing from {text}");
         }
@@ -1575,12 +1573,12 @@ mod tests {
     }
 
     /// A request that arrives while a pass is in flight waits for it,
-    /// then rides the flusher — with no window, the moment it ends —
-    /// byte-identical to the direct path.
+    /// then rides the flusher the moment it ends — byte-identical to
+    /// the direct path, its wait observed once.
     #[test]
     fn a_request_behind_a_pass_in_flight_is_flushed_when_it_ends() {
         let svc = Arc::new(small_service());
-        svc.enable_admission(NO_WINDOW);
+        svc.enable_admission(AdmissionConfig::default());
         let impute = Request::Impute {
             gap: GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600),
             provenance: false,
@@ -1603,6 +1601,8 @@ mod tests {
             assert_eq!(answered.cost.to_bits(), base.cost.to_bits());
         });
         assert_eq!(flush_causes(&svc), [("queued", 1)]);
+        let text = habit_obs::text::render(&svc.metrics().snapshot());
+        assert!(text.contains("habit_admission_wait_us_count 1\n"), "{text}");
         svc.shutdown_admission();
     }
 
@@ -1851,10 +1851,10 @@ mod tests {
         for (svc, cause) in [
             (Arc::new(fresh()), None),
             (passed_through, Some("idle")),
-            (queued, Some("window")),
+            (queued, Some("queued")),
         ] {
             let response = match cause {
-                Some("window") => handle_queued(&svc, &request, 7),
+                Some("queued") => handle_queued(&svc, &request, 7),
                 _ => svc.handle(&request),
             };
             let Response::Batch(served) = response.unwrap() else {
