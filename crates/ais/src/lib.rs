@@ -14,9 +14,8 @@
 //! * [`trips`] — segmentation of a vessel's stream into trips delimited by
 //!   stops and communication gaps (`ΔT = 30 min`), the unit HABIT trains
 //!   on;
-//! * [`table`] — conversion of segmented trips into an
-//!   [`aggdb::Table`] with the column layout the paper's
-//!   DuckDB CTE expects.
+//! * [`table`] — the typed [`TripTable`] of segmented trips: the
+//!   seven-column layout the paper's DuckDB CTE reads.
 //!
 //! ## Pipeline position
 //!
@@ -30,7 +29,7 @@
 //! trips::segment_all               Vec<Trip> — the HABIT training unit
 //!   │ table::trips_to_table
 //!   ▼
-//! aggdb::Table                     columnar input to HabitModel::fit
+//! TripTable                        typed columns, input to HabitModel::fit
 //! ```
 //!
 //! Trips are delimited by stops and communication gaps with the paper's
@@ -53,6 +52,6 @@ pub mod types;
 
 pub use clean::{clean_trajectory, CleanConfig, CleanReport};
 pub use events::{annotate, EventConfig, MobilityEvent};
-pub use table::{trips_to_table, COLS};
+pub use table::{trips_to_table, TripTable};
 pub use trips::{segment_all, segment_all_from, segment_trajectory, Trip, TripConfig};
 pub use types::{AisPoint, Trajectory, VesselInfo, VesselType};

@@ -58,28 +58,28 @@ re-exporting a prelude:
  methods     habit-core (HABIT model:     baselines (SLI, GTI,
              fit / impute / repair)       PaLMTO competitors)
              ────────────────────────────────────────────────────
- substrate   aggdb (columnar tables,      mobgraph (cell transition
-             lag window, HLL, medians)    graph + A* search)
+ substrate   aggdb (DuckDB aggregates:    mobgraph (cell transition
+             HLL, medians, FxHash)        graph + A* search)
              ────────────────────────────────────────────────────
  kernel      geo-kernel (geodesy, DTW,    hexgrid (H3-style hexagonal
              RDP, GeoJSON)                indexing)
              ────────────────────────────────────────────────────
  data        ais (cleaning, events,       synth (synthetic AIS worlds:
-             trip segmentation)           DAN / KIEL / SAR analogues)
+             trips, typed TripTable)      DAN / KIEL / SAR analogues)
 ```
 
 | crate | role |
 |-------|------|
 | `crates/geo` (`geo-kernel`) | geodesic primitives: haversine, bearings, RDP simplification, polylines, GeoJSON writers |
 | `crates/hexgrid` | H3-style hexagonal grid: cell ids, lat/lon↔cell, neighbors, polygon cover |
-| `crates/aggdb` | columnar substrate under graph generation: typed tables, the window `lag`, HyperLogLog (with its serialized record), exact medians, CSV |
+| `crates/aggdb` | the aggregates of the paper's DuckDB CTE: `approx_count_distinct` (HyperLogLog, with its serialized record), exact `median`, and the FxHash the sketches and hash maps use |
 | `crates/mobgraph` | mobility graph: per-cell stats, transition edges, A* search, compact codec |
-| `crates/ais` | AIS data model, cleaning filters, mobility events, trip segmentation |
+| `crates/ais` | AIS data model, cleaning filters, mobility events, trip segmentation, the typed seven-column `TripTable` |
 | `crates/synth` | seeded synthetic AIS datasets mirroring the paper's DAN / KIEL / SAR feeds |
-| `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, persistable `FitState` — the paper's two group-bys as typed, mergeable accumulators (v2 model container) |
+| `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, the typed window `lag`, persistable `FitState` — the paper's two group-bys as typed, mergeable accumulators (v2 model container) |
 | `crates/engine` (`habit-engine`) | parallel serving: scoped-thread chunk map, tile-sharded fit as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
 | `crates/obs` (`habit-obs`) | dependency-free observability substrate: monotonic span recorder, deterministic metrics registry (counters / gauges / fixed-bucket histograms), plaintext and span-JSON renderers |
-| `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, `ServiceError` taxonomy with stable codes, shared CSV converters, line-JSON wire codec + TCP server |
+| `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, `ServiceError` taxonomy with stable codes, shared CSV converters over one typed, line-numbering decoder, line-JSON wire codec + TCP server |
 | `crates/baselines` | competitors: SLI straight-line, GTI point-graph, PaLMTO N-gram |
 | `crates/density` | traffic density maps and exports built on the same substrate |
 | `crates/eval` | experiment harness: DTW accuracy, gap cases, experiment runners, `ExperimentReport` |

@@ -5,8 +5,6 @@ use std::fmt;
 /// Errors surfaced by model fitting and imputation.
 #[derive(Debug)]
 pub enum HabitError {
-    /// The trip table is missing a required column or has a wrong type.
-    BadInput(aggdb::AggError),
     /// Grid operation failed (invalid resolution or coordinate).
     Grid(hexgrid::HexError),
     /// The model has no nodes (e.g. all trips were filtered out).
@@ -42,7 +40,6 @@ pub enum HabitError {
 impl fmt::Display for HabitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HabitError::BadInput(e) => write!(f, "bad trip table: {e}"),
             HabitError::Grid(e) => write!(f, "grid error: {e}"),
             HabitError::EmptyModel => write!(f, "model has no transition graph nodes"),
             HabitError::NoPath { from, to } => {
@@ -80,16 +77,9 @@ impl fmt::Display for HabitError {
 impl std::error::Error for HabitError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            HabitError::BadInput(e) => Some(e),
             HabitError::Grid(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<aggdb::AggError> for HabitError {
-    fn from(e: aggdb::AggError) -> Self {
-        HabitError::BadInput(e)
     }
 }
 

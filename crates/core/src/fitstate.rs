@@ -37,12 +37,12 @@
 
 use crate::config::HabitConfig;
 use crate::error::HabitError;
-use crate::graphgen::{
-    assemble_graph, f64_column, lagged_trip_table, u64_column, CellStats, TransitionGraph,
-};
+use crate::graphgen::{assemble_graph, lagged_trip_table, CellStats, TransitionGraph};
+use crate::window::LaggedTrips;
 use aggdb::fxhash::FxHashSet;
 use aggdb::quantile::median_sorted;
-use aggdb::{AggError, HyperLogLog, Table};
+use aggdb::HyperLogLog;
+use ais::TripTable;
 use mobgraph::Codec;
 use std::cmp::Ordering;
 
@@ -74,19 +74,18 @@ pub struct FitProvenance {
 impl FitProvenance {
     /// Counts a trip table: distinct `trip_id`s, rows, and the highest
     /// trip id.
-    pub fn of_table(table: &Table) -> Result<Self, HabitError> {
-        let ids = u64_column(table, "trip_id")?;
+    pub fn of_table(table: &TripTable) -> Self {
         let mut distinct: FxHashSet<u64> = FxHashSet::default();
         let mut max_trip_id = 0u64;
-        for &id in ids {
+        for &id in table.trip_id() {
             distinct.insert(id);
             max_trip_id = max_trip_id.max(id);
         }
-        Ok(Self {
+        Self {
             trips: distinct.len() as u64,
-            reports: table.num_rows() as u64,
+            reports: table.len() as u64,
             max_trip_id,
-        })
+        }
     }
 
     /// Absorbs another table's counters (counts add, the high-water
@@ -104,7 +103,9 @@ impl FitProvenance {
 type Groups<K, A> = Vec<(K, A)>;
 
 /// The median columns, in [`CellAcc::medians`] order.
-const MEDIAN_COLUMNS: [&str; 4] = ["lon", "lat", "sog", "cog"];
+fn median_columns(table: &TripTable) -> [&[f64]; 4] {
+    [table.lon(), table.lat(), table.sog(), table.cog()]
+}
 
 /// The accumulators of one `GROUP BY cl` group.
 #[derive(Clone)]
@@ -113,7 +114,7 @@ struct CellAcc {
     count: u64,
     /// `approx_count_distinct(vessel_id)`.
     vessels: HyperLogLog,
-    /// Every value of each [`MEDIAN_COLUMNS`] column, `total_cmp`-sorted.
+    /// Every value of each [`median_columns`] column, `total_cmp`-sorted.
     medians: [Vec<f64>; 4],
 }
 
@@ -158,35 +159,39 @@ pub struct FitState {
 }
 
 impl FitState {
-    /// Runs the accumulation half of a fit over `table` (columns per
-    /// [`ais::COLS`]): cell assignment, drift filter, window lag, and
+    /// Runs the accumulation half of a fit over `table`: cell
+    /// assignment, drift filter, window lag, and
     /// both group-bys — everything **except** finishing the
     /// accumulators into a graph. A table whose trips are all filtered
     /// (sea drift) yields a state with zero groups; it is
     /// [`FitState::finalize`] that rejects an empty model.
-    pub fn accumulate(table: &Table, config: HabitConfig) -> Result<Self, HabitError> {
-        let provenance = FitProvenance::of_table(table)?;
+    pub fn accumulate(table: &TripTable, config: HabitConfig) -> Result<Self, HabitError> {
         let lagged = lagged_trip_table(table, &config)?;
-        Self::accumulate_lagged(&lagged, config, provenance)
+        Ok(Self::accumulate_lagged(
+            &lagged,
+            config,
+            FitProvenance::of_table(table),
+        ))
     }
 
     /// The group-by half of [`FitState::accumulate`], over a table
-    /// [`lagged_trip_table`] produced — or any row subset of one: the
+    /// [`lagged_trip_table`] produced — or any part of one
+    /// ([`LaggedTrips::partition`]): the
     /// states of disjoint subsets merge into the state of their union,
     /// which is how `habit-engine` runs it per spatial shard.
     /// `provenance` is stored as given, because a shard cannot count the
     /// whole table's trips.
     pub fn accumulate_lagged(
-        lagged: &Table,
+        lagged: &LaggedTrips<'_>,
         config: HabitConfig,
         provenance: FitProvenance,
-    ) -> Result<Self, HabitError> {
-        Ok(Self {
+    ) -> Self {
+        Self {
             config,
-            cells: accumulate_cells(lagged)?,
-            transitions: accumulate_transitions(lagged)?,
+            cells: accumulate_cells(lagged),
+            transitions: accumulate_transitions(lagged),
             provenance,
-        })
+        }
     }
 
     /// The configuration the state accumulates under.
@@ -376,13 +381,11 @@ impl FitState {
     }
 }
 
-/// `GROUP BY cl` over the lagged table's typed columns.
-fn accumulate_cells(lagged: &Table) -> Result<Groups<u64, CellAcc>, HabitError> {
-    let cl = u64_column(lagged, "cl")?;
-    let vessels = u64_column(lagged, "vessel_id")?;
-    let [lon, lat, sog, cog] = MEDIAN_COLUMNS.map(|name| f64_column(lagged, name));
-    let columns = [lon?, lat?, sog?, cog?];
-    let mut rows: Vec<(u64, usize)> = cl.iter().copied().zip(0..).collect();
+/// `GROUP BY cl` over the lagged rows.
+fn accumulate_cells(lagged: &LaggedTrips<'_>) -> Groups<u64, CellAcc> {
+    let vessels = lagged.table().vessel_id();
+    let columns = median_columns(lagged.table());
+    let mut rows: Vec<(u64, usize)> = lagged.rows().iter().map(|r| (r.cl, r.row)).collect();
     rows.sort_unstable();
     let groups = rows.chunk_by(|a, b| a.0 == b.0).map(|run| {
         let mut acc = CellAcc {
@@ -401,32 +404,28 @@ fn accumulate_cells(lagged: &Table) -> Result<Groups<u64, CellAcc>, HabitError> 
         }
         (run[0].0, acc)
     });
-    Ok(groups.collect())
+    groups.collect()
 }
 
 /// `GROUP BY lag_cl, cl` over the transition rows: `lag_cl` non-null and
 /// different from `cl`.
-fn accumulate_transitions(lagged: &Table) -> Result<Groups<(u64, u64), HyperLogLog>, HabitError> {
-    let cl = u64_column(lagged, "cl")?;
-    let trips = u64_column(lagged, "trip_id")?;
-    let lag = lagged.column_by_name("lag_cl")?;
-    let lag_cl = lag.u64_values().ok_or_else(|| AggError::TypeMismatch {
-        column: "lag_cl".into(),
-        expected: "UInt64",
-        actual: lag.dtype().name(),
-    })?;
-    let mut rows: Vec<((u64, u64), usize)> = (0..cl.len())
-        .filter(|&row| lag.is_valid(row) && lag_cl[row] != cl[row])
-        .map(|row| ((lag_cl[row], cl[row]), row))
+fn accumulate_transitions(lagged: &LaggedTrips<'_>) -> Groups<(u64, u64), HyperLogLog> {
+    let trips = lagged.table().trip_id();
+    let mut rows: Vec<((u64, u64), u64)> = lagged
+        .rows()
+        .iter()
+        .filter_map(|r| {
+            let lag_cl = r.lag_cl.filter(|&lag_cl| lag_cl != r.cl)?;
+            Some(((lag_cl, r.cl), trips[r.row]))
+        })
         .collect();
     rows.sort_unstable();
     let groups = rows.chunk_by(|a, b| a.0 == b.0).map(|run| {
         let mut sketch = HyperLogLog::default_precision();
-        run.iter()
-            .for_each(|&(_, row)| sketch.insert_u64(trips[row]));
+        run.iter().for_each(|&(_, trip)| sketch.insert_u64(trip));
         (run[0].0, sketch)
     });
-    Ok(groups.collect())
+    groups.collect()
 }
 
 /// Merges two key-sorted group runs into one; groups present in both
@@ -578,6 +577,7 @@ fn get_median_values(buf: &mut &[u8]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::LaggedRow;
     use ais::{trips_to_table, AisPoint, Trip};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -750,34 +750,6 @@ mod tests {
         )
     }
 
-    /// A null reading has no value to count or take the median of: the
-    /// typed accumulate refuses the column instead of reading the
-    /// placeholder behind it.
-    #[test]
-    fn accumulate_refuses_columns_with_nulls() {
-        let table = trips_to_table(&[lane_trip(1, 100, 56.0, 120)]);
-        let rows = table.num_rows() as u64;
-        let vessels =
-            aggdb::Column::from_u64_opt((0..rows).map(|i| (i != 5).then_some(100)).collect());
-        let columns = ais::COLS.map(|name| {
-            let column = table.column_by_name(name).unwrap().clone();
-            (
-                name,
-                if name == "vessel_id" {
-                    vessels.clone()
-                } else {
-                    column
-                },
-            )
-        });
-        let with_null = Table::from_columns(columns.to_vec()).unwrap();
-        let err = FitState::accumulate(&with_null, HabitConfig::default()).err();
-        assert!(
-            matches!(&err, Some(HabitError::BadInput(AggError::TypeMismatch { column, .. })) if column == "vessel_id"),
-            "{err:?}"
-        );
-    }
-
     #[test]
     fn decoder_rejects_sketch_precision_other_than_default() {
         let mut state = lane_state();
@@ -855,30 +827,27 @@ mod tests {
         /// The typed `GROUP BY cl` and `GROUP BY lag_cl, cl` against
         /// naive per-group references over the lagged table's rows.
         #[test]
-        #[allow(clippy::needless_range_loop)] // parallel column access by row index
         fn accumulate_matches_naive_reference(trips in random_trips()) {
             let config = HabitConfig::default();
             let table = trips_to_table(&trips);
             let state = FitState::accumulate(&table, config).unwrap();
             let lagged = lagged_trip_table(&table, &config).unwrap();
-            let col = |name| u64_column(&lagged, name).unwrap();
-            let (cl, vessels, trip_ids) = (col("cl"), col("vessel_id"), col("trip_id"));
-            let values = MEDIAN_COLUMNS.map(|name| f64_column(&lagged, name).unwrap());
-            let lag = lagged.column_by_name("lag_cl").unwrap();
+            let (vessels, trip_ids) = (table.vessel_id(), table.trip_id());
+            let values = median_columns(&table);
             let mut cells: BTreeMap<u64, (u64, HyperLogLog, [Vec<f64>; 4])> = BTreeMap::new();
             let mut transitions: BTreeMap<(u64, u64), HyperLogLog> = BTreeMap::new();
-            for row in 0..lagged.num_rows() {
+            for &LaggedRow { row, cl, lag_cl } in lagged.rows() {
                 let (count, sketch, medians) = cells
-                    .entry(cl[row])
+                    .entry(cl)
                     .or_insert_with(|| (0, HyperLogLog::default_precision(), Default::default()));
                 *count += 1;
                 sketch.insert_u64(vessels[row]);
                 for (m, column) in medians.iter_mut().zip(&values) {
                     m.push(column[row]);
                 }
-                if let Some(prev) = lag.value(row).as_u64().filter(|&prev| prev != cl[row]) {
+                if let Some(prev) = lag_cl.filter(|&prev| prev != cl) {
                     transitions
-                        .entry((prev, cl[row]))
+                        .entry((prev, cl))
                         .or_insert_with(HyperLogLog::default_precision)
                         .insert_u64(trip_ids[row]);
                 }

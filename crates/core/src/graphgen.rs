@@ -5,7 +5,8 @@
 //! 1. read the trip table and assign each message its H3 cell `cl` at the
 //!    configured resolution;
 //! 2. drop trips confined to ≤ `min_cell_span` adjacent cells (sea drift);
-//! 3. window-lag the cell over each trip (`lag_cl`, on `aggdb`'s window);
+//! 3. window-lag the cell over each trip (`lag_cl`), one typed pass over
+//!    the trips' contiguous, time-ordered runs;
 //! 4. group by `cl` → per-cell statistics; group by `(lag_cl, cl)` →
 //!    transition statistics — the typed, mergeable accumulators of
 //!    [`crate::FitState`];
@@ -13,8 +14,8 @@
 
 use crate::config::HabitConfig;
 use crate::error::HabitError;
-use aggdb::fxhash::{FxHashMap, FxHashSet};
-use aggdb::{AggError, Column, Table};
+use crate::window::{lag_cells, LaggedTrips};
+use ais::TripTable;
 use geo_kernel::GeoPoint;
 use hexgrid::{HexCell, HexGrid};
 use mobgraph::{Codec, DiGraph};
@@ -87,9 +88,6 @@ impl Codec for EdgeStats {
 
 /// Runs phases 1–2 and returns the transition graph.
 ///
-/// `table` must contain the [`ais::COLS`] columns
-/// (`trip_id`, `vessel_id`, `ts`, `lon`, `lat`, `sog`, `cog`).
-///
 /// This is `FitState::accumulate(...).finalize()` — the one-shot table
 /// scan *is* the staged partial-aggregate pipeline, so a graph built
 /// here can never diverge from one built by merging shard or delta
@@ -99,67 +97,47 @@ impl Codec for EdgeStats {
 /// [`crate::HabitModel`]) is a pure function of the input *set* of rows,
 /// independent of row order, sharding, and refit history.
 pub fn build_transition_graph(
-    table: &Table,
+    table: &TripTable,
     config: &HabitConfig,
 ) -> Result<DiGraph<CellStats, EdgeStats>, HabitError> {
     crate::fitstate::FitState::accumulate(table, *config)?.finalize()
 }
 
 /// Stages 1–3 of graph generation: cell assignment, the cell-span drift
-/// filter, and the window lag. Returns the lagged trip table (the input
-/// columns plus `cl` and `lag_cl`) that the two group-bys of
-/// [`crate::FitState`] accumulate. Exposed so `habit-engine` can shard
-/// the group-bys spatially.
-pub fn lagged_trip_table(table: &Table, config: &HabitConfig) -> Result<Table, HabitError> {
+/// filter, and the window lag ([`crate::window`]), as typed passes over
+/// `table`. Exposed so `habit-engine` can shard the group-bys spatially.
+pub fn lagged_trip_table<'a>(
+    table: &'a TripTable,
+    config: &HabitConfig,
+) -> Result<LaggedTrips<'a>, HabitError> {
     let grid = HexGrid::new();
-    let res = config.resolution;
 
     // -- 1. Assign each message its H3 cell.
-    let lons = f64_column(table, "lon")?;
-    let lats = f64_column(table, "lat")?;
-    let mut cells = Vec::with_capacity(table.num_rows());
-    for i in 0..table.num_rows() {
-        let cell = grid.cell(&GeoPoint::new(lons[i], lats[i]), res)?;
-        cells.push(cell.raw());
-    }
+    let cells = table
+        .lon()
+        .iter()
+        .zip(table.lat())
+        .map(|(&lon, &lat)| {
+            Ok(grid
+                .cell(&GeoPoint::new(lon, lat), config.resolution)?
+                .raw())
+        })
+        .collect::<Result<Vec<u64>, HabitError>>()?;
 
     // -- 2. Cell-span filter: drop trips confined to ≤ min_cell_span
     //       mutually adjacent cells (paper: "minor, non-essential local
-    //       displacements, e.g. sea drift").
-    let trip_ids = u64_column(table, "trip_id")?;
-    // Trips are contiguous runs in a trip table, so counting run
-    // boundaries pre-sizes the per-trip cell sets in one cheap pass.
-    let approx_trips = trip_ids.windows(2).filter(|w| w[0] != w[1]).count() + 1;
-    let mut trip_cells: FxHashMap<u64, FxHashSet<u64>> = FxHashMap::default();
-    trip_cells.reserve(approx_trips);
-    for (trip, cell) in trip_ids.iter().zip(&cells) {
-        trip_cells.entry(*trip).or_default().insert(*cell);
-    }
-    // Trip order never reaches the output (membership set only), but
-    // walking the map sorted keeps every pass over this module
-    // hasher-independent by construction.
-    let mut small_trips: FxHashSet<u64> = FxHashSet::default();
-    let mut spans: Vec<(u64, &FxHashSet<u64>)> = trip_cells.iter().map(|(t, s)| (*t, s)).collect();
-    spans.sort_unstable_by_key(|(t, _)| *t);
-    for (trip, cellset) in spans {
-        if cellset.len() <= config.min_cell_span && cells_mutually_adjacent(&grid, cellset) {
-            small_trips.insert(trip);
-        }
-    }
-    let with_cells = table.clone().with_column("cl", Column::from_u64(cells))?;
-    let filtered = if small_trips.is_empty() {
-        with_cells
-    } else {
-        with_cells.filter(|i| !small_trips.contains(&trip_ids[i]))
-    };
-    // An all-drift table lags to zero rows — legal here: accumulation
-    // over it is an empty (still mergeable) fit state, and it is
-    // `assemble_graph` that rejects an empty *model*.
-
+    //       displacements, e.g. sea drift"). An all-drift table lags to
+    //       zero rows — legal here: accumulation over it is an empty
+    //       (still mergeable) fit state, and it is `assemble_graph` that
+    //       rejects an empty *model*.
     // -- 3. lag(cl) OVER (PARTITION BY trip_id ORDER BY ts).
-    Ok(aggdb::window::with_lag(
-        filtered, "trip_id", "ts", "cl", "lag_cl",
-    )?)
+    Ok(lag_cells(table, &cells, |trip| {
+        !is_drift(
+            &grid,
+            trip.iter().map(|&row| cells[row]),
+            config.min_cell_span,
+        )
+    }))
 }
 
 /// Phase-2 step 5: assembles the weighted directed graph from the two
@@ -206,56 +184,28 @@ pub(crate) fn assemble_graph(
     Ok(graph)
 }
 
-/// The values of the `UInt64` column `name`, which must hold no nulls
-/// (a null slot holds a placeholder, not a value).
-pub fn u64_column<'a>(table: &'a Table, name: &str) -> Result<&'a [u64], HabitError> {
-    typed_column(table, name, "UInt64", Column::u64_values)
-}
-
-/// The values of the `Float64` column `name`, which must hold no nulls.
-pub fn f64_column<'a>(table: &'a Table, name: &str) -> Result<&'a [f64], HabitError> {
-    typed_column(table, name, "Float64", Column::f64_values)
-}
-
-fn typed_column<'a, T>(
-    table: &'a Table,
-    name: &str,
-    expected: &'static str,
-    view: fn(&Column) -> Option<&[T]>,
-) -> Result<&'a [T], HabitError> {
-    let col = table.column_by_name(name)?;
-    match view(col) {
-        Some(values) if col.null_count() == 0 => Ok(values),
-        typed => Err(HabitError::BadInput(AggError::TypeMismatch {
-            column: name.into(),
-            expected,
-            actual: if typed.is_some() {
-                "nulls"
-            } else {
-                col.dtype().name()
-            },
-        })),
+/// `true` when a trip's cells number at most `span` and are pairwise
+/// within grid distance 1 (the paper's "one or at most two adjacent H3
+/// cells" criterion generalized to `min_cell_span`).
+fn is_drift(grid: &HexGrid, cells: impl Iterator<Item = u64>, span: usize) -> bool {
+    let mut distinct: Vec<u64> = Vec::new();
+    for cell in cells {
+        if !distinct.contains(&cell) {
+            if distinct.len() == span {
+                return false;
+            }
+            distinct.push(cell);
+        }
     }
-}
-
-/// `true` when every pair of cells in the set is within grid distance 1
-/// (the paper's "one or at most two adjacent H3 cells" criterion
-/// generalized to `min_cell_span`).
-fn cells_mutually_adjacent(grid: &HexGrid, cells: &FxHashSet<u64>) -> bool {
-    let mut v: Vec<HexCell> = cells
+    let hexes: Vec<HexCell> = distinct
         .iter()
         .filter_map(|&c| HexCell::from_raw(c).ok())
         .collect();
-    v.sort_unstable_by_key(|c| c.raw());
-    for i in 0..v.len() {
-        for j in (i + 1)..v.len() {
-            match grid.grid_distance(v[i], v[j]) {
-                Ok(d) if d <= 1 => {}
-                _ => return false,
-            }
-        }
-    }
-    true
+    hexes.iter().enumerate().all(|(i, &a)| {
+        hexes[i + 1..]
+            .iter()
+            .all(|&b| grid.grid_distance(a, b).is_ok_and(|d| d <= 1))
+    })
 }
 
 #[cfg(test)]

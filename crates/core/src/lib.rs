@@ -37,19 +37,13 @@
 //!
 //! ```
 //! use habit_core::{HabitConfig, HabitModel, GapQuery};
-//! use aggdb::{Column, Table};
+//! use ais::{trips_to_table, AisPoint, Trip};
 //!
-//! // A toy trip table: one vessel sailing east (columns as in ais::COLS).
-//! let n = 200usize;
-//! let table = Table::from_columns(vec![
-//!     ("trip_id", Column::from_u64(vec![1; n])),
-//!     ("vessel_id", Column::from_u64(vec![9; n])),
-//!     ("ts", Column::from_i64((0..n as i64).map(|i| i * 60).collect())),
-//!     ("lon", Column::from_f64((0..n).map(|i| 10.0 + i as f64 * 0.002).collect())),
-//!     ("lat", Column::from_f64(vec![56.0; n])),
-//!     ("sog", Column::from_f64(vec![12.0; n])),
-//!     ("cog", Column::from_f64(vec![90.0; n])),
-//! ]).unwrap();
+//! // A toy trip table: one vessel sailing east, one report a minute.
+//! let points = (0..200)
+//!     .map(|i| AisPoint::new(9, i * 60, 10.0 + i as f64 * 0.002, 56.0, 12.0, 90.0))
+//!     .collect();
+//! let table = trips_to_table(&[Trip { trip_id: 1, mmsi: 9, points }]);
 //!
 //! let model = HabitModel::fit(&table, HabitConfig::default()).unwrap();
 //! let gap = GapQuery::new(10.05, 56.0, 1_500, 10.3, 56.0, 9_000);
@@ -67,6 +61,7 @@ pub mod impute;
 pub mod model;
 pub mod reference;
 pub mod repair;
+pub mod window;
 
 #[cfg(test)]
 mod proptests;

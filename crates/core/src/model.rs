@@ -4,7 +4,7 @@ use crate::config::HabitConfig;
 use crate::error::HabitError;
 use crate::fitstate::{FitProvenance, FitState};
 use crate::graphgen::{CellStats, EdgeStats};
-use aggdb::Table;
+use ais::TripTable;
 use geo_kernel::GeoPoint;
 use hexgrid::{HexCell, HexGrid};
 use mobgraph::{Codec, CsrGraph, DiGraph, NearestIndex};
@@ -57,10 +57,10 @@ pub struct HabitModel {
 }
 
 impl HabitModel {
-    /// Fits the model on a trip table (columns per [`ais::COLS`]).
+    /// Fits the model on a trip table.
     /// The accumulated [`FitState`] is retained, so the result is
     /// refittable.
-    pub fn fit(table: &Table, config: HabitConfig) -> Result<Self, HabitError> {
+    pub fn fit(table: &TripTable, config: HabitConfig) -> Result<Self, HabitError> {
         Self::from_fit_state(FitState::accumulate(table, config)?)
     }
 

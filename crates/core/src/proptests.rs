@@ -3,10 +3,14 @@
 
 use crate::config::{CellProjection, HabitConfig, WeightScheme};
 use crate::fitstate::FitState;
+use crate::graphgen::lagged_trip_table;
 use crate::impute::GapQuery;
 use crate::model::HabitModel;
 use ais::{trips_to_table, AisPoint, Trip};
+use geo_kernel::GeoPoint;
+use hexgrid::HexGrid;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 fn lane_model(resolution: u8) -> HabitModel {
@@ -70,7 +74,84 @@ fn fit_state_rejects_every_truncation() {
     }
 }
 
+/// Trip lists the window must order itself: trip ids repeat across
+/// entries, points arrive unsorted, and timestamps tie often. Points sit
+/// on a lattice finer than an r=9 cell, so cells repeat and change.
+fn unordered_trips() -> impl Strategy<Value = Vec<Trip>> {
+    let point = (0i64..6, 0i32..6, 0i32..4);
+    proptest::collection::vec((1u64..5, proptest::collection::vec(point, 1..12)), 1..8).prop_map(
+        |entries| {
+            entries
+                .into_iter()
+                .map(|(trip_id, points)| Trip {
+                    trip_id,
+                    mmsi: 100 + trip_id,
+                    points: points
+                        .into_iter()
+                        .map(|(t, x, y)| {
+                            let (lon, lat) =
+                                (10.0 + f64::from(x) * 0.002, 56.0 + f64::from(y) * 0.0015);
+                            AisPoint::new(100 + trip_id, t * 60, lon, lat, 10.0, 90.0)
+                        })
+                        .collect(),
+                })
+                .collect()
+        },
+    )
+}
+
 proptest! {
+    /// The typed window lag against a naive reference: a kept row's
+    /// `lag_cl` is the cell of its trip's row just before it in
+    /// `(ts, input row)` order; drift trips (at most `min_cell_span`
+    /// mutually adjacent cells) keep no rows; the rest keep all of
+    /// theirs, emitted in `(trip_id, ts, input row)` order.
+    #[test]
+    fn lag_matches_naive_reference(trips in unordered_trips()) {
+        let config = HabitConfig::default();
+        let table = trips_to_table(&trips);
+        let lagged = lagged_trip_table(&table, &config).expect("lag");
+        let (trip, ts) = (table.trip_id(), table.ts());
+        let grid = HexGrid::new();
+        let cells: Vec<u64> = table
+            .lon()
+            .iter()
+            .zip(table.lat())
+            .map(|(&lon, &lat)| grid.cell(&GeoPoint::new(lon, lat), config.resolution).expect("cell").raw())
+            .collect();
+
+        let mut by_trip: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (row, &id) in trip.iter().enumerate() {
+            by_trip.entry(id).or_default().push(row);
+        }
+        let mut expected = Vec::new();
+        for rows in by_trip.values() {
+            let distinct: BTreeSet<u64> = rows.iter().map(|&r| cells[r]).collect();
+            let hexes: Vec<hexgrid::HexCell> = distinct
+                .iter()
+                .map(|&c| hexgrid::HexCell::from_raw(c).expect("valid"))
+                .collect();
+            let adjacent = hexes.iter().all(|&a| {
+                hexes.iter().all(|&b| grid.grid_distance(a, b).is_ok_and(|d| d <= 1))
+            });
+            if distinct.len() <= config.min_cell_span && adjacent {
+                continue;
+            }
+            let mut ordered = rows.clone();
+            ordered.sort_by_key(|&r| (ts[r], r));
+            for &row in &ordered {
+                let before = rows
+                    .iter()
+                    .filter(|&&o| (ts[o], o) < (ts[row], row))
+                    .max_by_key(|&&o| (ts[o], o));
+                expected.push((row, cells[row], before.map(|&o| cells[o])));
+            }
+        }
+        let got: Vec<(usize, u64, Option<u64>)> =
+            lagged.rows().iter().map(|r| (r.row, r.cl, r.lag_cl)).collect();
+        prop_assert_eq!(got, expected);
+    }
+
     /// Arbitrary bytes — alone, or behind a real blob's first bytes so
     /// they reach the group sections — never panic the fit-state
     /// decoder, and anything it accepts re-encodes identically.

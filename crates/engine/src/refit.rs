@@ -19,7 +19,7 @@
 
 use crate::pool::ThreadPool;
 use crate::shard::accumulate_sharded_traced;
-use aggdb::Table;
+use ais::TripTable;
 use habit_core::{FitState, HabitError, HabitModel};
 use habit_obs::Recorder;
 
@@ -39,7 +39,7 @@ pub struct RefitOutcome {
 /// union would count it).
 pub fn refit_state(
     state: &mut FitState,
-    delta: &Table,
+    delta: &TripTable,
     shards: usize,
     pool: &ThreadPool,
 ) -> Result<RefitOutcome, HabitError> {
@@ -51,13 +51,13 @@ pub fn refit_state(
 /// `op`. The merged state is unaffected.
 pub fn refit_state_traced(
     state: &mut FitState,
-    delta: &Table,
+    delta: &TripTable,
     shards: usize,
     pool: &ThreadPool,
     recorder: Option<&Recorder>,
     op: &'static str,
 ) -> Result<RefitOutcome, HabitError> {
-    if delta.num_rows() == 0 {
+    if delta.is_empty() {
         return Ok(RefitOutcome::default());
     }
     let delta_state =
@@ -81,7 +81,7 @@ pub fn refit_state_traced(
 /// state — v1 blobs serve but cannot be refitted.
 pub fn refit_model(
     model: &HabitModel,
-    delta: &Table,
+    delta: &TripTable,
     shards: usize,
     pool: &ThreadPool,
 ) -> Result<(HabitModel, RefitOutcome), HabitError> {
@@ -92,7 +92,7 @@ pub fn refit_model(
 /// phases plus a final `fit.finalize` for the graph rebuild.
 pub fn refit_model_traced(
     model: &HabitModel,
-    delta: &Table,
+    delta: &TripTable,
     shards: usize,
     pool: &ThreadPool,
     recorder: Option<&Recorder>,
@@ -166,7 +166,7 @@ mod tests {
         let history = trips_to_table(&[lane(1, 100, 56.0, 120)]);
         let pool = ThreadPool::new(1);
         let model = fit_sharded(&history, HabitConfig::default(), 1, &pool).unwrap();
-        let empty = history.take(&[]);
+        let empty = trips_to_table(&[]);
         let (refitted, outcome) = refit_model(&model, &empty, 1, &pool).unwrap();
         assert_eq!(outcome, RefitOutcome::default());
         assert_eq!(refitted.to_bytes_full(), model.to_bytes_full());

@@ -26,9 +26,11 @@
 //! merges into a saved state.
 
 use crate::pool::ThreadPool;
-use aggdb::Table;
+use aggdb::fxhash::FxHashMap;
+use ais::TripTable;
 use habit_core::fitstate::FitProvenance;
-use habit_core::graphgen::{lagged_trip_table, u64_column};
+use habit_core::graphgen::lagged_trip_table;
+use habit_core::window::LaggedTrips;
 use habit_core::{FitState, HabitConfig, HabitError, HabitModel};
 use habit_obs::Recorder;
 use hexgrid::tiling::DEFAULT_TILE_LEVELS_UP;
@@ -39,7 +41,7 @@ use hexgrid::{HexCell, TilePartitioner};
 /// byte-identical to `HabitModel::fit(table, config)` for every
 /// `shards ≥ 1` and every pool size.
 pub fn fit_sharded(
-    table: &Table,
+    table: &TripTable,
     config: HabitConfig,
     shards: usize,
     pool: &ThreadPool,
@@ -52,7 +54,7 @@ pub fn fit_sharded(
 /// [`accumulate_sharded_traced`]) plus a `fit.finalize` phase are
 /// recorded under `op`. The fitted bytes are unaffected.
 pub fn fit_sharded_traced(
-    table: &Table,
+    table: &TripTable,
     config: HabitConfig,
     shards: usize,
     pool: &ThreadPool,
@@ -73,7 +75,7 @@ pub fn fit_sharded_traced(
 /// [`FitState`] — everything of a fit except finalizing the graph.
 /// This is the stage [`crate::refit`] reuses verbatim for delta tables.
 pub fn accumulate_sharded(
-    table: &Table,
+    table: &TripTable,
     config: HabitConfig,
     shards: usize,
     pool: &ThreadPool,
@@ -85,7 +87,7 @@ pub fn accumulate_sharded(
 /// (provenance, lag, tile partition), `fit.accumulate` (per-shard
 /// group-bys), `fit.merge` (ordered merge of the shard states).
 pub fn accumulate_sharded_traced(
-    table: &Table,
+    table: &TripTable,
     config: HabitConfig,
     shards: usize,
     pool: &ThreadPool,
@@ -94,7 +96,7 @@ pub fn accumulate_sharded_traced(
 ) -> Result<FitState, HabitError> {
     let shards = shards.max(1);
     let prepare_span = recorder.map(|r| r.span("fit.prepare", op));
-    let provenance = FitProvenance::of_table(table)?;
+    let provenance = FitProvenance::of_table(table);
     let lagged = lagged_trip_table(table, &config)?;
     let shard_tables = partition_by_tile(&lagged, config.resolution, shards)?;
     drop(prepare_span);
@@ -104,15 +106,14 @@ pub fn accumulate_sharded_traced(
     // provenance counts the whole table once, so shard 0 carries it and
     // the others add zero.
     let accumulate_span = recorder.map(|r| r.span("fit.accumulate", op));
-    let states: Vec<Result<FitState, HabitError>> =
-        pool.map_chunks(&shard_tables, 1, |shard, chunk| {
-            let provenance = if shard == 0 {
-                provenance
-            } else {
-                FitProvenance::default()
-            };
-            FitState::accumulate_lagged(&chunk[0], config, provenance)
-        });
+    let states: Vec<FitState> = pool.map_chunks(&shard_tables, 1, |shard, chunk| {
+        let provenance = if shard == 0 {
+            provenance
+        } else {
+            FitProvenance::default()
+        };
+        FitState::accumulate_lagged(&chunk[0], config, provenance)
+    });
     drop(accumulate_span);
 
     // The merged state keeps its groups sorted, so its bytes do not
@@ -120,46 +121,33 @@ pub fn accumulate_sharded_traced(
     // Held (not dropped) so the span covers the whole merge.
     let _merge_span = recorder.map(|r| r.span("fit.merge", op));
     let mut states = states.into_iter();
-    let mut merged = states.next().expect("at least one shard")?;
+    let mut merged = states.next().expect("at least one shard");
     for state in states {
-        merged.merge(state?)?;
+        merged.merge(state)?;
     }
     Ok(merged)
 }
 
 /// Splits the lagged table into per-shard tables by the coarse tile of
-/// each row's `cl` cell. Row order within a shard stays ascending, so
-/// per-shard accumulation visits rows in the same relative order as the
-/// sequential path.
-fn partition_by_tile(
-    lagged: &Table,
+/// each row's `cl` cell. Row order within a shard stays that of the
+/// lagged table.
+fn partition_by_tile<'a>(
+    lagged: &LaggedTrips<'a>,
     resolution: u8,
     shards: usize,
-) -> Result<Vec<Table>, HabitError> {
-    let cells = u64_column(lagged, "cl")?;
-
+) -> Result<Vec<LaggedTrips<'a>>, HabitError> {
     let partitioner = TilePartitioner::new(resolution, DEFAULT_TILE_LEVELS_UP, shards);
     // Memoize cell → shard: rows revisit the same cells constantly and
     // the tile lookup does trigonometry.
-    let mut shard_of_cell: aggdb::fxhash::FxHashMap<u64, usize> =
-        aggdb::fxhash::FxHashMap::default();
-    let mut shard_rows: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (row, &raw) in cells.iter().enumerate() {
-        let shard = match shard_of_cell.get(&raw) {
-            Some(&s) => s,
-            None => {
-                let cell = HexCell::from_raw(raw).map_err(HabitError::Grid)?;
-                let s = partitioner.shard_of(cell).map_err(HabitError::Grid)?;
-                shard_of_cell.insert(raw, s);
-                s
-            }
-        };
-        shard_rows[shard].push(row);
-    }
-    Ok(shard_rows
-        .into_iter()
-        .map(|rows| lagged.take(&rows))
-        .collect())
+    let mut shard_of_cell: FxHashMap<u64, usize> = FxHashMap::default();
+    lagged.partition(shards, |row| {
+        if let Some(&s) = shard_of_cell.get(&row.cl) {
+            return Ok(s);
+        }
+        let s = partitioner.shard_of(HexCell::from_raw(row.cl)?)?;
+        shard_of_cell.insert(row.cl, s);
+        Ok(s)
+    })
 }
 
 #[cfg(test)]
@@ -168,7 +156,7 @@ mod tests {
     use ais::{trips_to_table, AisPoint, Trip};
     use habit_obs::Recorder;
 
-    fn corridor_table() -> Table {
+    fn corridor_table() -> TripTable {
         // Two corridors far enough apart to live in different tiles.
         let mut trips = Vec::new();
         for k in 0..4u64 {
@@ -233,10 +221,10 @@ mod tests {
         let config = HabitConfig::default();
         let lagged = lagged_trip_table(&table, &config).unwrap();
         let parts = partition_by_tile(&lagged, config.resolution, 4).unwrap();
-        let total: usize = parts.iter().map(Table::num_rows).sum();
-        assert_eq!(total, lagged.num_rows());
+        let total: usize = parts.iter().map(|p| p.rows().len()).sum();
+        assert_eq!(total, lagged.rows().len());
         // Two distant corridors must not all land in one shard.
-        let non_empty = parts.iter().filter(|t| t.num_rows() > 0).count();
+        let non_empty = parts.iter().filter(|p| !p.rows().is_empty()).count();
         assert!(non_empty >= 2, "tiles all hashed to one shard");
     }
 

@@ -36,7 +36,6 @@ use crate::scan::SourceFile;
 /// wire/JSON/CSV output, or committed report rows.
 pub const SINK_SUFFIXES: [&str; 20] = [
     "crates/aggdb/src/hll.rs",
-    "crates/aggdb/src/csv.rs",
     "crates/core/src/fitstate.rs",
     "crates/core/src/model.rs",
     "crates/core/src/graphgen.rs",
@@ -44,6 +43,7 @@ pub const SINK_SUFFIXES: [&str; 20] = [
     "crates/mobgraph/src/csr.rs",
     "crates/mobgraph/src/codec.rs",
     "crates/service/src/wire.rs",
+    "crates/service/src/csv.rs",
     "crates/service/src/csvio.rs",
     "crates/service/src/admission.rs",
     "crates/obs/src/text.rs",

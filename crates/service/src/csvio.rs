@@ -13,125 +13,116 @@
 //!   column tying points back to their query row).
 //!
 //! Each reader has a path-based and a `Read`-based variant; the latter
-//! is what `--input -` (stdin) plumbs into.
+//! is what `--input -` (stdin) plumbs into. All readers share one typed
+//! decoder: a row must have the header's field count, and an empty or
+//! unparsable field in any column the header names is an error naming
+//! its line and column — never a default. Only a column the header
+//! lacks takes its default.
 
-use aggdb::csv::{read_csv, read_csv_path, write_csv_path};
-use aggdb::{AggError, Column, Table};
+use crate::csv::{read_text, write_csv, CsvDecoder};
 use ais::{AisPoint, Trajectory};
 use geo_kernel::TimedPoint;
 use habit_core::{GapQuery, Imputation, PointProvenance};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// I/O errors with file context.
 #[derive(Debug)]
 pub enum IoError {
-    /// CSV parse / write failure.
-    Csv(AggError),
+    /// Reading or writing the file failed.
+    Io(std::io::Error),
     /// The file is missing a required column.
     MissingColumn(&'static str),
-    /// A column has the wrong type.
-    BadColumn(&'static str),
-    /// One field of one row could not be parsed (1-based line number,
-    /// the header counting as line 1).
+    /// One field of one row is missing or could not be parsed (1-based
+    /// line number, the header counting as line 1).
     BadField {
         /// 1-based line number of the offending row.
         line: usize,
         /// Name of the offending column.
-        column: &'static str,
-        /// The raw field text (empty when the row was too short).
-        value: String,
+        column: String,
+        /// The raw field text, or `None` when the row ended before it.
+        value: Option<String>,
+    },
+    /// A row has more fields than the header names.
+    ExtraFields {
+        /// 1-based line number of the offending row.
+        line: usize,
+        /// Number of header columns.
+        expected: usize,
+        /// Number of fields in the row.
+        found: usize,
     },
 }
 
 impl std::fmt::Display for IoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IoError::Csv(e) => write!(f, "csv: {e}"),
+            IoError::Io(e) => write!(f, "csv: io error: {e}"),
             IoError::MissingColumn(c) => write!(f, "missing column `{c}`"),
-            IoError::BadColumn(c) => write!(f, "column `{c}` has the wrong type"),
             IoError::BadField {
                 line,
                 column,
-                value,
-            } if value.is_empty() => {
-                write!(f, "line {line}: row has no field for column `{column}`")
-            }
+                value: None,
+            } => write!(f, "line {line}: row has no field for column `{column}`"),
             IoError::BadField {
                 line,
                 column,
-                value,
+                value: Some(value),
+            } if value.is_empty() => write!(f, "line {line}, field `{column}` is empty"),
+            IoError::BadField {
+                line,
+                column,
+                value: Some(value),
             } => write!(f, "line {line}, field `{column}`: cannot parse `{value}`"),
+            IoError::ExtraFields {
+                line,
+                expected,
+                found,
+            } => write!(f, "line {line}: {found} fields, the header has {expected}"),
         }
     }
 }
 
 impl std::error::Error for IoError {}
 
-impl From<AggError> for IoError {
-    fn from(e: AggError) -> Self {
-        IoError::Csv(e)
+impl From<std::io::Error> for IoError {
+    fn from(e: std::io::Error) -> Self {
+        IoError::Io(e)
     }
 }
 
 impl From<IoError> for crate::ServiceError {
     fn from(e: IoError) -> Self {
         let code = match &e {
-            IoError::Csv(AggError::Io(_)) => crate::ErrorCode::Io,
-            IoError::Csv(_) | IoError::BadField { .. } => crate::ErrorCode::Csv,
-            IoError::MissingColumn(_) | IoError::BadColumn(_) => crate::ErrorCode::BadInput,
+            IoError::Io(_) => crate::ErrorCode::Io,
+            IoError::BadField { .. } | IoError::ExtraFields { .. } => crate::ErrorCode::Csv,
+            IoError::MissingColumn(_) => crate::ErrorCode::BadInput,
         };
         crate::ServiceError::new(code, e.to_string())
     }
 }
 
-/// Numeric column as f64 regardless of inferred integer/float type.
-fn numeric(table: &Table, name: &'static str) -> Result<Vec<f64>, IoError> {
-    let col = table
-        .column_by_name(name)
-        .map_err(|_| IoError::MissingColumn(name))?;
-    if let Some(v) = col.f64_values() {
-        return Ok(v.to_vec());
-    }
-    if let Some(v) = col.i64_values() {
-        return Ok(v.iter().map(|&x| x as f64).collect());
-    }
-    if let Some(v) = col.u64_values() {
-        return Ok(v.iter().map(|&x| x as f64).collect());
-    }
-    Err(IoError::BadColumn(name))
-}
-
-/// Integer column as i64.
-fn integer(table: &Table, name: &'static str) -> Result<Vec<i64>, IoError> {
-    let col = table
-        .column_by_name(name)
-        .map_err(|_| IoError::MissingColumn(name))?;
-    if let Some(v) = col.i64_values() {
-        return Ok(v.to_vec());
-    }
-    if let Some(v) = col.u64_values() {
-        return Ok(v.iter().map(|&x| x as i64).collect());
-    }
-    Err(IoError::BadColumn(name))
-}
-
-fn ais_from_table(table: &Table) -> Result<Vec<Trajectory>, IoError> {
-    let n = table.num_rows();
-    let mmsi = integer(table, "mmsi")?;
-    let t = integer(table, "t")?;
-    let lon = numeric(table, "lon")?;
-    let lat = numeric(table, "lat")?;
-    let sog = numeric(table, "sog").unwrap_or_else(|_| vec![0.0; n]);
-    let cog = numeric(table, "cog").unwrap_or_else(|_| vec![0.0; n]);
-    let heading = numeric(table, "heading").unwrap_or_else(|_| cog.clone());
+fn ais_from_text(text: &str) -> Result<Vec<Trajectory>, IoError> {
+    let mut csv = CsvDecoder::new(text);
+    let mmsi = csv.required("mmsi")?;
+    let t = csv.required("t")?;
+    let lon = csv.required("lon")?;
+    let lat = csv.required("lat")?;
+    let [sog, cog, heading] = ["sog", "cog", "heading"].map(|name| csv.column(name));
 
     let mut per_vessel: BTreeMap<u64, Vec<AisPoint>> = BTreeMap::new();
-    for i in 0..n {
-        let mut p = AisPoint::new(mmsi[i] as u64, t[i], lon[i], lat[i], sog[i], cog[i]);
-        p.heading = heading[i];
+    while csv.next_row()? {
+        let mut p = AisPoint::new(
+            csv.field(mmsi)?,
+            csv.field(t)?,
+            csv.field(lon)?,
+            csv.field(lat)?,
+            csv.field_or(sog, 0.0)?,
+            csv.field_or(cog, 0.0)?,
+        );
+        p.heading = csv.field_or(heading, p.cog)?;
         per_vessel.entry(p.mmsi).or_default().push(p);
     }
     Ok(per_vessel
@@ -142,141 +133,82 @@ fn ais_from_table(table: &Table) -> Result<Vec<Trajectory>, IoError> {
 
 /// Reads an AIS CSV into one trajectory per MMSI (sorted by time).
 ///
-/// Required columns: `mmsi`, `t`, `lon`, `lat`; optional: `sog`, `cog`,
-/// `heading` (default 0 when absent).
+/// Required columns: `mmsi`, `t`, `lon`, `lat`; optional: `sog`, `cog`
+/// (0 when absent) and `heading` (the course when absent).
 pub fn read_ais_csv(path: &Path) -> Result<Vec<Trajectory>, IoError> {
-    ais_from_table(&read_csv_path(path)?)
+    ais_from_text(&std::fs::read_to_string(path)?)
 }
 
 /// Reads an AIS CSV from any reader (e.g. stdin).
 pub fn read_ais_csv_reader<R: Read>(reader: R) -> Result<Vec<Trajectory>, IoError> {
-    ais_from_table(&read_csv(reader)?)
+    ais_from_text(&read_text(reader)?)
 }
 
 /// Writes trajectories as an AIS CSV.
 pub fn write_ais_csv(trajectories: &[Trajectory], path: &Path) -> Result<(), IoError> {
-    let n: usize = trajectories.iter().map(|t| t.len()).sum();
-    let mut mmsi = Vec::with_capacity(n);
-    let mut t = Vec::with_capacity(n);
-    let mut lon = Vec::with_capacity(n);
-    let mut lat = Vec::with_capacity(n);
-    let mut sog = Vec::with_capacity(n);
-    let mut cog = Vec::with_capacity(n);
-    let mut heading = Vec::with_capacity(n);
-    for traj in trajectories {
-        for p in &traj.points {
-            mmsi.push(p.mmsi as i64);
-            t.push(p.t);
-            lon.push(p.pos.lon);
-            lat.push(p.pos.lat);
-            sog.push(p.sog);
-            cog.push(p.cog);
-            heading.push(p.heading);
+    write_csv(path, "mmsi,t,lon,lat,sog,cog,heading", |out| {
+        for p in trajectories.iter().flat_map(|traj| &traj.points) {
+            writeln!(
+                out,
+                "{},{},{},{},{},{},{}",
+                p.mmsi, p.t, p.pos.lon, p.pos.lat, p.sog, p.cog, p.heading
+            )?;
         }
-    }
-    let table = Table::from_columns(vec![
-        ("mmsi", Column::from_i64(mmsi)),
-        ("t", Column::from_i64(t)),
-        ("lon", Column::from_f64(lon)),
-        ("lat", Column::from_f64(lat)),
-        ("sog", Column::from_f64(sog)),
-        ("cog", Column::from_f64(cog)),
-        ("heading", Column::from_f64(heading)),
-    ])?;
-    write_csv_path(&table, path)?;
-    Ok(())
+        Ok(())
+    })
 }
 
-fn track_from_table(table: &Table) -> Result<Vec<TimedPoint>, IoError> {
-    let t = integer(table, "t")?;
-    let lon = numeric(table, "lon")?;
-    let lat = numeric(table, "lat")?;
-    let mut points: Vec<TimedPoint> = t
-        .iter()
-        .zip(lon.iter().zip(&lat))
-        .map(|(&t, (&lon, &lat))| TimedPoint::new(lon, lat, t))
-        .collect();
+fn track_from_text(text: &str) -> Result<Vec<TimedPoint>, IoError> {
+    let mut csv = CsvDecoder::new(text);
+    let t = csv.required("t")?;
+    let lon = csv.required("lon")?;
+    let lat = csv.required("lat")?;
+    let mut points = Vec::new();
+    while csv.next_row()? {
+        points.push(TimedPoint::new(
+            csv.field(lon)?,
+            csv.field(lat)?,
+            csv.field(t)?,
+        ));
+    }
     points.sort_by_key(|p| p.t);
     Ok(points)
 }
 
 /// Reads a single-vessel track CSV (`t,lon,lat`), sorted by time.
 pub fn read_track_csv(path: &Path) -> Result<Vec<TimedPoint>, IoError> {
-    track_from_table(&read_csv_path(path)?)
+    track_from_text(&std::fs::read_to_string(path)?)
 }
 
 /// Reads a track CSV from any reader (e.g. stdin).
 pub fn read_track_csv_reader<R: Read>(reader: R) -> Result<Vec<TimedPoint>, IoError> {
-    track_from_table(&read_csv(reader)?)
+    track_from_text(&read_text(reader)?)
 }
 
 /// Writes a track CSV (`t,lon,lat`).
 pub fn write_track_csv(points: &[TimedPoint], path: &Path) -> Result<(), IoError> {
-    let table = Table::from_columns(vec![
-        ("t", Column::from_i64(points.iter().map(|p| p.t).collect())),
-        (
-            "lon",
-            Column::from_f64(points.iter().map(|p| p.pos.lon).collect()),
-        ),
-        (
-            "lat",
-            Column::from_f64(points.iter().map(|p| p.pos.lat).collect()),
-        ),
-    ])?;
-    write_csv_path(&table, path)?;
-    Ok(())
+    write_csv(path, "t,lon,lat", |out| {
+        for p in points {
+            writeln!(out, "{},{},{}", p.t, p.pos.lon, p.pos.lat)?;
+        }
+        Ok(())
+    })
 }
 
-/// The gap CSV's required columns, in canonical order.
-const GAP_COLUMNS: [&str; 6] = ["lon1", "lat1", "t1", "lon2", "lat2", "t2"];
-
-/// Parses gap-CSV text by hand so errors can name the 1-based line and
-/// the offending field (the header is line 1, data starts at line 2) —
-/// the column readers above only know column names.
 fn gaps_from_text(text: &str) -> Result<Vec<GapQuery>, IoError> {
-    let mut lines = text.lines();
-    let header: Vec<&str> = lines
-        .next()
-        .unwrap_or("")
-        .split(',')
-        .map(str::trim)
-        .collect();
-    let mut indices = [0usize; 6];
-    for (slot, column) in indices.iter_mut().zip(GAP_COLUMNS) {
-        *slot = header
-            .iter()
-            .position(|name| *name == column)
-            .ok_or(IoError::MissingColumn(column))?;
-    }
+    let mut csv = CsvDecoder::new(text);
+    let [lon1, lat1, t1, lon2, lat2, t2] =
+        ["lon1", "lat1", "t1", "lon2", "lat2", "t2"].map(|name| csv.required(name));
+    let (lon1, lat1, t1, lon2, lat2, t2) = (lon1?, lat1?, t1?, lon2?, lat2?, t2?);
     let mut gaps = Vec::new();
-    for (offset, row) in lines.enumerate() {
-        let line = offset + 2;
-        if row.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = row.split(',').map(str::trim).collect();
-        let mut coords = [0.0f64; 6];
-        let mut times = [0i64; 6];
-        for (k, (&index, column)) in indices.iter().zip(GAP_COLUMNS).enumerate() {
-            let raw = *fields.get(index).ok_or_else(|| IoError::BadField {
-                line,
-                column,
-                value: String::new(),
-            })?;
-            let parse_err = || IoError::BadField {
-                line,
-                column,
-                value: raw.to_string(),
-            };
-            // t1/t2 are integer seconds; the coordinates are floats.
-            if column.starts_with('t') {
-                times[k] = raw.parse().map_err(|_| parse_err())?;
-            } else {
-                coords[k] = raw.parse().map_err(|_| parse_err())?;
-            }
-        }
+    while csv.next_row()? {
         gaps.push(GapQuery::new(
-            coords[0], coords[1], times[2], coords[3], coords[4], times[5],
+            csv.field(lon1)?,
+            csv.field(lat1)?,
+            csv.field(t1)?,
+            csv.field(lon2)?,
+            csv.field(lat2)?,
+            csv.field(t2)?,
         ));
     }
     Ok(gaps)
@@ -285,48 +217,25 @@ fn gaps_from_text(text: &str) -> Result<Vec<GapQuery>, IoError> {
 /// Reads a gap-query CSV (`lon1,lat1,t1,lon2,lat2,t2`), one query per
 /// row, in row order. Parse failures name the 1-based line and field.
 pub fn read_gaps_csv(path: &Path) -> Result<Vec<GapQuery>, IoError> {
-    let text = std::fs::read_to_string(path).map_err(|e| IoError::Csv(AggError::Io(e)))?;
-    gaps_from_text(&text)
+    gaps_from_text(&std::fs::read_to_string(path)?)
 }
 
 /// Reads a gap-query CSV from any reader (e.g. stdin).
-pub fn read_gaps_csv_reader<R: Read>(mut reader: R) -> Result<Vec<GapQuery>, IoError> {
-    let mut text = String::new();
-    reader
-        .read_to_string(&mut text)
-        .map_err(|e| IoError::Csv(AggError::Io(e)))?;
-    gaps_from_text(&text)
+pub fn read_gaps_csv_reader<R: Read>(reader: R) -> Result<Vec<GapQuery>, IoError> {
+    gaps_from_text(&read_text(reader)?)
 }
 
 /// Writes imputed batch results as a track CSV with a leading `gap`
 /// column (`gap,t,lon,lat`); failed queries contribute no rows.
 pub fn write_batch_csv(results: &[Option<&Imputation>], path: &Path) -> Result<(), IoError> {
-    let n: usize = results
-        .iter()
-        .map(|r| r.map_or(0, |imp| imp.points.len()))
-        .sum();
-    let mut gap = Vec::with_capacity(n);
-    let mut t = Vec::with_capacity(n);
-    let mut lon = Vec::with_capacity(n);
-    let mut lat = Vec::with_capacity(n);
-    for (i, result) in results.iter().enumerate() {
-        if let Some(imp) = result {
-            for p in &imp.points {
-                gap.push(i as u64);
-                t.push(p.t);
-                lon.push(p.pos.lon);
-                lat.push(p.pos.lat);
+    write_csv(path, "gap,t,lon,lat", |out| {
+        for (i, result) in results.iter().enumerate() {
+            for p in result.iter().flat_map(|imp| &imp.points) {
+                writeln!(out, "{i},{},{},{}", p.t, p.pos.lon, p.pos.lat)?;
             }
         }
-    }
-    let table = Table::from_columns(vec![
-        ("gap", Column::from_u64(gap)),
-        ("t", Column::from_i64(t)),
-        ("lon", Column::from_f64(lon)),
-        ("lat", Column::from_f64(lat)),
-    ])?;
-    write_csv_path(&table, path)?;
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Header of the provenance CSV (`habit impute --provenance`).
@@ -373,7 +282,7 @@ pub fn render_provenance_csv(imp: &Imputation) -> String {
 
 /// Writes [`render_provenance_csv`] to `path`.
 pub fn write_provenance_csv(imp: &Imputation, path: &Path) -> Result<(), IoError> {
-    std::fs::write(path, render_provenance_csv(imp)).map_err(|e| IoError::Csv(AggError::Io(e)))
+    Ok(std::fs::write(path, render_provenance_csv(imp))?)
 }
 
 /// Writes batch results with provenance as a provenance CSV with a
@@ -395,7 +304,7 @@ pub fn write_batch_provenance_csv(
             out.push('\n');
         }
     }
-    std::fs::write(path, out).map_err(|e| IoError::Csv(AggError::Io(e)))
+    Ok(std::fs::write(path, out)?)
 }
 
 #[cfg(test)]
@@ -598,7 +507,8 @@ mod tests {
         assert!(
             matches!(
                 &err,
-                IoError::BadField { line: 3, column: "lat1", value } if value == "north"
+                IoError::BadField { line: 3, column, value: Some(value) }
+                    if column == "lat1" && value == "north"
             ),
             "{err:?}"
         );
@@ -614,14 +524,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            matches!(
-                &err,
-                IoError::BadField {
-                    line: 2,
-                    column: "t1",
-                    ..
-                }
-            ),
+            matches!(&err, IoError::BadField { line: 2, column, .. } if column == "t1"),
             "{err:?}"
         );
 
@@ -629,7 +532,7 @@ mod tests {
         let err = read_gaps_csv_reader("lon1,lat1,t1,lon2,lat2,t2\n10.1,56.0,0\n".as_bytes())
             .unwrap_err();
         assert!(
-            matches!(&err, IoError::BadField { line: 2, column: "lon2", value } if value.is_empty()),
+            matches!(&err, IoError::BadField { line: 2, column, value: None } if column == "lon2"),
             "{err:?}"
         );
         assert!(err.to_string().contains("line 2"), "{err}");
@@ -642,6 +545,45 @@ mod tests {
         assert_eq!(gaps.len(), 1);
         assert_eq!(gaps[0].end.t, 3600);
         assert!((gaps[0].start.pos.lon - 10.1).abs() < 1e-12);
+    }
+
+    /// A present field must parse: a blank or unparsable value in any
+    /// column, required or optional, is a `csv` error naming the line
+    /// and the column — never a default.
+    #[test]
+    fn ais_fields_that_do_not_parse_are_csv_errors() {
+        let header = "mmsi,t,lon,lat,sog,cog,heading\n5,0,10.0,56.0,12.5,90.0,91.0\n";
+        for (row, column) in [
+            ("5,60,10.1,,12.5,90.0,91.0", "lat"),
+            ("5,60,10.1,56.0,n/a,90.0,91.0", "sog"),
+            ("5,60,10.1,56.0,12.5,90.0,", "heading"),
+            ("-5,60,10.1,56.0,12.5,90.0,91.0", "mmsi"),
+            ("5,1.5,10.1,56.0,12.5,90.0,91.0", "t"),
+        ] {
+            let err = read_ais_csv_reader(format!("{header}{row}\n").as_bytes()).unwrap_err();
+            assert!(
+                matches!(&err, IoError::BadField { line: 3, column: c, .. } if c == column),
+                "{row}: {err:?}"
+            );
+            let svc: crate::ServiceError = err.into();
+            assert_eq!(svc.code, crate::ErrorCode::Csv);
+            assert!(svc.message.contains("line 3"), "{svc}");
+            assert!(svc.message.contains(&format!("`{column}`")), "{svc}");
+        }
+        let good =
+            read_ais_csv_reader(format!("{header}5,60,10.1,56.0,12.5,90.0,91.0\n").as_bytes());
+        assert_eq!(good.expect("valid rows").len(), 1);
+    }
+
+    #[test]
+    fn track_fields_that_do_not_parse_are_csv_errors() {
+        let err =
+            read_track_csv_reader("t,lon,lat\n0,10.0,56.0\n60,,56.0\n".as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::BadField { line: 3, column, value: Some(v) } if column == "lon" && v.is_empty()),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "line 3, field `lon` is empty");
     }
 
     #[test]

@@ -138,7 +138,6 @@ impl From<habit_core::HabitError> for ServiceError {
     fn from(e: habit_core::HabitError) -> Self {
         use habit_core::HabitError;
         let code = match &e {
-            HabitError::BadInput(_) => ErrorCode::BadInput,
             HabitError::Grid(_) => ErrorCode::Grid,
             HabitError::EmptyModel => ErrorCode::EmptyModel,
             HabitError::NoPath { .. } => ErrorCode::NoPath,
@@ -157,17 +156,6 @@ impl From<habit_engine::BatchFailure> for ServiceError {
             habit_engine::BatchFailure::NoPath { .. } => ErrorCode::NoPath,
             habit_engine::BatchFailure::Snap(_) => ErrorCode::SnapFailed,
             habit_engine::BatchFailure::InvalidGap(_) => ErrorCode::BadRequest,
-        };
-        Self::new(code, e.to_string())
-    }
-}
-
-impl From<aggdb::AggError> for ServiceError {
-    fn from(e: aggdb::AggError) -> Self {
-        let code = match &e {
-            aggdb::AggError::Csv { .. } => ErrorCode::Csv,
-            aggdb::AggError::Io(_) => ErrorCode::Io,
-            _ => ErrorCode::BadInput,
         };
         Self::new(code, e.to_string())
     }

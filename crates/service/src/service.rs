@@ -23,8 +23,7 @@ use crate::response::{
     AdmissionInfo, BatchOutcome, FitStateInfo, FitSummary, HealthInfo, ModelReport, RefitSummary,
     RepairOutcome, RepairedGap, Response,
 };
-use aggdb::Table;
-use ais::{segment_all, segment_all_from, trips_to_table, TripConfig};
+use ais::{segment_all, segment_all_from, trips_to_table, TripConfig, TripTable};
 use habit_core::{GapQuery, HabitConfig, HabitModel};
 use habit_engine::{fit_sharded_traced, refit_model_traced, BatchImputer, BatchStats, ThreadPool};
 use std::borrow::Cow;
@@ -73,7 +72,7 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// pass over history ∪ delta would have assigned (service-fitted
 /// histories are dense, so max == count) and never alias an existing
 /// id — the per-transition distinct-trip counts would under-count.
-fn read_delta(input: &str, first_id: u64) -> Result<Table, ServiceError> {
+fn read_delta(input: &str, first_id: u64) -> Result<TripTable, ServiceError> {
     let trajectories = crate::csvio::read_ais_csv(Path::new(input))?;
     let trips = segment_all_from(&trajectories, &TripConfig::default(), first_id);
     if trips.is_empty() {

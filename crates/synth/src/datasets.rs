@@ -101,8 +101,8 @@ impl Dataset {
         sink.0
     }
 
-    /// Segments trips and materializes the trip table (`aggdb`).
-    pub fn trip_table(&self) -> aggdb::Table {
+    /// Segments trips and materializes the trip table.
+    pub fn trip_table(&self) -> ais::TripTable {
         trips_to_table(&self.trips())
     }
 }
@@ -543,7 +543,7 @@ mod tests {
     fn trip_table_has_expected_columns() {
         let d = kiel(tiny());
         let t = d.trip_table();
-        assert_eq!(t.num_columns(), 7);
-        assert!(t.num_rows() > 0);
+        assert!(!t.is_empty());
+        assert_eq!(t.len(), d.trips().iter().map(|t| t.points.len()).sum());
     }
 }

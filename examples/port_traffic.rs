@@ -1,4 +1,4 @@
-//! Port-traffic analytics over the SAR scenario — the aggdb + HABIT
+//! Port-traffic analytics over the SAR scenario — the trip table + HABIT
 //! stack used for maritime decision-making (paper §1, "prioritize
 //! actions in congested areas").
 //!

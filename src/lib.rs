@@ -7,12 +7,12 @@
 //!
 //! * [`geo`] — geodesy and planar-geometry primitives;
 //! * [`hexgrid`] — the hierarchical hexagonal spatial index (H3 substitute);
-//! * [`aggdb`] — the in-memory columnar aggregation engine (DuckDB
-//!   substitute);
+//! * [`aggdb`] — the aggregates of the paper's DuckDB CTE:
+//!   `approx_count_distinct` (HyperLogLog), `median`, FxHash;
 //! * [`mobgraph`] — directed weighted graphs with A*/Dijkstra (NetworkX
 //!   substitute);
-//! * [`ais`] — AIS cleaning, mobility-event annotation and trip
-//!   segmentation;
+//! * [`ais`] — AIS cleaning, mobility-event annotation, trip
+//!   segmentation and the typed trip table;
 //! * [`synth`] — the synthetic maritime world and AIS feed generator;
 //! * [`core`] — the HABIT model itself (fit / impute / serialize);
 //! * [`engine`] — the parallel serving subsystem (sharded fit, batched
@@ -62,8 +62,7 @@ pub use synth;
 
 /// The most commonly used items, importable with one `use`.
 pub mod prelude {
-    pub use aggdb::{Column, Table};
-    pub use ais::{AisPoint, Trajectory, Trip, VesselType};
+    pub use ais::{AisPoint, Trajectory, Trip, TripTable, VesselType};
     pub use baselines::{impute_sli, GtiConfig, GtiModel};
     pub use density::{DensityDiff, DensityMap};
     pub use eval::{resampled_dtw_m, split_trips, GapCase};

@@ -199,10 +199,8 @@ fn vessel_histories_produce_cell_statistics_consistent_with_aggdb() {
     // Count messages per cell directly and compare with the statistics
     // stored on the graph nodes.
     let grid = HexGrid::new();
-    let lon = table.column_by_name("lon").unwrap().f64_values().unwrap();
-    let lat = table.column_by_name("lat").unwrap().f64_values().unwrap();
     let mut msgs_per_cell: std::collections::BTreeMap<u64, u64> = Default::default();
-    for (&x, &y) in lon.iter().zip(lat) {
+    for (&x, &y) in table.lon().iter().zip(table.lat()) {
         let cell = grid.cell(&GeoPoint::new(x, y), 8).expect("cell");
         *msgs_per_cell.entry(cell.raw()).or_default() += 1;
     }

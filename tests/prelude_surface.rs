@@ -65,8 +65,7 @@ fn prelude_types_are_nameable() {
     assert_type::<Trajectory>();
     assert_type::<Trip>();
     assert_type::<VesselType>();
-    assert_type::<Column>();
-    assert_type::<Table>();
+    assert_type::<TripTable>();
     assert_type::<DensityDiff>();
     assert_type::<DensityMap>();
     assert_type::<GapCase>();

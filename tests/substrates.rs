@@ -1,5 +1,5 @@
 //! Cross-substrate integration tests: invariants that hold *between*
-//! crates (hexgrid ↔ geo, aggdb ↔ ais, mobgraph ↔ habit-core), plus
+//! crates (hexgrid ↔ geo, ais ↔ habit-core, mobgraph ↔ habit-core), plus
 //! property-based checks at the crate boundaries.
 
 use habit::aggdb::fxhash::FxHashSet;
@@ -88,7 +88,7 @@ proptest! {
 }
 
 // ------------------------------------------------------------------
-// aggdb ↔ ais ↔ habit-core
+// ais ↔ habit-core
 
 /// The fit's `GROUP BY cl` against a hand computation: three trips
 /// shuttling between two cells with known counts, vessels and medians.
