@@ -15,7 +15,7 @@
 
 use ais::Trip;
 use geo_kernel::{haversine_m, GeoPoint, TimedPoint};
-use mobgraph::{dijkstra, DiGraph, NearestIndex};
+use mobgraph::{dijkstra, CsrGraph, DiGraph, NearestIndex};
 
 /// GTI hyper-parameters, named as in the paper: `rm` (radius in meters)
 /// and `rd` (radius in degrees).
@@ -166,9 +166,11 @@ impl GtiModel {
         self.graph.edge_count()
     }
 
-    /// Serialized model size in bytes — the paper's Table 2 metric.
+    /// Serialized model size in bytes — the paper's Table 2 metric: the
+    /// point graph written in HABIT's own graph layout (HBG1), so both
+    /// frameworks are measured in one format.
     pub fn storage_bytes(&self) -> usize {
-        self.graph.to_bytes().len()
+        CsrGraph::from_digraph(&self.graph).to_bytes().len()
     }
 
     /// Imputes a gap: snap endpoints, Dijkstra over the point graph,

@@ -71,9 +71,9 @@ re-exporting a prelude:
 | crate | role |
 |-------|------|
 | `crates/geo` (`geo-kernel`) | geodesic primitives: haversine, bearings, RDP simplification, polylines, GeoJSON writers |
-| `crates/hexgrid` | H3-style hexagonal grid: cell ids, lat/lon↔cell, neighbors, polygon cover |
+| `crates/hexgrid` | H3-style hexagonal grid: cell ids, lat/lon↔cell, neighbors, cell boundaries |
 | `crates/aggdb` | the aggregates of the paper's DuckDB CTE: `approx_count_distinct` (HyperLogLog, with its serialized record), exact `median`, and the FxHash the sketches and hash maps use |
-| `crates/mobgraph` | mobility graph: per-cell stats, transition edges, A* search, compact codec |
+| `crates/mobgraph` | mobility graph: frozen CSR transition graph (one constructor, one HBG1 codec), mutable adjacency list, A* search |
 | `crates/ais` | AIS data model, cleaning filters, mobility events, trip segmentation, the typed seven-column `TripTable` |
 | `crates/synth` | seeded synthetic AIS datasets mirroring the paper's DAN / KIEL / SAR feeds |
 | `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, the typed window `lag`, persistable `FitState` — the paper's two group-bys as typed, mergeable accumulators (v2 model container) |

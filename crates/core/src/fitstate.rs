@@ -16,7 +16,10 @@
 //!   group runs, and
 //! * **finalized** into the [`TransitionGraph`] at any point
 //!   ([`FitState::finalize`]) without cloning an accumulator or losing
-//!   the ability to keep merging,
+//!   the ability to keep merging — the key-sorted transition groups are
+//!   already CSR source order, so finalize hands node and edge lists
+//!   straight to the frozen `mobgraph::CsrGraph`, the graph's one
+//!   layout,
 //!
 //! and it serializes to the **versioned `HFS1` blob** embedded in v2
 //! model containers ([`crate::HabitModel::to_bytes_full`]). This is the
@@ -235,7 +238,8 @@ impl FitState {
     }
 
     /// Finishes the accumulators into the canonical [`TransitionGraph`]
-    /// **without consuming the state** — it remains mergeable, which is
+    /// — the frozen CSR a [`crate::HabitModel`] serves from —
+    /// **without consuming the state**: it remains mergeable, which is
     /// exactly what lets a daemon refit and re-finalize day after day.
     pub fn finalize(&self) -> Result<TransitionGraph, HabitError> {
         let cells = &self.cells;

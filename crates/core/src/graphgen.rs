@@ -10,7 +10,8 @@
 //! 4. group by `cl` → per-cell statistics; group by `(lag_cl, cl)` →
 //!    transition statistics — the typed, mergeable accumulators of
 //!    [`crate::FitState`];
-//! 5. assemble the weighted directed graph from the finished groups.
+//! 5. assemble the weighted directed graph from the finished groups,
+//!    straight into its one layout, the frozen [`CsrGraph`].
 
 use crate::config::HabitConfig;
 use crate::error::HabitError;
@@ -18,10 +19,10 @@ use crate::window::{lag_cells, LaggedTrips};
 use ais::TripTable;
 use geo_kernel::GeoPoint;
 use hexgrid::{HexCell, HexGrid};
-use mobgraph::{Codec, DiGraph};
+use mobgraph::{Codec, CsrGraph};
 
 /// The weighted directed transition graph a fit produces.
-pub type TransitionGraph = DiGraph<CellStats, EdgeStats>;
+pub type TransitionGraph = CsrGraph<CellStats, EdgeStats>;
 
 /// Per-cell aggregate statistics — the graph's node attributes
 /// (paper §3.2 "for each H3 cell group cl we compute …").
@@ -70,37 +71,20 @@ pub struct EdgeStats {
     pub transitions: u32,
     /// Transition length in H3 cells (`h3_grid_distance`); > 1 when a
     /// sparse trajectory skipped cells.
-    pub grid_distance: u16,
+    pub grid_distance: u32,
 }
 
 impl Codec for EdgeStats {
     fn encode(&self, out: &mut Vec<u8>) {
         self.transitions.encode(out);
-        (self.grid_distance as u32).encode(out);
+        self.grid_distance.encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         Some(Self {
             transitions: u32::decode(buf)?,
-            grid_distance: u16::try_from(u32::decode(buf)?).ok()?,
+            grid_distance: u32::decode(buf)?,
         })
     }
-}
-
-/// Runs phases 1–2 and returns the transition graph.
-///
-/// This is `FitState::accumulate(...).finalize()` — the one-shot table
-/// scan *is* the staged partial-aggregate pipeline, so a graph built
-/// here can never diverge from one built by merging shard or delta
-/// states ([`crate::FitState`]). The graph is assembled in **canonical
-/// order** — cell statistics sorted by cell id, transitions sorted by
-/// `(lag_cl, cl)` — so the result (and hence a serialized
-/// [`crate::HabitModel`]) is a pure function of the input *set* of rows,
-/// independent of row order, sharding, and refit history.
-pub fn build_transition_graph(
-    table: &TripTable,
-    config: &HabitConfig,
-) -> Result<DiGraph<CellStats, EdgeStats>, HabitError> {
-    crate::fitstate::FitState::accumulate(table, *config)?.finalize()
 }
 
 /// Stages 1–3 of graph generation: cell assignment, the cell-span drift
@@ -142,46 +126,53 @@ pub fn lagged_trip_table<'a>(
 
 /// Phase-2 step 5: assembles the weighted directed graph from the two
 /// finished group-bys. `transitions` yields `(lag_cl, cl, distinct
-/// trips)` and `cell_stats` looks a cell's statistics up. Nodes are the
-/// cells present in the edge list (paper: "nodes … identified by the
+/// trips)` with distinct keys — the fit passes them ascending, which is
+/// CSR order, so [`CsrGraph::from_parts`] has nothing to sort — and
+/// `cell_stats` looks a cell's statistics up. Nodes are the cells
+/// present in the edge list (paper: "nodes … identified by the
 /// corresponding H3 cells present in the edge list"), attributed from
-/// the cell statistics. Node and edge insertion follow the order of
-/// `transitions`, so callers pass it key-sorted for a canonical graph.
+/// the cell statistics, or the cell center for a cell no row landed in.
 pub(crate) fn assemble_graph(
     transitions: impl IntoIterator<Item = (u64, u64, u64)>,
     cell_stats: impl Fn(u64) -> Option<CellStats>,
 ) -> Result<TransitionGraph, HabitError> {
     let grid = HexGrid::new();
-    let mut graph = TransitionGraph::new();
+    let mut edges = Vec::new();
     for (from, to, trips) in transitions {
         let (from_cell, to_cell) = (HexCell::from_raw(from)?, HexCell::from_raw(to)?);
-        for (id, cell) in [(from, from_cell), (to, to_cell)] {
-            if graph.node_index(id).is_none() {
-                let stats = cell_stats(id).unwrap_or_else(|| {
-                    let center = grid.center(cell);
-                    CellStats {
-                        median_lon: center.lon,
-                        median_lat: center.lat,
-                        msg_count: 0,
-                        vessels: 0,
-                        median_sog: 0.0,
-                        median_cog: 0.0,
-                    }
-                });
-                graph.add_node(id, stats);
-            }
-        }
-        let edge = EdgeStats {
+        let stats = EdgeStats {
             transitions: (trips as u32).max(1),
-            grid_distance: grid.grid_distance(from_cell, to_cell)? as u16,
+            grid_distance: grid.grid_distance(from_cell, to_cell)?,
         };
-        graph.add_edge(from, to, edge);
+        edges.push((from, to, stats));
     }
-
-    if graph.node_count() == 0 {
+    if edges.is_empty() {
         return Err(HabitError::EmptyModel);
     }
-    Ok(graph)
+
+    let mut ids: Vec<u64> = edges.iter().flat_map(|&(from, to, _)| [from, to]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let mut nodes = Vec::with_capacity(ids.len());
+    for id in ids {
+        let stats = match cell_stats(id) {
+            Some(stats) => stats,
+            None => {
+                let center = grid.center(HexCell::from_raw(id)?);
+                CellStats {
+                    median_lon: center.lon,
+                    median_lat: center.lat,
+                    msg_count: 0,
+                    vessels: 0,
+                    median_sog: 0.0,
+                    median_cog: 0.0,
+                }
+            }
+        };
+        nodes.push((id, stats));
+    }
+    Ok(CsrGraph::from_parts(nodes, edges)
+        .expect("distinct transition keys over their own endpoint cells"))
 }
 
 /// `true` when a trip's cells number at most `span` and are pairwise
@@ -211,7 +202,12 @@ fn is_drift(grid: &HexGrid, cells: impl Iterator<Item = u64>, span: usize) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fitstate::FitState;
     use ais::{trips_to_table, AisPoint, Trip};
+
+    fn fit_graph(table: &TripTable, config: &HabitConfig) -> Result<TransitionGraph, HabitError> {
+        FitState::accumulate(table, *config)?.finalize()
+    }
 
     /// Builds trips flying east along lat 56 at ~12 kn, one report/min.
     fn eastbound_trip(trip_id: u64, mmsi: u64, n: usize) -> Trip {
@@ -239,17 +235,12 @@ mod tests {
             .map(|k| eastbound_trip(k + 1, 100 + k, 120))
             .collect();
         let table = trips_to_table(&trips);
-        let g = build_transition_graph(&table, &HabitConfig::default()).unwrap();
+        let g = fit_graph(&table, &HabitConfig::default()).unwrap();
         assert!(g.node_count() > 10, "nodes {}", g.node_count());
         assert!(g.edge_count() >= g.node_count() - 1);
         // All 5 trips follow the same lane: every edge should have seen
         // roughly 5 transitions.
-        let mut weights: Vec<u32> = Vec::new();
-        for (id, _) in g.nodes() {
-            for e in g.edges_from(id).unwrap() {
-                weights.push(e.payload.transitions);
-            }
-        }
+        let weights: Vec<u32> = g.weights().iter().map(|e| e.transitions).collect();
         let avg: f64 = weights.iter().map(|w| *w as f64).sum::<f64>() / weights.len() as f64;
         assert!(avg > 3.0, "avg transitions {avg}");
     }
@@ -258,7 +249,7 @@ mod tests {
     fn node_attributes_are_medians() {
         let trips = vec![eastbound_trip(1, 100, 200)];
         let table = trips_to_table(&trips);
-        let g = build_transition_graph(&table, &HabitConfig::default()).unwrap();
+        let g = fit_graph(&table, &HabitConfig::default()).unwrap();
         for (_, stats) in g.nodes() {
             if stats.msg_count > 0 {
                 assert!((stats.median_lat - 56.0).abs() < 0.01);
@@ -281,7 +272,7 @@ mod tests {
         };
         let real = eastbound_trip(2, 101, 100);
         let table = trips_to_table(&[drift, real]);
-        let g = build_transition_graph(&table, &HabitConfig::default()).unwrap();
+        let g = fit_graph(&table, &HabitConfig::default()).unwrap();
         // All nodes stem from the eastbound lane at lat 56, lon >= 10.
         for (_, stats) in g.nodes() {
             assert!(stats.median_lon >= 9.99);
@@ -297,7 +288,7 @@ mod tests {
         };
         let t2 = trips_to_table(&[only_drift]);
         assert!(matches!(
-            build_transition_graph(&t2, &HabitConfig::default()),
+            fit_graph(&t2, &HabitConfig::default()),
             Err(HabitError::EmptyModel)
         ));
     }
@@ -325,8 +316,8 @@ mod tests {
             })
             .collect();
         let table = trips_to_table(&trips);
-        let g8 = build_transition_graph(&table, &HabitConfig::with_r_t(8, 100.0)).unwrap();
-        let g10 = build_transition_graph(&table, &HabitConfig::with_r_t(10, 100.0)).unwrap();
+        let g8 = fit_graph(&table, &HabitConfig::with_r_t(8, 100.0)).unwrap();
+        let g10 = fit_graph(&table, &HabitConfig::with_r_t(10, 100.0)).unwrap();
         assert!(
             g10.node_count() > g8.node_count() * 2,
             "r8 {} vs r10 {}",
@@ -335,21 +326,62 @@ mod tests {
         );
     }
 
-    /// HBG1 stores `grid_distance` in a u32 slot; a value that does not
-    /// fit the u16 field is corruption, not a distance to truncate.
+    /// Sparse reports at r=15 (about 37 km apart, cells half a metre
+    /// across) make transitions tens of thousands of cells long: every
+    /// edge stores the exact `HexGrid::grid_distance` of its endpoints,
+    /// past `u16::MAX` included.
     #[test]
-    fn edge_stats_decode_rejects_grid_distance_above_u16() {
-        let mut buf = Vec::new();
-        7u32.encode(&mut buf);
-        70_000u32.encode(&mut buf);
-        assert_eq!(EdgeStats::decode(&mut buf.as_slice()), None);
-        let mut max = Vec::new();
-        7u32.encode(&mut max);
-        u32::from(u16::MAX).encode(&mut max);
-        assert_eq!(
-            EdgeStats::decode(&mut max.as_slice()).map(|e| e.grid_distance),
-            Some(u16::MAX)
+    fn fine_resolution_grid_distances_are_exact() {
+        let sparse = |trip_id: u64, lat: f64| Trip {
+            trip_id,
+            mmsi: 100 + trip_id,
+            points: (0..4)
+                .map(|i| {
+                    AisPoint::new(
+                        100 + trip_id,
+                        i * 3_600,
+                        10.0 + i as f64 * 0.6,
+                        lat,
+                        12.0,
+                        90.0,
+                    )
+                })
+                .collect(),
+        };
+        let table = trips_to_table(&[sparse(1, 56.0), sparse(2, 56.01)]);
+        let g = fit_graph(&table, &HabitConfig::with_r_t(15, 100.0)).unwrap();
+        let grid = HexGrid::new();
+        let cell = |idx: u32| HexCell::from_raw(g.node_id(idx)).unwrap();
+        let mut longest = 0;
+        for from in 0..g.node_count() as u32 {
+            for (to, e) in g.edges_from_index(from) {
+                assert_eq!(
+                    e.grid_distance,
+                    grid.grid_distance(cell(from), cell(to)).unwrap()
+                );
+                longest = longest.max(e.grid_distance);
+            }
+        }
+        assert!(
+            longest > u32::from(u16::MAX),
+            "longest edge {longest} cells"
         );
+    }
+
+    /// HBG1 stores `grid_distance` in a u32 slot, and every value of it
+    /// is a distance.
+    #[test]
+    fn edge_stats_round_trip_grid_distance_above_u16() {
+        for grid_distance in [70_000u32, u32::MAX] {
+            let e = EdgeStats {
+                transitions: 7,
+                grid_distance,
+            };
+            let mut buf = Vec::new();
+            e.encode(&mut buf);
+            assert_eq!(buf.len(), 8);
+            assert_eq!(EdgeStats::decode(&mut buf.as_slice()), Some(e));
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! with or without provenance, which reads the kept indices off that
 //! same RDP run. Steady-state routing allocates only the result.
 //!
-//! The paper's naive form (per-query A* over a hash-indexed `DiGraph`,
-//! recursive sub-path-cloning RDP) is kept as the oracle in
+//! The paper's naive form (per-query A* over a hash-indexed adjacency
+//! list, recursive sub-path-cloning RDP) is kept as the oracle in
 //! [`crate::reference`]; the tests below pin this module byte-identical
 //! to it.
 
@@ -310,7 +310,7 @@ impl HabitModel {
         }
     }
 
-    /// Bakes the serving kernel's edge table once per model freeze: for
+    /// Bakes the serving kernel's edge table once per model: for
     /// every CSR edge slot, the exact `f64` cost [`Self::edge_cost`]
     /// returns plus the target's id and axial coords for the heuristic.
     /// Edge weights never change after fit, so recomputing the divide +
@@ -924,14 +924,15 @@ mod tests {
         assert_eq!(ProvenanceKind::parse("nope"), None);
     }
 
-    /// `route_between` (CSR + arena) equals the reference's (DiGraph,
-    /// per-query state) exactly, including the `expanded` effort
-    /// counter — the settle sequences are pinned identical.
+    /// `route_between` (CSR + arena) equals the [`crate::reference`]
+    /// oracle's (adjacency list, per-query state) exactly, including the
+    /// `expanded` effort counter — the settle sequences are pinned
+    /// identical.
     #[test]
     fn route_between_matches_naive_backend() {
         let model = l_model(HabitConfig::default());
         let reference = Reference::thaw(&model);
-        // Insertion order of the thawed graph, not ascending ids.
+        // Insertion order of the thawed graph: descending ids.
         let cells: Vec<HexCell> = reference
             .graph()
             .nodes()

@@ -70,7 +70,7 @@ pub use by_type::{ServedBy, TypeModels, TypeModelsConfig};
 pub use config::{CellProjection, HabitConfig, WeightScheme};
 pub use error::HabitError;
 pub use fitstate::{FitProvenance, FitState, FITSTATE_VERSION};
-pub use graphgen::{build_transition_graph, CellStats, EdgeStats};
+pub use graphgen::{CellStats, EdgeStats};
 pub use impute::{GapQuery, Imputation, PointProvenance, ProvenanceKind, Route};
 pub use model::HabitModel;
 pub use repair::{GapOutcome, RepairConfig, RepairReport};

@@ -7,7 +7,7 @@ use crate::graphgen::{CellStats, EdgeStats};
 use ais::TripTable;
 use geo_kernel::GeoPoint;
 use hexgrid::{HexCell, HexGrid};
-use mobgraph::{Codec, CsrGraph, DiGraph, NearestIndex};
+use mobgraph::{Codec, CsrGraph, NearestIndex};
 
 /// Magic bytes prefixing a serialized model ("HBM1").
 const MODEL_MAGIC: u32 = 0x4D42_4831;
@@ -26,9 +26,9 @@ const MODEL_VERSION_V2: u8 = 2;
 ///
 /// The graph is resident exactly once, as a frozen [`CsrGraph`]: snap,
 /// projection, provenance, routing and the blob writer all read its
-/// arrays. The hash-indexed [`DiGraph`] is the *build-time* form only —
-/// a fit (or a blob decode) assembles one, [`HabitModel::from_graph`]
-/// freezes it, and it is dropped.
+/// arrays. It is also the graph's only form: a fit's finalize and a
+/// blob decode ([`CsrGraph::from_bytes`], the one HBG1 reader) both
+/// build it directly, and [`HabitModel::from_graph`] takes it by value.
 ///
 /// A model fitted in this process (or loaded from a v2 blob) also
 /// carries the [`FitState`] it was finalized from, which is what makes
@@ -40,16 +40,16 @@ pub struct HabitModel {
     pub(crate) csr: CsrGraph<CellStats, EdgeStats>,
     /// Baked routing kernel, one record per CSR edge slot: the exact
     /// `f64` cost [`HabitModel::edge_cost`] returns plus the target's id
-    /// and axial `(q, r)` heuristic key, computed once at freeze time
-    /// so the serving inner loop reads one contiguous record instead of
-    /// doing a divide + `ln` and a cell decode per edge visit.
+    /// and axial `(q, r)` heuristic key, computed once when the model is
+    /// built so the serving inner loop reads one contiguous record
+    /// instead of doing a divide + `ln` and a cell decode per edge visit.
     pub(crate) route_kernel: Vec<mobgraph::BakedEdge<(i32, i32)>>,
     pub(crate) grid: HexGrid,
     pub(crate) nn: NearestIndex,
     /// Maximum edge transition count (heuristic scaling).
     pub(crate) max_transitions: u32,
     /// Maximum per-edge grid distance (heuristic admissibility bound).
-    pub(crate) max_grid_distance: u16,
+    pub(crate) max_grid_distance: u32,
     /// The partial-aggregate state the graph was finalized from
     /// (`None` for v1 blobs and graph-only constructions — such models
     /// serve but cannot be refitted).
@@ -68,16 +68,16 @@ impl HabitModel {
     /// embedded for later refits — the seam both the sequential fit and
     /// `habit-engine`'s sharded/incremental paths converge on.
     pub fn from_fit_state(state: FitState) -> Result<Self, HabitError> {
-        let mut model = Self::from_graph(&state.finalize()?, *state.config());
+        let mut model = Self::from_graph(state.finalize()?, *state.config());
         model.state = Some(state);
         Ok(model)
     }
 
-    /// Freezes an assembled transition graph into a serving model. The
-    /// result (and its bytes) depends only on the graph's node/edge
-    /// *set*, never on insertion order.
-    pub(crate) fn from_graph(graph: &DiGraph<CellStats, EdgeStats>, config: HabitConfig) -> Self {
-        let csr = CsrGraph::from_digraph(graph);
+    /// Wraps a transition graph into a serving model: the nearest-node
+    /// index, the heuristic bounds and the baked routing kernel. The
+    /// graph is canonical by construction, so the result (and its
+    /// bytes) depends only on its node/edge *set*.
+    pub(crate) fn from_graph(csr: CsrGraph<CellStats, EdgeStats>, config: HabitConfig) -> Self {
         let grid = HexGrid::new();
         // Node representative positions for the nearest-node index: the
         // median position when observed, the cell center otherwise.
@@ -94,7 +94,7 @@ impl HabitModel {
         let nn = NearestIndex::build(positions, cell_bucket_degrees(&grid, config.resolution));
 
         let mut max_transitions = 1u32;
-        let mut max_grid_distance = 1u16;
+        let mut max_grid_distance = 1u32;
         for e in csr.weights() {
             max_transitions = max_transitions.max(e.transitions);
             max_grid_distance = max_grid_distance.max(e.grid_distance);
@@ -229,14 +229,13 @@ impl HabitModel {
         let config = HabitConfig::decode(resolution, projection, weight, rdp);
         match version {
             MODEL_VERSION_V1 => {
-                let graph = DiGraph::<CellStats, EdgeStats>::from_bytes(buf)
-                    .ok_or(HabitError::BadModelBlob)?;
-                Ok(Self::from_graph(&graph, config))
+                // The rest of a v1 blob is exactly one graph.
+                let graph = CsrGraph::from_bytes(buf).ok_or(HabitError::BadModelBlob)?;
+                Ok(Self::from_graph(graph, config))
             }
             MODEL_VERSION_V2 => {
                 let graph_bytes = take_prefixed(buf).ok_or(HabitError::BadModelBlob)?;
-                let graph = DiGraph::<CellStats, EdgeStats>::from_bytes(graph_bytes)
-                    .ok_or(HabitError::BadModelBlob)?;
+                let graph = CsrGraph::from_bytes(graph_bytes).ok_or(HabitError::BadModelBlob)?;
                 let mut state_bytes = take_prefixed(buf).ok_or(HabitError::BadModelBlob)?;
                 let state = FitState::decode_from(&mut state_bytes)?;
                 if !state_bytes.is_empty() || !buf.is_empty() {
@@ -257,7 +256,7 @@ impl HabitModel {
                 {
                     return Err(HabitError::BadModelBlob);
                 }
-                let mut model = Self::from_graph(&graph, state_config);
+                let mut model = Self::from_graph(graph, state_config);
                 model.state = Some(state);
                 Ok(model)
             }
@@ -375,42 +374,63 @@ mod tests {
     }
 
     /// The model's bytes are a function of the graph's node/edge *set*:
-    /// re-inserting the fitted graph's nodes and edges in a scrambled
-    /// order freezes to a model writing the canonical fit's bytes.
+    /// the fitted graph's records handed to `from_parts` in a scrambled
+    /// order build a model writing the canonical fit's bytes.
     #[test]
     fn shuffled_insertion_freezes_to_the_canonical_bytes() {
         let m = model();
         let lean = m.to_bytes();
-        let thawed = crate::reference::Reference::thaw(&m);
-        let mut nodes: Vec<(u64, CellStats)> =
-            thawed.graph().nodes().map(|(id, s)| (id, *s)).collect();
-        let mut edges: Vec<(u64, u64, EdgeStats)> = Vec::new();
-        for &(id, _) in &nodes {
-            for e in thawed.graph().edges_from(id).expect("node exists") {
-                edges.push((id, e.to, *e.payload));
-            }
-        }
+        let csr = m.csr();
+        let mut nodes: Vec<(u64, CellStats)> = csr.nodes().map(|(id, s)| (id, *s)).collect();
+        let canonical: Vec<(u64, u64, EdgeStats)> = (0..csr.node_count() as u32)
+            .flat_map(|from| {
+                csr.edges_from_index(from)
+                    .map(move |(to, e)| (csr.node_id(from), csr.node_id(to), *e))
+            })
+            .collect();
         // Fixed scrambles (no RNG): reverse, then interleave the halves.
         nodes.reverse();
+        let mut edges = canonical.clone();
         edges.reverse();
         let half = edges.len() / 2;
         let scrambled: Vec<_> = (0..half)
             .flat_map(|i| [edges[i], edges[half + i]])
             .chain(edges[2 * half..].iter().copied())
             .collect();
-        let mut graph = DiGraph::new();
-        for (id, stats) in nodes {
-            graph.add_node(id, stats);
-        }
-        for (from, to, stats) in scrambled {
-            assert!(graph.add_edge(from, to, stats));
-        }
-        assert_ne!(
-            graph.to_bytes(),
-            thawed.graph().to_bytes(),
-            "really shuffled"
-        );
-        assert_eq!(HabitModel::from_graph(&graph, *m.config()).to_bytes(), lean);
+        assert_ne!(scrambled, canonical, "really shuffled");
+        let graph = CsrGraph::from_parts(nodes, scrambled).expect("the fit's own records");
+        assert_eq!(HabitModel::from_graph(graph, *m.config()).to_bytes(), lean);
+    }
+
+    /// Each blob layout holds exactly one graph: bytes appended to a v1
+    /// blob, or padding inside a v2 blob's length-prefixed graph
+    /// section, are corruption — accepting them would load a model
+    /// that re-encodes to bytes other than its input.
+    #[test]
+    fn bytes_after_the_graph_rejected() {
+        let m = model();
+        let mut v1 = m.to_bytes();
+        v1.extend_from_slice(&[0xAB, 0xCD, 0xEF]);
+        assert!(matches!(
+            HabitModel::from_bytes(&v1),
+            Err(HabitError::BadModelBlob)
+        ));
+
+        // v2: header (4 + 1 + 3 + 8 = 16 B), u64 graph length, graph,
+        // u64 state length, state. Pad the graph section by two bytes.
+        let full = m.to_bytes_full();
+        let header = 16;
+        let graph_len = u64::decode(&mut &full[header..header + 8]).unwrap() as usize;
+        let graph_end = header + 8 + graph_len;
+        let mut padded = full[..header].to_vec();
+        ((graph_len + 2) as u64).encode(&mut padded);
+        padded.extend_from_slice(&full[header + 8..graph_end]);
+        padded.extend_from_slice(&[0, 0]);
+        padded.extend_from_slice(&full[graph_end..]);
+        assert!(matches!(
+            HabitModel::from_bytes(&padded),
+            Err(HabitError::BadModelBlob)
+        ));
     }
 
     #[test]

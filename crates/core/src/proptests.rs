@@ -74,6 +74,30 @@ fn fit_state_rejects_every_truncation() {
     }
 }
 
+/// A real (small) v2 model blob — header, HBG1 graph, `HFS1` state —
+/// finalized from [`state_blob`]'s state, built once.
+fn v2_blob() -> &'static [u8] {
+    static BLOB: OnceLock<Vec<u8>> = OnceLock::new();
+    BLOB.get_or_init(|| {
+        let state = FitState::from_bytes(state_blob()).expect("state blob");
+        let model = HabitModel::from_fit_state(state).expect("finalize");
+        assert_eq!(model.blob_version(), 2);
+        model.to_bytes_full()
+    })
+}
+
+#[test]
+fn v2_blob_rejects_every_truncation() {
+    let blob = v2_blob();
+    assert!(HabitModel::from_bytes(blob).is_ok());
+    for cut in 0..blob.len() {
+        assert!(
+            HabitModel::from_bytes(&blob[..cut]).is_err(),
+            "cut at {cut}"
+        );
+    }
+}
+
 /// Trip lists the window must order itself: trip ids repeat across
 /// entries, points arrive unsorted, and timestamps tie often. Points sit
 /// on a lattice finer than an r=9 cell, so cells repeat and change.
@@ -205,6 +229,31 @@ proptest! {
         if let Ok(m) = HabitModel::from_bytes(&bytes) {
             let gap = GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600);
             let _ = m.impute(&gap); // must not panic
+        }
+    }
+
+    /// Single-bit flips of a v2 blob — in its header, graph or state —
+    /// are typed errors, or load a model that imputes without panicking.
+    #[test]
+    fn v2_bit_flips_are_contained(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
+        let mut bytes = v2_blob().to_vec();
+        let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
+        bytes[pos] ^= 1 << bit;
+        if let Ok(m) = HabitModel::from_bytes(&bytes) {
+            let gap = GapQuery::new(10.01, 56.0, 0, 10.09, 56.0, 3600);
+            let _ = m.impute(&gap); // must not panic
+        }
+    }
+
+    /// A model blob is exactly its layout: any non-empty tail appended
+    /// to a v1 or a v2 blob is rejected.
+    #[test]
+    fn appended_tail_rejected(tail in proptest::collection::vec(any::<u8>(), 1..64)) {
+        let lean = HabitModel::from_bytes(v2_blob()).expect("v2 loads").to_bytes();
+        for blob in [lean.as_slice(), v2_blob()] {
+            let mut bytes = blob.to_vec();
+            bytes.extend_from_slice(&tail);
+            prop_assert!(HabitModel::from_bytes(&bytes).is_err());
         }
     }
 

@@ -4,10 +4,13 @@
 //! per-query A* state ([`mobgraph::astar`]) over a hash-indexed
 //! [`DiGraph`], the grid-distance heuristic computed from cell ids per
 //! visit, and the recursive sub-path-cloning RDP
-//! ([`geo_kernel::rdp_indices_reference`]). A [`Reference`] thaws that
-//! `DiGraph` from the model's own graph bytes, so it answers from
-//! exactly what a saved blob would hold, through none of the frozen
-//! arrays, baked edge records, arenas or scratch the product uses.
+//! ([`geo_kernel::rdp_indices_reference`]). This is the one place
+//! `habit-core` names [`DiGraph`], mobgraph's mutable adjacency list: a
+//! [`Reference`] decodes the model's own graph bytes with the one HBG1
+//! reader and walks the result into a `DiGraph` of its own, so it
+//! answers from exactly what a saved blob would hold, and searches
+//! through none of the frozen arrays, baked edge records, arenas or
+//! scratch the product uses.
 //!
 //! Consumers are the equivalence tests and nothing else. Nothing under
 //! `habit-cli`, `habit-service`, `habit-engine`, `habit-bench` or
@@ -19,19 +22,31 @@ use crate::impute::{GapQuery, Imputation, Route};
 use crate::model::HabitModel;
 use geo_kernel::{rdp_indices_reference, GeoPoint};
 use hexgrid::HexCell;
-use mobgraph::{astar, DiGraph};
+use mobgraph::{astar, CsrGraph, DiGraph};
 
-/// A model paired with the build-time graph thawed from its bytes.
+/// A model paired with an adjacency list thawed from its graph bytes.
 pub struct Reference<'a> {
     model: &'a HabitModel,
     graph: DiGraph<CellStats, EdgeStats>,
 }
 
 impl<'a> Reference<'a> {
-    /// Decodes the model's serialized graph back into a [`DiGraph`].
+    /// Decodes the model's serialized graph and walks it into a
+    /// [`DiGraph`]. Nodes go in descending id order, so the oracle's
+    /// dense indices share nothing with the CSR's ascending ones.
     pub fn thaw(model: &'a HabitModel) -> Self {
-        let graph =
-            DiGraph::from_bytes(&model.csr().to_bytes()).expect("a model's own graph bytes decode");
+        let decoded: CsrGraph<CellStats, EdgeStats> = CsrGraph::from_bytes(&model.csr().to_bytes())
+            .expect("a model's own graph bytes decode");
+        let n = decoded.node_count() as u32;
+        let mut graph = DiGraph::with_capacity(n as usize);
+        for idx in (0..n).rev() {
+            graph.add_node(decoded.node_id(idx), *decoded.node_by_index(idx));
+        }
+        for from in 0..n {
+            for (to, stats) in decoded.edges_from_index(from) {
+                graph.add_edge(decoded.node_id(from), decoded.node_id(to), *stats);
+            }
+        }
         Self { model, graph }
     }
 

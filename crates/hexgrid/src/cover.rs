@@ -1,19 +1,12 @@
-//! Region coverage: cell boundaries and polyfill.
+//! Cell boundaries.
 //!
-//! HABIT itself only needs point → cell bucketing, but its applications
-//! (density maps, region statistics) need the reverse: which cells cover
-//! an area of interest, and what does one cell look like on a map. These
-//! are the H3 `cellToBoundary` / `polygonToCells` equivalents.
+//! HABIT itself only needs point → cell bucketing, but its density maps
+//! need the reverse: what one cell looks like on a map. This is the H3
+//! `cellToBoundary` equivalent.
 
 use crate::cell::HexCell;
-use crate::error::HexError;
 use crate::grid::HexGrid;
-use geo_kernel::{BBox, GeoPoint, Polygon};
-
-/// Upper bound on the number of cells a single polyfill may produce;
-/// beyond it the call fails rather than exhausting memory. (At res 9 this
-/// covers a region of roughly 450 000 km².)
-pub const MAX_COVER_CELLS: u64 = 5_000_000;
+use geo_kernel::GeoPoint;
 
 impl HexGrid {
     /// The six boundary vertices of a cell, counter-clockwise
@@ -32,79 +25,12 @@ impl HexGrid {
         }
         out
     }
-
-    /// All cells at `res` whose center lies inside `bbox`
-    /// (H3 `polygonToCells` on a rectangle).
-    pub fn polyfill_bbox(&self, bbox: &BBox, res: u8) -> Result<Vec<HexCell>, HexError> {
-        self.cover(bbox, res, |_| true)
-    }
-
-    /// All cells at `res` whose center lies inside `polygon`.
-    pub fn polyfill(&self, polygon: &Polygon, res: u8) -> Result<Vec<HexCell>, HexError> {
-        let bbox = BBox::from_points(polygon.ring())
-            .ok_or(HexError::InvalidCoordinate { lon: 0.0, lat: 0.0 })?;
-        self.cover(&bbox, res, |p| polygon.contains(p))
-    }
-
-    /// Shared scan: enumerate the axial parallelogram image of `bbox`,
-    /// keep cells whose center is in the box and passes `keep`.
-    fn cover<F: Fn(&GeoPoint) -> bool>(
-        &self,
-        bbox: &BBox,
-        res: u8,
-        keep: F,
-    ) -> Result<Vec<HexCell>, HexError> {
-        if res > crate::grid::MAX_RESOLUTION {
-            return Err(HexError::InvalidResolution(res));
-        }
-        // The Mercator → axial transform is linear, so the axial image of
-        // the box is a parallelogram whose extremes sit at the corners.
-        let corners = [
-            GeoPoint::new(bbox.min_lon, bbox.min_lat),
-            GeoPoint::new(bbox.min_lon, bbox.max_lat),
-            GeoPoint::new(bbox.max_lon, bbox.min_lat),
-            GeoPoint::new(bbox.max_lon, bbox.max_lat),
-        ];
-        let mut qmin = i64::MAX;
-        let mut qmax = i64::MIN;
-        let mut rmin = i64::MAX;
-        let mut rmax = i64::MIN;
-        for c in corners {
-            let cell = self.cell(&c, res)?;
-            qmin = qmin.min(cell.q());
-            qmax = qmax.max(cell.q());
-            rmin = rmin.min(cell.r());
-            rmax = rmax.max(cell.r());
-        }
-        // One cell of slack for axial rounding at the edges.
-        qmin -= 1;
-        rmin -= 1;
-        qmax += 1;
-        rmax += 1;
-
-        let span = (qmax - qmin + 1) as u64 * (rmax - rmin + 1) as u64;
-        if span > MAX_COVER_CELLS {
-            return Err(HexError::CoverTooLarge { estimated: span });
-        }
-
-        let mut out = Vec::new();
-        for q in qmin..=qmax {
-            for r in rmin..=rmax {
-                let cell = HexCell::from_axial(res, q, r)?;
-                let center = self.center(cell);
-                if bbox.contains(&center) && keep(&center) {
-                    out.push(cell);
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geo_kernel::haversine_m;
+    use geo_kernel::{haversine_m, Polygon};
 
     #[test]
     fn boundary_vertices_are_one_edge_from_center() {
@@ -146,71 +72,6 @@ mod tests {
         let center = grid.center(cell);
         assert!(poly.contains(&center));
     }
-
-    #[test]
-    fn polyfill_bbox_covers_expected_area() {
-        let grid = HexGrid::new();
-        let bbox = BBox::new(10.0, 56.0, 10.2, 56.1);
-        let res = 8;
-        let cells = grid.polyfill_bbox(&bbox, res).unwrap();
-        assert!(!cells.is_empty());
-        // Expected count ≈ box area / cell ground area (Mercator shrink²).
-        let lat_m = 0.1 * 111_195.0;
-        let lon_m = 0.2 * 111_195.0 * shrink_at(56.05);
-        let cell_area_m2 =
-            grid.hex_area_km2(res).unwrap() * 1e6 * shrink_at(56.05) * shrink_at(56.05);
-        let expected = (lat_m * lon_m) / cell_area_m2;
-        let n = cells.len() as f64;
-        assert!(
-            n > expected * 0.7 && n < expected * 1.3,
-            "{n} cells vs expected ~{expected:.0}"
-        );
-        // All centers inside the box; no duplicates.
-        let mut seen = std::collections::HashSet::new();
-        for c in &cells {
-            assert!(bbox.contains(&grid.center(*c)));
-            assert!(seen.insert(c.raw()));
-        }
-    }
-
-    #[test]
-    fn polyfill_polygon_subset_of_bbox_fill() {
-        let grid = HexGrid::new();
-        // A triangle inside the box.
-        let tri = Polygon::new(vec![
-            GeoPoint::new(10.0, 56.0),
-            GeoPoint::new(10.2, 56.0),
-            GeoPoint::new(10.1, 56.1),
-        ]);
-        let bbox = BBox::new(10.0, 56.0, 10.2, 56.1);
-        let in_tri = grid.polyfill(&tri, 8).unwrap();
-        let in_box = grid.polyfill_bbox(&bbox, 8).unwrap();
-        assert!(!in_tri.is_empty());
-        assert!(in_tri.len() < in_box.len());
-        let box_set: std::collections::HashSet<u64> = in_box.iter().map(|c| c.raw()).collect();
-        for c in &in_tri {
-            assert!(box_set.contains(&c.raw()), "triangle cell outside box fill");
-            assert!(tri.contains(&grid.center(*c)));
-        }
-        // Roughly half the box area.
-        let ratio = in_tri.len() as f64 / in_box.len() as f64;
-        assert!((0.3..0.7).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn oversized_cover_rejected() {
-        let grid = HexGrid::new();
-        let bbox = BBox::new(-170.0, -60.0, 170.0, 60.0);
-        let err = grid.polyfill_bbox(&bbox, 12).unwrap_err();
-        assert!(matches!(err, HexError::CoverTooLarge { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn polyfill_respects_resolution_bounds() {
-        let grid = HexGrid::new();
-        let bbox = BBox::new(10.0, 56.0, 10.1, 56.05);
-        assert!(grid.polyfill_bbox(&bbox, 16).is_err());
-    }
 }
 
 #[cfg(test)]
@@ -219,36 +80,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Every point sampled inside a bbox lands in a cell that the
-        /// bbox polyfill knows about, or in one adjacent to a fill cell
-        /// (edge cells can have centers just outside the box).
-        #[test]
-        fn polyfill_covers_sampled_points(
-            lon in 9.0f64..12.0,
-            lat in 54.5f64..57.0,
-            dlon in 0.05f64..0.25,
-            dlat in 0.05f64..0.2,
-            fx in 0.0f64..1.0,
-            fy in 0.0f64..1.0,
-        ) {
-            let grid = HexGrid::new();
-            let res = 8u8;
-            let bbox = BBox::new(lon, lat, lon + dlon, lat + dlat);
-            let cells = grid.polyfill_bbox(&bbox, res).unwrap();
-            prop_assert!(!cells.is_empty());
-            let fill: std::collections::HashSet<u64> =
-                cells.iter().map(|c| c.raw()).collect();
-
-            let p = GeoPoint::new(lon + dlon * fx, lat + dlat * fy);
-            let cell = grid.cell(&p, res).unwrap();
-            let covered = fill.contains(&cell.raw())
-                || crate::ops::neighbors(cell)
-                    .unwrap()
-                    .iter()
-                    .any(|n| fill.contains(&n.raw()));
-            prop_assert!(covered, "point {p} cell not covered by polyfill");
-        }
-
         /// Boundary vertices surround the center: walking the hexagon
         /// ring gives six sides of comparable length, and the vertex
         /// centroid coincides with the cell center.

@@ -25,12 +25,6 @@ pub enum HexError {
     },
     /// Axial coordinates exceed the 28-bit packing range.
     CoordinateOverflow,
-    /// A polyfill would enumerate more cells than
-    /// [`MAX_COVER_CELLS`](crate::cover::MAX_COVER_CELLS).
-    CoverTooLarge {
-        /// Estimated cell count of the requested cover.
-        estimated: u64,
-    },
 }
 
 impl fmt::Display for HexError {
@@ -45,12 +39,6 @@ impl fmt::Display for HexError {
                 write!(f, "invalid coordinate lon={lon} lat={lat}")
             }
             HexError::CoordinateOverflow => write!(f, "axial coordinate overflows packing range"),
-            HexError::CoverTooLarge { estimated } => {
-                write!(
-                    f,
-                    "cover would enumerate ~{estimated} cells (limit exceeded)"
-                )
-            }
         }
     }
 }

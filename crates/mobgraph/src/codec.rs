@@ -7,14 +7,13 @@
 //!
 //! There is one graph blob layout, "HBG1": header, node records
 //! `(id, payload)`, then edge records `(from_id, to_id, payload)`
-//! grouped per source in node-record order. Both graph forms write it
-//! ([`DiGraph::to_bytes`] in insertion order, [`CsrGraph::to_bytes`] in
-//! an order derived from the arrays alone); only [`DiGraph::from_bytes`]
-//! reads it — a serving model decodes to the build-time form and
-//! freezes.
+//! grouped per source in node-record order. It has one writer,
+//! [`CsrGraph::to_bytes`], and one reader, [`CsrGraph::from_bytes`],
+//! which decodes the records straight into [`CsrGraph::from_parts`].
+//! The mutable [`DiGraph`](crate::DiGraph) has no codec.
 
 use crate::csr::CsrGraph;
-use crate::graph::{DiGraph, NodeId};
+use crate::graph::NodeId;
 
 /// Types that can be encoded into / decoded from a byte stream.
 pub trait Codec: Sized {
@@ -66,88 +65,12 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
 /// Magic bytes prefixing a serialized graph ("HBG1").
 const MAGIC: u32 = 0x4847_4231;
 
-/// Writes the HBG1 layout: header, then `nodes`, then `edges` (which
-/// must arrive grouped per source, sources in `nodes` order).
-fn encode_graph<'a, N: Codec + 'a, E: Codec + 'a>(
-    node_count: usize,
-    edge_count: usize,
-    nodes: impl Iterator<Item = (NodeId, &'a N)>,
-    edges: impl Iterator<Item = (NodeId, NodeId, &'a E)>,
-) -> Vec<u8> {
-    // Rough preallocation: 16 B per node, 20 B per edge.
-    let mut out = Vec::with_capacity(16 + node_count * 16 + edge_count * 20);
-    MAGIC.encode(&mut out);
-    (node_count as u64).encode(&mut out);
-    (edge_count as u64).encode(&mut out);
-    for (id, payload) in nodes {
-        id.encode(&mut out);
-        payload.encode(&mut out);
-    }
-    for (from, to, payload) in edges {
-        from.encode(&mut out);
-        to.encode(&mut out);
-        payload.encode(&mut out);
-    }
-    out
-}
-
-impl<N: Codec, E: Codec> DiGraph<N, E> {
-    /// Serializes the graph: header, nodes `(id, payload)`, then edges
-    /// `(from_id, to_id, payload)`, both in insertion order.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let edges = (0..self.node_count() as u32).flat_map(|idx| {
-            let from = self.node_id(idx);
-            self.edges_from_index(idx)
-                .map(move |e| (from, e.to, e.payload))
-        });
-        encode_graph(self.node_count(), self.edge_count(), self.nodes(), edges)
-    }
-
-    /// Deserializes a graph produced by [`DiGraph::to_bytes`] or
-    /// [`CsrGraph::to_bytes`].
-    pub fn from_bytes(mut buf: &[u8]) -> Option<Self> {
-        let buf = &mut buf;
-        if u32::decode(buf)? != MAGIC {
-            return None;
-        }
-        let nodes = u64::decode(buf)? as usize;
-        let edges = u64::decode(buf)? as usize;
-        // A node record is at least its 8-byte id, an edge record at
-        // least its two ids: counts larger than the remaining bytes can
-        // possibly hold are corruption, and must be rejected *before*
-        // they reach an allocator-aborting `with_capacity`.
-        if nodes > buf.len() / 8 || edges > buf.len() / 16 {
-            return None;
-        }
-        let mut g = DiGraph::with_capacity(nodes);
-        for _ in 0..nodes {
-            let id = NodeId::decode(buf)?;
-            let payload = N::decode(buf)?;
-            g.add_node(id, payload);
-        }
-        for _ in 0..edges {
-            let from = NodeId::decode(buf)?;
-            let to = NodeId::decode(buf)?;
-            let payload = E::decode(buf)?;
-            if !g.add_edge(from, to, payload) {
-                return None;
-            }
-        }
-        // `add_node` / `add_edge` upsert, so a repeated id or
-        // `(from, to)` record would silently shrink the graph below the
-        // declared counts and re-encode to different bytes.
-        (g.node_count() == nodes && g.edge_count() == edges).then_some(g)
-    }
-}
-
 impl<N: Codec, E: Codec> CsrGraph<N, E> {
-    /// Serializes the frozen graph in the HBG1 layout, a pure function
-    /// of the node/edge *set*: edges are walked ascending by
-    /// `(from id, to id)` and a node record is written where that walk
-    /// first names the node (nodes no edge names follow, ascending).
-    /// This is the order `habit-core`'s fit inserts into the
-    /// [`DiGraph`] it freezes, so a fitted model's bytes are the same
-    /// whether written from the build-time graph or from these arrays.
+    /// Serializes the graph in the HBG1 layout, a pure function of the
+    /// node/edge *set*: edges are walked ascending by `(from id, to id)`
+    /// and a node record is written where that walk first names the
+    /// node (nodes no edge names follow, ascending) — the order in
+    /// which a fit's key-sorted transitions name their cells.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.node_count();
         let (offsets, targets) = (self.offsets(), self.targets());
@@ -167,19 +90,56 @@ impl<N: Codec, E: Codec> CsrGraph<N, E> {
         }
         (0..n as u32).for_each(&mut visit);
 
-        let nodes = order
-            .iter()
-            .map(|&idx| (self.node_id(idx), self.node_by_index(idx)));
-        let edges = order.iter().flat_map(|&from| {
-            run(from).map(move |slot| {
-                (
-                    self.node_id(from),
-                    self.node_id(targets[slot]),
-                    &self.weights()[slot],
-                )
-            })
-        });
-        encode_graph(n, self.edge_count(), nodes, edges)
+        // Rough preallocation: 16 B per node, 20 B per edge.
+        let mut out = Vec::with_capacity(20 + n * 16 + self.edge_count() * 20);
+        MAGIC.encode(&mut out);
+        (n as u64).encode(&mut out);
+        (self.edge_count() as u64).encode(&mut out);
+        for &idx in &order {
+            self.node_id(idx).encode(&mut out);
+            self.node_by_index(idx).encode(&mut out);
+        }
+        for &from in &order {
+            for slot in run(from) {
+                self.node_id(from).encode(&mut out);
+                self.node_id(targets[slot]).encode(&mut out);
+                self.weights()[slot].encode(&mut out);
+            }
+        }
+        out
+    }
+
+    /// Deserializes exactly one HBG1 graph: `None` on bad magic,
+    /// truncation, bytes after the last edge record, or records
+    /// [`CsrGraph::from_parts`] rejects (a duplicate node or edge, an
+    /// edge naming an unknown node). Records may come in any order;
+    /// the result is canonical either way.
+    pub fn from_bytes(mut buf: &[u8]) -> Option<Self> {
+        let buf = &mut buf;
+        if u32::decode(buf)? != MAGIC {
+            return None;
+        }
+        let node_count = u64::decode(buf)? as usize;
+        let edge_count = u64::decode(buf)? as usize;
+        // A node record is at least its 8-byte id, an edge record at
+        // least its two ids: counts larger than the remaining bytes can
+        // possibly hold are corruption, and must be rejected *before*
+        // they reach an allocator-aborting `with_capacity`.
+        if node_count > buf.len() / 8 || edge_count > buf.len() / 16 {
+            return None;
+        }
+        let mut nodes = Vec::with_capacity(node_count);
+        for _ in 0..node_count {
+            nodes.push((NodeId::decode(buf)?, N::decode(buf)?));
+        }
+        let mut edges = Vec::with_capacity(edge_count);
+        for _ in 0..edge_count {
+            edges.push((NodeId::decode(buf)?, NodeId::decode(buf)?, E::decode(buf)?));
+        }
+        if !buf.is_empty() {
+            return None;
+        }
+        Self::from_parts(nodes, edges)
     }
 }
 
@@ -203,64 +163,102 @@ mod tests {
         assert_eq!(u64::decode(&mut buf), None, "underflow is None");
     }
 
+    /// A 50-node chain with typed payloads.
+    fn chain() -> CsrGraph<f64, (u32, f64)> {
+        let nodes = (0..50u64).map(|id| (id, id as f64 * 0.5)).collect();
+        let edges = (0..49u64)
+            .map(|id| (id, id + 1, (id as u32, 1.0 / (id + 1) as f64)))
+            .collect();
+        CsrGraph::from_parts(nodes, edges).expect("valid chain")
+    }
+
     #[test]
     fn graph_round_trip() {
-        let mut g: DiGraph<f64, (u32, f64)> = DiGraph::new();
-        for id in 0..50u64 {
-            g.add_node(id, id as f64 * 0.5);
-        }
-        for id in 0..49u64 {
-            g.add_edge(id, id + 1, (id as u32, 1.0 / (id + 1) as f64));
-        }
+        let g = chain();
         let bytes = g.to_bytes();
-        let back: DiGraph<f64, (u32, f64)> = DiGraph::from_bytes(&bytes).unwrap();
+        let back: CsrGraph<f64, (u32, f64)> = CsrGraph::from_bytes(&bytes).unwrap();
         assert_eq!(back.node_count(), 50);
         assert_eq!(back.edge_count(), 49);
         assert_eq!(back.node(10), Some(&5.0));
         assert_eq!(back.edge(10, 11), Some(&(10u32, 1.0 / 11.0)));
+        assert_eq!(back, g);
+    }
+
+    /// Two nodes, two edges, `u8` payloads: header 20 B, two 9-byte
+    /// node records, two 17-byte edge records.
+    fn pair() -> Vec<u8> {
+        let nodes = vec![(1, 7u8), (2, 8)];
+        let edges = vec![(1, 2, 3u8), (2, 1, 4)];
+        CsrGraph::from_parts(nodes, edges).unwrap().to_bytes()
     }
 
     #[test]
     fn corrupted_input_rejected() {
-        let mut g: DiGraph<u8, u8> = DiGraph::new();
-        g.add_node(1, 7);
-        let mut bytes = g.to_bytes();
+        let good = pair();
+        let mut bytes = good.clone();
         bytes[0] ^= 0xFF; // break magic
-        assert!(DiGraph::<u8, u8>::from_bytes(&bytes).is_none());
-        let good = g.to_bytes();
-        assert!(DiGraph::<u8, u8>::from_bytes(&good[..good.len() - 1]).is_none());
+        assert!(CsrGraph::<u8, u8>::from_bytes(&bytes).is_none());
+        assert!(CsrGraph::<u8, u8>::from_bytes(&good[..good.len() - 1]).is_none());
+        // An edge naming a node no record declares.
+        let mut dangling = good;
+        let to_at = 20 + 2 * 9 + 8;
+        dangling[to_at..to_at + 8].copy_from_slice(&99u64.to_le_bytes());
+        assert!(CsrGraph::<u8, u8>::from_bytes(&dangling).is_none());
     }
 
-    /// A repeated node id or `(from, to)` pair would upsert, decoding
-    /// to fewer records than declared and re-encoding to different
-    /// bytes — both are corruption.
+    /// A blob is exactly one graph: bytes after the last edge record
+    /// are corruption, not padding (a model file holding them would
+    /// load and re-encode to different bytes).
+    #[test]
+    fn trailing_bytes_rejected() {
+        let good = pair();
+        assert!(CsrGraph::<u8, u8>::from_bytes(&good).is_some());
+        for tail in [&[0u8][..], &[1, 2, 3]] {
+            let mut padded = good.clone();
+            padded.extend_from_slice(tail);
+            assert!(CsrGraph::<u8, u8>::from_bytes(&padded).is_none());
+        }
+    }
+
+    /// A repeated node id or `(from, to)` pair would decode to fewer
+    /// records than declared and re-encode to different bytes — both
+    /// are corruption.
     #[test]
     fn duplicate_records_rejected() {
-        let mut g: DiGraph<u8, u8> = DiGraph::new();
-        g.add_node(1, 7);
-        g.add_node(2, 8);
-        g.add_edge(1, 2, 3);
-        g.add_edge(2, 1, 4);
-        let good = g.to_bytes();
-        assert!(DiGraph::<u8, u8>::from_bytes(&good).is_some());
-        // Header 20 B, two 9-byte node records, two 17-byte edge records.
+        let good = pair();
+        assert!(CsrGraph::<u8, u8>::from_bytes(&good).is_some());
         let (nodes_at, edges_at) = (20, 20 + 2 * 9);
         let mut dup_edge = good.clone();
         dup_edge.copy_within(edges_at..edges_at + 16, edges_at + 17);
-        assert!(DiGraph::<u8, u8>::from_bytes(&dup_edge).is_none());
-        let mut dup_node = good.clone();
+        assert!(CsrGraph::<u8, u8>::from_bytes(&dup_edge).is_none());
+        let mut dup_node = good;
         dup_node.copy_within(nodes_at..nodes_at + 8, nodes_at + 9);
-        assert!(DiGraph::<u8, u8>::from_bytes(&dup_node).is_none());
+        assert!(CsrGraph::<u8, u8>::from_bytes(&dup_node).is_none());
+    }
+
+    /// A bare header declaring 2^40 nodes is rejected by the count
+    /// guard before any record buffer is sized: reserving 2^40 node
+    /// records would abort the test process instead of returning.
+    #[test]
+    fn oversized_counts_rejected_before_allocating() {
+        let mut header = Vec::new();
+        MAGIC.encode(&mut header);
+        (1u64 << 40).encode(&mut header);
+        0u64.encode(&mut header);
+        assert_eq!(header.len(), 20);
+        assert!(CsrGraph::<u64, u64>::from_bytes(&header).is_none());
+        let mut edges = Vec::new();
+        MAGIC.encode(&mut edges);
+        0u64.encode(&mut edges);
+        (1u64 << 40).encode(&mut edges);
+        assert!(CsrGraph::<(), ()>::from_bytes(&edges).is_none());
     }
 
     #[test]
     fn size_grows_with_graph() {
-        let mut small: DiGraph<(), ()> = DiGraph::new();
-        small.add_node(1, ());
-        let mut big: DiGraph<(), ()> = DiGraph::new();
-        for id in 0..1000u64 {
-            big.add_node(id, ());
-        }
+        let small: CsrGraph<(), ()> = CsrGraph::from_parts(vec![(1, ())], Vec::new()).unwrap();
+        let big: CsrGraph<(), ()> =
+            CsrGraph::from_parts((0..1000u64).map(|id| (id, ())).collect(), Vec::new()).unwrap();
         assert!(big.to_bytes().len() > small.to_bytes().len() * 100);
     }
 }
@@ -270,62 +268,45 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Strategy: a random digraph over `n` nodes with u64 payloads.
-    fn arb_graph() -> impl Strategy<Value = DiGraph<u64, f32>> {
+    /// Strategy: a random graph over `n` nodes with u64 payloads, its
+    /// records in generation order (repeated edges keep the last).
+    fn arb_graph() -> impl Strategy<Value = CsrGraph<u64, f32>> {
         (
             1usize..60,
             proptest::collection::vec((0usize..60, 0usize..60, 0f32..10.0), 0..200),
         )
-            .prop_map(|(n, edges)| {
-                let mut g: DiGraph<u64, f32> = DiGraph::new();
-                for id in 0..n as u64 {
-                    g.add_node(id, id.wrapping_mul(0x9E37));
-                }
-                for (a, b, w) in edges {
-                    let a = (a % n) as u64;
-                    let b = (b % n) as u64;
+            .prop_map(|(n, raw)| {
+                let nodes = (0..n as u64)
+                    .map(|id| (id, id.wrapping_mul(0x9E37)))
+                    .collect();
+                let mut edges: Vec<(NodeId, NodeId, f32)> = Vec::new();
+                for (a, b, w) in raw {
+                    let (a, b) = ((a % n) as u64, (b % n) as u64);
                     if a != b {
-                        g.add_edge(a, b, w);
+                        edges.retain(|&(x, y, _)| (x, y) != (a, b));
+                        edges.push((a, b, w));
                     }
                 }
-                g
+                CsrGraph::from_parts(nodes, edges).expect("unique records")
             })
     }
 
     proptest! {
-        /// Every random graph round-trips byte-exactly: same node set,
-        /// same payloads, same adjacency.
+        /// Every random graph round-trips to an equal value, and
+        /// re-encoding the decoded graph writes the same bytes.
         #[test]
         fn graph_codec_round_trip(g in arb_graph()) {
             let bytes = g.to_bytes();
-            let back: DiGraph<u64, f32> = DiGraph::from_bytes(&bytes).expect("round trip");
-            prop_assert_eq!(back.node_count(), g.node_count());
-            prop_assert_eq!(back.edge_count(), g.edge_count());
-            for (id, payload) in g.nodes() {
-                prop_assert_eq!(back.node(id), Some(payload));
-                let mut ours: Vec<(NodeId, f32)> = g
-                    .edges_from(id)
-                    .expect("node exists")
-                    .map(|e| (e.to, *e.payload))
-                    .collect();
-                let mut theirs: Vec<(NodeId, f32)> = back
-                    .edges_from(id)
-                    .expect("node exists")
-                    .map(|e| (e.to, *e.payload))
-                    .collect();
-                ours.sort_by_key(|&(to, _)| to);
-                theirs.sort_by_key(|&(to, _)| to);
-                prop_assert_eq!(ours, theirs);
-            }
-            // Re-encoding the decoded graph is deterministic.
+            let back: CsrGraph<u64, f32> = CsrGraph::from_bytes(&bytes).expect("round trip");
             prop_assert_eq!(back.to_bytes(), bytes);
+            prop_assert_eq!(back, g);
         }
 
         /// Arbitrary bytes never panic the graph decoder.
         #[test]
         fn decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2_048)) {
-            let _ = DiGraph::<u64, f32>::from_bytes(&bytes);
-            let _ = DiGraph::<(), ()>::from_bytes(&bytes);
+            let _ = CsrGraph::<u64, f32>::from_bytes(&bytes);
+            let _ = CsrGraph::<(), ()>::from_bytes(&bytes);
         }
 
         /// Truncation at any prefix is rejected.
@@ -333,7 +314,7 @@ mod proptests {
         fn truncation_rejected(g in arb_graph(), frac in 0.0f64..0.999) {
             let bytes = g.to_bytes();
             let cut = ((bytes.len() as f64) * frac) as usize;
-            prop_assert!(DiGraph::<u64, f32>::from_bytes(&bytes[..cut]).is_none());
+            prop_assert!(CsrGraph::<u64, f32>::from_bytes(&bytes[..cut]).is_none());
         }
     }
 }

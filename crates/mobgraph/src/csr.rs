@@ -1,16 +1,17 @@
-//! Frozen CSR (compressed sparse row) adjacency.
+//! Frozen CSR (compressed sparse row) adjacency — the one layout a
+//! HABIT model's transition graph has.
 //!
-//! [`DiGraph`] is the *build-time* form: hash-indexed ids, per-node edge
-//! `Vec`s, insertion-order dense indices. [`CsrGraph`] is the frozen
-//! form a model keeps resident and serves from — three contiguous
-//! arrays (`offsets`/`targets`/`weights`) built once in **canonical
-//! order** (node ids ascending, each node's adjacency sorted by target
-//! id), so the arrays are a pure function of the node/edge *set*: any
-//! insertion order freezes to an equal value (and equal
-//! [`CsrGraph::to_bytes`](crate::codec) output), the same discipline
-//! `FitState::canonicalize` enforces on the fit side. Lookups and
-//! routing touch only flat slices — no hash buckets, no pointer
-//! chasing — which is what makes the arena A* kernel in
+//! [`CsrGraph`] holds three contiguous arrays (`offsets`/`targets`/
+//! `weights`) in **canonical order**: node ids ascending, each node's
+//! adjacency sorted by target id. Every way into it — the fit's
+//! finalize, the HBG1 decoder ([`CsrGraph::from_bytes`]) and the
+//! [`DiGraph`] adapter — goes through one validating constructor,
+//! [`CsrGraph::from_parts`], which sorts node and edge lists itself. So
+//! the arrays are a pure function of the node/edge *set*: any input
+//! order builds an equal value (and equal [`CsrGraph::to_bytes`]
+//! output), the same discipline `FitState` keeps on the fit side.
+//! Lookups and routing touch only flat slices — no hash buckets, no
+//! pointer chasing — which is what makes the arena A* kernel in
 //! [`crate::search`] allocation-free and cache-friendly.
 
 use crate::graph::{DiGraph, NodeId};
@@ -19,8 +20,8 @@ use crate::graph::{DiGraph, NodeId};
 ///
 /// Dense index = rank of the node id in ascending order; adjacency of
 /// node `i` lives in `targets[offsets[i]..offsets[i+1]]` (parallel to
-/// `weights`), sorted by target id. Built from a [`DiGraph`] with
-/// [`CsrGraph::from_digraph`]; immutable thereafter.
+/// `weights`), sorted by target id. Built by [`CsrGraph::from_parts`];
+/// immutable thereafter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph<N, E> {
     /// Node ids, ascending. `ids[i]` is the external id of dense index `i`.
@@ -37,56 +38,70 @@ pub struct CsrGraph<N, E> {
     weights: Vec<E>,
 }
 
-impl<N: Clone, E: Clone> CsrGraph<N, E> {
-    /// Freezes a [`DiGraph`] into canonical CSR form.
-    ///
-    /// Deterministic regardless of the insertion order of nodes or edges:
-    /// nodes are ranked by ascending id and each adjacency run is sorted
-    /// by target id, so two graphs with equal node/edge sets freeze to
-    /// equal arrays.
-    pub fn from_digraph(graph: &DiGraph<N, E>) -> Self {
-        let n = graph.node_count();
-        // Rank insertion-order indices by external id.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&idx| graph.node_id(idx));
-        // Old dense index → new rank.
-        let mut rank = vec![0u32; n];
-        for (r, &old) in order.iter().enumerate() {
-            rank[old as usize] = r as u32;
+impl<N, E> CsrGraph<N, E> {
+    /// Builds the canonical CSR from `(id, payload)` node records and
+    /// `(from id, to id, payload)` edge records, in any order: nodes are
+    /// sorted by id and edges by `(from, to)` (input that already is
+    /// sorted costs one linear pass). `None` on a duplicate node id, an
+    /// edge endpoint that is not a node, a duplicate `(from, to)`, or
+    /// more nodes or edges than a `u32` dense index can address.
+    pub fn from_parts(
+        mut nodes: Vec<(NodeId, N)>,
+        mut edges: Vec<(NodeId, NodeId, E)>,
+    ) -> Option<Self> {
+        u32::try_from(nodes.len().max(edges.len())).ok()?;
+        nodes.sort_unstable_by_key(|node| node.0);
+        if nodes.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return None;
         }
+        edges.sort_unstable_by_key(|edge| (edge.0, edge.1));
+        let (ids, payloads): (Vec<NodeId>, Vec<N>) = nodes.into_iter().unzip();
+        let index = |id: NodeId| ids.binary_search(&id).ok().map(|i| i as u32);
 
-        let mut ids = Vec::with_capacity(n);
-        let mut payloads = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(graph.edge_count());
-        let mut weights = Vec::with_capacity(graph.edge_count());
-        offsets.push(0);
-        let mut run: Vec<(u32, E)> = Vec::new();
-        for &old in &order {
-            ids.push(graph.node_id(old));
-            payloads.push(graph.node_by_index(old).clone());
-            run.clear();
-            run.extend(
-                graph
-                    .edges_from_index(old)
-                    .map(|e| (rank[e.to_idx as usize], e.payload.clone())),
-            );
-            // Rank order == id order, so sorting by rank is the canonical
-            // sort-by-target-id.
-            run.sort_by_key(|&(t, _)| t);
-            for (t, w) in run.drain(..) {
-                targets.push(t);
-                weights.push(w);
+        let mut offsets = Vec::with_capacity(ids.len() + 1);
+        let mut targets = Vec::with_capacity(edges.len());
+        let mut weights = Vec::with_capacity(edges.len());
+        let mut last: Option<(NodeId, NodeId)> = None;
+        for (from, to, payload) in edges {
+            if last.replace((from, to)) == Some((from, to)) {
+                return None;
             }
-            offsets.push(targets.len() as u32);
+            let (from_idx, to_idx) = (index(from)?, index(to)?);
+            // Sources ascend, so every node up to `from_idx` whose run
+            // has not started yet starts here (the ones before it empty).
+            while offsets.len() <= from_idx as usize {
+                offsets.push(targets.len() as u32);
+            }
+            targets.push(to_idx);
+            weights.push(payload);
         }
-        Self {
+        offsets.resize(ids.len() + 1, targets.len() as u32);
+        Some(Self {
             ids,
             payloads,
             offsets,
             targets,
             weights,
-        }
+        })
+    }
+}
+
+impl<N: Clone, E: Clone> CsrGraph<N, E> {
+    /// The CSR holding `graph`'s node and edge set — for callers that
+    /// grow a [`DiGraph`] and need the frozen form's arrays or its HBG1
+    /// bytes (GTI's storage size, the kernel ≡ per-query A* tests).
+    pub fn from_digraph(graph: &DiGraph<N, E>) -> Self {
+        let nodes = graph.nodes().map(|(id, n)| (id, n.clone())).collect();
+        let edges = (0..graph.node_count() as u32)
+            .flat_map(|idx| {
+                let from = graph.node_id(idx);
+                graph
+                    .edges_from_index(idx)
+                    .map(move |e| (from, e.to, e.payload.clone()))
+            })
+            .collect();
+        Self::from_parts(nodes, edges)
+            .expect("a DiGraph's node ids and edges are unique, its endpoints known")
     }
 }
 
@@ -245,20 +260,47 @@ mod tests {
         }
     }
 
-    /// The frozen graph writes the one graph layout (HBG1): it thaws
-    /// through `DiGraph::from_bytes` back to an equal freeze, and a
-    /// `DiGraph` built in the edge-walk order writes the same bytes.
+    /// `from_parts` sorts its input itself, and rejects what no graph
+    /// can hold: a repeated node id, a repeated `(from, to)` and an
+    /// edge naming a node that is not there.
+    #[test]
+    fn from_parts_sorts_and_validates() {
+        let nodes = vec![(9, 90), (2, 20), (5, 50)];
+        let edges = vec![(5, 9, 3.0), (2, 9, 2.0), (5, 2, 1.0)];
+        let csr = CsrGraph::from_parts(nodes.clone(), edges.clone()).expect("valid parts");
+        let ordered = [(2, 9, 2.0), (5, 2, 1.0), (5, 9, 3.0)];
+        assert_eq!(csr, CsrGraph::from_digraph(&build(&[2, 5, 9], &ordered)));
+
+        let mut dup_node = nodes.clone();
+        dup_node.push((5, 51));
+        assert!(CsrGraph::from_parts(dup_node, edges.clone()).is_none());
+        let mut dup_edge = edges.clone();
+        dup_edge.push((2, 9, 7.0));
+        assert!(CsrGraph::from_parts(nodes.clone(), dup_edge).is_none());
+        for unknown in [(4, 9, 1.0), (9, 4, 1.0)] {
+            let mut dangling = edges.clone();
+            dangling.push(unknown);
+            assert!(CsrGraph::from_parts(nodes.clone(), dangling).is_none());
+        }
+    }
+
+    /// The frozen graph writes the one graph layout (HBG1) and reads it
+    /// back to an equal value. Node records go out where the ascending
+    /// `(from, to)` edge walk first names them, edgeless nodes last.
     #[test]
     fn codec_round_trip() {
         let edges = [(2, 9, 2.0), (5, 2, 1.0), (5, 9, 3.0)];
         let csr = CsrGraph::from_digraph(&build(&[5, 2, 9, 7], &edges));
         let bytes = csr.to_bytes();
-        let thawed: DiGraph<u64, f64> = DiGraph::from_bytes(&bytes).expect("HBG1 decodes");
-        assert_eq!(CsrGraph::from_digraph(&thawed), csr);
-        assert_eq!(thawed.to_bytes(), bytes, "re-encode is stable");
-        // Edges ascending by (from, to) name 2, 9, 5 in that order; the
-        // edgeless node 7 follows.
-        assert_eq!(build(&[2, 9, 5, 7], &edges).to_bytes(), bytes);
+        let back: CsrGraph<u64, f64> = CsrGraph::from_bytes(&bytes).expect("HBG1 decodes");
+        assert_eq!(back, csr);
+        assert_eq!(back.to_bytes(), bytes, "re-encode is stable");
+        // Header 20 B, then 16-byte node records: 2, 9, 5, then 7.
+        let record_ids: Vec<u64> = bytes[20..20 + 4 * 16]
+            .chunks(16)
+            .map(|record| u64::from_le_bytes(record[..8].try_into().expect("8 bytes")))
+            .collect();
+        assert_eq!(record_ids, [2, 9, 5, 7]);
     }
 
     #[test]
@@ -268,6 +310,8 @@ mod tests {
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.edge_count(), 0);
         assert_eq!(csr.offsets(), &[0]);
-        assert_eq!(csr.to_bytes(), g.to_bytes());
+        let bytes = csr.to_bytes();
+        assert_eq!(bytes.len(), 20, "header only");
+        assert_eq!(CsrGraph::from_bytes(&bytes), Some(csr));
     }
 }

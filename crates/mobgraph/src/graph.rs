@@ -1,4 +1,4 @@
-//! The directed graph structure.
+//! The mutable adjacency list.
 
 use aggdb::fxhash::FxHashMap;
 
@@ -17,7 +17,13 @@ pub struct EdgeRef<'a, E> {
 }
 
 /// A directed graph with `u64` node ids, node payloads `N`, and edge
-/// payloads `E`.
+/// payloads `E`, grown one node and one edge at a time.
+///
+/// This is the form for graphs that are built or extended edge by edge:
+/// GTI's point graph, `synth`'s routing network (which adds two
+/// endpoint nodes per query), and `habit-core`'s naive reference
+/// search. It has no codec — a HABIT model's graph is the frozen
+/// [`CsrGraph`](crate::CsrGraph), the only HBG1 writer and reader.
 ///
 /// Nodes get dense internal indices in insertion order; all adjacency is
 /// stored in flat `Vec`s so traversal does not chase hash buckets.
@@ -111,14 +117,6 @@ impl<N, E> DiGraph<N, E> {
         &self.payloads[idx as usize]
     }
 
-    /// Mutable node payload by id.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut N> {
-        self.index
-            .get(&id)
-            .copied()
-            .map(|i| &mut self.payloads[i as usize])
-    }
-
     /// Iterates `(id, payload)` over all nodes in insertion order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
         self.ids.iter().copied().zip(self.payloads.iter())
@@ -134,29 +132,6 @@ impl<N, E> DiGraph<N, E> {
         let list = &mut self.out_edges[f as usize];
         match list.iter_mut().find(|(idx, _)| *idx == t) {
             Some((_, existing)) => *existing = payload,
-            None => {
-                list.push((t, payload));
-                self.edge_count += 1;
-            }
-        }
-        true
-    }
-
-    /// Merges an edge `from → to`: if present, `merge(existing, payload)`
-    /// runs; otherwise the edge is inserted.
-    pub fn merge_edge<F: FnOnce(&mut E, E)>(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: E,
-        merge: F,
-    ) -> bool {
-        let (Some(f), Some(t)) = (self.node_index(from), self.node_index(to)) else {
-            return false;
-        };
-        let list = &mut self.out_edges[f as usize];
-        match list.iter_mut().find(|(idx, _)| *idx == t) {
-            Some((_, existing)) => merge(existing, payload),
             None => {
                 list.push((t, payload));
                 self.edge_count += 1;
@@ -188,12 +163,6 @@ impl<N, E> DiGraph<N, E> {
     pub fn edges_from(&self, id: NodeId) -> Option<impl Iterator<Item = EdgeRef<'_, E>>> {
         self.node_index(id).map(|i| self.edges_from_index(i))
     }
-
-    /// Out-degree of a node id (0 when absent).
-    pub fn out_degree(&self, id: NodeId) -> usize {
-        self.node_index(id)
-            .map_or(0, |i| self.out_edges[i as usize].len())
-    }
 }
 
 #[cfg(test)]
@@ -216,9 +185,8 @@ mod tests {
         let g = triangle();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_degree(1), 2);
-        assert_eq!(g.out_degree(3), 0);
-        assert_eq!(g.out_degree(99), 0);
+        assert_eq!(g.edges_from(1).map(Iterator::count), Some(2));
+        assert_eq!(g.edges_from(3).map(Iterator::count), Some(0));
     }
 
     #[test]
@@ -237,9 +205,7 @@ mod tests {
         g.add_edge(1, 2, 9.0);
         assert_eq!(g.edge_count(), 3, "replace does not duplicate");
         assert_eq!(g.edge(1, 2), Some(&9.0));
-        g.merge_edge(1, 2, 1.0, |e, add| *e += add);
-        assert_eq!(g.edge(1, 2), Some(&10.0));
-        g.merge_edge(3, 1, 7.0, |e, add| *e += add);
+        assert!(g.add_edge(3, 1, 7.0));
         assert_eq!(g.edge(3, 1), Some(&7.0));
         assert_eq!(g.edge_count(), 4);
     }
@@ -248,7 +214,7 @@ mod tests {
     fn missing_endpoints_rejected() {
         let mut g = triangle();
         assert!(!g.add_edge(1, 99, 1.0));
-        assert!(!g.merge_edge(99, 1, 1.0, |_, _| {}));
+        assert!(!g.add_edge(99, 1, 1.0));
         assert_eq!(g.edge_count(), 3);
         assert!(g.edge(2, 1).is_none(), "directed: reverse edge absent");
     }
@@ -261,13 +227,5 @@ mod tests {
         let targets: Vec<u64> = g.edges_from(1).unwrap().map(|e| e.to).collect();
         assert_eq!(targets, vec![2, 3]);
         assert!(g.edges_from(42).is_none());
-    }
-
-    #[test]
-    fn node_mut() {
-        let mut g = triangle();
-        *g.node_mut(1).unwrap() = "z";
-        assert_eq!(g.node(1), Some(&"z"));
-        assert!(g.node_mut(42).is_none());
     }
 }

@@ -3,19 +3,24 @@
 //! The paper assembles its transition statistics into a NetworkX DiGraph
 //! and runs A* over it. This crate is the from-scratch substitute:
 //!
-//! * [`DiGraph`] — the build-time form: a directed graph keyed by stable
-//!   `u64` ids (hex cells in HABIT, point ids in the GTI baseline) with
-//!   arbitrary node and edge payloads;
-//! * [`CsrGraph`] — the frozen form of a [`DiGraph`] a HABIT model keeps
-//!   resident: contiguous `offsets`/`targets`/`weights` arrays in
-//!   canonical node order, built once and routed over allocation-free;
+//! * [`CsrGraph`] — the one layout of a HABIT model's graph:
+//!   contiguous `offsets`/`targets`/`weights` arrays in canonical node
+//!   order, built by one validating constructor
+//!   ([`CsrGraph::from_parts`]) straight from a fit's node and edge
+//!   lists or a decoded blob, and routed over allocation-free;
+//! * [`DiGraph`] — the mutable adjacency list keyed by stable `u64`
+//!   ids, for graphs grown edge by edge: GTI's point graph, the
+//!   synthetic world's routing network, and the per-query reference
+//!   search `habit-core` pins its kernel to;
 //! * [`search`] — A* (and Dijkstra) with caller-supplied weights and
 //!   heuristic: one per-query loop over [`DiGraph`], one arena kernel
 //!   over [`CsrGraph`], pinned byte-identical;
 //! * [`spatial::NearestIndex`] — bucket-grid nearest-neighbor lookup used
 //!   to snap gap endpoints onto graph nodes;
-//! * [`codec`] — the one compact binary graph layout ("HBG1"), giving
-//!   the storage-size numbers of the paper's Table 2.
+//! * [`codec`] — the one compact binary graph layout ("HBG1"), with one
+//!   writer and one reader ([`CsrGraph::to_bytes`],
+//!   [`CsrGraph::from_bytes`]), giving the storage-size numbers of the
+//!   paper's Table 2.
 //!
 //! Internally nodes are dense `u32` indices so the search frontier works
 //! on flat vectors; [`DiGraph`]'s id ↔ index mapping uses an FxHash map

@@ -8,10 +8,12 @@
 //!   heap) and every edge visit reads one pre-computed [`BakedEdge`]
 //!   record, so steady-state routing allocates nothing but the result
 //!   path;
-//! * [`astar`] / [`dijkstra`] — the paper's form over the build-time
-//!   [`DiGraph`], allocating fresh per-query state. The baselines and
-//!   the synthetic world route with it, and it is the **reference** the
-//!   equivalence suites pin the kernel to (`habit_core::reference`).
+//! * [`astar`] / [`dijkstra`] — the paper's form over the mutable
+//!   [`DiGraph`] adjacency list, allocating fresh per-query state. GTI
+//!   and the synthetic world route with it, and it is the
+//!   **reference** the equivalence suites pin the kernel to
+//!   (`habit_core::reference`, which walks a decoded model graph into
+//!   a [`DiGraph`] of its own).
 //!
 //! Both order their frontier by the strict total order
 //! `(estimate, descending path cost, external node id)`, so the settle
@@ -352,7 +354,7 @@ impl SearchArena {
 /// `edges[slot].cost` and a heuristic returning `heuristic(hkey)` — but
 /// the serving inner loop reads one contiguous record where the closure
 /// form recomputes per visit (the habit model bakes its log-frequency
-/// weights and axial cell coordinates once at freeze time, since
+/// weights and axial cell coordinates once when the model is built, since
 /// neither changes after fit). `start_est` must equal the heuristic
 /// estimate of `start` — the baked table only covers edge *targets*,
 /// so the start node's estimate is the caller's (it is on screen
@@ -827,8 +829,9 @@ mod proptests {
             }
         }
 
-        /// CSR freeze is canonical on random graphs too: re-inserting the
-        /// same node/edge set in reverse order freezes to an equal value.
+        /// CSR freeze is canonical on random graphs too: the same
+        /// node/edge set handed to `from_parts` in reverse order builds
+        /// an equal value.
         #[test]
         fn csr_freeze_order_insensitive(g in arb_graph()) {
             let mut nodes: Vec<(NodeId, u64)> = g.nodes().map(|(id, p)| (id, *p)).collect();
@@ -840,27 +843,21 @@ mod proptests {
             }
             nodes.reverse();
             edges.reverse();
-            let mut g2: DiGraph<u64, f64> = DiGraph::new();
-            for &(id, p) in &nodes {
-                g2.add_node(id, p);
-            }
-            for &(a, b, w) in &edges {
-                g2.add_edge(a, b, w);
-            }
-            prop_assert_eq!(CsrGraph::from_digraph(&g), CsrGraph::from_digraph(&g2));
+            let reversed = CsrGraph::from_parts(nodes, edges).expect("unique records");
+            prop_assert_eq!(CsrGraph::from_digraph(&g), reversed);
         }
 
-        /// The frozen graph's bytes thaw through the one graph decoder
-        /// back to an equal freeze and re-encode exactly; a truncated
+        /// The frozen graph's bytes decode through the one graph decoder
+        /// back to an equal value and re-encode exactly; a truncated
         /// blob is rejected.
         #[test]
         fn csr_codec_robust(g in arb_graph(), cut in 1usize..17) {
             let csr = CsrGraph::from_digraph(&g);
             let bytes = csr.to_bytes();
-            let thawed: DiGraph<u64, f64> = DiGraph::from_bytes(&bytes).expect("round trip");
-            prop_assert_eq!(thawed.to_bytes(), bytes.clone());
-            prop_assert_eq!(CsrGraph::from_digraph(&thawed), csr);
-            prop_assert!(DiGraph::<u64, f64>::from_bytes(&bytes[..bytes.len() - cut]).is_none());
+            let back = CsrGraph::<u64, f64>::from_bytes(&bytes).expect("round trip");
+            prop_assert_eq!(back.to_bytes(), bytes.clone());
+            prop_assert_eq!(back, csr);
+            prop_assert!(CsrGraph::<u64, f64>::from_bytes(&bytes[..bytes.len() - cut]).is_none());
         }
     }
 }

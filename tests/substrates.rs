@@ -8,7 +8,7 @@ use habit::ais::{trips_to_table, AisPoint, Trip};
 use habit::core::{HabitConfig, HabitModel};
 use habit::geo::{haversine_m, GeoPoint};
 use habit::hexgrid::{ops, HexCell, HexGrid};
-use habit::mobgraph::{astar, dijkstra, DiGraph};
+use habit::mobgraph::{astar, dijkstra, CsrGraph, DiGraph};
 use proptest::prelude::*;
 
 // ------------------------------------------------------------------
@@ -236,24 +236,31 @@ proptest! {
 #[test]
 fn cell_ids_survive_graph_codec_round_trip() {
     let grid = HexGrid::new();
-    let mut g: DiGraph<u64, u32> = DiGraph::new();
     let cells: Vec<HexCell> = (0..50)
         .map(|i| {
             grid.cell(&GeoPoint::new(10.0 + i as f64 * 0.01, 56.0), 9)
                 .expect("cell")
         })
         .collect();
-    for (i, c) in cells.iter().enumerate() {
-        g.add_node(c.raw(), i as u64);
-    }
-    for w in cells.windows(2) {
-        g.add_edge(w[0].raw(), w[1].raw(), 1u32);
-    }
+    let nodes = cells
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.raw(), i as u64))
+        .collect();
+    let edges = cells
+        .windows(2)
+        .map(|w| (w[0].raw(), w[1].raw(), 1u32))
+        .collect();
+    let g: CsrGraph<u64, u32> = CsrGraph::from_parts(nodes, edges).expect("distinct cells");
     let bytes = g.to_bytes();
-    let h: DiGraph<u64, u32> = DiGraph::from_bytes(&bytes).expect("decode");
+    let h: CsrGraph<u64, u32> = CsrGraph::from_bytes(&bytes).expect("decode");
     assert_eq!(h.node_count(), g.node_count());
-    for c in &cells {
-        assert!(h.node(c.raw()).is_some(), "cell id lost in round trip");
+    for (i, c) in cells.iter().enumerate() {
+        assert_eq!(
+            h.node(c.raw()),
+            Some(&(i as u64)),
+            "cell id lost in round trip"
+        );
         // Ids decode back to the same cell.
         let decoded = HexCell::from_raw(c.raw()).expect("valid");
         assert_eq!(decoded, *c);
