@@ -1,15 +1,11 @@
 //! Mobility-event annotation.
 //!
-//! Re-implementation of the event taxonomy from the trajectory-compression
-//! framework the paper builds on \[7\]: by watching how speed and heading
-//! evolve, selected positions are annotated as stops, communication gaps,
-//! turning points, slow motion, or speed changes. HABIT's segmentation
-//! consumes stops and gaps; the remaining events are kept because they are
-//! part of the substrate's public contract (and are exercised by the
-//! examples).
+//! The two trip delimiters of the event taxonomy in the
+//! trajectory-compression framework the paper builds on \[7\]: stops,
+//! found by watching speed, and communication gaps, found by watching
+//! report times. HABIT's segmentation (`trips`) cuts trips at both.
 
 use crate::types::Trajectory;
-use geo_kernel::angle_diff_deg;
 
 /// Annotation thresholds (paper defaults in §3.1).
 #[derive(Debug, Clone, Copy)]
@@ -20,12 +16,6 @@ pub struct EventConfig {
     pub stop_min_duration_s: i64,
     /// Communication gap threshold ΔT (seconds). Paper: 30 minutes.
     pub gap_threshold_s: i64,
-    /// Course change (degrees) flagged as a turning point.
-    pub turn_threshold_deg: f64,
-    /// SOG below this (but above stop) is "slow motion" (knots).
-    pub slow_speed_knots: f64,
-    /// Relative SOG change flagged as a speed-change event.
-    pub speed_change_ratio: f64,
 }
 
 impl Default for EventConfig {
@@ -34,16 +24,13 @@ impl Default for EventConfig {
             stop_speed_knots: 0.5,
             stop_min_duration_s: 300,
             gap_threshold_s: 30 * 60,
-            turn_threshold_deg: 30.0,
-            slow_speed_knots: 2.0,
-            speed_change_ratio: 0.5,
         }
     }
 }
 
 /// A semantic annotation over a cleaned trajectory. Indices refer to
 /// `trajectory.points`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MobilityEvent {
     /// The vessel remained (nearly) stationary over `[start, end]`.
     Stop {
@@ -61,35 +48,10 @@ pub enum MobilityEvent {
         /// Silence duration in seconds.
         duration_s: i64,
     },
-    /// Course changed by more than the turn threshold at this report.
-    TurningPoint {
-        /// Report index.
-        at: usize,
-        /// Signed course change in degrees.
-        delta_deg: f64,
-    },
-    /// Sustained low-speed movement over `[start, end]`.
-    SlowMotion {
-        /// First index.
-        start: usize,
-        /// Last index.
-        end: usize,
-    },
-    /// SOG changed by more than the configured ratio at this report.
-    SpeedChange {
-        /// Report index.
-        at: usize,
-        /// SOG before, knots.
-        from_knots: f64,
-        /// SOG after, knots.
-        to_knots: f64,
-    },
 }
 
-/// Annotates a cleaned, time-sorted trajectory with mobility events.
-///
-/// Events are emitted in index order; stop and slow-motion intervals do
-/// not overlap with each other but may contain turning points.
+/// Annotates a cleaned, time-sorted trajectory with mobility events,
+/// emitted in index order.
 pub fn annotate(traj: &Trajectory, cfg: &EventConfig) -> Vec<MobilityEvent> {
     let pts = &traj.points;
     let mut events = Vec::new();
@@ -97,7 +59,6 @@ pub fn annotate(traj: &Trajectory, cfg: &EventConfig) -> Vec<MobilityEvent> {
         return events;
     }
 
-    // Gaps and speed changes in one pass over consecutive pairs.
     for i in 1..pts.len() {
         let dt = pts[i].t - pts[i - 1].t;
         if dt > cfg.gap_threshold_s {
@@ -107,54 +68,20 @@ pub fn annotate(traj: &Trajectory, cfg: &EventConfig) -> Vec<MobilityEvent> {
                 duration_s: dt,
             });
         }
-        let (a, b) = (pts[i - 1].sog, pts[i].sog);
-        let base = a.max(1.0);
-        if ((b - a).abs() / base) > cfg.speed_change_ratio && a.max(b) > cfg.stop_speed_knots {
-            events.push(MobilityEvent::SpeedChange {
-                at: i,
-                from_knots: a,
-                to_knots: b,
-            });
-        }
     }
 
-    // Turning points: course change between consecutive moving reports.
-    for i in 1..pts.len() {
-        if pts[i].sog <= cfg.stop_speed_knots {
-            continue; // course is meaningless while stationary
-        }
-        let d = angle_diff_deg(pts[i - 1].cog, pts[i].cog);
-        if d.abs() >= cfg.turn_threshold_deg {
-            events.push(MobilityEvent::TurningPoint {
-                at: i,
-                delta_deg: d,
-            });
-        }
-    }
-
-    // Stop and slow-motion intervals: maximal runs of low-speed reports.
-    let mut run_start: Option<(usize, bool)> = None; // (start index, is_stop)
+    // Stops: maximal runs of reports below the stop speed that last at
+    // least the minimum duration.
+    let mut run_start: Option<usize> = None;
     for i in 0..=pts.len() {
-        let class = if i < pts.len() {
-            let sog = pts[i].sog;
-            if sog < cfg.stop_speed_knots {
-                Some(true)
-            } else if sog < cfg.slow_speed_knots {
-                Some(false)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        match (run_start, class) {
-            (None, Some(is_stop)) => run_start = Some((i, is_stop)),
-            (Some((start, was_stop)), Some(is_stop)) if was_stop != is_stop => {
-                emit_run(&mut events, pts, start, i - 1, was_stop, cfg);
-                run_start = Some((i, is_stop));
-            }
-            (Some((start, was_stop)), None) => {
-                emit_run(&mut events, pts, start, i - 1, was_stop, cfg);
+        let stopped = i < pts.len() && pts[i].sog < cfg.stop_speed_knots;
+        match (run_start, stopped) {
+            (None, true) => run_start = Some(i),
+            (Some(start), false) => {
+                let end = i - 1;
+                if end > start && pts[end].t - pts[start].t >= cfg.stop_min_duration_s {
+                    events.push(MobilityEvent::Stop { start, end });
+                }
                 run_start = None;
             }
             _ => {}
@@ -165,33 +92,11 @@ pub fn annotate(traj: &Trajectory, cfg: &EventConfig) -> Vec<MobilityEvent> {
     events
 }
 
-fn emit_run(
-    events: &mut Vec<MobilityEvent>,
-    pts: &[crate::types::AisPoint],
-    start: usize,
-    end: usize,
-    is_stop: bool,
-    cfg: &EventConfig,
-) {
-    if end <= start {
-        return;
-    }
-    let duration = pts[end].t - pts[start].t;
-    if is_stop {
-        if duration >= cfg.stop_min_duration_s {
-            events.push(MobilityEvent::Stop { start, end });
-        }
-    } else if duration >= cfg.stop_min_duration_s {
-        events.push(MobilityEvent::SlowMotion { start, end });
-    }
-}
-
 /// Primary index of an event, for ordering.
 fn event_index(e: &MobilityEvent) -> usize {
     match e {
-        MobilityEvent::Stop { start, .. } | MobilityEvent::SlowMotion { start, .. } => *start,
+        MobilityEvent::Stop { start, .. } => *start,
         MobilityEvent::Gap { before, .. } => *before,
-        MobilityEvent::TurningPoint { at, .. } | MobilityEvent::SpeedChange { at, .. } => *at,
     }
 }
 
@@ -269,53 +174,22 @@ mod tests {
     }
 
     #[test]
-    fn detects_turn() {
+    fn slow_reports_flanking_a_stop_leave_its_interval_unchanged() {
+        // cruise, slow approach, a 10-minute stop, slow departure, cruise:
+        // the stop is exactly the run of reports below the stop speed.
         let mut pts = cruise(1, 0, 3, 10.0, 90.0);
-        pts.extend(cruise(1, 180, 3, 10.0, 180.0)); // sharp 90° turn
-        let events = annotate(&Trajectory::new(1, pts), &EventConfig::default());
-        let turn = events
-            .iter()
-            .find(|e| matches!(e, MobilityEvent::TurningPoint { .. }))
-            .expect("turn detected");
-        match turn {
-            MobilityEvent::TurningPoint { delta_deg, .. } => {
-                assert!((delta_deg - 90.0).abs() < 1e-9)
-            }
-            _ => unreachable!(),
+        for i in 0..3 {
+            pts.push(AisPoint::new(1, 180 + i * 60, 10.006, 55.0, 1.2, 90.0));
         }
-    }
-
-    #[test]
-    fn detects_speed_change() {
-        let mut pts = cruise(1, 0, 3, 12.0, 90.0);
-        pts.extend(cruise(1, 180, 3, 4.0, 90.0)); // sharp deceleration
+        for i in 0..11 {
+            pts.push(AisPoint::new(1, 360 + i * 60, 10.007, 55.0, 0.1, 0.0));
+        }
+        for i in 0..3 {
+            pts.push(AisPoint::new(1, 1020 + i * 60, 10.008, 55.0, 1.5, 90.0));
+        }
+        pts.extend(cruise(1, 1200, 3, 10.0, 90.0));
         let events = annotate(&Trajectory::new(1, pts), &EventConfig::default());
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, MobilityEvent::SpeedChange { .. })));
-    }
-
-    #[test]
-    fn slow_motion_interval() {
-        let pts: Vec<AisPoint> = (0..15)
-            .map(|i| AisPoint::new(1, i * 60, 10.0 + i as f64 * 0.0004, 55.0, 1.2, 90.0))
-            .collect();
-        let events = annotate(&Trajectory::new(1, pts), &EventConfig::default());
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, MobilityEvent::SlowMotion { .. })));
-    }
-
-    #[test]
-    fn stationary_vessel_has_no_turns() {
-        // Drifting at anchor with noisy COG must not produce turning points.
-        let pts: Vec<AisPoint> = (0..10)
-            .map(|i| AisPoint::new(1, i * 60, 10.0, 55.0, 0.1, (i * 97 % 360) as f64))
-            .collect();
-        let events = annotate(&Trajectory::new(1, pts), &EventConfig::default());
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e, MobilityEvent::TurningPoint { .. })));
+        assert_eq!(events, vec![MobilityEvent::Stop { start: 6, end: 16 }]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   timestamp);
 //! * [`clean`] — noise filters: invalid coordinates, duplicates,
 //!   out-of-sequence messages, speed spikes;
-//! * [`events`] — incremental mobility-event annotation: stops,
-//!   communication gaps, turning points, slow motion, speed changes;
+//! * [`events`] — mobility-event annotation: stops and communication
+//!   gaps, the two trip delimiters;
 //! * [`trips`] — segmentation of a vessel's stream into trips delimited by
 //!   stops and communication gaps (`ΔT = 30 min`), the unit HABIT trains
 //!   on;
@@ -24,7 +24,7 @@
 //! ```text
 //! raw AIS stream (mmsi, t, lon, lat, sog, cog, heading)
 //!   │ clean::clean_trajectory      noise filters (§3.1)
-//!   │ events::annotate             stops, gaps, turns, speed changes
+//!   │ events::annotate             stops and communication gaps
 //!   ▼
 //! trips::segment_all               Vec<Trip> — the HABIT training unit
 //!   │ table::trips_to_table

@@ -81,7 +81,6 @@ pub fn segment_trajectory(
                 end_prev: *before,
                 start_next: *after,
             }),
-            _ => {}
         }
     }
     cuts.sort_by_key(|c| c.end_prev);

@@ -113,6 +113,10 @@ impl PalmtoModel {
         }
         // Sort continuations by frequency so generation takes the argmax
         // in O(1).
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each entry is sorted in place; visit order reaches no output"
+        )]
         for entry in counts.values_mut() {
             entry.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
         }

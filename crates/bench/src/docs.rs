@@ -34,7 +34,7 @@ report/GeoJSON serialization is hand-rolled (no serde).
 
 ## Architecture
 
-Sixteen crates in eight layers, plus the `habit` umbrella crate
+Fifteen crates in eight layers, plus the `habit` umbrella crate
 re-exporting a prelude:
 
 ```text
@@ -42,7 +42,6 @@ re-exporting a prelude:
              │          habit — umbrella crate + prelude        │
              └──────────────────────────────────────────────────┘
  apps        habit-cli (`habit` binary)   habit-bench (14 experiment bins)
-             habit-lint (workspace static analysis — see LINTS.md)
              ────────────────────────────────────────────────────
  facade      habit-service (typed request/response API, unified
              error taxonomy, `habit serve` line-JSON TCP daemon)
@@ -85,7 +84,6 @@ re-exporting a prelude:
 | `crates/eval` | experiment harness: DTW accuracy, gap cases, experiment runners, `ExperimentReport` |
 | `crates/cli` (`habit-cli`) | the `habit` command-line tool — thin adapters over `habit-service` |
 | `crates/bench` (`habit-bench`) | experiment binaries, report/README generators, the P² median estimator the medians ablation measures |
-| `crates/lint` (`habit-lint`) | hand-rolled static analysis (lexer + scanner, no `syn`): the pinned L001/L003/L005 registry enforcing determinism and float-ordering invariants and auditing its own suppressions |
 
 ## Quickstart
 
@@ -335,33 +333,22 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 and 4 there — the paper's own storage and latency comparison against
 GTI/SLI — are size or speed figures.
 
-## Static analysis — `habit-lint`
-
-A hand-rolled lint pass (comment/string-aware lexer + token scanner, no
-`syn`) for what neither the compiler (`unsafe_code = "forbid"`) nor a
-test can check. The registry is pinned and documented in
-[`LINTS.md`](LINTS.md) (generated — CI fails when stale):
-
-| id | name | enforces |
-|----|------|----------|
-{lint_rows}
-```sh
-cargo run -p habit-lint --release -- --check          # CI gate: any violation fails
-cargo run -p habit-lint --release -- --json reports/lint.json
-```
-
-Silencing is inline only — `// habit-lint: allow(Lxxx) -- reason` — and
-itself audited (L005): every suppression lands in the committed
-[`reports/lint.json`](reports/lint.json), which CI diffs, so the
-suppression count cannot grow without showing up in review.
-
 ## Development
 
 ```sh
 cargo build --release && cargo test -q   # tier-1 gate
 cargo fmt --all --check && cargo clippy --workspace --all-targets
-cargo run -p habit-lint --release -- --check
 ```
+
+CI runs clippy with `RUSTFLAGS="-D warnings"`. Beyond `clippy::all`,
+the workspace lints reject a `for` over a hash container
+(`iter_over_hash_type`: hash order must not reach a codec or report),
+any `partial_cmp` call (`clippy.toml`; floats sort by `total_cmp`) and
+any `#[allow]` or reasonless suppression: silence a lint with
+`#[expect(lint, reason = "…")]`, which rustc reports once it silences
+nothing. `tests/code_size.rs` pins the lines of non-test Rust per crate
+in [`reports/code_size.json`](reports/code_size.json) and prints the
+regenerated file when they drift.
 
 See [ROADMAP.md](ROADMAP.md) for open items, [PAPER.md](PAPER.md) for
 the source paper's abstract, [PAPERS.md](PAPERS.md) for related work,
@@ -369,22 +356,7 @@ and [CHANGES.md](CHANGES.md) for the PR history.
 "#,
         quickstart = QUICKSTART_SRC,
         help = habit_cli::commands::help_text(),
-        lint_rows = lint_table_rows(),
     )
-}
-
-/// The habit-lint registry rendered as markdown table rows, so the
-/// README's lint table cannot drift from the registry it documents.
-fn lint_table_rows() -> String {
-    habit_lint::ALL
-        .iter()
-        .map(|l| {
-            format!(
-                "| [`{}`](LINTS.md) | `{}` | {} |\n",
-                l.id, l.name, l.summary
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -424,12 +396,6 @@ mod tests {
         assert!(md.contains("### Incremental refit"));
         assert!(md.contains("habit refit --model kiel.habit"));
         assert!(md.contains("\"op\":\"refit\""));
-        // The static-analysis section renders the live lint registry.
-        assert!(md.contains("## Static analysis — `habit-lint`"));
-        for lint in habit_lint::ALL.iter() {
-            assert!(md.contains(lint.name), "README must mention {}", lint.name);
-        }
-        assert!(md.contains("habit-lint: allow(Lxxx) -- reason"));
         // The observability section documents all three metrics
         // surfaces and the provenance CSV schema.
         assert!(md.contains("## Observability"));
@@ -440,12 +406,17 @@ mod tests {
             "t,lon,lat,kind,cell,from_cell,cell_msgs,edge_transitions,cost_share,confidence"
         ));
         assert!(md.contains("habit impute --model kiel.habit --provenance"));
+        // Development names the compiler-enforced rules and the code-size
+        // report.
+        assert!(md.contains("iter_over_hash_type"));
+        assert!(md.contains("#[expect(lint, reason = \"…\")]"));
+        assert!(md.contains("reports/code_size.json"));
         // Performance points at the one instrument and nowhere else.
         assert!(md.contains("## Performance"));
         assert!(md.contains("benchmark/README.md"));
         assert!(md.contains("BENCHMARK.json"));
         assert!(!md.contains("cargo bench"));
-        // All 16 crates appear in the table.
+        // All 15 crates appear in the table.
         for krate in [
             "geo-kernel",
             "hexgrid",
@@ -462,7 +433,6 @@ mod tests {
             "eval",
             "habit-cli",
             "habit-bench",
-            "habit-lint",
         ] {
             assert!(md.contains(krate), "README must mention {krate}");
         }

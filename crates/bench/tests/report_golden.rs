@@ -39,13 +39,14 @@ fn committed_baselines_cover_every_experiment() {
             "{id}: wall clock provenance"
         );
     }
-    // The directory holds exactly the registry plus the lint report:
+    // The directory holds exactly the registry plus the code-size
+    // report (`tests/code_size.rs`):
     // `--render-only` reads by id, so an orphaned file or directory
     // would otherwise sit there unnoticed.
     let mut expected: Vec<String> = EXPERIMENT_ORDER
         .iter()
         .map(|id| format!("{id}.json"))
-        .chain(["lint.json".to_string()])
+        .chain(["code_size.json".to_string()])
         .collect();
     expected.sort();
     let mut found: Vec<String> = std::fs::read_dir(repo_root().join("reports"))

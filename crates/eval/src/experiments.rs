@@ -388,7 +388,7 @@ pub struct Fig5Row {
 }
 
 /// The HABIT configurations Figure 5 sweeps.
-pub fn fig5_habit_configs() -> Vec<HabitConfig> {
+fn fig5_habit_configs() -> Vec<HabitConfig> {
     let mut out = Vec::new();
     for res in [9u8, 10] {
         for tol in [100.0, 250.0] {
@@ -399,7 +399,7 @@ pub fn fig5_habit_configs() -> Vec<HabitConfig> {
 }
 
 /// The GTI configurations Figure 5 sweeps.
-pub fn fig5_gti_configs() -> Vec<GtiConfig> {
+fn fig5_gti_configs() -> Vec<GtiConfig> {
     [1e-4, 5e-4, 1e-3]
         .into_iter()
         .map(|rd| GtiConfig {

@@ -21,8 +21,24 @@ pub(crate) const MAX_ABS_COORD: i64 = (1 << 27) - 1;
 /// coordinates `(q, r)`. The packed form sorts arbitrarily but hashes and
 /// compares cheaply, making it suitable as a graph node key — exactly how
 /// the paper uses H3 indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HexCell(u64);
+
+/// Cells order by the packed `u64`, so every sorted group-by key, node
+/// list and blob record is a function of the ids alone. Written by hand:
+/// a derived `PartialOrd` expands to a `partial_cmp` call, which
+/// `clippy.toml` disallows.
+impl Ord for HexCell {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for HexCell {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 #[inline]
 fn zigzag_encode(v: i64) -> u64 {

@@ -1,5 +1,6 @@
 //! Property-based tests for the hex grid invariants.
 
+use crate::cell::{HexCell, MAX_ABS_COORD};
 use crate::grid::HexGrid;
 use crate::ops;
 use geo_kernel::{haversine_m, GeoPoint};
@@ -81,5 +82,18 @@ proptest! {
         // within one coarse step.
         let d = g.grid_distance(via9, direct).unwrap();
         prop_assert!(d <= 1, "distance {}", d);
+    }
+
+    #[test]
+    fn cells_order_as_their_packed_ids(
+        (ra, qa, rra) in (0u8..=15, -MAX_ABS_COORD..=MAX_ABS_COORD, -MAX_ABS_COORD..=MAX_ABS_COORD),
+        (rb, qb, rrb) in (0u8..=15, -MAX_ABS_COORD..=MAX_ABS_COORD, -MAX_ABS_COORD..=MAX_ABS_COORD),
+    ) {
+        // Sorted outputs (group-by keys, graph nodes, blob records) are
+        // byte-stable only while `HexCell`'s order is the `u64`'s.
+        let a = HexCell::from_axial(ra, qa, rra).unwrap();
+        let b = HexCell::from_axial(rb, qb, rrb).unwrap();
+        prop_assert_eq!(a.cmp(&b), a.raw().cmp(&b.raw()));
+        prop_assert_eq!(a < b, a.raw() < b.raw());
     }
 }

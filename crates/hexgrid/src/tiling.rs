@@ -38,16 +38,6 @@ impl TilePartitioner {
         }
     }
 
-    /// The tile resolution cells are coarsened to.
-    pub fn tile_res(&self) -> u8 {
-        self.tile_res
-    }
-
-    /// Number of shards tiles are spread over.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
     /// The tile containing `cell` (its ancestor at the tile resolution).
     pub fn tile_of(&self, cell: HexCell) -> Result<HexCell, HexError> {
         if cell.resolution() == self.tile_res {
@@ -85,7 +75,6 @@ mod tests {
     #[test]
     fn tile_is_ancestor_and_shared_by_near_cells() {
         let p = TilePartitioner::new(9, DEFAULT_TILE_LEVELS_UP, 8);
-        assert_eq!(p.tile_res(), 6);
         let a = cell_at(10.000, 56.000, 9);
         let b = cell_at(10.001, 56.000, 9); // ~60 m away, same coarse tile
         assert_eq!(p.tile_of(a).unwrap().resolution(), 6);
@@ -118,9 +107,8 @@ mod tests {
     #[test]
     fn clamps_at_resolution_zero_and_one_shard() {
         let p = TilePartitioner::new(2, 9, 0);
-        assert_eq!(p.tile_res(), 0);
-        assert_eq!(p.num_shards(), 1);
         let c = cell_at(10.0, 56.0, 2);
+        assert_eq!(p.tile_of(c).unwrap().resolution(), 0);
         assert_eq!(p.shard_of(c).unwrap(), 0);
         // A cell already at the tile resolution is its own tile.
         let t = cell_at(10.0, 56.0, 0);

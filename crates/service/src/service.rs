@@ -166,7 +166,7 @@ impl Service {
 
     /// Installs `model` as the serving model (fresh route cache),
     /// replacing whatever served before.
-    pub fn install_model(&self, model: HabitModel) {
+    fn install_model(&self, model: HabitModel) {
         let empty_blob = model.node_count() == 0;
         let imputer = BatchImputer::new(Arc::new(model), self.cache_capacity);
         let mut slot = write(&self.serving);

@@ -840,7 +840,6 @@ pub fn encode_response(result: &Result<Response, ServiceError>) -> String {
 /// Decodes one response line back into the typed outcome. The outer
 /// `Err` means the *envelope* was malformed; an inner `Err` is the
 /// service-reported failure.
-#[allow(clippy::type_complexity)]
 pub fn decode_response(line: &str) -> Result<Result<Response, ServiceError>, ServiceError> {
     let doc = Json::parse(line.trim())?;
     let v = u64_field(&doc, "v")?;

@@ -158,7 +158,10 @@ impl Fleet {
 
 /// Runs `n_trips` back-and-forth sailings for one vessel along a fixed
 /// route, with idle dwell between trips.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a distinct input of one schedule; a parameter struct would only restate them"
+)]
 fn shuttle(
     fleet: &mut Fleet,
     vessel_idx: usize,

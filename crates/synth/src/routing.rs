@@ -74,7 +74,7 @@ impl SeaRouter {
     }
 
     /// The raw visibility-graph route, without lane curvature.
-    pub fn route_geodesic(&self, from: &GeoPoint, to: &GeoPoint) -> Option<Vec<GeoPoint>> {
+    fn route_geodesic(&self, from: &GeoPoint, to: &GeoPoint) -> Option<Vec<GeoPoint>> {
         if self.world.segment_is_clear(from, to) {
             return Some(vec![*from, *to]);
         }

@@ -136,7 +136,7 @@ fn chaikin_once(points: &[GeoPoint]) -> Vec<GeoPoint> {
 
 /// Chaikin-smooths a waypoint polyline `iters` times: corners become the
 /// wide, gradual turns characteristic of large vessels.
-pub fn smooth_waypoints(points: &[GeoPoint], iters: usize) -> Vec<GeoPoint> {
+fn smooth_waypoints(points: &[GeoPoint], iters: usize) -> Vec<GeoPoint> {
     let mut out = points.to_vec();
     for _ in 0..iters {
         out = chaikin_once(&out);
