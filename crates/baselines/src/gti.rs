@@ -19,7 +19,7 @@ use mobgraph::{dijkstra, CsrGraph, DiGraph, NearestIndex};
 
 /// GTI hyper-parameters, named as in the paper: `rm` (radius in meters)
 /// and `rd` (radius in degrees).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GtiConfig {
     /// Metric cross-link radius, meters.
     pub rm_m: f64,

@@ -29,7 +29,7 @@
 //! | PaLMTO | N-gram over grid tokens | compact models | generation frequently times out (reproduced in `ablation_palmto`) |
 //!
 //! The `eval` crate wraps all of them (and HABIT) behind
-//! `eval::Imputer`, which is what every experiment binary sweeps; the
+//! `eval::Imputer`, which the experiment grid (`eval::Grid`) sweeps; the
 //! committed numbers live in `EXPERIMENTS.md`.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 

@@ -16,7 +16,7 @@ use hexgrid::{HexCell, HexGrid};
 use std::time::{Duration, Instant};
 
 /// PaLMTO hyper-parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PalmtoConfig {
     /// Grid resolution for tokenization.
     pub resolution: u8,

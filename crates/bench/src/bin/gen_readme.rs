@@ -13,55 +13,45 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut out: PathBuf = "README.md".into();
-    let mut check = false;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(path) => out = path.into(),
-                None => {
-                    eprintln!("error: --out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--check" => check = true,
-            other => {
-                eprintln!("error: unknown flag `{other}` (supported: --out PATH, --check)");
-                return ExitCode::from(2);
-            }
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err((code, message)) => {
+            eprintln!("error: {message}");
+            ExitCode::from(code)
         }
     }
+}
 
-    let rendered = habit_bench::docs::render_readme();
-    if check {
-        match std::fs::read_to_string(&out) {
-            Ok(committed) if committed == rendered => {
-                eprintln!("{} is fresh", out.display());
-                ExitCode::SUCCESS
-            }
-            Ok(_) => {
-                eprintln!(
-                    "error: {} is stale — regenerate with `cargo run -p habit-bench --bin gen_readme`",
-                    out.display()
-                );
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("error: could not read {}: {e}", out.display());
-                ExitCode::FAILURE
-            }
-        }
-    } else {
-        match std::fs::write(&out, rendered) {
-            Ok(()) => {
-                eprintln!("wrote {}", out.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: could not write {}: {e}", out.display());
-                ExitCode::FAILURE
-            }
+/// A failure carries its exit code and message.
+fn run() -> Result<(), (u8, String)> {
+    let (mut out, mut check) = (PathBuf::from("README.md"), false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let usage = || {
+            (
+                2,
+                format!("bad argument `{arg}` (supported: --out PATH, --check)"),
+            )
+        };
+        match arg.as_str() {
+            "--out" => out = args.next().ok_or_else(usage)?.into(),
+            "--check" => check = true,
+            _ => return Err(usage()),
         }
     }
+    let rendered = habit_bench::docs::render_readme();
+    let shown = out.display();
+    if !check {
+        std::fs::write(&out, rendered).map_err(|e| (1, format!("could not write {shown}: {e}")))?;
+        eprintln!("wrote {shown}");
+    } else if std::fs::read_to_string(&out)
+        .map_err(|e| (1, format!("could not read {shown}: {e}")))?
+        != rendered
+    {
+        let hint = "regenerate with `cargo run -p habit-bench --bin gen_readme`";
+        return Err((1, format!("{shown} is stale — {hint}")));
+    } else {
+        eprintln!("{shown} is fresh");
+    }
+    Ok(())
 }

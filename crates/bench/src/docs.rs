@@ -41,7 +41,7 @@ re-exporting a prelude:
              ┌──────────────────────────────────────────────────┐
              │          habit — umbrella crate + prelude        │
              └──────────────────────────────────────────────────┘
- apps        habit-cli (`habit` binary)   habit-bench (14 experiment bins)
+ apps        habit-cli (`habit` binary)   habit-bench (one experiment runner)
              ────────────────────────────────────────────────────
  facade      habit-service (typed request/response API, unified
              error taxonomy, `habit serve` line-JSON TCP daemon)
@@ -81,9 +81,9 @@ re-exporting a prelude:
 | `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, `ServiceError` taxonomy with stable codes, shared CSV converters over one typed, line-numbering decoder, line-JSON wire codec + TCP server |
 | `crates/baselines` | competitors: SLI straight-line, GTI point-graph, PaLMTO N-gram |
 | `crates/density` | traffic density maps and exports built on the same substrate |
-| `crates/eval` | experiment harness: DTW accuracy, gap cases, experiment runners, `ExperimentReport` |
+| `crates/eval` | experiment harness: DTW accuracy, gap cases, the experiment grid (each dataset × method fitted once, every gap's outcome kept), `ExperimentReport` |
 | `crates/cli` (`habit-cli`) | the `habit` command-line tool — thin adapters over `habit-service` |
-| `crates/bench` (`habit-bench`) | experiment binaries, report/README generators, the P² median estimator the medians ablation measures |
+| `crates/bench` (`habit-bench`) | the thirteen experiments as declarations over one grid, the `all_experiments` runner, report/README generators, the P² median estimator the medians ablation measures |
 
 ## Quickstart
 
@@ -282,20 +282,21 @@ pinned by a committed golden under `crates/cli/tests/golden/`.
 
 ## Reproducing the paper's evaluation
 
-Every table and figure of the paper's §4 (plus four ablations) has a
-runnable binary; [`EXPERIMENTS.md`](EXPERIMENTS.md) is the committed
-baseline, generated — never hand-edited:
+Every table and figure of the paper's §4 (plus four ablations) is an
+experiment id of one runner, which fits each (dataset, method) pair the
+selected experiments read once; [`EXPERIMENTS.md`](EXPERIMENTS.md) is
+the committed baseline, generated — never hand-edited:
 
 ```sh
 # Re-run everything and regenerate reports/*.json + EXPERIMENTS.md
-# (~2 minutes in release mode at full scale):
+# (~1 minute in release mode at full scale on 2 cores):
 cargo run -p habit-bench --release --bin all_experiments -- --out-dir reports/
 
 # Re-render EXPERIMENTS.md from the committed JSON without re-running:
 cargo run -p habit-bench --release --bin all_experiments -- --render-only --out-dir reports/
 
-# One experiment, e.g. Figure 5:
-cargo run -p habit-bench --release --bin fig5
+# Some experiments, e.g. Figure 5 (markdown on stdout):
+cargo run -p habit-bench --release --bin all_experiments -- fig5
 ```
 
 Each `reports/<id>.json` is a versioned `habit-experiment-report/v1`

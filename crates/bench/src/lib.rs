@@ -1,10 +1,11 @@
 //! # habit-bench — the experiment harness
 //!
-//! One runnable binary per table/figure of the paper's evaluation
-//! (`cargo run -p habit-bench --release --bin <target>`):
+//! One runner regenerates every table and figure of the paper's
+//! evaluation, plus four ablations
+//! (`cargo run -p habit-bench --release --bin all_experiments -- [ID…]`):
 //!
-//! | target | regenerates |
-//! |--------|-------------|
+//! | id | regenerates |
+//! |----|-------------|
 //! | `table1` | Table 1 — dataset characteristics |
 //! | `table2` | Table 2 — framework storage size |
 //! | `table3` | Table 3 — simplification effect |
@@ -12,92 +13,41 @@
 //! | `fig3`   | Figure 3 — accuracy vs resolution × projection |
 //! | `fig4`   | Figure 4 — accuracy vs tolerance |
 //! | `fig5`   | Figure 5 — accuracy sensitivity vs GTI/SLI |
-//! | `fig6`   | Figure 6 — qualitative examples (ASCII map + GeoJSON) |
+//! | `fig6`   | Figure 6 — qualitative examples (ASCII map + polylines) |
 //! | `fig7`   | Figure 7 — accuracy vs gap duration |
-//! | `ablation_weights` | DESIGN.md §5 — A* edge-weight schemes |
-//! | `ablation_medians` | DESIGN.md §5 — exact vs P² medians, HLL precision |
+//! | `ablation_weights` | A* edge-weight schemes |
+//! | `ablation_medians` | exact vs P² medians, HLL precision |
 //! | `ablation_palmto`  | the paper's dropped competitor, reproduced |
 //! | `ablation_fleet`   | vessel-type conditioning (paper future work) |
-//! | `all_experiments`  | everything above; writes `reports/*.json` + `EXPERIMENTS.md` |
-//! | `gen_readme`       | regenerates `README.md` from [`docs`] (`--check` fails when stale) |
 //!
-//! Every binary builds a structured [`eval::ExperimentReport`] via
-//! [`reports`], prints its markdown, and with `--out-dir DIR` persists
-//! the JSON baseline. `all_experiments --out-dir reports/` regenerates
-//! the committed `EXPERIMENTS.md`; `--render-only` re-renders it from
-//! the checked-in JSON without re-running anything (the CI freshness
-//! check). [`docs`] generates `README.md` the same way (`gen_readme`).
+//! [`reports::EXPERIMENTS`] declares each experiment: the grid cells it
+//! reads and a builder that turns the evaluated [`eval::Grid`] into an
+//! [`eval::ExperimentReport`]. [`reports::run`] fits each (dataset,
+//! method) pair the selected experiments read once. With no id,
+//! `all_experiments --out-dir reports/` regenerates every
+//! `reports/<id>.json` and the committed `EXPERIMENTS.md`;
+//! `--render-only` re-renders it from the checked-in JSON without
+//! running anything (the CI freshness check). With ids, it prints those
+//! reports' markdown. [`docs`] generates `README.md` the same way
+//! (`gen_readme`).
 //!
 //! Serving and fitting *performance* is not measured here: the repo's
 //! benchmark (`benchmark/` + `BENCHMARK.json`) drives the real `habit`
 //! binary over TCP.
 //!
-//! Set `HABIT_EVAL_SCALE` (default 1.0) to shrink datasets for quick
-//! runs; seeds are fixed so outputs are reproducible.
+//! The `all_experiments` binary reads `HABIT_EVAL_SCALE` (default 1.0)
+//! to shrink datasets for quick runs; seeds are fixed so outputs are
+//! reproducible.
 
-use eval::experiments::Bench;
-use eval::report::{ExperimentReport, ReportError};
+use eval::report::ExperimentReport;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 
 pub mod docs;
 pub mod p2;
 pub mod reports;
 
-/// Common seed for all experiment binaries.
+/// Seed of every committed report.
 pub const SEED: u64 = 42;
-
-/// Prepares the DAN bench with the shared seed.
-pub fn dan() -> Bench {
-    Bench::dan(SEED)
-}
-
-/// Prepares the KIEL bench with the shared seed.
-pub fn kiel() -> Bench {
-    Bench::kiel(SEED)
-}
-
-/// Prepares the SAR bench with the shared seed.
-pub fn sar() -> Bench {
-    Bench::sar(SEED)
-}
-
-/// Flags shared by every experiment binary.
-#[derive(Debug, Default)]
-pub struct BinArgs {
-    /// `--out-dir DIR` — persist `<id>.json` baselines here.
-    pub out_dir: Option<PathBuf>,
-    /// `--render-only` — re-render from existing JSON, run nothing
-    /// (`all_experiments` only).
-    pub render_only: bool,
-    /// `--md-out PATH` — where `all_experiments` writes the generated
-    /// `EXPERIMENTS.md` (default `EXPERIMENTS.md` when `--out-dir` is
-    /// given).
-    pub md_out: Option<PathBuf>,
-}
-
-impl BinArgs {
-    /// Parses the process arguments; errors on anything unrecognized.
-    pub fn parse_env() -> Result<Self, String> {
-        let mut out = BinArgs::default();
-        let mut iter = std::env::args().skip(1);
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--out-dir" => {
-                    let dir = iter.next().ok_or("--out-dir needs a directory")?;
-                    out.out_dir = Some(PathBuf::from(dir));
-                }
-                "--md-out" => {
-                    let path = iter.next().ok_or("--md-out needs a path")?;
-                    out.md_out = Some(PathBuf::from(path));
-                }
-                "--render-only" => out.render_only = true,
-                other => return Err(format!("unknown flag `{other}`")),
-            }
-        }
-        Ok(out)
-    }
-}
 
 /// Writes one report's JSON baseline as `<out_dir>/<id>.json`.
 pub fn write_report_json(report: &ExperimentReport, out_dir: &Path) -> std::io::Result<PathBuf> {
@@ -107,61 +57,19 @@ pub fn write_report_json(report: &ExperimentReport, out_dir: &Path) -> std::io::
     Ok(path)
 }
 
-/// Loads every canonical report, `<dir>/<id>.json` for each id of
-/// [`reports::EXPERIMENT_ORDER`], in that order — the one reader behind
+/// Loads every canonical report, `<dir>/<id>.json` for each experiment
+/// of [`reports::EXPERIMENTS`], in that order — the one reader behind
 /// `all_experiments --render-only` and the golden tests.
 pub fn load_reports(dir: &Path) -> Result<Vec<ExperimentReport>, String> {
-    reports::EXPERIMENT_ORDER
+    reports::EXPERIMENTS
         .iter()
-        .map(|id| {
-            let path = dir.join(format!("{id}.json"));
+        .map(|e| {
+            let path = dir.join(format!("{}.json", e.id));
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("could not read {}: {e}", path.display()))?;
             ExperimentReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
         })
         .collect()
-}
-
-/// Shared `main` for single-experiment binaries: builds the report,
-/// prints its markdown to stdout, and honours `--out-dir`. Exit codes
-/// follow the `habit` CLI convention: 0 success, 1 experiment failure,
-/// 2 usage error.
-pub fn report_main<F>(build: F) -> ExitCode
-where
-    F: FnOnce() -> Result<ExperimentReport, ReportError>,
-{
-    let args = match BinArgs::parse_env() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e} (supported: --out-dir DIR)");
-            return ExitCode::from(2);
-        }
-    };
-    if args.render_only || args.md_out.is_some() {
-        eprintln!(
-            "error: --render-only/--md-out are `all_experiments` flags (supported here: --out-dir DIR)"
-        );
-        return ExitCode::from(2);
-    }
-    match build() {
-        Ok(report) => {
-            print!("{}", report.to_markdown());
-            if let Some(dir) = &args.out_dir {
-                match write_report_json(&report, dir) {
-                    Ok(path) => eprintln!("wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("error: could not write JSON baseline: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// Renders a polyline set as a coarse ASCII map (used by `fig6`).

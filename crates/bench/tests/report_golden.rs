@@ -8,7 +8,7 @@
 //! the same check CI runs via `all_experiments --render-only`.
 
 use eval::report::{render_experiments_md, ExperimentReport};
-use habit_bench::reports::{self, EXPERIMENT_ORDER};
+use habit_bench::reports::{self, EXPERIMENTS};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -27,8 +27,8 @@ fn committed_reports() -> Vec<ExperimentReport> {
 #[test]
 fn committed_baselines_cover_every_experiment() {
     let reports = committed_reports();
-    assert_eq!(reports.len(), EXPERIMENT_ORDER.len());
-    for (report, id) in reports.iter().zip(EXPERIMENT_ORDER) {
+    assert_eq!(reports.len(), EXPERIMENTS.len());
+    for (report, id) in reports.iter().zip(EXPERIMENTS.map(|e| e.id)) {
         assert_eq!(report.id, id, "file stem and embedded id must agree");
         assert!(!report.paper_ref.is_empty(), "{id}: paper_ref");
         assert!(!report.paper_expected.is_empty(), "{id}: paper_expected");
@@ -43,9 +43,9 @@ fn committed_baselines_cover_every_experiment() {
     // report (`tests/code_size.rs`):
     // `--render-only` reads by id, so an orphaned file or directory
     // would otherwise sit there unnoticed.
-    let mut expected: Vec<String> = EXPERIMENT_ORDER
+    let mut expected: Vec<String> = EXPERIMENTS
         .iter()
-        .map(|id| format!("{id}.json"))
+        .map(|e| format!("{}.json", e.id))
         .chain(["code_size.json".to_string()])
         .collect();
     expected.sort();
@@ -127,14 +127,14 @@ fn readme_regenerates_byte_identical() {
 fn smoke_scale_report_round_trips() {
     // A live (non-golden) end-to-end check at miniature scale: build one
     // real report, persist it, reload it, and compare renders.
-    std::env::set_var("HABIT_EVAL_SCALE", "0.05");
-    let report = reports::table1_report(7).expect("table1 builds");
-    std::env::remove_var("HABIT_EVAL_SCALE");
+    let table1 = reports::experiment("table1").expect("registered");
+    let (built, _) = reports::run(&[table1], 7, 0.05).expect("table1 builds");
+    let report = &built[0];
     let dir = std::env::temp_dir().join(format!("habit-report-{}", std::process::id()));
-    let path = habit_bench::write_report_json(&report, &dir).expect("write JSON");
+    let path = habit_bench::write_report_json(report, &dir).expect("write JSON");
     let back = ExperimentReport::from_json(&std::fs::read_to_string(&path).expect("read back"))
         .expect("parse back");
-    assert_eq!(back, report);
+    assert_eq!(&back, report);
     assert_eq!(back.to_markdown(), report.to_markdown());
     std::fs::remove_dir_all(&dir).ok();
 }

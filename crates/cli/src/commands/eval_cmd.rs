@@ -2,16 +2,13 @@
 //! dataset (a compact version of the paper's Figure 5 + Table 4).
 //!
 //! No model file is involved (methods are fitted in-memory on a fresh
-//! split), so there is no service request behind this command; its
-//! errors still speak the unified taxonomy.
+//! split by the experiment grid), so there is no service request behind
+//! this command; its errors still speak the unified taxonomy.
 
 use crate::args::Args;
-use crate::commands::synth_cmd::build_dataset;
-use baselines::GtiConfig;
-use eval::experiments::{accuracy_dtw, latency, Bench};
-use eval::report::{fmt_m, fmt_mb, fmt_s, mean, median, MarkdownTable};
-use eval::Imputer;
-use habit_core::HabitConfig;
+use crate::commands::synth_cmd::dataset_id;
+use eval::experiments::{cells, Cell, Gaps, Grid};
+use eval::Method;
 use habit_service::{ErrorCode, ServiceError};
 
 /// Entry point for `habit eval`.
@@ -24,64 +21,46 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
     if gap_minutes <= 0 {
         return Err(ServiceError::bad_request("--gap must be positive minutes"));
     }
+    let dataset = dataset_id(name)?;
 
-    let dataset = build_dataset(name, seed, scale)?;
-    let bench = Bench::prepare(dataset, seed);
-    let cases = bench.gap_cases(gap_minutes * 60, seed);
+    let gaps = Gaps {
+        duration_s: gap_minutes * 60,
+        seed_offset: 0,
+    };
+    let methods = [
+        Method::habit(9, 100.0),
+        Method::habit(10, 100.0),
+        Method::gti(5e-4),
+        Method::Sli,
+    ];
+    let cells = cells(dataset, &methods, Some(gaps));
+    let mut grid = Grid::new(seed, scale, cells.clone());
+    // The gap cases first: nothing is fitted when no trip hosts a gap.
+    grid.evaluate(&[Cell {
+        dataset,
+        method: None,
+        gaps: Some(gaps),
+    }]);
+    let (bench, cases) = (grid.bench(dataset), grid.cases(dataset, gaps).len());
     println!(
-        "{}: {} train trips / {} test trips, {} gaps of {} min\n",
+        "{}: {} train trips / {} test trips, {cases} gaps of {gap_minutes} min\n",
         bench.name,
         bench.train.len(),
         bench.test.len(),
-        cases.len(),
-        gap_minutes
     );
-    if cases.is_empty() {
+    if cases == 0 {
         return Err(ServiceError::new(
             ErrorCode::BadInput,
             "no trip can host a gap of this duration — lower --gap or raise --scale",
         ));
     }
-
-    let mut methods = vec![
-        Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(9, 100.0))?,
-        Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(10, 100.0))?,
-    ];
-    if let Ok(gti) = Imputer::fit_gti(
-        &bench.train,
-        GtiConfig {
-            rm_m: 250.0,
-            rd_deg: 5e-4,
-            ..GtiConfig::default()
-        },
-    ) {
-        methods.push(gti);
+    grid.evaluate(&cells);
+    // HABIT must fit; a GTI that cannot is left out of the table.
+    for habit in &methods[..2] {
+        let fit = grid.fit(dataset, habit);
+        fit.map_err(|e| ServiceError::new(ErrorCode::EmptyModel, e))?;
     }
-    methods.push(Imputer::sli());
-
-    let mut table = MarkdownTable::new(vec![
-        "Method",
-        "Mean DTW (m)",
-        "Median DTW (m)",
-        "Failures",
-        "Model (MB)",
-        "Avg lat (s)",
-        "Max lat (s)",
-    ]);
-    for m in &methods {
-        let errors = accuracy_dtw(m, &cases);
-        let (avg, max, failures) = latency(m, &cases);
-        table.row(vec![
-            m.label().to_string(),
-            fmt_m(mean(&errors)),
-            fmt_m(median(&errors)),
-            failures.to_string(),
-            fmt_mb(m.storage_bytes()),
-            fmt_s(avg),
-            fmt_s(max),
-        ])?;
-    }
-    println!("{}", table.render());
+    println!("{}", grid.method_table(dataset, &methods, gaps)?.render());
     Ok(())
 }
 

@@ -7,21 +7,24 @@
 
 use crate::args::Args;
 use crate::io::write_ais_csv;
+use eval::DatasetId;
 use habit_service::ServiceError;
 use std::path::Path;
-use synth::{datasets, DatasetSpec};
+use synth::Dataset;
 
 /// Builds the named dataset (`dan` / `kiel` / `sar`).
-pub fn build_dataset(name: &str, seed: u64, scale: f64) -> Result<datasets::Dataset, ServiceError> {
-    let spec = DatasetSpec { seed, scale };
-    match name.to_ascii_lowercase().as_str() {
-        "dan" => Ok(datasets::dan(spec)),
-        "kiel" => Ok(datasets::kiel(spec)),
-        "sar" => Ok(datasets::sar(spec)),
-        other => Err(ServiceError::bad_request(format!(
-            "unknown dataset `{other}` (dan|kiel|sar)"
-        ))),
-    }
+pub fn build_dataset(name: &str, seed: u64, scale: f64) -> Result<Dataset, ServiceError> {
+    Ok(dataset_id(name)?.generate(seed, scale))
+}
+
+/// Parses a dataset name (`dan` / `kiel` / `sar`, any case).
+pub fn dataset_id(name: &str) -> Result<DatasetId, ServiceError> {
+    DatasetId::parse(name).ok_or_else(|| {
+        ServiceError::bad_request(format!(
+            "unknown dataset `{}` (dan|kiel|sar)",
+            name.to_ascii_lowercase()
+        ))
+    })
 }
 
 /// Entry point for `habit synth`.

@@ -22,7 +22,7 @@ use aggdb::fxhash::FxHashMap;
 use ais::{trips_to_table, Trip, VesselInfo, VesselType};
 
 /// Configuration of a per-vessel-type fit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TypeModelsConfig {
     /// Base HABIT configuration used for every sub-model.
     pub habit: HabitConfig,
@@ -69,7 +69,8 @@ impl TypeModels {
         let mmsi_types: FxHashMap<u64, VesselType> =
             vessels.iter().map(|v| (v.mmsi, v.vtype)).collect();
 
-        let global = HabitModel::fit(&trips_to_table(trips), config.habit)?;
+        // No sub-model is ever refitted, so none keeps its fit state.
+        let global = HabitModel::fit(&trips_to_table(trips), config.habit)?.without_state();
 
         let mut by_type: FxHashMap<u8, Vec<Trip>> = FxHashMap::default();
         for trip in trips {
@@ -97,6 +98,7 @@ impl TypeModels {
                             HabitModel::fit(&trips_to_table(class_trips), habit)
                                 .ok()
                                 .filter(|m| m.node_count() > 0)
+                                .map(HabitModel::without_state)
                         }),
                     )
                 })
@@ -258,6 +260,9 @@ mod tests {
             g,
             "lanes are disjoint so class graphs partition the global one"
         );
+        // Nothing refits a sub-model, so none keeps its fit state.
+        assert!(f.global().state().is_none());
+        assert!(f.type_model(VesselType::Tanker).unwrap().state().is_none());
     }
 
     #[test]

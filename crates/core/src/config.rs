@@ -16,8 +16,8 @@ pub enum CellProjection {
 ///
 /// The paper minimizes the number of transitions (uniform hop weights),
 /// noting this "effectively reveals the most frequent path"; the two
-/// frequency-aware schemes are kept as the ablation DESIGN.md §5 calls
-/// out.
+/// frequency-aware schemes are kept for the `ablation_weights`
+/// experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightScheme {
     /// Uniform weight 1 per transition (paper default).

@@ -1,33 +1,57 @@
-//! Experiment runners — one per table/figure of the paper's §4.
+//! The experiment grid — the paper's §4 as datasets × methods × gap
+//! cases, evaluated once.
 //!
-//! Each runner takes prepared [`Bench`] environments (dataset → cleaned
-//! trips → 70/30 split) and returns structured rows; the binaries in
-//! `crates/bench` render them with [`crate::report`]. Randomness is
-//! seeded so every run regenerates identical rows.
+//! An experiment declares the [`Cell`]s it reads. [`Grid::evaluate`]
+//! fits each (dataset, method) pair once, imputes, times and scores on
+//! the calling thread every gap case that any planned cell asks of the
+//! pair, and drops the model before the next fit. The grid keeps the
+//! [`Outcome`]s, never the models, so every report is a pure function of
+//! it. Every random stream (dataset, split, gap placement) is seeded per
+//! call, so the order of evaluation cannot move an answer.
 
 use crate::dtw::resampled_dtw_m;
 use crate::gaps::{inject_gaps, GapCase};
-use crate::methods::Imputer;
-use crate::report::{mean, median, percentile};
-use crate::rot::{mean_rot_stats, rot_stats, RotStats};
+use crate::methods::{Imputer, Method, MethodOutput};
+use crate::report::{fmt_m, fmt_mb, fmt_s, mean, median, MarkdownTable, ReportError};
 use crate::split::split_trips;
-use ais::Trip;
-use baselines::GtiConfig;
+use ais::{Trip, VesselType};
 use geo_kernel::GeoPoint;
-use habit_core::{CellProjection, HabitConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use synth::{Dataset, DatasetSpec};
 
-/// Scale factor for dataset generation, overridable with the
-/// `HABIT_EVAL_SCALE` environment variable (default 1.0). Lower values
-/// shrink datasets proportionally for quick smoke runs.
-pub fn eval_scale() -> f64 {
-    std::env::var("HABIT_EVAL_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0)
+/// One of the paper's three datasets, as a seeded synthetic analogue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DatasetId {
+    /// Passenger vessels between ten Danish ports.
+    Dan,
+    /// Two ferries on the Kiel ↔ Gothenburg itinerary.
+    Kiel,
+    /// All vessel types in the Saronic gulf.
+    Sar,
+}
+
+impl DatasetId {
+    /// Parses `dan`, `kiel` or `sar`, in any case.
+    pub fn parse(name: &str) -> Option<Self> {
+        match name.to_ascii_lowercase().as_str() {
+            "dan" => Some(DatasetId::Dan),
+            "kiel" => Some(DatasetId::Kiel),
+            "sar" => Some(DatasetId::Sar),
+            _ => None,
+        }
+    }
+
+    /// Generates the dataset at `scale` (1.0 = full size).
+    pub fn generate(self, seed: u64, scale: f64) -> Dataset {
+        let spec = DatasetSpec { seed, scale };
+        match self {
+            DatasetId::Dan => synth::datasets::dan(spec),
+            DatasetId::Kiel => synth::datasets::kiel(spec),
+            DatasetId::Sar => synth::datasets::sar(spec),
+        }
+    }
 }
 
 /// A prepared evaluation environment for one dataset.
@@ -56,39 +80,6 @@ impl Bench {
         }
     }
 
-    /// Standard DAN bench.
-    pub fn dan(seed: u64) -> Self {
-        Self::prepare(
-            synth::datasets::dan(DatasetSpec {
-                seed,
-                scale: eval_scale(),
-            }),
-            seed,
-        )
-    }
-
-    /// Standard KIEL bench.
-    pub fn kiel(seed: u64) -> Self {
-        Self::prepare(
-            synth::datasets::kiel(DatasetSpec {
-                seed,
-                scale: eval_scale(),
-            }),
-            seed,
-        )
-    }
-
-    /// Standard SAR bench.
-    pub fn sar(seed: u64) -> Self {
-        Self::prepare(
-            synth::datasets::sar(DatasetSpec {
-                seed,
-                scale: eval_scale(),
-            }),
-            seed,
-        )
-    }
-
     /// Injects one gap of `duration_s` into every eligible test trip.
     pub fn gap_cases(&self, duration_s: i64, seed: u64) -> Vec<GapCase> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6A70);
@@ -96,631 +87,424 @@ impl Bench {
     }
 }
 
-/// DTW errors (meters) of an imputer over gap cases; failures skipped.
-pub fn accuracy_dtw(imputer: &Imputer, cases: &[GapCase]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(cases.len());
-    for case in cases {
-        if let Some(path) = imputer.impute(&case.query).path() {
-            let imputed: Vec<GeoPoint> = path.iter().map(|p| p.pos).collect();
-            let truth: Vec<GeoPoint> = case.truth.iter().map(|p| p.pos).collect();
-            if let Some(d) = resampled_dtw_m(&imputed, &truth) {
-                out.push(d);
-            }
-        }
-    }
-    out
+/// A set of gap cases: one gap of `duration_s` in every eligible test
+/// trip, placed by the stream seeded with the grid's seed plus
+/// `seed_offset`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gaps {
+    /// Gap duration, seconds.
+    pub duration_s: i64,
+    /// Added to the grid's seed to seed the placement.
+    pub seed_offset: u64,
 }
 
-/// Query latency of an imputer over gap cases: `(avg_s, max_s, failures)`.
-pub fn latency(imputer: &Imputer, cases: &[GapCase]) -> (f64, f64, usize) {
-    let mut total = 0.0f64;
-    let mut max = 0.0f64;
-    let mut failures = 0usize;
-    for case in cases {
-        let t0 = Instant::now();
-        let out = imputer.impute(&case.query);
-        let dt = t0.elapsed().as_secs_f64();
-        total += dt;
-        max = max.max(dt);
-        if out.path().is_none() {
-            failures += 1;
-        }
-    }
-    let avg = if cases.is_empty() {
-        0.0
-    } else {
-        total / cases.len() as f64
+impl Gaps {
+    /// The paper's default: one 60-minute gap per test trip.
+    pub const HOUR: Gaps = Gaps {
+        duration_s: 3600,
+        seed_offset: 0,
     };
-    (avg, max, failures)
 }
 
-// --------------------------------------------------------------------
-// Table 1 — dataset characteristics.
-
-/// One row of Table 1.
-pub struct Table1Row {
-    /// Dataset name.
-    pub name: String,
-    /// Vessel-type description.
-    pub vessel_types: &'static str,
-    /// Raw CSV size in bytes.
-    pub size_bytes: usize,
-    /// Raw position count.
-    pub positions: usize,
-    /// Segmented trip count.
-    pub trips: usize,
-    /// Distinct ships.
-    pub ships: usize,
+/// One thing an experiment reads from the grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cell {
+    /// The dataset.
+    pub dataset: DatasetId,
+    /// The method fitted on its training split; `None` reads only the
+    /// dataset or its gap cases.
+    pub method: Option<Method>,
+    /// The gap cases imputed; `None` reads only the fit.
+    pub gaps: Option<Gaps>,
 }
 
-/// Regenerates Table 1 over the three datasets.
-pub fn table1(seed: u64) -> Vec<Table1Row> {
-    let scale = eval_scale();
-    let specs = [("DAN", "Passenger"), ("KIEL", "Passenger"), ("SAR", "All")];
-    specs
-        .iter()
-        .map(|(name, types)| {
-            let ds = match *name {
-                "DAN" => synth::datasets::dan(DatasetSpec { seed, scale }),
-                "KIEL" => synth::datasets::kiel(DatasetSpec { seed, scale }),
-                _ => synth::datasets::sar(DatasetSpec { seed, scale }),
-            };
-            let trips = ds.trips();
-            Table1Row {
-                name: name.to_string(),
-                vessel_types: types,
-                size_bytes: ds.csv_size_bytes(),
-                positions: ds.num_positions(),
-                trips: trips.len(),
-                ships: ds.num_ships(),
-            }
-        })
-        .collect()
-}
-
-// --------------------------------------------------------------------
-// Figure 3 — accuracy vs resolution × projection (DAN).
-
-/// One series point of Figure 3.
-pub struct Fig3Row {
-    /// H3 resolution `r`.
-    pub resolution: u8,
-    /// Projection option `p` ("center" / "median").
-    pub projection: &'static str,
-    /// Mean DTW, meters.
-    pub mean_dtw_m: f64,
-    /// Median DTW, meters.
-    pub median_dtw_m: f64,
-    /// Gap cases successfully imputed.
-    pub imputed: usize,
-    /// Total gap cases.
-    pub total: usize,
-}
-
-/// Regenerates Figure 3: HABIT accuracy across resolutions 6..=10 and
-/// both projection options, 60-minute gaps on DAN.
-pub fn fig3(bench: &Bench, seed: u64) -> Vec<Fig3Row> {
-    let cases = bench.gap_cases(3600, seed);
-    let mut rows = Vec::new();
-    for res in 6..=10u8 {
-        for (proj, label) in [
-            (CellProjection::Center, "center"),
-            (CellProjection::Median, "median"),
-        ] {
-            let config = HabitConfig {
-                resolution: res,
-                projection: proj,
-                rdp_tolerance_m: 100.0,
-                ..HabitConfig::default()
-            };
-            let Ok(imputer) = Imputer::fit_habit(&bench.train, config) else {
-                continue;
-            };
-            let errors = accuracy_dtw(&imputer, &cases);
-            rows.push(Fig3Row {
-                resolution: res,
-                projection: label,
-                mean_dtw_m: mean(&errors),
-                median_dtw_m: median(&errors),
-                imputed: errors.len(),
-                total: cases.len(),
-            });
-        }
-    }
-    rows
-}
-
-// --------------------------------------------------------------------
-// Table 2 — framework storage size (KIEL & SAR).
-
-/// One row of Table 2.
-pub struct Table2Row {
-    /// Method name.
-    pub method: &'static str,
-    /// Configuration description.
-    pub config: String,
-    /// Model size on KIEL, bytes.
-    pub kiel_bytes: usize,
-    /// Model size on SAR, bytes.
-    pub sar_bytes: usize,
-}
-
-/// Regenerates Table 2: HABIT r ∈ 6..=10 vs GTI rd sweeps.
-pub fn table2(kiel: &Bench, sar: &Bench) -> Vec<Table2Row> {
-    let mut rows = Vec::new();
-    for res in 6..=10u8 {
-        let config = HabitConfig::with_r_t(res, 100.0);
-        let k = Imputer::fit_habit(&kiel.train, config)
-            .map(|m| m.storage_bytes())
-            .unwrap_or(0);
-        let s = Imputer::fit_habit(&sar.train, config)
-            .map(|m| m.storage_bytes())
-            .unwrap_or(0);
-        rows.push(Table2Row {
-            method: "HABIT",
-            config: format!("r={res}"),
-            kiel_bytes: k,
-            sar_bytes: s,
-        });
-    }
-    for rd in [1e-4, 5e-4, 1e-3] {
-        let config = GtiConfig {
-            rd_deg: rd,
-            rm_m: 250.0,
-            ..GtiConfig::default()
-        };
-        let k = Imputer::fit_gti(&kiel.train, config)
-            .map(|m| m.storage_bytes())
-            .unwrap_or(0);
-        let s = Imputer::fit_gti(&sar.train, config)
-            .map(|m| m.storage_bytes())
-            .unwrap_or(0);
-        rows.push(Table2Row {
-            method: "GTI",
-            config: format!("rd={rd:.0e}"),
-            kiel_bytes: k,
-            sar_bytes: s,
-        });
-    }
-    rows
-}
-
-// --------------------------------------------------------------------
-// Table 3 — simplification effect on navigability (DAN) + Figure 4.
-
-/// One row of Table 3.
-pub struct Table3Row {
-    /// Resolution `r`.
-    pub resolution: u8,
-    /// Tolerance `t`, meters.
-    pub tolerance_m: f64,
-    /// Aggregate rot statistics over imputed paths.
-    pub stats: RotStats,
-}
-
-/// Regenerates Table 3: path statistics for r ∈ {9, 10} × t ∈
-/// {0, 100, 250, 500, 1000}, plus the original-path reference row.
-pub fn table3(bench: &Bench, seed: u64) -> (Vec<Table3Row>, RotStats) {
-    let cases = bench.gap_cases(3600, seed);
-    let mut rows = Vec::new();
-    for res in [9u8, 10] {
-        for tol in [0.0, 100.0, 250.0, 500.0, 1000.0] {
-            let config = HabitConfig::with_r_t(res, tol);
-            let Ok(imputer) = Imputer::fit_habit(&bench.train, config) else {
-                continue;
-            };
-            let mut stats = Vec::new();
-            for case in &cases {
-                if let Some(path) = imputer.impute(&case.query).path() {
-                    let pos: Vec<GeoPoint> = path.iter().map(|p| p.pos).collect();
-                    stats.push(rot_stats(&pos));
-                }
-            }
-            rows.push(Table3Row {
-                resolution: res,
-                tolerance_m: tol,
-                stats: mean_rot_stats(&stats),
-            });
-        }
-    }
-    // Reference: statistics of the original (ground-truth) gap segments.
-    let original: Vec<RotStats> = cases
-        .iter()
-        .map(|c| {
-            let pos: Vec<GeoPoint> = c.truth.iter().map(|p| p.pos).collect();
-            rot_stats(&pos)
-        })
-        .collect();
-    (rows, mean_rot_stats(&original))
-}
-
-/// One series point of Figure 4 (accuracy vs tolerance).
-pub struct Fig4Row {
-    /// Resolution `r`.
-    pub resolution: u8,
-    /// Tolerance `t`, meters.
-    pub tolerance_m: f64,
-    /// Mean DTW, meters.
-    pub mean_dtw_m: f64,
-    /// Median DTW, meters.
-    pub median_dtw_m: f64,
-}
-
-/// Regenerates Figure 4: DTW vs simplification tolerance for r ∈ {9, 10}.
-pub fn fig4(bench: &Bench, seed: u64) -> Vec<Fig4Row> {
-    let cases = bench.gap_cases(3600, seed);
-    let mut rows = Vec::new();
-    for res in [9u8, 10] {
-        for tol in [0.0, 100.0, 250.0, 500.0, 1000.0] {
-            let config = HabitConfig::with_r_t(res, tol);
-            let Ok(imputer) = Imputer::fit_habit(&bench.train, config) else {
-                continue;
-            };
-            let errors = accuracy_dtw(&imputer, &cases);
-            rows.push(Fig4Row {
-                resolution: res,
-                tolerance_m: tol,
-                mean_dtw_m: mean(&errors),
-                median_dtw_m: median(&errors),
-            });
-        }
-    }
-    rows
-}
-
-// --------------------------------------------------------------------
-// Figure 5 — sensitivity: HABIT vs GTI vs SLI (KIEL & SAR).
-
-/// One row of Figure 5.
-pub struct Fig5Row {
-    /// Dataset name.
-    pub dataset: String,
-    /// Method label.
-    pub method: String,
-    /// Mean DTW, meters.
-    pub mean_dtw_m: f64,
-    /// Median DTW, meters.
-    pub median_dtw_m: f64,
-    /// Gap cases the method failed on.
-    pub failures: usize,
-    /// Total gap cases.
-    pub total: usize,
-}
-
-/// The HABIT configurations Figure 5 sweeps.
-fn fig5_habit_configs() -> Vec<HabitConfig> {
-    let mut out = Vec::new();
-    for res in [9u8, 10] {
-        for tol in [100.0, 250.0] {
-            out.push(HabitConfig::with_r_t(res, tol));
-        }
-    }
-    out
-}
-
-/// The GTI configurations Figure 5 sweeps.
-fn fig5_gti_configs() -> Vec<GtiConfig> {
-    [1e-4, 5e-4, 1e-3]
-        .into_iter()
-        .map(|rd| GtiConfig {
-            rm_m: 250.0,
-            rd_deg: rd,
-            ..GtiConfig::default()
-        })
-        .collect()
-}
-
-/// Regenerates Figure 5 for one dataset (run it on KIEL and SAR).
-pub fn fig5(bench: &Bench, seed: u64) -> Vec<Fig5Row> {
-    let cases = bench.gap_cases(3600, seed);
-    let mut methods: Vec<Imputer> = Vec::new();
-    for config in fig5_habit_configs() {
-        if let Ok(m) = Imputer::fit_habit(&bench.train, config) {
-            methods.push(m);
-        }
-    }
-    for config in fig5_gti_configs() {
-        if let Ok(m) = Imputer::fit_gti(&bench.train, config) {
-            methods.push(m);
-        }
-    }
-    methods.push(Imputer::sli());
-
+/// The cells of `methods` on one dataset and gap set.
+pub fn cells(dataset: DatasetId, methods: &[Method], gaps: Option<Gaps>) -> Vec<Cell> {
     methods
         .iter()
-        .map(|m| {
-            let errors = accuracy_dtw(m, &cases);
-            Fig5Row {
-                dataset: bench.name.clone(),
-                method: m.label().to_string(),
-                mean_dtw_m: mean(&errors),
-                median_dtw_m: median(&errors),
-                failures: cases.len() - errors.len(),
-                total: cases.len(),
-            }
+        .map(|m| Cell {
+            dataset,
+            method: Some(*m),
+            gaps,
         })
         .collect()
 }
 
-// --------------------------------------------------------------------
-// Figure 6 — qualitative imputation examples.
-
-/// One qualitative case: the ground truth and each method's path.
-pub struct Fig6Case {
-    /// Source trip.
-    pub trip_id: u64,
-    /// Ground-truth positions.
-    pub truth: Vec<GeoPoint>,
-    /// (method label, imputed positions).
-    pub paths: Vec<(String, Vec<GeoPoint>)>,
+/// What a fitted method leaves behind once its model is dropped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fit {
+    /// Serialized model footprint, bytes.
+    pub storage_bytes: usize,
+    /// Vessel types with a dedicated model ([`Method::ByType`] only).
+    pub modeled_types: Vec<VesselType>,
 }
 
-/// Regenerates Figure 6's qualitative comparisons on `n` sample gaps.
-pub fn fig6(bench: &Bench, seed: u64, n: usize) -> Vec<Fig6Case> {
-    let cases = bench.gap_cases(3600, seed);
-    let habit = Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(9, 100.0)).ok();
-    let gti = Imputer::fit_gti(
-        &bench.train,
-        GtiConfig {
-            rd_deg: 5e-4,
-            ..GtiConfig::default()
-        },
-    )
-    .ok();
-    let sli = Imputer::sli();
+/// What one method did on one gap case.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outcome {
+    /// The imputed positions, or why the method failed.
+    pub path: Result<Vec<GeoPoint>, String>,
+    /// DTW to the ground truth, meters, when the path could be scored.
+    pub dtw_m: Option<f64>,
+    /// Wall-clock time of the imputation call, seconds.
+    pub latency_s: f64,
+    /// A vessel type's dedicated model answered ([`Method::ByType`]).
+    pub by_type: bool,
+}
 
-    // Spread the n examples evenly across the case list: test trips come
-    // out of the stratified split grouped by course bucket, so a plain
-    // head-of-list prefix would illustrate only one travel direction.
-    let picks: Vec<&GapCase> = if cases.len() <= n {
-        cases.iter().collect()
-    } else {
-        (0..n).map(|k| &cases[k * cases.len() / n]).collect()
-    };
+/// One fitted method's outcomes on one gap set: a row of the grid.
+pub struct Row<'g> {
+    /// The method.
+    pub method: Method,
+    /// Its fit.
+    pub fit: &'g Fit,
+    /// One outcome per gap case, in case order.
+    pub outcomes: &'g [Outcome],
+    /// The DTW errors of the scored outcomes, in case order.
+    pub errors: Vec<f64>,
+}
 
-    picks
-        .into_iter()
-        .map(|case| {
-            let mut paths = Vec::new();
-            for m in [habit.as_ref(), gti.as_ref(), Some(&sli)]
-                .into_iter()
-                .flatten()
-            {
-                if let Some(p) = m.impute(&case.query).path() {
-                    paths.push((
-                        m.label().to_string(),
-                        p.iter().map(|tp| tp.pos).collect::<Vec<_>>(),
-                    ));
+impl Row<'_> {
+    /// Average and maximum imputation latency, seconds.
+    pub fn latency(&self) -> (f64, f64) {
+        let times = self.outcomes.iter().map(|o| o.latency_s);
+        let avg = times.clone().sum::<f64>() / self.outcomes.len().max(1) as f64;
+        (avg, times.fold(0.0, f64::max))
+    }
+
+    /// The imputed paths, in case order.
+    pub fn paths(&self) -> impl Iterator<Item = &Vec<GeoPoint>> {
+        self.outcomes.iter().filter_map(|o| o.path.as_ref().ok())
+    }
+}
+
+/// One fitted (dataset, method) pair and its outcomes per gap set.
+struct Entry {
+    dataset: DatasetId,
+    method: Method,
+    fit: Result<Fit, String>,
+    outcomes: Vec<(Gaps, Vec<Outcome>)>,
+}
+
+/// Every outcome the planned experiments read, evaluated once.
+pub struct Grid {
+    /// Seed of the datasets, splits and gap placements.
+    pub seed: u64,
+    /// Dataset scale factor (1.0 = full size).
+    pub scale: f64,
+    plan: Vec<Cell>,
+    benches: Vec<(DatasetId, Bench)>,
+    cases: Vec<(DatasetId, Gaps, Vec<GapCase>)>,
+    entries: Vec<Entry>,
+}
+
+impl Grid {
+    /// An empty grid that will evaluate the union of `plan`'s cells.
+    pub fn new(seed: u64, scale: f64, plan: Vec<Cell>) -> Self {
+        Self {
+            seed,
+            scale,
+            plan,
+            benches: Vec::new(),
+            cases: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Plans and evaluates `cells` in one go.
+    pub fn run(seed: u64, scale: f64, cells: Vec<Cell>) -> Self {
+        let mut grid = Self::new(seed, scale, cells.clone());
+        grid.evaluate(&cells);
+        grid
+    }
+
+    /// Evaluates what `cells` read and the grid does not hold yet. A
+    /// (dataset, method) pair is fitted once, and imputes every gap set
+    /// the plan or `cells` ask of it before its model is dropped.
+    pub fn evaluate(&mut self, cells: &[Cell]) {
+        for cell in cells {
+            let d = cell.dataset;
+            if !self.benches.iter().any(|(id, _)| *id == d) {
+                let bench = Bench::prepare(d.generate(self.seed, self.scale), self.seed);
+                self.benches.push((d, bench));
+            }
+            let mut gap_sets: Vec<Gaps> = Vec::new();
+            for c in self.plan.iter().chain(cells) {
+                let Some(gaps) = c.gaps else { continue };
+                if c.dataset == d && c.method == cell.method && !gap_sets.contains(&gaps) {
+                    gap_sets.push(gaps);
                 }
             }
-            Fig6Case {
-                trip_id: case.trip_id,
-                truth: case.truth.iter().map(|p| p.pos).collect(),
-                paths,
+            for gaps in &gap_sets {
+                if !self.cases.iter().any(|(id, g, _)| *id == d && g == gaps) {
+                    let seed = self.seed + gaps.seed_offset;
+                    let cases = self.bench(d).gap_cases(gaps.duration_s, seed);
+                    self.cases.push((d, *gaps, cases));
+                }
             }
+            let Some(method) = cell.method.filter(|m| self.entry(d, m).is_none()) else {
+                continue;
+            };
+            let bench = self.bench(d);
+            let fitted = Imputer::fit(&method, &bench.train, &bench.dataset.vessels);
+            let (fit, outcomes) = match fitted {
+                Ok(imputer) => {
+                    let impute = |g: &Gaps| {
+                        let cases = self.cases(d, *g).iter();
+                        (*g, cases.map(|c| outcome(&imputer, c)).collect())
+                    };
+                    let fit = Fit {
+                        storage_bytes: imputer.storage_bytes(),
+                        modeled_types: imputer.modeled_types(),
+                    };
+                    (Ok(fit), gap_sets.iter().map(impute).collect())
+                }
+                Err(e) => (Err(e), Vec::new()),
+            };
+            let entry = Entry {
+                dataset: d,
+                method,
+                fit,
+                outcomes,
+            };
+            self.entries.push(entry);
+        }
+    }
+
+    fn entry(&self, d: DatasetId, method: &Method) -> Option<&Entry> {
+        self.entries
+            .iter()
+            .find(|e| e.dataset == d && e.method == *method)
+    }
+
+    /// How many (dataset, method) pairs have been fitted.
+    pub fn fits(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The prepared dataset. Panics when no evaluated cell reads it.
+    pub fn bench(&self, d: DatasetId) -> &Bench {
+        let found = self.benches.iter().find(|(id, _)| *id == d);
+        &found.expect("dataset not evaluated").1
+    }
+
+    /// The gap cases of a gap set. Panics when no evaluated cell reads
+    /// them.
+    pub fn cases(&self, d: DatasetId, gaps: Gaps) -> &[GapCase] {
+        let found = self.cases.iter().find(|(id, g, _)| *id == d && *g == gaps);
+        &found.expect("gap cases not evaluated").2
+    }
+
+    /// The fit of `method` on `d`, or why it failed. Panics when no
+    /// evaluated cell reads it.
+    pub fn fit(&self, d: DatasetId, method: &Method) -> Result<&Fit, &str> {
+        let entry = self.entry(d, method).expect("method not evaluated");
+        entry.fit.as_ref().map_err(String::as_str)
+    }
+
+    /// The row of `method` on a gap set; `None` when its fit failed.
+    /// Panics when no evaluated cell reads it.
+    pub fn row(&self, d: DatasetId, method: &Method, gaps: Gaps) -> Option<Row<'_>> {
+        let entry = self.entry(d, method).expect("method not evaluated");
+        let fit = entry.fit.as_ref().ok()?;
+        let outcomes = &entry.outcomes.iter().find(|(g, _)| *g == gaps)?.1;
+        Some(Row {
+            method: *method,
+            fit,
+            outcomes,
+            errors: outcomes.iter().filter_map(|o| o.dtw_m).collect(),
         })
-        .collect()
-}
-
-// --------------------------------------------------------------------
-// Figure 7 — accuracy vs gap duration (KIEL & SAR).
-
-/// One row of Figure 7: the DTW distribution for one config × duration.
-pub struct Fig7Row {
-    /// Dataset name.
-    pub dataset: String,
-    /// Config label `(r|t)`.
-    pub config: String,
-    /// Gap duration, hours.
-    pub gap_hours: f64,
-    /// Median DTW, meters.
-    pub median_dtw_m: f64,
-    /// 25th / 75th percentile DTW.
-    pub p25_m: f64,
-    /// 75th percentile.
-    pub p75_m: f64,
-    /// Maximum (the paper's "pronounced outliers").
-    pub max_m: f64,
-    /// Cases imputed.
-    pub imputed: usize,
-}
-
-/// Regenerates Figure 7: HABIT selected configs on 1/2/4-hour gaps.
-pub fn fig7(bench: &Bench, seed: u64) -> Vec<Fig7Row> {
-    let configs = [(9u8, 100.0), (9, 250.0), (10, 100.0), (10, 250.0)];
-    let mut rows = Vec::new();
-    for (res, tol) in configs {
-        let config = HabitConfig::with_r_t(res, tol);
-        let Ok(imputer) = Imputer::fit_habit(&bench.train, config) else {
-            continue;
-        };
-        for hours in [1i64, 2, 4] {
-            let cases = bench.gap_cases(hours * 3600, seed + hours as u64);
-            let errors = accuracy_dtw(&imputer, &cases);
-            rows.push(Fig7Row {
-                dataset: bench.name.clone(),
-                config: format!("{res}|{tol:.0}"),
-                gap_hours: hours as f64,
-                median_dtw_m: median(&errors),
-                p25_m: percentile(&errors, 25.0),
-                p75_m: percentile(&errors, 75.0),
-                max_m: errors.iter().copied().fold(0.0, f64::max),
-                imputed: errors.len(),
-            });
-        }
     }
-    rows
+
+    /// The rows of the `methods` that fitted, in order.
+    pub fn rows(&self, d: DatasetId, methods: &[Method], gaps: Gaps) -> Vec<Row<'_>> {
+        methods
+            .iter()
+            .filter_map(|m| self.row(d, m, gaps))
+            .collect()
+    }
+
+    /// The method-comparison table of `habit eval` and the
+    /// `compare_methods` example: accuracy, failures (cases with no
+    /// path), model size and latency of each method that fitted.
+    pub fn method_table(
+        &self,
+        d: DatasetId,
+        methods: &[Method],
+        gaps: Gaps,
+    ) -> Result<MarkdownTable, ReportError> {
+        let mut table = MarkdownTable::new(vec![
+            "Method",
+            "Mean DTW (m)",
+            "Median DTW (m)",
+            "Failures",
+            "Model (MB)",
+            "Avg lat (s)",
+            "Max lat (s)",
+        ]);
+        for row in self.rows(d, methods, gaps) {
+            let (avg, max) = row.latency();
+            let failures = row.outcomes.len() - row.paths().count();
+            table.row(vec![
+                row.method.label(),
+                fmt_m(mean(&row.errors)),
+                fmt_m(median(&row.errors)),
+                failures.to_string(),
+                fmt_mb(row.fit.storage_bytes),
+                fmt_s(avg),
+                fmt_s(max),
+            ])?;
+        }
+        Ok(table)
+    }
 }
 
-// --------------------------------------------------------------------
-// Table 4 — query latency (KIEL & SAR).
-
-/// One row of Table 4.
-pub struct Table4Row {
-    /// Dataset name.
-    pub dataset: String,
-    /// Method label.
-    pub method: String,
-    /// Average query latency, seconds.
-    pub avg_s: f64,
-    /// Maximum query latency, seconds.
-    pub max_s: f64,
-    /// Number of gap queries.
-    pub gaps: usize,
-}
-
-/// Regenerates Table 4: average and maximum imputation latency for the
-/// selected HABIT and GTI configurations.
-pub fn table4(bench: &Bench, seed: u64) -> Vec<Table4Row> {
-    let cases = bench.gap_cases(3600, seed);
-    let mut methods: Vec<Imputer> = Vec::new();
-    for config in fig5_habit_configs() {
-        if let Ok(m) = Imputer::fit_habit(&bench.train, config) {
-            methods.push(m);
-        }
+/// Imputes one case, timing only the imputation call.
+fn outcome(imputer: &Imputer, case: &GapCase) -> Outcome {
+    let t0 = Instant::now();
+    let output = imputer.impute(case);
+    let latency_s = t0.elapsed().as_secs_f64();
+    let by_type = matches!(output, MethodOutput::TypePath(_));
+    let path: Result<Vec<GeoPoint>, String> = match output {
+        MethodOutput::Path(p) | MethodOutput::TypePath(p) => Ok(p.iter().map(|p| p.pos).collect()),
+        MethodOutput::Failed(e) => Err(e),
+    };
+    let truth: Vec<GeoPoint> = case.truth.iter().map(|p| p.pos).collect();
+    Outcome {
+        dtw_m: path.as_ref().ok().and_then(|p| resampled_dtw_m(p, &truth)),
+        path,
+        latency_s,
+        by_type,
     }
-    for config in fig5_gti_configs() {
-        if let Ok(m) = Imputer::fit_gti(&bench.train, config) {
-            methods.push(m);
-        }
-    }
-    methods
-        .iter()
-        .map(|m| {
-            let (avg_s, max_s, _fail) = latency(m, &cases);
-            Table4Row {
-                dataset: bench.name.clone(),
-                method: m.label().to_string(),
-                avg_s,
-                max_s,
-                gaps: cases.len(),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ais::AisPoint;
+    use habit_core::{CellProjection, HabitConfig};
 
-    /// A miniature bench with straight-lane trips (fast unit testing;
-    /// the real datasets are exercised by the bench binaries and
-    /// integration tests).
-    fn mini_bench() -> Bench {
+    /// A grid whose KIEL is a miniature straight lane (fast unit
+    /// testing; the real datasets are exercised by `all_experiments` and
+    /// the integration tests).
+    fn mini_grid(cells: Vec<Cell>) -> Grid {
         let trips: Vec<Trip> = (0..10u64)
             .map(|k| Trip {
                 trip_id: k + 1,
                 mmsi: 100 + k,
                 points: (0..120)
                     .map(|i| {
-                        AisPoint::new(
-                            100 + k,
-                            i as i64 * 60,
-                            10.0 + i as f64 * 0.004,
-                            56.0,
-                            12.0,
-                            90.0,
-                        )
+                        let lon = 10.0 + i as f64 * 0.004;
+                        AisPoint::new(100 + k, i as i64 * 60, lon, 56.0, 12.0, 90.0)
                     })
                     .collect(),
             })
             .collect();
-        let dataset = synth::datasets::kiel(DatasetSpec {
-            seed: 1,
-            scale: 0.05,
-        });
         let (train, test) = split_trips(&trips, 0.7, &mut StdRng::seed_from_u64(3));
-        Bench {
+        let bench = Bench {
             name: "MINI".into(),
-            dataset,
+            dataset: DatasetId::Kiel.generate(1, 0.05),
             train,
             test,
-        }
+        };
+        let mut grid = Grid::new(1, 0.05, cells.clone());
+        grid.benches.push((DatasetId::Kiel, bench));
+        grid.evaluate(&cells);
+        grid
+    }
+
+    fn sweep(methods: &[Method]) -> Grid {
+        mini_grid(cells(DatasetId::Kiel, methods, Some(Gaps::HOUR)))
+    }
+
+    fn row<'g>(grid: &'g Grid, m: &Method) -> Row<'g> {
+        grid.row(DatasetId::Kiel, m, Gaps::HOUR).expect("fit")
     }
 
     #[test]
     fn accuracy_and_latency_smoke() {
-        let bench = mini_bench();
-        let cases = bench.gap_cases(3600, 1);
+        let habit = Method::Habit(HabitConfig::default());
+        let grid = sweep(&[habit]);
+        let cases = grid.cases(DatasetId::Kiel, Gaps::HOUR);
         assert!(!cases.is_empty());
-        let habit = Imputer::fit_habit(&bench.train, HabitConfig::default()).unwrap();
-        let errors = accuracy_dtw(&habit, &cases);
-        assert_eq!(errors.len(), cases.len(), "straight lane: all succeed");
+        let row = row(&grid, &habit);
+        assert_eq!(row.errors.len(), cases.len(), "straight lane: all succeed");
         // On a shared straight lane the imputation error is small.
-        assert!(mean(&errors) < 500.0, "mean {:?}", mean(&errors));
-        let (avg, max, failures) = latency(&habit, &cases);
+        assert!(mean(&row.errors) < 500.0, "mean {:?}", mean(&row.errors));
+        let (avg, max) = row.latency();
         assert!(avg > 0.0 && max >= avg);
-        assert_eq!(failures, 0);
+        assert_eq!(row.paths().count(), cases.len());
     }
 
     #[test]
     fn fig3_rows_cover_grid() {
-        let bench = mini_bench();
-        let rows = fig3(&bench, 1);
-        assert_eq!(rows.len(), 10, "5 resolutions x 2 projections");
-        for r in &rows {
-            assert!(r.total > 0);
-            assert!(r.mean_dtw_m >= 0.0);
+        let mut methods = Vec::new();
+        for resolution in 6..=10 {
+            for projection in [CellProjection::Center, CellProjection::Median] {
+                methods.push(Method::Habit(HabitConfig {
+                    resolution,
+                    projection,
+                    ..HabitConfig::default()
+                }));
+            }
+        }
+        let grid = sweep(&methods);
+        assert_eq!(grid.fits(), 10, "5 resolutions x 2 projections");
+        for m in &methods {
+            assert!(!row(&grid, m).outcomes.is_empty());
+            assert!(mean(&row(&grid, m).errors) >= 0.0);
         }
     }
 
     #[test]
     fn table3_and_fig4_shapes() {
-        let bench = mini_bench();
-        let (rows, original) = table3(&bench, 1);
-        assert_eq!(rows.len(), 10, "2 resolutions x 5 tolerances");
-        assert!(original.count > 2);
+        let tolerances = [0.0, 100.0, 250.0, 500.0, 1000.0];
+        let methods: Vec<Method> = [9, 10]
+            .iter()
+            .flat_map(|r| tolerances.map(|t| Method::habit(*r, t)))
+            .collect();
+        // Table 3 and Figure 4 read the same cells: one fit each.
+        let mut plan = cells(DatasetId::Kiel, &methods, Some(Gaps::HOUR));
+        plan.extend(plan.clone());
+        let grid = mini_grid(plan);
+        assert_eq!(grid.fits(), 10, "2 resolutions x 5 tolerances");
+        let points = |t: f64| {
+            row(&grid, &Method::habit(9, t))
+                .paths()
+                .map(Vec::len)
+                .sum::<usize>()
+        };
         // Simplification monotonicity: t=1000 keeps fewer points than t=0.
-        let t0 = rows
-            .iter()
-            .find(|r| r.resolution == 9 && r.tolerance_m == 0.0)
-            .unwrap();
-        let t1000 = rows
-            .iter()
-            .find(|r| r.resolution == 9 && r.tolerance_m == 1000.0)
-            .unwrap();
-        assert!(t1000.stats.count <= t0.stats.count);
-
-        let f4 = fig4(&bench, 1);
-        assert_eq!(f4.len(), 10);
+        assert!(points(1000.0) <= points(0.0));
+        let truth = &grid.cases(DatasetId::Kiel, Gaps::HOUR)[0].truth;
+        assert!(truth.len() > 2);
     }
 
     #[test]
     fn fig5_includes_all_methods() {
-        let bench = mini_bench();
-        let rows = fig5(&bench, 1);
-        // 4 HABIT + 3 GTI + SLI.
-        assert_eq!(
-            rows.len(),
-            8,
-            "{:?}",
-            rows.iter().map(|r| r.method.clone()).collect::<Vec<_>>()
-        );
-        assert!(rows.iter().any(|r| r.method == "SLI"));
-        // On a single confined lane, every method should beat nothing:
-        // all DTWs finite and most gaps succeed.
-        for r in &rows {
-            assert!(r.mean_dtw_m.is_finite());
+        let mut methods: Vec<Method> = [(9, 100.0), (9, 250.0), (10, 100.0), (10, 250.0)]
+            .map(|(r, t)| Method::habit(r, t))
+            .to_vec();
+        methods.extend([1e-4, 5e-4, 1e-3].map(Method::gti));
+        methods.push(Method::Sli);
+        let grid = sweep(&methods);
+        // 4 HABIT + 3 GTI + SLI, every one fitted.
+        assert_eq!(grid.fits(), 8);
+        // On a single confined lane every DTW is finite.
+        for m in &methods {
+            assert!(mean(&row(&grid, m).errors).is_finite(), "{}", m.label());
         }
     }
 
     #[test]
     fn fig6_produces_polylines() {
-        let bench = mini_bench();
-        let cases = fig6(&bench, 1, 2);
-        assert!(!cases.is_empty());
-        for c in &cases {
-            assert!(c.truth.len() >= 2);
-            assert!(!c.paths.is_empty());
+        let methods = [Method::habit(9, 100.0), Method::gti(5e-4), Method::Sli];
+        let grid = sweep(&methods);
+        for (k, case) in grid.cases(DatasetId::Kiel, Gaps::HOUR).iter().enumerate() {
+            assert!(case.truth.len() >= 2);
+            assert!(methods
+                .iter()
+                .any(|m| row(&grid, m).outcomes[k].path.is_ok()));
         }
-    }
-
-    #[test]
-    fn eval_scale_env() {
-        // Default is 1.0 unless the env var is set; we only check it
-        // parses without panicking.
-        let s = eval_scale();
-        assert!(s > 0.0);
     }
 }

@@ -16,6 +16,8 @@ use rand::Rng;
 pub struct GapCase {
     /// Trip the gap came from.
     pub trip_id: u64,
+    /// Vessel that sailed the trip.
+    pub mmsi: u64,
     /// The imputation query (endpoints of the removed window).
     pub query: GapQuery,
     /// Ground truth: the original reports inside the gap, endpoints
@@ -70,6 +72,7 @@ pub fn inject_gap<R: Rng>(trip: &Trip, duration_s: i64, rng: &mut R) -> Option<G
         let e = &pts[end_idx];
         return Some(GapCase {
             trip_id: trip.trip_id,
+            mmsi: trip.mmsi,
             query: GapQuery::new(s.pos.lon, s.pos.lat, s.t, e.pos.lon, e.pos.lat, e.t),
             truth,
         });

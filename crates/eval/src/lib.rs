@@ -11,14 +11,17 @@
 //!   minutes) placed randomly within test trips;
 //! * [`split`] — the 70 % / 30 % train/test trip split, stratified by
 //!   course so miniature smoke datasets keep both travel directions;
-//! * [`methods`] — a uniform [`methods::Imputer`] facade over
-//!   HABIT, GTI, SLI and PaLMTO;
-//! * [`experiments`] — one runner per paper table/figure, producing
-//!   structured rows from a prepared [`experiments::Bench`];
+//! * [`methods`] — the [`methods::Method`] configurations and the
+//!   uniform [`methods::Imputer`] facade over HABIT, GTI, SLI, PaLMTO
+//!   and per-vessel-type HABIT;
+//! * [`experiments`] — the one experiment runner: experiments declare
+//!   the (dataset, method, gap set) [`experiments::Cell`]s they read,
+//!   and an [`experiments::Grid`] fits each (dataset, method) once and
+//!   keeps every case's [`experiments::Outcome`];
 //! * [`report`] — the [`report::ExperimentReport`] model every
-//!   experiment binary returns: paper reference, parameters, metric
-//!   tables, wall-clock + peak-RSS provenance, with markdown *and*
-//!   JSON serializers (`EXPERIMENTS.md` and `reports/*.json` are both
+//!   experiment returns: paper reference, parameters, metric tables,
+//!   wall-clock + peak-RSS provenance, with markdown *and* JSON
+//!   serializers (`EXPERIMENTS.md` and `reports/*.json` are both
 //!   generated from it);
 //! * [`json`] — the dependency-free JSON reader/writer behind report
 //!   persistence (the workspace builds offline; there is no serde).
@@ -26,8 +29,8 @@
 //! ## Report lifecycle
 //!
 //! ```text
-//! experiments::fig3(&bench)          structured rows
-//!        │ habit-bench reports builder
+//! Grid::evaluate(&cells)             outcomes per (dataset, method, case)
+//!        │ habit-bench report builder (a pure function of the grid)
 //!        ▼
 //! report::ExperimentReport           id, paper_ref, params, tables,
 //!        │                           provenance (wall clock, peak RSS)
@@ -39,8 +42,9 @@
 //! regenerated from it byte-identically (`all_experiments
 //! --render-only`), which is what CI diffs to detect drift.
 //!
-//! Binaries under `crates/bench/src/bin/` call into this crate; run e.g.
-//! `cargo run -p habit-bench --release --bin fig5`.
+//! `habit-bench`'s `all_experiments` binary runs the experiments, e.g.
+//! `cargo run -p habit-bench --release --bin all_experiments -- fig5`;
+//! `habit eval` reads the same grid.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod dtw;
@@ -53,8 +57,9 @@ pub mod rot;
 pub mod split;
 
 pub use dtw::{dtw_mean_m, resampled_dtw_m, DTW_RESAMPLE_M};
+pub use experiments::{DatasetId, Grid};
 pub use gaps::{inject_gap, GapCase};
-pub use methods::{Imputer, MethodOutput};
+pub use methods::{Imputer, Method, MethodOutput};
 pub use report::{ExperimentReport, MarkdownTable, Provenance, ReportError, ReportSection};
 pub use rot::{rot_stats, RotStats};
 pub use split::split_trips;

@@ -1,16 +1,63 @@
-//! A uniform facade over all imputation methods, so experiment runners
+//! A uniform facade over all imputation methods, so the experiment grid
 //! can sweep methods and configurations with one code path.
 
-use ais::Trip;
+use crate::gaps::GapCase;
+use ais::{Trip, VesselInfo, VesselType};
 use baselines::{impute_sli, GtiConfig, GtiModel, PalmtoConfig, PalmtoModel};
 use geo_kernel::TimedPoint;
-use habit_core::{GapQuery, HabitConfig, HabitModel};
+use habit_core::{HabitConfig, HabitModel, ServedBy, TypeModels, TypeModelsConfig};
+
+/// A method configuration: HABIT, its competitors, and the
+/// per-vessel-type extension.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Method {
+    /// HABIT with a given configuration.
+    Habit(HabitConfig),
+    /// GTI with a given configuration.
+    Gti(GtiConfig),
+    /// PaLMTO n-gram model.
+    Palmto(PalmtoConfig),
+    /// One HABIT model per vessel type with a global fallback.
+    ByType(TypeModelsConfig),
+    /// Straight-line interpolation (no model).
+    Sli,
+}
+
+impl Method {
+    /// HABIT at the paper's `(r, t)` with the median projection.
+    pub fn habit(resolution: u8, rdp_tolerance_m: f64) -> Self {
+        Method::Habit(HabitConfig::with_r_t(resolution, rdp_tolerance_m))
+    }
+
+    /// GTI at the paper's `rm = 250 m` and the given `rd`.
+    pub fn gti(rd_deg: f64) -> Self {
+        Method::Gti(GtiConfig {
+            rm_m: 250.0,
+            rd_deg,
+            ..GtiConfig::default()
+        })
+    }
+
+    /// Display label, e.g. `HABIT r=9,t=100` or `GTI rm=250,rd=1e-4`.
+    pub fn label(&self) -> String {
+        match self {
+            Method::Habit(c) => format!("HABIT r={},t={:.0}", c.resolution, c.rdp_tolerance_m),
+            Method::Gti(c) => format!("GTI rm={:.0},rd={:.0e}", c.rm_m, c.rd_deg),
+            Method::Palmto(c) => format!("PaLMTO n={},r={}", c.n, c.resolution),
+            Method::ByType(c) => format!("HABIT by type r={}", c.habit.resolution),
+            Method::Sli => "SLI".into(),
+        }
+    }
+}
 
 /// The outcome of one imputation query.
 #[derive(Debug, Clone)]
 pub enum MethodOutput {
     /// An imputed path (endpoints included).
     Path(Vec<TimedPoint>),
+    /// A path from the vessel type's dedicated model
+    /// ([`Imputer::ByType`] only).
+    TypePath(Vec<TimedPoint>),
     /// The method failed on this gap (no path, snap failure, timeout…).
     Failed(String),
 }
@@ -19,118 +66,90 @@ impl MethodOutput {
     /// The path, if the query succeeded.
     pub fn path(&self) -> Option<&[TimedPoint]> {
         match self {
-            MethodOutput::Path(p) => Some(p),
+            MethodOutput::Path(p) | MethodOutput::TypePath(p) => Some(p),
             MethodOutput::Failed(_) => None,
         }
     }
 }
 
-/// A fitted imputation method with a display label.
+/// A fitted imputation method.
 pub enum Imputer {
-    /// HABIT with a given configuration.
-    Habit {
-        /// Display label, e.g. `HABIT r=9,t=100`.
-        label: String,
-        /// Fitted model.
-        model: Box<HabitModel>,
-    },
-    /// GTI with a given configuration.
-    Gti {
-        /// Display label, e.g. `GTI rm=250,rd=1e-4`.
-        label: String,
-        /// Fitted model.
-        model: Box<GtiModel>,
-    },
-    /// PaLMTO n-gram model.
-    Palmto {
-        /// Display label.
-        label: String,
-        /// Fitted model.
-        model: Box<PalmtoModel>,
-    },
-    /// Straight-line interpolation (no model).
+    /// A HABIT model, without its fit state.
+    Habit(Box<HabitModel>),
+    /// A GTI model.
+    Gti(Box<GtiModel>),
+    /// A PaLMTO model.
+    Palmto(Box<PalmtoModel>),
+    /// Per-vessel-type HABIT models.
+    ByType(Box<TypeModels>),
+    /// Straight-line interpolation.
     Sli,
 }
 
 impl Imputer {
-    /// Fits HABIT on training trips.
-    pub fn fit_habit(train: &[Trip], config: HabitConfig) -> Result<Self, habit_core::HabitError> {
-        let table = ais::trips_to_table(train);
-        let model = HabitModel::fit(&table, config)?;
-        let label = format!(
-            "HABIT r={},t={:.0}",
-            config.resolution, config.rdp_tolerance_m
-        );
-        Ok(Imputer::Habit {
-            label,
-            model: Box::new(model),
+    /// Fits `method` on training trips; `vessels` types the trips of
+    /// [`Method::ByType`]. HABIT models drop their fit state, because an
+    /// evaluation never refits.
+    pub fn fit(method: &Method, train: &[Trip], vessels: &[VesselInfo]) -> Result<Self, String> {
+        let failed = |e: &dyn std::fmt::Display| format!("{} fit: {e}", method.label());
+        Ok(match *method {
+            Method::Habit(config) => HabitModel::fit(&ais::trips_to_table(train), config)
+                .map(|m| Imputer::Habit(Box::new(m.without_state())))
+                .map_err(|e| failed(&e))?,
+            Method::Gti(config) => GtiModel::fit(train, config)
+                .map(|m| Imputer::Gti(Box::new(m)))
+                .map_err(|e| failed(&e))?,
+            Method::Palmto(config) => PalmtoModel::fit(train, config)
+                .map(|m| Imputer::Palmto(Box::new(m)))
+                .map_err(|e| failed(&e))?,
+            Method::ByType(config) => TypeModels::fit(train, vessels, config)
+                .map(|m| Imputer::ByType(Box::new(m)))
+                .map_err(|e| failed(&e))?,
+            Method::Sli => Imputer::Sli,
         })
-    }
-
-    /// Fits GTI on training trips.
-    pub fn fit_gti(train: &[Trip], config: GtiConfig) -> Result<Self, baselines::gti::GtiError> {
-        let model = GtiModel::fit(train, config)?;
-        let label = format!("GTI rm={:.0},rd={:.0e}", config.rm_m, config.rd_deg);
-        Ok(Imputer::Gti {
-            label,
-            model: Box::new(model),
-        })
-    }
-
-    /// Fits PaLMTO on training trips.
-    pub fn fit_palmto(
-        train: &[Trip],
-        config: PalmtoConfig,
-    ) -> Result<Self, baselines::PalmtoError> {
-        let model = PalmtoModel::fit(train, config)?;
-        Ok(Imputer::Palmto {
-            label: format!("PaLMTO n={},r={}", config.n, config.resolution),
-            model: Box::new(model),
-        })
-    }
-
-    /// The straight-line baseline.
-    pub fn sli() -> Self {
-        Imputer::Sli
-    }
-
-    /// Display label.
-    pub fn label(&self) -> &str {
-        match self {
-            Imputer::Habit { label, .. } => label,
-            Imputer::Gti { label, .. } => label,
-            Imputer::Palmto { label, .. } => label,
-            Imputer::Sli => "SLI",
-        }
     }
 
     /// Serialized model footprint in bytes (0 for SLI).
     pub fn storage_bytes(&self) -> usize {
         match self {
-            Imputer::Habit { model, .. } => model.storage_bytes(),
-            Imputer::Gti { model, .. } => model.storage_bytes(),
-            Imputer::Palmto { model, .. } => model.storage_bytes(),
+            Imputer::Habit(model) => model.storage_bytes(),
+            Imputer::Gti(model) => model.storage_bytes(),
+            Imputer::Palmto(model) => model.storage_bytes(),
+            Imputer::ByType(model) => model.storage_bytes(),
             Imputer::Sli => 0,
         }
     }
 
-    /// Answers one gap query.
-    pub fn impute(&self, gap: &GapQuery) -> MethodOutput {
+    /// Vessel types with a dedicated model (empty but for
+    /// [`Imputer::ByType`]).
+    pub fn modeled_types(&self) -> Vec<VesselType> {
         match self {
-            Imputer::Habit { model, .. } => match model.impute(gap) {
-                Ok(imp) => MethodOutput::Path(imp.points),
-                Err(e) => MethodOutput::Failed(e.to_string()),
-            },
-            Imputer::Gti { model, .. } => match model.impute(gap.start, gap.end) {
-                Ok(p) => MethodOutput::Path(p),
-                Err(e) => MethodOutput::Failed(e.to_string()),
-            },
-            Imputer::Palmto { model, .. } => match model.impute(gap.start, gap.end) {
-                Ok(p) => MethodOutput::Path(p),
-                Err(e) => MethodOutput::Failed(e.to_string()),
+            Imputer::ByType(model) => model.modeled_types(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Answers one gap case; [`Imputer::ByType`] routes it by the
+    /// case's vessel.
+    pub fn impute(&self, case: &GapCase) -> MethodOutput {
+        let gap = &case.query;
+        match self {
+            Imputer::Habit(model) => output(model.impute(gap).map(|imp| imp.points)),
+            Imputer::Gti(model) => output(model.impute(gap.start, gap.end)),
+            Imputer::Palmto(model) => output(model.impute(gap.start, gap.end)),
+            Imputer::ByType(model) => match model.impute_for_mmsi(case.mmsi, gap) {
+                Ok((imp, ServedBy::TypeModel(_))) => MethodOutput::TypePath(imp.points),
+                by_global => output(by_global.map(|(imp, _)| imp.points)),
             },
             Imputer::Sli => MethodOutput::Path(impute_sli(gap.start, gap.end, 250.0)),
         }
+    }
+}
+
+fn output<E: std::fmt::Display>(path: Result<Vec<TimedPoint>, E>) -> MethodOutput {
+    match path {
+        Ok(p) => MethodOutput::Path(p),
+        Err(e) => MethodOutput::Failed(e.to_string()),
     }
 }
 
@@ -138,6 +157,7 @@ impl Imputer {
 mod tests {
     use super::*;
     use ais::AisPoint;
+    use habit_core::GapQuery;
 
     fn lane_trips() -> Vec<Trip> {
         (0..4u64)
@@ -160,41 +180,64 @@ mod tests {
             .collect()
     }
 
+    fn case(query: GapQuery) -> GapCase {
+        GapCase {
+            trip_id: 1,
+            mmsi: 100,
+            query,
+            truth: Vec::new(),
+        }
+    }
+
+    fn fit(method: Method) -> Imputer {
+        Imputer::fit(&method, &lane_trips(), &[]).unwrap()
+    }
+
     #[test]
     fn all_methods_fit_and_impute() {
-        let train = lane_trips();
-        let gap = GapQuery::new(10.1, 56.0, 0, 10.35, 56.0, 3600);
-        let methods = vec![
-            Imputer::fit_habit(&train, HabitConfig::default()).unwrap(),
-            Imputer::fit_gti(&train, GtiConfig::default()).unwrap(),
-            Imputer::fit_palmto(&train, PalmtoConfig::default()).unwrap(),
-            Imputer::sli(),
+        let gap = case(GapQuery::new(10.1, 56.0, 0, 10.35, 56.0, 3600));
+        let methods = [
+            Method::Habit(HabitConfig::default()),
+            Method::Gti(GtiConfig::default()),
+            Method::Palmto(PalmtoConfig::default()),
+            Method::ByType(TypeModelsConfig::default()),
+            Method::Sli,
         ];
-        for m in &methods {
-            let out = m.impute(&gap);
+        let fitted: Vec<Imputer> = methods.iter().map(|m| fit(*m)).collect();
+        for (m, imputer) in methods.iter().zip(&fitted) {
+            let out = imputer.impute(&gap);
             let path = out.path().unwrap_or_else(|| panic!("{} failed", m.label()));
             assert!(path.len() >= 2, "{}", m.label());
             assert_eq!(path.first().unwrap().t, 0, "{}", m.label());
             assert_eq!(path.last().unwrap().t, 3600, "{}", m.label());
         }
         // Storage ordering: GTI (point graph) > HABIT (cell graph) > SLI.
-        assert!(methods[1].storage_bytes() > methods[0].storage_bytes());
-        assert_eq!(methods[3].storage_bytes(), 0);
+        assert!(fitted[1].storage_bytes() > fitted[0].storage_bytes());
+        assert_eq!(fitted[4].storage_bytes(), 0);
+        // No vessel is typed, so only the global fallback answers.
+        assert!(fitted[3].modeled_types().is_empty());
+        assert!(matches!(fitted[3].impute(&gap), MethodOutput::Path(_)));
+    }
+
+    #[test]
+    fn evaluation_fits_drop_the_fit_state() {
+        let Imputer::Habit(model) = fit(Method::habit(9, 100.0)) else {
+            panic!("HABIT imputer");
+        };
+        assert!(model.state().is_none());
     }
 
     #[test]
     fn labels() {
-        let train = lane_trips();
-        let h = Imputer::fit_habit(&train, HabitConfig::with_r_t(9, 100.0)).unwrap();
-        assert_eq!(h.label(), "HABIT r=9,t=100");
-        assert_eq!(Imputer::sli().label(), "SLI");
+        assert_eq!(Method::habit(9, 100.0).label(), "HABIT r=9,t=100");
+        assert_eq!(Method::gti(5e-4).label(), "GTI rm=250,rd=5e-4");
+        assert_eq!(Method::Sli.label(), "SLI");
     }
 
     #[test]
     fn failure_is_reported_not_panicked() {
-        let train = lane_trips();
-        let gti = Imputer::fit_gti(&train, GtiConfig::default()).unwrap();
-        let far_gap = GapQuery::new(0.0, 0.0, 0, 1.0, 1.0, 3600);
+        let gti = fit(Method::Gti(GtiConfig::default()));
+        let far_gap = case(GapQuery::new(0.0, 0.0, 0, 1.0, 1.0, 3600));
         assert!(matches!(gti.impute(&far_gap), MethodOutput::Failed(_)));
     }
 }

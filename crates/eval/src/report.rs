@@ -159,13 +159,14 @@ impl MarkdownTable {
         Ok(self)
     }
 
-    /// Rebuilds a table from raw parts, validating every row's arity
-    /// (the deserialization path).
-    pub fn from_parts(
+    /// Builds a table from its header and rows, validating every row's
+    /// arity; `context` names the experiment in an arity error.
+    pub fn from_parts<S: Into<String>>(
         context: &str,
-        header: Vec<String>,
-        rows: Vec<Vec<String>>,
+        header: impl IntoIterator<Item = S>,
+        rows: impl IntoIterator<Item = Vec<String>>,
     ) -> Result<Self, ReportError> {
+        let header = header.into_iter().map(Into::into).collect();
         let mut table = MarkdownTable::new(header).with_context(context);
         for row in rows {
             table.row(row)?;
@@ -233,14 +234,16 @@ pub struct Provenance {
     pub seed: u64,
     /// `HABIT_EVAL_SCALE` dataset scale factor.
     pub scale: f64,
-    /// Wall-clock duration of the experiment, seconds.
+    /// Wall-clock time of the work first done for this experiment (in a
+    /// run of several, what an earlier one evaluated is not re-timed),
+    /// seconds.
     pub wall_clock_s: f64,
     /// Process-wide peak resident set size (`VmHWM`) when the
     /// experiment finished, bytes (0 where the platform exposes no
     /// procfs). NOTE: a high-water mark is monotone over the process
     /// lifetime, so in an `all_experiments` run this is the peak *up to
     /// and including* this experiment, not an isolated per-experiment
-    /// peak; run a single binary for an isolated measurement.
+    /// peak; run `all_experiments <id>` for an isolated measurement.
     pub peak_rss_bytes: u64,
 }
 
@@ -295,8 +298,8 @@ pub struct ExperimentReport {
     pub id: String,
     /// Human title, e.g. "Table 1 — characteristics of the AIS datasets".
     pub title: String,
-    /// Where the experiment lives in the paper ("Table 1", "Figure 3",
-    /// or "DESIGN.md §5.1" for ablations beyond the paper).
+    /// Where the experiment lives in the paper ("Table 1", "Figure 3"),
+    /// or the code item an ablation beyond the paper measures.
     pub paper_ref: String,
     /// The paper's claim this experiment verifies.
     pub paper_expected: String,
@@ -352,73 +355,53 @@ impl ExperimentReport {
     /// Serializes to the versioned JSON document (pretty-printed, the
     /// on-disk `reports/<id>.json` format).
     pub fn to_json(&self) -> String {
-        let params: Vec<Json> = self
+        let text = |s: &str| Json::from(s);
+        let texts = |v: &[String]| Json::Arr(v.iter().map(|s| text(s)).collect());
+        let obj = |fields: Vec<(&str, Json)>| {
+            Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        };
+        let params = self
             .params
             .iter()
-            .map(|(k, v)| {
-                Json::Obj(vec![
-                    ("name".into(), k.as_str().into()),
-                    ("value".into(), v.as_str().into()),
+            .map(|(k, v)| obj(vec![("name", text(k)), ("value", text(v))]));
+        let sections = self.sections.iter().map(|s| {
+            let table = s.table.as_ref().map_or(Json::Null, |t| {
+                let rows = t.rows().iter().map(|r| texts(r)).collect();
+                obj(vec![
+                    ("header", texts(t.header())),
+                    ("rows", Json::Arr(rows)),
                 ])
-            })
-            .collect();
-        let sections: Vec<Json> = self
-            .sections
-            .iter()
-            .map(|s| {
-                let table = match &s.table {
-                    None => Json::Null,
-                    Some(t) => Json::Obj(vec![
-                        (
-                            "header".into(),
-                            Json::Arr(t.header().iter().map(|h| h.as_str().into()).collect()),
-                        ),
-                        (
-                            "rows".into(),
-                            Json::Arr(
-                                t.rows()
-                                    .iter()
-                                    .map(|r| {
-                                        Json::Arr(r.iter().map(|c| c.as_str().into()).collect())
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                };
-                Json::Obj(vec![
-                    ("heading".into(), s.heading.as_str().into()),
-                    (
-                        "notes".into(),
-                        Json::Arr(s.notes.iter().map(|n| n.as_str().into()).collect()),
-                    ),
-                    ("table".into(), table),
-                ])
-            })
-            .collect();
-        let provenance = Json::Obj(vec![
-            (
-                "generator".into(),
-                self.provenance.generator.as_str().into(),
-            ),
-            ("seed".into(), self.provenance.seed.into()),
-            ("scale".into(), self.provenance.scale.into()),
-            ("wall_clock_s".into(), self.provenance.wall_clock_s.into()),
-            (
-                "peak_rss_bytes".into(),
-                self.provenance.peak_rss_bytes.into(),
-            ),
+            });
+            let notes = texts(&s.notes);
+            obj(vec![
+                ("heading", text(&s.heading)),
+                ("notes", notes),
+                ("table", table),
+            ])
+        });
+        let p = &self.provenance;
+        let provenance = obj(vec![
+            ("generator", text(&p.generator)),
+            ("seed", p.seed.into()),
+            ("scale", p.scale.into()),
+            ("wall_clock_s", p.wall_clock_s.into()),
+            ("peak_rss_bytes", p.peak_rss_bytes.into()),
         ]);
-        Json::Obj(vec![
-            ("schema".into(), REPORT_SCHEMA.into()),
-            ("id".into(), self.id.as_str().into()),
-            ("title".into(), self.title.as_str().into()),
-            ("paper_ref".into(), self.paper_ref.as_str().into()),
-            ("paper_expected".into(), self.paper_expected.as_str().into()),
-            ("reproduction".into(), self.reproduction.as_str().into()),
-            ("params".into(), Json::Arr(params)),
-            ("sections".into(), Json::Arr(sections)),
-            ("provenance".into(), provenance),
+        obj(vec![
+            ("schema", text(REPORT_SCHEMA)),
+            ("id", text(&self.id)),
+            ("title", text(&self.title)),
+            ("paper_ref", text(&self.paper_ref)),
+            ("paper_expected", text(&self.paper_expected)),
+            ("reproduction", text(&self.reproduction)),
+            ("params", Json::Arr(params.collect())),
+            ("sections", Json::Arr(sections.collect())),
+            ("provenance", provenance),
         ])
         .render_pretty()
     }
@@ -430,124 +413,70 @@ impl ExperimentReport {
         if schema != REPORT_SCHEMA {
             return Err(ReportError::Schema(schema.to_string()));
         }
-        let id = require_str(&doc, "", "id")?.to_string();
-        let field = |name: &'static str| -> Result<String, ReportError> {
-            Ok(require_str(&doc, &id, name)?.to_string())
-        };
-        let title = field("title")?;
-        let paper_ref = field("paper_ref")?;
-        let paper_expected = field("paper_expected")?;
-        let reproduction = field("reproduction")?;
-
+        let id = &read(&doc, "", "id", string)?;
         let mut params = Vec::new();
-        for p in require_arr(&doc, &id, "params")? {
-            params.push((
-                require_str(p, &id, "name")?.to_string(),
-                require_str(p, &id, "value")?.to_string(),
-            ));
+        for p in read(&doc, id, "params", Json::as_arr)? {
+            params.push((read(p, id, "name", string)?, read(p, id, "value", string)?));
         }
-
         let mut sections = Vec::new();
-        for s in require_arr(&doc, &id, "sections")? {
-            let heading = require_str(s, &id, "heading")?.to_string();
-            let mut notes = Vec::new();
-            for n in require_arr(s, &id, "notes")? {
-                notes.push(
-                    n.as_str()
-                        .ok_or_else(|| field_err(&id, "notes"))?
-                        .to_string(),
-                );
-            }
+        for s in read(&doc, id, "sections", Json::as_arr)? {
             let table = match s.get("table") {
                 None | Some(Json::Null) => None,
                 Some(t) => {
-                    let header: Vec<String> = require_arr(t, &id, "header")?
-                        .iter()
-                        .map(|h| h.as_str().map(str::to_string))
-                        .collect::<Option<_>>()
-                        .ok_or_else(|| field_err(&id, "header"))?;
-                    let mut rows: Vec<Vec<String>> = Vec::new();
-                    for r in require_arr(t, &id, "rows")? {
-                        rows.push(
-                            r.as_arr()
-                                .ok_or_else(|| field_err(&id, "rows"))?
-                                .iter()
-                                .map(|c| c.as_str().map(str::to_string))
-                                .collect::<Option<_>>()
-                                .ok_or_else(|| field_err(&id, "rows"))?,
-                        );
-                    }
-                    Some(MarkdownTable::from_parts(&id, header, rows)?)
+                    let header = read(t, id, "header", strings)?;
+                    let rows: Vec<Vec<String>> =
+                        read(t, id, "rows", |r| r.as_arr()?.iter().map(strings).collect())?;
+                    Some(MarkdownTable::from_parts(id, header, rows)?)
                 }
             };
             sections.push(ReportSection {
-                heading,
-                notes,
+                heading: read(s, id, "heading", string)?,
+                notes: read(s, id, "notes", strings)?,
                 table,
             });
         }
-
-        let prov = doc
-            .get("provenance")
-            .ok_or_else(|| field_err(&id, "provenance"))?;
-        let provenance = Provenance {
-            generator: require_str(prov, &id, "generator")?.to_string(),
-            seed: prov
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| field_err(&id, "seed"))?,
-            scale: prov
-                .get("scale")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| field_err(&id, "scale"))?,
-            wall_clock_s: prov
-                .get("wall_clock_s")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| field_err(&id, "wall_clock_s"))?,
-            peak_rss_bytes: prov
-                .get("peak_rss_bytes")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| field_err(&id, "peak_rss_bytes"))?,
-        };
-
+        let prov = read(&doc, id, "provenance", Some)?;
         Ok(ExperimentReport {
-            id,
-            title,
-            paper_ref,
-            paper_expected,
-            reproduction,
+            id: id.clone(),
+            title: read(&doc, id, "title", string)?,
+            paper_ref: read(&doc, id, "paper_ref", string)?,
+            paper_expected: read(&doc, id, "paper_expected", string)?,
+            reproduction: read(&doc, id, "reproduction", string)?,
             params,
             sections,
-            provenance,
+            provenance: Provenance {
+                generator: read(prov, id, "generator", string)?,
+                seed: read(prov, id, "seed", Json::as_u64)?,
+                scale: read(prov, id, "scale", Json::as_f64)?,
+                wall_clock_s: read(prov, id, "wall_clock_s", Json::as_f64)?,
+                peak_rss_bytes: read(prov, id, "peak_rss_bytes", Json::as_u64)?,
+            },
         })
     }
 }
 
-fn field_err(context: &str, field: &str) -> ReportError {
-    ReportError::Field {
-        context: context.to_string(),
-        field: field.to_string(),
-    }
+/// Reads field `name` of `j` with `read`; the error names the field and
+/// the report `id`.
+fn read<'j, T>(
+    j: &'j Json,
+    id: &str,
+    name: &str,
+    read: impl FnOnce(&'j Json) -> Option<T>,
+) -> Result<T, ReportError> {
+    j.get(name)
+        .and_then(read)
+        .ok_or_else(|| ReportError::Field {
+            context: id.to_string(),
+            field: name.to_string(),
+        })
 }
 
-fn require_str<'a>(
-    doc: &'a Json,
-    context: &str,
-    field: &'static str,
-) -> Result<&'a str, ReportError> {
-    doc.get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| field_err(context, field))
+fn string(j: &Json) -> Option<String> {
+    j.as_str().map(str::to_string)
 }
 
-fn require_arr<'a>(
-    doc: &'a Json,
-    context: &str,
-    field: &'static str,
-) -> Result<&'a [Json], ReportError> {
-    doc.get(field)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| field_err(context, field))
+fn strings(j: &Json) -> Option<Vec<String>> {
+    j.as_arr()?.iter().map(string).collect()
 }
 
 /// Assembles the full `EXPERIMENTS.md` document from a set of reports
@@ -558,9 +487,12 @@ pub fn render_experiments_md(reports: &[&ExperimentReport]) -> String {
     out.push_str("# HABIT — experiment baselines\n\n");
     out.push_str(
         "<!-- GENERATED FILE — do not edit by hand.\n\
-         Regenerate (re-runs every experiment and rewrites reports/*.json):\n\
+         Regenerate (re-runs every experiment on one grid, fitting each dataset × method\n\
+         once, and rewrites reports/*.json):\n\
          \n\
          \x20   cargo run -p habit-bench --release --bin all_experiments -- --out-dir reports/\n\
+         \n\
+         Run some experiments and print their sections, e.g. `all_experiments -- fig5`.\n\
          \n\
          Re-render from the committed JSON without re-running (what CI diffs):\n\
          \n\
@@ -587,43 +519,34 @@ pub fn render_experiments_md(reports: &[&ExperimentReport]) -> String {
     }
 
     out.push_str("## Summary\n\n");
-    let mut summary = MarkdownTable::new(vec![
+    let summary = reports.iter().map(|r| {
+        let tables = r.sections.iter().filter_map(|s| s.table.as_ref());
+        vec![
+            format!("`{}`", r.id),
+            r.paper_ref.clone(),
+            tables.map(MarkdownTable::len).sum::<usize>().to_string(),
+            fmt_s2(r.provenance.wall_clock_s),
+            fmt_mb(r.provenance.peak_rss_bytes as usize),
+        ]
+    });
+    let header = [
         "Experiment",
         "Paper ref",
         "Rows",
         "Wall clock (s)",
         "Peak RSS so far (MB)",
-    ]);
-    for r in reports {
-        let rows: usize = r
-            .sections
-            .iter()
-            .filter_map(|s| s.table.as_ref().map(MarkdownTable::len))
-            .sum();
-        summary
-            .row(vec![
-                format!("`{}`", r.id),
-                r.paper_ref.clone(),
-                rows.to_string(),
-                fmt_s2(r.provenance.wall_clock_s),
-                fmt_mb(r.provenance.peak_rss_bytes as usize),
-            ])
-            .expect("summary arity is static");
-    }
+    ];
+    let summary = MarkdownTable::from_parts("", header, summary).expect("static arity");
     out.push_str(&summary.render());
     out.push('\n');
 
     out.push_str("## Paper vs reproduction\n\n");
-    let mut comparison = MarkdownTable::new(vec!["Experiment", "Paper expects", "Reproduction"]);
-    for r in reports {
-        comparison
-            .row(vec![
-                format!("`{}`", r.id),
-                r.paper_expected.clone(),
-                r.reproduction.clone(),
-            ])
-            .expect("comparison arity is static");
-    }
+    let comparison = reports.iter().map(|r| {
+        let id = format!("`{}`", r.id);
+        vec![id, r.paper_expected.clone(), r.reproduction.clone()]
+    });
+    let header = ["Experiment", "Paper expects", "Reproduction"];
+    let comparison = MarkdownTable::from_parts("", header, comparison).expect("static arity");
     out.push_str(&comparison.render());
     out.push('\n');
 

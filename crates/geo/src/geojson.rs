@@ -1,9 +1,9 @@
 //! Minimal GeoJSON (RFC 7946) writers.
 //!
-//! Imputed paths and density cells become instantly inspectable in any
-//! GIS tool (QGIS, kepler.gl, geojson.io). Writing is string-assembly —
-//! the subset we emit (FeatureCollections of LineStrings, Points and
-//! Polygons with scalar properties) needs no serializer dependency.
+//! Density cells become instantly inspectable in any GIS tool (QGIS,
+//! kepler.gl, geojson.io). Writing is string-assembly — the subset we
+//! emit (FeatureCollections of Polygons with scalar properties) needs no
+//! serializer dependency.
 
 use crate::point::GeoPoint;
 use std::fmt::Write;
@@ -17,22 +17,6 @@ pub enum PropValue {
     Num(f64),
     /// A JSON integer.
     Int(i64),
-}
-
-impl From<&str> for PropValue {
-    fn from(v: &str) -> Self {
-        PropValue::Str(v.to_string())
-    }
-}
-impl From<f64> for PropValue {
-    fn from(v: f64) -> Self {
-        PropValue::Num(v)
-    }
-}
-impl From<i64> for PropValue {
-    fn from(v: i64) -> Self {
-        PropValue::Int(v)
-    }
 }
 
 /// Escapes a string for JSON embedding.
@@ -86,29 +70,6 @@ fn write_coords(out: &mut String, points: &[GeoPoint]) {
         write!(out, "[{:.6},{:.6}]", p.lon, p.lat).expect("write to string");
     }
     out.push(']');
-}
-
-/// A `LineString` feature from a path.
-pub fn linestring_feature(points: &[GeoPoint], properties: &[(&str, PropValue)]) -> String {
-    let mut out = String::from(
-        "{\"type\":\"Feature\",\"geometry\":{\"type\":\"LineString\",\"coordinates\":",
-    );
-    write_coords(&mut out, points);
-    out.push_str("},\"properties\":");
-    write_props(&mut out, properties);
-    out.push('}');
-    out
-}
-
-/// A `Point` feature.
-pub fn point_feature(p: &GeoPoint, properties: &[(&str, PropValue)]) -> String {
-    let mut out =
-        String::from("{\"type\":\"Feature\",\"geometry\":{\"type\":\"Point\",\"coordinates\":");
-    write!(out, "[{:.6},{:.6}]", p.lon, p.lat).expect("write to string");
-    out.push_str("},\"properties\":");
-    write_props(&mut out, properties);
-    out.push('}');
-    out
 }
 
 /// A `Polygon` feature from an exterior ring (closed automatically).
@@ -174,21 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn linestring_document_structure() {
-        let path = vec![GeoPoint::new(10.0, 56.0), GeoPoint::new(10.5, 56.2)];
-        let doc = feature_collection([linestring_feature(
-            &path,
-            &[("method", "HABIT".into()), ("dtw_m", 152.4.into())],
-        )]);
-        assert!(balanced(&doc), "{doc}");
-        assert!(doc.starts_with("{\"type\":\"FeatureCollection\""));
-        assert!(doc.contains("\"LineString\""));
-        assert!(doc.contains("[10.000000,56.000000]"));
-        assert!(doc.contains("\"method\":\"HABIT\""));
-        assert!(doc.contains("\"dtw_m\":152.4"));
-    }
-
-    #[test]
     fn polygon_ring_closes() {
         let ring = vec![
             GeoPoint::new(0.0, 0.0),
@@ -204,16 +150,19 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let p = GeoPoint::new(0.0, 0.0);
-        let f = point_feature(&p, &[("name", "Ferry \"Nord\"\nline\\x".into())]);
+        let ring = [GeoPoint::new(0.0, 0.0)];
+        let f = polygon_feature(
+            &ring,
+            &[("name", PropValue::Str("Ferry \"Nord\"\nline\\x".into()))],
+        );
         assert!(balanced(&f), "{f}");
         assert!(f.contains("Ferry \\\"Nord\\\"\\nline\\\\x"));
     }
 
     #[test]
     fn non_finite_numbers_become_null() {
-        let p = GeoPoint::new(0.0, 0.0);
-        let f = point_feature(&p, &[("bad", PropValue::Num(f64::NAN))]);
+        let ring = [GeoPoint::new(0.0, 0.0)];
+        let f = polygon_feature(&ring, &[("bad", PropValue::Num(f64::NAN))]);
         assert!(balanced(&f));
         assert!(f.contains("\"bad\":null"));
     }

@@ -25,9 +25,9 @@
 //! 0.5 m), so resolution numbers in the paper map one-to-one. Because
 //! Mercator is conformal, cells are perfectly regular hexagons locally;
 //! their *ground* size scales by `cos(lat)` (≈0.56 at the Danish sites,
-//! ≈0.79 in the Saronic gulf), uniformly within a study region. All
-//! relative comparisons across resolutions — what the paper's experiments
-//! sweep — are unaffected. See `DESIGN.md` §3.
+//! ≈0.79 in the Saronic gulf), uniformly within a study region, so a
+//! resolution is finer on the ground than H3's at the paper's sites
+//! (ROADMAP.md item 22 measures by how much).
 //!
 //! ## Cell identifiers
 //!

@@ -3,7 +3,7 @@
 //! The paper evaluates on two proprietary AIS feeds (Danish Maritime
 //! Authority and AegeaNET). Those feeds are not redistributable, so this
 //! crate builds the closest synthetic equivalent that exercises the same
-//! code paths (see `DESIGN.md` §3): vessels of different classes sail
+//! code paths: vessels of different classes sail
 //! repeatedly along navigable sea lanes between ports, around simplified
 //! but topologically faithful coastlines, reporting AIS positions with
 //! realistic noise, speed-dependent intervals, and region-dependent

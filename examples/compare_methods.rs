@@ -10,66 +10,33 @@
 //! per-method accuracy (mean/median DTW), failures, model size and
 //! query latency in a single table.
 
-use habit::eval::experiments::{accuracy_dtw, latency, Bench};
-use habit::eval::report::{fmt_m, fmt_mb, fmt_s, mean, median, MarkdownTable};
-use habit::eval::Imputer;
-use habit::prelude::*;
-use habit::synth::{datasets, DatasetSpec};
+use habit::eval::experiments::{cells, DatasetId, Gaps, Grid};
+use habit::eval::Method;
 
 fn main() {
-    let dataset = datasets::kiel(DatasetSpec {
-        seed: 42,
-        scale: 0.3,
-    });
-    let bench = Bench::prepare(dataset, 42);
-    let cases = bench.gap_cases(3600, 42);
+    // The configurations the paper compares (§4.3).
+    let methods = [
+        Method::habit(9, 100.0),
+        Method::habit(9, 250.0),
+        Method::habit(10, 100.0),
+        Method::gti(1e-4),
+        Method::gti(5e-4),
+        Method::Sli,
+    ];
+    let kiel = DatasetId::Kiel;
+    let grid = Grid::run(42, 0.3, cells(kiel, &methods, Some(Gaps::HOUR)));
+    let bench = grid.bench(kiel);
     println!(
         "KIEL: {} train trips, {} test trips, {} gap cases\n",
         bench.train.len(),
         bench.test.len(),
-        cases.len()
+        grid.cases(kiel, Gaps::HOUR).len()
     );
-
-    // The configurations the paper compares (§4.3).
-    let mut methods: Vec<Imputer> = Vec::new();
-    for (r, t) in [(9u8, 100.0), (9, 250.0), (10, 100.0)] {
-        methods.push(Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(r, t)).expect("habit"));
-    }
-    for rd in [1e-4, 5e-4] {
-        let config = GtiConfig {
-            rm_m: 250.0,
-            rd_deg: rd,
-            ..GtiConfig::default()
-        };
-        methods.push(Imputer::fit_gti(&bench.train, config).expect("gti"));
-    }
-    methods.push(Imputer::sli());
-
-    let mut table = MarkdownTable::new(vec![
-        "Method",
-        "Mean DTW (m)",
-        "Median DTW (m)",
-        "Failures",
-        "Model (MB)",
-        "Avg latency (s)",
-        "Max latency (s)",
-    ]);
     for m in &methods {
-        let errors = accuracy_dtw(m, &cases);
-        let (avg_s, max_s, failures) = latency(m, &cases);
-        table
-            .row(vec![
-                m.label().to_string(),
-                fmt_m(mean(&errors)),
-                fmt_m(median(&errors)),
-                failures.to_string(),
-                fmt_mb(m.storage_bytes()),
-                fmt_s(avg_s),
-                fmt_s(max_s),
-            ])
-            .expect("row arity matches header");
+        grid.fit(kiel, m).expect("every method fits KIEL");
     }
-    println!("{}", table.render());
+    let table = grid.method_table(kiel, &methods, Gaps::HOUR);
+    println!("{}", table.expect("row arity matches header").render());
 
     println!(
         "expected shape (paper §4.3): GTI most accurate on this confined route,\n\

@@ -1,79 +1,153 @@
-//! Smoke tests for the experiment runners: every table/figure generator
-//! produces well-formed rows on miniature datasets. (Full-scale numbers
-//! are produced by the `habit-bench` binaries and recorded in
+//! Smoke tests for the experiment grid: every table/figure sweep
+//! produces well-formed outcomes on miniature datasets. (Full-scale
+//! numbers are produced by `all_experiments` and recorded in
 //! EXPERIMENTS.md.)
 
-use habit::eval::experiments::{self, Bench};
-use habit::synth::{datasets, DatasetSpec};
+use habit::eval::experiments::{cells, Cell, DatasetId, Gaps, Grid};
+use habit::eval::report::{mean, median, percentile};
+use habit::eval::rot::{mean_rot_stats, rot_stats, RotStats};
+use habit::eval::Method;
+use habit::prelude::*;
+use std::sync::OnceLock;
+use DatasetId::{Dan, Kiel, Sar};
 
-fn tiny_kiel() -> Bench {
-    Bench::prepare(
-        datasets::kiel(DatasetSpec {
-            seed: 42,
-            scale: 0.1,
-        }),
-        42,
-    )
+const HOUR: Gaps = Gaps::HOUR;
+
+/// Figure 3: r = 6..=10 × both projections.
+fn fig3_methods() -> Vec<Method> {
+    let mut out = Vec::new();
+    for resolution in 6..=10u8 {
+        for projection in [CellProjection::Center, CellProjection::Median] {
+            out.push(Method::Habit(HabitConfig {
+                resolution,
+                projection,
+                rdp_tolerance_m: 100.0,
+                ..HabitConfig::default()
+            }));
+        }
+    }
+    out
 }
 
-fn tiny_sar() -> Bench {
-    Bench::prepare(
-        datasets::sar(DatasetSpec {
-            seed: 42,
-            scale: 0.1,
-        }),
-        42,
-    )
+/// Table 3: r ∈ {9, 10} × t ∈ {0, 100, 250, 500, 1000}.
+fn rt_sweep() -> Vec<Method> {
+    let mut out = Vec::new();
+    for r in [9u8, 10] {
+        for t in [0.0, 100.0, 250.0, 500.0, 1000.0] {
+            out.push(Method::habit(r, t));
+        }
+    }
+    out
+}
+
+/// Figures 5 and 7: HABIT at r ∈ {9, 10} × t ∈ {100, 250}.
+fn fig5_habit() -> Vec<Method> {
+    [(9, 100.0), (9, 250.0), (10, 100.0), (10, 250.0)]
+        .map(|(r, t)| Method::habit(r, t))
+        .to_vec()
+}
+
+/// Table 4: HABIT then the GTI rd sweep.
+fn table4_methods() -> Vec<Method> {
+    let mut out = fig5_habit();
+    out.extend([1e-4, 5e-4, 1e-3].map(Method::gti));
+    out
+}
+
+/// Figure 5: Table 4's methods and SLI.
+fn fig5_methods() -> Vec<Method> {
+    let mut out = table4_methods();
+    out.push(Method::Sli);
+    out
+}
+
+/// Table 2: HABIT at r = 6..=10, then the GTI rd sweep.
+fn table2_methods() -> Vec<Method> {
+    let mut out: Vec<Method> = (6..=10).map(|r| Method::habit(r, 100.0)).collect();
+    out.extend([1e-4, 5e-4, 1e-3].map(Method::gti));
+    out
+}
+
+fn fig7_gaps(hours: u64) -> Gaps {
+    Gaps {
+        duration_s: hours as i64 * 3600,
+        seed_offset: hours,
+    }
+}
+
+/// One grid at scale 0.1 holding every cell the tests read, so each
+/// (dataset, method) pair is fitted once for the whole file.
+fn grid() -> &'static Grid {
+    static GRID: OnceLock<Grid> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let mut plan = cells(Kiel, &fig3_methods(), Some(HOUR));
+        plan.extend(cells(Kiel, &rt_sweep(), Some(HOUR)));
+        plan.extend(cells(Kiel, &fig5_methods(), Some(HOUR)));
+        for hours in [1, 2, 4] {
+            plan.extend(cells(Kiel, &fig5_habit(), Some(fig7_gaps(hours))));
+        }
+        plan.extend(cells(Kiel, &table2_methods(), None));
+        plan.extend(cells(Sar, &table2_methods(), None));
+        plan.push(Cell {
+            dataset: Dan,
+            method: None,
+            gaps: None,
+        });
+        Grid::run(42, 0.1, plan)
+    })
 }
 
 #[test]
 fn fig3_grid_is_complete_and_ordered() {
-    let bench = tiny_kiel();
-    let rows = experiments::fig3(&bench, 42);
-    assert_eq!(rows.len(), 10, "5 resolutions x 2 projections");
-    let mut seen = std::collections::HashSet::new();
-    for r in &rows {
-        assert!((6..=10).contains(&r.resolution));
-        assert!(r.projection == "center" || r.projection == "median");
-        assert!(r.mean_dtw_m >= 0.0 && r.mean_dtw_m.is_finite());
-        assert!(r.median_dtw_m <= r.mean_dtw_m * 3.0 + 1.0);
-        assert!(r.imputed <= r.total);
-        seen.insert((r.resolution, r.projection));
+    let g = grid();
+    let total = g.cases(Kiel, HOUR).len();
+    let mut seen = Vec::new();
+    for m in fig3_methods() {
+        let Method::Habit(c) = m else { unreachable!() };
+        let errors = g.row(Kiel, &m, HOUR).expect("fit").errors;
+        let (mean_dtw, median_dtw) = (mean(&errors), median(&errors));
+        assert!((6..=10).contains(&c.resolution));
+        assert!(mean_dtw >= 0.0 && mean_dtw.is_finite());
+        assert!(median_dtw <= mean_dtw * 3.0 + 1.0);
+        assert!(errors.len() <= total);
+        if !seen.contains(&(c.resolution, c.projection)) {
+            seen.push((c.resolution, c.projection));
+        }
     }
-    assert_eq!(seen.len(), 10, "no duplicate (r, p) combinations");
+    assert_eq!(
+        seen.len(),
+        10,
+        "5 resolutions x 2 projections, no duplicate"
+    );
 }
 
 #[test]
 fn table2_row_set_matches_paper_configurations() {
-    let kiel = tiny_kiel();
-    let sar = tiny_sar();
-    let rows = experiments::table2(&kiel, &sar);
+    let g = grid();
+    let bytes = |d, m: &Method| g.fit(d, m).map_or(0, |f| f.storage_bytes);
+    let rows: Vec<(Method, usize, usize)> = table2_methods()
+        .into_iter()
+        .map(|m| (m, bytes(Kiel, &m), bytes(Sar, &m)))
+        .collect();
     assert_eq!(rows.len(), 8, "5 HABIT + 3 GTI");
-    let habit_rows: Vec<_> = rows.iter().filter(|r| r.method == "HABIT").collect();
+    let habit_rows: Vec<_> = rows
+        .iter()
+        .filter(|r| matches!(r.0, Method::Habit(_)))
+        .collect();
     assert_eq!(habit_rows.len(), 5);
     // Monotone growth with resolution, on both datasets.
     for w in habit_rows.windows(2) {
-        assert!(
-            w[1].kiel_bytes >= w[0].kiel_bytes,
-            "KIEL storage must grow with r"
-        );
-        assert!(
-            w[1].sar_bytes >= w[0].sar_bytes,
-            "SAR storage must grow with r"
-        );
+        assert!(w[1].1 >= w[0].1, "KIEL storage must grow with r");
+        assert!(w[1].2 >= w[0].2, "SAR storage must grow with r");
     }
     // GTI outgrows HABIT at the paper's selected configuration (r = 9).
     // (At r = 10 the comparison needs production-scale data — the ratio-
     // vs-scale claim is asserted in tests/paper_claims.rs.)
-    let habit_r9 = habit_rows
-        .iter()
-        .find(|r| r.config == "r=9")
-        .expect("r=9 row")
-        .kiel_bytes;
+    let habit_r9 = bytes(Kiel, &Method::habit(9, 100.0));
     let max_gti = rows
         .iter()
-        .filter(|r| r.method == "GTI")
-        .map(|r| r.kiel_bytes)
+        .filter(|r| matches!(r.0, Method::Gti(_)))
+        .map(|r| r.1)
         .max()
         .unwrap();
     assert!(max_gti > habit_r9, "GTI {max_gti} !> HABIT r9 {habit_r9}");
@@ -81,43 +155,30 @@ fn table2_row_set_matches_paper_configurations() {
 
 #[test]
 fn table3_simplification_reduces_points_and_sharp_turns() {
-    let bench = tiny_kiel();
-    let (rows, original) = experiments::table3(&bench, 42);
-    assert_eq!(rows.len(), 10);
+    let g = grid();
+    let stats = |r: u8, t: f64| {
+        let row = g.row(Kiel, &Method::habit(r, t), HOUR).expect("fit");
+        let paths = row.paths();
+        mean_rot_stats(&paths.map(|p| rot_stats(p)).collect::<Vec<_>>())
+    };
+    assert_eq!(rt_sweep().len(), 10);
+    let truth: Vec<RotStats> = g
+        .cases(Kiel, HOUR)
+        .iter()
+        .map(|c| rot_stats(&c.truth.iter().map(|p| p.pos).collect::<Vec<_>>()))
+        .collect();
+    let original = mean_rot_stats(&truth);
     assert!(original.count >= 3, "original stats from truth paths");
     for res in [9u8, 10] {
-        let series: Vec<_> = rows.iter().filter(|r| r.resolution == res).collect();
-        assert_eq!(series.len(), 5);
-        let cnt_t0 = series
-            .iter()
-            .find(|r| r.tolerance_m == 0.0)
-            .unwrap()
-            .stats
-            .count;
-        let cnt_t1000 = series
-            .iter()
-            .find(|r| r.tolerance_m == 1000.0)
-            .unwrap()
-            .stats
-            .count;
+        let (t0, t1000) = (stats(res, 0.0), stats(res, 1000.0));
         assert!(
-            cnt_t1000 < cnt_t0.max(3),
-            "r={res}: t=1000 must compress the path ({cnt_t1000} !< {cnt_t0})"
+            t1000.count < t0.count.max(3),
+            "r={res}: t=1000 must compress the path ({} !< {})",
+            t1000.count,
+            t0.count
         );
-        let over45_t0 = series
-            .iter()
-            .find(|r| r.tolerance_m == 0.0)
-            .unwrap()
-            .stats
-            .turns_over_45;
-        let over45_t1000 = series
-            .iter()
-            .find(|r| r.tolerance_m == 1000.0)
-            .unwrap()
-            .stats
-            .turns_over_45;
         assert!(
-            over45_t1000 <= over45_t0,
+            t1000.turns_over_45 <= t0.turns_over_45,
             "r={res}: simplification must not add sharp turns"
         );
     }
@@ -125,44 +186,67 @@ fn table3_simplification_reduces_points_and_sharp_turns() {
 
 #[test]
 fn fig5_and_table4_cover_every_method() {
-    let bench = tiny_kiel();
-    let f5 = experiments::fig5(&bench, 42);
+    let g = grid();
+    let total = g.cases(Kiel, HOUR).len();
+    assert_eq!(g.bench(Kiel).name, "KIEL");
+    let f5: Vec<(String, usize)> = fig5_methods()
+        .iter()
+        .filter_map(|m| {
+            let scored = g.row(Kiel, m, HOUR)?.errors.len();
+            Some((m.label(), total - scored))
+        })
+        .collect();
     assert_eq!(f5.len(), 8, "4 HABIT + 3 GTI + SLI");
-    assert!(f5.iter().any(|r| r.method == "SLI"));
-    assert!(f5.iter().filter(|r| r.method.starts_with("HABIT")).count() == 4);
-    assert!(f5.iter().filter(|r| r.method.starts_with("GTI")).count() == 3);
+    assert!(f5.iter().any(|r| r.0 == "SLI"));
+    assert!(f5.iter().filter(|r| r.0.starts_with("HABIT")).count() == 4);
+    assert!(f5.iter().filter(|r| r.0.starts_with("GTI")).count() == 3);
     for r in &f5 {
-        assert!(r.failures <= r.total);
-        assert_eq!(r.dataset, "KIEL");
+        assert!(r.1 <= total);
     }
 
-    let t4 = experiments::table4(&bench, 42);
+    let t4: Vec<(f64, f64)> = table4_methods()
+        .iter()
+        .filter_map(|m| Some(g.row(Kiel, m, HOUR)?.latency()))
+        .collect();
     assert_eq!(
         t4.len(),
         7,
         "4 HABIT + 3 GTI (SLI excluded as in the paper)"
     );
-    for r in &t4 {
-        assert!(r.avg_s >= 0.0 && r.max_s >= r.avg_s);
-        assert!(r.gaps > 0);
+    for (avg_s, max_s) in &t4 {
+        assert!(*avg_s >= 0.0 && max_s >= avg_s);
     }
+    assert!(total > 0);
 }
 
 #[test]
 fn fig6_cases_include_truth_and_methods() {
-    let bench = tiny_kiel();
-    let cases = experiments::fig6(&bench, 42, 2);
-    assert!(!cases.is_empty() && cases.len() <= 2);
-    for case in &cases {
-        assert!(case.truth.len() >= 2);
+    let g = grid();
+    let cases = g.cases(Kiel, HOUR);
+    let picks: Vec<usize> = if cases.len() <= 2 {
+        (0..cases.len()).collect()
+    } else {
+        vec![0, cases.len() / 2]
+    };
+    assert!(!picks.is_empty() && picks.len() <= 2);
+    let methods = [Method::habit(9, 100.0), Method::gti(5e-4), Method::Sli];
+    for k in picks {
+        assert!(cases[k].truth.len() >= 2);
+        let paths: Vec<(String, &Vec<GeoPoint>)> = methods
+            .iter()
+            .filter_map(|m| {
+                Some((
+                    m.label(),
+                    g.row(Kiel, m, HOUR)?.outcomes[k].path.as_ref().ok()?,
+                ))
+            })
+            .collect();
         assert!(
-            case.paths
-                .iter()
-                .any(|(label, _)| label.starts_with("HABIT")),
+            paths.iter().any(|(label, _)| label.starts_with("HABIT")),
             "HABIT path present"
         );
-        assert!(case.paths.iter().any(|(label, _)| label == "SLI"));
-        for (_, path) in &case.paths {
+        assert!(paths.iter().any(|(label, _)| label == "SLI"));
+        for (_, path) in &paths {
             assert!(path.len() >= 2);
         }
     }
@@ -170,37 +254,44 @@ fn fig6_cases_include_truth_and_methods() {
 
 #[test]
 fn fig7_sweeps_durations_per_config() {
-    let bench = tiny_kiel();
-    let rows = experiments::fig7(&bench, 42);
-    assert_eq!(rows.len(), 12, "4 configs x 3 durations");
-    for r in &rows {
-        assert!([1.0, 2.0, 4.0].contains(&r.gap_hours));
-        assert!(r.p25_m <= r.median_dtw_m + 1e-9);
-        assert!(r.median_dtw_m <= r.p75_m + 1e-9);
-        assert!(r.p75_m <= r.max_m + 1e-9);
+    let g = grid();
+    let mut rows = 0;
+    for m in fig5_habit() {
+        for hours in [1, 2, 4] {
+            let errors = g.row(Kiel, &m, fig7_gaps(hours)).expect("fit").errors;
+            let (p25, p50, p75) = (
+                percentile(&errors, 25.0),
+                median(&errors),
+                percentile(&errors, 75.0),
+            );
+            let max = errors.iter().copied().fold(0.0, f64::max);
+            assert!(p25 <= p50 + 1e-9);
+            assert!(p50 <= p75 + 1e-9);
+            assert!(p75 <= max + 1e-9);
+            rows += 1;
+        }
     }
+    assert_eq!(rows, 12, "4 configs x 3 durations");
 }
 
 #[test]
 fn table1_reports_all_three_datasets() {
-    // table1 generates its own datasets at `eval_scale()`; keep this test
-    // cheap by setting the scale before any other env read in this
-    // process (tests in this file run in one process; none read it).
-    std::env::set_var("HABIT_EVAL_SCALE", "0.1");
-    let rows = experiments::table1(42);
-    std::env::remove_var("HABIT_EVAL_SCALE");
-    assert_eq!(rows.len(), 3);
-    let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+    let g = grid();
+    let names: Vec<&str> = [Dan, Kiel, Sar]
+        .iter()
+        .map(|d| g.bench(*d).name.as_str())
+        .collect();
     assert_eq!(names, vec!["DAN", "KIEL", "SAR"]);
-    for r in &rows {
-        assert!(r.positions > 100, "{}: positions {}", r.name, r.positions);
-        assert!(r.trips > 0);
-        assert!(r.ships > 0);
-        assert!(r.size_bytes > r.positions * 40);
+    for d in [Dan, Kiel, Sar] {
+        let bench = g.bench(d);
+        let ds = &bench.dataset;
+        let positions = ds.num_positions();
+        assert!(positions > 100, "{}: positions {positions}", bench.name);
+        assert!(bench.train.len() + bench.test.len() > 0);
+        assert!(ds.num_ships() > 0);
+        assert!(ds.csv_size_bytes() > positions * 40);
     }
     // Scenario structure: SAR has by far the most ships; KIEL exactly 2.
-    let kiel = rows.iter().find(|r| r.name == "KIEL").unwrap();
-    let sar = rows.iter().find(|r| r.name == "SAR").unwrap();
-    assert_eq!(kiel.ships, 2);
-    assert!(sar.ships > 50);
+    assert_eq!(g.bench(Kiel).dataset.num_ships(), 2);
+    assert!(g.bench(Sar).dataset.num_ships() > 50);
 }

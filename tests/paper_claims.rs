@@ -2,20 +2,54 @@
 //! evaluation — who wins, in which direction, by what rough shape —
 //! on small synthetic datasets.
 
-use habit::eval::experiments::{accuracy_dtw, latency, Bench};
+use habit::eval::experiments::{cells, DatasetId, Gaps, Grid};
 use habit::eval::report::{mean, median};
-use habit::eval::Imputer;
+use habit::eval::Method;
 use habit::prelude::*;
-use habit::synth::{datasets, DatasetSpec};
+use std::sync::OnceLock;
+use DatasetId::Kiel;
 
-fn kiel_bench() -> Bench {
-    Bench::prepare(
-        datasets::kiel(DatasetSpec {
-            seed: 42,
-            scale: 0.25,
-        }),
-        42,
-    )
+const HOUR: Gaps = Gaps::HOUR;
+
+fn center(r: u8) -> Method {
+    Method::Habit(HabitConfig {
+        resolution: r,
+        projection: CellProjection::Center,
+        rdp_tolerance_m: 100.0,
+        ..HabitConfig::default()
+    })
+}
+
+/// Figure 7's gap sets: 1- and 4-hour gaps on their own placement seeds.
+const ONE_HOUR: Gaps = Gaps {
+    duration_s: 3600,
+    seed_offset: 1,
+};
+const FOUR_HOURS: Gaps = Gaps {
+    duration_s: 4 * 3600,
+    seed_offset: 4,
+};
+
+/// KIEL at scale 0.25 with every cell the claims below read, each
+/// (dataset, method) pair fitted once for the whole file.
+fn kiel_grid() -> &'static Grid {
+    static GRID: OnceLock<Grid> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let by_r: Vec<Method> = (6..=10).map(|r| Method::habit(r, 100.0)).collect();
+        let mut plan = cells(Kiel, &by_r, None);
+        let accuracy = [Method::habit(9, 100.0), Method::gti(5e-4), Method::Sli];
+        plan.extend(cells(Kiel, &accuracy, Some(HOUR)));
+        plan.extend(cells(Kiel, &[6, 7].map(center), Some(HOUR)));
+        plan.extend(cells(
+            Kiel,
+            &[6, 7].map(|r| Method::habit(r, 100.0)),
+            Some(HOUR),
+        ));
+        for gaps in [ONE_HOUR, FOUR_HOURS] {
+            plan.extend(cells(Kiel, &[Method::habit(9, 100.0)], Some(gaps)));
+        }
+        Grid::run(42, 0.25, plan)
+    })
 }
 
 /// Table 2's headline: HABIT's cell-graph model is smaller than GTI's
@@ -25,24 +59,17 @@ fn kiel_bench() -> Bench {
 /// 0.8M-position scale; laptop-scale datasets show the same divergence.)
 #[test]
 fn habit_model_smaller_than_gti_and_gap_widens_with_scale() {
-    let gti_config = GtiConfig {
-        rm_m: 250.0,
-        rd_deg: 5e-4,
-        ..GtiConfig::default()
-    };
+    let (habit, gti) = (Method::habit(9, 100.0), Method::gti(5e-4));
     let mut ratios = Vec::new();
     for scale in [0.1, 0.3] {
-        let bench = Bench::prepare(datasets::kiel(DatasetSpec { seed: 42, scale }), 42);
-        let habit =
-            Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(9, 100.0)).expect("habit");
-        let gti = Imputer::fit_gti(&bench.train, gti_config).expect("gti");
+        let grid = Grid::run(42, scale, cells(Kiel, &[habit, gti], None));
+        let bytes = |m| grid.fit(Kiel, m).expect("fit").storage_bytes;
+        let (habit_bytes, gti_bytes) = (bytes(&habit), bytes(&gti));
         assert!(
-            gti.storage_bytes() > habit.storage_bytes(),
-            "scale {scale}: GTI {} !> HABIT {}",
-            gti.storage_bytes(),
-            habit.storage_bytes()
+            gti_bytes > habit_bytes,
+            "scale {scale}: GTI {gti_bytes} !> HABIT {habit_bytes}"
         );
-        ratios.push(gti.storage_bytes() as f64 / habit.storage_bytes() as f64);
+        ratios.push(gti_bytes as f64 / habit_bytes as f64);
     }
     assert!(
         ratios[1] > ratios[0] * 1.3,
@@ -53,39 +80,33 @@ fn habit_model_smaller_than_gti_and_gap_widens_with_scale() {
 /// Table 2's resolution sweep: storage grows monotonically with `r`.
 #[test]
 fn storage_grows_with_resolution() {
-    let bench = kiel_bench();
+    let grid = kiel_grid();
     let mut last = 0usize;
     for r in 6..=10u8 {
-        let m = Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(r, 100.0)).expect("fit");
-        let size = m.storage_bytes();
+        let size = grid
+            .fit(Kiel, &Method::habit(r, 100.0))
+            .expect("fit")
+            .storage_bytes;
         assert!(size > last, "r={r}: {size} !> {last}");
         last = size;
     }
+}
+
+/// The DTW errors of `method` on a gap set of the KIEL grid.
+fn errors(method: &Method, gaps: Gaps) -> Vec<f64> {
+    kiel_grid().row(Kiel, method, gaps).expect("fit").errors
 }
 
 /// Figure 5's headline on the confined corridor: both HABIT and GTI beat
 /// straight-line interpolation, which cannot capture turning points.
 #[test]
 fn habit_and_gti_beat_sli_on_confined_route() {
-    let bench = kiel_bench();
-    let cases = bench.gap_cases(3600, 42);
+    let cases = kiel_grid().cases(Kiel, HOUR);
     assert!(cases.len() >= 3, "cases {}", cases.len());
 
-    let habit = Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(9, 100.0)).expect("habit");
-    let gti = Imputer::fit_gti(
-        &bench.train,
-        GtiConfig {
-            rm_m: 250.0,
-            rd_deg: 5e-4,
-            ..GtiConfig::default()
-        },
-    )
-    .expect("gti");
-    let sli = Imputer::sli();
-
-    let habit_dtw = median(&accuracy_dtw(&habit, &cases));
-    let gti_dtw = median(&accuracy_dtw(&gti, &cases));
-    let sli_dtw = median(&accuracy_dtw(&sli, &cases));
+    let habit_dtw = median(&errors(&Method::habit(9, 100.0), HOUR));
+    let gti_dtw = median(&errors(&Method::gti(5e-4), HOUR));
+    let sli_dtw = median(&errors(&Method::Sli, HOUR));
     assert!(
         habit_dtw < sli_dtw,
         "HABIT {habit_dtw:.0} m should beat SLI {sli_dtw:.0} m"
@@ -99,24 +120,9 @@ fn habit_and_gti_beat_sli_on_confined_route() {
 /// Table 4's headline: HABIT answers queries faster than GTI on average.
 #[test]
 fn habit_queries_are_faster_than_gti() {
-    let bench = kiel_bench();
-    let cases = bench.gap_cases(3600, 42);
-    let habit = Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(9, 100.0)).expect("habit");
-    let gti = Imputer::fit_gti(
-        &bench.train,
-        GtiConfig {
-            rm_m: 250.0,
-            rd_deg: 5e-4,
-            ..GtiConfig::default()
-        },
-    )
-    .expect("gti");
-
-    // Warm up, then measure.
-    let _ = latency(&habit, &cases);
-    let _ = latency(&gti, &cases);
-    let (habit_avg, _, _) = latency(&habit, &cases);
-    let (gti_avg, _, _) = latency(&gti, &cases);
+    let grid = kiel_grid();
+    let avg = |m| grid.row(Kiel, m, HOUR).expect("fit").latency().0;
+    let (habit_avg, gti_avg) = (avg(&Method::habit(9, 100.0)), avg(&Method::gti(5e-4)));
     assert!(
         habit_avg < gti_avg,
         "HABIT avg {habit_avg:.6}s should be below GTI avg {gti_avg:.6}s"
@@ -129,31 +135,9 @@ fn habit_queries_are_faster_than_gti() {
 /// projection is at least as accurate as the geometric cell center.
 #[test]
 fn median_projection_no_worse_than_center_at_coarse_resolution() {
-    let bench = kiel_bench();
-    let cases = bench.gap_cases(3600, 42);
     for r in [6u8, 7] {
-        let center = Imputer::fit_habit(
-            &bench.train,
-            HabitConfig {
-                resolution: r,
-                projection: CellProjection::Center,
-                rdp_tolerance_m: 100.0,
-                ..HabitConfig::default()
-            },
-        )
-        .expect("center");
-        let median_cfg = Imputer::fit_habit(
-            &bench.train,
-            HabitConfig {
-                resolution: r,
-                projection: CellProjection::Median,
-                rdp_tolerance_m: 100.0,
-                ..HabitConfig::default()
-            },
-        )
-        .expect("median");
-        let c = mean(&accuracy_dtw(&center, &cases));
-        let m = mean(&accuracy_dtw(&median_cfg, &cases));
+        let c = mean(&errors(&center(r), HOUR));
+        let m = mean(&errors(&Method::habit(r, 100.0), HOUR));
         // Allow a small tolerance: the claim is "median helps, strongly at
         // coarse r", not strict dominance on every sample.
         assert!(
@@ -167,11 +151,9 @@ fn median_projection_no_worse_than_center_at_coarse_resolution() {
 /// error grows sub-linearly in the gap length.
 #[test]
 fn error_growth_is_sublinear_in_gap_duration() {
-    let bench = kiel_bench();
-    let habit = Imputer::fit_habit(&bench.train, HabitConfig::with_r_t(9, 100.0)).expect("habit");
-
-    let m1 = median(&accuracy_dtw(&habit, &bench.gap_cases(3600, 43)));
-    let m4 = median(&accuracy_dtw(&habit, &bench.gap_cases(4 * 3600, 46)));
+    let habit = Method::habit(9, 100.0);
+    let m1 = median(&errors(&habit, ONE_HOUR));
+    let m4 = median(&errors(&habit, FOUR_HOURS));
     assert!(m1 > 0.0, "1-hour gaps must produce a nonzero error");
     if m4 > 0.0 {
         assert!(
