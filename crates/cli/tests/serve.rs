@@ -831,3 +831,127 @@ fn provenance_csv_matches_the_committed_golden() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The repair golden's fixed world: four east-bound trips along one
+/// lane, fitted at r = 9, t = 100 m. Everything is hard-coded, so the
+/// model is a pure function of the fit pipeline.
+fn repair_fixture_model() -> habit_core::HabitModel {
+    let trips: Vec<ais::Trip> = (0..4u64)
+        .map(|k| ais::Trip {
+            trip_id: k + 1,
+            mmsi: 100 + k,
+            points: (0..200)
+                .map(|i| {
+                    ais::AisPoint::new(
+                        100 + k,
+                        i as i64 * 60,
+                        10.0 + i as f64 * 0.003,
+                        56.0,
+                        12.0,
+                        90.0,
+                    )
+                })
+                .collect(),
+        })
+        .collect();
+    habit_core::HabitModel::fit(
+        &ais::trips_to_table(&trips),
+        habit_core::HabitConfig::with_r_t(9, 100.0),
+    )
+    .expect("fixture fit")
+}
+
+/// The golden's requests: one track with two silences along the lane
+/// and a third that jumps back west against the one-way lane (no
+/// path), repaired without and with provenance.
+fn repair_golden_requests() -> Vec<Request> {
+    let mut track: Vec<geo_kernel::TimedPoint> = (0..200i64)
+        .filter(|i| !(40..70).contains(i) && !(120..160).contains(i))
+        .map(|i| geo_kernel::TimedPoint::new(10.0 + i as f64 * 0.003, 56.0, i * 60))
+        .collect();
+    let end = 199 * 60;
+    track.push(geo_kernel::TimedPoint::new(10.05, 56.0, end + 2 * 3600));
+    track.push(geo_kernel::TimedPoint::new(10.04, 56.0, end + 2 * 3600 + 60));
+    [false, true]
+        .map(|provenance| Request::Repair {
+            track: track.clone(),
+            config: habit_core::RepairConfig {
+                gap_threshold_s: 20 * 60,
+                densify_max_spacing_m: Some(250.0),
+            },
+            provenance,
+        })
+        .to_vec()
+}
+
+/// The committed repair golden, one response line per request of
+/// [`repair_golden_requests`]. Regenerate after a deliberate change
+/// with `HABIT_REGEN_GOLDEN=1 cargo test -p habit-cli --test serve
+/// repair_golden`.
+fn repair_golden(fresh: &[String]) -> Vec<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/repair.jsonl");
+    if std::env::var_os("HABIT_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, fresh.concat()).expect("write repair golden");
+    }
+    std::fs::read_to_string(&path)
+        .expect("committed repair golden")
+        .lines()
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+/// Whole-track repair answers byte-for-byte as the committed golden,
+/// in process: every gap imputed or failed (`no_path`) with the same
+/// points, provenance, codes and messages.
+#[test]
+fn repair_golden_matches_in_process() {
+    let service = habit_service::Service::with_model(
+        habit_service::ServiceConfig {
+            threads: 2,
+            cache_capacity: 64,
+        },
+        repair_fixture_model(),
+    );
+    let fresh: Vec<String> = repair_golden_requests()
+        .iter()
+        .map(|request| format!("{}\n", wire::encode_response(&service.handle(request))))
+        .collect();
+    assert!(fresh.iter().all(|line| line.contains("\"ok\":true")));
+    assert!(fresh.iter().all(|line| line.contains("\"no_path\"")));
+    assert_eq!(fresh, repair_golden(&fresh));
+}
+
+/// The same golden over TCP: the daemon's reply lines are the
+/// in-process response lines.
+#[test]
+fn repair_golden_matches_over_tcp() {
+    let dir = tmpdir("repairgolden");
+    let model = dir.join("lane.habit");
+    std::fs::write(&model, repair_fixture_model().to_bytes()).unwrap();
+    let (mut child, addr) = spawn_daemon(&model);
+    let stream = TcpStream::connect(&addr).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let replies: Vec<String> = repair_golden_requests()
+        .iter()
+        .map(|request| round_trip(&stream, &mut reader, request))
+        .collect();
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/repair.jsonl");
+    let golden: Vec<String> = std::fs::read_to_string(golden_path)
+        .expect("committed repair golden")
+        .lines()
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(replies, golden);
+
+    let reply = round_trip(&stream, &mut reader, &Request::Shutdown);
+    assert!(matches!(
+        wire::decode_response(&reply).unwrap(),
+        Ok(Response::ShuttingDown)
+    ));
+    let status = wait_with_timeout(&mut child, Duration::from_secs(30));
+    assert!(status.success(), "clean exit after Shutdown: {status:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
