@@ -73,7 +73,8 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Hashes a single `u64` — used by the HyperLogLog sketch.
+/// Hashes a single `u64` — used by the HyperLogLog sketch and to
+/// assign the fit's rows to shards by cell.
 #[inline]
 pub fn hash_u64(v: u64) -> u64 {
     let mut h = FxHasher::default();
@@ -89,18 +90,6 @@ pub fn hash_u64(v: u64) -> u64 {
     x
 }
 
-/// Hashes a byte slice — used for string keys in the HLL sketch.
-#[inline]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    let mut x = h.finish() ^ (bytes.len() as u64).wrapping_mul(SEED);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,15 +97,12 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(hash_u64(42), hash_u64(42));
-        assert_eq!(hash_bytes(b"abc"), hash_bytes(b"abc"));
     }
 
     #[test]
     fn distinct_inputs_distinct_hashes() {
         // Not guaranteed in general, but these must differ for sane use.
         assert_ne!(hash_u64(1), hash_u64(2));
-        assert_ne!(hash_bytes(b"a"), hash_bytes(b"b"));
-        assert_ne!(hash_bytes(b""), hash_bytes(b"\0"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! estimator plus linear-counting small-range correction; relative error
 //! is ≈ `1.04 / sqrt(2^precision)` (~1.6% at the default precision 12).
 
-use crate::fxhash::{hash_bytes, hash_u64};
+use crate::fxhash::hash_u64;
 
 /// Default precision: 2^12 = 4096 registers, ~1.6% standard error.
 pub const DEFAULT_PRECISION: u8 = 12;
@@ -56,12 +56,6 @@ impl HyperLogLog {
     #[inline]
     pub fn insert_u64(&mut self, v: u64) {
         self.insert_hash(hash_u64(v));
-    }
-
-    /// Inserts a byte-string key.
-    #[inline]
-    pub fn insert_bytes(&mut self, v: &[u8]) {
-        self.insert_hash(hash_bytes(v));
     }
 
     /// Merges another sketch of the same precision into this one.
@@ -124,7 +118,7 @@ impl HyperLogLog {
     /// [`HyperLogLog::registers`]. Returns `None` when the register
     /// count does not match `2^precision` (corrupt input) or the
     /// precision is outside `4..=18`.
-    pub fn from_registers(precision: u8, registers: Vec<u8>) -> Option<Self> {
+    fn from_registers(precision: u8, registers: Vec<u8>) -> Option<Self> {
         if !(4..=18).contains(&precision) || registers.len() != 1usize << precision {
             return None;
         }

@@ -5,7 +5,7 @@
 /// median, matching DuckDB's `median` over doubles.
 ///
 /// Returns `None` for an empty slice. NaNs are ignored.
-pub fn quantile_exact(values: &mut Vec<f64>, q: f64) -> Option<f64> {
+fn quantile_exact(values: &mut Vec<f64>, q: f64) -> Option<f64> {
     values.retain(|v| !v.is_nan());
     if values.is_empty() {
         return None;
@@ -31,7 +31,10 @@ pub fn quantile_exact(values: &mut Vec<f64>, q: f64) -> Option<f64> {
     Some(lo + (hi - lo) * frac)
 }
 
-/// Exact median (see [`quantile_exact`]).
+/// Exact median of `values` by in-place selection (average O(n)): the
+/// midpoint of the two middle values for even counts, matching DuckDB's
+/// `median` over doubles. Returns `None` for an empty slice; NaNs are
+/// ignored.
 pub fn median_exact(values: &mut Vec<f64>) -> Option<f64> {
     quantile_exact(values, 0.5)
 }

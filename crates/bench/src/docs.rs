@@ -55,7 +55,7 @@ re-exporting a prelude:
              splits, experiment reports)  maps & rendering)
              ────────────────────────────────────────────────────
  methods     habit-core (HABIT model:     baselines (SLI, GTI,
-             fit / impute / repair)       PaLMTO competitors)
+             fit / impute / state)        PaLMTO competitors)
              ────────────────────────────────────────────────────
  substrate   aggdb (DuckDB aggregates:    mobgraph (cell transition
              HLL, medians, FxHash)        graph + A* search)
@@ -75,10 +75,10 @@ re-exporting a prelude:
 | `crates/mobgraph` | mobility graph: frozen CSR transition graph (one constructor, one HBG1 codec), mutable adjacency list, A* search |
 | `crates/ais` | AIS data model, cleaning filters, mobility events, trip segmentation, the typed seven-column `TripTable` |
 | `crates/synth` | seeded synthetic AIS datasets mirroring the paper's DAN / KIEL / SAR feeds |
-| `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, track repair, per-vessel-type models, the typed window `lag`, persistable `FitState` — the paper's two group-bys as typed, mergeable accumulators (v2 model container) |
-| `crates/engine` (`habit-engine`) | parallel serving: scoped-thread chunk map, tile-sharded fit as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
+| `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, per-vessel-type models, the typed window `lag`, persistable `FitState` — the paper's two group-bys as typed, mergeable accumulators (v2 model container) |
+| `crates/engine` (`habit-engine`) | parallel serving: scoped-thread chunk map, fit sharded by cell hash as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
 | `crates/obs` (`habit-obs`) | dependency-free observability substrate: monotonic span recorder, deterministic metrics registry (counters / gauges / fixed-bucket histograms), plaintext and span-JSON renderers |
-| `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, `ServiceError` taxonomy with stable codes, shared CSV converters over one typed, line-numbering decoder, line-JSON wire codec + TCP server |
+| `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, whole-track repair (a track's silences answered as one batch), `ServiceError` taxonomy with stable codes, shared CSV converters over one typed, line-numbering decoder, line-JSON wire codec + TCP server |
 | `crates/baselines` | competitors: SLI straight-line, GTI point-graph, PaLMTO N-gram |
 | `crates/density` | traffic density maps and exports built on the same substrate |
 | `crates/eval` | experiment harness: DTW accuracy, gap cases, the experiment grid (each dataset × method fitted once, every gap's outcome kept), `ExperimentReport` |
@@ -178,10 +178,10 @@ the same taxonomy (`bad_request` exits 2, every other code exits 1):
 | `overloaded` | 1 | the admission queue is full — back off and retry |
 | `internal` | 1 | unexpected internal failure |
 
-The daemon answers `impute`/`impute_batch` through the engine's batch
-imputer, so recurring routes are served from a warm LRU cache across
-requests and connections; `fit` and `refit` hot-swap the serving model
-in place (a refit snapshots the state, accumulates the delta off the
+The daemon answers `impute`, `impute_batch` and `repair` through the
+engine's batch imputer, so recurring routes are served from a warm LRU
+cache across requests, connections and operations; `fit` and `refit`
+hot-swap the serving model in place (a refit snapshots the state, accumulates the delta off the
 request path, and swaps at the end, so imputations keep flowing).
 Graceful shutdown: the `shutdown` op, or start with `--watch-stdin` and
 close the daemon's stdin pipe (supervisor-friendly; no signal handler
@@ -191,11 +191,25 @@ listener stops. Request lines are capped at `--max-line-bytes`
 (default 16 MiB); oversized lines are rejected with `bad_request` and
 counted under their own `op="oversized_line"` metrics label.
 
+A `repair` request (`{{"v":1,"op":"repair","track":[[t,lon,lat],...],"threshold_s":1800}}`,
+optional `densify_m` — 250 m by default, `null` for none — and
+`provenance`) finds every silence of at least `threshold_s` seconds and
+sends them as **one submission**, like an `impute_batch`'s gaps: on a
+coalescing daemon it obeys the same admission bound (a track whose
+silences do not fit in the queue is answered with `overloaded`),
+while the in-process `habit repair` has no bound. The request fails as
+a whole only on its input: `bad_input` (fewer than two points),
+`bad_request` (threshold or spacing), `no_model` or `unsorted_input`.
+A silence that cannot be filled is data: its gap record carries
+`impute`'s code and message (`snap_failed`, `no_path`, or
+`empty_model` on a model without cells), and the track keeps its two
+reports around it.
+
 ### Admission batching & SLOs
 
-There is **one request path**: every `impute`/`impute_batch` is a
-*submission* of gaps, and a flush answers one or more submissions from a
-single engine batch — one snap + dedup + route-cache pass over all their
+There is **one request path**: every `impute`/`impute_batch`/`repair`
+is a *submission* of gaps, and a flush answers one or more submissions
+from a single engine batch — one snap + dedup + route-cache pass over all their
 gaps, results scattered back per submission. What varies is only how
 many submissions share a flush, and on which thread it runs. By default
 the daemon **group-commits concurrent traffic across connections, and

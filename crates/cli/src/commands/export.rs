@@ -10,8 +10,7 @@ use crate::io::read_ais_csv;
 use ais::{segment_all, TripConfig};
 use density::{render_ascii, to_csv, to_geojson, DensityMap};
 use geo_kernel::TimedPoint;
-use habit_core::RepairConfig;
-use habit_service::{Request, Response, Service, ServiceError};
+use habit_service::{RepairConfig, Request, Response, Service, ServiceError};
 use std::path::Path;
 
 /// Entry point for `habit export`.

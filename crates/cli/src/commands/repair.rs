@@ -4,8 +4,7 @@
 use crate::args::Args;
 use crate::commands::open_service;
 use crate::io::{read_track_csv, write_track_csv};
-use habit_core::RepairConfig;
-use habit_service::{Request, Response, ServiceError};
+use habit_service::{RepairConfig, Request, Response, ServiceError};
 use std::path::Path;
 
 /// Entry point for `habit repair`.

@@ -19,8 +19,8 @@
 //!
 //! The daemon coalesces concurrent impute traffic by default, and only
 //! concurrent traffic, as group commit: one engine pass runs at a time;
-//! an `impute`/`impute_batch` that finds none running is answered at
-//! once on its own connection's thread, and the gaps that arrive from
+//! an `impute`, `impute_batch` or `repair` that finds none running is
+//! answered at once on its own connection's thread, and the gaps that arrive from
 //! every connection while a pass runs queue up and are answered
 //! together from one shared engine batch the moment it ends —
 //! byte-identical to an unqueued request, one dedup + route-cache pass

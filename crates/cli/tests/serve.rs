@@ -1,8 +1,8 @@
 //! End-to-end test of the `habit serve` daemon: spawns the real binary
 //! on an ephemeral port, speaks habit-wire/v1 over a real TCP socket
-//! (`Health`, `Impute`, `ImputeBatch`, `Shutdown`), and asserts the
-//! TCP path produces **byte-identical** imputation output to the
-//! `habit impute` CLI adapter on the same model and gap — the
+//! (`Health`, `Impute`, `ImputeBatch`, `Repair`, `Shutdown`), and
+//! asserts the TCP path produces **byte-identical** imputation output
+//! to the `habit impute` CLI adapter on the same model and gap — the
 //! acceptance check that both frontends share one code path.
 
 use habit_service::{wire, Request, Response};
@@ -871,11 +871,15 @@ fn repair_golden_requests() -> Vec<Request> {
         .collect();
     let end = 199 * 60;
     track.push(geo_kernel::TimedPoint::new(10.05, 56.0, end + 2 * 3600));
-    track.push(geo_kernel::TimedPoint::new(10.04, 56.0, end + 2 * 3600 + 60));
+    track.push(geo_kernel::TimedPoint::new(
+        10.04,
+        56.0,
+        end + 2 * 3600 + 60,
+    ));
     [false, true]
         .map(|provenance| Request::Repair {
             track: track.clone(),
-            config: habit_core::RepairConfig {
+            config: habit_service::RepairConfig {
                 gap_threshold_s: 20 * 60,
                 densify_max_spacing_m: Some(250.0),
             },
@@ -938,13 +942,7 @@ fn repair_golden_matches_over_tcp() {
         .iter()
         .map(|request| round_trip(&stream, &mut reader, request))
         .collect();
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/repair.jsonl");
-    let golden: Vec<String> = std::fs::read_to_string(golden_path)
-        .expect("committed repair golden")
-        .lines()
-        .map(|line| format!("{line}\n"))
-        .collect();
-    assert_eq!(replies, golden);
+    assert_eq!(replies, repair_golden(&replies));
 
     let reply = round_trip(&stream, &mut reader, &Request::Shutdown);
     assert!(matches!(

@@ -78,42 +78,21 @@ impl TypeModels {
                 by_type.entry(vtype.code()).or_default().push(trip.clone());
             }
         }
-        // Class fits are independent; run them on scoped threads (the
-        // fit is aggregation-bound, so this scales with class count).
-        let eligible: Vec<(u8, Vec<Trip>)> = by_type
+        // One class after another, so one class fit at a time is in
+        // memory.
+        let per_type = by_type
             .into_iter()
             .filter(|(_, class_trips)| class_trips.len() >= config.min_trips_per_type)
+            .filter_map(|(code, class_trips)| {
+                // A class model can legitimately fail to fit (e.g. every
+                // trip filtered by the cell-span rule); the global model
+                // covers the class.
+                HabitModel::fit(&trips_to_table(&class_trips), config.habit)
+                    .ok()
+                    .filter(|m| m.node_count() > 0)
+                    .map(|m| (code, m.without_state()))
+            })
             .collect();
-        let fitted: Vec<(u8, Option<HabitModel>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = eligible
-                .iter()
-                .map(|(code, class_trips)| {
-                    let habit = config.habit;
-                    (
-                        *code,
-                        scope.spawn(move || {
-                            // A class model can legitimately fail to fit
-                            // (e.g. every trip filtered by the cell-span
-                            // rule); the global model covers the class.
-                            HabitModel::fit(&trips_to_table(class_trips), habit)
-                                .ok()
-                                .filter(|m| m.node_count() > 0)
-                                .map(HabitModel::without_state)
-                        }),
-                    )
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(code, h)| (code, h.join().expect("class fit thread")))
-                .collect()
-        });
-        let mut per_type = FxHashMap::default();
-        for (code, model) in fitted {
-            if let Some(model) = model {
-                per_type.insert(code, model);
-            }
-        }
         Ok(Self {
             global,
             per_type,

@@ -18,9 +18,6 @@ pub enum HabitError {
     },
     /// Deserialization failed (corrupt or incompatible blob).
     BadModelBlob,
-    /// A track passed to [`repair_track`](crate::HabitModel::repair_track)
-    /// was not sorted by timestamp.
-    UnsortedInput,
     /// A serialized fit state carries a version this build does not
     /// speak (or the model blob embeds no state at all where one is
     /// required, e.g. refitting a v1 model).
@@ -46,7 +43,6 @@ impl fmt::Display for HabitError {
                 write!(f, "no path between cells {from:#x} and {to:#x}")
             }
             HabitError::BadModelBlob => write!(f, "invalid serialized model"),
-            HabitError::UnsortedInput => write!(f, "track is not sorted by timestamp"),
             HabitError::StateVersion {
                 found: 0,
                 supported,

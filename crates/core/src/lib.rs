@@ -60,7 +60,6 @@ pub mod graphgen;
 pub mod impute;
 pub mod model;
 pub mod reference;
-pub mod repair;
 pub mod window;
 
 #[cfg(test)]
@@ -73,4 +72,3 @@ pub use fitstate::{FitProvenance, FitState, FITSTATE_VERSION};
 pub use graphgen::{CellStats, EdgeStats};
 pub use impute::{GapQuery, Imputation, PointProvenance, ProvenanceKind, Route};
 pub use model::HabitModel;
-pub use repair::{GapOutcome, RepairConfig, RepairReport};

@@ -47,11 +47,7 @@ impl<'a> LaggedTrips<'a> {
     /// Splits the rows into `parts` subsets by `part_of` (which must
     /// return an index below `parts`), keeping this table's row order
     /// within each part.
-    pub fn partition<E>(
-        &self,
-        parts: usize,
-        mut part_of: impl FnMut(&LaggedRow) -> Result<usize, E>,
-    ) -> Result<Vec<Self>, E> {
+    pub fn partition(&self, parts: usize, part_of: impl Fn(&LaggedRow) -> usize) -> Vec<Self> {
         let mut out: Vec<Self> = (0..parts)
             .map(|_| Self {
                 table: self.table,
@@ -59,9 +55,9 @@ impl<'a> LaggedTrips<'a> {
             })
             .collect();
         for row in &self.rows {
-            out[part_of(row)?].rows.push(*row);
+            out[part_of(row)].rows.push(*row);
         }
-        Ok(out)
+        out
     }
 }
 
@@ -160,9 +156,7 @@ mod tests {
         let lagged = lag_cells(&t, &[1, 2, 3, 4, 5], |trip| trip.len() > 1);
         let rows: Vec<usize> = lagged.rows().iter().map(|r| r.row).collect();
         assert_eq!(rows, [0, 2, 1, 3], "(trip_id, ts) order, trip 3 dropped");
-        let parts = lagged
-            .partition(2, |r| Ok::<_, ()>((r.cl % 2) as usize))
-            .unwrap();
+        let parts = lagged.partition(2, |r| (r.cl % 2) as usize);
         let cells: Vec<Vec<u64>> = parts
             .iter()
             .map(|p| p.rows().iter().map(|r| r.cl).collect())

@@ -10,8 +10,8 @@
 //!   outlives the call that spawned it;
 //! * [`shard::fit_sharded`] — the fit as explicit `accumulate → merge
 //!   → finalize` stages over `habit_core::FitState`: the two group-bys
-//!   partitioned by spatial tile ([`hexgrid::TilePartitioner`]) and
-//!   executed per shard on the pool, the shard states merged with
+//!   partitioned by a hash of each row's destination cell and executed
+//!   per shard on the pool, the shard states merged with
 //!   `FitState::merge` in deterministic shard order. The resulting
 //!   model — and its embedded, persistable fit state — serializes
 //!   **byte-identically** to the sequential `HabitModel::fit` at every

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 
 /// Builds a random multi-corridor trip table: a few vessels random-walk
 /// from seeded anchor points with varied headings, spreading rows over
-/// several spatial tiles.
+/// many cells.
 fn random_trip_table(seed: u64, n_trips: usize, points_per_trip: usize) -> ais::TripTable {
     trips_to_table(&random_trips(seed, n_trips, points_per_trip, 0))
 }

@@ -1,4 +1,5 @@
-//! Sharded model fitting: `accumulate → merge → finalize`, tile by tile.
+//! Sharded model fitting: `accumulate → merge → finalize`, shard by
+//! shard.
 //!
 //! The fit pipeline is three explicit stages over
 //! [`habit_core::FitState`]:
@@ -6,9 +7,9 @@
 //! 1. **accumulate** ([`accumulate_sharded`]) — the global stages run
 //!    once (cell assignment, drift filter, window lag — they need
 //!    whole-trip context and are cheap); every row is assigned to a
-//!    shard by the coarse tile of its cell (`hexgrid::TilePartitioner`),
-//!    so both group-by keys — `cl` and `(lag_cl, cl)`, keyed by the
-//!    destination cell — never straddle shards, and each shard runs the
+//!    shard by a hash of its cell `cl`, so both group-by keys — `cl`
+//!    and `(lag_cl, cl)`, keyed by the destination cell — never
+//!    straddle shards, and each shard runs the
 //!    same core accumulate as [`HabitModel::fit`]
 //!    ([`FitState::accumulate_lagged`]) on a pool worker;
 //! 2. **merge** — shard states combine with [`FitState::merge`] **in
@@ -26,17 +27,14 @@
 //! merges into a saved state.
 
 use crate::pool::ThreadPool;
-use aggdb::fxhash::FxHashMap;
+use aggdb::fxhash::hash_u64;
 use ais::TripTable;
 use habit_core::fitstate::FitProvenance;
 use habit_core::graphgen::lagged_trip_table;
-use habit_core::window::LaggedTrips;
 use habit_core::{FitState, HabitConfig, HabitError, HabitModel};
 use habit_obs::Recorder;
-use hexgrid::tiling::DEFAULT_TILE_LEVELS_UP;
-use hexgrid::{HexCell, TilePartitioner};
 
-/// Fits a HABIT model with the group-bys sharded by spatial tile and
+/// Fits a HABIT model with the group-bys sharded by cell and
 /// executed on `pool`. Produces a model — and embedded fit state —
 /// byte-identical to `HabitModel::fit(table, config)` for every
 /// `shards ≥ 1` and every pool size.
@@ -71,7 +69,7 @@ pub fn fit_sharded_traced(
 }
 
 /// The accumulate + merge stages: runs [`FitState::accumulate_lagged`]
-/// per spatial shard on `pool` and merges the shard states into one
+/// per shard on `pool` and merges the shard states into one
 /// [`FitState`] — everything of a fit except finalizing the graph.
 /// This is the stage [`crate::refit`] reuses verbatim for delta tables.
 pub fn accumulate_sharded(
@@ -84,7 +82,7 @@ pub fn accumulate_sharded(
 }
 
 /// [`accumulate_sharded`] with phase spans under `op`: `fit.prepare`
-/// (provenance, lag, tile partition), `fit.accumulate` (per-shard
+/// (provenance, lag, partition), `fit.accumulate` (per-shard
 /// group-bys), `fit.merge` (ordered merge of the shard states).
 pub fn accumulate_sharded_traced(
     table: &TripTable,
@@ -98,7 +96,7 @@ pub fn accumulate_sharded_traced(
     let prepare_span = recorder.map(|r| r.span("fit.prepare", op));
     let provenance = FitProvenance::of_table(table);
     let lagged = lagged_trip_table(table, &config)?;
-    let shard_tables = partition_by_tile(&lagged, config.resolution, shards)?;
+    let shard_tables = lagged.partition(shards, |row| shard_of(row.cl, shards));
     drop(prepare_span);
 
     // One pool task per shard: the core accumulate over that shard's
@@ -128,26 +126,10 @@ pub fn accumulate_sharded_traced(
     Ok(merged)
 }
 
-/// Splits the lagged table into per-shard tables by the coarse tile of
-/// each row's `cl` cell. Row order within a shard stays that of the
-/// lagged table.
-fn partition_by_tile<'a>(
-    lagged: &LaggedTrips<'a>,
-    resolution: u8,
-    shards: usize,
-) -> Result<Vec<LaggedTrips<'a>>, HabitError> {
-    let partitioner = TilePartitioner::new(resolution, DEFAULT_TILE_LEVELS_UP, shards);
-    // Memoize cell → shard: rows revisit the same cells constantly and
-    // the tile lookup does trigonometry.
-    let mut shard_of_cell: FxHashMap<u64, usize> = FxHashMap::default();
-    lagged.partition(shards, |row| {
-        if let Some(&s) = shard_of_cell.get(&row.cl) {
-            return Ok(s);
-        }
-        let s = partitioner.shard_of(HexCell::from_raw(row.cl)?)?;
-        shard_of_cell.insert(row.cl, s);
-        Ok(s)
-    })
+/// The shard of the rows whose cell is `cl`: its Fx hash modulo the
+/// shard count, a pure function of the cell id.
+fn shard_of(cl: u64, shards: usize) -> usize {
+    (hash_u64(cl) % shards as u64) as usize
 }
 
 #[cfg(test)]
@@ -157,7 +139,7 @@ mod tests {
     use habit_obs::Recorder;
 
     fn corridor_table() -> TripTable {
-        // Two corridors far enough apart to live in different tiles.
+        // Two corridors, each of many cells.
         let mut trips = Vec::new();
         for k in 0..4u64 {
             trips.push(Trip {
@@ -220,12 +202,29 @@ mod tests {
         let table = corridor_table();
         let config = HabitConfig::default();
         let lagged = lagged_trip_table(&table, &config).unwrap();
-        let parts = partition_by_tile(&lagged, config.resolution, 4).unwrap();
+        let parts = lagged.partition(4, |row| shard_of(row.cl, 4));
         let total: usize = parts.iter().map(|p| p.rows().len()).sum();
         assert_eq!(total, lagged.rows().len());
-        // Two distant corridors must not all land in one shard.
-        let non_empty = parts.iter().filter(|p| !p.rows().is_empty()).count();
-        assert!(non_empty >= 2, "tiles all hashed to one shard");
+        // Every shard gets rows, and no cell straddles two shards.
+        assert!(
+            parts.iter().all(|p| !p.rows().is_empty()),
+            "a shard is empty"
+        );
+        for (shard, part) in parts.iter().enumerate() {
+            assert!(part.rows().iter().all(|row| shard_of(row.cl, 4) == shard));
+        }
+    }
+
+    #[test]
+    fn shard_assignment_is_deterministic_and_bounded() {
+        let table = corridor_table();
+        let lagged = lagged_trip_table(&table, &HabitConfig::default()).unwrap();
+        for row in lagged.rows() {
+            assert_eq!(shard_of(row.cl, 1), 0);
+            let s = shard_of(row.cl, 5);
+            assert!(s < 5);
+            assert_eq!(s, shard_of(row.cl, 5));
+        }
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl HexGrid {
         Ok(RES0_EDGE_M * 7f64.powf(-(res as f64) / 2.0))
     }
 
-    /// Average hexagon area in km² at `res`, nominal at the equator.
-    pub fn hex_area_km2(&self, res: u8) -> Result<f64, HexError> {
-        let e = self.edge_length_m(res)?;
-        Ok(1.5 * 3f64.sqrt() * e * e / 1e6)
-    }
-
     /// Rotation of the lattice at `res` relative to resolution 0, radians.
     fn rotation_rad(&self, res: u8) -> f64 {
         res as f64 * aperture7_rotation_rad()

@@ -13,7 +13,9 @@
 //!   (`gridDisk`), used for endpoint snapping;
 //! * [`ops::grid_path`] — cells on the line between two cells
 //!   (`gridPathCells`);
-//! * parent/child traversal across resolutions (aperture 7).
+//! * parent/child traversal across resolutions (aperture 7), kept for
+//!   H3 parity: the fit shards its rows by a hash of the cell id, not by
+//!   a coarse ancestor tile, so no product code climbs the hierarchy.
 //!
 //! ## Relation to real H3
 //!
@@ -42,12 +44,10 @@ pub mod cover;
 pub mod error;
 pub mod grid;
 pub mod ops;
-pub mod tiling;
 
 pub use cell::HexCell;
 pub use error::HexError;
 pub use grid::{HexGrid, MAX_RESOLUTION};
-pub use tiling::TilePartitioner;
 
 #[cfg(test)]
 mod proptests;

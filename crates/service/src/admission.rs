@@ -4,7 +4,9 @@
 //! There is one way a gap gets answered — `Service::answer`, one engine
 //! batch over the submissions it is handed — and this layer only
 //! decides *how many* submissions share that batch, and on which
-//! thread. It is plain group commit behind a one-pass *gate*: at most
+//! thread. A submission is the gaps of one `impute`, `impute_batch` or
+//! `repair` request; a repair's gaps are the silences of its track, so
+//! a repair queues, passes through and is bounded like a batch. It is plain group commit behind a one-pass *gate*: at most
 //! one engine pass runs at a time, and nothing ever waits on a timer.
 //!
 //! * **Idle pass-through** — a submission that finds the queue empty

@@ -142,7 +142,6 @@ impl From<habit_core::HabitError> for ServiceError {
             HabitError::EmptyModel => ErrorCode::EmptyModel,
             HabitError::NoPath { .. } => ErrorCode::NoPath,
             HabitError::BadModelBlob => ErrorCode::BadModelBlob,
-            HabitError::UnsortedInput => ErrorCode::UnsortedInput,
             HabitError::StateVersion { .. } => ErrorCode::StateVersion,
             HabitError::ConfigDrift => ErrorCode::ConfigDrift,
         };

@@ -54,6 +54,7 @@ mod csv;
 pub mod csvio;
 pub mod error;
 pub mod metrics;
+mod repair;
 pub mod request;
 pub mod response;
 pub mod server;
@@ -67,7 +68,7 @@ pub use admission::AdmissionConfig;
 pub use error::{ErrorCode, ServiceError};
 pub use metrics::ServiceMetrics;
 pub use request::{
-    parse_projection, projection_token, FitSpec, RefitSpec, Request, PROTOCOL_VERSION,
+    parse_projection, projection_token, FitSpec, RefitSpec, RepairConfig, Request, PROTOCOL_VERSION,
 };
 pub use response::{
     AdmissionInfo, BatchOutcome, FitStateInfo, FitSummary, HealthInfo, ModelReport, OpLatency,

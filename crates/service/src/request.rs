@@ -8,7 +8,7 @@
 
 use crate::error::ServiceError;
 use geo_kernel::TimedPoint;
-use habit_core::{CellProjection, GapQuery, RepairConfig};
+use habit_core::{CellProjection, GapQuery};
 
 /// The wire protocol version this build speaks. Requests must carry it
 /// (`"v":1`); other versions are rejected with `bad_request` so clients
@@ -59,6 +59,30 @@ pub struct RefitSpec {
     pub save_to: Option<String>,
 }
 
+/// Parameters of a [`Request::Repair`] operation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RepairConfig {
+    /// Minimum silence (seconds) between consecutive reports that counts
+    /// as a gap to impute. The paper's trip segmentation uses ΔT = 30
+    /// minutes; repairs target the same order of magnitude.
+    pub gap_threshold_s: i64,
+    /// When set, resample each imputed segment so consecutive points are
+    /// at most this many meters apart. Defaults to 250 m — the paper's
+    /// own resampling bound — so that repaired windows carry interior
+    /// points even where simplification reduced the path to a straight
+    /// segment. `None` keeps only the RDP-simplified vertices.
+    pub densify_max_spacing_m: Option<f64>,
+}
+
+impl Default for RepairConfig {
+    fn default() -> Self {
+        Self {
+            gap_threshold_s: 30 * 60,
+            densify_max_spacing_m: Some(250.0),
+        }
+    }
+}
+
 /// One operation against the service, transport-agnostic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -86,7 +110,9 @@ pub enum Request {
         /// Attach per-point repair evidence to each successful result.
         provenance: bool,
     },
-    /// Fill every over-threshold silence in a time-ordered track.
+    /// Fill every over-threshold silence in a time-ordered track. The
+    /// silences are one submission, answered like an `ImputeBatch`'s
+    /// gaps; a gap that fails is data in its [`crate::RepairedGap`].
     Repair {
         /// The track to repair (preserved verbatim; repair only adds).
         track: Vec<TimedPoint>,

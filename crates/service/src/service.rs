@@ -9,7 +9,9 @@
 //! There is one serving state (the model blob's [`BatchImputer`],
 //! behind one lock) and one way a gap gets answered:
 //! `Service::answer` runs *one* engine batch over
-//! the submissions it is handed and scatters the results back. The
+//! the submissions it is handed and scatters the results back. An
+//! `Impute`, an `ImputeBatch` and a `Repair` (the silences of its
+//! track, spliced back in afterwards) are each one submission. The
 //! admission flusher hands it the N submissions of a flush; a request
 //! that is not queued — no admission layer, an idle queue passing it
 //! through, a closed one — hands it its own: the direct path is a
@@ -18,12 +20,14 @@
 use crate::admission::{AdmissionConfig, AdmissionQueue, Admitted, FlushCause, Submission};
 use crate::error::{ErrorCode, ServiceError};
 use crate::metrics::ServiceMetrics;
-use crate::request::{FitSpec, RefitSpec, Request};
+use crate::repair;
+use crate::request::{FitSpec, RefitSpec, RepairConfig, Request};
 use crate::response::{
     AdmissionInfo, BatchOutcome, FitStateInfo, FitSummary, HealthInfo, ModelReport, RefitSummary,
-    RepairOutcome, RepairedGap, Response,
+    Response,
 };
 use ais::{segment_all, segment_all_from, trips_to_table, TripConfig, TripTable};
+use geo_kernel::TimedPoint;
 use habit_core::{GapQuery, HabitConfig, HabitModel};
 use habit_engine::{fit_sharded_traced, refit_model_traced, BatchImputer, BatchStats, ThreadPool};
 use std::borrow::Cow;
@@ -197,8 +201,8 @@ impl Service {
     }
 
     /// Turns on cross-connection admission batching: at most one engine
-    /// pass runs at a time. An `Impute`/`ImputeBatch` that finds the
-    /// layer idle is answered on its own thread; those that arrive
+    /// pass runs at a time. An `Impute`, `ImputeBatch` or `Repair` that
+    /// finds the layer idle is answered on its own thread; those that arrive
     /// while a pass runs queue into one bounded [`AdmissionQueue`] and
     /// a flusher thread answers them in one shared engine batch the
     /// moment it ends (group commit; no timer). Answers stay
@@ -515,10 +519,13 @@ impl Service {
         Ok(Response::Batch(outcome))
     }
 
+    /// Repairs a track. Its silences are one submission, queued or
+    /// passed through like an `impute_batch`'s gaps, and each answer is
+    /// spliced back between the two reports around its silence.
     fn repair(
         &self,
-        track: &[geo_kernel::TimedPoint],
-        config: &habit_core::RepairConfig,
+        track: &[TimedPoint],
+        config: &RepairConfig,
         provenance: bool,
     ) -> Result<Response, ServiceError> {
         if track.len() < 2 {
@@ -543,28 +550,35 @@ impl Service {
                 )));
             }
         }
-        let model = self.with_serving(|s| Ok(Arc::clone(s.model())))?;
-        let (points, report) = if provenance {
-            model.repair_track_with_provenance(track, config)?
+        // `no_model` outranks `unsorted_input`.
+        self.with_serving(|_| Ok(()))?;
+        if track.windows(2).any(|w| w[1].t < w[0].t) {
+            return Err(ServiceError::new(
+                ErrorCode::UnsortedInput,
+                "track is not sorted by timestamp",
+            ));
+        }
+        let (after, gaps) = repair::silences(track, config.gap_threshold_s);
+        let answers = if self.empty_blob.load(Ordering::SeqCst) {
+            // An empty blob fails every gap with `empty_model`, before
+            // snapping, as `impute` refuses it.
+            gaps.iter()
+                .map(|_| Err(habit_core::HabitError::EmptyModel.into()))
+                .collect()
         } else {
-            model.repair_track(track, config)?
+            let outcome = self.submit(&gaps, provenance, "repair")?;
+            outcome
+                .results
+                .into_iter()
+                .map(|r| r.map_err(ServiceError::from))
+                .collect()
         };
-        let gaps = report
-            .gaps
-            .into_iter()
-            .map(|g| RepairedGap {
-                after_index: g.after_index,
-                duration_s: g.duration_s,
-                points_added: g.points_added,
-                error: g.error.map(ServiceError::from),
-                provenance: g.provenance,
-            })
-            .collect();
-        Ok(Response::Repaired(RepairOutcome {
-            points,
-            gaps,
-            points_added: report.points_added,
-        }))
+        Ok(Response::Repaired(repair::splice(
+            track,
+            &after,
+            answers,
+            config.densify_max_spacing_m,
+        )))
     }
 
     fn fit(&self, spec: &FitSpec) -> Result<Response, ServiceError> {
@@ -854,7 +868,7 @@ mod tests {
                 i * 60,
             ));
         }
-        let config = habit_core::RepairConfig {
+        let config = RepairConfig {
             gap_threshold_s: 1800,
             densify_max_spacing_m: Some(250.0),
         };
@@ -888,7 +902,7 @@ mod tests {
         let err = svc
             .handle(&Request::Repair {
                 track,
-                config: habit_core::RepairConfig {
+                config: RepairConfig {
                     gap_threshold_s: -5,
                     densify_max_spacing_m: None,
                 },
@@ -1274,7 +1288,7 @@ mod tests {
                 i * 60,
             ));
         }
-        let config = habit_core::RepairConfig {
+        let config = RepairConfig {
             gap_threshold_s: 1800,
             densify_max_spacing_m: Some(250.0),
         };
@@ -1711,6 +1725,146 @@ mod tests {
             assert_eq!(direct, admitted.handle(&impute).unwrap_err());
             assert_eq!(direct, handle_queued(&admitted, &impute, 1).unwrap_err());
             admitted.shutdown_admission();
+        }
+    }
+
+    /// The lane of [`small_service`] with two 31-minute silences.
+    fn gappy_lane_track() -> Vec<TimedPoint> {
+        (0..150i64)
+            .filter(|i| !(30..60).contains(i) && !(90..120).contains(i))
+            .map(|i| TimedPoint::new(10.0 + i as f64 * 0.003, 56.0, i * 60))
+            .collect()
+    }
+
+    fn repair_request(track: Vec<TimedPoint>, provenance: bool) -> Request {
+        Request::Repair {
+            track,
+            config: RepairConfig::default(),
+            provenance,
+        }
+    }
+
+    /// A repair's silences ride the engine batch: an `impute` of a gap
+    /// warms the route cache for a repair of the same gap, and a repair
+    /// warms it for a later `impute`.
+    #[test]
+    fn repair_shares_the_route_cache_with_impute() {
+        let gap = GapQuery::new(10.05, 56.0, 0, 10.4, 56.0, 3600);
+        let impute = Request::Impute {
+            gap,
+            provenance: false,
+        };
+        let repair = repair_request(vec![gap.start, gap.end], false);
+        for order in [[&impute, &repair], [&repair, &impute]] {
+            let svc = small_service();
+            for request in order {
+                svc.handle(request).unwrap();
+            }
+            assert_eq!(
+                svc.metrics().route_cache_counts(),
+                (1, 1),
+                "one search, one hit: {order:?}"
+            );
+        }
+    }
+
+    /// A repair that arrives while a pass is in flight queues its
+    /// silences as one submission and is answered by the flusher,
+    /// byte-identical to the direct path.
+    #[test]
+    fn a_repair_behind_a_pass_in_flight_is_flushed_when_it_ends() {
+        let repair = repair_request(gappy_lane_track(), true);
+        let Response::Repaired(base) = small_service().handle(&repair).unwrap() else {
+            panic!("direct repair");
+        };
+        assert_eq!(base.gaps_imputed(), 2);
+        let svc = Arc::new(small_service());
+        svc.enable_admission(AdmissionConfig::default());
+        let Response::Repaired(queued) = handle_queued(&svc, &repair, 2).unwrap() else {
+            panic!("queued repair");
+        };
+        assert_eq!(queued, base);
+        assert_eq!(flush_causes(&svc), [("queued", 1)]);
+        svc.shutdown_admission();
+    }
+
+    /// A coalescing daemon bounds a repair's silences as it bounds an
+    /// `impute_batch`'s gaps; a service without admission (the
+    /// in-process CLI) answers any number.
+    #[test]
+    fn a_repair_over_the_admission_bound_is_overloaded() {
+        // 17 silences of 31 minutes along the lane.
+        let track: Vec<TimedPoint> = (0..18i64)
+            .map(|k| TimedPoint::new(10.0 + k as f64 * 0.025, 56.0, k * 1860))
+            .collect();
+        let repair = repair_request(track, false);
+        let svc = Arc::new(small_service());
+        svc.enable_admission(AdmissionConfig {
+            batch_max_gaps: 2, // capacity 16 gaps
+        });
+        let err = svc.handle(&repair).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Overloaded);
+        assert!(err.message.contains("admission queue full"), "{err}");
+        svc.shutdown_admission();
+
+        let Response::Repaired(out) = small_service().handle(&repair).unwrap() else {
+            panic!("unbounded repair");
+        };
+        assert_eq!(out.gaps_found(), 17);
+    }
+
+    /// A repair gap whose endpoint cannot snap fails with `impute`'s
+    /// code and message, and leaves the track as it was.
+    #[test]
+    fn an_unsnappable_repair_endpoint_fails_like_impute() {
+        let svc = small_service();
+        let gap = GapQuery::new(10.05, 95.0, 0, 10.4, 56.0, 3600);
+        let impute_err = svc
+            .handle(&Request::Impute {
+                gap,
+                provenance: false,
+            })
+            .unwrap_err();
+        assert_eq!(impute_err.code, ErrorCode::SnapFailed);
+        let track = vec![gap.start, gap.end];
+        let Response::Repaired(out) = svc.handle(&repair_request(track.clone(), false)).unwrap()
+        else {
+            panic!("repair");
+        };
+        assert_eq!(out.gaps[0].error, Some(impute_err));
+        assert_eq!(out.points, track);
+    }
+
+    /// An empty blob fails every repair gap with `empty_model`, and a
+    /// service with no model refuses the repair before looking at the
+    /// track's order.
+    #[test]
+    fn repair_on_an_empty_or_missing_model() {
+        let mut blob = lane_model().to_bytes()[..20].to_vec();
+        blob.extend_from_slice(&[0u8; 16]);
+        let svc = Service::new(ServiceConfig {
+            threads: 1,
+            cache_capacity: 8,
+        });
+        let mut unsorted = gappy_lane_track();
+        unsorted.swap(0, 1);
+        let err = svc.handle(&repair_request(unsorted, false)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::NoModel);
+
+        svc.install_model(HabitModel::from_bytes(&blob).expect("an empty graph decodes"));
+        let Response::Repaired(out) = svc
+            .handle(&repair_request(gappy_lane_track(), false))
+            .unwrap()
+        else {
+            panic!("repair");
+        };
+        assert_eq!(out.gaps_found(), 2);
+        for gap in &out.gaps {
+            assert_eq!(
+                gap.error,
+                Some(habit_core::HabitError::EmptyModel.into()),
+                "{gap:?}"
+            );
         }
     }
 

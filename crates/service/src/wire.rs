@@ -33,7 +33,7 @@
 
 use crate::error::{ErrorCode, ServiceError};
 use crate::request::{
-    parse_projection, projection_token, FitSpec, RefitSpec, Request, PROTOCOL_VERSION,
+    parse_projection, projection_token, FitSpec, RefitSpec, RepairConfig, Request, PROTOCOL_VERSION,
 };
 use crate::response::{
     AdmissionInfo, BatchOutcome, FitStateInfo, FitSummary, HealthInfo, ModelReport, OpLatency,
@@ -41,9 +41,7 @@ use crate::response::{
 };
 use eval::json::Json;
 use geo_kernel::TimedPoint;
-use habit_core::{
-    GapQuery, HabitConfig, Imputation, PointProvenance, ProvenanceKind, RepairConfig,
-};
+use habit_core::{GapQuery, HabitConfig, Imputation, PointProvenance, ProvenanceKind};
 use habit_engine::{BatchFailure, BatchStats};
 use habit_obs::{Sample, Snapshot};
 use hexgrid::HexCell;

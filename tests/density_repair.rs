@@ -1,10 +1,11 @@
-//! Cross-crate integration: whole-track repair (`habit_core::repair`)
-//! feeding density analytics (`density`) — the end-to-end workflow the
-//! paper's introduction motivates (gap-free density maps, Fig. 1).
+//! Cross-crate integration: whole-track repair (`Request::Repair`
+//! through the service) feeding density analytics (`density`) — the
+//! end-to-end workflow the paper's introduction motivates (gap-free
+//! density maps, Fig. 1).
 
-use habit::core::RepairConfig;
 use habit::density::{lane_continuity, DensityDiff, DensityMap};
 use habit::prelude::*;
+use habit::service::{RepairConfig, RepairOutcome};
 use habit::synth::{datasets, DatasetSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,7 +13,7 @@ use rand::SeedableRng;
 const RES: u8 = 8;
 
 struct Fixture {
-    model: HabitModel,
+    service: Service,
     test: Vec<Trip>,
     world: habit::synth::World,
 }
@@ -31,9 +32,22 @@ fn fixture() -> Fixture {
     )
     .expect("fit");
     Fixture {
-        model,
+        service: Service::with_model(ServiceConfig::default(), model),
         test,
         world: dataset.world,
+    }
+}
+
+/// Repairs `track` through the service's `Repair` operation.
+fn repair(service: &Service, track: Vec<TimedPoint>, config: RepairConfig) -> RepairOutcome {
+    let request = Request::Repair {
+        track,
+        config,
+        provenance: false,
+    };
+    match service.handle(&request).expect("repair") {
+        Response::Repaired(outcome) => outcome,
+        other => panic!("repair answered {other:?}"),
     }
 }
 
@@ -64,12 +78,9 @@ fn repair_restores_density_continuity() {
         }
         // Repair with the default config (30-min threshold, 250 m
         // densification) and accumulate the repaired view.
-        let (fixed, report) = fx
-            .model
-            .repair_track(&track, &RepairConfig::default())
-            .expect("repair");
+        let report = repair(&fx.service, track, RepairConfig::default());
         assert_eq!(report.gaps_found(), 1, "exactly the carved silence");
-        for p in &fixed {
+        for p in &report.points {
             repaired.record(&p.pos, trip.mmsi, 0.0);
         }
     }
@@ -129,7 +140,8 @@ fn multi_gap_repair_preserves_reports() {
         gap_threshold_s: 20 * 60,
         ..RepairConfig::default()
     };
-    let (fixed, report) = fx.model.repair_track(&track, &config).expect("repair");
+    let report = repair(&fx.service, track.clone(), config);
+    let fixed = &report.points;
     assert!(
         report.gaps_found() >= 2,
         "carved 3 silences, found {}",
