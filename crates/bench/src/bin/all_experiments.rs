@@ -17,11 +17,14 @@
 //!
 //! With every experiment, `--out-dir` also writes `EXPERIMENTS.md` (or
 //! `--md-out`); otherwise the markdown goes to stdout (or `--md-out`).
+//! The committed scale-0.05 answers are regenerated with
+//! `HABIT_EVAL_SCALE=0.05 … -- --out-dir reports/smoke/ --md-out /dev/null`.
 //! Expect about a minute at full scale in release mode; set
 //! `HABIT_EVAL_SCALE=0.05` for a smoke run. Exit codes: 0 success, 1
 //! experiment or I/O failure, 2 usage error.
 
-use eval::report::{render_experiments_md, ExperimentReport};
+use eval::report::ExperimentReport;
+use habit_bench::docs::render_experiments_md;
 use habit_bench::reports::{self, Experiment, EXPERIMENTS};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -45,12 +48,8 @@ fn run() -> Result<(), (u8, String)> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-        let usage = || {
-            (
-                2,
-                format!("bad argument `{arg}` ({USAGE}; ids: {})", ids.join(", ")),
-            )
-        };
+        let message = format!("bad argument `{arg}` ({USAGE}; ids: {})", ids.join(", "));
+        let usage = || (2, message.clone());
         match arg.as_str() {
             "--out-dir" => out_dir = Some(args.next().ok_or_else(usage)?.into()),
             "--md-out" => md_out = Some(args.next().ok_or_else(usage)?.into()),
@@ -76,11 +75,11 @@ fn run() -> Result<(), (u8, String)> {
             let run = reports::run(&selected, habit_bench::SEED, scale.unwrap_or(1.0));
             let (reports, grid) = run.map_err(|e| (1, e.to_string()))?;
             eprintln!("{} (dataset, method) pairs fitted", grid.fits());
-            for report in out_dir
+            for (report, dir) in reports
                 .iter()
-                .flat_map(|dir| reports.iter().map(move |r| (r, dir)))
+                .flat_map(|r| out_dir.iter().map(move |d| (r, d)))
             {
-                let written = habit_bench::write_report_json(report.0, report.1);
+                let written = habit_bench::write_report_json(report, dir);
                 let path =
                     written.map_err(|e| (1, format!("could not write JSON baseline: {e}")))?;
                 eprintln!("wrote {}", path.display());
@@ -90,7 +89,7 @@ fn run() -> Result<(), (u8, String)> {
     };
 
     let md = if all {
-        render_experiments_md(&built.iter().collect::<Vec<_>>())
+        render_experiments_md(&built)
     } else {
         built.iter().map(ExperimentReport::to_markdown).collect()
     };

@@ -1,10 +1,17 @@
-//! Generated repository documentation.
+//! Generated repository documentation: `README.md` and
+//! `EXPERIMENTS.md`.
 //!
-//! `README.md` is generated, not hand-written, so it cannot drift from
+//! `EXPERIMENTS.md` is assembled from the experiment reports
+//! ([`render_experiments_md`]). `README.md` is generated, not
+//! hand-written, so it cannot drift from
 //! the code: the quickstart section embeds `examples/quickstart.rs`
 //! verbatim via `include_str!`, the CLI section embeds the `habit`
-//! binary's live `help_text()`, and CI re-renders the file and fails if
-//! the committed copy is stale (`gen_readme --check`).
+//! binary's live `help_text()`, the error-code table is rendered from
+//! `ErrorCode::ALL`, and CI re-renders the file and fails if the
+//! committed copy is stale (`gen_readme --check`).
+
+use eval::report::{fmt_mb, fmt_s2, ExperimentReport, MarkdownTable};
+use habit_service::ErrorCode;
 
 /// The `examples/quickstart.rs` source, embedded at compile time.
 pub const QUICKSTART_SRC: &str = include_str!("../../../examples/quickstart.rs");
@@ -81,9 +88,9 @@ re-exporting a prelude:
 | `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, whole-track repair (a track's silences answered as one batch), `ServiceError` taxonomy with stable codes, shared CSV converters over one typed, line-numbering decoder, line-JSON wire codec + TCP server |
 | `crates/baselines` | competitors: SLI straight-line, GTI point-graph, PaLMTO N-gram |
 | `crates/density` | traffic density maps and exports built on the same substrate |
-| `crates/eval` | experiment harness: DTW accuracy, gap cases, the experiment grid (each dataset × method fitted once, every gap's outcome kept), `ExperimentReport` |
+| `crates/eval` | experiment harness: DTW accuracy, gap cases, the experiment grid (each dataset × method fitted once, every gap's outcome kept), the one per-method table renderer, `ExperimentReport` |
 | `crates/cli` (`habit-cli`) | the `habit` command-line tool — thin adapters over `habit-service` |
-| `crates/bench` (`habit-bench`) | the thirteen experiments as declarations over one grid, the `all_experiments` runner, report/README generators, the P² median estimator the medians ablation measures |
+| `crates/bench` (`habit-bench`) | the thirteen experiments as data over one grid (datasets, sweep, gap sets, key and value columns), the `all_experiments` runner, report/README generators, the P² median estimator the medians ablation measures |
 
 ## Quickstart
 
@@ -162,21 +169,7 @@ the same taxonomy (`bad_request` exits 2, every other code exits 1):
 
 | code | exit | meaning |
 |------|------|---------|
-| `bad_request` | 2 | malformed request: unknown op/flag, bad value, wrong protocol version |
-| `io` | 1 | file or socket I/O failure |
-| `csv` | 1 | CSV input could not be parsed |
-| `bad_input` | 1 | input rows/columns have the wrong shape or type |
-| `grid` | 1 | invalid coordinate or grid resolution |
-| `no_model` | 1 | the operation needs a model but none is loaded |
-| `empty_model` | 1 | fit produced (or the model has) no transition graph |
-| `no_path` | 1 | no historical path between the snapped gap endpoints |
-| `snap_failed` | 1 | a gap endpoint could not be snapped onto the model |
-| `bad_model_blob` | 1 | a serialized model file is corrupt or incompatible |
-| `unsorted_input` | 1 | a track was not sorted by timestamp |
-| `state_version` | 1 | fit-state version unsupported, or the model embeds no state (refit needs one) |
-| `config_drift` | 1 | refit delta accumulated under a different fit configuration |
-| `overloaded` | 1 | the admission queue is full — back off and retry |
-| `internal` | 1 | unexpected internal failure |
+{errors}
 
 The daemon answers `impute`, `impute_batch` and `repair` through the
 engine's batch imputer, so recurring routes are served from a warm LRU
@@ -313,17 +306,21 @@ cargo run -p habit-bench --release --bin all_experiments -- --render-only --out-
 cargo run -p habit-bench --release --bin all_experiments -- fig5
 ```
 
-Each `reports/<id>.json` is a versioned `habit-experiment-report/v1`
-document carrying the experiment's paper reference, parameters, metric
-tables, and wall-clock / peak-RSS provenance; CI re-renders
-`EXPERIMENTS.md` from them and fails on drift, so the committed numbers
-always match the committed generator.
+Each `reports/<id>.json` (schema `habit-experiment-report/v2`) carries
+the experiment's paper reference, parameters and answer tables. Timings
+sit apart, in each section's `measured` table and the run's one
+`measurement` object (host cores, wall clock, peak RSS); every other
+field is the same on every run. CI re-renders `EXPERIMENTS.md` from the
+JSON, and regenerates the reports and fails on any answer that moved.
 
 Set `HABIT_EVAL_SCALE` (default `1.0`) to shrink the synthetic datasets
-for quick smoke runs, e.g. `HABIT_EVAL_SCALE=0.05`. Datasets are seeded
-synthetic analogues of the paper's real AIS feeds, so absolute numbers
-differ from the paper while the comparative shapes it argues from are
-preserved (see the paper-vs-reproduction table in `EXPERIMENTS.md`).
+for quick smoke runs, e.g. `HABIT_EVAL_SCALE=0.05`. The answers of such
+a run are committed under `reports/smoke/` (`--out-dir reports/smoke/
+--md-out /dev/null`), and a tier-1 test regenerates and compares them.
+Datasets are seeded synthetic analogues of the paper's real AIS feeds,
+so absolute numbers differ from the paper while the comparative shapes
+it argues from are preserved (see the paper-vs-reproduction table in
+`EXPERIMENTS.md`).
 
 ## Performance
 
@@ -371,12 +368,112 @@ and [CHANGES.md](CHANGES.md) for the PR history.
 "#,
         quickstart = QUICKSTART_SRC,
         help = habit_cli::commands::help_text(),
+        errors = error_table(),
     )
+}
+
+/// The error-code table's rows, one per [`ErrorCode`], from the taxonomy.
+fn error_table() -> String {
+    let row = |c: ErrorCode| format!("| `{}` | {} | {} |", c.as_str(), c.exit_code(), c.meaning());
+    ErrorCode::ALL.map(row).join("\n")
+}
+
+/// Assembles the full `EXPERIMENTS.md` document from a set of reports
+/// (in the given order): a regeneration banner, the run's measurement,
+/// the paper-vs-reproduction comparison, then every report section.
+pub fn render_experiments_md(reports: &[ExperimentReport]) -> String {
+    let mut out = String::new();
+    out.push_str("# HABIT — experiment baselines\n\n");
+    out.push_str(
+        "<!-- GENERATED FILE — do not edit by hand. Regenerate every report on one grid\n\
+         (rewrites reports/*.json; see crates/bench/src/bin/all_experiments.rs):\n\
+         \n\
+         \x20   cargo run -p habit-bench --release --bin all_experiments -- --out-dir reports/\n\
+         \n\
+         or re-render this file from the committed JSON (what CI diffs) with --render-only.\n\
+         A change that moves an answer regenerates reports/smoke/ (scale 0.05) as well. -->\n\n",
+    );
+    if let Some(first) = reports.first() {
+        let (p, m) = (&first.provenance, &first.measurement);
+        out.push_str(&format!(
+            "{} experiments · generator {} · seed {} · scale {} · run on {} cores in {} s wall \
+             clock, peak RSS {} MB\n\n",
+            reports.len(),
+            p.generator,
+            p.seed,
+            p.scale,
+            m.host_cores,
+            fmt_s2(m.wall_clock_s),
+            fmt_mb(m.peak_rss_bytes as usize),
+        ));
+        out.push_str(
+            "Datasets are the seeded synthetic analogues of the paper's AIS feeds \
+             (see PAPER.md); absolute numbers differ from the paper's real-data \
+             tables, the *shapes* the paper argues from are what each experiment \
+             verifies. Serving and fitting performance is measured by `benchmark/` \
+             (see `benchmark/README.md`, `BENCHMARK.json`) over the real binary, not \
+             here: only Tables 2 and 4 below are speed or size claims. Timings sit \
+             in each section's *measured* table, apart from the answers, which are \
+             the same on every run at this seed and scale.\n\n",
+        );
+    }
+
+    out.push_str("## Paper vs reproduction\n\n");
+    let comparison = reports.iter().map(|r| {
+        let id = format!("`{}`", r.id);
+        vec![id, r.paper_expected.clone(), r.reproduction.clone()]
+    });
+    let header = ["Experiment", "Paper expects", "Reproduction"];
+    let comparison = MarkdownTable::from_parts("", header, comparison).expect("static arity");
+    out.push_str(&comparison.render());
+    out.push('\n');
+
+    for r in reports {
+        out.push_str(&r.to_markdown());
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eval::report::{Measurement, Provenance, ReportSection};
+
+    #[test]
+    fn experiments_md_contains_comparison_and_sections() {
+        let table = MarkdownTable::from_parts(
+            "sample",
+            ["Method", "DTW"],
+            [vec!["HABIT".into(), "123.4".into()]],
+        );
+        let report = ExperimentReport {
+            id: "sample".into(),
+            title: "Sample — a test report".into(),
+            paper_ref: "Table 0".into(),
+            paper_expected: "HABIT beats SLI".into(),
+            reproduction: "HABIT 123.4 m".into(),
+            params: vec![("gap_s".into(), "3600".into())],
+            sections: vec![
+                ReportSection::table(table.expect("arity")),
+                ReportSection::notes("Notes", vec!["free text".into()]),
+            ],
+            provenance: Provenance {
+                generator: "habit-bench 0.1.0".into(),
+                seed: 42,
+                scale: 1.0,
+            },
+            measurement: Measurement::default(),
+        };
+        let md = render_experiments_md(std::slice::from_ref(&report));
+        assert!(md.starts_with("# HABIT — experiment baselines"));
+        assert!(md.contains("GENERATED FILE"));
+        assert!(md.contains("## Paper vs reproduction"));
+        assert!(md.contains("HABIT beats SLI"));
+        assert!(md.contains("## Sample — a test report"));
+        assert!(md.contains("### Notes"));
+        // Deterministic: same input renders the same bytes.
+        assert_eq!(md, render_experiments_md(&[report]));
+    }
 
     #[test]
     fn readme_embeds_live_sources() {

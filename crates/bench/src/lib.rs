@@ -20,16 +20,20 @@
 //! | `ablation_palmto`  | the paper's dropped competitor, reproduced |
 //! | `ablation_fleet`   | vessel-type conditioning (paper future work) |
 //!
-//! [`reports::EXPERIMENTS`] declares each experiment: the grid cells it
-//! reads and a builder that turns the evaluated [`eval::Grid`] into an
-//! [`eval::ExperimentReport`]. [`reports::run`] fits each (dataset,
-//! method) pair the selected experiments read once. With no id,
-//! `all_experiments --out-dir reports/` regenerates every
-//! `reports/<id>.json` and the committed `EXPERIMENTS.md`;
-//! `--render-only` re-renders it from the checked-in JSON without
-//! running anything (the CI freshness check). With ids, it prints those
-//! reports' markdown. [`docs`] generates `README.md` the same way
-//! (`gen_readme`).
+//! [`reports::EXPERIMENTS`] declares each experiment as data: its
+//! datasets, method sweep and gap sets (from which its grid cells are
+//! derived) and, for a tabular one, its row-key and value columns, which
+//! one renderer turns into every table. [`reports::run`] fits each
+//! (dataset, method) pair the selected experiments read once. With no
+//! id, `all_experiments --out-dir reports/` regenerates every
+//! `reports/<id>.json` (schema `habit-experiment-report/v2`: answers,
+//! with the timings and the run's measurement kept apart) and the
+//! committed `EXPERIMENTS.md`; `--render-only` re-renders it from the
+//! checked-in JSON without running anything (the CI freshness check).
+//! With ids, it prints those reports' markdown. `reports/smoke/` holds
+//! the answers of a scale-0.05 run, which the tier-1 test
+//! `tests/smoke_gate.rs` regenerates and compares. [`docs`] generates
+//! `README.md` the same way (`gen_readme`).
 //!
 //! Serving and fitting *performance* is not measured here: the repo's
 //! benchmark (`benchmark/` + `BENCHMARK.json`) drives the real `habit`
@@ -78,27 +82,19 @@ pub fn ascii_map(
     width: usize,
     height: usize,
 ) -> String {
-    let mut min_lon = f64::INFINITY;
-    let mut max_lon = f64::NEG_INFINITY;
-    let mut min_lat = f64::INFINITY;
-    let mut max_lat = f64::NEG_INFINITY;
-    for (_, pts) in series {
-        for p in *pts {
-            min_lon = min_lon.min(p.lon);
-            max_lon = max_lon.max(p.lon);
-            min_lat = min_lat.min(p.lat);
-            max_lat = max_lat.max(p.lat);
-        }
-    }
+    let points = series.iter().flat_map(|(_, pts)| pts.iter());
+    let inf = f64::INFINITY;
+    let (mut min_lon, mut max_lon, mut min_lat, mut max_lat) = points
+        .fold((inf, -inf, inf, -inf), |(a, b, c, d), p| {
+            (a.min(p.lon), b.max(p.lon), c.min(p.lat), d.max(p.lat))
+        });
     if !min_lon.is_finite() {
         return String::new();
     }
     let pad_lon = ((max_lon - min_lon) * 0.05).max(1e-6);
     let pad_lat = ((max_lat - min_lat) * 0.05).max(1e-6);
-    min_lon -= pad_lon;
-    max_lon += pad_lon;
-    min_lat -= pad_lat;
-    max_lat += pad_lat;
+    (min_lon, max_lon) = (min_lon - pad_lon, max_lon + pad_lon);
+    (min_lat, max_lat) = (min_lat - pad_lat, max_lat + pad_lat);
 
     let mut canvas = vec![vec![b' '; width]; height];
     let symbols = [b'o', b'H', b'G', b'S', b'P'];

@@ -1,20 +1,32 @@
 //! The experiments — one [`Experiment`] per table, figure and ablation.
 //!
-//! Each experiment declares the grid [`Cell`]s it reads, and builds its
-//! report's reproduction sentence and sections as a pure function of the
-//! evaluated [`Grid`]. [`run`] evaluates the union of the selected
-//! experiments' cells once, so a (dataset, method) pair that several
-//! experiments read is fitted and imputed once, and it stamps every
-//! report's seed, scale and provenance in one place.
+//! An experiment is data. It declares its datasets, its method sweep and
+//! its gap sets once; its grid [`Cell`]s and its rows are derived from
+//! them ([`Experiment::cells`], [`Experiment::rows`]). A tabular
+//! experiment ([`Body::Table`]) also declares its [`Column`]s — row keys,
+//! then aggregates — and every one of its tables is rendered by
+//! [`eval::experiments::table`]: one section per dataset, with the
+//! measurement columns (the latencies) in the section's measured table,
+//! keyed by the same row keys, apart from the answers. Its reproduction
+//! sentence joins one small clause per dataset. What is not one table
+//! per dataset — Table 1, Table 2's pivot, Table 3's rate-of-turn columns
+//! and its `Original` row, Figure 6's maps, the PaLMTO ablation's
+//! sentence and the medians ablation — is a [`Body::Bespoke`] builder
+//! that still reads the declared sweep.
+//!
+//! [`run`] evaluates the union of the selected experiments' cells once,
+//! so a (dataset, method) pair that several experiments read is fitted
+//! and imputed once; it stamps every report's provenance and the run's
+//! one [`Measurement`].
 
 use crate::p2::P2Quantile;
 use aggdb::quantile::median_exact;
 use aggdb::HyperLogLog;
 use baselines::{PalmtoConfig, PalmtoError};
-use eval::experiments::{cells, Cell, DatasetId, Gaps, Grid, Row};
+use eval::experiments::{table, Agg, Cell, Column, DatasetId, Gaps, Grid, Row, Stat};
 use eval::report::{
-    fmt_m, fmt_mb, fmt_s, mean, median, peak_rss_bytes, percentile, ExperimentReport,
-    MarkdownTable, Provenance, ReportError, ReportSection,
+    fmt_m, fmt_mb, fmt_s, mean, median, peak_rss_bytes, ExperimentReport, MarkdownTable, Measured,
+    Measurement, Provenance, ReportError, ReportSection,
 };
 use eval::rot::{mean_rot_stats, rot_stats, RotStats};
 use eval::Method;
@@ -30,7 +42,11 @@ const HOUR: Gaps = Gaps::HOUR;
 /// A report's reproduction sentence and its sections.
 type Built = Result<(String, Vec<ReportSection>)>;
 
-/// One experiment: what it reads from the grid and how it reports it.
+/// One dataset's reproduction clause, from the dataset's name and its
+/// fitted rows; it may add notes to, or retitle, the dataset's section.
+type Clause = fn(&str, &[Row], &mut ReportSection) -> Result<Option<String>>;
+
+/// One experiment: what it sweeps and how it reports it.
 pub struct Experiment {
     /// Stable id: the `reports/<id>.json` stem and the runner's selector.
     pub id: &'static str,
@@ -42,10 +58,98 @@ pub struct Experiment {
     pub paper_expected: &'static str,
     /// Swept parameters in display order; [`run`] appends the seed.
     pub params: &'static [(&'static str, &'static str)],
-    /// The grid cells the report reads.
-    pub cells: fn() -> Vec<Cell>,
-    /// Builds the reproduction sentence and sections from the grid.
-    pub build: fn(&Grid) -> Built,
+    /// The datasets, in section order.
+    pub datasets: &'static [DatasetId],
+    /// The methods fitted on each dataset, in row order.
+    pub methods: fn() -> Vec<Method>,
+    /// The gap sets each method imputes, in row order within a method;
+    /// with none, the experiment reads the fits alone.
+    pub gaps: &'static [Gaps],
+    /// How the report is built from the grid.
+    pub body: Body,
+}
+
+/// How an experiment's report is built.
+pub enum Body {
+    /// One section per dataset (titled by the dataset's name when there
+    /// are several) holding the table of its fitted rows; the measurement
+    /// columns go to the section's measured table, after the leading
+    /// label (row-key) columns. The reproduction sentence joins the
+    /// datasets' clauses with "; ".
+    Table {
+        /// The columns, row keys first.
+        columns: &'static [Column],
+        /// Each dataset's reproduction clause.
+        clause: Clause,
+    },
+    /// A builder for what is not a table of aggregates.
+    Bespoke(fn(&Grid, &Experiment) -> Built),
+}
+
+impl Experiment {
+    /// The rows of the sweep: each method on each gap set.
+    pub fn rows(&self) -> Vec<(Method, Gaps)> {
+        let methods = (self.methods)();
+        let per_method = |m: Method| self.gaps.iter().map(move |g| (m, *g));
+        methods.into_iter().flat_map(per_method).collect()
+    }
+
+    /// The grid cells the report reads: every dataset; each method's fit
+    /// on it; each method's outcomes on each gap set.
+    pub fn cells(&self) -> Vec<Cell> {
+        let mut out = Vec::new();
+        for &dataset in self.datasets {
+            let cell = |method, gaps| Cell {
+                dataset,
+                method,
+                gaps,
+            };
+            let methods = (self.methods)();
+            if methods.is_empty() {
+                out.push(cell(None, None));
+            }
+            for m in methods {
+                if self.gaps.is_empty() {
+                    out.push(cell(Some(m), None));
+                }
+                out.extend(self.gaps.iter().map(|g| cell(Some(m), Some(*g))));
+            }
+        }
+        out
+    }
+
+    fn build(&self, g: &Grid) -> Built {
+        let (columns, clause) = match self.body {
+            Body::Bespoke(build) => return build(g, self),
+            Body::Table { columns, clause } => (columns, clause),
+        };
+        let (answers, timings): (Vec<Column>, Vec<Column>) =
+            columns.iter().partition(|c| !c.1.is_measurement());
+        let keys = columns.iter().take_while(|c| matches!(c.1, Agg::Label(_)));
+        let measured: Vec<Column> = keys.chain(&timings).copied().collect();
+        let (sweep, mut sections, mut clauses) = (self.rows(), Vec::new(), Vec::new());
+        for &d in self.datasets {
+            let rows: Vec<Row> = sweep
+                .iter()
+                .filter_map(|(m, gs)| g.row(d, m, *gs))
+                .collect();
+            let table = |columns| table(&rows, columns).with_context(self.id);
+            let mut section = ReportSection::table(table(&answers));
+            let name = &g.bench(d).name;
+            if self.datasets.len() > 1 {
+                section.heading = name.clone();
+            }
+            if !timings.is_empty() {
+                section.measured = Some(Measured {
+                    notes: Vec::new(),
+                    table: table(&measured),
+                });
+            }
+            clauses.extend(clause(name, &rows, &mut section)?);
+            sections.push(section);
+        }
+        Ok((format!("{}.", clauses.join("; ")), sections))
+    }
 }
 
 /// Every experiment, in the order of `EXPERIMENTS.md`.
@@ -59,16 +163,10 @@ pub const EXPERIMENTS: [Experiment; 13] = [
                          The synthetic analogues keep the structural ratios (KIEL: 2 ferries on one \
                          corridor; SAR: a large heterogeneous fleet).",
         params: &[],
-        cells: || {
-            [Dan, Kiel, Sar]
-                .map(|dataset| Cell {
-                    dataset,
-                    method: None,
-                    gaps: None,
-                })
-                .to_vec()
-        },
-        build: table1,
+        datasets: &[Dan, Kiel, Sar],
+        methods: Vec::new,
+        gaps: &[],
+        body: Body::Bespoke(table1),
     },
     Experiment {
         id: "table2",
@@ -77,8 +175,10 @@ pub const EXPERIMENTS: [Experiment; 13] = [
         paper_expected: "HABIT sizes grow with resolution but stay tiny (0.06–57 MB); GTI models \
                          are orders of magnitude larger and explode with rd.",
         params: &[("habit_r", "6..=10"), ("gti_rd_deg", "1e-4|5e-4|1e-3")],
-        cells: || [Kiel, Sar].iter().flat_map(|d| cells(*d, &table2_methods(), None)).collect(),
-        build: table2,
+        datasets: &[Kiel, Sar],
+        methods: table2_methods,
+        gaps: &[],
+        body: Body::Bespoke(table2),
     },
     Experiment {
         id: "table3",
@@ -87,8 +187,10 @@ pub const EXPERIMENTS: [Experiment; 13] = [
         paper_expected: "Larger t shrinks position counts drastically and nearly eliminates >45° \
                          turns; t in 100–250 is the sweet spot.",
         params: &[("r", "9|10"), ("t_m", "0|100|250|500|1000"), ("gap_s", "3600")],
-        cells: || cells(Dan, &rt_sweep(), Some(HOUR)),
-        build: table3,
+        datasets: &[Dan],
+        methods: rt_sweep,
+        gaps: &[HOUR],
+        body: Body::Bespoke(table3),
     },
     Experiment {
         id: "table4",
@@ -101,8 +203,17 @@ pub const EXPERIMENTS: [Experiment; 13] = [
             ("gti_rd_deg", "1e-4|5e-4|1e-3"),
             ("gap_s", "3600"),
         ],
-        cells: || kiel_and_sar(&table4_methods()),
-        build: table4,
+        datasets: &[Kiel, Sar],
+        methods: table4_methods,
+        gaps: &[HOUR],
+        body: Body::Table {
+            columns: &[
+                Column::METHOD,
+                Column("Avg", Agg::AvgLatency),
+                Column("Max", Agg::MaxLatency),
+            ],
+            clause: table4,
+        },
     },
     Experiment {
         id: "fig3",
@@ -116,8 +227,19 @@ pub const EXPERIMENTS: [Experiment; 13] = [
             ("t_m", "100"),
             ("gap_s", "3600"),
         ],
-        cells: || cells(Dan, &fig3_methods(), Some(HOUR)),
-        build: fig3,
+        datasets: &[Dan],
+        methods: fig3_methods,
+        gaps: &[HOUR],
+        body: Body::Table {
+            columns: &[
+                R,
+                P,
+                Column::MEAN_DTW,
+                Column::MEDIAN_DTW,
+                Column("Imputed/Total", Agg::ScoredOfTotal),
+            ],
+            clause: fig3,
+        },
     },
     Experiment {
         id: "fig4",
@@ -125,8 +247,13 @@ pub const EXPERIMENTS: [Experiment; 13] = [
         paper_ref: "Figure 4",
         paper_expected: "Accuracy is essentially flat in t (RDP removes points, not geometry).",
         params: &[("r", "9|10"), ("t_m", "0|100|250|500|1000"), ("gap_s", "3600")],
-        cells: || cells(Dan, &rt_sweep(), Some(HOUR)),
-        build: fig4,
+        datasets: &[Dan],
+        methods: rt_sweep,
+        gaps: &[HOUR],
+        body: Body::Table {
+            columns: &[R, T, Column::MEAN_DTW, Column::MEDIAN_DTW],
+            clause: fig4,
+        },
     },
     Experiment {
         id: "fig5",
@@ -140,8 +267,19 @@ pub const EXPERIMENTS: [Experiment; 13] = [
             ("gti_rd_deg", "1e-4|5e-4|1e-3"),
             ("gap_s", "3600"),
         ],
-        cells: || kiel_and_sar(&fig5_methods()),
-        build: fig5,
+        datasets: &[Kiel, Sar],
+        methods: fig5_methods,
+        gaps: &[HOUR],
+        body: Body::Table {
+            columns: &[
+                Column::METHOD,
+                Column::MEAN_DTW,
+                Column::MEDIAN_DTW,
+                Column("Failures", Agg::Failures),
+                Column("Gaps", Agg::Gaps),
+            ],
+            clause: fig5,
+        },
     },
     Experiment {
         id: "fig6",
@@ -151,8 +289,10 @@ pub const EXPERIMENTS: [Experiment; 13] = [
                          corners; GTI tracks the route closely on the confined KIEL corridor. \
                          (Symbols: o = original, H = HABIT, G = GTI, S = SLI.)",
         params: &[("examples", "3"), ("gap_s", "3600")],
-        cells: || cells(Kiel, &fig6_methods(), Some(HOUR)),
-        build: fig6,
+        datasets: &[Kiel],
+        methods: || vec![Method::habit(9, 100.0), Method::gti(5e-4), Method::Sli],
+        gaps: &[HOUR],
+        body: Body::Bespoke(fig6),
     },
     Experiment {
         id: "fig7",
@@ -164,16 +304,23 @@ pub const EXPERIMENTS: [Experiment; 13] = [
             ("config_r_t", "9|100, 9|250, 10|100, 10|250"),
             ("gap_h", "1|2|4"),
         ],
-        cells: || {
-            let mut out = Vec::new();
-            for d in [Kiel, Sar] {
-                for hours in FIG7_HOURS {
-                    out.extend(cells(d, &fig5_habit(), Some(fig7_gaps(hours))));
-                }
-            }
-            out
+        datasets: &[Kiel, Sar],
+        methods: fig5_habit,
+        gaps: &FIG7_GAPS,
+        body: Body::Table {
+            columns: &[
+                key("Config (r|t)", |row| {
+                    format!("{}|{}", R.1.cell(row), T.1.cell(row))
+                }),
+                key("Gap (h)", |row| hours(row).to_string()),
+                Column("Median (m)", Agg::Dtw(Stat::Median)),
+                Column("P25 (m)", Agg::Dtw(Stat::P25)),
+                Column("P75 (m)", Agg::Dtw(Stat::P75)),
+                Column("Max (m)", Agg::Dtw(Stat::Max)),
+                Column("Imputed", Agg::Scored),
+            ],
+            clause: fig7,
         },
-        build: fig7,
     },
     Experiment {
         id: "ablation_weights",
@@ -183,8 +330,27 @@ pub const EXPERIMENTS: [Experiment; 13] = [
                          arguing this effectively reveals the most frequent path; frequency-aware \
                          weights should not dramatically beat it.",
         params: &[("r", "9"), ("t_m", "100"), ("gap_s", "3600")],
-        cells: || kiel_and_sar(&WEIGHT_SCHEMES.map(|(scheme, _)| weighted(scheme))),
-        build: ablation_weights,
+        datasets: &[Kiel, Sar],
+        methods: || {
+            let weighted = |(weight_scheme, _)| {
+                Method::Habit(HabitConfig {
+                    weight_scheme,
+                    ..HabitConfig::with_r_t(9, 100.0)
+                })
+            };
+            WEIGHT_SCHEMES.map(weighted).to_vec()
+        },
+        gaps: &[HOUR],
+        body: Body::Table {
+            columns: &[
+                SCHEME,
+                Column::MEAN_DTW,
+                Column::MEDIAN_DTW,
+                Column::AVG_LAT,
+                Column::MAX_LAT,
+            ],
+            clause: ablation_weights,
+        },
     },
     Experiment {
         id: "ablation_medians",
@@ -197,8 +363,10 @@ pub const EXPERIMENTS: [Experiment; 13] = [
             ("median_n", "100|1k|10k|100k"),
             ("hll_precision", "8|10|12|14|16"),
         ],
-        cells: Vec::new,
-        build: ablation_medians,
+        datasets: &[],
+        methods: Vec::new,
+        gaps: &[],
+        body: Body::Bespoke(ablation_medians),
     },
     Experiment {
         id: "ablation_palmto",
@@ -212,8 +380,18 @@ pub const EXPERIMENTS: [Experiment; 13] = [
             ("habit", "r=10, t=100"),
             ("gap_s", "3600"),
         ],
-        cells: || kiel_and_sar(&[Method::habit(10, 100.0), palmto()]),
-        build: ablation_palmto,
+        datasets: &[Kiel, Sar],
+        methods: || {
+            let palmto = Method::Palmto(PalmtoConfig {
+                resolution: 10,
+                n: 3,
+                time_budget: Duration::from_millis(250),
+                ..PalmtoConfig::default()
+            });
+            vec![Method::habit(10, 100.0), palmto]
+        },
+        gaps: &[HOUR],
+        body: Body::Bespoke(ablation_palmto),
     },
     Experiment {
         id: "ablation_fleet",
@@ -228,8 +406,28 @@ pub const EXPERIMENTS: [Experiment; 13] = [
             ("min_trips_per_type", "8"),
             ("gap_s", "3600"),
         ],
-        cells: || cells(Sar, &[Method::habit(9, 100.0), by_type()], Some(HOUR)),
-        build: ablation_fleet,
+        datasets: &[Sar],
+        methods: || {
+            let by_type = Method::ByType(TypeModelsConfig {
+                habit: HabitConfig::with_r_t(9, 100.0),
+                min_trips_per_type: 8,
+            });
+            vec![Method::habit(9, 100.0), by_type]
+        },
+        gaps: &[HOUR],
+        body: Body::Table {
+            columns: &[
+                key("Model", |row| {
+                    let fleet = matches!(row.method, Method::ByType(_));
+                    (if fleet { "Fleet (per-type)" } else { "Global (paper)" }).into()
+                }),
+                Column::MEAN_DTW,
+                Column::MEDIAN_DTW,
+                Column("Imputed", Agg::ScoredOfTotal),
+                Column("Storage (MB)", Agg::ModelMb),
+            ],
+            clause: ablation_fleet,
+        },
     },
 ];
 
@@ -240,32 +438,28 @@ pub fn experiment(id: &str) -> Option<&'static Experiment> {
 
 /// Runs `selected` on one grid at `seed` and `scale`: each report's
 /// cells are evaluated (what an earlier report already evaluated is
-/// reused), its report is built, and its seed, scale and provenance are
-/// stamped. Provenance times the work first done for that report; peak
-/// RSS is the process's so far. Logs progress to stderr.
+/// reused), its report is built and its provenance stamped. Every report
+/// then carries the run's one measurement. Logs progress to stderr.
 pub fn run(
     selected: &[&Experiment],
     seed: u64,
     scale: f64,
 ) -> Result<(Vec<ExperimentReport>, Grid)> {
-    let plan = selected.iter().flat_map(|e| (e.cells)()).collect();
-    let mut grid = Grid::new(seed, scale, plan);
     let t_run = Instant::now();
+    let plan = selected.iter().flat_map(|e| e.cells()).collect();
+    let mut grid = Grid::new(seed, scale, plan);
     let mut reports = Vec::new();
     for exp in selected {
-        let t0 = Instant::now();
-        grid.evaluate(&(exp.cells)());
-        let (reproduction, sections) = (exp.build)(&grid)?;
-        let mut params: Vec<(String, String)> = exp
+        grid.evaluate(&exp.cells());
+        let (reproduction, sections) = exp.build(&grid)?;
+        let params = exp
             .params
             .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        params.push(("seed".into(), seed.to_string()));
-        if exp.id == "table1" {
-            // Table 1's rows are the dataset sizes the scale sets.
-            params.push(("scale".into(), scale.to_string()));
-        }
+            .map(|(k, v)| (k.to_string(), v.to_string()));
+        // Table 1's rows are the dataset sizes the scale sets.
+        let scale_param = (exp.id == "table1").then(|| ("scale".into(), scale.to_string()));
+        let params = params.chain([("seed".into(), seed.to_string())]);
+        let params = params.chain(scale_param).collect();
         reports.push(ExperimentReport {
             id: exp.id.into(),
             title: exp.title.into(),
@@ -278,11 +472,19 @@ pub fn run(
                 generator: format!("habit-bench {}", env!("CARGO_PKG_VERSION")),
                 seed,
                 scale,
-                wall_clock_s: t0.elapsed().as_secs_f64(),
-                peak_rss_bytes: peak_rss_bytes(),
             },
+            measurement: Measurement::default(),
         });
         eprintln!("[{}s] {} done", t_run.elapsed().as_secs(), exp.id);
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let measurement = Measurement {
+        host_cores: cores as u64,
+        wall_clock_s: t_run.elapsed().as_secs_f64(),
+        peak_rss_bytes: peak_rss_bytes(),
+    };
+    for report in &mut reports {
+        report.measurement = measurement.clone();
     }
     Ok((reports, grid))
 }
@@ -290,22 +492,14 @@ pub fn run(
 // --------------------------------------------------------------------
 // The sweeps.
 
-/// The cells of `methods` on KIEL and SAR, 60-minute gaps.
-fn kiel_and_sar(methods: &[Method]) -> Vec<Cell> {
-    [Kiel, Sar]
-        .iter()
-        .flat_map(|d| cells(*d, methods, Some(HOUR)))
-        .collect()
-}
-
 /// Table 2: HABIT at r = 6..=10, then the GTI rd sweep.
-fn table2_methods() -> Vec<Method> {
+pub fn table2_methods() -> Vec<Method> {
     let habit = (6..=10).map(|r| Method::habit(r, 100.0));
     habit.chain(gti_sweep()).collect()
 }
 
 /// Table 3 and Figure 4: r ∈ {9, 10} × t ∈ {0, 100, 250, 500, 1000}.
-fn rt_sweep() -> Vec<Method> {
+pub fn rt_sweep() -> Vec<Method> {
     let tolerances = [0.0, 100.0, 250.0, 500.0, 1000.0];
     [9, 10]
         .iter()
@@ -314,7 +508,7 @@ fn rt_sweep() -> Vec<Method> {
 }
 
 /// Figure 3: r = 6..=10 × both projections at t = 100.
-fn fig3_methods() -> Vec<Method> {
+pub fn fig3_methods() -> Vec<Method> {
     (6..=10)
         .flat_map(|resolution| {
             [CellProjection::Center, CellProjection::Median].map(|projection| {
@@ -335,41 +529,32 @@ fn gti_sweep() -> [Method; 3] {
 }
 
 /// Figures 5 and 7 and Table 4: HABIT at r ∈ {9, 10} × t ∈ {100, 250}.
-fn fig5_habit() -> Vec<Method> {
+pub fn fig5_habit() -> Vec<Method> {
     [(9, 100.0), (9, 250.0), (10, 100.0), (10, 250.0)]
         .map(|(r, t)| Method::habit(r, t))
         .to_vec()
 }
 
 /// Table 4: the HABIT and GTI sweeps.
-fn table4_methods() -> Vec<Method> {
-    let mut out = fig5_habit();
-    out.extend(gti_sweep());
-    out
+pub fn table4_methods() -> Vec<Method> {
+    [fig5_habit(), gti_sweep().into()].concat()
 }
 
 /// Figure 5: Table 4's methods and SLI.
-fn fig5_methods() -> Vec<Method> {
-    let mut out = table4_methods();
-    out.push(Method::Sli);
-    out
+pub fn fig5_methods() -> Vec<Method> {
+    [table4_methods(), vec![Method::Sli]].concat()
 }
-
-/// Figure 6: one configuration per method, in map-symbol order.
-fn fig6_methods() -> [Method; 3] {
-    [Method::habit(9, 100.0), Method::gti(5e-4), Method::Sli]
-}
-
-/// Figure 7's gap durations, hours.
-const FIG7_HOURS: [u64; 3] = [1, 2, 4];
 
 /// Figure 7's gaps of `hours`, each duration on its own placement seed.
-fn fig7_gaps(hours: u64) -> Gaps {
+pub const fn fig7_gaps(hours: u64) -> Gaps {
     Gaps {
         duration_s: hours as i64 * 3600,
         seed_offset: hours,
     }
 }
+
+/// Figure 7's gap sets: 1, 2 and 4 hours.
+pub const FIG7_GAPS: [Gaps; 3] = [fig7_gaps(1), fig7_gaps(2), fig7_gaps(4)];
 
 /// The ablation's weight schemes and their labels.
 const WEIGHT_SCHEMES: [(WeightScheme, &str); 3] = [
@@ -378,82 +563,46 @@ const WEIGHT_SCHEMES: [(WeightScheme, &str); 3] = [
     (WeightScheme::NegLogFrequency, "ln(1+max/transitions)"),
 ];
 
-fn weighted(weight_scheme: WeightScheme) -> Method {
-    Method::Habit(HabitConfig {
-        weight_scheme,
-        ..HabitConfig::with_r_t(9, 100.0)
-    })
-}
-
-fn palmto() -> Method {
-    Method::Palmto(PalmtoConfig {
-        resolution: 10,
-        n: 3,
-        time_budget: Duration::from_millis(250),
-        ..PalmtoConfig::default()
-    })
-}
-
-fn by_type() -> Method {
-    Method::ByType(TypeModelsConfig {
-        habit: HabitConfig::with_r_t(9, 100.0),
-        min_trips_per_type: 8,
-    })
-}
-
 // --------------------------------------------------------------------
-// The reports.
+// The row keys.
 
-/// One section per dataset, KIEL then SAR, built from the dataset and
-/// its name; the reproduction sentence joins their clauses and `tail`.
-fn per_dataset(
-    g: &Grid,
-    tail: &str,
-    build: impl Fn(DatasetId, &str) -> Result<(ReportSection, Option<String>)>,
-) -> Built {
-    let (mut sections, mut clauses) = (Vec::new(), Vec::new());
-    for d in [Kiel, Sar] {
-        let (section, clause) = build(d, &g.bench(d).name)?;
-        sections.push(section);
-        clauses.extend(clause);
-    }
-    Ok((format!("{}{tail}", clauses.join("; ")), sections))
-}
-
-/// The 60-minute row of a method the report cannot do without.
-fn required<'g>(g: &'g Grid, id: &str, d: DatasetId, m: Method, what: &str) -> Result<Row<'g>> {
-    let failed = |e| ReportError::experiment(id, format!("{what} fit: {e}"));
-    g.fit(d, &m).map_err(failed)?;
-    Ok(g.row(d, &m, HOUR).expect("fitted"))
-}
-
-/// A report of one untitled table.
-fn one_table<S: Into<String>>(
-    id: &str,
-    repro: String,
-    header: impl IntoIterator<Item = S>,
-    rows: impl IntoIterator<Item = Vec<String>>,
-) -> Built {
-    let table = MarkdownTable::from_parts(id, header, rows)?;
-    Ok((repro, vec![ReportSection::table(table)]))
-}
-
-/// The mean rot statistics of `paths`.
-fn mean_rot<'p>(paths: impl Iterator<Item = &'p Vec<GeoPoint>>) -> RotStats {
-    mean_rot_stats(&paths.map(|p| rot_stats(p)).collect::<Vec<_>>())
-}
-
-/// The `(r, t)` of a HABIT method.
-fn r_t(m: &Method) -> (u8, f64) {
-    match m {
-        Method::Habit(c) => (c.resolution, c.rdp_tolerance_m),
+/// The configuration of a HABIT sweep's row.
+fn habit(row: &Row) -> HabitConfig {
+    match row.method {
+        Method::Habit(c) => c,
         _ => unreachable!("a HABIT sweep"),
     }
 }
 
-/// Mean and median DTW cells.
-fn dtw_cells(errors: &[f64]) -> [String; 2] {
-    [fmt_m(mean(errors)), fmt_m(median(errors))]
+/// The gap duration of a row, hours.
+fn hours(row: &Row) -> i64 {
+    row.gaps.duration_s / 3600
+}
+
+/// A row-key column.
+const fn key(header: &'static str, label: fn(&Row) -> String) -> Column {
+    Column(header, Agg::Label(label))
+}
+
+const R: Column = key("r", |row| habit(row).resolution.to_string());
+const T: Column = key("t", |row| format!("{:.0}", habit(row).rdp_tolerance_m));
+const P: Column = key("p", |row| {
+    let center = habit(row).projection == CellProjection::Center;
+    (if center { "center" } else { "median" }).into()
+});
+const SCHEME: Column = key("Weight scheme", |row| {
+    let scheme = WEIGHT_SCHEMES
+        .iter()
+        .find(|s| s.0 == habit(row).weight_scheme);
+    scheme.expect("a swept scheme").1.into()
+});
+
+// --------------------------------------------------------------------
+// The reports.
+
+/// The mean rot statistics of `paths`.
+fn mean_rot<'p>(paths: impl Iterator<Item = &'p Vec<GeoPoint>>) -> RotStats {
+    mean_rot_stats(&paths.map(|p| rot_stats(p)).collect::<Vec<_>>())
 }
 
 /// The row with the lowest mean DTW among those that scored a case.
@@ -462,17 +611,17 @@ fn most_accurate<'a, 'g>(rows: &'a [Row<'g>]) -> Option<&'a Row<'g>> {
     scored.min_by(|a, b| mean(&a.errors).total_cmp(&mean(&b.errors)))
 }
 
-fn table1(g: &Grid) -> Built {
+fn table1(g: &Grid, e: &Experiment) -> Built {
     let mut rows = Vec::new();
     let mut per_dataset = Vec::new();
-    for (d, vessel_types) in [(Dan, "Passenger"), (Kiel, "Passenger"), (Sar, "All")] {
+    for &d in e.datasets {
         let bench = g.bench(d);
         let ds = &bench.dataset;
         let (positions, ships) = (ds.num_positions(), ds.num_ships());
         let trips = bench.train.len() + bench.test.len();
         rows.push(vec![
             bench.name.clone(),
-            vessel_types.to_string(),
+            (if d == Sar { "All" } else { "Passenger" }).into(),
             fmt_mb(ds.csv_size_bytes()),
             positions.to_string(),
             trips.to_string(),
@@ -492,21 +641,26 @@ fn table1(g: &Grid) -> Built {
         "Ships",
     ];
     let repro = format!("Structure preserved — {}.", per_dataset.join("; "));
-    one_table("table1", repro, header, rows)
+    let table = MarkdownTable::from_parts(e.id, header, rows)?;
+    Ok((repro, vec![ReportSection::table(table)]))
 }
 
-fn table2(g: &Grid) -> Built {
+fn table2(g: &Grid, e: &Experiment) -> Built {
     let (mut rows, mut habit_max, mut gti_max) = (Vec::new(), 0, 0);
-    for m in table2_methods() {
-        let bytes = |d| g.fit(d, &m).map_or(0, |f| f.storage_bytes);
-        let (kiel, sar) = (bytes(Kiel), bytes(Sar));
+    for m in (e.methods)() {
+        let bytes = e
+            .datasets
+            .iter()
+            .map(|d| g.fit(*d, &m).map_or(0, |f| f.storage_bytes));
+        let bytes: Vec<usize> = bytes.collect();
         let (method, config, max) = match m {
             Method::Habit(c) => ("HABIT", format!("r={}", c.resolution), &mut habit_max),
             Method::Gti(c) => ("GTI", format!("rd={:.0e}", c.rd_deg), &mut gti_max),
             _ => unreachable!("Table 2 sweeps HABIT and GTI"),
         };
-        *max = kiel.max(sar).max(*max);
-        rows.push(vec![method.into(), config, fmt_mb(kiel), fmt_mb(sar)]);
+        *max = bytes.iter().copied().fold(*max, usize::max);
+        let sizes = bytes.into_iter().map(fmt_mb);
+        rows.push([method.into(), config].into_iter().chain(sizes).collect());
     }
     let repro = format!(
         "Largest HABIT model {} MB vs largest GTI model {} MB — GTI is {:.0}x larger; HABIT grows \
@@ -515,11 +669,15 @@ fn table2(g: &Grid) -> Built {
         fmt_mb(gti_max),
         gti_max as f64 / habit_max.max(1) as f64
     );
-    let header = ["Method", "Configuration", "KIEL", "SAR"];
-    one_table("table2", repro, header, rows)
+    let names = e.datasets.iter().map(|d| g.bench(*d).name.clone());
+    let header = ["Method".into(), "Configuration".into()]
+        .into_iter()
+        .chain(names);
+    let table = MarkdownTable::from_parts::<String>(e.id, header, rows)?;
+    Ok((repro, vec![ReportSection::table(table)]))
 }
 
-fn table3(g: &Grid) -> Built {
+fn table3(g: &Grid, e: &Experiment) -> Built {
     let cells = |r: String, t: String, s: RotStats| {
         let [avg, max] = [s.avg_rot_deg, s.max_rot_deg].map(|v| format!("{v:.2}"));
         vec![
@@ -531,29 +689,28 @@ fn table3(g: &Grid) -> Built {
             format!("{:.2}", s.turns_over_45),
         ]
     };
-    let stats: Vec<(u8, f64, RotStats)> = g
-        .rows(Dan, &rt_sweep(), HOUR)
-        .iter()
+    let d = e.datasets[0];
+    let sweep = e.rows();
+    let fitted = sweep.iter().filter_map(|(m, gaps)| g.row(d, m, *gaps));
+    let stats: Vec<(Row, RotStats)> = fitted
         .map(|row| {
-            let (r, t) = r_t(&row.method);
-            (r, t, mean_rot(row.paths()))
+            let s = mean_rot(row.paths());
+            (row, s)
         })
         .collect();
     let truth: Vec<Vec<GeoPoint>> = g
-        .cases(Dan, HOUR)
+        .cases(d, e.gaps[0])
         .iter()
         .map(|c| c.truth.iter().map(|p| p.pos).collect())
         .collect();
     let mut rows: Vec<_> = stats
         .iter()
-        .map(|(r, t, s)| cells(r.to_string(), format!("{t:.0}"), *s))
+        .map(|(row, s)| cells(R.1.cell(row), T.1.cell(row), *s))
         .collect();
     rows.push(cells("Original".into(), "-".into(), mean_rot(truth.iter())));
     let at_r9 = |tol: f64| {
-        stats
-            .iter()
-            .find(|(r, t, _)| *r == 9 && *t == tol)
-            .map(|s| s.2)
+        let c = |row: &Row| habit(row).resolution == 9 && habit(row).rdp_tolerance_m == tol;
+        stats.iter().find(|(row, _)| c(row)).map(|s| s.1)
     };
     let repro = match (at_r9(0.0), at_r9(1000.0)) {
         (Some(t0), Some(t1k)) => format!(
@@ -564,157 +721,85 @@ fn table3(g: &Grid) -> Built {
         _ => "Sweep incomplete (model fit failed for some configurations).".to_string(),
     };
     let header = ["r", "t", "cnt", "Avg rot", "Max rot", ">45deg"];
-    one_table("table3", repro, header, rows)
+    let table = MarkdownTable::from_parts(e.id, header, rows)?;
+    Ok((repro, vec![ReportSection::table(table)]))
 }
 
-fn table4(g: &Grid) -> Built {
-    per_dataset(g, ".", |d, name| {
-        let rows = g.rows(d, &table4_methods(), HOUR);
-        let worst = |habit: bool| {
-            let of_kind = rows
-                .iter()
-                .filter(|r| matches!(r.method, Method::Habit(_)) == habit);
-            of_kind.map(|r| r.latency().0).fold(0.0, f64::max)
-        };
-        let cells = rows.iter().map(|r| {
-            let (avg, max) = r.latency();
-            vec![r.method.label(), fmt_s(avg), fmt_s(max)]
-        });
-        let gaps = if rows.is_empty() {
-            0
-        } else {
-            g.cases(d, HOUR).len()
-        };
-        let table = MarkdownTable::from_parts("table4", ["Method", "Avg", "Max"], cells)?;
-        let clause = format!(
-            "{name}: HABIT avg ≤ {} s, GTI avg up to {} s",
-            fmt_s(worst(true)),
-            fmt_s(worst(false))
-        );
-        Ok((
-            ReportSection::titled(format!("{name} ({gaps} gaps)"), table),
-            Some(clause),
-        ))
-    })
+fn table4(name: &str, rows: &[Row], section: &mut ReportSection) -> Result<Option<String>> {
+    let gaps = rows.first().map_or(0, |r| r.outcomes.len());
+    section.heading = format!("{name} ({gaps} gaps)");
+    let worst = |habit: bool| {
+        let of_kind = rows
+            .iter()
+            .filter(|r| matches!(r.method, Method::Habit(_)) == habit);
+        of_kind.map(|r| r.latency().0).fold(0.0, f64::max)
+    };
+    let [habit, gti] = [true, false].map(|habit| fmt_s(worst(habit)));
+    let timing = format!("HABIT avg ≤ {habit} s, GTI avg up to {gti} s.");
+    section.measured.as_mut().expect("timed").notes.push(timing);
+    let methods = rows.len();
+    Ok(Some(format!(
+        "{name}: {methods} methods timed on {gaps} gaps"
+    )))
 }
 
-fn fig3(g: &Grid) -> Built {
-    let total = g.cases(Dan, HOUR).len();
-    let rows = g.rows(Dan, &fig3_methods(), HOUR);
-    let r_p = |row: &Row| match row.method {
-        Method::Habit(c) if c.projection == CellProjection::Center => (c.resolution, "center"),
-        Method::Habit(c) => (c.resolution, "median"),
-        _ => unreachable!("Figure 3 sweeps HABIT"),
+fn fig3(_: &str, rows: &[Row], _: &mut ReportSection) -> Result<Option<String>> {
+    let mean_at = |r: u8, p: CellProjection| {
+        let at = |row: &&Row| habit(row).resolution == r && habit(row).projection == p;
+        rows.iter().find(at).map(|row| mean(&row.errors))
     };
-    let cells = rows.iter().map(|row| {
-        let ((r, p), [mean, median]) = (r_p(row), dtw_cells(&row.errors));
-        vec![
-            r.to_string(),
-            p.into(),
-            mean,
-            median,
-            format!("{}/{total}", row.errors.len()),
-        ]
-    });
-    let mean_at = |key| {
-        rows.iter()
-            .find(|row| r_p(row) == key)
-            .map(|row| mean(&row.errors))
-    };
-    let (mut pairs, mut median_wins) = (0usize, 0usize);
-    for r in 6..=10u8 {
-        if let (Some(c), Some(m)) = (mean_at((r, "center")), mean_at((r, "median"))) {
-            pairs += 1;
-            median_wins += usize::from(m <= c);
-        }
-    }
-    let repro = match most_accurate(&rows) {
-        Some(best) => {
-            let (r, p) = r_p(best);
-            format!(
-                "Median projection beats center at {median_wins}/{pairs} resolutions (mean DTW); \
-                 best mean DTW {} m at r={r}, p={p}.",
-                fmt_m(mean(&best.errors))
-            )
-        }
-        None => "No configuration imputed any gap.".to_string(),
-    };
-    let header = ["r", "p", "Mean DTW (m)", "Median DTW (m)", "Imputed/Total"];
-    one_table("fig3", repro, header, cells)
-}
-
-fn fig4(g: &Grid) -> Built {
-    let rows = g.rows(Dan, &rt_sweep(), HOUR);
-    let cells = rows.iter().map(|row| {
-        let ((r, t), [mean, median]) = (r_t(&row.method), dtw_cells(&row.errors));
-        vec![r.to_string(), format!("{t:.0}"), mean, median]
-    });
-    let r9: Vec<f64> = rows
+    let pairs = (6..=10)
+        .filter_map(|r| mean_at(r, CellProjection::Center).zip(mean_at(r, CellProjection::Median)));
+    let pairs: Vec<(f64, f64)> = pairs.collect();
+    let median_wins = pairs
         .iter()
-        .filter(|row| r_t(&row.method).0 == 9)
-        .map(|row| mean(&row.errors))
-        .collect();
-    let lo = r9.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = r9.iter().copied().fold(0.0f64, f64::max);
-    let repro = if r9.is_empty() {
-        "Sweep incomplete.".to_string()
+        .filter(|(center, median)| median <= center)
+        .count();
+    Ok(Some(match most_accurate(rows) {
+        Some(best) => format!(
+            "Median projection beats center at {median_wins}/{} resolutions (mean DTW); \
+             best mean DTW {} m at r={}, p={}",
+            pairs.len(),
+            fmt_m(mean(&best.errors)),
+            R.1.cell(best),
+            P.1.cell(best)
+        ),
+        None => "No configuration imputed any gap".to_string(),
+    }))
+}
+
+fn fig4(_: &str, rows: &[Row], _: &mut ReportSection) -> Result<Option<String>> {
+    let r9 = rows.iter().filter(|row| habit(row).resolution == 9);
+    let r9: Vec<f64> = r9.map(|row| mean(&row.errors)).collect();
+    let lo = fmt_m(r9.iter().copied().fold(f64::INFINITY, f64::min));
+    let hi = fmt_m(r9.iter().copied().fold(0.0f64, f64::max));
+    Ok(Some(if r9.is_empty() {
+        "Sweep incomplete".to_string()
     } else {
+        format!("Mean DTW at r=9 spans only {lo}–{hi} m across t=0..1000 — flat in t")
+    }))
+}
+
+fn fig5(name: &str, rows: &[Row], _: &mut ReportSection) -> Result<Option<String>> {
+    let sli = rows.iter().find(|r| r.method == Method::Sli);
+    Ok(most_accurate(rows).zip(sli).map(|(best, sli)| {
         format!(
-            "Mean DTW at r=9 spans only {}–{} m across t=0..1000 — flat in t.",
-            fmt_m(lo),
-            fmt_m(hi)
+            "{name}: best {} at {} m mean DTW (SLI {} m)",
+            best.method.label(),
+            fmt_m(mean(&best.errors)),
+            fmt_m(mean(&sli.errors))
         )
-    };
-    let header = ["r", "t", "Mean DTW (m)", "Median DTW (m)"];
-    one_table("fig4", repro, header, cells)
+    }))
 }
 
-fn fig5(g: &Grid) -> Built {
-    per_dataset(g, ".", |d, name| {
-        let total = g.cases(d, HOUR).len();
-        let rows = g.rows(d, &fig5_methods(), HOUR);
-        // A failure is a case with no DTW score.
-        let cells = rows.iter().map(|r| {
-            let [mean, median] = dtw_cells(&r.errors);
-            let failures = total - r.errors.len();
-            vec![
-                r.method.label(),
-                mean,
-                median,
-                failures.to_string(),
-                total.to_string(),
-            ]
-        });
-        let header = [
-            "Method",
-            "Mean DTW (m)",
-            "Median DTW (m)",
-            "Failures",
-            "Gaps",
-        ];
-        let sli = rows.iter().find(|r| r.method == Method::Sli);
-        let clause = most_accurate(&rows).zip(sli).map(|(best, sli)| {
-            format!(
-                "{name}: best {} at {} m mean DTW (SLI {} m)",
-                best.method.label(),
-                fmt_m(mean(&best.errors)),
-                fmt_m(mean(&sli.errors))
-            )
-        });
-        Ok((
-            ReportSection::titled(name, MarkdownTable::from_parts("fig5", header, cells)?),
-            clause,
-        ))
-    })
-}
-
-fn fig6(g: &Grid) -> Built {
-    let cases = g.cases(Kiel, HOUR);
+fn fig6(g: &Grid, e: &Experiment) -> Built {
+    let (d, gaps) = (e.datasets[0], e.gaps[0]);
+    let cases = g.cases(d, gaps);
     // Spread the examples evenly across the case list: test trips come
     // out of the stratified split grouped by course bucket, so a plain
     // head-of-list prefix would illustrate only one travel direction.
     let n = cases.len().min(3);
-    let rows = g.rows(Kiel, &fig6_methods(), HOUR);
+    let rows = g.rows(d, &(e.methods)(), gaps);
     let labels: Vec<String> = rows.iter().map(|r| r.method.label()).collect();
     let (mut sections, mut with_all_methods) = (Vec::new(), 0usize);
     for (i, k) in (0..n).map(|i| (i, i * cases.len() / n)) {
@@ -744,103 +829,32 @@ fn fig6(g: &Grid) -> Built {
     Ok((repro, sections))
 }
 
-fn fig7(g: &Grid) -> Built {
-    per_dataset(g, ".", |d, name| {
-        let (mut cells, mut medians) = (Vec::new(), Vec::new());
-        for m in fig5_habit() {
-            let (r, t) = r_t(&m);
-            for hours in FIG7_HOURS {
-                let Some(row) = g.row(d, &m, fig7_gaps(hours)) else {
-                    continue;
-                };
-                let e = &row.errors;
-                let max = e.iter().copied().fold(0.0, f64::max);
-                let [p25, p75] = [25.0, 75.0].map(|p| fmt_m(percentile(e, p)));
-                let (config, gap_h) = (format!("{r}|{t:.0}"), hours.to_string());
-                cells.push(vec![
-                    config,
-                    gap_h,
-                    fmt_m(median(e)),
-                    p25,
-                    p75,
-                    fmt_m(max),
-                    e.len().to_string(),
-                ]);
-                medians.push((hours, median(e)));
-            }
-        }
-        let med_at = |hours| {
-            let at: Vec<f64> = medians
-                .iter()
-                .filter(|m| m.0 == hours)
-                .map(|m| m.1)
-                .collect();
-            fmt_m(median(&at))
-        };
-        let clause = format!(
-            "{name}: median DTW (across configs) {} m at 1 h → {} m at 4 h",
-            med_at(1),
-            med_at(4)
-        );
-        let header = [
-            "Config (r|t)",
-            "Gap (h)",
-            "Median (m)",
-            "P25 (m)",
-            "P75 (m)",
-            "Max (m)",
-            "Imputed",
-        ];
-        Ok((
-            ReportSection::titled(name, MarkdownTable::from_parts("fig7", header, cells)?),
-            Some(clause),
+fn fig7(name: &str, rows: &[Row], _: &mut ReportSection) -> Result<Option<String>> {
+    let med_at = |h: i64| {
+        let at = rows.iter().filter(|row| hours(row) == h);
+        fmt_m(median(
+            &at.map(|row| median(&row.errors)).collect::<Vec<_>>(),
         ))
-    })
+    };
+    let (one, four) = (med_at(1), med_at(4));
+    Ok(Some(format!(
+        "{name}: median DTW (across configs) {one} m at 1 h → {four} m at 4 h"
+    )))
 }
 
-fn ablation_weights(g: &Grid) -> Built {
-    per_dataset(g, ".", |d, name| {
-        let (mut cells, mut best) = (Vec::new(), None::<(&str, f64)>);
-        for (scheme, label) in WEIGHT_SCHEMES {
-            let Some(row) = g.row(d, &weighted(scheme), HOUR) else {
-                continue;
-            };
-            let (m, (avg, max)) = (mean(&row.errors), row.latency());
-            if best.is_none_or(|(_, b)| m < b) {
-                best = Some((label, m));
-            }
-            let [mean, median] = dtw_cells(&row.errors);
-            cells.push(vec![
-                label.to_string(),
-                mean,
-                median,
-                fmt_s(avg),
-                fmt_s(max),
-            ]);
-        }
-        let clause = best
-            .map(|(label, m)| format!("{name}: best scheme {label} at {} m mean DTW", fmt_m(m)));
-        let header = [
-            "Weight scheme",
-            "Mean DTW (m)",
-            "Median DTW (m)",
-            "Avg lat (s)",
-            "Max lat (s)",
-        ];
-        Ok((
-            ReportSection::titled(
-                name,
-                MarkdownTable::from_parts("ablation_weights", header, cells)?,
-            ),
-            clause,
-        ))
-    })
+fn ablation_weights(name: &str, rows: &[Row], _: &mut ReportSection) -> Result<Option<String>> {
+    Ok(most_accurate(rows).map(|row| {
+        let (label, m) = (SCHEME.1.cell(row), mean(&row.errors));
+        format!("{name}: best scheme {label} at {} m mean DTW", fmt_m(m))
+    }))
 }
 
-fn ablation_medians(_: &Grid) -> Built {
+fn ablation_medians(_: &Grid, _: &Experiment) -> Built {
     // Medians: exact quickselect vs the P² streaming estimator on a
-    // heavy-tailed sample from a fixed xorshift stream.
-    let mut table = MarkdownTable::new(vec!["n", "exact", "p2", "abs err", "exact us", "p2 us"]);
+    // heavy-tailed sample from a fixed xorshift stream. The timings are
+    // measurements, kept in their own table.
+    let mut table = MarkdownTable::new(vec!["n", "exact", "p2", "abs err"]);
+    let mut timed = MarkdownTable::new(vec!["n", "exact us", "p2 us"]);
     let mut state = 0x9E3779B97F4A7C15u64;
     let mut next = move || {
         state ^= state << 13;
@@ -870,19 +884,13 @@ fn ablation_medians(_: &Grid) -> Built {
             format!("{exact:.2}"),
             format!("{approx:.2}"),
             format!("{:.2}", (approx - exact).abs()),
-            exact_us.to_string(),
-            p2_us.to_string(),
         ])?;
+        timed.row(vec![n.to_string(), exact_us.to_string(), p2_us.to_string()])?;
     }
 
     // HLL precision sweep.
-    let mut hll_table = MarkdownTable::new(vec![
-        "precision",
-        "registers",
-        "bytes",
-        "estimate",
-        "rel err %",
-    ]);
+    let header = vec!["precision", "registers", "bytes", "estimate", "rel err %"];
+    let mut hll_table = MarkdownTable::new(header);
     let n = 50_000u64;
     let mut err_p12 = 0.0f64;
     for p in [8u8, 10, 12, 14, 16] {
@@ -908,8 +916,13 @@ fn ablation_medians(_: &Grid) -> Built {
         "Worst P² absolute error {worst_err:.2} across n=100..100k; HLL relative error \
          {err_p12:.2}% at precision 12 (n=50k distinct)."
     );
+    let mut medians = ReportSection::titled("Exact median vs P² streaming estimator", table);
+    medians.measured = Some(Measured {
+        notes: Vec::new(),
+        table: timed,
+    });
     let sections = vec![
-        ReportSection::titled("Exact median vs P² streaming estimator", table),
+        medians,
         ReportSection::titled(
             "HyperLogLog precision vs error (n = 50,000 distinct)",
             hll_table,
@@ -918,118 +931,91 @@ fn ablation_medians(_: &Grid) -> Built {
     Ok((repro, sections))
 }
 
-fn ablation_palmto(g: &Grid) -> Built {
-    per_dataset(g, "; HABIT answered with no timeouts.", |d, name| {
-        let habit = required(g, "ablation_palmto", d, Method::habit(10, 100.0), "HABIT")?;
-        let palmto = required(g, "ablation_palmto", d, palmto(), "PaLMTO")?;
-        let failed_by = |e: PalmtoError| {
-            let failed = palmto.outcomes.iter().map(|o| o.path.as_ref().err());
-            failed.filter(|m| *m == Some(&e.to_string())).count()
-        };
-        let timeout = failed_by(PalmtoError::Timeout);
-        let (dead_end, step_limit) = (
-            failed_by(PalmtoError::DeadEnd),
-            failed_by(PalmtoError::StepLimit),
-        );
-        let (failed, cases) = (timeout + dead_end + step_limit, palmto.outcomes.len());
-        let [habit_mean, habit_median] = dtw_cells(&habit.errors);
-        let [mean, median] = dtw_cells(&palmto.errors);
-        let rows = [
-            [
-                "HABIT r=10,t=100".into(),
-                fmt_mb(habit.fit.storage_bytes),
-                habit.errors.len().to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                habit_mean,
-                habit_median,
-            ],
-            [
-                "PaLMTO n=3,r=10".into(),
-                fmt_mb(palmto.fit.storage_bytes),
-                palmto.paths().count().to_string(),
-                timeout.to_string(),
-                dead_end.to_string(),
-                step_limit.to_string(),
-                mean,
-                median,
-            ],
-        ];
-        let header = [
-            "Method",
-            "Model (MB)",
-            "Imputed",
-            "Timeout",
-            "DeadEnd",
-            "StepLimit",
-            "Mean DTW (m)",
-            "Median DTW (m)",
-        ];
-        let table = MarkdownTable::from_parts("ablation_palmto", header, rows.map(Vec::from))?;
-        let mut section = ReportSection::titled(format!("{name} ({cases} gaps)"), table);
-        section.notes.push(format!(
-            "PaLMTO failed {failed}/{cases} queries ({timeout} by timeout) — the behaviour that \
-             excluded it from the paper's reported results."
-        ));
-        Ok((
-            section,
-            Some(format!("{name}: PaLMTO failed {failed}/{cases} queries")),
-        ))
-    })
+/// How many of a PaLMTO row's cases failed with `kind`; `None` for
+/// another method.
+fn failures(row: &Row, kind: &PalmtoError) -> Option<usize> {
+    let kind = Some(kind.to_string());
+    let failed = row
+        .outcomes
+        .iter()
+        .filter(|o| o.path.as_ref().err() == kind.as_ref());
+    matches!(row.method, Method::Palmto(_)).then(|| failed.count())
 }
 
-fn ablation_fleet(g: &Grid) -> Built {
-    let global = required(g, "ablation_fleet", Sar, Method::habit(9, 100.0), "global")?;
-    let fleet = required(g, "ablation_fleet", Sar, by_type(), "fleet")?;
+/// The PaLMTO failure kinds, in column order.
+const KINDS: [PalmtoError; 3] = [
+    PalmtoError::Timeout,
+    PalmtoError::DeadEnd,
+    PalmtoError::StepLimit,
+];
+
+/// A failure kind's cell: `-` for a method that has no such failure.
+fn kind_cell(row: &Row, kind: usize) -> String {
+    failures(row, &KINDS[kind]).map_or("-".into(), |n| n.to_string())
+}
+
+fn ablation_palmto(g: &Grid, e: &Experiment) -> Built {
+    let columns = [
+        Column::METHOD,
+        Column("Model (MB)", Agg::ModelMb),
+        Column("Imputed", Agg::Scored),
+        key("Timeout", |row| kind_cell(row, 0)),
+        key("DeadEnd", |row| kind_cell(row, 1)),
+        key("StepLimit", |row| kind_cell(row, 2)),
+        Column::MEAN_DTW,
+        Column::MEDIAN_DTW,
+    ];
+    let (mut sections, mut clauses) = (Vec::new(), Vec::new());
+    for &d in e.datasets {
+        let (name, rows) = (&g.bench(d).name, g.rows(d, &(e.methods)(), e.gaps[0]));
+        let [_, palmto] = &rows[..] else {
+            return Err(ReportError::experiment(
+                e.id,
+                "the HABIT or the PaLMTO fit failed",
+            ));
+        };
+        let table = table(&rows, &columns).with_context(e.id);
+        let counts = KINDS.map(|k| failures(palmto, &k).expect("the PaLMTO row"));
+        let (failed, timeout) = (counts.iter().sum::<usize>(), counts[0]);
+        let cases = palmto.outcomes.len();
+        let note = format!(
+            "PaLMTO failed {failed}/{cases} queries ({timeout} by timeout) — the behaviour that \
+             excluded it from the paper's reported results."
+        );
+        let mut section = ReportSection::titled(format!("{name} ({cases} gaps)"), table);
+        section.notes.push(note);
+        sections.push(section);
+        clauses.push(format!("{name}: PaLMTO failed {failed}/{cases} queries"));
+    }
+    let repro = format!("{}; HABIT answered with no timeouts.", clauses.join("; "));
+    Ok((repro, sections))
+}
+
+fn ablation_fleet(_: &str, rows: &[Row], section: &mut ReportSection) -> Result<Option<String>> {
+    let [global, fleet] = rows else {
+        let failed = "the global or the fleet fit failed";
+        return Err(ReportError::experiment("ablation_fleet", failed));
+    };
     let cases = global.outcomes.len();
     let class_served = fleet.outcomes.iter().filter(|o| o.by_type).count();
-    let rows = [("Global (paper)", &global), ("Fleet (per-type)", &fleet)].map(|(label, r)| {
-        let [mean, median] = dtw_cells(&r.errors);
-        let imputed = format!("{}/{cases}", r.errors.len());
-        vec![
-            label.into(),
-            mean,
-            median,
-            imputed,
-            fmt_mb(r.fit.storage_bytes),
-        ]
-    });
-    let header = [
-        "Model",
-        "Mean DTW (m)",
-        "Median DTW (m)",
-        "Imputed",
-        "Storage (MB)",
-    ];
-    let mut section =
-        ReportSection::table(MarkdownTable::from_parts("ablation_fleet", header, rows)?);
     section.notes.push(format!(
         "Dedicated class models: {:?}. {class_served}/{cases} gaps answered by a dedicated class \
          model.",
         fleet.fit.modeled_types
     ));
-    let repro = format!(
+    Ok(Some(format!(
         "Fleet mean DTW {} m vs global {} m; {class_served}/{cases} gaps served by class models; \
-         storage {} vs {} MB.",
+         storage {} vs {} MB",
         fmt_m(mean(&fleet.errors)),
         fmt_m(mean(&global.errors)),
         fmt_mb(fleet.fit.storage_bytes),
         fmt_mb(global.fit.storage_bytes),
-    );
-    Ok((repro, vec![section]))
+    )))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every report field but the provenance's measurements.
-    fn answers(mut report: ExperimentReport) -> ExperimentReport {
-        report.provenance.wall_clock_s = 0.0;
-        report.provenance.peak_rss_bytes = 0;
-        report
-    }
 
     fn run_ids(ids: &[&str]) -> (Vec<ExperimentReport>, Grid) {
         let selected: Vec<&Experiment> = ids.iter().map(|id| experiment(id).unwrap()).collect();
@@ -1042,8 +1028,8 @@ mod tests {
         let report = &reports[0];
         assert_eq!(report.id, "table1");
         assert_eq!(report.sections.len(), 1);
-        assert_eq!(report.sections[0].table.as_ref().unwrap().len(), 3);
-        assert!(report.provenance.wall_clock_s > 0.0);
+        assert_eq!(report.sections[0].table.as_ref().unwrap().rows().len(), 3);
+        assert!(report.measurement.wall_clock_s > 0.0);
         let scale = report.params.last().unwrap();
         assert_eq!((scale.0.as_str(), scale.1.as_str()), ("scale", "0.05"));
         let back = ExperimentReport::from_json(&report.to_json()).expect("parse");
@@ -1065,8 +1051,7 @@ mod tests {
         assert_eq!(grid.fits(), 10);
         for report in together {
             let (alone, _) = run_ids(&[report.id.as_str()]);
-            let alone = alone.into_iter().next().unwrap();
-            assert_eq!(answers(report), answers(alone));
+            assert_eq!(report.answers(), alone[0].answers());
         }
     }
 

@@ -7,7 +7,8 @@
 //! checked-in JSON reproduces the committed file byte-identically —
 //! the same check CI runs via `all_experiments --render-only`.
 
-use eval::report::{render_experiments_md, ExperimentReport};
+use eval::report::ExperimentReport;
+use habit_bench::docs::render_experiments_md;
 use habit_bench::reports::{self, EXPERIMENTS};
 use std::path::{Path, PathBuf};
 
@@ -26,30 +27,49 @@ fn committed_reports() -> Vec<ExperimentReport> {
 
 #[test]
 fn committed_baselines_cover_every_experiment() {
-    let reports = committed_reports();
-    assert_eq!(reports.len(), EXPERIMENTS.len());
-    for (report, id) in reports.iter().zip(EXPERIMENTS.map(|e| e.id)) {
-        assert_eq!(report.id, id, "file stem and embedded id must agree");
-        assert!(!report.paper_ref.is_empty(), "{id}: paper_ref");
-        assert!(!report.paper_expected.is_empty(), "{id}: paper_expected");
-        assert!(!report.reproduction.is_empty(), "{id}: reproduction");
-        assert!(!report.sections.is_empty(), "{id}: sections");
-        assert!(
-            report.provenance.wall_clock_s > 0.0,
-            "{id}: wall clock provenance"
+    // `reports/` holds the full-scale baselines, `reports/smoke/` the
+    // scale-0.05 ones that `tests/smoke_gate.rs` regenerates.
+    for dir in ["reports", "reports/smoke"] {
+        let dir = repo_root().join(dir);
+        let reports =
+            habit_bench::load_reports(&dir).unwrap_or_else(|e| panic!("committed baseline: {e}"));
+        assert_eq!(reports.len(), EXPERIMENTS.len());
+        for (report, id) in reports.iter().zip(EXPERIMENTS.map(|e| e.id)) {
+            assert_eq!(report.id, id, "file stem and embedded id must agree");
+            assert!(!report.paper_ref.is_empty(), "{id}: paper_ref");
+            assert!(!report.paper_expected.is_empty(), "{id}: paper_expected");
+            assert!(!report.reproduction.is_empty(), "{id}: reproduction");
+            assert!(!report.sections.is_empty(), "{id}: sections");
+            assert!(
+                report.measurement.wall_clock_s > 0.0,
+                "{id}: wall clock measurement"
+            );
+        }
+        // The directory holds exactly the registry (`reports/` also the
+        // code-size report of `tests/code_size.rs`, and `smoke/`):
+        // `--render-only` reads by id, so an orphaned file or directory
+        // would otherwise sit there unnoticed.
+        let mut expected: Vec<String> = EXPERIMENTS
+            .iter()
+            .map(|e| format!("{}.json", e.id))
+            .collect();
+        if dir.ends_with("reports") {
+            expected.extend(["code_size.json".to_string(), "smoke/".to_string()]);
+        }
+        expected.sort();
+        let found = listing(&dir);
+        assert_eq!(
+            found,
+            expected,
+            "{} must hold exactly the registry",
+            dir.display()
         );
     }
-    // The directory holds exactly the registry plus the code-size
-    // report (`tests/code_size.rs`):
-    // `--render-only` reads by id, so an orphaned file or directory
-    // would otherwise sit there unnoticed.
-    let mut expected: Vec<String> = EXPERIMENTS
-        .iter()
-        .map(|e| format!("{}.json", e.id))
-        .chain(["code_size.json".to_string()])
-        .collect();
-    expected.sort();
-    let mut found: Vec<String> = std::fs::read_dir(repo_root().join("reports"))
+}
+
+/// The sorted names in `dir`, a directory's with a trailing `/`.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut found: Vec<String> = std::fs::read_dir(dir)
         .expect("reports/ lists")
         .map(|entry| {
             let entry = entry.expect("reports/ entry");
@@ -63,7 +83,7 @@ fn committed_baselines_cover_every_experiment() {
         })
         .collect();
     found.sort();
-    assert_eq!(found, expected, "reports/ must hold exactly the registry");
+    found
 }
 
 #[test]
@@ -98,8 +118,7 @@ fn committed_json_round_trips_to_identical_markdown() {
 #[test]
 fn experiments_md_regenerates_byte_identical() {
     let reports = committed_reports();
-    let refs: Vec<&ExperimentReport> = reports.iter().collect();
-    let regenerated = render_experiments_md(&refs);
+    let regenerated = render_experiments_md(&reports);
     let committed_path = repo_root().join("EXPERIMENTS.md");
     let committed = std::fs::read_to_string(&committed_path)
         .unwrap_or_else(|e| panic!("missing {}: {e}", committed_path.display()));

@@ -7,7 +7,7 @@
 
 use crate::args::Args;
 use crate::commands::synth_cmd::dataset_id;
-use eval::experiments::{cells, Cell, Gaps, Grid};
+use eval::experiments::{cells, table, Cell, Column, Gaps, Grid};
 use eval::Method;
 use habit_service::{ErrorCode, ServiceError};
 
@@ -60,7 +60,8 @@ pub fn run(args: &Args) -> Result<(), ServiceError> {
         let fit = grid.fit(dataset, habit);
         fit.map_err(|e| ServiceError::new(ErrorCode::EmptyModel, e))?;
     }
-    println!("{}", grid.method_table(dataset, &methods, gaps)?.render());
+    let rows = grid.rows(dataset, &methods, gaps);
+    println!("{}", table(&rows, &Column::COMPARISON).render());
     Ok(())
 }
 

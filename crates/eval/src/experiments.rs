@@ -8,11 +8,15 @@
 //! [`Outcome`]s, never the models, so every report is a pure function of
 //! it. Every random stream (dataset, split, gap placement) is seeded per
 //! call, so the order of evaluation cannot move an answer.
+//!
+//! Every per-method table is rendered by [`table`]: a row per fitted
+//! [`Row`], one cell per [`Column`], each a label or an [`Agg`]regate of
+//! the row with its one formatter.
 
 use crate::dtw::resampled_dtw_m;
 use crate::gaps::{inject_gaps, GapCase};
 use crate::methods::{Imputer, Method, MethodOutput};
-use crate::report::{fmt_m, fmt_mb, fmt_s, mean, median, MarkdownTable, ReportError};
+use crate::report::{fmt_m, fmt_mb, fmt_s, mean, median, percentile, MarkdownTable};
 use crate::split::split_trips;
 use ais::{Trip, VesselType};
 use geo_kernel::GeoPoint;
@@ -78,12 +82,6 @@ impl Bench {
             train,
             test,
         }
-    }
-
-    /// Injects one gap of `duration_s` into every eligible test trip.
-    pub fn gap_cases(&self, duration_s: i64, seed: u64) -> Vec<GapCase> {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6A70);
-        inject_gaps(&self.test, duration_s, &mut rng)
     }
 }
 
@@ -156,6 +154,8 @@ pub struct Outcome {
 pub struct Row<'g> {
     /// The method.
     pub method: Method,
+    /// The gap set.
+    pub gaps: Gaps,
     /// Its fit.
     pub fit: &'g Fit,
     /// One outcome per gap case, in case order.
@@ -237,8 +237,9 @@ impl Grid {
             }
             for gaps in &gap_sets {
                 if !self.cases.iter().any(|(id, g, _)| *id == d && g == gaps) {
-                    let seed = self.seed + gaps.seed_offset;
-                    let cases = self.bench(d).gap_cases(gaps.duration_s, seed);
+                    // One gap of the set's duration in every eligible test trip.
+                    let mut rng = StdRng::seed_from_u64((self.seed + gaps.seed_offset) ^ 0x6A70);
+                    let cases = inject_gaps(&self.bench(d).test, gaps.duration_s, &mut rng);
                     self.cases.push((d, *gaps, cases));
                 }
             }
@@ -310,6 +311,7 @@ impl Grid {
         let outcomes = &entry.outcomes.iter().find(|(g, _)| *g == gaps)?.1;
         Some(Row {
             method: *method,
+            gaps,
             fit,
             outcomes,
             errors: outcomes.iter().filter_map(|o| o.dtw_m).collect(),
@@ -323,40 +325,125 @@ impl Grid {
             .filter_map(|m| self.row(d, m, gaps))
             .collect()
     }
+}
 
-    /// The method-comparison table of `habit eval` and the
-    /// `compare_methods` example: accuracy, failures (cases with no
-    /// path), model size and latency of each method that fitted.
-    pub fn method_table(
-        &self,
-        d: DatasetId,
-        methods: &[Method],
-        gaps: Gaps,
-    ) -> Result<MarkdownTable, ReportError> {
-        let mut table = MarkdownTable::new(vec![
-            "Method",
-            "Mean DTW (m)",
-            "Median DTW (m)",
-            "Failures",
-            "Model (MB)",
-            "Avg lat (s)",
-            "Max lat (s)",
-        ]);
-        for row in self.rows(d, methods, gaps) {
-            let (avg, max) = row.latency();
-            let failures = row.outcomes.len() - row.paths().count();
-            table.row(vec![
-                row.method.label(),
-                fmt_m(mean(&row.errors)),
-                fmt_m(median(&row.errors)),
-                failures.to_string(),
-                fmt_mb(row.fit.storage_bytes),
-                fmt_s(avg),
-                fmt_s(max),
-            ])?;
+/// A statistic of a sample of DTW errors, meters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stat {
+    /// The mean.
+    Mean,
+    /// The median.
+    Median,
+    /// The 25th percentile (nearest rank).
+    P25,
+    /// The 75th percentile (nearest rank).
+    P75,
+    /// The maximum.
+    Max,
+}
+
+impl Stat {
+    /// The statistic of `errors` (0 for an empty sample).
+    pub fn of(self, errors: &[f64]) -> f64 {
+        match self {
+            Stat::Mean => mean(errors),
+            Stat::Median => median(errors),
+            Stat::P25 => percentile(errors, 25.0),
+            Stat::P75 => percentile(errors, 75.0),
+            Stat::Max => errors.iter().copied().fold(0.0, f64::max),
         }
-        Ok(table)
     }
+
+    /// The statistic of `errors` as a table cell.
+    pub fn cell(self, errors: &[f64]) -> String {
+        fmt_m(self.of(errors))
+    }
+}
+
+/// What one column of a [`Row`]'s table shows: one of a closed set of
+/// aggregates, or a label the experiment derives from the row.
+#[derive(Clone, Copy)]
+pub enum Agg {
+    /// A row key (the method, a swept parameter), or a cell no aggregate
+    /// covers.
+    Label(fn(&Row) -> String),
+    /// A statistic of the DTW errors.
+    Dtw(Stat),
+    /// Cases with a DTW score.
+    Scored,
+    /// `scored/total` cases.
+    ScoredOfTotal,
+    /// Cases with no DTW score.
+    Failures,
+    /// Gap cases.
+    Gaps,
+    /// Serialized model size, MB.
+    ModelMb,
+    /// Average imputation latency, seconds (a measurement).
+    AvgLatency,
+    /// Maximum imputation latency, seconds (a measurement).
+    MaxLatency,
+}
+
+impl Agg {
+    /// `true` for the host-dependent timings, which a report keeps apart
+    /// from its answers.
+    pub fn is_measurement(self) -> bool {
+        matches!(self, Agg::AvgLatency | Agg::MaxLatency)
+    }
+
+    /// The aggregate of `row` as a table cell.
+    pub fn cell(self, row: &Row) -> String {
+        let (scored, total) = (row.errors.len(), row.outcomes.len());
+        match self {
+            Agg::Label(label) => label(row),
+            Agg::Dtw(stat) => stat.cell(&row.errors),
+            Agg::Scored => scored.to_string(),
+            Agg::ScoredOfTotal => format!("{scored}/{total}"),
+            Agg::Failures => (total - scored).to_string(),
+            Agg::Gaps => total.to_string(),
+            Agg::ModelMb => fmt_mb(row.fit.storage_bytes),
+            Agg::AvgLatency => fmt_s(row.latency().0),
+            Agg::MaxLatency => fmt_s(row.latency().1),
+        }
+    }
+}
+
+/// A table column: its header and what its cells show.
+#[derive(Clone, Copy)]
+pub struct Column(pub &'static str, pub Agg);
+
+impl Column {
+    /// The method's label.
+    pub const METHOD: Column = Column("Method", Agg::Label(|row| row.method.label()));
+    /// Mean DTW.
+    pub const MEAN_DTW: Column = Column("Mean DTW (m)", Agg::Dtw(Stat::Mean));
+    /// Median DTW.
+    pub const MEDIAN_DTW: Column = Column("Median DTW (m)", Agg::Dtw(Stat::Median));
+    /// Average latency.
+    pub const AVG_LAT: Column = Column("Avg lat (s)", Agg::AvgLatency);
+    /// Maximum latency.
+    pub const MAX_LAT: Column = Column("Max lat (s)", Agg::MaxLatency);
+    /// The method comparison of `habit eval` and the `compare_methods`
+    /// example: accuracy, failures, model size and latency.
+    pub const COMPARISON: [Column; 7] = [
+        Column::METHOD,
+        Column::MEAN_DTW,
+        Column::MEDIAN_DTW,
+        Column("Failures", Agg::Failures),
+        Column("Model (MB)", Agg::ModelMb),
+        Column::AVG_LAT,
+        Column::MAX_LAT,
+    ];
+}
+
+/// The table of `rows`: one cell per column.
+pub fn table(rows: &[Row], columns: &[Column]) -> MarkdownTable {
+    let header = columns.iter().map(|c| c.0);
+    let cells = rows
+        .iter()
+        .map(|row| columns.iter().map(|c| c.1.cell(row)).collect());
+    MarkdownTable::from_parts("", header, cells).expect("a cell per column")
 }
 
 /// Imputes one case, timing only the imputation call.
@@ -434,6 +521,25 @@ mod tests {
         let (avg, max) = row.latency();
         assert!(avg > 0.0 && max >= avg);
         assert_eq!(row.paths().count(), cases.len());
+    }
+
+    #[test]
+    fn table_renders_keys_then_columns() {
+        let methods = [Method::Habit(HabitConfig::default()), Method::Sli];
+        let grid = sweep(&methods);
+        let rows = grid.rows(DatasetId::Kiel, &methods, Gaps::HOUR);
+        let t = table(&rows, &Column::COMPARISON);
+        assert_eq!(
+            t.header()[..3],
+            ["Method", "Mean DTW (m)", "Median DTW (m)"]
+        );
+        assert_eq!(t.rows()[1][0], "SLI");
+        // Straight lane: every case is scored, so nothing failed.
+        assert_eq!(t.rows()[0][3], "0");
+        let errors = &rows[0].errors;
+        assert_eq!(t.rows()[0][1], fmt_m(mean(errors)));
+        let timed = Column::COMPARISON.iter().filter(|c| c.1.is_measurement());
+        assert_eq!(timed.count(), 2, "only the latencies are measurements");
     }
 
     #[test]

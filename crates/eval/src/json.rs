@@ -97,53 +97,20 @@ impl Json {
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    if pretty {
-                        out.push('\n');
-                        indent(out, depth + 1);
-                    }
-                    item.write(out, depth + 1, pretty);
-                }
-                if pretty {
-                    out.push('\n');
-                    indent(out, depth);
-                }
-                out.push(']');
+                let items = items
+                    .iter()
+                    .map(|item| move |out: &mut String| item.write(out, depth + 1, pretty));
+                write_seq(out, depth, pretty, ['[', ']'], items);
             }
             Json::Obj(entries) => {
-                if entries.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+                let entries = entries.iter().map(|(key, value)| {
+                    move |out: &mut String| {
+                        write_escaped(out, key);
+                        out.push_str(if pretty { ": " } else { ":" });
+                        value.write(out, depth + 1, pretty);
                     }
-                    if pretty {
-                        out.push('\n');
-                        indent(out, depth + 1);
-                    }
-                    write_escaped(out, key);
-                    out.push(':');
-                    if pretty {
-                        out.push(' ');
-                    }
-                    value.write(out, depth + 1, pretty);
-                }
-                if pretty {
-                    out.push('\n');
-                    indent(out, depth);
-                }
-                out.push('}');
+                });
+                write_seq(out, depth, pretty, ['{', '}'], entries);
             }
         }
     }
@@ -216,6 +183,35 @@ impl From<u64> for Json {
         debug_assert!(v <= (1u64 << 53), "{v} exceeds the f64-exact integer range");
         Json::Num(v as f64)
     }
+}
+
+/// Writes a bracketed sequence: `[]`/`{}` when empty, else the items
+/// comma-separated, one per indented line when `pretty`.
+fn write_seq<F: FnOnce(&mut String)>(
+    out: &mut String,
+    depth: usize,
+    pretty: bool,
+    [open, close]: [char; 2],
+    items: impl Iterator<Item = F>,
+) {
+    out.push(open);
+    let mut empty = true;
+    for item in items {
+        if !empty {
+            out.push(',');
+        }
+        if pretty {
+            out.push('\n');
+            indent(out, depth + 1);
+        }
+        item(out);
+        empty = false;
+    }
+    if pretty && !empty {
+        out.push('\n');
+        indent(out, depth);
+    }
+    out.push(close);
 }
 
 fn indent(out: &mut String, depth: usize) {

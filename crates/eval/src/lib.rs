@@ -17,12 +17,14 @@
 //! * [`experiments`] — the one experiment runner: experiments declare
 //!   the (dataset, method, gap set) [`experiments::Cell`]s they read,
 //!   and an [`experiments::Grid`] fits each (dataset, method) once and
-//!   keeps every case's [`experiments::Outcome`];
+//!   keeps every case's [`experiments::Outcome`]; every per-method table
+//!   is rendered by [`experiments::table`] from [`experiments::Column`]s:
+//!   row labels and a closed set of [`experiments::Agg`]regates;
 //! * [`report`] — the [`report::ExperimentReport`] model every
-//!   experiment returns: paper reference, parameters, metric tables,
-//!   wall-clock + peak-RSS provenance, with markdown *and* JSON
-//!   serializers (`EXPERIMENTS.md` and `reports/*.json` are both
-//!   generated from it);
+//!   experiment returns: paper reference, parameters, answer tables,
+//!   and the measurements (timings, the run's wall clock and peak RSS)
+//!   kept apart from them, with markdown *and* JSON serializers
+//!   (`EXPERIMENTS.md` and `reports/*.json` are both generated from it);
 //! * [`json`] — the dependency-free JSON reader/writer behind report
 //!   persistence (the workspace builds offline; there is no serde).
 //!
@@ -32,8 +34,8 @@
 //! Grid::evaluate(&cells)             outcomes per (dataset, method, case)
 //!        │ habit-bench report builder (a pure function of the grid)
 //!        ▼
-//! report::ExperimentReport           id, paper_ref, params, tables,
-//!        │                           provenance (wall clock, peak RSS)
+//! report::ExperimentReport           id, paper_ref, params, answer
+//!        │                           tables; timings kept apart
 //!        ├── to_json()      →  reports/fig3.json      (CI baseline)
 //!        └── to_markdown()  →  one EXPERIMENTS.md section
 //! ```
@@ -60,6 +62,8 @@ pub use dtw::{dtw_mean_m, resampled_dtw_m, DTW_RESAMPLE_M};
 pub use experiments::{DatasetId, Grid};
 pub use gaps::{inject_gap, GapCase};
 pub use methods::{Imputer, Method, MethodOutput};
-pub use report::{ExperimentReport, MarkdownTable, Provenance, ReportError, ReportSection};
+pub use report::{
+    ExperimentReport, MarkdownTable, Measured, Measurement, Provenance, ReportError, ReportSection,
+};
 pub use rot::{rot_stats, RotStats};
 pub use split::split_trips;

@@ -1,27 +1,35 @@
 //! Structured experiment reports and their markdown/JSON serializers.
 //!
-//! Every experiment binary assembles an [`ExperimentReport`] — the
-//! experiment id, its paper reference, the parameters it swept, one or
-//! more [`ReportSection`]s of tables and notes, and wall-clock/peak-RSS
-//! [`Provenance`] — instead of printing ad-hoc text. One report renders
-//! two ways:
+//! Every experiment assembles an [`ExperimentReport`] — the experiment
+//! id, its paper reference, the parameters it swept, one or more
+//! [`ReportSection`]s of tables and notes, its [`Provenance`] and the
+//! run's [`Measurement`] — instead of printing ad-hoc text. One report
+//! renders two ways:
 //!
 //! * [`ExperimentReport::to_markdown`] — the human-readable section
 //!   that `EXPERIMENTS.md` is concatenated from;
 //! * [`ExperimentReport::to_json`] / [`ExperimentReport::from_json`] —
 //!   the machine-readable baseline (`reports/<id>.json`) that CI diffs
-//!   against and [`render_experiments_md`] regenerates the committed
+//!   against and `habit-bench` regenerates the committed
 //!   `EXPERIMENTS.md` from, byte-identically.
 //!
 //! The JSON schema is versioned ([`REPORT_SCHEMA`]); table cells are
 //! stored as already-formatted strings so a parse → render cycle cannot
 //! drift through float formatting.
+//!
+//! Answers and measurements are kept apart. Everything a report holds is
+//! a deterministic function of the seed and scale except its
+//! measurement parts: the run-wide [`Measurement`] (host cores, wall
+//! clock, peak RSS) and each section's [`Measured`] block (latencies and
+//! other timings, keyed by the answer table's row labels).
+//! [`ExperimentReport::answers`] strips exactly those, so two runs can be
+//! compared field by field.
 
 use crate::json::{Json, JsonError};
 use std::fmt;
 
 /// Schema tag embedded in every serialized report.
-pub const REPORT_SCHEMA: &str = "habit-experiment-report/v1";
+pub const REPORT_SCHEMA: &str = "habit-experiment-report/v2";
 
 /// Errors raised while assembling or deserializing a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,17 +85,10 @@ impl fmt::Display for ReportError {
                 got,
                 row,
             } => {
-                if context.is_empty() {
-                    write!(
-                        f,
-                        "table row {row} has {got} cells but the header has {expected}"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "experiment `{context}`: row {row} has {got} cells but the header has {expected}"
-                    )
+                if !context.is_empty() {
+                    write!(f, "experiment `{context}`: ")?;
                 }
+                write!(f, "row {row} has {got} cells but the header has {expected}")
             }
             ReportError::Parse(e) => write!(f, "report {e}"),
             ReportError::Field { context, field } => {
@@ -184,16 +185,6 @@ impl MarkdownTable {
         &self.rows
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders as github-flavored markdown with padded columns.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -225,7 +216,7 @@ impl MarkdownTable {
     }
 }
 
-/// Execution provenance recorded with every report.
+/// What produced a report: the answers are a function of these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// Tool and version that produced the report.
@@ -234,22 +225,34 @@ pub struct Provenance {
     pub seed: u64,
     /// `HABIT_EVAL_SCALE` dataset scale factor.
     pub scale: f64,
-    /// Wall-clock time of the work first done for this experiment (in a
-    /// run of several, what an earlier one evaluated is not re-timed),
-    /// seconds.
+}
+
+/// The run that produced a report, measured once for the whole run and
+/// carried by every report of it: one grid serves all the experiments,
+/// so no share of the time or memory belongs to one of them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Measurement {
+    /// Cores available to the process (`available_parallelism`).
+    pub host_cores: u64,
+    /// Wall-clock time of the whole run, seconds.
     pub wall_clock_s: f64,
-    /// Process-wide peak resident set size (`VmHWM`) when the
-    /// experiment finished, bytes (0 where the platform exposes no
-    /// procfs). NOTE: a high-water mark is monotone over the process
-    /// lifetime, so in an `all_experiments` run this is the peak *up to
-    /// and including* this experiment, not an isolated per-experiment
-    /// peak; run `all_experiments <id>` for an isolated measurement.
+    /// Process peak resident set size (`VmHWM`) at the end of the run,
+    /// bytes (0 where the platform exposes no procfs).
     pub peak_rss_bytes: u64,
+}
+
+/// A section's host-dependent timings, apart from its answers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Measured {
+    /// Sentences over the timings, rendered before the table.
+    pub notes: Vec<String>,
+    /// The timings, keyed by the answer table's row labels.
+    pub table: MarkdownTable,
 }
 
 /// One titled block of a report: free-text notes followed by an
 /// optional table.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportSection {
     /// Sub-heading (empty for a report's single anonymous section).
     pub heading: String,
@@ -258,33 +261,33 @@ pub struct ReportSection {
     pub notes: Vec<String>,
     /// The section's data table, if any.
     pub table: Option<MarkdownTable>,
+    /// Timings of the table's rows, if any.
+    pub measured: Option<Measured>,
 }
 
 impl ReportSection {
     /// A heading-less section holding just a table.
     pub fn table(table: MarkdownTable) -> Self {
-        Self {
-            heading: String::new(),
-            notes: Vec::new(),
-            table: Some(table),
-        }
+        Self::titled("", table)
     }
 
     /// A titled section holding a table.
     pub fn titled<S: Into<String>>(heading: S, table: MarkdownTable) -> Self {
+        let heading = heading.into();
         Self {
-            heading: heading.into(),
-            notes: Vec::new(),
+            heading,
             table: Some(table),
+            ..Self::default()
         }
     }
 
     /// A text-only section.
     pub fn notes<S: Into<String>>(heading: S, notes: Vec<String>) -> Self {
+        let heading = heading.into();
         Self {
-            heading: heading.into(),
+            heading,
             notes,
-            table: None,
+            ..Self::default()
         }
     }
 }
@@ -310,21 +313,31 @@ pub struct ExperimentReport {
     pub params: Vec<(String, String)>,
     /// Ordered content blocks.
     pub sections: Vec<ReportSection>,
-    /// Execution provenance.
+    /// What produced the answers.
     pub provenance: Provenance,
+    /// The run that produced them.
+    pub measurement: Measurement,
 }
 
 impl ExperimentReport {
+    /// The report without its measurement parts: what two runs at the
+    /// same seed and scale must agree on.
+    pub fn answers(&self) -> Self {
+        let mut out = self.clone();
+        out.measurement = Measurement::default();
+        for section in &mut out.sections {
+            section.measured = None;
+        }
+        out
+    }
+
     /// Renders the report as one `EXPERIMENTS.md` section.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("## {}\n\n", self.title));
         out.push_str(&format!(
-            "*`{}` · paper ref: {} · wall clock {} s · process peak RSS {} MB*\n\n",
-            self.id,
-            self.paper_ref,
-            fmt_s2(self.provenance.wall_clock_s),
-            fmt_mb(self.provenance.peak_rss_bytes as usize),
+            "*`{}` · paper ref: {}*\n\n",
+            self.id, self.paper_ref
         ));
         out.push_str(&format!("**Paper expects:** {}\n\n", self.paper_expected));
         out.push_str(&format!("**Reproduction:** {}\n\n", self.reproduction));
@@ -348,6 +361,15 @@ impl ExperimentReport {
                 out.push_str(&table.render());
                 out.push('\n');
             }
+            if let Some(measured) = &section.measured {
+                out.push_str("Measured on the generating host (not an answer):\n\n");
+                for note in &measured.notes {
+                    out.push_str(note);
+                    out.push_str("\n\n");
+                }
+                out.push_str(&measured.table.render());
+                out.push('\n');
+            }
         }
         out
     }
@@ -369,19 +391,22 @@ impl ExperimentReport {
             .params
             .iter()
             .map(|(k, v)| obj(vec![("name", text(k)), ("value", text(v))]));
+        let table = |t: &MarkdownTable| {
+            let rows = t.rows().iter().map(|r| texts(r)).collect();
+            obj(vec![
+                ("header", texts(t.header())),
+                ("rows", Json::Arr(rows)),
+            ])
+        };
         let sections = self.sections.iter().map(|s| {
-            let table = s.table.as_ref().map_or(Json::Null, |t| {
-                let rows = t.rows().iter().map(|r| texts(r)).collect();
-                obj(vec![
-                    ("header", texts(t.header())),
-                    ("rows", Json::Arr(rows)),
-                ])
+            let measured = s.measured.as_ref().map_or(Json::Null, |m| {
+                obj(vec![("notes", texts(&m.notes)), ("table", table(&m.table))])
             });
-            let notes = texts(&s.notes);
             obj(vec![
                 ("heading", text(&s.heading)),
-                ("notes", notes),
-                ("table", table),
+                ("notes", texts(&s.notes)),
+                ("table", s.table.as_ref().map_or(Json::Null, table)),
+                ("measured", measured),
             ])
         });
         let p = &self.provenance;
@@ -389,8 +414,12 @@ impl ExperimentReport {
             ("generator", text(&p.generator)),
             ("seed", p.seed.into()),
             ("scale", p.scale.into()),
-            ("wall_clock_s", p.wall_clock_s.into()),
-            ("peak_rss_bytes", p.peak_rss_bytes.into()),
+        ]);
+        let m = &self.measurement;
+        let measurement = obj(vec![
+            ("host_cores", m.host_cores.into()),
+            ("wall_clock_s", m.wall_clock_s.into()),
+            ("peak_rss_bytes", m.peak_rss_bytes.into()),
         ]);
         obj(vec![
             ("schema", text(REPORT_SCHEMA)),
@@ -402,6 +431,7 @@ impl ExperimentReport {
             ("params", Json::Arr(params.collect())),
             ("sections", Json::Arr(sections.collect())),
             ("provenance", provenance),
+            ("measurement", measurement),
         ])
         .render_pretty()
     }
@@ -418,24 +448,33 @@ impl ExperimentReport {
         for p in read(&doc, id, "params", Json::as_arr)? {
             params.push((read(p, id, "name", string)?, read(p, id, "value", string)?));
         }
+        let table = |t: &Json| {
+            let header = read(t, id, "header", strings)?;
+            let rows: Vec<Vec<String>> =
+                read(t, id, "rows", |r| r.as_arr()?.iter().map(strings).collect())?;
+            MarkdownTable::from_parts(id, header, rows)
+        };
         let mut sections = Vec::new();
         for s in read(&doc, id, "sections", Json::as_arr)? {
-            let table = match s.get("table") {
-                None | Some(Json::Null) => None,
-                Some(t) => {
-                    let header = read(t, id, "header", strings)?;
-                    let rows: Vec<Vec<String>> =
-                        read(t, id, "rows", |r| r.as_arr()?.iter().map(strings).collect())?;
-                    Some(MarkdownTable::from_parts(id, header, rows)?)
-                }
+            let measured = match read(s, id, "measured", Some)? {
+                Json::Null => None,
+                m => Some(Measured {
+                    notes: read(m, id, "notes", strings)?,
+                    table: table(read(m, id, "table", Some)?)?,
+                }),
             };
             sections.push(ReportSection {
                 heading: read(s, id, "heading", string)?,
                 notes: read(s, id, "notes", strings)?,
-                table,
+                table: match read(s, id, "table", Some)? {
+                    Json::Null => None,
+                    t => Some(table(t)?),
+                },
+                measured,
             });
         }
         let prov = read(&doc, id, "provenance", Some)?;
+        let m = read(&doc, id, "measurement", Some)?;
         Ok(ExperimentReport {
             id: id.clone(),
             title: read(&doc, id, "title", string)?,
@@ -448,8 +487,11 @@ impl ExperimentReport {
                 generator: read(prov, id, "generator", string)?,
                 seed: read(prov, id, "seed", Json::as_u64)?,
                 scale: read(prov, id, "scale", Json::as_f64)?,
-                wall_clock_s: read(prov, id, "wall_clock_s", Json::as_f64)?,
-                peak_rss_bytes: read(prov, id, "peak_rss_bytes", Json::as_u64)?,
+            },
+            measurement: Measurement {
+                host_cores: read(m, id, "host_cores", Json::as_u64)?,
+                wall_clock_s: read(m, id, "wall_clock_s", Json::as_f64)?,
+                peak_rss_bytes: read(m, id, "peak_rss_bytes", Json::as_u64)?,
             },
         })
     }
@@ -479,104 +521,14 @@ fn strings(j: &Json) -> Option<Vec<String>> {
     j.as_arr()?.iter().map(string).collect()
 }
 
-/// Assembles the full `EXPERIMENTS.md` document from a set of reports
-/// (in the given order): a regeneration banner, a summary table, the
-/// paper-vs-reproduction comparison, then every report section.
-pub fn render_experiments_md(reports: &[&ExperimentReport]) -> String {
-    let mut out = String::new();
-    out.push_str("# HABIT — experiment baselines\n\n");
-    out.push_str(
-        "<!-- GENERATED FILE — do not edit by hand.\n\
-         Regenerate (re-runs every experiment on one grid, fitting each dataset × method\n\
-         once, and rewrites reports/*.json):\n\
-         \n\
-         \x20   cargo run -p habit-bench --release --bin all_experiments -- --out-dir reports/\n\
-         \n\
-         Run some experiments and print their sections, e.g. `all_experiments -- fig5`.\n\
-         \n\
-         Re-render from the committed JSON without re-running (what CI diffs):\n\
-         \n\
-         \x20   cargo run -p habit-bench --release --bin all_experiments -- --render-only --out-dir reports/\n\
-         -->\n\n",
-    );
-    if let Some(first) = reports.first() {
-        out.push_str(&format!(
-            "{} experiments · generator {} · seed {} · scale {} · total wall clock {} s\n\n",
-            reports.len(),
-            first.provenance.generator,
-            first.provenance.seed,
-            first.provenance.scale,
-            fmt_s2(reports.iter().map(|r| r.provenance.wall_clock_s).sum()),
-        ));
-        out.push_str(
-            "Datasets are the seeded synthetic analogues of the paper's AIS feeds \
-             (see PAPER.md); absolute numbers differ from the paper's real-data \
-             tables, the *shapes* the paper argues from are what each experiment \
-             verifies. Serving and fitting performance is measured by `benchmark/` \
-             (see `benchmark/README.md`, `BENCHMARK.json`) over the real binary, not \
-             here: only Tables 2 and 4 below are speed or size claims.\n\n",
-        );
-    }
-
-    out.push_str("## Summary\n\n");
-    let summary = reports.iter().map(|r| {
-        let tables = r.sections.iter().filter_map(|s| s.table.as_ref());
-        vec![
-            format!("`{}`", r.id),
-            r.paper_ref.clone(),
-            tables.map(MarkdownTable::len).sum::<usize>().to_string(),
-            fmt_s2(r.provenance.wall_clock_s),
-            fmt_mb(r.provenance.peak_rss_bytes as usize),
-        ]
-    });
-    let header = [
-        "Experiment",
-        "Paper ref",
-        "Rows",
-        "Wall clock (s)",
-        "Peak RSS so far (MB)",
-    ];
-    let summary = MarkdownTable::from_parts("", header, summary).expect("static arity");
-    out.push_str(&summary.render());
-    out.push('\n');
-
-    out.push_str("## Paper vs reproduction\n\n");
-    let comparison = reports.iter().map(|r| {
-        let id = format!("`{}`", r.id);
-        vec![id, r.paper_expected.clone(), r.reproduction.clone()]
-    });
-    let header = ["Experiment", "Paper expects", "Reproduction"];
-    let comparison = MarkdownTable::from_parts("", header, comparison).expect("static arity");
-    out.push_str(&comparison.render());
-    out.push('\n');
-
-    for r in reports {
-        out.push_str(&r.to_markdown());
-    }
-    out
-}
-
 /// Process peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`); 0 on platforms without procfs. Monotone over
-/// the process lifetime — see [`Provenance::peak_rss_bytes`].
+/// the process lifetime — see [`Measurement::peak_rss_bytes`].
 pub fn peak_rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    let kb: u64 = rest
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                    return kb * 1024;
-                }
-            }
-        }
-    }
-    0
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let hwm = status.lines().find_map(|line| line.strip_prefix("VmHWM:"));
+    let kb = hwm.and_then(|kb| kb.trim_end_matches("kB").trim().parse::<u64>().ok());
+    kb.map_or(0, |kb| kb * 1024)
 }
 
 /// Formats meters with one decimal.
@@ -642,6 +594,13 @@ mod tests {
         let mut table = MarkdownTable::new(vec!["Method", "DTW"]).with_context("sample");
         table.row(vec!["HABIT", "123.4"]).unwrap();
         table.row(vec!["SLI", "999.9"]).unwrap();
+        let mut timed = ReportSection::titled("Timed", table.clone());
+        let mut latency = MarkdownTable::new(vec!["Method", "Avg"]).with_context("sample");
+        latency.row(vec!["HABIT", "0.00012"]).unwrap();
+        timed.measured = Some(Measured {
+            notes: vec!["HABIT avg 0.00012 s".into()],
+            table: latency,
+        });
         ExperimentReport {
             id: "sample".into(),
             title: "Sample — a test report".into(),
@@ -652,11 +611,15 @@ mod tests {
             sections: vec![
                 ReportSection::table(table),
                 ReportSection::notes("Notes", vec!["free text with | pipes".into()]),
+                timed,
             ],
             provenance: Provenance {
                 generator: "habit-bench 0.1.0".into(),
                 seed: 42,
                 scale: 1.0,
+            },
+            measurement: Measurement {
+                host_cores: 2,
                 wall_clock_s: 1.5,
                 peak_rss_bytes: 2 * 1_048_576,
             },
@@ -671,8 +634,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("| Method | DTW   |"), "{s}");
         assert!(s.lines().count() == 4);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows().len(), 2);
     }
 
     #[test]
@@ -710,6 +672,20 @@ mod tests {
     }
 
     #[test]
+    fn answers_strip_only_the_measurement_parts() {
+        let report = sample_report();
+        let answers = report.answers();
+        assert_eq!(answers.measurement, Measurement::default());
+        assert!(answers.sections.iter().all(|s| s.measured.is_none()));
+        assert_eq!(answers.sections[2].table, report.sections[2].table);
+        assert_eq!(answers.reproduction, report.reproduction);
+        // The measured block renders apart from the answer table.
+        let md = report.to_markdown();
+        assert!(md.contains("not an answer"), "{md}");
+        assert!(!answers.to_markdown().contains("not an answer"));
+    }
+
+    #[test]
     fn from_json_rejects_bad_documents() {
         assert!(matches!(
             ExperimentReport::from_json("{}"),
@@ -723,10 +699,10 @@ mod tests {
         let doc = format!(
             r#"{{"schema":"{REPORT_SCHEMA}","id":"sample","title":"t","paper_ref":"p",
                 "paper_expected":"e","reproduction":"r","params":[],
-                "sections":[{{"heading":"","notes":[],
+                "sections":[{{"heading":"","notes":[],"measured":null,
                               "table":{{"header":["a","b"],"rows":[["only one"]]}}}}],
-                "provenance":{{"generator":"g","seed":1,"scale":1,
-                               "wall_clock_s":0.1,"peak_rss_bytes":0}}}}"#
+                "provenance":{{"generator":"g","seed":1,"scale":1}},
+                "measurement":{{"host_cores":1,"wall_clock_s":0.1,"peak_rss_bytes":0}}}}"#
         );
         let err = ExperimentReport::from_json(&doc).unwrap_err();
         assert!(
@@ -734,20 +710,14 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("`sample`"), "{err}");
-    }
-
-    #[test]
-    fn experiments_md_contains_comparison_and_sections() {
-        let report = sample_report();
-        let md = render_experiments_md(&[&report]);
-        assert!(md.starts_with("# HABIT — experiment baselines"));
-        assert!(md.contains("GENERATED FILE"));
-        assert!(md.contains("## Paper vs reproduction"));
-        assert!(md.contains("HABIT beats SLI"));
-        assert!(md.contains("## Sample — a test report"));
-        assert!(md.contains("### Notes"));
-        // Deterministic: same input renders the same bytes.
-        assert_eq!(md, render_experiments_md(&[&report]));
+        // Only v2 is read: a v1 document is refused by its tag.
+        let v1 = sample_report()
+            .to_json()
+            .replace(REPORT_SCHEMA, "habit-experiment-report/v1");
+        assert_eq!(
+            ExperimentReport::from_json(&v1),
+            Err(ReportError::Schema("habit-experiment-report/v1".into()))
+        );
     }
 
     #[test]

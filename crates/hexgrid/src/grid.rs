@@ -117,43 +117,6 @@ impl HexGrid {
         let ds = dq + dr;
         Ok(((dq.abs() + dr.abs() + ds.abs()) / 2) as u32)
     }
-
-    /// Parent cell at a coarser resolution: the cell whose area contains
-    /// this cell's center.
-    pub fn parent(&self, cell: HexCell, parent_res: u8) -> Result<HexCell, HexError> {
-        if parent_res > cell.resolution() {
-            return Err(HexError::ResolutionMismatch {
-                a: cell.resolution(),
-                b: parent_res,
-            });
-        }
-        self.cell(&self.center(cell), parent_res)
-    }
-
-    /// Child cells at `child_res` whose centers fall within this cell.
-    ///
-    /// For `child_res = res + 1` this returns ~7 cells (aperture 7).
-    pub fn children(&self, cell: HexCell, child_res: u8) -> Result<Vec<HexCell>, HexError> {
-        let res = cell.resolution();
-        if child_res < res || child_res > MAX_RESOLUTION {
-            return Err(HexError::InvalidResolution(child_res));
-        }
-        if child_res == res {
-            return Ok(vec![cell]);
-        }
-        // Children live within a bounded ring of the center's child cell:
-        // each level expands the candidate radius by √7 ≈ 2.65 hexes.
-        let levels = (child_res - res) as u32;
-        let radius = (7f64.powf(levels as f64 / 2.0) * 1.5).ceil() as u32;
-        let center_child = self.cell(&self.center(cell), child_res)?;
-        let mut out = Vec::new();
-        for candidate in crate::ops::disk(center_child, radius)? {
-            if self.parent(candidate, res)? == cell {
-                out.push(candidate);
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Rounds fractional axial coordinates to the nearest hex (cube rounding).
@@ -263,35 +226,6 @@ mod tests {
             .unwrap();
         let ratio = d9 as f64 / d8 as f64;
         assert!((ratio - 7f64.sqrt()).abs() < 0.35, "ratio {ratio}");
-    }
-
-    #[test]
-    fn parent_contains_child_center() {
-        let g = HexGrid::new();
-        let p = GeoPoint::new(11.5, 55.3);
-        let child = g.cell(&p, 10).unwrap();
-        let parent = g.parent(child, 9).unwrap();
-        assert_eq!(parent.resolution(), 9);
-        // The parent of the child's center cell must be itself.
-        let center_cell = g.cell(&g.center(parent), 9).unwrap();
-        assert_eq!(center_cell, parent);
-        assert!(g.parent(parent, 10).is_err(), "parent res must be coarser");
-    }
-
-    #[test]
-    fn children_count_is_about_seven() {
-        let g = HexGrid::new();
-        let cell = g.cell(&GeoPoint::new(12.6, 55.6), 8).unwrap();
-        let kids = g.children(cell, 9).unwrap();
-        assert!(
-            (5..=9).contains(&kids.len()),
-            "aperture-7 children: got {}",
-            kids.len()
-        );
-        for k in &kids {
-            assert_eq!(g.parent(*k, 8).unwrap(), cell);
-        }
-        assert_eq!(g.children(cell, 8).unwrap(), vec![cell]);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! * [`ops::neighbors`] / [`ops::disk`] — adjacency and k-rings
 //!   (`gridDisk`), used for endpoint snapping;
 //! * [`ops::grid_path`] — cells on the line between two cells
-//!   (`gridPathCells`);
-//! * parent/child traversal across resolutions (aperture 7), kept for
-//!   H3 parity: the fit shards its rows by a hash of the cell id, not by
-//!   a coarse ancestor tile, so no product code climbs the hierarchy.
+//!   (`gridPathCells`).
+//!
+//! H3's parent/child traversal is not provided: the fit shards its rows
+//! by a hash of the cell id, not by a coarse ancestor tile, so nothing
+//! climbs the hierarchy.
 //!
 //! ## Relation to real H3
 //!

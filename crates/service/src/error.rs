@@ -10,8 +10,9 @@
 use std::fmt;
 
 /// Declares [`ErrorCode`] from one table — variant, wire token, exit
-/// code and meaning per row — so that `ALL`, `as_str`, `exit_code` and
-/// the documented table cannot disagree about which codes exist.
+/// code and meaning per row — so that `ALL`, `as_str`, `exit_code`,
+/// `meaning` and the documented tables (rustdoc here, the README via
+/// `habit-bench`'s `docs.rs`) cannot disagree.
 macro_rules! error_codes {
     ($($variant:ident => $token:literal, $exit:literal, $meaning:literal;)+) => {
         /// Stable machine-readable error codes, one per failure class.
@@ -33,6 +34,13 @@ macro_rules! error_codes {
             pub fn as_str(self) -> &'static str {
                 match self {
                     $(ErrorCode::$variant => $token,)+
+                }
+            }
+
+            /// What the code means, one line (the README's error table).
+            pub fn meaning(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$variant => $meaning,)+
                 }
             }
 
@@ -172,12 +180,6 @@ impl From<eval::json::JsonError> for ServiceError {
     }
 }
 
-impl From<eval::ReportError> for ServiceError {
-    fn from(e: eval::ReportError) -> Self {
-        Self::internal(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +225,7 @@ mod tests {
 
     /// The README's error table (generated from `habit-bench`'s
     /// `docs.rs`) documents exactly the taxonomy: one
-    /// `` | `token` | exit | `` row per code, and no other rows.
+    /// `` | `token` | exit | meaning | `` row per code, and no other rows.
     #[test]
     fn readme_error_table_matches_the_taxonomy() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
@@ -233,16 +235,11 @@ mod tests {
             .skip_while(|line| !line.starts_with("| code | exit |"))
             .skip(2)
             .take_while(|line| line.starts_with('|'))
-            .map(|row| {
-                row.match_indices('|')
-                    .nth(2)
-                    .map_or(row, |(i, _)| &row[..=i])
-            })
             .collect();
         documented.sort_unstable();
         let mut expected: Vec<String> = ErrorCode::ALL
             .into_iter()
-            .map(|c| format!("| `{}` | {} |", c.as_str(), c.exit_code()))
+            .map(|c| format!("| `{}` | {} | {} |", c.as_str(), c.exit_code(), c.meaning()))
             .collect();
         expected.sort_unstable();
         assert_eq!(documented, expected, "README error table vs ErrorCode::ALL");

@@ -10,7 +10,7 @@
 //! per-method accuracy (mean/median DTW), failures, model size and
 //! query latency in a single table.
 
-use habit::eval::experiments::{cells, DatasetId, Gaps, Grid};
+use habit::eval::experiments::{cells, table, Column, DatasetId, Gaps, Grid};
 use habit::eval::Method;
 
 fn main() {
@@ -35,8 +35,8 @@ fn main() {
     for m in &methods {
         grid.fit(kiel, m).expect("every method fits KIEL");
     }
-    let table = grid.method_table(kiel, &methods, Gaps::HOUR);
-    println!("{}", table.expect("row arity matches header").render());
+    let rows = grid.rows(kiel, &methods, Gaps::HOUR);
+    println!("{}", table(&rows, &Column::COMPARISON).render());
 
     println!(
         "expected shape (paper §4.3): GTI most accurate on this confined route,\n\

@@ -12,7 +12,8 @@
 //! network, which keeps e.g. tanker imputations on deep-water lanes.
 
 use habit::core::{ServedBy, TypeModels, TypeModelsConfig};
-use habit::eval::report::{fmt_m, mean, median, MarkdownTable};
+use habit::eval::experiments::Stat::{Mean, Median};
+use habit::eval::report::MarkdownTable;
 use habit::prelude::*;
 use habit::synth::{datasets, DatasetSpec};
 use rand::rngs::StdRng;
@@ -107,10 +108,10 @@ fn main() {
             .row(vec![
                 vtype.to_string(),
                 fleet_e.len().to_string(),
-                fmt_m(mean(fleet_e)),
-                fmt_m(median(fleet_e)),
-                fmt_m(mean(global_e)),
-                fmt_m(median(global_e)),
+                Mean.cell(fleet_e),
+                Median.cell(fleet_e),
+                Mean.cell(global_e),
+                Median.cell(global_e),
             ])
             .expect("row arity matches header");
     }

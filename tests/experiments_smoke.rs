@@ -1,79 +1,21 @@
 //! Smoke tests for the experiment grid: every table/figure sweep
-//! produces well-formed outcomes on miniature datasets. (Full-scale
-//! numbers are produced by `all_experiments` and recorded in
-//! EXPERIMENTS.md.)
+//! produces well-formed outcomes on miniature datasets. The sweeps are
+//! the experiments' own (`habit_bench::reports`), so this file cannot
+//! drift from what the reports run. (Full-scale numbers are produced by
+//! `all_experiments` and recorded in EXPERIMENTS.md.)
 
 use habit::eval::experiments::{cells, Cell, DatasetId, Gaps, Grid};
 use habit::eval::report::{mean, median, percentile};
 use habit::eval::rot::{mean_rot_stats, rot_stats, RotStats};
 use habit::eval::Method;
 use habit::prelude::*;
+use habit_bench::reports::{
+    fig3_methods, fig5_habit, fig5_methods, fig7_gaps, rt_sweep, table2_methods, table4_methods,
+};
 use std::sync::OnceLock;
 use DatasetId::{Dan, Kiel, Sar};
 
 const HOUR: Gaps = Gaps::HOUR;
-
-/// Figure 3: r = 6..=10 × both projections.
-fn fig3_methods() -> Vec<Method> {
-    let mut out = Vec::new();
-    for resolution in 6..=10u8 {
-        for projection in [CellProjection::Center, CellProjection::Median] {
-            out.push(Method::Habit(HabitConfig {
-                resolution,
-                projection,
-                rdp_tolerance_m: 100.0,
-                ..HabitConfig::default()
-            }));
-        }
-    }
-    out
-}
-
-/// Table 3: r ∈ {9, 10} × t ∈ {0, 100, 250, 500, 1000}.
-fn rt_sweep() -> Vec<Method> {
-    let mut out = Vec::new();
-    for r in [9u8, 10] {
-        for t in [0.0, 100.0, 250.0, 500.0, 1000.0] {
-            out.push(Method::habit(r, t));
-        }
-    }
-    out
-}
-
-/// Figures 5 and 7: HABIT at r ∈ {9, 10} × t ∈ {100, 250}.
-fn fig5_habit() -> Vec<Method> {
-    [(9, 100.0), (9, 250.0), (10, 100.0), (10, 250.0)]
-        .map(|(r, t)| Method::habit(r, t))
-        .to_vec()
-}
-
-/// Table 4: HABIT then the GTI rd sweep.
-fn table4_methods() -> Vec<Method> {
-    let mut out = fig5_habit();
-    out.extend([1e-4, 5e-4, 1e-3].map(Method::gti));
-    out
-}
-
-/// Figure 5: Table 4's methods and SLI.
-fn fig5_methods() -> Vec<Method> {
-    let mut out = table4_methods();
-    out.push(Method::Sli);
-    out
-}
-
-/// Table 2: HABIT at r = 6..=10, then the GTI rd sweep.
-fn table2_methods() -> Vec<Method> {
-    let mut out: Vec<Method> = (6..=10).map(|r| Method::habit(r, 100.0)).collect();
-    out.extend([1e-4, 5e-4, 1e-3].map(Method::gti));
-    out
-}
-
-fn fig7_gaps(hours: u64) -> Gaps {
-    Gaps {
-        duration_s: hours as i64 * 3600,
-        seed_offset: hours,
-    }
-}
 
 /// One grid at scale 0.1 holding every cell the tests read, so each
 /// (dataset, method) pair is fitted once for the whole file.
