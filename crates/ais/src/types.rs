@@ -132,11 +132,6 @@ impl Trajectory {
         self.points.is_empty()
     }
 
-    /// Time span `(first, last)` in Unix seconds, `None` when empty.
-    pub fn time_span(&self) -> Option<(i64, i64)> {
-        Some((self.points.first()?.t, self.points.last()?.t))
-    }
-
     /// Positions only, in order.
     pub fn positions(&self) -> Vec<GeoPoint> {
         self.points.iter().map(|p| p.pos).collect()
@@ -159,7 +154,6 @@ mod tests {
         );
         let ts: Vec<i64> = t.points.iter().map(|p| p.t).collect();
         assert_eq!(ts, vec![100, 200, 300]);
-        assert_eq!(t.time_span(), Some((100, 300)));
         assert_eq!(t.len(), 3);
     }
 
@@ -184,6 +178,5 @@ mod tests {
     fn empty_trajectory() {
         let t = Trajectory::default();
         assert!(t.is_empty());
-        assert_eq!(t.time_span(), None);
     }
 }

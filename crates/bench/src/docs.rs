@@ -37,11 +37,12 @@ coordinates with a data-driven median projection and RDP simplification.
 
 The workspace builds fully offline — external dependencies (`rand`,
 `proptest`) are vendored as API-compatible stubs under `vendor/`, and
-report/GeoJSON serialization is hand-rolled (no serde).
+every JSON document — reports, the wire protocol, GeoJSON — goes
+through one hand-rolled codec, `habit-json` (no serde).
 
 ## Architecture
 
-Fifteen crates in eight layers, plus the `habit` umbrella crate
+Sixteen crates in eight layers, plus the `habit` umbrella crate
 re-exporting a prelude:
 
 ```text
@@ -55,7 +56,7 @@ re-exporting a prelude:
              ────────────────────────────────────────────────────
  serving     habit-engine (thread pool,   habit-obs (zero-dep spans,
              sharded + incremental fit    metrics registry, plaintext
-             over FitState, batched       + span-JSON renderers)
+             over FitState, batched       renderer)
              imputation with LRU cache)
              ────────────────────────────────────────────────────
  evaluation  eval (DTW, gap injection,    density (traffic density
@@ -68,7 +69,9 @@ re-exporting a prelude:
              HLL, medians, FxHash)        graph + A* search)
              ────────────────────────────────────────────────────
  kernel      geo-kernel (geodesy, DTW,    hexgrid (H3-style hexagonal
-             RDP, GeoJSON)                indexing)
+             RDP, polylines)              indexing)
+             habit-json (the one JSON codec: writers + depth-
+             bounded parser; zero deps)
              ────────────────────────────────────────────────────
  data        ais (cleaning, events,       synth (synthetic AIS worlds:
              trips, typed TripTable)      DAN / KIEL / SAR analogues)
@@ -76,7 +79,8 @@ re-exporting a prelude:
 
 | crate | role |
 |-------|------|
-| `crates/geo` (`geo-kernel`) | geodesic primitives: haversine, bearings, RDP simplification, polylines, GeoJSON writers |
+| `crates/geo` (`geo-kernel`) | geodesic primitives: haversine, bearings, RDP simplification, polylines |
+| `crates/json` (`habit-json`) | the workspace's one JSON codec, dependency-free: the `Json` value model, compact and pretty writers, a parser capped at 128 nesting levels; reports, the wire, `GET /spans` and the GeoJSON export all go through it |
 | `crates/hexgrid` | H3-style hexagonal grid: cell ids, lat/lon↔cell, neighbors, cell boundaries |
 | `crates/aggdb` | the aggregates of the paper's DuckDB CTE: `approx_count_distinct` (HyperLogLog, with its serialized record), exact `median`, and the FxHash the sketches and hash maps use |
 | `crates/mobgraph` | mobility graph: frozen CSR transition graph (one constructor, one HBG1 codec), mutable adjacency list, A* search |
@@ -84,7 +88,7 @@ re-exporting a prelude:
 | `crates/synth` | seeded synthetic AIS datasets mirroring the paper's DAN / KIEL / SAR feeds |
 | `crates/core` (`habit-core`) | the HABIT method: fit, gap imputation, per-vessel-type models, the typed window `lag`, persistable `FitState` — the paper's two group-bys as typed, mergeable accumulators (v2 model container) |
 | `crates/engine` (`habit-engine`) | parallel serving: scoped-thread chunk map, fit sharded by cell hash as `accumulate → merge → finalize` over `FitState` (byte-identical to sequential), incremental refit, batched imputation with route dedup + LRU cache |
-| `crates/obs` (`habit-obs`) | dependency-free observability substrate: monotonic span recorder, deterministic metrics registry (counters / gauges / fixed-bucket histograms), plaintext and span-JSON renderers |
+| `crates/obs` (`habit-obs`) | dependency-free observability substrate: monotonic span recorder, deterministic metrics registry (counters / gauges / fixed-bucket histograms), plaintext renderer |
 | `crates/service` (`habit-service`) | unified service facade: typed `Request`/`Response` API, whole-track repair (a track's silences answered as one batch), `ServiceError` taxonomy with stable codes, shared CSV converters over one typed, line-numbering decoder, line-JSON wire codec + TCP server |
 | `crates/baselines` | competitors: SLI straight-line, GTI point-graph, PaLMTO N-gram |
 | `crates/density` | traffic density maps and exports built on the same substrate |
@@ -528,9 +532,10 @@ mod tests {
         assert!(md.contains("benchmark/README.md"));
         assert!(md.contains("BENCHMARK.json"));
         assert!(!md.contains("cargo bench"));
-        // All 15 crates appear in the table.
+        // All 16 crates appear in the table.
         for krate in [
             "geo-kernel",
+            "habit-json",
             "hexgrid",
             "aggdb",
             "mobgraph",

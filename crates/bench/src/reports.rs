@@ -133,7 +133,7 @@ impl Experiment {
                 .iter()
                 .filter_map(|(m, gs)| g.row(d, m, *gs))
                 .collect();
-            let table = |columns| table(&rows, columns).with_context(self.id);
+            let table = |columns| table(&rows, columns);
             let mut section = ReportSection::table(table(&answers));
             let name = &g.bench(d).name;
             if self.datasets.len() > 1 {
@@ -974,7 +974,7 @@ fn ablation_palmto(g: &Grid, e: &Experiment) -> Built {
                 "the HABIT or the PaLMTO fit failed",
             ));
         };
-        let table = table(&rows, &columns).with_context(e.id);
+        let table = table(&rows, &columns);
         let counts = KINDS.map(|k| failures(palmto, &k).expect("the PaLMTO row"));
         let (failed, timeout) = (counts.iter().sum::<usize>(), counts[0]);
         let cases = palmto.outcomes.len();

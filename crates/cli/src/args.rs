@@ -119,16 +119,6 @@ impl Args {
         }
     }
 
-    /// Required typed flag.
-    pub fn require_parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, ArgError> {
-        let raw = self.require(key)?;
-        raw.parse().map_err(|_| ArgError::Invalid {
-            key: key.into(),
-            value: raw.into(),
-            expected: std::any::type_name::<T>(),
-        })
-    }
-
     /// `true` when `--key` was passed (with or without a value).
     pub fn switch(&self, key: &str) -> bool {
         self.flags.contains_key(key)
@@ -156,13 +146,10 @@ mod tests {
     #[test]
     fn typed_accessors() {
         let a = parse(&["x", "--r", "9", "--t", "100.5"]).unwrap();
-        assert_eq!(a.require_parse::<u8>("r").unwrap(), 9);
-        assert_eq!(a.require_parse::<f64>("t").unwrap(), 100.5);
+        assert_eq!(a.get_or("r", 0u8).unwrap(), 9);
+        assert_eq!(a.get_or("t", 0.0f64).unwrap(), 100.5);
         assert_eq!(a.get_or("missing", 7u32).unwrap(), 7);
-        assert!(matches!(
-            a.require_parse::<u8>("t"),
-            Err(ArgError::Invalid { .. })
-        ));
+        assert!(matches!(a.get_or("t", 0u8), Err(ArgError::Invalid { .. })));
     }
 
     #[test]
@@ -192,6 +179,6 @@ mod tests {
     fn negative_numbers_are_values_not_flags() {
         // "-3.5" does not start with "--", so it is consumed as a value.
         let a = parse(&["x", "--lon", "-3.5"]).unwrap();
-        assert_eq!(a.require_parse::<f64>("lon").unwrap(), -3.5);
+        assert_eq!(a.get("lon"), Some("-3.5"));
     }
 }

@@ -1,8 +1,8 @@
 //! Inspection output: ASCII heat maps, CSV, and GeoJSON export.
 
 use crate::map::DensityMap;
-use geo_kernel::geojson::{feature_collection, polygon_feature, PropValue};
 use geo_kernel::BBox;
+use habit_json::Json;
 use hexgrid::HexGrid;
 
 /// Log-scaled intensity shades, sparse → dense.
@@ -81,24 +81,46 @@ pub fn to_csv(map: &DensityMap) -> String {
 }
 
 /// Exports the map as a GeoJSON `FeatureCollection`: one hexagon polygon
-/// per cell with `messages`, `vessels` and `mean_sog` properties —
-/// drop the output into QGIS / kepler.gl / geojson.io to see the
-/// density surface (the paper's Fig. 1 visual).
+/// per cell with `cell`, `messages`, `vessels` and `mean_sog`
+/// properties — drop the output into QGIS / kepler.gl / geojson.io to
+/// see the density surface (the paper's Fig. 1 visual). `cell` is the
+/// id as a `"0x…"` hex string, the wire's form: a packed id exceeds
+/// JSON's exact-integer range.
 pub fn to_geojson(map: &DensityMap) -> String {
+    let obj = |fields: Vec<(&str, Json)>| {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    };
+    // Degrees at 6 decimals (~0.1 m), the export's precision.
+    let degrees = |v: f64| Json::Num(format!("{v:.6}").parse().expect("a formatted f64"));
     let grid = HexGrid::new();
     let mut cells: Vec<_> = map.iter().collect();
     cells.sort_by_key(|(c, _)| c.raw());
-    feature_collection(cells.into_iter().map(|(cell, d)| {
-        polygon_feature(
-            &grid.boundary(cell),
-            &[
-                ("cell", PropValue::Int(cell.raw() as i64)),
-                ("messages", PropValue::Int(d.messages as i64)),
-                ("vessels", PropValue::Int(d.vessels() as i64)),
-                ("mean_sog", PropValue::Num(d.mean_sog())),
-            ],
-        )
-    }))
+    let features = cells.into_iter().map(|(cell, d)| {
+        let boundary = grid.boundary(cell);
+        // A GeoJSON ring is closed: it repeats its first vertex.
+        let ring = boundary.iter().chain(&boundary[..1]);
+        let ring = ring.map(|p| Json::Arr(vec![degrees(p.lon), degrees(p.lat)]));
+        let geometry = obj(vec![
+            ("type", "Polygon".into()),
+            ("coordinates", Json::Arr(vec![Json::Arr(ring.collect())])),
+        ]);
+        let properties = obj(vec![
+            ("cell", format!("{:#x}", cell.raw()).into()),
+            ("messages", d.messages.into()),
+            ("vessels", d.vessels().into()),
+            ("mean_sog", d.mean_sog().into()),
+        ]);
+        obj(vec![
+            ("type", "Feature".into()),
+            ("geometry", geometry),
+            ("properties", properties),
+        ])
+    });
+    obj(vec![
+        ("type", "FeatureCollection".into()),
+        ("features", Json::Arr(features.collect())),
+    ])
+    .render_compact()
 }
 
 #[cfg(test)]
@@ -149,9 +171,40 @@ mod tests {
         // The hotspot cell's count appears verbatim as a property.
         let hottest = format!("\"messages\":{}", map.max_messages());
         assert!(doc.contains(&hottest), "missing {hottest}");
-        // Balanced braces (rough well-formedness).
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(to_geojson(&DensityMap::new(8)).contains("\"features\":[]"));
+        assert_eq!(
+            to_geojson(&DensityMap::new(8)),
+            "{\"type\":\"FeatureCollection\",\"features\":[]}"
+        );
+    }
+
+    #[test]
+    fn geojson_rings_close_and_cells_are_the_csv_cells_in_hex() {
+        let map = sample_map();
+        let doc = Json::parse(&to_geojson(&map)).expect("valid JSON");
+        let features = doc.get("features").and_then(Json::as_arr).unwrap();
+        let mut cells = Vec::new();
+        for feature in features {
+            let coordinates = feature.get("geometry").and_then(|g| g.get("coordinates"));
+            let [ring] = coordinates.and_then(Json::as_arr).unwrap() else {
+                panic!("one exterior ring");
+            };
+            let ring = ring.as_arr().unwrap();
+            assert_eq!(ring.len(), 7, "six vertices and the closing one");
+            assert_eq!(ring.first(), ring.last(), "the ring is closed");
+            let cell = feature.get("properties").and_then(|p| p.get("cell"));
+            cells.push(cell.and_then(Json::as_str).unwrap().to_string());
+        }
+        let csv = to_csv(&map);
+        let csv_cells: Vec<String> = csv
+            .lines()
+            .skip(1)
+            .map(|row| {
+                let raw: u64 = row.split(',').next().unwrap().parse().unwrap();
+                format!("{raw:#x}")
+            })
+            .collect();
+        assert_eq!(cells, csv_cells);
+        assert!(cells.iter().all(|c| c.starts_with("0x")));
     }
 
     #[test]

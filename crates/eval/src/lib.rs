@@ -25,8 +25,9 @@
 //!   and the measurements (timings, the run's wall clock and peak RSS)
 //!   kept apart from them, with markdown *and* JSON serializers
 //!   (`EXPERIMENTS.md` and `reports/*.json` are both generated from it);
-//! * [`json`] — the dependency-free JSON reader/writer behind report
-//!   persistence (the workspace builds offline; there is no serde).
+//! * [`json`] — `habit-json`, the workspace's one dependency-free JSON
+//!   reader/writer, re-exported; report persistence goes through it
+//!   (the workspace builds offline; there is no serde).
 //!
 //! ## Report lifecycle
 //!
@@ -52,11 +53,13 @@
 pub mod dtw;
 pub mod experiments;
 pub mod gaps;
-pub mod json;
 pub mod methods;
 pub mod report;
 pub mod rot;
 pub mod split;
+
+/// The workspace JSON codec, kept at this path for `benchmark/`.
+pub use habit_json as json;
 
 pub use dtw::{dtw_mean_m, resampled_dtw_m, DTW_RESAMPLE_M};
 pub use experiments::{DatasetId, Grid};

@@ -26,7 +26,6 @@
 pub mod angle;
 pub mod bbox;
 pub mod distance;
-pub mod geojson;
 pub mod point;
 pub mod polygon;
 pub mod polyline;

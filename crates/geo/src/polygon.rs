@@ -126,11 +126,6 @@ impl MultiPolygon {
         Self { polys }
     }
 
-    /// An empty mask (everything is "sea").
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// The member polygons.
     pub fn polygons(&self) -> &[Polygon] {
         &self.polys
@@ -144,16 +139,6 @@ impl MultiPolygon {
     /// Segment intersection with any member polygon.
     pub fn intersects_segment(&self, a: &GeoPoint, b: &GeoPoint) -> bool {
         self.polys.iter().any(|poly| poly.intersects_segment(a, b))
-    }
-
-    /// Fraction of `path` vertices that fall on land — a cheap navigability
-    /// diagnostic for imputed paths.
-    pub fn land_fraction(&self, path: &[GeoPoint]) -> f64 {
-        if path.is_empty() {
-            return 0.0;
-        }
-        let on_land = path.iter().filter(|p| self.contains(p)).count();
-        on_land as f64 / path.len() as f64
     }
 }
 
@@ -219,14 +204,5 @@ mod tests {
         assert!(mask.contains(&GeoPoint::new(0.5, 0.5)));
         assert!(mask.contains(&GeoPoint::new(2.5, 2.5)));
         assert!(!mask.contains(&GeoPoint::new(1.5, 1.5)));
-        let path = [
-            GeoPoint::new(0.5, 0.5),
-            GeoPoint::new(1.5, 1.5),
-            GeoPoint::new(2.5, 2.5),
-        ];
-        let f = mask.land_fraction(&path);
-        assert!((f - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(MultiPolygon::empty().land_fraction(&path), 0.0);
-        assert_eq!(mask.land_fraction(&[]), 0.0);
     }
 }

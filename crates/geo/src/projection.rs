@@ -79,14 +79,6 @@ impl LocalProjection {
         let y = (p.lat - self.ref_lat).to_radians() * EARTH_RADIUS_M;
         (x, y)
     }
-
-    /// Inverse projection: local meters → degrees.
-    #[inline]
-    pub fn to_geo(&self, x: f64, y: f64) -> GeoPoint {
-        let lon = self.ref_lon + (x / (self.cos_lat * EARTH_RADIUS_M)).to_degrees();
-        let lat = self.ref_lat + (y / EARTH_RADIUS_M).to_degrees();
-        GeoPoint::new(lon, lat)
-    }
 }
 
 #[cfg(test)]
@@ -129,14 +121,11 @@ mod tests {
     }
 
     #[test]
-    fn local_projection_round_trip_and_scale() {
+    fn local_projection_scale_matches_haversine() {
         let anchor = GeoPoint::new(11.5, 55.0);
         let proj = LocalProjection::new(&anchor);
         let p = GeoPoint::new(11.6, 55.05);
         let (x, y) = proj.to_xy(&p);
-        let q = proj.to_geo(x, y);
-        assert!((p.lon - q.lon).abs() < 1e-12);
-        assert!((p.lat - q.lat).abs() < 1e-12);
         let planar = (x * x + y * y).sqrt();
         let sphere = haversine_m(&anchor, &p);
         assert!(

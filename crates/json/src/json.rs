@@ -1,8 +1,6 @@
-//! Minimal JSON reader/writer for experiment reports.
+//! The [`Json`] value model, its writers and its parser.
 //!
-//! The workspace builds offline with no serialization dependency, so
-//! report persistence is hand-rolled over a tiny [`Json`] value model:
-//! enough of RFC 8259 to round-trip [`crate::report::ExperimentReport`]
+//! Enough of RFC 8259 for every document the workspace exchanges
 //! (objects, arrays, strings with escapes, finite numbers, booleans,
 //! null). Object key order is preserved on parse and render, and
 //! numbers render through Rust's shortest-round-trip `f64` formatting,
@@ -558,5 +556,134 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Json::Num(1024.0).render_compact(), "1024");
         assert_eq!(Json::Num(0.5).render_compact(), "0.5");
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        let s = Json::from("Ferry \"Nord\"\nline\\x\t\r\u{1}\u{1f}é😀");
+        assert_eq!(
+            s.render_compact(),
+            r#""Ferry \"Nord\"\nline\\x\t\r\u0001\u001fé😀""#
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let doc = Json::Obj(vec![("bad".into(), Json::Num(n))]);
+            assert_eq!(doc.render_compact(), r#"{"bad":null}"#);
+            assert_eq!(doc.render_pretty(), "{\n  \"bad\": null\n}\n");
+        }
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Characters the escaper must get right: quotes, backslashes, every
+    /// control character, plus plain ASCII, the rest of the BMP and
+    /// the astral planes (no surrogates: those are not `char`s).
+    fn chars() -> impl Strategy<Value = char> {
+        prop_oneof![
+            Just(u32::from('"')),
+            Just(u32::from('\\')),
+            0u32..0x20,
+            0x20u32..0x7f,
+            0x80u32..0xd800,
+            0xe000u32..0x10000,
+            0x10000u32..0x110000,
+        ]
+        .prop_map(|c| char::from_u32(c).expect("a scalar value"))
+    }
+
+    fn strings() -> impl Strategy<Value = String> {
+        vec(chars(), 0..12).prop_map(String::from_iter)
+    }
+
+    /// Finite `f64`s: every bit pattern (a non-finite one becomes 0),
+    /// small integers and short decimals.
+    fn numbers() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(|bits| {
+                let n = f64::from_bits(bits);
+                if n.is_finite() {
+                    n
+                } else {
+                    0.0
+                }
+            }),
+            (-1_000_000i64..1_000_000).prop_map(|n| n as f64),
+            -1e3f64..1e3,
+        ]
+    }
+
+    fn leaves() -> BoxedStrategy<Json> {
+        prop_oneof![
+            Just(Json::Null),
+            any::<bool>().prop_map(Json::Bool),
+            numbers().prop_map(Json::Num),
+            strings().prop_map(Json::Str),
+        ]
+        .boxed()
+    }
+
+    /// Trees of at most `depth` nested arrays/objects.
+    fn trees(depth: usize) -> BoxedStrategy<Json> {
+        if depth == 0 {
+            return leaves();
+        }
+        let items = vec((strings(), trees(depth - 1)), 0..4);
+        prop_oneof![
+            leaves(),
+            (any::<bool>(), items).prop_map(|(array, items)| if array {
+                Json::Arr(items.into_iter().map(|(_, v)| v).collect())
+            } else {
+                Json::Obj(items)
+            }),
+        ]
+        .boxed()
+    }
+
+    /// Arrays and objects on the deepest path of `doc`.
+    fn depth(doc: &Json) -> usize {
+        match doc {
+            Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Json::Obj(entries) => 1 + entries.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    /// A tree of depth at most 4 wrapped in a chain of single-entry
+    /// containers. The chain stops at the cap, so a few cases in every
+    /// run nest exactly [`MAX_DEPTH`] deep.
+    fn deep_trees() -> impl Strategy<Value = Json> {
+        (
+            0..=MAX_DEPTH,
+            vec(any::<bool>(), MAX_DEPTH),
+            strings(),
+            trees(4),
+        )
+            .prop_map(|(levels, kinds, key, mut doc)| {
+                let levels = levels.min(MAX_DEPTH - depth(&doc));
+                for &array in &kinds[..levels] {
+                    doc = if array {
+                        Json::Arr(vec![doc])
+                    } else {
+                        Json::Obj(vec![(key.clone(), doc)])
+                    };
+                }
+                doc
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn both_renderings_parse_back_to_the_tree(doc in deep_trees()) {
+            let compact = doc.render_compact();
+            // The parser takes raw control characters; the writer must
+            // never emit one.
+            prop_assert!(compact.chars().all(|c| u32::from(c) >= 0x20), "{compact:?}");
+            prop_assert_eq!(Json::parse(&compact).unwrap(), doc.clone());
+            prop_assert_eq!(Json::parse(&doc.render_pretty()).unwrap(), doc);
+        }
     }
 }

@@ -19,8 +19,6 @@
 //! * [`text`] — the Prometheus-style plaintext renderer
 //!   (`name{label="v"} value`, one sample per line) behind
 //!   `habit serve --metrics-port`.
-//! * [`spanjson`] — span records as line-delimited JSON, the
-//!   `GET /spans` debug surface of the metrics endpoint.
 //!
 //! Everything is thread-safe behind `&self` (atomics + one mutex per
 //! registry map / ring buffer) and allocation-light on the hot path: a
@@ -30,7 +28,6 @@
 
 pub mod metrics;
 pub mod span;
-pub mod spanjson;
 pub mod text;
 
 pub use metrics::{Counter, Gauge, Histogram, Registry, Sample, Snapshot, LATENCY_BUCKETS_US};

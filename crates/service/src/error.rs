@@ -174,8 +174,8 @@ impl From<std::io::Error> for ServiceError {
     }
 }
 
-impl From<eval::json::JsonError> for ServiceError {
-    fn from(e: eval::json::JsonError) -> Self {
+impl From<habit_json::JsonError> for ServiceError {
+    fn from(e: habit_json::JsonError) -> Self {
         Self::bad_request(e.to_string())
     }
 }

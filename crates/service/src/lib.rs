@@ -22,8 +22,9 @@
 //!   exposed via the `metrics` op, the `health` payload, and the
 //!   daemon's plaintext metrics endpoint;
 //! * [`wire`] — the hand-rolled line-delimited JSON codec
-//!   (`habit-wire/v1`, no serde) and [`server`] — the blocking TCP
-//!   daemon behind `habit serve`;
+//!   (`habit-wire/v1`, over `habit-json`; no serde) and [`server`] —
+//!   the blocking TCP daemon behind `habit serve`, whose metrics
+//!   endpoint also answers `GET /spans` with one JSON line per span;
 //! * [`csvio`] — the AIS / track / gap CSV converters every frontend
 //!   shares (path- and reader-based, so `--input -` streams stdin).
 //!
@@ -59,6 +60,7 @@ pub mod request;
 pub mod response;
 pub mod server;
 pub mod service;
+mod spanjson;
 pub mod wire;
 
 #[cfg(test)]

@@ -357,7 +357,7 @@ fn handle_metrics_connection(stream: TcpStream, metrics: &ServiceMetrics) {
         .and_then(|l| l.split_whitespace().nth(1))
         .unwrap_or("/");
     let body = if path == "/spans" {
-        habit_obs::spanjson::render_spans(&metrics.recorder().recent())
+        crate::spanjson::render_spans(&metrics.recorder().recent())
     } else {
         habit_obs::text::render(&metrics.snapshot())
     };

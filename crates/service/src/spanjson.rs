@@ -1,41 +1,27 @@
 //! Span records as line-delimited JSON.
 //!
 //! One object per line, newest last — the `GET /spans` debug surface
-//! of the metrics endpoint. Hand-rolled like the wire codec: the only
-//! dynamic strings are the stage name and op label, escaped per JSON's
-//! required set; all times are integer µs ticks, so every number is
-//! exact on the wire.
+//! of the metrics endpoint. All times are integer µs ticks, so every
+//! number is exact on the wire.
 
-use crate::span::SpanRecord;
+use habit_json::Json;
+use habit_obs::SpanRecord;
 
 /// Renders spans as one JSON object per line.
-pub fn render_spans(spans: &[SpanRecord]) -> String {
+pub(crate) fn render_spans(spans: &[SpanRecord]) -> String {
     let mut out = String::new();
     for s in spans {
-        out.push_str("{\"name\":\"");
-        push_escaped(&mut out, s.name);
-        out.push_str("\",\"op\":\"");
-        push_escaped(&mut out, &s.op);
-        out.push_str(&format!(
-            "\",\"start_us\":{},\"dur_us\":{},\"ok\":{}}}\n",
-            s.start_ticks, s.duration_ticks, s.ok
-        ));
+        let line = Json::Obj(vec![
+            ("name".into(), s.name.into()),
+            ("op".into(), s.op.as_ref().into()),
+            ("start_us".into(), s.start_ticks.into()),
+            ("dur_us".into(), s.duration_ticks.into()),
+            ("ok".into(), Json::Bool(s.ok)),
+        ]);
+        out.push_str(&line.render_compact());
+        out.push('\n');
     }
     out
-}
-
-fn push_escaped(out: &mut String, v: &str) {
-    for ch in v.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The line-delimited JSON wire codec (`habit-wire/v1`).
 //!
 //! One request per line, one response line per request, over any
-//! byte stream (the daemon uses TCP). Hand-rolled over [`eval::json`]
+//! byte stream (the daemon uses TCP). Hand-rolled over [`habit_json`]
 //! — the offline workspace has no serde. The encoding is lossless for
 //! every payload: `f64`s render via shortest-round-trip formatting, and
 //! integer fields are confined to JSON's exact-integer domain (|n| ≤
@@ -39,10 +39,10 @@ use crate::response::{
     AdmissionInfo, BatchOutcome, FitStateInfo, FitSummary, HealthInfo, ModelReport, OpLatency,
     RefitSummary, RepairOutcome, RepairedGap, Response,
 };
-use eval::json::Json;
 use geo_kernel::TimedPoint;
 use habit_core::{GapQuery, HabitConfig, Imputation, PointProvenance, ProvenanceKind};
 use habit_engine::{BatchFailure, BatchStats};
+use habit_json::Json;
 use habit_obs::{Sample, Snapshot};
 use hexgrid::HexCell;
 
