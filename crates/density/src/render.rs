@@ -171,6 +171,12 @@ mod tests {
         // The hotspot cell's count appears verbatim as a property.
         let hottest = format!("\"messages\":{}", map.max_messages());
         assert!(doc.contains(&hottest), "missing {hottest}");
+        // Balanced braces (rough well-formedness).
+        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+    }
+
+    #[test]
+    fn empty_map_geojson_is_an_empty_feature_collection() {
         assert_eq!(
             to_geojson(&DensityMap::new(8)),
             "{\"type\":\"FeatureCollection\",\"features\":[]}"
